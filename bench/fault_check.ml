@@ -23,7 +23,6 @@
 
 module Params = Leakage_device.Params
 module Physics = Leakage_device.Physics
-module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
@@ -56,8 +55,7 @@ let eq_components (a : Report.components) (b : Report.components) =
 
 (* same deterministic-workload idea as serve_check, over more batches *)
 let workload_batches nl =
-  let gates = Netlist.gates nl in
-  let n = Array.length gates in
+  let n = Netlist.gate_count nl in
   let n_in = Array.length (Netlist.inputs nl) in
   List.init n_batches (fun b ->
       List.init 4 (fun k ->
@@ -68,7 +66,7 @@ let workload_batches nl =
           | 1 -> Protocol.Set_input ((b * 13 + 2) mod n_in, (b + k) mod 2 = 0)
           | _ ->
             let rec arity2 i =
-              if Gate.arity gates.(i).Netlist.kind = 2 then i
+              if Netlist.gate_arity nl i = 2 then i
               else arity2 ((i + 1) mod n)
             in
             let g = arity2 pick in

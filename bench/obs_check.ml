@@ -207,7 +207,7 @@ let obj_field o k =
 let tenants = [ ("alice", "s838"); ("bob", "alu88") ]
 
 let batches_for nl =
-  let n = Array.length (Netlist.gates nl) in
+  let n = Netlist.gate_count nl in
   let n_in = Array.length (Netlist.inputs nl) in
   List.init 6 (fun b ->
       List.init 3 (fun k ->

@@ -10,12 +10,11 @@
       direct session with the same final state;
    3. a warm re-open of the already-live session is at least 10x faster
       than the cold open was;
-   4. the metrics reply carries non-empty open/apply/query latency
-      histograms. *)
+   4. the metrics snapshot carries non-empty serve.request_us latency
+      series for the open, apply and query ops. *)
 
 module Params = Leakage_device.Params
 module Physics = Leakage_device.Physics
-module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
@@ -50,8 +49,7 @@ let eq_components (a : Report.components) (b : Report.components) =
 (* Deterministic, data-dependent script: resizes and input flips spread by
    fixed strides, plus arity-preserving retypes on 2-input gates. *)
 let golden_batches nl =
-  let gates = Netlist.gates nl in
-  let n = Array.length gates in
+  let n = Netlist.gate_count nl in
   let n_in = Array.length (Netlist.inputs nl) in
   List.init 8 (fun b ->
       List.init 4 (fun k ->
@@ -62,7 +60,7 @@ let golden_batches nl =
           | _ ->
             (* retype only where we can name a same-arity cell *)
             let rec arity2 i =
-              if Gate.arity gates.(i).Netlist.kind = 2 then i
+              if Netlist.gate_arity nl i = 2 then i
               else arity2 ((i + 1) mod n)
             in
             let g = arity2 pick in
@@ -142,8 +140,7 @@ let () =
        "rollback to mid-script checkpoint bit-identical");
 
   (* ---- 2. two concurrent clients on one warm session ---- *)
-  let gates = Netlist.gates nl in
-  let n = Array.length gates in
+  let n = Netlist.gate_count nl in
   let sizes who = List.init 24 (fun k -> ((who + 2 * k * 17) mod n, 1.0 +. (float_of_int ((who + k) mod 5) /. 8.0))) in
   (* the two gate sets are disjoint: evens for client A, odds for client B *)
   let edits_a = List.map (fun (g, f) -> (g - (g mod 2), f)) (sizes 0) in
@@ -188,36 +185,23 @@ let () =
     "warm re-open %.2f ms is >= 10x faster than cold %.1f ms" (warm_s *. 1e3)
     (cold_s *. 1e3);
 
-  (* ---- 4. latency histograms in the metrics reply ---- *)
-  let json = Client.metrics c in
-  let histogram_count name =
-    (* crude but sufficient scan: find `"name": {"count": N` *)
-    let needle = Printf.sprintf "\"%s\": {\"count\": " name in
-    let nl_ = String.length needle and hl = String.length json in
-    let rec scan i =
-      if i + nl_ > hl then None
-      else if String.sub json i nl_ = needle then begin
-        let j = ref (i + nl_) in
-        let v = ref 0 in
-        while !j < hl && json.[!j] >= '0' && json.[!j] <= '9' do
-          v := (10 * !v) + Char.code json.[!j] - Char.code '0';
-          incr j
-        done;
-        Some !v
-      end
-      else scan (i + 1)
-    in
-    scan 0
+  (* ---- 4. labeled latency series in the metrics snapshot ---- *)
+  let snap = (Client.metrics_snapshot c).Client.snapshot in
+  let request_count op =
+    List.fold_left
+      (fun acc (name, (h : Telemetry.Snapshot.hist)) ->
+        match Telemetry.Snapshot.base_and_labels snap name with
+        | "serve.request_us", labels when List.assoc_opt "op" labels = Some op ->
+          acc + h.Telemetry.Snapshot.count
+        | _ -> acc)
+      0
+      (Telemetry.Snapshot.histogram_entries snap)
   in
   List.iter
-    (fun h ->
-      match histogram_count h with
-      | Some count when count > 0 ->
-        check true "histogram %s has %d observations" h count
-      | other ->
-        check false "histogram %s is %s" h
-          (match other with Some _ -> "empty" | None -> "missing"))
-    [ "serve.open_us"; "serve.apply_us"; "serve.query_us" ];
+    (fun op ->
+      let count = request_count op in
+      check (count > 0) "serve.request_us{op=%s} has %d observations" op count)
+    [ "open"; "apply"; "query" ];
 
   Client.close_session c ~session:o.Client.session;
   Client.close c;

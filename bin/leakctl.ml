@@ -1184,8 +1184,8 @@ let client_cmd =
         Sclient.close_session client ~session:(sid ());
         Format.printf "closed@."
       | "metrics" ->
+        let r = Sclient.metrics_snapshot client in
         if text then begin
-          let r = Sclient.metrics_snapshot client in
           Format.printf "daemon %s, up %.1fs@." r.Sclient.version
             r.Sclient.uptime_s;
           Format.printf "%a@?" Telemetry.Snapshot.pp r.Sclient.snapshot
@@ -1193,7 +1193,13 @@ let client_cmd =
         else begin
           (* raw snapshot JSON; keep the stream newline-terminated so
              shell pipelines and JSONL consumers see one full line *)
-          print_string (Sclient.metrics client);
+          let meta =
+            [
+              ("uptime_s", Printf.sprintf "%.3f" r.Sclient.uptime_s);
+              ("version", "\"" ^ r.Sclient.version ^ "\"");
+            ]
+          in
+          print_string (Telemetry.Snapshot.to_json ~meta r.Sclient.snapshot);
           print_newline ()
         end
       | "shutdown" ->

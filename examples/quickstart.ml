@@ -73,8 +73,8 @@ let () =
       let w = Report.total g.Estimator.with_loading in
       let n = Report.total g.Estimator.no_loading in
       Format.printf "  gate %d (%-5s) vector %s: %+6.2f%%  (%.1f nA)@."
-        g.Estimator.gate.Netlist.id
-        (Gate.name g.Estimator.gate.Netlist.kind)
+        g.Estimator.gate
+        (Gate.name (Netlist.gate_kind circuit g.Estimator.gate))
         (Logic.vector_to_string g.Estimator.vector)
         ((w -. n) /. n *. 100.0)
         (na w))

@@ -17,9 +17,15 @@ let all =
     { label = "mult88"; build = (fun () -> Mult8.build ()) };
   ]
 
-let find label = List.find (fun e -> e.label = label) all
-
 let names = List.map (fun e -> e.label) all
+
+let find label =
+  match List.find_opt (fun e -> e.label = label) all with
+  | Some e -> e
+  | None ->
+    failwith
+      (Printf.sprintf "unknown circuit %s (known: %s)" label
+         (String.concat ", " names))
 
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist

@@ -10,10 +10,11 @@ val all : entry list
 (** s838, s1196, s1423, s5378, s9234, s13207, alu88, mult88 — in the
     paper's plotting order. *)
 
-val find : string -> entry
-(** Raises [Not_found]. *)
-
 val names : string list
+
+val find : string -> entry
+(** Raises [Failure] naming the label and listing {!names} when no entry
+    has that label. *)
 
 type run = {
   label : string;

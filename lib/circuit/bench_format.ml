@@ -494,7 +494,7 @@ let op_name_of_kind = function
 
 (* Emit through a callback so [write_file] streams straight to the channel
    (never holding the rendered text in memory) while [to_string] collects
-   into a buffer. Iterates flat storage; no gate-record view. *)
+   into a buffer. *)
 let emit t put =
   put (Printf.sprintf "# %s\n" (Netlist.name t));
   Array.iter

@@ -2,14 +2,6 @@ module Ba = Bigarray.Array1
 
 type net = int
 
-type gate = {
-  id : int;
-  kind : Gate.kind;
-  strength : float;
-  fan_in : net array;
-  out : net;
-}
-
 type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Ba.t
 type f64_arr = (float, Bigarray.float64_elt, Bigarray.c_layout) Ba.t
 type byte_arr = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Ba.t
@@ -20,8 +12,8 @@ type char_arr = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Ba.t
    into one blob addressed by [name_off]. The flat arrays are Bigarrays so
    an on-disk snapshot can alias them straight out of an mmap. All arrays
    are immutable after construction — derived lookups (driver ids, fanout
-   CSR, topological order, and the compatibility gate-record view) are
-   cached lazily with a benign single-threaded race; see {!warm}. *)
+   CSR, topological order) are cached lazily with a benign single-threaded
+   race; see {!warm}. *)
 type t = {
   nname : string;
   n_gates : int;
@@ -40,7 +32,6 @@ type t = {
   mutable driver_ids : int_arr option;          (* net -> gate id or -1 *)
   mutable fanout_csr : (int_arr * int_arr) option;
   mutable topo_cache : int array option;
-  mutable gates_view : gate array option;
 }
 
 let name t = t.nname
@@ -93,12 +84,6 @@ let iter_pins t g f =
   for k = off to stop - 1 do
     f (k - off) (Ba.get t.pins k)
   done
-
-let gate_fan_in t g =
-  let off = Ba.get t.pin_off g in
-  Array.init
-    (Ba.get t.pin_off (g + 1) - off)
-    (fun p -> Ba.get t.pins (off + p))
 
 (* ----------------------------------------------------- derived lookups *)
 
@@ -179,35 +164,6 @@ let rev_iter_fanout t n f =
     f (Ba.get gids k)
   done
 
-(* ------------------------------------------------- compatibility views *)
-
-let gates t =
-  match t.gates_view with
-  | Some v -> v
-  | None ->
-    let v =
-      Array.init t.n_gates (fun g ->
-          {
-            id = g;
-            kind = gate_kind t g;
-            strength = Ba.get t.strength_arr g;
-            fan_in = gate_fan_in t g;
-            out = Ba.get t.out_net g;
-          })
-    in
-    t.gates_view <- Some v;
-    v
-
-let driver t n =
-  match driver_id t n with -1 -> None | g -> Some (gates t).(g)
-
-let fanout t n =
-  let off, gids = build_fanout_csr t in
-  if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.fanout";
-  let base = Ba.get off n in
-  let v = gates t in
-  List.init (Ba.get off (n + 1) - base) (fun i -> v.(Ba.get gids (base + i)))
-
 let is_input t n = Bytes.get t.is_input_flag n <> '\000'
 let is_output t n = Bytes.get t.is_output_flag n <> '\000'
 
@@ -249,8 +205,7 @@ let warm t =
   ignore (build_fanout_csr t);
   (match topo_sort_opt t with
    | Some o when t.topo_cache = None -> t.topo_cache <- Some o
-   | _ -> ());
-  ignore (gates t)
+   | _ -> ())
 
 (* --------------------------------------------------------- validation *)
 
@@ -401,7 +356,6 @@ module Repr = struct
         driver_ids = None;
         fanout_csr = None;
         topo_cache = None;
-        gates_view = None;
       }
     in
     if do_validate then (
@@ -459,33 +413,7 @@ let with_kinds_strengths t ~kinds ~strengths =
     driver_ids = None;
     fanout_csr = None;
     topo_cache = None;
-    gates_view = None;
   }
-
-let with_gates t gates' =
-  if Array.length gates' <> t.n_gates then
-    invalid_arg "Netlist.with_gates: gate count mismatch";
-  Array.iteri
-    (fun i (g : gate) ->
-      if g.id <> i || g.out <> gate_out t i || g.fan_in <> gate_fan_in t i
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Netlist.with_gates: gate %d changes structure (only kind and \
-              strength may differ)" i);
-      if g.strength <= 0.0 then
-        invalid_arg "Netlist.with_gates: strength must be positive")
-    gates';
-  let t' =
-    try
-      with_kinds_strengths t
-        ~kinds:(Array.map (fun g -> g.kind) gates')
-        ~strengths:(Array.map (fun g -> g.strength) gates')
-    with Failure e -> failwith ("Netlist.with_gates: " ^ e)
-  in
-  match validate t' with
-  | Ok () -> t'
-  | Error e -> failwith ("Netlist.with_gates: " ^ e)
 
 (* ---------------------------------------------------------------- digest *)
 
@@ -779,7 +707,6 @@ module Builder = struct
         driver_ids = None;
         fanout_csr = None;
         topo_cache = None;
-        gates_view = None;
       }
     in
     match validate t with

@@ -11,24 +11,10 @@
     lists (CSR) and output nets live in flat [Bigarray]s, net names in one
     packed blob — no per-gate heap objects, so million-gate netlists fit in
     a few flat allocations and can be snapshotted to (and mmapped from)
-    disk. The historical record API ({!gate}, {!gates}, {!driver},
-    {!fanout}) is kept as a lazily materialized compatibility view; hot
-    paths should use the int-indexed accessors below. *)
+    disk. Gates are read only through the int-indexed accessors below. *)
 
 type net = int
 (** Dense net identifier in [\[0, net_count)]. *)
-
-type gate = {
-  id : int;
-  kind : Gate.kind;
-  strength : float;
-  (** drive strength: every transistor width in the cell is scaled by this
-      factor (1.0 = minimum size). Leakage scales with it too, which is why
-      the paper characterizes per "gate type, size, loading". *)
-  fan_in : net array;
-  out : net;
-}
-(** Compatibility record view of one gate; see {!gates}. *)
 
 type t
 (** Immutable netlist (internal lookup caches are built lazily). *)
@@ -53,6 +39,10 @@ val gate_kind_code : t -> int -> int
 (** [Gate.code] of the gate's kind, straight from flat storage. *)
 
 val gate_strength : t -> int -> float
+(** Drive strength: every transistor width in the cell is scaled by this
+    factor (1.0 = minimum size). Leakage scales with it too, which is why
+    the paper characterizes per "gate type, size, loading". *)
+
 val gate_arity : t -> int -> int
 (** Number of input pins. *)
 
@@ -60,9 +50,6 @@ val gate_pin : t -> int -> int -> net
 (** [gate_pin t g p] is the net on pin [p] of gate [g]. *)
 
 val gate_out : t -> int -> net
-val gate_fan_in : t -> int -> net array
-(** Fresh array of the gate's input nets (allocates; prefer {!iter_pins}
-    or {!gate_pin} on hot paths). *)
 
 val iter_pins : t -> int -> (int -> net -> unit) -> unit
 (** [iter_pins t g f] calls [f pin net] for every input pin in pin order. *)
@@ -81,7 +68,7 @@ val fanout_gate : t -> net -> int -> int
 
 val iter_fanout : t -> net -> (int -> unit) -> unit
 (** Iterate the reading gates of a net in ascending (gate, pin) order —
-    one call per pin, like the historical {!fanout} list. *)
+    one call per pin, so a gate with two pins on the net is seen twice. *)
 
 val rev_iter_fanout : t -> net -> (int -> unit) -> unit
 (** {!iter_fanout} in reverse order. *)
@@ -90,27 +77,12 @@ val topo_ids : t -> int array
 (** Gate ids in topological order; computed once and cached (do not
     mutate). Raises [Failure] on a cyclic netlist. *)
 
-(** {2 Record-view access (compatibility)} *)
-
-val gates : t -> gate array
-(** Gate instances indexed by [gate.id]. Materialized lazily from the flat
-    storage on first use and cached; do not mutate. *)
-
-val driver : t -> net -> gate option
-(** The gate driving a net, or [None] for a primary input. O(1) after the
-    first call; materializes the record view. *)
-
-val fanout : t -> net -> gate list
-(** Gates with an input pin on this net, one entry per pin. Built from the
-    CSR adjacency on every call (allocates); hot paths should use
-    {!iter_fanout}. *)
-
 val warm : t -> unit
-(** Force the lazily built lookup caches ({!driver_id}, the fanout CSR,
-    {!topo_ids} and the {!gates} record view) to be built now. The caches
-    are initialized lazily by a benign single-threaded race; call this
-    before handing the netlist to multiple domains so no concurrent lazy
-    initialization can occur. *)
+(** Force the lazily built lookup caches ({!driver_id}, the fanout CSR
+    behind {!iter_fanout} and {!fanout_degree}, and {!topo_ids}) to be
+    built now. The caches are initialized lazily by a benign
+    single-threaded race; call this before handing the netlist to multiple
+    domains so no concurrent lazy initialization can occur. *)
 
 val is_input : t -> net -> bool
 val is_output : t -> net -> bool
@@ -119,20 +91,15 @@ val validate : t -> (unit, string) result
 (** Structural checks: single driver per net, arities match, no dangling
     nets, acyclicity. Builders run this automatically. *)
 
-val with_gates : t -> gate array -> t
-(** [with_gates t gates] is [t] with each gate's [kind] and [strength]
-    replaced; ids, pins and output nets must be unchanged (net numbering is
-    preserved, unlike a rebuild through {!Builder}). Used to materialize the
-    current state of an incremental edit session as a plain netlist. Raises
-    [Invalid_argument] on structural changes and [Failure] if the result
-    fails {!validate} (e.g. a retype to a different arity). *)
-
 val with_kinds_strengths :
   t -> kinds:Gate.kind array -> strengths:float array -> t
-(** Record-free {!with_gates}: replace every gate's kind and strength by
-    dense-id arrays, sharing the structural arrays with [t]. Raises
-    [Invalid_argument] on length mismatch or non-positive strengths and
-    [Failure] if a kind change alters arity. *)
+(** [with_kinds_strengths t ~kinds ~strengths] is [t] with every gate's
+    kind and strength replaced by the dense-id arrays; pins, output nets
+    and net numbering are shared with [t] (unlike a rebuild through
+    {!Builder}). Used to materialize the current state of an incremental
+    edit session as a plain netlist. Raises [Invalid_argument] on length
+    mismatch or non-positive strengths and [Failure] if a kind change
+    alters arity. *)
 
 val digest : t -> string
 (** Stable structural digest: 32 lowercase hex characters, identical across

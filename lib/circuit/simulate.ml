@@ -32,9 +32,6 @@ let run t pattern =
 let outputs t assignment =
   Array.map (fun n -> assignment.(n)) (Netlist.outputs t)
 
-let gate_input_vector _t assignment (g : Netlist.gate) =
-  Array.map (fun n -> assignment.(n)) g.fan_in
-
 let random_patterns rng t n =
   let width = Array.length (Netlist.inputs t) in
   List.init n (fun _ -> Logic.random_vector rng width)

@@ -18,9 +18,6 @@ val run_into : Netlist.t -> Logic.vector -> assignment -> unit
 val outputs : Netlist.t -> assignment -> Logic.vector
 (** Read back the primary-output values of an assignment. *)
 
-val gate_input_vector : Netlist.t -> assignment -> Netlist.gate -> Logic.vector
-(** The logic vector seen at one gate's input pins. *)
-
 val random_patterns :
   Leakage_numeric.Rng.t -> Netlist.t -> int -> Logic.vector list
 (** [random_patterns rng t n] draws [n] uniform input patterns. *)

@@ -1,9 +1,3 @@
-let order_ids = Netlist.topo_ids
-
-let order t =
-  let gates = Netlist.gates t in
-  Array.map (fun i -> gates.(i)) (order_ids t)
-
 let levels t =
   match
     Topo_check.levelize_flat ~net_count:(Netlist.net_count t)

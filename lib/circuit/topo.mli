@@ -1,15 +1,5 @@
-(** Topological ordering of a netlist's gates (step 1 of the paper's Fig-13
-    algorithm). *)
-
-val order : Netlist.t -> Netlist.gate array
-(** Gates in topological order: every gate appears after all gates driving
-    its inputs. Raises [Failure] on a cyclic netlist (builders reject those,
-    so this only fires on hand-made structures). Materializes the
-    compatibility gate-record view; hot paths should prefer {!order_ids}. *)
-
-val order_ids : Netlist.t -> int array
-(** Same order as {!order} but as gate ids, allocation-free after the first
-    call (the order is cached inside the netlist). *)
+(** Logic levels of a netlist's gates. The topological order itself (step 1
+    of the paper's Fig-13 algorithm) is {!Netlist.topo_ids}. *)
 
 val levels : Netlist.t -> int array
 (** Logic depth per gate id (primary inputs at depth 0). *)

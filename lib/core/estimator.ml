@@ -11,7 +11,7 @@ let m_gate_lookups = Tm.counter "estimator.gate_lookups"
 let m_pass_steps = Tm.counter "estimator.loading_pass_steps"
 
 type gate_estimate = {
-  gate : Netlist.gate;
+  gate : int;
   vector : Logic.vector;
   loading_in : float array;
   loading_out : float;
@@ -32,9 +32,9 @@ type result = {
    over a single pin-aligned contribution array (CSR layout mirroring the
    netlist's pin storage — no per-gate float array on the hot path).
 
-   Iteration is by ascending gate id and ascending pin everywhere, exactly
-   the order the record-based implementation used, so every float sum is
-   performed in the same order and totals stay bit-identical. *)
+   Iteration is by ascending gate id and ascending pin everywhere, so
+   [estimate], [estimate_totals] and [estimate_fold] perform every float sum
+   in the same order and their totals stay bit-identical. *)
 
 type core = {
   c_entries : Characterize.entry array; (* per gate id *)
@@ -153,22 +153,21 @@ let estimate ?(passes = 1) ?library_of_gate ?scratch lib netlist pattern =
       buf
   in
   let c = run_core ~passes ~library_of_gate ~assignment lib netlist in
-  let gates = Netlist.gates netlist in
   let per_gate =
-    Array.map
-      (fun (g : Netlist.gate) ->
-        let e = c.c_entries.(g.id) in
-        let loading_in = loading_in_of c netlist g.id in
-        let loading_out = c.c_net_injection.(g.out) in
+    Array.init (Netlist.gate_count netlist) (fun g ->
+        let e = c.c_entries.(g) in
+        let loading_in = loading_in_of c netlist g in
+        let loading_out = c.c_net_injection.(Netlist.gate_out netlist g) in
         {
           gate = g;
-          vector = Array.map (fun n -> assignment.(n)) g.fan_in;
+          vector =
+            Array.init (Netlist.gate_arity netlist g) (fun p ->
+                assignment.(Netlist.gate_pin netlist g p));
           loading_in;
           loading_out;
           with_loading = Characterize.apply e ~loading_in ~loading_out;
           no_loading = e.Characterize.nominal_isolated;
         })
-      gates
   in
   let totals =
     Array.fold_left

@@ -9,7 +9,7 @@
     need to solve the circuit-wide KCL system. *)
 
 type gate_estimate = {
-  gate : Leakage_circuit.Netlist.gate;
+  gate : int;                               (** gate id *)
   vector : Leakage_circuit.Logic.vector;    (** logic state at the pins *)
   loading_in : float array;                 (** signed A, per pin (siblings only) *)
   loading_out : float;                      (** signed A (all fanout pins) *)
@@ -64,8 +64,8 @@ val estimate_totals :
   Leakage_spice.Leakage_report.components * Leakage_spice.Leakage_report.components
 (** [(with-loading totals, baseline totals)] under one pattern — the same
     numbers as {!estimate}'s [totals] / [baseline_totals], bit for bit
-    (identical summation order), without materializing per-gate records,
-    gate views or an assignment snapshot. This is the hot path for vector
+    (identical summation order), without materializing per-gate records
+    or an assignment snapshot. This is the hot path for vector
     sweeps; {!average_over_vectors} runs on it. *)
 
 val estimate_fold :

@@ -30,9 +30,9 @@ let per_gate_csv netlist (result : Estimator.result) =
              else (Report.total c -. base) /. base *. 100.0
            in
            [
-             string_of_int ge.Estimator.gate.Netlist.id;
-             Gate.name ge.Estimator.gate.Netlist.kind;
-             Netlist.net_name netlist ge.Estimator.gate.Netlist.out;
+             string_of_int ge.Estimator.gate;
+             Gate.name (Netlist.gate_kind netlist ge.Estimator.gate);
+             Netlist.net_name netlist (Netlist.gate_out netlist ge.Estimator.gate);
              Logic.vector_to_string ge.Estimator.vector;
              f (na c.Report.isub);
              f (na c.Report.igate);
@@ -107,9 +107,9 @@ let pp_per_gate ?(limit = 20) ppf netlist (result : Estimator.result) =
         let total = Report.total ge.Estimator.with_loading in
         let base = Report.total ge.Estimator.no_loading in
         Format.fprintf ppf "%6d %-7s %-12s %-6s %12.1f %+10.2f@."
-          ge.Estimator.gate.Netlist.id
-          (Gate.name ge.Estimator.gate.Netlist.kind)
-          (Netlist.net_name netlist ge.Estimator.gate.Netlist.out)
+          ge.Estimator.gate
+          (Gate.name (Netlist.gate_kind netlist ge.Estimator.gate))
+          (Netlist.net_name netlist (Netlist.gate_out netlist ge.Estimator.gate))
           (Logic.vector_to_string ge.Estimator.vector)
           (na total)
           (if base = 0.0 then 0.0 else (total -. base) /. base *. 100.0)

@@ -62,9 +62,10 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   let rows =
     Array.map
       (fun (ge : Estimator.gate_estimate) ->
+        let g = ge.Estimator.gate in
         let entry =
-          Library.entry ~strength:ge.Estimator.gate.Netlist.strength lib
-            ge.Estimator.gate.Netlist.kind ge.Estimator.vector
+          Library.entry ~strength:(Netlist.gate_strength netlist g) lib
+            (Netlist.gate_kind netlist g) ge.Estimator.vector
         in
         (ge.Estimator.with_loading, ge.Estimator.no_loading, entry))
       est.Estimator.per_gate

@@ -1,7 +1,7 @@
 (** Scheduling primitives for cone-scoped updates.
 
     An edit dirties a gate; its consequences flow strictly downstream
-    (through [Netlist.fanout]) for logic values and one level sideways
+    (through [Netlist.iter_fanout]) for logic values and one level sideways
     (driver plus fanout of a net) for loading currents. The session visits
     dirty gates in topological order exactly once per propagation, so each
     update costs O(cone), not O(circuit). *)

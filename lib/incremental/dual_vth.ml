@@ -12,7 +12,7 @@ let slack_assignment ~critical_margin netlist =
   if critical_margin < 0 then
     invalid_arg "Dual_vth.slack_assignment: negative margin";
   let levels = Topo.levels netlist in
-  let order = Topo.order_ids netlist in
+  let order = Netlist.topo_ids netlist in
   let n_gates = Netlist.gate_count netlist in
   let tail = Array.make n_gates 0 in
   (* reverse topological pass over gates *)

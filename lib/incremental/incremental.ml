@@ -1,7 +1,6 @@
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
-module Topo = Leakage_circuit.Topo
 module Report = Leakage_spice.Leakage_report
 module Library = Leakage_core.Library
 module Characterize = Leakage_core.Characterize
@@ -555,7 +554,7 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
   Netlist.warm netlist;
   let n_gates = Netlist.gate_count netlist in
   let n_nets = Netlist.net_count netlist in
-  let order_ids = Topo.order_ids netlist in
+  let order_ids = Netlist.topo_ids netlist in
   let priority = Array.make n_gates 0 in
   Array.iteri (fun pos g_id -> priority.(g_id) <- pos) order_ids;
   let input_index = Array.make n_nets (-1) in

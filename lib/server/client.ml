@@ -309,11 +309,6 @@ let close_session t ~session =
     | Protocol.Closed _ -> ()
     | _ -> unexpected "close_session")
 
-let metrics t =
-  ok t Protocol.Metrics (function
-    | Protocol.Metrics_report json -> json
-    | _ -> unexpected "metrics")
-
 type snapshot_report = {
   uptime_s : float;
   version : string;

@@ -137,10 +137,6 @@ val checkpoint : t -> session:int -> int
 val rollback : t -> session:int -> checkpoint:int -> unit
 val close_session : t -> session:int -> unit
 
-val metrics : t -> string
-(** The server's {!Leakage_telemetry.Telemetry.Snapshot} as JSON (with an
-    uptime/version [meta] block). *)
-
 type snapshot_report = {
   uptime_s : float;
   version : string;

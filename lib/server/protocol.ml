@@ -54,7 +54,6 @@ type request =
   | Checkpoint of { session : int }
   | Rollback of { session : int; checkpoint : int }
   | Close of { session : int }
-  | Metrics
   | Metrics_snapshot
   | Shutdown
 
@@ -75,7 +74,6 @@ type response =
   | Checkpointed of { session : int; checkpoint : int }
   | Rolled_back of { session : int }
   | Closed of { session : int }
-  | Metrics_report of string
   | Metrics_snapshot_report of {
       uptime_s : float;
       version : string;
@@ -87,7 +85,9 @@ type response =
 (* ------------------------------------------------------------- opcodes *)
 
 (* Requests occupy [0x01, 0x7f], responses [0x80, 0xff]; the split means a
-   frame's opcode alone says which direction it belongs to. *)
+   frame's opcode alone says which direction it belongs to. 0x08 and 0x88
+   stay unassigned so a client of the removed JSON metrics op is rejected,
+   never misread. *)
 let op_ping = 0x01
 let op_open = 0x02
 let op_apply = 0x03
@@ -95,7 +95,6 @@ let op_query = 0x04
 let op_checkpoint = 0x05
 let op_rollback = 0x06
 let op_close = 0x07
-let op_metrics = 0x08
 let op_shutdown = 0x09
 let op_metrics_snapshot = 0x0a
 
@@ -106,7 +105,6 @@ let op_queried = 0x84
 let op_checkpointed = 0x85
 let op_rolled_back = 0x86
 let op_closed = 0x87
-let op_metrics_report = 0x88
 let op_shutdown_ack = 0x89
 let op_metrics_snapshot_report = 0x8a
 let op_error = 0xff
@@ -320,7 +318,6 @@ let encode_request = function
         Wire.put_u32 b session;
         Wire.put_u32 b checkpoint)
   | Close { session } -> frame op_close (fun b -> Wire.put_u32 b session)
-  | Metrics -> frame op_metrics (fun _ -> ())
   | Metrics_snapshot -> frame op_metrics_snapshot (fun _ -> ())
   | Shutdown -> frame op_shutdown (fun _ -> ())
 
@@ -352,7 +349,6 @@ let decode_request { Wire.op; payload } =
       Rollback { session; checkpoint = Wire.get_u32 r }
     end
     else if op = op_close then Close { session = Wire.get_u32 r }
-    else if op = op_metrics then Metrics
     else if op = op_metrics_snapshot then Metrics_snapshot
     else if op = op_shutdown then Shutdown
     else raise (Wire.Bad_frame (Printf.sprintf "request opcode 0x%02x" op))
@@ -387,7 +383,6 @@ let encode_response = function
   | Rolled_back { session } ->
     frame op_rolled_back (fun b -> Wire.put_u32 b session)
   | Closed { session } -> frame op_closed (fun b -> Wire.put_u32 b session)
-  | Metrics_report json -> frame op_metrics_report (fun b -> Wire.put_string b json)
   | Metrics_snapshot_report { uptime_s; version; snapshot } ->
     frame op_metrics_snapshot_report (fun b ->
         Wire.put_f64 b uptime_s;
@@ -432,7 +427,6 @@ let decode_response { Wire.op; payload } =
     end
     else if op = op_rolled_back then Rolled_back { session = Wire.get_u32 r }
     else if op = op_closed then Closed { session = Wire.get_u32 r }
-    else if op = op_metrics_report then Metrics_report (Wire.get_string r)
     else if op = op_metrics_snapshot_report then begin
       let uptime_s = Wire.get_f64 r in
       let version = Wire.get_string r in
@@ -479,7 +473,6 @@ let request_name = function
   | Checkpoint _ -> "checkpoint"
   | Rollback _ -> "rollback"
   | Close _ -> "close"
-  | Metrics -> "metrics"
   | Metrics_snapshot -> "metrics-snapshot"
   | Shutdown -> "shutdown"
 
@@ -498,6 +491,5 @@ let pp_request ppf = function
   | Rollback { session; checkpoint } ->
     Format.fprintf ppf "rollback session=%d to=%d" session checkpoint
   | Close { session } -> Format.fprintf ppf "close session=%d" session
-  | Metrics -> Format.fprintf ppf "metrics"
   | Metrics_snapshot -> Format.fprintf ppf "metrics-snapshot"
   | Shutdown -> Format.fprintf ppf "shutdown"

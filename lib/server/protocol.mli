@@ -65,10 +65,9 @@ type request =
   | Checkpoint of { session : int }
   | Rollback of { session : int; checkpoint : int }
   | Close of { session : int }
-  | Metrics
   | Metrics_snapshot
       (** the full typed snapshot plus uptime/version — what [leakctl top]
-          polls; [Metrics] stays the JSON form *)
+          polls and [leakctl client metrics] prints *)
   | Shutdown
 
 type response =
@@ -88,7 +87,6 @@ type response =
   | Checkpointed of { session : int; checkpoint : int }
   | Rolled_back of { session : int }
   | Closed of { session : int }
-  | Metrics_report of string  (** {!Leakage_telemetry.Telemetry.Snapshot} JSON *)
   | Metrics_snapshot_report of {
       uptime_s : float;
       version : string;

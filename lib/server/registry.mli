@@ -77,7 +77,7 @@ type resolved = {
 
 val resolve : t -> spec -> resolved
 (** Build the netlist a spec describes and derive its registry key. Raises
-    [Not_found] for an unknown built-in label, [Parse_error]/[Failure] for
+    [Failure] for an unknown built-in label, [Parse_error]/[Failure] for
     bad [.bench] text. Cheap relative to opening: no estimation happens
     here, so connection threads can afford it for request routing. *)
 

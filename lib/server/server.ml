@@ -11,9 +11,6 @@ let m_rejected = Tm.counter "serve.rejected"
 let m_bad_frames = Tm.counter "serve.bad_frames"
 let m_connections = Tm.counter "serve.connections"
 let m_scrapes = Tm.counter "serve.http_scrapes"
-let h_open_us = Tm.histogram "serve.open_us"
-let h_apply_us = Tm.histogram "serve.apply_us"
-let h_query_us = Tm.histogram "serve.query_us"
 let g_sessions_live = Tm.gauge "serve.sessions_live"
 let g_queue_depth = Tm.gauge "serve.queue_depth"
 let g_quota = Tm.gauge "serve.quota"
@@ -150,12 +147,10 @@ let err code fmt =
     fmt
 
 (* Run [f] on the session's executor, serialized with every other request
-   for that session, and hand the result back through a mailbox. The
-   latency histogram sees queue wait plus execution — what a client feels. *)
-let on_session t ?rid ~op (session : Registry.session) histo f =
+   for that session, and hand the result back through a mailbox. *)
+let on_session t ?rid ~op (session : Registry.session) f =
   let mb = mailbox () in
   Registry.begin_request t.registry session;
-  let t0 = Tm.now_us () in
   let span_args =
     match rid with Some rid -> [ ("rid", rid) ] | None -> []
   in
@@ -167,7 +162,6 @@ let on_session t ?rid ~op (session : Registry.session) histo f =
            | Invalid_argument m -> err Protocol.Bad_request "%s" m
            | Failure m -> err Protocol.Internal "%s" m
          in
-         Tm.observe histo (Tm.now_us () -. t0);
          Registry.end_request t.registry session;
          mailbox_put mb resp)
    with Invalid_argument _ ->
@@ -208,15 +202,12 @@ let handle_open t ?rid ~tenant ~circuit ~device ~temp_c ~pattern () =
       }
     in
     (match Registry.resolve t.registry spec with
-     | exception Not_found ->
-       err Protocol.Bad_request "unknown built-in circuit"
      | exception Leakage_circuit.Bench_format.Parse_error (line, msg) ->
        err Protocol.Bad_request "bench parse error, line %d: %s" line msg
      | exception Failure m -> err Protocol.Bad_request "%s" m
      | exception Invalid_argument m -> err Protocol.Bad_request "%s" m
      | resolved ->
        let mb = mailbox () in
-       let t0 = Tm.now_us () in
        let span_args =
          match rid with Some rid -> [ ("rid", rid) ] | None -> []
        in
@@ -245,7 +236,6 @@ let handle_open t ?rid ~tenant ~circuit ~device ~temp_c ~pattern () =
                 | Invalid_argument m -> err Protocol.Bad_request "%s" m
                 | Failure m -> err Protocol.Internal "%s" m
               in
-              Tm.observe h_open_us (Tm.now_us () -. t0);
               mailbox_put mb resp)
         with Invalid_argument _ ->
           mailbox_put mb (err Protocol.Shutting_down "server is draining"));
@@ -258,7 +248,7 @@ let handle_apply t ?rid ~session_id ~edits () =
   | exception Invalid_argument m -> err Protocol.Bad_request "%s" m
   | incr_edits ->
     find_session t session_id @@ fun session ->
-    on_session t ?rid ~op:"apply" session h_apply_us (fun () ->
+    on_session t ?rid ~op:"apply" session (fun () ->
         let before = (Incremental.stats session.Registry.incr).Incremental.batch_groups in
         Incremental.apply_batch ?pool:t.pool session.Registry.incr incr_edits;
         let after = (Incremental.stats session.Registry.incr).Incremental.batch_groups in
@@ -272,7 +262,7 @@ let handle_apply t ?rid ~session_id ~edits () =
 
 let handle_query t ?rid ~session_id ~refresh () =
   find_session t session_id @@ fun session ->
-  on_session t ?rid ~op:"query" session h_query_us (fun () ->
+  on_session t ?rid ~op:"query" session (fun () ->
       if refresh then Incremental.refresh session.Registry.incr;
       Protocol.Queried
         {
@@ -283,7 +273,7 @@ let handle_query t ?rid ~session_id ~refresh () =
 
 let handle_checkpoint t ?rid ~session_id () =
   find_session t session_id @@ fun session ->
-  on_session t ?rid ~op:"checkpoint" session h_query_us (fun () ->
+  on_session t ?rid ~op:"checkpoint" session (fun () ->
       let id = session.Registry.next_checkpoint in
       session.Registry.next_checkpoint <- id + 1;
       Hashtbl.replace session.Registry.checkpoints id
@@ -292,7 +282,7 @@ let handle_checkpoint t ?rid ~session_id () =
 
 let handle_rollback t ?rid ~session_id ~checkpoint () =
   find_session t session_id @@ fun session ->
-  on_session t ?rid ~op:"rollback" session h_query_us (fun () ->
+  on_session t ?rid ~op:"rollback" session (fun () ->
       match Hashtbl.find_opt session.Registry.checkpoints checkpoint with
       | None ->
         err Protocol.Unknown_checkpoint "no checkpoint %d in session %d"
@@ -307,23 +297,14 @@ let handle_rollback t ?rid ~session_id ~checkpoint () =
 
 let handle_close t ?rid ~session_id () =
   find_session t session_id @@ fun session ->
-  on_session t ?rid ~op:"close" session h_query_us (fun () ->
+  on_session t ?rid ~op:"close" session (fun () ->
       Registry.close_session t.registry session;
       Protocol.Closed { session = session_id })
-
-let metrics_meta t =
-  [
-    ("uptime_s", Printf.sprintf "%.3f" (uptime_s t));
-    ("version", "\"" ^ t.version ^ "\"");
-  ]
 
 let handle_request t ~tenant ~rid req =
   Tm.incr m_requests;
   match (req : Protocol.request) with
   | Protocol.Ping -> Protocol.Pong
-  | Protocol.Metrics ->
-    Protocol.Metrics_report
-      (Tm.Snapshot.to_json ~meta:(metrics_meta t) (Tm.Snapshot.take ()))
   | Protocol.Metrics_snapshot ->
     Protocol.Metrics_snapshot_report
       {

@@ -5,12 +5,11 @@
     executor domains, and one shared {!Leakage_parallel.Pool} for intra-batch
     cone groups. Connections are handled by lightweight reader threads: each
     reads one {!Wire} frame, decodes the {!Protocol} request, and either
-    answers inline (ping, metrics) or routes the job through the scheduler
-    and waits for its reply. Per-request latency lands in the
-    [serve.open_us] / [serve.apply_us] / [serve.query_us] histograms and the
-    labeled [serve.request_us{op,tenant}] family; the [metrics] op returns
-    the JSON snapshot [leakctl --metrics-json] writes plus an uptime/version
-    [meta] block, and [metrics-snapshot] the full typed snapshot.
+    answers inline (ping, metrics snapshot) or routes the job through the
+    scheduler and waits for its reply. Per-request latency — decode, queue
+    wait and execution — lands in the labeled [serve.request_us{op,tenant}]
+    histogram family, one series per op; the [metrics-snapshot] op returns
+    the full typed snapshot with the daemon's uptime and version.
 
     Every request gets a daemon-unique request id ([c<conn>-<seq>]) that
     tags its structured log lines ({!Leakage_telemetry.Log}), its executor

@@ -76,21 +76,6 @@ let merged_hists diff ~base ~group_label =
   List.rev_map (fun key -> (key, Hashtbl.find groups key)) !order
 
 let op_rows diff interval =
-  let labeled = merged_hists diff ~base:"serve.request_us" ~group_label:"op" in
-  let source =
-    if labeled <> [] then labeled
-    else
-      (* daemon predates labeled families: fall back to the unlabeled
-         per-op histograms *)
-      List.filter_map
-        (fun (name, op) ->
-          Option.map (fun h -> (op, h)) (Tm.Snapshot.histogram_stats diff name))
-        [
-          ("serve.open_us", "open");
-          ("serve.apply_us", "apply");
-          ("serve.query_us", "query");
-        ]
-  in
   List.filter_map
     (fun (op, (h : Tm.Snapshot.hist)) ->
       if h.count = 0 then None
@@ -103,7 +88,7 @@ let op_rows diff interval =
             p50_us = Tm.Snapshot.quantile h 0.5;
             p99_us = Tm.Snapshot.quantile h 0.99;
           })
-    source
+    (merged_hists diff ~base:"serve.request_us" ~group_label:"op")
   |> List.sort (fun a b -> compare (b.count, a.op) (a.count, b.op))
 
 let tenant_rows snap diff =

@@ -6,8 +6,7 @@
     from {!Leakage_telemetry.Telemetry.Snapshot.diff} over the snapshots'
     [taken_at] spread; per-op and per-tenant latency comes from the
     [serve.request_us{op,tenant}] family (merged across the other label
-    axis), falling back to the unlabeled [serve.open_us]/[apply_us]/
-    [query_us] histograms against daemons that predate labeled metrics. *)
+    axis). *)
 
 type op_row = {
   op : string;

@@ -2,7 +2,6 @@ module Params = Leakage_device.Params
 module Netlist = Leakage_circuit.Netlist
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
-module Topo = Leakage_circuit.Topo
 
 type node =
   | Ground
@@ -107,7 +106,7 @@ let flatten ?device_of_gate ?sleep ~device ~temp ?vdd netlist assignment =
   Array.iter
     (fun n -> net_node.(n) <- Fixed (rail_of_logic assignment.(n)))
     (Netlist.inputs netlist);
-  let topo_gates = Topo.order_ids netlist in
+  let topo_gates = Netlist.topo_ids netlist in
   (* Pre-create output-net unknowns in topo order, then walk gates again to
      expand cells (cell internals sit next to their gate's output). *)
   Array.iter

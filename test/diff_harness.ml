@@ -108,15 +108,11 @@ let random_edit rng nl =
   | 0 | 1 -> Edit.random_resize ~strengths:palette rng nl
   | 2 -> Edit.random_set_input rng nl
   | _ ->
-    let gates = Netlist.gates nl in
-    let g = gates.(Rng.int rng (Array.length gates)) in
-    (match Array.length g.Netlist.fan_in with
-     | 1 ->
-       Edit.Retype (g.Netlist.id, if Rng.bool rng then Gate.Inv else Gate.Buf)
-     | 2 ->
-       Edit.Retype
-         (g.Netlist.id, if Rng.bool rng then Gate.Nand 2 else Gate.Nor 2)
-     | _ -> Edit.Relib (g.Netlist.id, if Rng.bool rng then hvt_lib else lib))
+    let g = Rng.int rng (Netlist.gate_count nl) in
+    (match Netlist.gate_arity nl g with
+     | 1 -> Edit.Retype (g, if Rng.bool rng then Gate.Inv else Gate.Buf)
+     | 2 -> Edit.Retype (g, if Rng.bool rng then Gate.Nand 2 else Gate.Nor 2)
+     | _ -> Edit.Relib (g, if Rng.bool rng then hvt_lib else lib))
 
 let random_batch rng nl size = List.init size (fun _ -> random_edit rng nl)
 
@@ -148,9 +144,8 @@ let fingerprint s =
     fp_values = Incremental.assignment s;
     fp_injection = Incremental.net_injection s;
     fp_gates =
-      Array.map
-        (fun (g : Netlist.gate) -> (Gate.name g.Netlist.kind, g.Netlist.strength))
-        (Netlist.gates nl);
+      Array.init (Netlist.gate_count nl) (fun g ->
+          (Gate.name (Netlist.gate_kind nl g), Netlist.gate_strength nl g));
     fp_per_gate =
       Array.init (Netlist.gate_count nl) (Incremental.gate_components s);
     fp_totals = Incremental.totals s;

@@ -5,7 +5,6 @@
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
 module Simulate = Leakage_circuit.Simulate
-module Topo = Leakage_circuit.Topo
 module Adders = Leakage_benchmarks.Adders
 module Alu8 = Leakage_benchmarks.Alu8
 module Mult8 = Leakage_benchmarks.Mult8
@@ -234,9 +233,8 @@ let test_iscas_seed_changes_structure () =
   let a = Iscas.generate ~seed:1 p in
   let b = Iscas.generate ~seed:2 p in
   let sig_of nl =
-    List.map
-      (fun (g : Netlist.gate) -> Leakage_circuit.Gate.name g.Netlist.kind)
-      (Array.to_list (Netlist.gates nl))
+    List.init (Netlist.gate_count nl) (fun g ->
+        Leakage_circuit.Gate.name (Netlist.gate_kind nl g))
   in
   Alcotest.(check bool) "different seeds differ" false (sig_of a = sig_of b)
 
@@ -253,7 +251,7 @@ let prop_iscas_random_profiles_valid =
       let p = { Iscas.profile_name = "rand"; n_pi = 6; n_po = 3; n_ff = 4;
                 n_gates } in
       let nl = Iscas.generate ~seed p in
-      Netlist.validate nl = Ok () && Array.length (Topo.order nl) = n_gates)
+      Netlist.validate nl = Ok () && Array.length (Netlist.topo_ids nl) = n_gates)
 
 (* ---------------------------------------------------------------- Trees *)
 
@@ -342,8 +340,11 @@ let test_suite_find () =
   let e = Suite.find "alu88" in
   let nl = e.Suite.build () in
   Alcotest.(check bool) "alu has gates" true (Netlist.gate_count nl > 100);
-  Alcotest.check_raises "unknown" Not_found (fun () ->
-      ignore (Suite.find "nope"))
+  Alcotest.check_raises "unknown"
+    (Failure
+       "unknown circuit nope (known: s838, s1196, s1423, s5378, s9234, \
+        s13207, alu88, mult88)")
+    (fun () -> ignore (Suite.find "nope"))
 
 let test_suite_small_members_build () =
   List.iter

@@ -223,12 +223,10 @@ let test_netlist_builder_basic () =
 
 let test_netlist_driver_fanout () =
   let nl, a, _, c, d = small_circuit () in
-  (match Netlist.driver nl c with
-   | Some g -> Alcotest.(check int) "driver of c" 0 g.Netlist.id
-   | None -> Alcotest.fail "c has no driver");
-  Alcotest.(check bool) "a undriven" true (Netlist.driver nl a = None);
-  Alcotest.(check int) "fanout of c" 1 (List.length (Netlist.fanout nl c));
-  Alcotest.(check int) "fanout of d" 0 (List.length (Netlist.fanout nl d))
+  Alcotest.(check int) "driver of c" 0 (Netlist.driver_id nl c);
+  Alcotest.(check int) "a undriven" (-1) (Netlist.driver_id nl a);
+  Alcotest.(check int) "fanout of c" 1 (Netlist.fanout_degree nl c);
+  Alcotest.(check int) "fanout of d" 0 (Netlist.fanout_degree nl d)
 
 let test_netlist_fanout_counts_pins () =
   (* one gate using the same net twice contributes two fanout entries *)
@@ -237,7 +235,7 @@ let test_netlist_fanout_counts_pins () =
   let o = Netlist.Builder.gate b (Gate.Nand 2) [| a; a |] in
   Netlist.Builder.mark_output b o;
   let nl = Netlist.Builder.finish b in
-  Alcotest.(check int) "two pins on a" 2 (List.length (Netlist.fanout nl a))
+  Alcotest.(check int) "two pins on a" 2 (Netlist.fanout_degree nl a)
 
 let test_netlist_validate_ok () =
   let nl, _, _, _, _ = small_circuit () in
@@ -266,9 +264,9 @@ let test_netlist_stats () =
 
 let test_topo_order_respects_deps () =
   let nl, _, _, _, _ = small_circuit () in
-  let order = Topo.order nl in
-  Alcotest.(check int) "nand first" 0 order.(0).Netlist.id;
-  Alcotest.(check int) "inv second" 1 order.(1).Netlist.id
+  let order = Netlist.topo_ids nl in
+  Alcotest.(check int) "nand first" 0 order.(0);
+  Alcotest.(check int) "inv second" 1 order.(1)
 
 let test_topo_levels () =
   let nl, _, _, _, _ = small_circuit () in
@@ -289,18 +287,17 @@ let prop_topo_is_topological =
       let p = { Leakage_benchmarks.Iscas.profile_name = "tiny";
                 n_pi = 4; n_po = 2; n_ff = 2; n_gates = 40 } in
       let nl = Leakage_benchmarks.Iscas.generate ~seed p in
-      let order = Topo.order nl in
       let position = Array.make (Netlist.gate_count nl) 0 in
-      Array.iteri (fun pos (g : Netlist.gate) -> position.(g.Netlist.id) <- pos) order;
-      Array.for_all
-        (fun (g : Netlist.gate) ->
-          Array.for_all
-            (fun net ->
-              match Netlist.driver nl net with
-              | None -> true
-              | Some d -> position.(d.Netlist.id) < position.(g.Netlist.id))
-            g.Netlist.fan_in)
-        (Netlist.gates nl))
+      Array.iteri (fun pos g -> position.(g) <- pos) (Netlist.topo_ids nl);
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun p ->
+              match Netlist.driver_id nl (Netlist.gate_pin nl g p) with
+              | -1 -> true
+              | d -> position.(d) < position.(g))
+            (List.init (Netlist.gate_arity nl g) Fun.id))
+        (List.init (Netlist.gate_count nl) Fun.id))
 
 (* ------------------------------------------------------------- Simulate *)
 
@@ -324,12 +321,13 @@ let test_simulate_pattern_size_guard () =
     (Invalid_argument "Simulate.run: 2 inputs expected, pattern has 3")
     (fun () -> ignore (Simulate.run nl (Logic.vector_of_string "000")))
 
-let test_simulate_gate_input_vector () =
+let test_simulate_pin_values () =
   let nl, _, _, _, _ = small_circuit () in
   let values = Simulate.run nl (Logic.vector_of_string "10") in
-  let g = (Netlist.gates nl).(0) in
   Alcotest.(check string) "pins of nand" "10"
-    (Logic.vector_to_string (Simulate.gate_input_vector nl values g))
+    (Logic.vector_to_string
+       (Array.init (Netlist.gate_arity nl 0) (fun p ->
+            values.(Netlist.gate_pin nl 0 p))))
 
 let test_simulate_random_patterns_shape () =
   let nl, _, _, _, _ = small_circuit () in
@@ -481,9 +479,7 @@ let test_bench_strength_roundtrip () =
   let nl = Netlist.Builder.finish b in
   let text = Bench_format.to_string nl in
   let nl' = Bench_format.parse_string ~name:"sz" text in
-  let strengths =
-    Array.map (fun (g : Netlist.gate) -> g.Netlist.strength) (Netlist.gates nl')
-  in
+  let strengths = Array.init (Netlist.gate_count nl') (Netlist.gate_strength nl') in
   Alcotest.(check bool) "strengths survive" true (strengths = [| 2.0; 0.5 |])
 
 let test_bench_plain_files_default_strength () =
@@ -492,7 +488,7 @@ let test_bench_plain_files_default_strength () =
       "INPUT(a)\nOUTPUT(y)\ny = NOT(a)  # ordinary comment\n"
   in
   Alcotest.(check (float 0.0)) "default strength" 1.0
-    (Netlist.gates nl).(0).Netlist.strength
+    (Netlist.gate_strength nl 0)
 
 let test_bench_roundtrip_simulation () =
   let nl = Leakage_benchmarks.Alu8.build ~width:4 () in
@@ -723,7 +719,7 @@ let () =
           Alcotest.test_case "nand+inv" `Quick test_simulate_nand_inv;
           Alcotest.test_case "outputs" `Quick test_simulate_outputs;
           Alcotest.test_case "size guard" `Quick test_simulate_pattern_size_guard;
-          Alcotest.test_case "gate input vector" `Quick test_simulate_gate_input_vector;
+          Alcotest.test_case "gate input vector" `Quick test_simulate_pin_values;
           Alcotest.test_case "random patterns" `Quick test_simulate_random_patterns_shape;
         ] );
       ( "verilog",

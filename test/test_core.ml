@@ -248,7 +248,10 @@ let test_estimator_baseline_is_isolated_sum () =
   let r = Estimator.estimate lib nl (Logic.vector_of_string "01") in
   Array.iter
     (fun (g : Estimator.gate_estimate) ->
-      let e = Library.entry lib g.Estimator.gate.Netlist.kind g.Estimator.vector in
+      let e =
+        Library.entry lib (Netlist.gate_kind nl g.Estimator.gate)
+          g.Estimator.vector
+      in
       Alcotest.(check (float 1e-18)) "baseline entry"
         (Report.total e.Characterize.nominal_isolated)
         (Report.total g.Estimator.no_loading))
@@ -319,6 +322,51 @@ let test_estimator_scratch_not_aliased () =
     (r1.Estimator.assignment = snapshot);
   Alcotest.(check bool) "two patterns produce distinct assignments" false
     (r1.Estimator.assignment = r2.Estimator.assignment)
+
+(* [estimate], [estimate_totals] and [estimate_fold] each sum over gates in
+   their own loop; all three must land on the same totals bit for bit, and
+   [estimate]'s per-gate rows must be indexed by gate id with the logic
+   values a direct [gate_pin] scan reads. *)
+let prop_estimator_loops_agree =
+  let bits (c : Report.components) =
+    List.map Int64.bits_of_float [ c.Report.isub; c.Report.igate; c.Report.ibtbt ]
+  in
+  let same a b = bits a = bits b in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20
+       ~name:"per-gate loops agree bit for bit"
+       QCheck2.Gen.(tup3 (int_bound 100_000) (int_bound 100_000) (int_range 1 2))
+       (fun (cseed, vseed, passes) ->
+         let nl = Diff_harness.random_netlist (Rng.create (cseed + 1)) in
+         let v =
+           Logic.random_vector (Rng.create (vseed + 1))
+             (Array.length (Netlist.inputs nl))
+         in
+         let r = Estimator.estimate ~passes lib nl v in
+         let loaded, baseline = Estimator.estimate_totals ~passes lib nl v in
+         let next, fold_loaded, fold_baseline =
+           Estimator.estimate_fold ~passes ~init:0
+             ~f:(fun expect g _ ~loaded ~isolated ->
+               let ge = r.Estimator.per_gate.(g) in
+               if g <> expect || not (same loaded ge.Estimator.with_loading)
+                  || not (same isolated ge.Estimator.no_loading)
+               then QCheck2.Test.fail_reportf "fold disagrees at gate %d" g;
+               g + 1)
+             lib nl v
+         in
+         let row_ok g (ge : Estimator.gate_estimate) =
+           ge.Estimator.gate = g
+           && ge.Estimator.vector
+              = Array.init (Netlist.gate_arity nl g) (fun p ->
+                    r.Estimator.assignment.(Netlist.gate_pin nl g p))
+         in
+         next = Netlist.gate_count nl
+         && Array.length r.Estimator.per_gate = next
+         && Array.for_all Fun.id (Array.mapi row_ok r.Estimator.per_gate)
+         && same r.Estimator.totals loaded
+         && same r.Estimator.baseline_totals baseline
+         && same r.Estimator.totals fold_loaded
+         && same r.Estimator.baseline_totals fold_baseline))
 
 (* -------------------------------------------------------------- Loading *)
 
@@ -753,16 +801,13 @@ let test_dual_vth_slack_assignment () =
   let nl = chain_with_branch () in
   let assignment = Leakage_incremental.Dual_vth.slack_assignment ~critical_margin:0 nl in
   (* the six chain inverters lie on the longest path: low Vth *)
-  let gates = Netlist.gates nl in
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      match g.kind with
-      | Gate.Inv ->
-        Alcotest.(check bool) "chain stays low-Vth" false assignment.(g.id)
-      | Gate.Nand _ ->
-        Alcotest.(check bool) "side branch goes high-Vth" true assignment.(g.id)
+  Array.iteri
+    (fun g high ->
+      match Netlist.gate_kind nl g with
+      | Gate.Inv -> Alcotest.(check bool) "chain stays low-Vth" false high
+      | Gate.Nand _ -> Alcotest.(check bool) "side branch goes high-Vth" true high
       | _ -> ())
-    gates
+    assignment
 
 let test_dual_vth_reduces_leakage () =
   let nl = chain_with_branch () in
@@ -1031,6 +1076,7 @@ let () =
           Alcotest.test_case "matches spice" `Quick test_estimator_matches_spice_on_chain;
           Alcotest.test_case "vector averaging" `Quick test_estimator_average_over_vectors;
           Alcotest.test_case "scratch not aliased" `Quick test_estimator_scratch_not_aliased;
+          prop_estimator_loops_agree;
         ] );
       ( "loading",
         [

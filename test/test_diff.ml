@@ -137,8 +137,7 @@ let prop_partition =
 let session_state nl pattern =
   {
     Cone.Partition.values = Leakage_circuit.Simulate.run nl pattern;
-    kinds =
-      Array.map (fun (g : Netlist.gate) -> g.Netlist.kind) (Netlist.gates nl);
+    kinds = Array.init (Netlist.gate_count nl) (Netlist.gate_kind nl);
   }
 
 let subset a b = List.for_all (fun x -> List.mem x b) a

@@ -152,14 +152,14 @@ let test_undo_restores_exactly () =
     (rel (Report.total (Incremental.totals s)) initial <= 1e-12);
   Alcotest.(check string) "pattern restored" "01"
     (Logic.vector_to_string (Incremental.pattern s));
-  let orig = Netlist.gates nl and cur = Netlist.gates (Incremental.current_netlist s) in
-  Array.iteri
-    (fun i (g : Netlist.gate) ->
-      Alcotest.(check string) "kind restored" (Gate.name g.Netlist.kind)
-        (Gate.name cur.(i).Netlist.kind);
-      Alcotest.(check (float 0.0)) "strength restored" g.Netlist.strength
-        cur.(i).Netlist.strength)
-    orig
+  let cur = Incremental.current_netlist s in
+  for g = 0 to Netlist.gate_count nl - 1 do
+    Alcotest.(check string) "kind restored"
+      (Gate.name (Netlist.gate_kind nl g))
+      (Gate.name (Netlist.gate_kind cur g));
+    Alcotest.(check (float 0.0)) "strength restored"
+      (Netlist.gate_strength nl g) (Netlist.gate_strength cur g)
+  done
 
 let test_batch_equals_sequential () =
   let nl = small_circuit () in
@@ -343,8 +343,7 @@ let test_deep_chain_structural () =
 let partition_state_of nl pattern =
   {
     Cone.Partition.values = Simulate.run nl pattern;
-    kinds =
-      Array.map (fun (g : Netlist.gate) -> g.Netlist.kind) (Netlist.gates nl);
+    kinds = Array.init (Netlist.gate_count nl) (Netlist.gate_kind nl);
   }
 
 let test_deep_chain_pruned () =
@@ -380,15 +379,11 @@ let random_edit rng nl =
   | 0 | 1 -> Edit.random_resize ~strengths:palette rng nl
   | 2 -> Edit.random_set_input rng nl
   | _ ->
-    let gates = Netlist.gates nl in
-    let g = gates.(Rng.int rng (Array.length gates)) in
-    (match Array.length g.Netlist.fan_in with
-     | 1 ->
-       Edit.Retype (g.Netlist.id, if Rng.bool rng then Gate.Inv else Gate.Buf)
-     | 2 ->
-       Edit.Retype
-         (g.Netlist.id, if Rng.bool rng then Gate.Nand 2 else Gate.Nor 2)
-     | _ -> Edit.Relib (g.Netlist.id, if Rng.bool rng then hvt_lib else lib))
+    let g = Rng.int rng (Netlist.gate_count nl) in
+    (match Netlist.gate_arity nl g with
+     | 1 -> Edit.Retype (g, if Rng.bool rng then Gate.Inv else Gate.Buf)
+     | 2 -> Edit.Retype (g, if Rng.bool rng then Gate.Nand 2 else Gate.Nor 2)
+     | _ -> Edit.Relib (g, if Rng.bool rng then hvt_lib else lib))
 
 (* groups as a set of sets of original batch indices *)
 let canonical map groups =

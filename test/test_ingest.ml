@@ -1,7 +1,7 @@
 (* Ingestion hardening tests: streaming .bench parsing (CRLF, missing final
    newline, duplicate declarations, truncation), the SPICE-subset reader,
    LKN1 snapshot round trips and their fail-closed loading, and the
-   struct-of-arrays accessor contract against the record view. *)
+   struct-of-arrays accessor contract against a brute-force pin scan. *)
 
 module Logic = Leakage_circuit.Logic
 module Gate = Leakage_circuit.Gate
@@ -275,43 +275,62 @@ let test_snapshot_unreadable_path () =
   snapshot_error "cannot open" (fun () ->
       Snapshot.load "/nonexistent/dir/missing.lkn")
 
-(* -------------------------------------------- SoA accessors vs record view *)
+(* ---------------------------------- SoA accessors vs a brute-force scan *)
 
-let test_soa_accessors_match_record_view () =
-  let t = Bench_format.parse_string ~name:"soa" simple_bench in
-  let gates = Netlist.gates t in
-  Alcotest.(check int) "gate count" (Array.length gates) (Netlist.gate_count t);
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      Alcotest.(check bool) "kind" true (Netlist.gate_kind t g.Netlist.id = g.Netlist.kind);
-      Alcotest.(check (float 0.0)) "strength" g.Netlist.strength
-        (Netlist.gate_strength t g.Netlist.id);
-      Alcotest.(check int) "out" g.Netlist.out (Netlist.gate_out t g.Netlist.id);
-      Alcotest.(check int) "arity" (Array.length g.Netlist.fan_in)
-        (Netlist.gate_arity t g.Netlist.id);
-      Array.iteri
-        (fun p net ->
-          Alcotest.(check int) "pin" net (Netlist.gate_pin t g.Netlist.id p))
-        g.Netlist.fan_in;
-      Alcotest.(check bool) "fan_in array" true
-        (Netlist.gate_fan_in t g.Netlist.id = g.Netlist.fan_in))
-    gates;
-  for net = 0 to Netlist.net_count t - 1 do
-    let d = Netlist.driver t net in
-    let d_id = Netlist.driver_id t net in
-    (match d with
-     | None -> Alcotest.(check int) "no driver" (-1) d_id
-     | Some g -> Alcotest.(check int) "driver id" g.Netlist.id d_id);
-    let from_view = List.map (fun g -> g.Netlist.id) (Netlist.fanout t net) in
-    let from_iter = ref [] in
-    Netlist.iter_fanout t net (fun g -> from_iter := g :: !from_iter);
-    Alcotest.(check (list int)) "fanout order" from_view (List.rev !from_iter);
-    let rev = ref [] in
-    Netlist.rev_iter_fanout t net (fun g -> rev := g :: !rev);
-    Alcotest.(check (list int)) "rev fanout" (List.rev from_view) !rev;
-    Alcotest.(check int) "degree" (List.length from_view)
-      (Netlist.fanout_degree t net)
+(* Every derived lookup (per-pin iteration, driver ids, the fanout CSR and
+   the topological order) must agree with a direct scan of [gate_pin] in
+   ascending (gate, pin) order. *)
+let check_accessors_against_pin_scan t =
+  let n_gates = Netlist.gate_count t and n_nets = Netlist.net_count t in
+  (* the arguments of every callback, in call order *)
+  let calls iter =
+    let acc = ref [] in
+    iter (fun x -> acc := x :: !acc);
+    List.rev !acc
+  in
+  let driver = Array.make n_nets (-1) and readers = Array.make n_nets [] in
+  for g = 0 to n_gates - 1 do
+    driver.(Netlist.gate_out t g) <- g;
+    let pins = List.init (Netlist.gate_arity t g) (fun p -> (p, Netlist.gate_pin t g p)) in
+    Alcotest.(check (list (pair int int))) "iter_pins" pins
+      (calls (fun f -> Netlist.iter_pins t g (fun p net -> f (p, net))));
+    List.iter (fun (_, net) -> readers.(net) <- g :: readers.(net)) pins
+  done;
+  for net = 0 to n_nets - 1 do
+    let scan = List.rev readers.(net) in
+    Alcotest.(check int) "driver id" driver.(net) (Netlist.driver_id t net);
+    Alcotest.(check (list int)) "fanout order" scan (calls (Netlist.iter_fanout t net));
+    Alcotest.(check (list int)) "rev fanout" (List.rev scan)
+      (calls (Netlist.rev_iter_fanout t net));
+    Alcotest.(check int) "degree" (List.length scan) (Netlist.fanout_degree t net);
+    List.iteri
+      (fun i g -> Alcotest.(check int) "fanout_gate" g (Netlist.fanout_gate t net i))
+      scan
+  done;
+  let order = Netlist.topo_ids t in
+  Alcotest.(check (list int)) "topo is a permutation"
+    (List.init n_gates Fun.id)
+    (List.sort compare (Array.to_list order));
+  let position = Array.make n_gates 0 in
+  Array.iteri (fun pos g -> position.(g) <- pos) order;
+  for g = 0 to n_gates - 1 do
+    for p = 0 to Netlist.gate_arity t g - 1 do
+      let d = driver.(Netlist.gate_pin t g p) in
+      if d >= 0 && position.(d) >= position.(g) then
+        Alcotest.failf "gate %d precedes its fan-in driver %d" g d
+    done
   done
+
+let test_soa_accessors_match_pin_scan () =
+  List.iter check_accessors_against_pin_scan
+    [
+      Bench_format.parse_string ~name:"soa" simple_bench;
+      (* a gate reading one net on two pins, and a net read by three gates *)
+      Bench_format.parse_string ~name:"dup"
+        "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\nw = NAND(a, a)\n\
+         y = NOR(w, a)\nz = NOT(w)\n";
+      Leakage_benchmarks.Iscas.generate_by_name "s838";
+    ]
 
 let test_spice_simulates_like_bench () =
   (* the same 2-gate circuit through both front ends computes identically *)
@@ -374,7 +393,7 @@ let () =
         ] );
       ( "soa",
         [
-          Alcotest.test_case "accessors match record view" `Quick
-            test_soa_accessors_match_record_view;
+          Alcotest.test_case "accessors match a pin scan" `Quick
+            test_soa_accessors_match_pin_scan;
         ] );
     ]

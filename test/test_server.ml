@@ -143,7 +143,6 @@ let gen_request =
     oneof
       [
         return Protocol.Ping;
-        return Protocol.Metrics;
         return Protocol.Metrics_snapshot;
         return Protocol.Shutdown;
         map3
@@ -234,7 +233,6 @@ let gen_response =
           small_nat small_nat;
         map (fun session -> Protocol.Rolled_back { session }) small_nat;
         map (fun session -> Protocol.Closed { session }) small_nat;
-        map (fun s -> Protocol.Metrics_report s) (string_size (int_bound 60));
         map3
           (fun uptime_s version snapshot ->
             Protocol.Metrics_snapshot_report { uptime_s; version; snapshot })
@@ -263,10 +261,18 @@ let prop_response_roundtrip =
       Protocol.decode_response (Protocol.encode_response r) = r)
 
 let test_protocol_rejects_unknown_opcode () =
-  Alcotest.(check bool) "opcode 0x70" true
-    (match Protocol.decode_request { Wire.op = 0x70; payload = "" } with
-     | _ -> false
-     | exception Wire.Bad_frame _ -> true)
+  let rejects decode op =
+    match decode { Wire.op; payload = "" } with
+    | _ -> false
+    | exception Wire.Bad_frame _ -> true
+  in
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) (Printf.sprintf "request opcode 0x%02x" op) true
+        (rejects Protocol.decode_request op))
+    [ 0x70; 0x08 ];
+  Alcotest.(check bool) "response opcode 0x88" true
+    (rejects Protocol.decode_response 0x88)
 
 let test_protocol_rejects_trailing_payload () =
   let f = Protocol.encode_request Protocol.Ping in
@@ -586,15 +592,10 @@ let test_loopback_errors () =
         [ Protocol.Retype (0, "bogus9") ]);
   check_code "unknown checkpoint" "unknown-checkpoint" (fun () ->
       Client.rollback c ~session:o.Client.session ~checkpoint:42);
-  (* metrics is plain JSON with serve counters in it *)
-  let json = Client.metrics c in
-  Alcotest.(check bool) "metrics mention serve.requests" true
-    (let needle = "serve.requests" in
-     let nl = String.length needle and hl = String.length json in
-     let rec scan i =
-       i + nl <= hl && (String.sub json i nl = needle || scan (i + 1))
-     in
-     scan 0)
+  (* the metrics snapshot carries the serve counters *)
+  let snap = (Client.metrics_snapshot c).Client.snapshot in
+  Alcotest.(check bool) "metrics count serve.requests" true
+    (Telemetry.Snapshot.counter_total snap "serve.requests" > 0)
 
 let test_loopback_rejects_garbage () =
   with_server @@ fun sock ->
