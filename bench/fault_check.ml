@@ -34,24 +34,12 @@ module Wire = Leakage_server.Wire
 module Protocol = Leakage_server.Protocol
 module Server = Leakage_server.Server
 module Client = Leakage_server.Client
+module Json = Leakage_telemetry.Json
 
 let circuit = "s838"
 let n_batches = 12
 
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if cond then Printf.printf "ok: %s\n%!" msg
-      else begin
-        Printf.eprintf "fault_check: FAIL %s\n%!" msg;
-        exit 1
-      end)
-    fmt
-
-let eq_components (a : Report.components) (b : Report.components) =
-  Float.equal a.Report.isub b.Report.isub
-  && Float.equal a.Report.igate b.Report.igate
-  && Float.equal a.Report.ibtbt b.Report.ibtbt
+let check cond fmt = Gate_kit.check "fault_check" cond fmt
 
 (* same deterministic-workload idea as serve_check, over more batches *)
 let workload_batches nl =
@@ -154,39 +142,6 @@ let write_artifact path ~seed ~kill_points ~reopens ~adoptions ~client_failures
     reopens adoptions client_failures over_quota bit_identical
     (Report.total loaded);
   close_out oc
-
-(* crude field scanners, enough for the shapes we write ourselves *)
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let field_str json name =
-  let needle = Printf.sprintf "\"%s\": " name in
-  match String.index_opt json ' ' with
-  | _ ->
-    let nl = String.length needle and jl = String.length json in
-    let rec scan i =
-      if i + nl > jl then None
-      else if String.sub json i nl = needle then begin
-        let stop = ref (i + nl) in
-        while !stop < jl && json.[!stop] <> ',' && json.[!stop] <> '\n' do
-          incr stop
-        done;
-        Some (String.sub json (i + nl) (!stop - (i + nl)))
-      end
-      else scan (i + 1)
-    in
-    scan 0
-
-let field_int json name =
-  match field_str json name with
-  | None -> failwith ("missing field " ^ name)
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v -> v
-    | None -> failwith ("field " ^ name ^ " is not an int: " ^ s))
 
 (* ----------------------------------------------------------------- run *)
 
@@ -335,8 +290,9 @@ let run ~seed ~out =
   in
   Incremental.refresh direct;
   let bit_identical =
-    eq_components loaded (Incremental.totals direct)
-    && eq_components baseline (Incremental.baseline_totals direct)
+    Gate_kit.eq_components loaded (Incremental.totals direct)
+    && Gate_kit.eq_components baseline
+         (Incremental.baseline_totals direct)
   in
   check bit_identical
     "final totals bit-identical to the unfaulted sequential replay";
@@ -391,61 +347,43 @@ let run ~seed ~out =
 
 (* --------------------------------------------------------------- check *)
 
-let check_artifact path =
-  let json = read_file path in
-  let kill_count =
-    (* the array field needs its own scan: commas inside the brackets *)
-    match String.index_opt json '[' with
-    | None -> 0
-    | Some i -> (
-      match String.index_from_opt json i ']' with
-      | None -> 0
-      | Some j ->
-        List.length
-          (List.filter
-             (fun p -> String.trim p <> "")
-             (String.split_on_char ','
-                (String.sub json (i + 1) (j - i - 1)))))
-  in
+let check_artifact path json =
+  let kill_count = List.length (Json.arr "kill_points" json) in
   check (kill_count >= 3) "artifact records >= 3 kill points (%d)" kill_count;
   check
-    (field_str json "seed" <> None)
+    (Float.is_integer (Json.num "seed" json))
     "artifact records the kill-point seed for deterministic replay";
   check
-    (field_str json "bit_identical" = Some "true")
+    (Json.bool "bit_identical" json)
     "faulted run was bit-identical to the unfaulted replay";
   check
-    (field_int json "client_failures" = 0)
+    (Json.int "client_failures" json = 0)
     "zero client-visible failures";
   check
-    (field_int json "reopens" >= kill_count)
+    (Json.int "reopens" json >= kill_count)
     "at least one failover re-open per kill";
   check
-    (field_int json "adoptions" = kill_count)
+    (Json.int "adoptions" json = kill_count)
     "every failover adopted a peer checkpoint";
   check
-    (field_int json "over_quota_backoffs" > 0)
+    (Json.int "over_quota_backoffs" json > 0)
     "saturation phase hit the token bucket and backed off";
   Printf.printf "fault_check: artifact %s validated\n%!" path
 
 let () =
   let seed = ref 42 in
   let out = ref "BENCH_fault.json" in
-  let check_path = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "-seed" :: v :: rest ->
-      seed := int_of_string v;
-      parse rest
-    | "-o" :: v :: rest ->
-      out := v;
-      parse rest
-    | "-check" :: v :: rest ->
-      check_path := Some v;
-      parse rest
-    | a :: _ -> failwith ("unknown argument " ^ a)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  match !check_path with
-  | Some path -> check_artifact path
-  | None -> run ~seed:!seed ~out:!out
+  let check_path = ref "" in
+  Arg.parse
+    [
+      ("-seed", Arg.Set_int seed, "N kill-point seed (default 42)");
+      ("-o", Arg.Set_string out,
+       "FILE artifact path (default BENCH_fault.json)");
+      ("-check", Arg.Set_string check_path,
+       "FILE validate an existing artifact and exit");
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "fault-injection gate for the serve subsystem";
+  if !check_path <> "" then
+    Gate_kit.check_file !check_path (check_artifact !check_path)
+  else run ~seed:!seed ~out:!out

@@ -43,6 +43,7 @@ module Trees = Leakage_benchmarks.Trees
 module Rng = Leakage_numeric.Rng
 module Pool = Leakage_parallel.Pool
 module Telemetry = Leakage_telemetry.Telemetry
+module Json = Leakage_telemetry.Json
 
 let circuits = [ "mult88"; "alu88" ]
 let batch_circuit = "mult88"
@@ -253,18 +254,6 @@ let metric_names =
   [ "incr.edits"; "incr.batches"; "incr.refreshes"; "library.misses";
     "dc.solves" ]
 
-let emit_metrics oc =
-  let p fmt = Printf.fprintf oc fmt in
-  let snap = Telemetry.Snapshot.take () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i name ->
-      p "    \"%s\": %d%s\n" name
-        (Telemetry.Snapshot.counter_total snap name)
-        (if i = List.length metric_names - 1 then "" else ","))
-    metric_names;
-  p "  }\n"
-
 let emit oc ~edits ~seed ~batch_edits ~host_cores rows batch_rows pruning =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -316,129 +305,41 @@ let emit oc ~edits ~seed ~batch_edits ~host_cores rows batch_rows pruning =
   p "  \"pruning_pruned_hist_count\": %d,\n" pruning.p_pruned_hist_count;
   p "  \"pruning_pruned_hist_sum\": %.17g,\n" pruning.p_pruned_hist_sum;
   p "  \"pruning_bit_identical\": %b,\n" pruning.p_identical;
-  emit_metrics oc;
+  Gate_kit.emit_metrics oc metric_names;
   p "}\n"
 
-(* ------------------------------------------------------ minimal JSON read *)
+(* ------------------------------------------------------------ JSON check *)
 
-(* Just enough parsing to validate the file this program writes: find a key
-   inside a chunk and read the scalar after the colon. *)
-
-let find_key chunk key =
-  let needle = "\"" ^ key ^ "\":" in
-  let nl = String.length needle and cl = String.length chunk in
-  let rec scan i =
-    if i + nl > cl then None
-    else if String.sub chunk i nl = needle then Some (i + nl)
-    else scan (i + 1)
-  in
-  scan 0
-
-let scalar_after chunk pos =
-  let cl = String.length chunk in
-  let rec skip i = if i < cl && chunk.[i] = ' ' then skip (i + 1) else i in
-  let start = skip pos in
-  let rec stop i =
-    if i >= cl then i
-    else match chunk.[i] with ',' | '}' | ']' | '\n' -> i | _ -> stop (i + 1)
-  in
-  String.trim (String.sub chunk start (stop start - start))
-
-let num_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing numeric field %S" key)
-  | Some pos -> (
-    match float_of_string_opt (scalar_after chunk pos) with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "field %S is not a number" key))
-
-let str_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing string field %S" key)
-  | Some pos ->
-    let s = scalar_after chunk pos in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then String.sub s 1 (String.length s - 2)
-    else failwith (Printf.sprintf "field %S is not a string" key)
-
-let bool_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing boolean field %S" key)
-  | Some pos -> (
-    match scalar_after chunk pos with
-    | "true" -> true
-    | "false" -> false
-    | other -> failwith (Printf.sprintf "field %S is not a boolean: %s" key other))
-
-(* split the array under [key] into one chunk per "{ ... }" object,
-   stopping at the array's closing bracket *)
-let array_chunks s key =
-  match find_key s key with
-  | None -> failwith (Printf.sprintf "missing %S array" key)
-  | Some pos ->
-    let cl = String.length s in
-    let chunks = ref [] in
-    let depth = ref 0 and start = ref (-1) and i = ref pos in
-    let stop = ref false in
-    while (not !stop) && !i < cl do
-      (match s.[!i] with
-       | '{' ->
-         if !depth = 0 then start := !i;
-         incr depth
-       | '}' ->
-         decr depth;
-         if !depth = 0 && !start >= 0 then
-           chunks := String.sub s !start (!i - !start + 1) :: !chunks
-       | ']' -> if !depth = 0 then stop := true
-       | _ -> ());
-      incr i
-    done;
-    List.rev !chunks
-
-let circuit_chunks s = array_chunks s "circuits"
-
-let check path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  if str_field s "benchmark" <> "incremental" then
+let check path root =
+  if Json.str "benchmark" root <> "incremental" then
     failwith "benchmark field is not \"incremental\"";
-  if num_field s "edits" <= 0.0 then failwith "edits must be positive";
-  let host_cores = int_of_float (num_field s "host_cores") in
+  if Json.num "edits" root <= 0.0 then failwith "edits must be positive";
+  let host_cores = Json.int "host_cores" root in
   if host_cores < 1 then failwith "host_cores must be >= 1";
   (* stale chunk constants would invalidate every bit-identity claim below *)
-  let chunk_const key expected =
-    let v = int_of_float (num_field s key) in
-    if v <> expected then
-      failwith
-        (Printf.sprintf "%S is %d but this build uses %d — regenerate" key v
-           expected)
-  in
-  chunk_const "avg_chunk" Estimator.avg_chunk;
-  chunk_const "mc_chunk" Vector_mc.mc_chunk;
-  let chunks = circuit_chunks s in
+  Gate_kit.chunk_const root "avg_chunk" Estimator.avg_chunk;
+  Gate_kit.chunk_const root "mc_chunk" Vector_mc.mc_chunk;
   let seen =
     List.map
-      (fun chunk ->
-        let name = str_field chunk "name" in
+      (fun row ->
+        let name = Json.str "name" row in
         let ok_positive key =
-          if num_field chunk key <= 0.0 then
+          if Json.num key row <= 0.0 then
             failwith (Printf.sprintf "%s: %S must be positive" name key)
         in
         ok_positive "gates";
         ok_positive "full_us";
         ok_positive "incr_us";
         ok_positive "speedup";
-        let rel = num_field chunk "rel_error" in
+        let rel = Json.num "rel_error" row in
         if not (rel >= 0.0 && rel < 1e-9) then
           failwith
             (Printf.sprintf "%s: rel_error %.3e out of bounds [0, 1e-9)" name
                rel);
-        ignore (num_field chunk "logic_evals_per_edit");
-        ignore (num_field chunk "lookups_per_edit");
+        ignore (Json.num "logic_evals_per_edit" row);
+        ignore (Json.num "lookups_per_edit" row);
         name)
-      chunks
+      (Json.arr "circuits" root)
   in
   List.iter
     (fun c ->
@@ -447,21 +348,21 @@ let check path =
     circuits;
   (* grouped-batch scenario: determinism unconditionally, throughput only
      for pool sizes the recorded host could actually run in parallel *)
-  if str_field s "batch_circuit" <> batch_circuit then
+  if Json.str "batch_circuit" root <> batch_circuit then
     failwith (Printf.sprintf "batch_circuit is not %S" batch_circuit);
-  let batch_edits = int_of_float (num_field s "batch_edits") in
+  let batch_edits = Json.int "batch_edits" root in
   if batch_edits < 64 then
     failwith
       (Printf.sprintf "batch_edits %d < 64: too small to exercise grouping"
          batch_edits);
-  let batch_chunks = array_chunks s "batches" in
-  if batch_chunks = [] then failwith "empty \"batches\" array";
+  let batches = Json.arr "batches" root in
+  if batches = [] then failwith "empty \"batches\" array";
   let seq_groups = ref (-1) in
   List.iter
-    (fun chunk ->
-      let domains = int_of_float (num_field chunk "domains") in
+    (fun row ->
+      let domains = Json.int "domains" row in
       let tag = Printf.sprintf "batch@%dd" domains in
-      let groups = int_of_float (num_field chunk "groups") in
+      let groups = Json.int "groups" row in
       if groups < 1 || groups > batch_edits then
         failwith (Printf.sprintf "%s: groups %d out of [1, %d]" tag groups
                     batch_edits);
@@ -470,11 +371,11 @@ let check path =
       else if groups <> !seq_groups then
         failwith (Printf.sprintf "%s: groups %d differ from sequential %d"
                     tag groups !seq_groups);
-      if num_field chunk "us_per_batch" <= 0.0 then
+      if Json.num "us_per_batch" row <= 0.0 then
         failwith (tag ^ ": \"us_per_batch\" must be positive");
-      if not (bool_field chunk "bit_identical") then
+      if not (Json.bool "bit_identical" row) then
         failwith (tag ^ ": pooled batch state differs from sequential");
-      let speedup = num_field chunk "speedup" in
+      let speedup = Json.num "speedup" row in
       if speedup <= 0.0 then failwith (tag ^ ": \"speedup\" must be positive");
       if domains >= 2 && domains <= host_cores && speedup < 1.0 then
         failwith
@@ -485,23 +386,23 @@ let check path =
           (Printf.sprintf
              "%s: speedup %.3f < 1.5 at 4 domains on a %d-core host" tag
              speedup host_cores))
-    batch_chunks;
+    batches;
   (* value-aware pruning scenario: the pruned partition must expose strictly
      more (hence smaller) groups than the structural one, with bit-identical
      results, and the cone-size histograms must show the shrink *)
-  let p_struct = int_of_float (num_field s "pruning_structural_groups") in
-  let p_pruned = int_of_float (num_field s "pruning_pruned_groups") in
+  let p_struct = Json.int "pruning_structural_groups" root in
+  let p_pruned = Json.int "pruning_pruned_groups" root in
   if p_struct < 1 then failwith "pruning_structural_groups must be >= 1";
   if p_pruned <= p_struct then
     failwith
       (Printf.sprintf
          "pruning: %d pruned groups not more than %d structural groups"
          p_pruned p_struct);
-  if not (bool_field s "pruning_bit_identical") then
+  if not (Json.bool "pruning_bit_identical" root) then
     failwith "pruning: pruned batch state differs from unpruned";
-  let p_edits = int_of_float (num_field s "pruning_edits") in
+  let p_edits = Json.int "pruning_edits" root in
   let hist_count key =
-    let n = int_of_float (num_field s key) in
+    let n = Json.int key root in
     if n < p_edits then
       failwith
         (Printf.sprintf "%s is %d: expected one observation per edit (%d)" key
@@ -510,12 +411,12 @@ let check path =
   in
   ignore (hist_count "pruning_struct_hist_count");
   ignore (hist_count "pruning_pruned_hist_count");
-  if num_field s "pruning_pruned_hist_sum"
-     >= num_field s "pruning_struct_hist_sum"
+  if Json.num "pruning_pruned_hist_sum" root
+     >= Json.num "pruning_struct_hist_sum" root
   then failwith "pruning: pruned cones are not smaller than structural cones";
   (* the embedded telemetry summary: every expected counter present, and
      the edit / batch paths actually fired during the run *)
-  let metric key = int_of_float (num_field s key) in
+  let metric key = Json.int key (Json.member "metrics" root) in
   List.iter (fun name -> ignore (metric name)) metric_names;
   if metric "incr.edits" < 1 then
     failwith "metrics: \"incr.edits\" must be >= 1 (edits recorded)";
@@ -524,7 +425,7 @@ let check path =
   if metric "dc.solves" < 1 then
     failwith "metrics: \"dc.solves\" must be >= 1 (characterization ran)";
   Printf.printf "%s OK (%d circuits, %d batch rows)\n" path (List.length seen)
-    (List.length batch_chunks)
+    (List.length batches)
 
 let () =
   let out = ref "BENCH_incremental.json" in
@@ -546,12 +447,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "incremental re-estimation benchmark";
-  if !check_path <> "" then
-    match check !check_path with
-    | () -> ()
-    | exception Failure m ->
-      Printf.eprintf "%s: INVALID: %s\n" !check_path m;
-      exit 1
+  if !check_path <> "" then Gate_kit.check_file !check_path (check !check_path)
   else begin
     let host_cores = Domain.recommended_domain_count () in
     (* metrics ride along in the artifact; recording never changes results

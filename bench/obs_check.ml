@@ -20,184 +20,17 @@
       columns from two successive metrics snapshots. *)
 
 module Netlist = Leakage_circuit.Netlist
-module Report = Leakage_spice.Leakage_report
 module Suite = Leakage_benchmarks.Suite
 module Telemetry = Leakage_telemetry.Telemetry
 module Log = Leakage_telemetry.Log
 module Prometheus = Leakage_telemetry.Prometheus
+module Json = Leakage_telemetry.Json
 module Protocol = Leakage_server.Protocol
 module Server = Leakage_server.Server
 module Client = Leakage_server.Client
 module Top_view = Leakage_server.Top_view
 
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if cond then Printf.printf "ok: %s\n%!" msg
-      else begin
-        Printf.eprintf "obs_check: FAIL %s\n%!" msg;
-        exit 1
-      end)
-    fmt
-
-let eq_components (a : Report.components) (b : Report.components) =
-  Float.equal a.Report.isub b.Report.isub
-  && Float.equal a.Report.igate b.Report.igate
-  && Float.equal a.Report.ibtbt b.Report.ibtbt
-
-(* ------------------------------------------------- tiny strict JSON *)
-
-(* Enough JSON to validate log lines and the metrics meta block without a
-   dependency; strict about structure, lenient about number formats. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("bad literal " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match s.[!pos + 1] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-             if !pos + 5 >= n then fail "bad \\u escape";
-             (* decode to '?' — log validation only needs structure *)
-             Buffer.add_char b '?';
-             pos := !pos + 4
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            members ((k, v) :: acc)
-          | Some '}' ->
-            incr pos;
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            items (v :: acc)
-          | Some ']' ->
-            incr pos;
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character";
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-       | Some v -> Num v
-       | None -> fail "bad number")
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let obj_field o k =
-  match o with Obj kvs -> List.assoc_opt k kvs | _ -> None
+let check cond fmt = Gate_kit.check "obs_check" cond fmt
 
 (* --------------------------------------------------------- workload *)
 
@@ -376,8 +209,10 @@ let () =
         tenant;
       List.iteri
         (fun j ((la, ba), (lb, bb)) ->
-          if not (eq_components la lb && eq_components ba bb) then
-            check false "tenant %s query %d bit-identical" tenant j)
+          if
+            not
+              (Gate_kit.eq_components la lb && Gate_kit.eq_components ba bb)
+          then check false "tenant %s query %d bit-identical" tenant j)
         (List.combine a b);
       check true "tenant %s: %d wire replies bit-identical to uninstrumented"
         tenant (List.length a))
@@ -447,13 +282,14 @@ let () =
   (* ---- 3. healthz ---- *)
   let status, body = healthz in
   check (status = 200) "/healthz answers 200 while serving";
-  (match parse_json body with
-   | j ->
-     check (obj_field j "status" = Some (Str "ok")) "/healthz status is ok";
-     check
-       (match obj_field j "uptime_s" with Some (Num u) -> u >= 0.0 | _ -> false)
-       "/healthz reports uptime"
-   | exception Bad_json m -> check false "/healthz body is JSON (%s)" m);
+  (match
+     let j = Json.parse body in
+     (Json.str "status" j, Json.num "uptime_s" j)
+   with
+   | status, uptime ->
+     check (status = "ok") "/healthz status is ok";
+     check (uptime >= 0.0) "/healthz reports uptime"
+   | exception Json.Error m -> check false "/healthz body is JSON (%s)" m);
 
   (* ---- 4. JSONL log ---- *)
   let lines =
@@ -470,19 +306,21 @@ let () =
   let requests = ref 0 and slow = ref 0 in
   List.iteri
     (fun i line ->
-      match parse_json line with
-      | exception Bad_json m -> check false "log line %d parses (%s)" (i + 1) m
-      | j ->
-        let has k = obj_field j k <> None in
-        if not (has "ts" && has "level" && has "event") then
-          check false "log line %d has ts/level/event" (i + 1);
-        (match obj_field j "event" with
-         | Some (Str ("request" | "request.slow" as ev)) ->
-           if ev = "request" then incr requests else incr slow;
-           (match obj_field j "rid" with
-            | Some (Str rid) when rid <> "" -> ()
-            | _ -> check false "log line %d (%s) carries a rid" (i + 1) ev)
-         | _ -> ()))
+      match Json.parse line with
+      | exception Json.Error m ->
+        check false "log line %d parses (%s)" (i + 1) m
+      | j -> (
+        match
+          ignore (Json.num "ts" j, Json.str "level" j);
+          Json.str "event" j
+        with
+        | exception Json.Error m ->
+          check false "log line %d has ts/level/event (%s)" (i + 1) m
+        | ("request" | "request.slow") as ev ->
+          if ev = "request" then incr requests else incr slow;
+          if (try Json.str "rid" j with Json.Error _ -> "") = "" then
+            check false "log line %d (%s) carries a rid" (i + 1) ev
+        | _ -> ()))
     lines;
   check (!requests > 0) "%d request events logged, each with a rid" !requests;
   check (!slow > 0) "%d slow-request events above the 0ms threshold" !slow;

@@ -24,6 +24,7 @@ module Vector_mc = Leakage_incremental.Vector_mc
 module Suite = Leakage_benchmarks.Suite
 module Pool = Leakage_parallel.Pool
 module Telemetry = Leakage_telemetry.Telemetry
+module Json = Leakage_telemetry.Json
 
 let circuits = [ "alu88"; "mult88" ]
 let pool_sizes = [ 2; 4; 8 ]
@@ -79,18 +80,6 @@ let metric_names =
   [ "pool.regions"; "pool.items"; "library.hits"; "library.misses";
     "dc.solves" ]
 
-let emit_metrics oc =
-  let p fmt = Printf.fprintf oc fmt in
-  let snap = Telemetry.Snapshot.take () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i name ->
-      p "    \"%s\": %d%s\n" name
-        (Telemetry.Snapshot.counter_total snap name)
-        (if i = List.length metric_names - 1 then "" else ","))
-    metric_names;
-  p "  }\n"
-
 let emit oc ~samples ~seed ~host_cores rows =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -115,129 +104,43 @@ let emit oc ~samples ~seed ~host_cores rows =
       p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
     rows;
   p "  ],\n";
-  emit_metrics oc;
+  Gate_kit.emit_metrics oc metric_names;
   p "}\n"
 
-(* ------------------------------------------------------ minimal JSON read *)
+(* ------------------------------------------------------------ JSON check *)
 
-(* Just enough parsing to validate the file this program writes: find a key
-   inside a chunk and read the scalar after the colon. *)
-
-let find_key chunk key =
-  let needle = "\"" ^ key ^ "\":" in
-  let nl = String.length needle and cl = String.length chunk in
-  let rec scan i =
-    if i + nl > cl then None
-    else if String.sub chunk i nl = needle then Some (i + nl)
-    else scan (i + 1)
-  in
-  scan 0
-
-let scalar_after chunk pos =
-  let cl = String.length chunk in
-  let rec skip i = if i < cl && chunk.[i] = ' ' then skip (i + 1) else i in
-  let start = skip pos in
-  let rec stop i =
-    if i >= cl then i
-    else match chunk.[i] with ',' | '}' | ']' | '\n' -> i | _ -> stop (i + 1)
-  in
-  String.trim (String.sub chunk start (stop start - start))
-
-let num_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing numeric field %S" key)
-  | Some pos -> (
-    match float_of_string_opt (scalar_after chunk pos) with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "field %S is not a number" key))
-
-let str_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing string field %S" key)
-  | Some pos ->
-    let s = scalar_after chunk pos in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then String.sub s 1 (String.length s - 2)
-    else failwith (Printf.sprintf "field %S is not a string" key)
-
-let bool_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing boolean field %S" key)
-  | Some pos -> (
-    match scalar_after chunk pos with
-    | "true" -> true
-    | "false" -> false
-    | other -> failwith (Printf.sprintf "field %S is not a boolean: %s" key other))
-
-(* split the circuits array into one chunk per "{ ... }" object, stopping
-   at the array's closing bracket (the metrics block follows it) *)
-let circuit_chunks s =
-  match find_key s "circuits" with
-  | None -> failwith "missing \"circuits\" array"
-  | Some pos ->
-    let cl = String.length s in
-    let chunks = ref [] in
-    let depth = ref 0 and start = ref (-1) and i = ref pos in
-    let stop = ref false in
-    while (not !stop) && !i < cl do
-      (match s.[!i] with
-       | '{' ->
-         if !depth = 0 then start := !i;
-         incr depth
-       | '}' ->
-         decr depth;
-         if !depth = 0 && !start >= 0 then
-           chunks := String.sub s !start (!i - !start + 1) :: !chunks
-       | ']' -> if !depth = 0 then stop := true
-       | _ -> ());
-      incr i
-    done;
-    List.rev !chunks
-
-let check path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  if str_field s "benchmark" <> "parallel" then
+let check path root =
+  if Json.str "benchmark" root <> "parallel" then
     failwith "benchmark field is not \"parallel\"";
-  if num_field s "samples" <= 0.0 then failwith "samples must be positive";
-  let host_cores = int_of_float (num_field s "host_cores") in
+  if Json.num "samples" root <= 0.0 then failwith "samples must be positive";
+  let host_cores = Json.int "host_cores" root in
   if host_cores < 1 then failwith "host_cores must be >= 1";
   (* stale chunk constants would invalidate every bit-identity claim below *)
-  let chunk_const key expected =
-    let v = int_of_float (num_field s key) in
-    if v <> expected then
-      failwith
-        (Printf.sprintf "%S is %d but this build uses %d — regenerate" key v
-           expected)
-  in
-  chunk_const "avg_chunk" Estimator.avg_chunk;
-  chunk_const "mc_chunk" Vector_mc.mc_chunk;
-  let chunks = circuit_chunks s in
+  Gate_kit.chunk_const root "avg_chunk" Estimator.avg_chunk;
+  Gate_kit.chunk_const root "mc_chunk" Vector_mc.mc_chunk;
   let seen =
     List.map
-      (fun chunk ->
-        let name = str_field chunk "name" in
-        let domains = int_of_float (num_field chunk "domains") in
+      (fun row ->
+        let name = Json.str "name" row in
+        let domains = Json.int "domains" row in
         let tag = Printf.sprintf "%s@%dd" name domains in
-        if num_field chunk "gates" <= 0.0 then
+        if Json.num "gates" row <= 0.0 then
           failwith (tag ^ ": \"gates\" must be positive");
         if domains < 1 then failwith (tag ^ ": \"domains\" must be >= 1");
-        if num_field chunk "ms" <= 0.0 then
+        if Json.num "ms" row <= 0.0 then
           failwith (tag ^ ": \"ms\" must be positive");
-        let speedup = num_field chunk "speedup" in
+        let speedup = Json.num "speedup" row in
         if speedup <= 0.0 then failwith (tag ^ ": \"speedup\" must be positive");
         (* Determinism is unconditional; throughput only when the host has
            the cores to run the pool in parallel at all. *)
-        if not (bool_field chunk "bit_identical") then
+        if not (Json.bool "bit_identical" row) then
           failwith (tag ^ ": parallel result differs from sequential");
         if domains <= host_cores && speedup < 1.0 then
           failwith
             (Printf.sprintf "%s: speedup %.3f < 1.0 on a %d-core host" tag
                speedup host_cores);
         name)
-      chunks
+      (Json.arr "circuits" root)
   in
   List.iter
     (fun c ->
@@ -246,7 +149,7 @@ let check path =
     circuits;
   (* the embedded telemetry summary: every expected counter present, and
      the pool / characterization paths actually fired during the run *)
-  let metric key = int_of_float (num_field s key) in
+  let metric key = Json.int key (Json.member "metrics" root) in
   List.iter (fun name -> ignore (metric name)) metric_names;
   if metric "pool.regions" < 1 then
     failwith "metrics: \"pool.regions\" must be >= 1 (pooled runs recorded)";
@@ -273,12 +176,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "domain-parallel estimation benchmark";
-  if !check_path <> "" then
-    match check !check_path with
-    | () -> ()
-    | exception Failure m ->
-      Printf.eprintf "%s: INVALID: %s\n" !check_path m;
-      exit 1
+  if !check_path <> "" then Gate_kit.check_file !check_path (check !check_path)
   else begin
     let host_cores = Domain.recommended_domain_count () in
     (* metrics ride along in the artifact; recording never changes results

@@ -17,7 +17,6 @@ module Params = Leakage_device.Params
 module Physics = Leakage_device.Physics
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
-module Report = Leakage_spice.Leakage_report
 module Library = Leakage_core.Library
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
@@ -29,20 +28,7 @@ module Client = Leakage_server.Client
 
 let circuit = "s838"
 
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if cond then Printf.printf "ok: %s\n%!" msg
-      else begin
-        Printf.eprintf "serve_check: FAIL %s\n%!" msg;
-        exit 1
-      end)
-    fmt
-
-let eq_components (a : Report.components) (b : Report.components) =
-  Float.equal a.Report.isub b.Report.isub
-  && Float.equal a.Report.igate b.Report.igate
-  && Float.equal a.Report.ibtbt b.Report.ibtbt
+let check cond fmt = Gate_kit.check "serve_check" cond fmt
 
 (* ------------------------------------------------- golden edit script *)
 
@@ -119,8 +105,9 @@ let () =
       let loaded, baseline = Client.query c ~session:o.Client.session () in
       if
         not
-          (eq_components loaded (Incremental.totals direct)
-          && eq_components baseline (Incremental.baseline_totals direct))
+          (Gate_kit.eq_components loaded (Incremental.totals direct)
+          && Gate_kit.eq_components baseline
+               (Incremental.baseline_totals direct))
       then begin
         Printf.eprintf "serve_check: FAIL batch %d diverged from direct session\n" i;
         exit 1
@@ -136,7 +123,7 @@ let () =
      let loaded, _ = Client.query c ~session:o.Client.session ~refresh:true () in
      Incremental.refresh direct;
      check
-       (eq_components loaded (Incremental.totals direct))
+       (Gate_kit.eq_components loaded (Incremental.totals direct))
        "rollback to mid-script checkpoint bit-identical");
 
   (* ---- 2. two concurrent clients on one warm session ---- *)
@@ -169,7 +156,7 @@ let () =
   Incremental.refresh direct;
   let loaded, _ = Client.query c ~session:o.Client.session ~refresh:true () in
   check
-    (eq_components loaded (Incremental.totals direct))
+    (Gate_kit.eq_components loaded (Incremental.totals direct))
     "two concurrent clients landed bit-identical to a sequential session";
 
   (* ---- 3. warm re-open speedup ---- *)

@@ -32,6 +32,7 @@ module Rng = Leakage_numeric.Rng
 module Suite = Leakage_benchmarks.Suite
 module Trees = Leakage_benchmarks.Trees
 module Pool = Leakage_parallel.Pool
+module Json = Leakage_telemetry.Json
 
 let device = Params.d25
 let temp = 300.0
@@ -237,125 +238,48 @@ let emit oc ~samples ~seed ~domains rows =
   p "  ]\n";
   p "}\n"
 
-(* ------------------------------------------------------ minimal JSON read *)
+(* ------------------------------------------------------------ JSON check *)
 
-let find_key chunk key =
-  let needle = "\"" ^ key ^ "\":" in
-  let nl = String.length needle and cl = String.length chunk in
-  let rec scan i =
-    if i + nl > cl then None
-    else if String.sub chunk i nl = needle then Some (i + nl)
-    else scan (i + 1)
-  in
-  scan 0
-
-let scalar_after chunk pos =
-  let cl = String.length chunk in
-  let rec skip i = if i < cl && chunk.[i] = ' ' then skip (i + 1) else i in
-  let start = skip pos in
-  let rec stop i =
-    if i >= cl then i
-    else match chunk.[i] with ',' | '}' | ']' | '\n' -> i | _ -> stop (i + 1)
-  in
-  String.trim (String.sub chunk start (stop start - start))
-
-let num_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing numeric field %S" key)
-  | Some pos -> (
-    match float_of_string_opt (scalar_after chunk pos) with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "field %S is not a number" key))
-
-let str_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing string field %S" key)
-  | Some pos ->
-    let s = scalar_after chunk pos in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then String.sub s 1 (String.length s - 2)
-    else failwith (Printf.sprintf "field %S is not a string" key)
-
-let bool_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing boolean field %S" key)
-  | Some pos -> (
-    match scalar_after chunk pos with
-    | "true" -> true
-    | "false" -> false
-    | other -> failwith (Printf.sprintf "field %S is not a boolean: %s" key other))
-
-let circuit_chunks s =
-  match find_key s "circuits" with
-  | None -> failwith "missing \"circuits\" array"
-  | Some pos ->
-    let cl = String.length s in
-    let chunks = ref [] in
-    let depth = ref 0 and start = ref (-1) and i = ref pos in
-    let stop = ref false in
-    while (not !stop) && !i < cl do
-      (match s.[!i] with
-       | '{' ->
-         if !depth = 0 then start := !i;
-         incr depth
-       | '}' ->
-         decr depth;
-         if !depth = 0 && !start >= 0 then
-           chunks := String.sub s !start (!i - !start + 1) :: !chunks
-       | ']' -> if !depth = 0 then stop := true
-       | _ -> ());
-      incr i
-    done;
-    List.rev !chunks
-
-let check path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if str_field s "benchmark" <> "sigma-check" then
+let check path root =
+  if Json.str "benchmark" root <> "sigma-check" then
     failwith "benchmark field is not \"sigma-check\"";
-  let samples = int_of_float (num_field s "samples") in
+  let samples = Json.int "samples" root in
   if samples < 32 then failwith "samples must be >= 32";
-  let sc = int_of_float (num_field s "sample_chunk") in
-  if sc <> Statistical.sample_chunk then
-    failwith
-      (Printf.sprintf
-         "\"sample_chunk\" is %d but this build uses %d — regenerate" sc
-         Statistical.sample_chunk);
+  Gate_kit.chunk_const root "sample_chunk" Statistical.sample_chunk;
   (* the gates an artifact claims to have passed must be this build's *)
-  if num_field s "z_gate" <> z_gate then failwith "z_gate mismatch — regenerate";
-  if num_field s "speedup_gate" <> speedup_gate then
+  if Json.num "z_gate" root <> z_gate then
+    failwith "z_gate mismatch — regenerate";
+  if Json.num "speedup_gate" root <> speedup_gate then
     failwith "speedup_gate mismatch — regenerate";
-  let chunks = circuit_chunks s in
   let seen =
     List.map
-      (fun chunk ->
-        let name = str_field chunk "name" in
-        if num_field chunk "gates" <= 0.0 then
+      (fun row ->
+        let name = Json.str "name" row in
+        if Json.num "gates" row <= 0.0 then
           failwith (name ^ ": \"gates\" must be positive");
-        if num_field chunk "groups" <= 0.0 then
+        if Json.num "groups" row <= 0.0 then
           failwith (name ^ ": \"groups\" must be positive");
-        if bool_field chunk "flagged" then
+        if Json.bool "flagged" row then
           failwith
             (name
              ^ ": linearization check flagged a component at the paper's \
                 sigmas");
-        let z = num_field chunk "max_abs_z" in
+        let z = Json.num "max_abs_z" row in
         if not (Float.is_finite z) || z > z_gate then
           failwith
             (Printf.sprintf
                "%s: analytic mean/σ beyond %g standard errors of the MC \
                 (max |z| = %g)"
                name z_gate z);
-        let sp = num_field chunk "speedup_vs_10k" in
+        let sp = Json.num "speedup_vs_10k" row in
         if sp < speedup_gate then
           failwith
             (Printf.sprintf "%s: speedup vs %d-sample MC only %.1fx (< %g)"
                name reference_samples sp speedup_gate);
-        if not (bool_field chunk "pool_identical") then
+        if not (Json.bool "pool_identical" row) then
           failwith (name ^ ": pooled results differ from sequential");
         name)
-      chunks
+      (Json.arr "circuits" root)
   in
   List.iter
     (fun (e : Suite.entry) ->
@@ -387,12 +311,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "analytic variance propagation vs Monte-Carlo";
-  if !check_path <> "" then (
-    match check !check_path with
-    | () -> ()
-    | exception Failure m ->
-      Printf.eprintf "%s: INVALID: %s\n" !check_path m;
-      exit 1)
+  if !check_path <> "" then Gate_kit.check_file !check_path (check !check_path)
   else begin
     if !samples < 32 then failwith "need -samples >= 32";
     let entries =

@@ -4,8 +4,8 @@
    with telemetry and tracing off, once with both on — and enforces the two
    halves of the observability contract:
 
-     1. The emitted trace is well-formed Chrome trace-event JSON (parsed
-        with a real, if minimal, JSON parser — not substring matching): a
+     1. The emitted trace is well-formed Chrome trace-event JSON (read
+        with the strict Json parser — not substring matching): a
         "traceEvents" array of complete/instant/metadata events, a
         thread_name metadata record per track, and at least one track per
         pool domain.
@@ -27,6 +27,7 @@ module Rng = Leakage_numeric.Rng
 module Pool = Leakage_parallel.Pool
 module Telemetry = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
+module Json = Leakage_telemetry.Json
 
 let jobs = 2
 let n_vectors = 48 (* 3 chunks of Estimator.avg_chunk: real fan-out on 2 lanes *)
@@ -66,187 +67,31 @@ let workload () =
         fp_injection = Incremental.net_injection session;
       })
 
-(* --------------------------------------------------- minimal JSON parser *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance (); Buffer.contents buf
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char buf '"'; advance ()
-         | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-         | Some '/' -> Buffer.add_char buf '/'; advance ()
-         | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-         | Some 't' -> Buffer.add_char buf '\t'; advance ()
-         | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-         | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-         | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 128 ->
-              Buffer.add_char buf (Char.chr code)
-            | Some _ -> Buffer.add_char buf '?' (* non-ASCII: shape only *)
-            | None -> fail "bad \\u escape");
-           pos := !pos + 4
-         | _ -> fail "bad escape");
-        go ()
-      | Some c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> number_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((key, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 (* ------------------------------------------------------ trace validation *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("trace-check: " ^ m); exit 1) fmt
 
-let field obj key =
-  match obj with
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
-
-let require_num event key =
-  match field event key with
-  | Some (Num f) -> f
-  | _ -> die "event missing numeric %S" key
-
-let validate_trace json =
-  let root =
-    match parse_json json with
-    | v -> v
-    | exception Bad m -> die "trace is not valid JSON: %s" m
-  in
-  let events =
-    match field root "traceEvents" with
-    | Some (Arr evs) -> evs
-    | _ -> die "no \"traceEvents\" array"
-  in
-  (match field root "displayTimeUnit" with
-   | Some (Str _) -> ()
-   | _ -> die "no \"displayTimeUnit\"");
+(* every shape problem surfaces as a Json.Error naming the key or type *)
+let validate_trace root =
+  let events = Json.arr "traceEvents" root in
+  ignore (Json.str "displayTimeUnit" root);
   let tracks = Hashtbl.create 8 in
   let named = Hashtbl.create 8 in
   let spans = ref 0 in
   List.iter
     (fun ev ->
-      let name =
-        match field ev "name" with
-        | Some (Str s) -> s
-        | _ -> die "event without a name"
-      in
-      let tid = int_of_float (require_num ev "tid") in
-      ignore (require_num ev "pid");
-      match field ev "ph" with
-      | Some (Str "X") ->
-        let dur = require_num ev "dur" in
-        ignore (require_num ev "ts");
+      let name = Json.str "name" ev in
+      let tid = Json.int "tid" ev in
+      ignore (Json.num "pid" ev);
+      match Json.str "ph" ev with
+      | "X" ->
+        let dur = Json.num "dur" ev in
+        ignore (Json.num "ts" ev);
         if dur < 0.0 then die "span %S has negative duration" name;
         incr spans;
         Hashtbl.replace tracks tid ()
-      | Some (Str "i") -> Hashtbl.replace tracks tid ()
-      | Some (Str "M") ->
+      | "i" -> Hashtbl.replace tracks tid ()
+      | "M" ->
         if name <> "thread_name" then die "unknown metadata event %S" name;
         Hashtbl.replace named tid ()
       | _ -> die "event %S has a bad \"ph\"" name)
@@ -270,7 +115,11 @@ let () =
   Trace.stop ();
   if Stdlib.compare quiet observed <> 0 then
     die "telemetry perturbed the results: traced run differs bit-for-bit";
-  let spans, tracks = validate_trace (Trace.to_json ()) in
+  let spans, tracks =
+    match validate_trace (Json.parse (Trace.to_json ())) with
+    | r -> r
+    | exception Json.Error m -> die "malformed trace: %s" m
+  in
   let snap = Telemetry.Snapshot.take () in
   List.iter
     (fun name ->

@@ -36,6 +36,7 @@ module Pool = Leakage_parallel.Pool
 module Telemetry = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
 module Tlog = Leakage_telemetry.Log
+module Json = Leakage_telemetry.Json
 module Top_view = Leakage_server.Top_view
 
 let na = Physics.amps_to_nanoamps
@@ -1196,7 +1197,7 @@ let client_cmd =
           let meta =
             [
               ("uptime_s", Printf.sprintf "%.3f" r.Sclient.uptime_s);
-              ("version", "\"" ^ r.Sclient.version ^ "\"");
+              ("version", "\"" ^ Json.escape r.Sclient.version ^ "\"");
             ]
           in
           print_string (Telemetry.Snapshot.to_json ~meta r.Sclient.snapshot);

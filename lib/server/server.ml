@@ -4,6 +4,7 @@ module Tm = Leakage_telemetry.Telemetry
 module Log = Leakage_telemetry.Log
 module Trace = Leakage_telemetry.Trace
 module Prometheus = Leakage_telemetry.Prometheus
+module Json = Leakage_telemetry.Json
 module Sampler = Leakage_telemetry.Sampler
 
 let m_requests = Tm.counter "serve.requests"
@@ -463,9 +464,10 @@ let http_routes t path =
     let draining = stopping t in
     let body =
       Printf.sprintf
-        "{\"status\":%S,\"uptime_s\":%.3f,\"version\":%S,\"sessions\":%d}\n"
+        "{\"status\":\"%s\",\"uptime_s\":%.3f,\"version\":\"%s\",\
+         \"sessions\":%d}\n"
         (if draining then "draining" else "ok")
-        (uptime_s t) t.version
+        (uptime_s t) (Json.escape t.version)
         (Registry.live_count t.registry)
     in
     Some

@@ -99,37 +99,17 @@ let with_rid rid f =
 
 (* ------------------------------------------------------------ emission *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_field b (k, v) =
   Buffer.add_string b ",\"";
-  add_escaped b k;
+  Buffer.add_string b (Json.escape k);
   Buffer.add_string b "\":";
   match v with
   | Str s ->
     Buffer.add_char b '"';
-    add_escaped b s;
+    Buffer.add_string b (Json.escape s);
     Buffer.add_char b '"'
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-    if Float.is_finite f then
-      Buffer.add_string b
-        (if Float.is_integer f && Float.abs f < 1e15 then
-           Printf.sprintf "%.0f" f
-         else Printf.sprintf "%.6g" f)
-    else Buffer.add_string b "null"
+  | Float f -> Buffer.add_string b (Json.number f)
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
 
 let emit level event fields =
@@ -140,7 +120,7 @@ let emit level event fields =
     Buffer.add_string b ",\"level\":\"";
     Buffer.add_string b (level_name level);
     Buffer.add_string b "\",\"event\":\"";
-    add_escaped b event;
+    Buffer.add_string b (Json.escape event);
     Buffer.add_char b '"';
     let has_rid = List.exists (fun (k, _) -> k = "rid") fields in
     (if not has_rid then

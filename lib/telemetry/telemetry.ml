@@ -486,22 +486,6 @@ module Snapshot = struct
       meta = newer.meta;
     }
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let pp ppf t =
     let live_counters = List.filter (fun (_, v, _) -> v <> 0) t.counters in
     let live_hists = List.filter (fun (_, h) -> h.count > 0) t.histograms in
@@ -543,13 +527,6 @@ module Snapshot = struct
       end
     end
 
-  (* JSON floats: min/max of an empty histogram are infinities, which JSON
-     has no literal for — emitted histograms always have count > 0. *)
-  let json_float f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
-
   let to_json ?(meta = []) t =
     let buf = Buffer.create 1024 in
     let p fmt = Printf.bprintf buf fmt in
@@ -565,7 +542,7 @@ module Snapshot = struct
        List.iter
          (fun (k, raw_json) ->
            sep f0;
-           p "\"%s\": %s" (json_escape k) raw_json)
+           p "\"%s\": %s" (Json.escape k) raw_json)
          meta;
        p "}, ");
     p "\"counters\": {";
@@ -573,14 +550,14 @@ module Snapshot = struct
     List.iter
       (fun (name, total, _) ->
         sep first;
-        p "\"%s\": %d" (json_escape name) total)
+        p "\"%s\": %d" (Json.escape name) total)
       live_counters;
     p "}, \"counters_by_domain\": {";
     let first = ref true in
     List.iter
       (fun (name, _, per) ->
         sep first;
-        p "\"%s\": {" (json_escape name);
+        p "\"%s\": {" (Json.escape name);
         let f2 = ref true in
         List.iter
           (fun (d, v) ->
@@ -594,7 +571,7 @@ module Snapshot = struct
     List.iter
       (fun (name, v) ->
         sep first;
-        p "\"%s\": %s" (json_escape name) (json_float v))
+        p "\"%s\": %s" (Json.escape name) (Json.number v))
       t.gauges;
     p "}, \"histograms\": {";
     let first = ref true in
@@ -603,8 +580,8 @@ module Snapshot = struct
         sep first;
         p "\"%s\": {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \
            \"buckets\": {"
-          (json_escape name) h.count (json_float h.sum) (json_float h.min)
-          (json_float h.max);
+          (Json.escape name) h.count (Json.number h.sum) (Json.number h.min)
+          (Json.number h.max);
         let f2 = ref true in
         Array.iteri
           (fun b n ->

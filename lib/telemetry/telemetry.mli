@@ -175,7 +175,8 @@ module Snapshot : sig
         "gauges": {name: value},
         "histograms": {name: {"count", "sum", "min", "max",
                               "buckets": {exponent: count}}}}]
-      Keys are JSON-escaped (labeled names contain quotes). [?meta]
+      Keys are JSON-escaped (labeled names contain quotes) and floats
+      are written by {!Json.number}, so a non-finite one is [null]. [?meta]
       prepends a ["meta"] object of [(key, raw_json_value)] pairs —
       daemon uptime, version — without touching the metric namespace. *)
 end

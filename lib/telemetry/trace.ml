@@ -90,27 +90,12 @@ let event_count () = List.length (collected ())
 
 (* ------------------------------------------------------------------ JSON *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let emit_args buf args =
   Printf.bprintf buf "{";
   List.iteri
     (fun i (k, v) ->
       Printf.bprintf buf "%s\"%s\": \"%s\"" (if i > 0 then ", " else "")
-        (escape k) (escape v))
+        (Json.escape k) (Json.escape v))
     args;
   Printf.bprintf buf "}"
 
@@ -139,7 +124,7 @@ let to_json () =
       p
         "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": \
          %.3f, "
-        (escape e.name) (escape e.cat) e.ph e.ts;
+        (Json.escape e.name) (Json.escape e.cat) e.ph e.ts;
       if e.ph = 'X' then p "\"dur\": %.3f, " e.dur;
       if e.ph = 'i' then p "\"s\": \"t\", ";
       p "\"pid\": 1, \"tid\": %d" e.tid;

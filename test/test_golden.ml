@@ -32,6 +32,7 @@ module Logic = Leakage_circuit.Logic
 module Rng = Leakage_numeric.Rng
 module Suite = Leakage_benchmarks.Suite
 module Trees = Leakage_benchmarks.Trees
+module Json = Leakage_telemetry.Json
 
 let device = Params.d25
 let temp = 300.0
@@ -119,73 +120,10 @@ let emit oc (rows : Suite.run array) (sigs : Sensitivity.result array) =
   p "  ]\n";
   p "}\n"
 
-(* ------------------------------------------------------ minimal JSON read *)
-
-let find_key chunk key =
-  let needle = "\"" ^ key ^ "\":" in
-  let nl = String.length needle and cl = String.length chunk in
-  let rec scan i =
-    if i + nl > cl then None
-    else if String.sub chunk i nl = needle then Some (i + nl)
-    else scan (i + 1)
-  in
-  scan 0
-
-let scalar_after chunk pos =
-  let cl = String.length chunk in
-  let rec skip i = if i < cl && chunk.[i] = ' ' then skip (i + 1) else i in
-  let start = skip pos in
-  let rec stop i =
-    if i >= cl then i
-    else match chunk.[i] with ',' | '}' | ']' | '\n' -> i | _ -> stop (i + 1)
-  in
-  String.trim (String.sub chunk start (stop start - start))
-
-let num_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing numeric field %S" key)
-  | Some pos -> (
-    match float_of_string_opt (scalar_after chunk pos) with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "field %S is not a number" key))
-
-let str_field chunk key =
-  match find_key chunk key with
-  | None -> failwith (Printf.sprintf "missing string field %S" key)
-  | Some pos ->
-    let s = scalar_after chunk pos in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then String.sub s 1 (String.length s - 2)
-    else failwith (Printf.sprintf "field %S is not a string" key)
-
-let circuit_chunks s =
-  match find_key s "circuits" with
-  | None -> failwith "missing \"circuits\" array"
-  | Some pos ->
-    let cl = String.length s in
-    let chunks = ref [] in
-    let depth = ref 0 and start = ref (-1) and i = ref pos in
-    while !i < cl do
-      (match s.[!i] with
-       | '{' ->
-         if !depth = 0 then start := !i;
-         incr depth
-       | '}' ->
-         decr depth;
-         if !depth = 0 && !start >= 0 then
-           chunks := String.sub s !start (!i - !start + 1) :: !chunks
-       | _ -> ());
-      incr i
-    done;
-    List.rev !chunks
-
 (* ----------------------------------------------------------------- tests *)
 
-let read_fixture () =
-  let ic = open_in fixture in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_fixture () = In_channel.with_open_bin fixture In_channel.input_all
+let fixture_rows () = Json.arr "circuits" (Json.read_file fixture)
 
 let check_close label what golden actual =
   if rel actual golden > tol then
@@ -193,18 +131,18 @@ let check_close label what golden actual =
       label what golden actual golden
 
 let test_fixture_settings () =
-  let s = read_fixture () in
-  Alcotest.(check string) "fixture kind" "golden-suite" (str_field s "fixture");
-  Alcotest.(check int) "vectors" vectors (int_of_float (num_field s "vectors"));
-  Alcotest.(check int) "seed" seed (int_of_float (num_field s "seed"));
+  let s = Json.read_file fixture in
+  Alcotest.(check string) "fixture kind" "golden-suite" (Json.str "fixture" s);
+  Alcotest.(check int) "vectors" vectors (Json.int "vectors" s);
+  Alcotest.(check int) "seed" seed (Json.int "seed" s);
   Alcotest.(check int) "grid points" coarse_grid.Characterize.points
-    (int_of_float (num_field s "grid_points"));
+    (Json.int "grid_points" s);
   Alcotest.(check (float 0.0)) "grid max current"
     coarse_grid.Characterize.max_current
-    (num_field s "grid_max_current")
+    (Json.num "grid_max_current" s)
 
 let test_suite_matches_golden () =
-  let chunks = circuit_chunks (read_fixture ()) in
+  let chunks = fixture_rows () in
   let rows = Lazy.force runs in
   Alcotest.(check int) "circuit count" (List.length entries)
     (List.length chunks);
@@ -213,46 +151,46 @@ let test_suite_matches_golden () =
   List.iteri
     (fun i chunk ->
       let r = rows.(i) in
-      let label = str_field chunk "label" in
+      let label = Json.str "label" chunk in
       Alcotest.(check string) "label order" label r.Suite.label;
       Alcotest.(check int) (label ^ " gate count")
-        (int_of_float (num_field chunk "gates")) r.Suite.gates;
-      check_close label "loaded isub" (num_field chunk "loaded_isub")
+        (Json.int "gates" chunk) r.Suite.gates;
+      check_close label "loaded isub" (Json.num "loaded_isub" chunk)
         r.Suite.loaded.Report.isub;
-      check_close label "loaded igate" (num_field chunk "loaded_igate")
+      check_close label "loaded igate" (Json.num "loaded_igate" chunk)
         r.Suite.loaded.Report.igate;
-      check_close label "loaded ibtbt" (num_field chunk "loaded_ibtbt")
+      check_close label "loaded ibtbt" (Json.num "loaded_ibtbt" chunk)
         r.Suite.loaded.Report.ibtbt;
-      check_close label "baseline isub" (num_field chunk "base_isub")
+      check_close label "baseline isub" (Json.num "base_isub" chunk)
         r.Suite.baseline.Report.isub;
-      check_close label "baseline igate" (num_field chunk "base_igate")
+      check_close label "baseline igate" (Json.num "base_igate" chunk)
         r.Suite.baseline.Report.igate;
-      check_close label "baseline ibtbt" (num_field chunk "base_ibtbt")
+      check_close label "baseline ibtbt" (Json.num "base_ibtbt" chunk)
         r.Suite.baseline.Report.ibtbt;
-      check_close label "shift percent" (num_field chunk "shift_percent")
+      check_close label "shift percent" (Json.num "shift_percent" chunk)
         r.Suite.shift_percent)
     chunks
 
 let test_sigmas_match_golden () =
-  let chunks = circuit_chunks (read_fixture ()) in
+  let chunks = fixture_rows () in
   let sigs = Lazy.force sigma_runs in
   Alcotest.(check int) "one sigma result per fixture entry"
     (List.length chunks) (Array.length sigs);
   List.iteri
     (fun i chunk ->
       let st = sigs.(i).Sensitivity.loaded in
-      let label = str_field chunk "label" in
-      check_close label "sigma isub" (num_field chunk "sigma_isub")
+      let label = Json.str "label" chunk in
+      check_close label "sigma isub" (Json.num "sigma_isub" chunk)
         st.Sensitivity.s_isub.Sensitivity.sigma;
-      check_close label "sigma igate" (num_field chunk "sigma_igate")
+      check_close label "sigma igate" (Json.num "sigma_igate" chunk)
         st.Sensitivity.s_igate.Sensitivity.sigma;
-      check_close label "sigma ibtbt" (num_field chunk "sigma_ibtbt")
+      check_close label "sigma ibtbt" (Json.num "sigma_ibtbt" chunk)
         st.Sensitivity.s_ibtbt.Sensitivity.sigma;
-      check_close label "sigma total" (num_field chunk "sigma_total")
+      check_close label "sigma total" (Json.num "sigma_total" chunk)
         st.Sensitivity.s_total.Sensitivity.sigma;
-      check_close label "sigma total inter" (num_field chunk "sigma_total_inter")
+      check_close label "sigma total inter" (Json.num "sigma_total_inter" chunk)
         st.Sensitivity.s_total.Sensitivity.sigma_inter;
-      check_close label "sigma total intra" (num_field chunk "sigma_total_intra")
+      check_close label "sigma total intra" (Json.num "sigma_total_intra" chunk)
         st.Sensitivity.s_total.Sensitivity.sigma_intra)
     chunks
 

@@ -21,6 +21,7 @@ module Estimator = Leakage_core.Estimator
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
 module Telemetry = Leakage_telemetry.Telemetry
+module Json = Leakage_telemetry.Json
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
@@ -720,6 +721,39 @@ let test_http_write_all_large_body () =
     (Buffer.length buf);
   Alcotest.(check bool) "content identical" true (Buffer.contents buf = body)
 
+(* /healthz echoes the daemon's version: a quote, a backslash, UTF-8 and a
+   control byte in it must still give a body a strict parser accepts. *)
+let test_healthz_body_is_json () =
+  let dir = fresh_dir "healthz" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let version = "v\"1\\2 \xc3\xa9\001" in
+  let server =
+    Server.create ~executors:1 ~jobs:1 ~http_port:0 ~version
+      ~socket:(Filename.concat dir "leak.sock") ()
+  in
+  let th = Thread.create Server.run server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop server;
+      Thread.join th)
+  @@ fun () ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET
+       (Unix.inet_addr_loopback, Option.get (Server.http_port server)));
+  Leakage_server.Http.write_all fd "GET /healthz HTTP/1.1\r\n\r\n";
+  let ic = Unix.in_channel_of_descr fd in
+  let reply = In_channel.input_all ic in
+  close_in ic;
+  let rec body_at i =
+    if String.sub reply i 4 = "\r\n\r\n" then i + 4 else body_at (i + 1)
+  in
+  let b = body_at 0 in
+  let j = Json.parse (String.sub reply b (String.length reply - b)) in
+  Alcotest.(check string) "status" "ok" (Json.str "status" j);
+  Alcotest.(check string) "version reads back exactly" version
+    (Json.str "version" j)
+
 (* ------------------------------------------------------- client policy *)
 
 (* a hand-rolled misbehaving server: [behavior] gets the accepted fd *)
@@ -941,6 +975,8 @@ let () =
             test_write_frame_no_truncation;
           Alcotest.test_case "http write_all large body" `Quick
             test_http_write_all_large_body;
+          Alcotest.test_case "healthz body is JSON" `Quick
+            test_healthz_body_is_json;
         ] );
       ( "client",
         [

@@ -1,23 +1,19 @@
 (* Unit tests for the telemetry subsystem: registry semantics, the enabled
    gate, per-domain sharding, gauges, labeled families, the observe guard,
-   snapshot merging/diffing/serialization, Prometheus exposition, and the
-   span tracer's Chrome trace-event output. *)
+   snapshot merging/diffing/serialization, Prometheus exposition, the
+   span tracer's Chrome trace-event output, the JSONL log, and the strict
+   JSON reader and escaper that every writer here shares. *)
 
 module Telemetry = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
 module Prometheus = Leakage_telemetry.Prometheus
+module Log = Leakage_telemetry.Log
+module Json = Leakage_telemetry.Json
 
 let with_recording f =
   Telemetry.set_enabled true;
   Telemetry.reset ();
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
-
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i =
-    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
-  in
-  scan 0
 
 (* ------------------------------------------------------------- registry *)
 
@@ -123,13 +119,22 @@ let test_snapshot_json_shape () =
       let h = Telemetry.histogram "t.json_h" in
       Telemetry.add c 3;
       Telemetry.observe h 2.5;
-      let json = Telemetry.Snapshot.to_json (Telemetry.Snapshot.take ()) in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) ("contains " ^ needle) true
-            (contains json needle))
-        [ "\"counters\""; "\"counters_by_domain\""; "\"histograms\"";
-          "\"t.json_c\": 3"; "\"t.json_h\""; "\"count\": 1"; "\"sum\": 2.5" ])
+      let snap = Telemetry.Snapshot.take () in
+      let j = Json.parse (Telemetry.Snapshot.to_json snap) in
+      Alcotest.(check int) "counter total" 3
+        (Json.int "t.json_c" (Json.member "counters" j));
+      ignore (Json.member "t.json_c" (Json.member "counters_by_domain" j));
+      let hj = Json.member "t.json_h" (Json.member "histograms" j) in
+      Alcotest.(check int) "histogram count" 1 (Json.int "count" hj);
+      Alcotest.(check (float 0.0)) "histogram sum" 2.5 (Json.num "sum" hj));
+  (* JSON has no literal for a non-finite float *)
+  let snap =
+    Telemetry.Snapshot.make ~taken_at:0.0 ~counters:[]
+      ~gauges:[ ("t.inf", Float.infinity) ] ~histograms:[] ~meta:[]
+  in
+  let j = Json.parse (Telemetry.Snapshot.to_json snap) in
+  Alcotest.(check bool) "infinite gauge is null" true
+    (Json.member "t.inf" (Json.member "gauges" j) = Json.Null)
 
 (* --------------------------------------------------------------- gauges *)
 
@@ -361,13 +366,20 @@ let test_trace_spans_and_json () =
   Alcotest.(check int) "value through spans" 42 v;
   (* outer + inner + raising + instant *)
   Alcotest.(check int) "events recorded" 4 (Trace.event_count ());
-  let json = Trace.to_json () in
+  let j = Json.parse (Trace.to_json ()) in
+  ignore (Json.str "displayTimeUnit" j);
+  let events = Json.arr "traceEvents" j in
+  let named n = List.find (fun e -> Json.str "name" e = n) events in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains json needle))
-    [ "\"traceEvents\""; "\"displayTimeUnit\""; "thread_name";
-      "\"outer\""; "\"inner\""; "\"raising\""; "\"marker\"";
-      "\"ph\": \"X\""; "\"ph\": \"i\""; "\"k\": \"v\"" ]
+    (fun n ->
+      Alcotest.(check string) (n ^ " is a span") "X" (Json.str "ph" (named n)))
+    [ "outer"; "inner"; "raising" ];
+  Alcotest.(check string) "marker is an instant" "i"
+    (Json.str "ph" (named "marker"));
+  Alcotest.(check string) "span args" "v"
+    (Json.str "k" (Json.member "args" (named "outer")));
+  Alcotest.(check string) "track metadata" "M"
+    (Json.str "ph" (named "thread_name"))
 
 let test_trace_disabled_is_passthrough () =
   Trace.start ();
@@ -385,11 +397,94 @@ let test_trace_escapes_strings () =
   Trace.start ();
   Trace.instant ~args:[ ("path", "a\"b\\c\nd") ] "quote\"name";
   Trace.stop ();
-  let json = Trace.to_json () in
+  let j = Json.parse (Trace.to_json ()) in
+  let instants =
+    List.filter (fun e -> Json.str "ph" e = "i") (Json.arr "traceEvents" j)
+  in
+  match instants with
+  | [ e ] ->
+    Alcotest.(check string) "name decodes exactly" "quote\"name"
+      (Json.str "name" e);
+    Alcotest.(check string) "arg decodes exactly" "a\"b\\c\nd"
+      (Json.str "path" (Json.member "args" e))
+  | _ -> Alcotest.fail "expected one instant event"
+
+(* ------------------------------------------------------------------ log *)
+
+(* quote, backslash, the named and unnamed control bytes, DEL and UTF-8 *)
+let hostile = "a\"b\\c\nd\r\t\001\127\xc3\xa9"
+
+let test_log_line_is_json () =
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Log.disable (); Sys.remove path) @@ fun () ->
+  Log.enable_file ~level:Log.Debug path;
+  Log.info ("ev" ^ hostile)
+    [ ("k" ^ hostile, Log.str hostile); ("x", Log.float Float.nan);
+      ("n", Log.float 3.0) ];
+  Log.disable ();
+  let j = Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check string) "level" "info" (Json.str "level" j);
+  Alcotest.(check string) "event decodes exactly" ("ev" ^ hostile)
+    (Json.str "event" j);
+  Alcotest.(check string) "field decodes exactly" hostile
+    (Json.str ("k" ^ hostile) j);
+  Alcotest.(check bool) "non-finite float is null" true
+    (Json.member "x" j = Json.Null);
+  Alcotest.(check int) "finite float is a number" 3 (Json.int "n" j)
+
+(* ----------------------------------------------------------------- json *)
+
+let qtest ?(count = 500) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+let test_json_rejects () =
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains json needle))
-    [ {|quote\"name|}; {|a\"b\\c\nd|} ]
+    (fun input ->
+      match Json.parse input with
+      | _ -> Alcotest.failf "accepted %S" input
+      | exception Json.Error _ -> ())
+    [ "{} x"; "[1] ]"; "\"abc"; "[1, 2"; "{\"a\": 1"; "{\"a\""; "\"a\001b\"";
+      "\"\\q\""; "\"\\u12g4\""; "\"\\ud800\""; "+1"; "01"; "-01"; "1."; ".5";
+      "1e"; "-"; "inf"; "nan"; "tru"; "[1,]"; "{\"a\" 1}"; "";
+      String.make 513 '[' ^ String.make 513 ']' ];
+  ignore (Json.parse (String.make 512 '[' ^ String.make 512 ']'))
+
+let test_json_accepts () =
+  Alcotest.(check bool) "nested values, escapes and number forms" true
+    (Json.parse
+       " {\"a\": [0, -1.5e+3, 2E-2, true, false, null],\n\
+        \"s\": \"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\ud83d\\ude00\"} "
+     = Json.Obj
+         [ ("a", Json.Arr [ Json.Num 0.0; Json.Num (-1500.0); Json.Num 0.02;
+                            Json.Bool true; Json.Bool false; Json.Null ]);
+           ("s", Json.Str "\"\\/\b\012\n\r\t\xc3\xa9\xf0\x9f\x98\x80") ])
+
+let test_json_member () =
+  let v = Json.parse {|{"ab":1,"a":2}|} in
+  Alcotest.(check bool) "exact key, not a prefix" true
+    (Json.member "a" v = Json.Num 2.0);
+  match Json.member "x" (Json.parse {|{"o":{"x":1}}|}) with
+  | _ -> Alcotest.fail "found a key of a nested object"
+  | exception Json.Error _ -> ()
+
+let prop_escape_roundtrip =
+  qtest "escape round-trips any byte string" QCheck2.Gen.string (fun s ->
+      Json.parse ("\"" ^ Json.escape s ^ "\"") = Json.Str s)
+
+let golden_text =
+  lazy (In_channel.with_open_bin "golden_suite.json" In_channel.input_all)
+
+let prop_golden_mutations_fail_closed =
+  qtest "golden corpus truncations and byte flips parse or raise Json.Error"
+    QCheck2.Gen.(triple bool (int_bound 1_000_000) char)
+    (fun (truncate, i, c) ->
+      let text = Lazy.force golden_text in
+      let i = i mod String.length text in
+      let mutated =
+        if truncate then String.sub text 0 i
+        else String.mapi (fun j b -> if j = i then c else b) text
+      in
+      match Json.parse mutated with _ | (exception Json.Error _) -> true)
 
 (* --------------------------------------------------- publish-once library *)
 
@@ -484,5 +579,18 @@ let () =
           Alcotest.test_case "disabled passthrough" `Quick
             test_trace_disabled_is_passthrough;
           Alcotest.test_case "string escaping" `Quick test_trace_escapes_strings;
+        ] );
+      ( "log",
+        [
+          Alcotest.test_case "line is strict JSON" `Quick
+            test_log_line_is_json;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "rejections" `Quick test_json_rejects;
+          Alcotest.test_case "accepted forms" `Quick test_json_accepts;
+          Alcotest.test_case "member" `Quick test_json_member;
+          prop_escape_roundtrip;
+          prop_golden_mutations_fail_closed;
         ] );
     ]
