@@ -45,13 +45,9 @@ let na = Physics.amps_to_nanoamps
 
 let device_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "d25" -> Ok Params.d25
-    | "d50" -> Ok Params.d50
-    | "d25-s" | "d25s" -> Ok Params.d25_s
-    | "d25-g" | "d25g" -> Ok Params.d25_g
-    | "d25-jn" | "d25jn" -> Ok Params.d25_jn
-    | other -> Error (`Msg ("unknown device " ^ other))
+    match Params.of_name s with
+    | Some d -> Ok d
+    | None -> Error (`Msg ("unknown device " ^ s))
   in
   let print ppf (d : Params.t) = Format.fprintf ppf "%s" d.Params.name in
   Arg.conv (parse, print)
@@ -59,11 +55,23 @@ let device_conv =
 let device_arg =
   Arg.(value & opt device_conv Params.d25
        & info [ "device" ] ~docv:"DEV"
-           ~doc:"Device corner: d25, d50, d25-s, d25-g, d25-jn.")
+           ~doc:"Device corner: d25, d50, d25-s, d25-g, d25-jn (any case, \
+                 dashes optional).")
 
 let temp_arg =
   Arg.(value & opt float 27.0
        & info [ "temp" ] ~docv:"CELSIUS" ~doc:"Temperature in Celsius.")
+
+(* The operating corner: a device at a temperature, kept in both units. *)
+type corner = { device : Params.t; celsius : float; temp : float }
+
+let corner_arg =
+  let make device celsius =
+    { device; celsius; temp = Physics.celsius_to_kelvin celsius }
+  in
+  Term.(const make $ device_arg $ temp_arg)
+
+let library ?vdd c = Library.create ~device:c.device ~temp:c.temp ?vdd ()
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -88,6 +96,17 @@ let parse_netlist_file path =
   | ".sp" | ".cir" | ".spice" -> Spice_format.parse_file path
   | _ -> Bench_format.parse_file path
 
+let output_file_arg doc =
+  Arg.(required & opt (some string) None
+       & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+let vectors_arg doc =
+  Arg.(value & opt int 10 & info [ "vectors" ] ~docv:"N" ~doc)
+
+let samples_arg default =
+  Arg.(value & opt int default
+       & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
+
 let jobs_arg =
   Arg.(value & opt int 0
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -108,7 +127,14 @@ let load_circuit circuit bench_file =
   | Some _, Some _ -> failwith "give either --circuit or --bench, not both"
   | None, None -> failwith "a circuit is required: --circuit NAME or --bench FILE"
 
-let kelvin celsius = Physics.celsius_to_kelvin celsius
+(* The netlist a command reads, from --circuit or --bench. Cmdliner
+   evaluates a term's arguments left to right, so this one goes last: every
+   other flag is checked before the netlist loads. *)
+let netlist_arg = Term.(const load_circuit $ circuit_arg $ bench_file_arg)
+
+(* The commands that study one input vector take the first one a seeded
+   generator draws. *)
+let first_pattern rng nl = List.hd (Simulate.random_patterns rng nl 1)
 
 let pp_components tag c =
   Format.printf "  %-24s sub %10.1f  gate %10.1f  btbt %10.1f  total %10.1f nA@."
@@ -164,21 +190,18 @@ let list_cmd =
 (* ---------------------------------------------------------------- stats *)
 
 let stats_cmd =
-  let run circuit bench_file =
-    let nl = load_circuit circuit bench_file in
+  let run nl =
     Format.printf "%s:@.  %a@." (Netlist.name nl) Netlist.pp_stats
       (Netlist.stats nl)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print structural statistics of a circuit.")
-    Term.(const run $ circuit_arg $ bench_file_arg)
+    Term.(const run $ netlist_arg)
 
 (* ------------------------------------------------------------- generate *)
 
 let generate_cmd =
   let output_arg =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Output path (.bench, or .v with $(b,--verilog)).")
+    output_file_arg "Output path (.bench, or .v with $(b,--verilog))."
   in
   let verilog_arg =
     Arg.(value & flag
@@ -209,12 +232,9 @@ let generate_cmd =
 
 let snapshot_cmd =
   let output_arg =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Snapshot output path (conventionally .lkn).")
+    output_file_arg "Snapshot output path (conventionally .lkn)."
   in
-  let run circuit bench_file output =
-    let nl = load_circuit circuit bench_file in
+  let run output nl =
     Snapshot.save output nl;
     Format.printf "wrote %s (%d gates, digest %s) to %s@." (Netlist.name nl)
       (Netlist.gate_count nl) (Netlist.digest nl) output
@@ -224,7 +244,7 @@ let snapshot_cmd =
        ~doc:"Compile a circuit into an mmap-able LKN1 binary snapshot. Any \
              command taking $(b,--bench) accepts the resulting .lkn file and \
              loads it without re-parsing.")
-    Term.(const run $ circuit_arg $ bench_file_arg $ output_arg)
+    Term.(const run $ output_arg $ netlist_arg)
 
 (* ------------------------------------------------------------------ sim *)
 
@@ -234,8 +254,7 @@ let sim_cmd =
          & info [ "input" ] ~docv:"BITS"
              ~doc:"Input pattern (defaults to a random one).")
   in
-  let run circuit bench_file vector seed =
-    let nl = load_circuit circuit bench_file in
+  let run vector seed nl =
     let width = Array.length (Netlist.inputs nl) in
     let pattern =
       match vector with
@@ -260,15 +279,12 @@ let sim_cmd =
       (Netlist.net_count nl)
   in
   Cmd.v (Cmd.info "sim" ~doc:"Logic-simulate one input pattern.")
-    Term.(const run $ circuit_arg $ bench_file_arg $ vector_arg $ seed_arg)
+    Term.(const run $ vector_arg $ seed_arg $ netlist_arg)
 
 (* ------------------------------------------------------------- estimate *)
 
 let estimate_cmd =
-  let vectors_arg =
-    Arg.(value & opt int 10
-         & info [ "vectors" ] ~docv:"N" ~doc:"Number of random input vectors.")
-  in
+  let vectors_arg = vectors_arg "Number of random input vectors." in
   let spice_arg =
     Arg.(value & flag
          & info [ "spice" ]
@@ -289,15 +305,11 @@ let estimate_cmd =
          & info [ "top" ] ~docv:"N"
              ~doc:"Print the N heaviest-leaking gates of the first vector.")
   in
-  let run device celsius circuit bench_file vectors seed spice passes csv top
-      jobs sigma =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
-    let rng = Rng.create seed in
-    let patterns = Simulate.random_patterns rng nl vectors in
+  let run corner vectors seed spice passes csv top jobs sigma nl =
+    let lib = library corner in
+    let patterns = Simulate.random_patterns (Rng.create seed) nl vectors in
     Format.printf "%s on %s at %.0f C, %d random vectors@." (Netlist.name nl)
-      device.Params.name celsius vectors;
+      corner.device.Params.name corner.celsius vectors;
     (match patterns with
      | first :: _ ->
        let detailed = Estimator.estimate ~passes lib nl first in
@@ -309,10 +321,8 @@ let estimate_cmd =
        if top > 0 then
          Reporting.pp_per_gate ~limit:top Format.std_formatter nl detailed
      | [] -> ());
-    let loaded, base =
-      with_jobs jobs (fun pool ->
-          Estimator.average_over_vectors ?pool lib nl patterns)
-    in
+    with_jobs jobs @@ fun pool ->
+    let loaded, base = Estimator.average_over_vectors ?pool lib nl patterns in
     pp_components "mean (loading-aware):" loaded;
     pp_components "mean (no loading):" base;
     Format.printf "  loading shift: %+.2f%% total, %+.2f%% subthreshold@."
@@ -322,9 +332,8 @@ let estimate_cmd =
        match patterns with
        | first :: _ ->
          let _, _, res =
-           with_jobs jobs (fun pool ->
-               Sensitivity.estimate_totals ~passes ?pool
-                 ~sigmas:Variation.paper_sigmas lib nl first)
+           Sensitivity.estimate_totals ~passes ?pool
+             ~sigmas:Variation.paper_sigmas lib nl first
          in
          Format.printf
            "variance under paper sigmas (first vector, %d response classes):@."
@@ -341,7 +350,9 @@ let estimate_cmd =
       let sum =
         List.fold_left
           (fun acc p ->
-            let r, _, _ = Report.analyze ~device ~temp nl p in
+            let r, _, _ =
+              Report.analyze ~device:corner.device ~temp:corner.temp nl p
+            in
             Report.add acc r.Report.totals)
           Report.zero patterns
       in
@@ -355,9 +366,9 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Estimate circuit leakage with the loading-aware Fig-13 algorithm.")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ vectors_arg $ seed_arg $ spice_arg $ passes_arg $ csv_arg
-          $ top_arg $ jobs_arg $ sigma_arg)
+    Term.(const run $ corner_arg $ vectors_arg $ seed_arg $ spice_arg
+          $ passes_arg $ csv_arg $ top_arg $ jobs_arg $ sigma_arg
+          $ netlist_arg)
 
 (* --------------------------------------------------------- characterize *)
 
@@ -382,9 +393,8 @@ let parse_vector kind = function
   | None -> Array.make (Gate.arity kind) Logic.Zero
 
 let characterize_cmd =
-  let run device celsius kind vector =
+  let run { device; temp; celsius } kind vector =
     let v = parse_vector kind vector in
-    let temp = kelvin celsius in
     let e = Characterize.characterize ~device ~temp kind v in
     Format.printf "%s @ %s, vector %s, %.0f C@." (Gate.name kind)
       device.Params.name (Logic.vector_to_string v) celsius;
@@ -404,7 +414,7 @@ let characterize_cmd =
     (Cmd.info "characterize"
        ~doc:"Characterize one cell/vector: nominal leakage, pin currents, \
              loading-response tables.")
-    Term.(const run $ device_arg $ temp_arg $ kind_arg $ vector_arg)
+    Term.(const run $ corner_arg $ kind_arg $ vector_arg)
 
 (* ---------------------------------------------------------------- sweep *)
 
@@ -416,9 +426,8 @@ let sweep_cmd =
   let pin_arg =
     Arg.(value & opt int 0 & info [ "pin" ] ~docv:"PIN" ~doc:"Input pin index.")
   in
-  let run device celsius kind vector output pin =
+  let run { device; temp; _ } kind vector output pin =
     let v = parse_vector kind vector in
-    let temp = kelvin celsius in
     let pts =
       if output then Loading.output_sweep ~device ~temp kind v
       else Loading.input_sweep ~device ~temp ~pin kind v
@@ -439,18 +448,13 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Sweep loading current on one cell and print LD percentages \
              (the Fig 5/7 experiment).")
-    Term.(const run $ device_arg $ temp_arg $ kind_arg $ vector_arg
-          $ output_arg $ pin_arg)
+    Term.(const run $ corner_arg $ kind_arg $ vector_arg $ output_arg
+          $ pin_arg)
 
 (* ------------------------------------------------------------------- mc *)
 
 let mc_cmd =
-  let samples_arg =
-    Arg.(value & opt int 2000
-         & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
-  in
-  let run device celsius samples seed jobs =
-    let temp = kelvin celsius in
+  let run { device; temp; celsius } samples seed jobs =
     let config = { Monte_carlo.paper_config with Monte_carlo.n_samples = samples; seed } in
     let samples_arr =
       with_jobs jobs (fun pool ->
@@ -478,26 +482,20 @@ let mc_cmd =
     (Cmd.info "mc"
        ~doc:"Monte-Carlo variation analysis of an inverter with and without \
              loading (the Fig 10/11 experiment).")
-    Term.(const run $ device_arg $ temp_arg $ samples_arg $ seed_arg
-          $ jobs_arg)
+    Term.(const run $ corner_arg $ samples_arg 2000 $ seed_arg $ jobs_arg)
 
 (* ---------------------------------------------------------------- suite *)
 
 let suite_cmd =
-  let vectors_arg =
-    Arg.(value & opt int 10
-         & info [ "vectors" ] ~docv:"N"
-             ~doc:"Random input vectors per circuit.")
-  in
-  let run device celsius vectors seed jobs =
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
+  let vectors_arg = vectors_arg "Random input vectors per circuit." in
+  let run corner vectors seed jobs =
+    let lib = library corner in
     let runs =
       with_jobs jobs (fun pool ->
           Suite.estimate_all ?pool ~vectors ~seed lib)
     in
     Format.printf "%s at %.0f C, %d random vectors per circuit@."
-      device.Params.name celsius vectors;
+      corner.device.Params.name corner.celsius vectors;
     Format.printf "%-10s %8s %14s %14s %9s@." "name" "gates" "loaded[nA]"
       "base[nA]" "shift%";
     Array.iter
@@ -513,22 +511,14 @@ let suite_cmd =
     (Cmd.info "suite"
        ~doc:"Estimate every built-in benchmark circuit (the Fig-12 sweep), \
              fanning circuits out over -j worker domains.")
-    Term.(const run $ device_arg $ temp_arg $ vectors_arg $ seed_arg
-          $ jobs_arg)
+    Term.(const run $ corner_arg $ vectors_arg $ seed_arg $ jobs_arg)
 
 (* ----------------------------------------------------------------- stat *)
 
 let stat_cmd =
-  let samples_arg =
-    Arg.(value & opt int 1000
-         & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
-  in
-  let run device celsius circuit bench_file samples seed sigma =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
-    let rng = Rng.create seed in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+  let run corner samples seed sigma nl =
+    let lib = library corner in
+    let pattern = first_pattern (Rng.create seed) nl in
     let r =
       Leakage_core.Statistical.run ~n_samples:samples ~seed
         ~sigmas:Variation.paper_sigmas lib nl pattern
@@ -536,7 +526,7 @@ let stat_cmd =
     let loaded, unloaded = Leakage_core.Statistical.summary r in
     Format.printf
       "%s: %d samples, one random vector, paper sigmas, %s at %.0f C@."
-      (Netlist.name nl) samples device.Params.name celsius;
+      (Netlist.name nl) samples corner.device.Params.name corner.celsius;
     let show tag (s : Stats.summary) =
       Format.printf
         "  %-14s mean %10.1f  std %10.1f  p05 %10.1f  p95 %10.1f nA@." tag
@@ -567,9 +557,10 @@ let stat_cmd =
   in
   Cmd.v
     (Cmd.info "stat"
-       ~doc:"Statistical circuit leakage under process variation (fast              sensitivity-based Monte Carlo, no per-sample DC solves).")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ samples_arg $ seed_arg $ sigma_arg)
+       ~doc:"Statistical circuit leakage under process variation (fast \
+             sensitivity-based Monte Carlo, no per-sample DC solves).")
+    Term.(const run $ corner_arg $ samples_arg 1000 $ seed_arg $ sigma_arg
+          $ netlist_arg)
 
 (* --------------------------------------------------------------- mtcmos *)
 
@@ -579,16 +570,15 @@ let mtcmos_cmd =
          & info [ "width" ] ~docv:"UM"
              ~doc:"Footer width in um (default: 1 um per gate).")
   in
-  let run device celsius circuit bench_file seed width =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let rng = Rng.create seed in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+  let run { device; temp; _ } seed width nl =
+    let pattern = first_pattern (Rng.create seed) nl in
     let r = Leakage_core.Mtcmos.analyze ?sleep_width:width ~device ~temp nl pattern in
     Format.printf "%s with an MTCMOS footer:@." (Netlist.name nl);
     pp_components "ungated:" r.Leakage_core.Mtcmos.ungated;
     pp_components "active:" r.Leakage_core.Mtcmos.active.Leakage_core.Mtcmos.leakage;
-    Format.printf "  active virtual ground %.4f V, leakage overhead %+.2f%%                    (the footer's own gate tunneling)@."
+    Format.printf
+      "  active virtual ground %.4f V, leakage overhead %+.2f%% (the \
+       footer's own gate tunneling)@."
       r.Leakage_core.Mtcmos.active.Leakage_core.Mtcmos.virtual_ground
       r.Leakage_core.Mtcmos.active_overhead_percent;
     pp_components "standby:" r.Leakage_core.Mtcmos.standby.Leakage_core.Mtcmos.leakage;
@@ -599,9 +589,9 @@ let mtcmos_cmd =
   in
   Cmd.v
     (Cmd.info "mtcmos"
-       ~doc:"Analyze sleep-transistor power gating: active overhead, standby              collapse, virtual-ground levels.")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ seed_arg $ width_arg)
+       ~doc:"Analyze sleep-transistor power gating: active overhead, standby \
+             collapse, virtual-ground levels.")
+    Term.(const run $ corner_arg $ seed_arg $ width_arg $ netlist_arg)
 
 (* -------------------------------------------------------------- thermal *)
 
@@ -615,13 +605,11 @@ let thermal_cmd =
     Arg.(value & opt float 0.0
          & info [ "power" ] ~docv:"WATTS" ~doc:"Non-leakage power dissipated.")
   in
-  let run device celsius circuit bench_file seed r_theta power =
-    let nl = load_circuit circuit bench_file in
-    let rng = Rng.create seed in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+  let run { device; temp; celsius } seed r_theta power nl =
+    let pattern = first_pattern (Rng.create seed) nl in
     let config =
       { Leakage_core.Thermal.default_config with
-        r_theta; other_power = power; ambient = kelvin celsius }
+        r_theta; other_power = power; ambient = temp }
     in
     match Leakage_core.Thermal.solve ~config ~device nl pattern with
     | Leakage_core.Thermal.Converged op ->
@@ -634,15 +622,17 @@ let thermal_cmd =
       pp_components "leakage at that point:" op.Leakage_core.Thermal.leakage
     | Leakage_core.Thermal.Runaway { last_temp; iterations } ->
       Format.printf
-        "THERMAL RUNAWAY: temperature passed %.0f C after %d iterations —          this package cannot sustain the circuit's leakage@."
+        "THERMAL RUNAWAY: temperature passed %.0f C after %d iterations — \
+         this package cannot sustain the circuit's leakage@."
         (Physics.kelvin_to_celsius last_temp)
         iterations
   in
   Cmd.v
     (Cmd.info "thermal"
-       ~doc:"Find the self-consistent junction temperature including              leakage-power feedback (detects thermal runaway).")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ seed_arg $ r_theta_arg $ power_arg)
+       ~doc:"Find the self-consistent junction temperature including \
+             leakage-power feedback (detects thermal runaway).")
+    Term.(const run $ corner_arg $ seed_arg $ r_theta_arg $ power_arg
+          $ netlist_arg)
 
 (* -------------------------------------------------------------- dualvth *)
 
@@ -650,25 +640,25 @@ let dualvth_cmd =
   let margin_arg =
     Arg.(value & opt int 1
          & info [ "margin" ] ~docv:"LEVELS"
-             ~doc:"Keep low threshold within this many levels of the                    critical path.")
+             ~doc:"Keep low threshold within this many levels of the \
+                   critical path.")
   in
   let shift_arg =
     Arg.(value & opt float 0.08
          & info [ "shift" ] ~docv:"VOLTS" ~doc:"High-Vth threshold increase.")
   in
-  let run device celsius circuit bench_file seed margin shift =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let low_lib = Library.create ~device ~temp () in
-    let high_device = Leakage_incremental.Dual_vth.high_vth_device ~shift device in
+  let run corner seed margin shift nl =
+    let low_lib = library corner in
     let high_lib =
-      Library.create ~device:high_device ~temp ~vdd:device.Params.vdd ()
+      let device =
+        Leakage_incremental.Dual_vth.high_vth_device ~shift corner.device
+      in
+      library ~vdd:corner.device.Params.vdd { corner with device }
     in
     let assignment =
       Leakage_incremental.Dual_vth.slack_assignment ~critical_margin:margin nl
     in
-    let rng = Rng.create seed in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+    let pattern = first_pattern (Rng.create seed) nl in
     let e =
       Leakage_incremental.Dual_vth.evaluate ~low_lib ~high_lib assignment nl pattern
     in
@@ -682,9 +672,10 @@ let dualvth_cmd =
   in
   Cmd.v
     (Cmd.info "dualvth"
-       ~doc:"Evaluate a slack-based dual-threshold assignment with the              loading-aware estimator.")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ seed_arg $ margin_arg $ shift_arg)
+       ~doc:"Evaluate a slack-based dual-threshold assignment with the \
+             loading-aware estimator.")
+    Term.(const run $ corner_arg $ seed_arg $ margin_arg $ shift_arg
+          $ netlist_arg)
 
 (* ----------------------------------------------------------------- prob *)
 
@@ -694,10 +685,8 @@ let prob_cmd =
          & info [ "p1" ] ~docv:"PROB"
              ~doc:"Probability of '1' on every primary input.")
   in
-  let run device celsius circuit bench_file p_one =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
+  let run corner p_one nl =
+    let lib = library corner in
     let input_probability =
       Array.make (Array.length (Netlist.inputs nl)) p_one
     in
@@ -710,25 +699,23 @@ let prob_cmd =
   in
   Cmd.v
     (Cmd.info "prob"
-       ~doc:"Closed-form average leakage from signal probabilities (instead              of sampling random vectors).")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ p_one_arg)
+       ~doc:"Closed-form average leakage from signal probabilities (instead \
+             of sampling random vectors).")
+    Term.(const run $ corner_arg $ p_one_arg $ netlist_arg)
 
 (* -------------------------------------------------------------- corners *)
 
 let corners_cmd =
-  let run device celsius circuit bench_file =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let sigmas = Variation.paper_sigmas in
-    let rng = Rng.create 7 in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+  let run corner nl =
+    let pattern = first_pattern (Rng.create 7) nl in
     Format.printf "%s across 3-sigma corners (one random vector):@."
       (Netlist.name nl);
     List.iter
-      (fun (tag, corner) ->
-        let d = Variation.corner_device device sigmas corner in
-        let lib = Library.create ~device:d ~temp () in
+      (fun (tag, process) ->
+        let device =
+          Variation.corner_device corner.device Variation.paper_sigmas process
+        in
+        let lib = library { corner with device } in
         let est = Estimator.estimate lib nl pattern in
         pp_components (tag ^ ":") est.Estimator.totals)
       [ ("slow", Variation.Slow); ("typical", Variation.Typical);
@@ -737,16 +724,13 @@ let corners_cmd =
   Cmd.v
     (Cmd.info "corners"
        ~doc:"Estimate leakage at the slow / typical / fast process corners.")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg)
+    Term.(const run $ corner_arg $ netlist_arg)
 
 (* -------------------------------------------------------------- vectors *)
 
 let vectors_cmd =
-  let run device celsius circuit bench_file seed =
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
-    let c = Vector_control.compare_objectives ~seed lib nl in
+  let run corner seed nl =
+    let c = Vector_control.compare_objectives ~seed (library corner) nl in
     let show tag (r : Vector_control.search_result) =
       Format.printf "  %-26s %s (%.1f nA)@." tag
         (Logic.vector_to_string r.Vector_control.vector)
@@ -763,8 +747,7 @@ let vectors_cmd =
     (Cmd.info "vectors"
        ~doc:"Search the minimum-leakage input vector with and without the \
              loading effect (input-vector control, §6).")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ seed_arg)
+    Term.(const run $ corner_arg $ seed_arg $ netlist_arg)
 
 (* ----------------------------------------------------------------- incr *)
 
@@ -793,15 +776,13 @@ let incr_cmd =
                    the sequential walk. 1 (the default) applies edits one \
                    at a time.")
   in
-  let run device celsius circuit bench_file seed edits refresh flip_inputs
-      batch jobs =
+  let run corner seed edits refresh flip_inputs batch jobs nl =
     if edits <= 0 then failwith "--edits must be positive";
     if batch < 1 then failwith "--batch must be >= 1";
-    let nl = load_circuit circuit bench_file in
-    let temp = kelvin celsius in
-    let lib = Library.create ~device ~temp () in
+    let lib = library corner in
+    (* the edit stream comes from the same generator, after the pattern *)
     let rng = Rng.create seed in
-    let pattern = List.hd (Simulate.random_patterns rng nl 1) in
+    let pattern = first_pattern rng nl in
     let edit_stream =
       Array.init edits (fun _ ->
           if flip_inputs && Rng.bool rng then Edit.random_set_input rng nl
@@ -815,21 +796,14 @@ let incr_cmd =
     in
     (* a pool only helps the grouped-batch path; don't spawn one otherwise *)
     with_jobs (if batch = 1 then 1 else jobs) @@ fun pool ->
+    (* a one-edit batch is a single apply, so --batch 1 times single edits *)
     let apply_stream session =
-      if batch = 1 then
-        Array.map
-          (fun e ->
-            let s = Sys.time () in
-            Incremental.apply session e;
-            Sys.time () -. s)
-          edit_stream
-      else
-        Array.map
-          (fun slice ->
-            let s = Sys.time () in
-            Incremental.apply_batch ?pool session slice;
-            Sys.time () -. s)
-          slices
+      Array.map
+        (fun slice ->
+          let s = Sys.time () in
+          Incremental.apply_batch ?pool session slice;
+          Sys.time () -. s)
+        slices
     in
     (* Warm-up pass: first-touch cell characterizations land in the shared
        library cache, which both the session and the full estimator use. The
@@ -901,15 +875,15 @@ let incr_cmd =
              and the speedup over full re-estimation. With $(b,--batch) the \
              stream goes through the grouped-batch path, whose cone-disjoint \
              edit groups run on the $(b,-j) worker pool.")
-    Term.(const run $ device_arg $ temp_arg $ circuit_arg $ bench_file_arg
-          $ seed_arg $ edits_arg $ refresh_arg $ flip_arg $ batch_arg
-          $ jobs_arg)
+    Term.(const run $ corner_arg $ seed_arg $ edits_arg $ refresh_arg
+          $ flip_arg $ batch_arg $ jobs_arg $ netlist_arg)
 
 (* ---------------------------------------------------------------- serve *)
 
 module Server = Leakage_server.Server
 module Sproto = Leakage_server.Protocol
 module Sclient = Leakage_server.Client
+module Wire = Leakage_server.Wire
 
 let socket_arg =
   Arg.(value & opt (some string) None
@@ -1061,6 +1035,54 @@ let serve_cmd =
 
 (* --------------------------------------------------------------- client *)
 
+(* The one way client and top reach a daemon: connect to --socket, or to
+   --port on [host], run [f], and turn every connect, transport or server
+   failure into a one-line [Failure]. *)
+let with_daemon ?(policy = Sclient.default_policy) ?(host = "127.0.0.1")
+    socket port f =
+  let exhausted () =
+    if policy.retries > 0 then
+      Printf.sprintf " (%d retries exhausted)" policy.retries
+    else ""
+  in
+  let endpoint =
+    match socket, port with
+    | Some path, _ -> Sclient.Unix_path path
+    | None, Some p -> Sclient.Tcp (host, p)
+    | None, None -> failwith "--socket PATH or --port N is required"
+  in
+  let client =
+    try Sclient.connect ~policy [ endpoint ]
+    with Unix.Unix_error (e, _, _) ->
+      failwith
+        (Printf.sprintf "cannot connect to the daemon%s: %s" (exhausted ())
+           (Unix.error_message e))
+  in
+  Fun.protect ~finally:(fun () -> Sclient.close client) @@ fun () ->
+  try f client with
+  | Sclient.Server_error (code, msg) ->
+    failwith
+      (Printf.sprintf "server error (%s%s): %s"
+         (Sproto.error_code_name code)
+         (if Sproto.retriable code then ", retriable" else "")
+         msg)
+  | Wire.Timeout ->
+    failwith
+      (Printf.sprintf "rpc timed out after %.0fms%s"
+         (Option.value ~default:0.0 policy.timeout_ms)
+         (exhausted ()))
+  | Sclient.Poisoned msg -> failwith msg
+  | Unix.Unix_error (e, _, _) ->
+    failwith
+      (Printf.sprintf "connection to the daemon failed%s: %s"
+         (exhausted ()) (Unix.error_message e))
+  | End_of_file | Wire.Truncated ->
+    failwith
+      (Printf.sprintf "daemon closed the connection mid-reply%s"
+         (exhausted ()))
+  | Wire.Bad_frame msg ->
+    failwith (Printf.sprintf "malformed reply frame: %s" msg)
+
 let client_cmd =
   let parse_pair what conv s =
     match String.index_opt s ':' with
@@ -1069,167 +1091,128 @@ let client_cmd =
       ( int_of_string (String.sub s 0 i),
         conv (String.sub s (i + 1) (String.length s - i - 1)) )
   in
-  let run socket port host op session tenant device temp pattern circuit
-      bench resizes retypes sets refresh ckpt text retries timeout_ms =
+  let run socket port host op session tenant corner pattern circuit bench
+      resizes retypes sets refresh ckpt text retries timeout_ms =
     if retries < 0 then failwith "--retries must be >= 0";
     (match timeout_ms with
      | Some ms when ms <= 0.0 -> failwith "--timeout-ms must be positive"
      | _ -> ());
+    (* the wire carries .bench text only, so refuse any other file before
+       touching the daemon *)
+    Option.iter
+      (fun path ->
+        if String.lowercase_ascii (Filename.extension path) <> ".bench" then
+          failwith
+            ("client --bench takes a .bench file (the daemon reads .bench \
+              text only), got " ^ path))
+      bench;
     let policy = { Sclient.default_policy with retries; timeout_ms } in
-    let exhausted () =
-      if retries > 0 then Printf.sprintf " (%d retries exhausted)" retries
-      else ""
-    in
-    let client =
-      try
-        match socket, port with
-        | Some path, _ -> Sclient.connect_unix ~policy path
-        | None, Some p -> Sclient.connect_tcp ~policy ~host p
-        | None, None -> failwith "--socket PATH or --port N is required"
-      with Unix.Unix_error (e, _, _) ->
-        failwith
-          (Printf.sprintf "cannot connect to the daemon%s: %s" (exhausted ())
-             (Unix.error_message e))
-    in
-    Fun.protect ~finally:(fun () -> Sclient.close client) @@ fun () ->
+    with_daemon ~policy ~host socket port @@ fun client ->
     let sid () =
       match session with
       | Some s -> s
       | None -> failwith ("--session is required for " ^ op)
     in
-    try
-      match op with
-      | "ping" ->
-        Sclient.ping client;
-        Format.printf "pong@."
-      | "open" ->
-        let circuit =
-          match circuit, bench with
-          | Some name, None -> Sproto.Builtin name
-          | None, Some path ->
-            (* the wire protocol ships the bench text itself, so this one
-               read is necessarily whole-file; the channel must still not
-               leak when the read raises *)
-            let ic = open_in_bin path in
-            let text =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            Sproto.Bench
-              { name = Filename.remove_extension (Filename.basename path);
-                text }
-          | Some _, Some _ -> failwith "give either --circuit or --bench, not both"
-          | None, None -> failwith "open needs --circuit NAME or --bench FILE"
-        in
-        let o =
-          Sclient.open_session client ~tenant ~device ~temp_c:temp ~pattern
-            ~circuit ()
-        in
-        Format.printf "session %d: %s, digest %s, %d gates@."
-          o.Sclient.session
-          (Sproto.session_status_name o.Sclient.status)
-          o.Sclient.digest o.Sclient.gates
-      | "apply" ->
-        (* flags of one kind keep their order; kinds apply in the order
-           resize, retype, set-input *)
-        let edits =
-          List.map
+    match op with
+    | "ping" ->
+      Sclient.ping client;
+      Format.printf "pong@."
+    | "open" ->
+      let circuit =
+        match circuit, bench with
+        | Some name, None -> Sproto.Builtin name
+        | None, Some path ->
+          Sproto.Bench
+            { name = Filename.remove_extension (Filename.basename path);
+              text = In_channel.with_open_bin path In_channel.input_all }
+        | Some _, Some _ -> failwith "give either --circuit or --bench, not both"
+        | None, None -> failwith "open needs --circuit NAME or --bench FILE"
+      in
+      let o =
+        Sclient.open_session client ~tenant ~device:corner.device.Params.name
+          ~temp_c:corner.celsius ~pattern ~circuit ()
+      in
+      Format.printf "session %d: %s, digest %s, %d gates@."
+        o.Sclient.session
+        (Sproto.session_status_name o.Sclient.status)
+        o.Sclient.digest o.Sclient.gates
+    | "apply" ->
+      (* flags of one kind keep their order; kinds apply in the order
+         resize, retype, set-input *)
+      let edits =
+        List.map
+          (fun s ->
+            let g, f = parse_pair "--resize" float_of_string s in
+            Sproto.Resize (g, f))
+          resizes
+        @ List.map
             (fun s ->
-              let g, f = parse_pair "--resize" float_of_string s in
-              Sproto.Resize (g, f))
-            resizes
-          @ List.map
-              (fun s ->
-                let g, k = parse_pair "--retype" Fun.id s in
-                Sproto.Retype (g, k))
-              retypes
-          @ List.map
-              (fun s ->
-                let n, b =
-                  parse_pair "--set-input"
-                    (function
-                      | "0" -> false
-                      | "1" -> true
-                      | v -> failwith ("bit must be 0 or 1, got " ^ v))
-                    s
-                in
-                Sproto.Set_input (n, b))
-              sets
+              let g, k = parse_pair "--retype" Fun.id s in
+              Sproto.Retype (g, k))
+            retypes
+        @ List.map
+            (fun s ->
+              let n, b =
+                parse_pair "--set-input"
+                  (function
+                    | "0" -> false
+                    | "1" -> true
+                    | v -> failwith ("bit must be 0 or 1, got " ^ v))
+                  s
+              in
+              Sproto.Set_input (n, b))
+            sets
+      in
+      if edits = [] then
+        failwith "apply needs at least one --resize/--retype/--set-input";
+      let groups = Sclient.apply_batch client ~session:(sid ()) edits in
+      Format.printf "applied %d edits in %d cone groups@."
+        (List.length edits) groups
+    | "query" ->
+      let loaded, baseline =
+        Sclient.query client ~session:(sid ()) ~refresh ()
+      in
+      pp_components "loaded (with fan-out)" loaded;
+      pp_components "baseline (unloaded)" baseline;
+      Format.printf "  loading penalty: %+.2f%%@."
+        ((Report.total loaded /. Report.total baseline -. 1.) *. 100.)
+    | "checkpoint" ->
+      Format.printf "checkpoint %d@."
+        (Sclient.checkpoint client ~session:(sid ()))
+    | "rollback" ->
+      let ck =
+        match ckpt with
+        | Some c -> c
+        | None -> failwith "--ckpt N is required for rollback"
+      in
+      Sclient.rollback client ~session:(sid ()) ~checkpoint:ck;
+      Format.printf "rolled back to checkpoint %d@." ck
+    | "close" ->
+      Sclient.close_session client ~session:(sid ());
+      Format.printf "closed@."
+    | "metrics" ->
+      let r = Sclient.metrics_snapshot client in
+      if text then begin
+        Format.printf "daemon %s, up %.1fs@." r.Sclient.version
+          r.Sclient.uptime_s;
+        Format.printf "%a@?" Telemetry.Snapshot.pp r.Sclient.snapshot
+      end
+      else begin
+        (* raw snapshot JSON; keep the stream newline-terminated so
+           shell pipelines and JSONL consumers see one full line *)
+        let meta =
+          [
+            ("uptime_s", Printf.sprintf "%.3f" r.Sclient.uptime_s);
+            ("version", "\"" ^ Json.escape r.Sclient.version ^ "\"");
+          ]
         in
-        if edits = [] then
-          failwith "apply needs at least one --resize/--retype/--set-input";
-        let groups = Sclient.apply_batch client ~session:(sid ()) edits in
-        Format.printf "applied %d edits in %d cone groups@."
-          (List.length edits) groups
-      | "query" ->
-        let loaded, baseline =
-          Sclient.query client ~session:(sid ()) ~refresh ()
-        in
-        pp_components "loaded (with fan-out)" loaded;
-        pp_components "baseline (unloaded)" baseline;
-        Format.printf "  loading penalty: %+.2f%%@."
-          ((Report.total loaded /. Report.total baseline -. 1.) *. 100.)
-      | "checkpoint" ->
-        Format.printf "checkpoint %d@."
-          (Sclient.checkpoint client ~session:(sid ()))
-      | "rollback" ->
-        let ck =
-          match ckpt with
-          | Some c -> c
-          | None -> failwith "--ckpt N is required for rollback"
-        in
-        Sclient.rollback client ~session:(sid ()) ~checkpoint:ck;
-        Format.printf "rolled back to checkpoint %d@." ck
-      | "close" ->
-        Sclient.close_session client ~session:(sid ());
-        Format.printf "closed@."
-      | "metrics" ->
-        let r = Sclient.metrics_snapshot client in
-        if text then begin
-          Format.printf "daemon %s, up %.1fs@." r.Sclient.version
-            r.Sclient.uptime_s;
-          Format.printf "%a@?" Telemetry.Snapshot.pp r.Sclient.snapshot
-        end
-        else begin
-          (* raw snapshot JSON; keep the stream newline-terminated so
-             shell pipelines and JSONL consumers see one full line *)
-          let meta =
-            [
-              ("uptime_s", Printf.sprintf "%.3f" r.Sclient.uptime_s);
-              ("version", "\"" ^ Json.escape r.Sclient.version ^ "\"");
-            ]
-          in
-          print_string (Telemetry.Snapshot.to_json ~meta r.Sclient.snapshot);
-          print_newline ()
-        end
-      | "shutdown" ->
-        Sclient.shutdown_server client;
-        Format.printf "server draining@."
-      | other -> failwith ("unknown op " ^ other)
-    with
-    | Sclient.Server_error (code, msg) ->
-      failwith
-        (Printf.sprintf "server error (%s%s): %s"
-           (Sproto.error_code_name code)
-           (if Sproto.retriable code then ", retriable" else "")
-           msg)
-    | Leakage_server.Wire.Timeout ->
-      failwith
-        (Printf.sprintf "rpc timed out after %.0fms%s"
-           (Option.value ~default:0.0 timeout_ms)
-           (exhausted ()))
-    | Sclient.Poisoned msg -> failwith msg
-    | Unix.Unix_error (e, _, _) ->
-      failwith
-        (Printf.sprintf "connection to the daemon failed%s: %s"
-           (exhausted ()) (Unix.error_message e))
-    | End_of_file | Leakage_server.Wire.Truncated ->
-      failwith
-        (Printf.sprintf "daemon closed the connection mid-reply%s"
-           (exhausted ()))
-    | Leakage_server.Wire.Bad_frame msg ->
-      failwith (Printf.sprintf "malformed reply frame: %s" msg)
+        print_string (Telemetry.Snapshot.to_json ~meta r.Sclient.snapshot);
+        print_newline ()
+      end
+    | "shutdown" ->
+      Sclient.shutdown_server client;
+      Format.printf "server draining@."
+    | other -> failwith ("unknown op " ^ other)
   in
   let op =
     Arg.(required & pos 0 (some string) None
@@ -1245,11 +1228,6 @@ let client_cmd =
     Arg.(value & opt string "anon"
          & info [ "tenant" ] ~docv:"NAME"
              ~doc:"Tenant name for admission control.")
-  in
-  let device =
-    Arg.(value & opt string "d25"
-         & info [ "device" ] ~docv:"DEV"
-             ~doc:"Device corner name: d25, d50, d25-s, d25-g, d25-jn.")
   in
   let pattern =
     Arg.(value & opt string ""
@@ -1310,47 +1288,32 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Talk to a running $(b,leakctl serve) daemon: open a warm \
-             session, apply edit batches, query loaded/baseline totals, \
-             checkpoint/rollback, fetch metrics, or shut the daemon down.")
+             session (from a built-in circuit or a .bench file), apply edit \
+             batches, query loaded/baseline totals, checkpoint/rollback, \
+             fetch metrics, or shut the daemon down.")
     Term.(const run $ socket_arg $ port_arg $ host $ op $ session $ tenant
-          $ device $ temp_arg $ pattern $ circuit_arg $ bench_file_arg
-          $ resize $ retype $ set_input $ refresh $ ckpt $ text $ retries
-          $ timeout_ms)
+          $ corner_arg $ pattern $ circuit_arg $ bench_file_arg $ resize
+          $ retype $ set_input $ refresh $ ckpt $ text $ retries $ timeout_ms)
 
 (* ------------------------------------------------------------------ top *)
 
 let top_cmd =
   let run socket port interval frames no_clear =
     if interval <= 0.0 then failwith "--interval must be positive";
-    let connect () =
-      match socket, port with
-      | Some path, _ -> Sclient.connect_unix path
-      | None, Some p -> Sclient.connect_tcp p
-      | None, None -> failwith "--socket PATH or --port N is required"
-    in
-    let client = connect () in
-    Fun.protect ~finally:(fun () -> Sclient.close client) @@ fun () ->
+    with_daemon socket port @@ fun client ->
     let poll () = Sclient.metrics_snapshot client in
     let older = ref (poll ()).Sclient.snapshot in
-    let shown = ref 0 in
-    (try
-       while frames = 0 || !shown < frames do
-         Unix.sleepf interval;
-         let r = poll () in
-         let view =
-           Top_view.make ~uptime_s:r.Sclient.uptime_s
-             ~version:r.Sclient.version ~newer:r.Sclient.snapshot
-             ~older:!older
-         in
-         older := r.Sclient.snapshot;
-         if not no_clear then print_string "\027[2J\027[H";
-         Format.printf "%a@?" Top_view.pp view;
-         incr shown
-       done
-     with Sclient.Server_error (code, msg) ->
-       failwith
-         (Printf.sprintf "server error (%s): %s"
-            (Sproto.error_code_name code) msg))
+    for _ = 1 to (if frames = 0 then max_int else frames) do
+      Unix.sleepf interval;
+      let r = poll () in
+      let view =
+        Top_view.make ~uptime_s:r.Sclient.uptime_s ~version:r.Sclient.version
+          ~newer:r.Sclient.snapshot ~older:!older
+      in
+      older := r.Sclient.snapshot;
+      if not no_clear then print_string "\027[2J\027[H";
+      Format.printf "%a@?" Top_view.pp view
+    done
   in
   let interval =
     Arg.(value & opt float 2.0

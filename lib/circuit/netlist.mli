@@ -77,6 +77,11 @@ val topo_ids : t -> int array
 (** Gate ids in topological order; computed once and cached (do not
     mutate). Raises [Failure] on a cyclic netlist. *)
 
+val levelize : t -> int array option
+(** Logic depth per gate id (primary inputs at depth 0; a gate is 1 + the
+    deepest of its fan-in nets), or [None] on a cyclic netlist. {!Topo}
+    wraps it. *)
+
 val warm : t -> unit
 (** Force the lazily built lookup caches ({!driver_id}, the fanout CSR
     behind {!iter_fanout} and {!fanout_degree}, and {!topo_ids}) to be

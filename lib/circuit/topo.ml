@@ -1,11 +1,5 @@
 let levels t =
-  match
-    Topo_check.levelize_flat ~net_count:(Netlist.net_count t)
-      ~n_gates:(Netlist.gate_count t) ~source_nets:(Netlist.inputs t)
-      ~fanin_count:(Netlist.gate_arity t)
-      ~fanin:(Netlist.gate_pin t)
-      ~gate_out:(Netlist.gate_out t)
-  with
+  match Netlist.levelize t with
   | Some l -> l
   | None -> failwith ("Topo.levels: cycle in " ^ Netlist.name t)
 

@@ -99,19 +99,3 @@ let levelize_flat ~net_count ~n_gates ~source_nets ~fanin_count ~fanin
         net_level.(gate_out g) <- lvl)
       order;
     Some gate_level
-
-let sort ~net_count ~source_nets ~gate_inputs ~gate_outputs =
-  sort_flat ~net_count
-    ~n_gates:(Array.length gate_inputs)
-    ~source_nets
-    ~fanin_count:(fun g -> Array.length gate_inputs.(g))
-    ~fanin:(fun g p -> gate_inputs.(g).(p))
-    ~gate_out:(fun g -> gate_outputs.(g))
-
-let levelize ~net_count ~source_nets ~gate_inputs ~gate_outputs =
-  levelize_flat ~net_count
-    ~n_gates:(Array.length gate_inputs)
-    ~source_nets
-    ~fanin_count:(fun g -> Array.length gate_inputs.(g))
-    ~fanin:(fun g p -> gate_inputs.(g).(p))
-    ~gate_out:(fun g -> gate_outputs.(g))

@@ -1,34 +1,9 @@
-(** Low-level topological ordering over raw gate arrays.
+(** Low-level topological ordering over pin accessors.
 
-    Works on plain integer arrays so it can be used by [Netlist.validate]
-    without a dependency cycle; user code should prefer {!Topo}. *)
-
-val sort :
-  net_count:int ->
-  source_nets:int array ->
-  gate_inputs:int array array ->
-  gate_outputs:int array ->
-  int array option
-(** [sort ~net_count ~source_nets ~gate_inputs ~gate_outputs] returns gate
-    indices in topological order (every gate after all gates feeding it), or
-    [None] if the graph has a cycle or a gate input that is neither a source
-    net nor another gate's output. *)
-
-val levelize :
-  net_count:int ->
-  source_nets:int array ->
-  gate_inputs:int array array ->
-  gate_outputs:int array ->
-  int array option
-(** Logic depth per gate (sources at depth 0; a gate is 1 + max of its
-    fan-in depths). [None] on cycles. *)
-
-(** {2 Accessor-based variants}
-
-    The same algorithms over pin accessors instead of materialized per-gate
-    arrays, so struct-of-arrays storage can be sorted without allocating one
-    [net array] per gate. [sort] and [levelize] are thin wrappers over
-    these; the emitted order is identical. *)
+    Works on accessor functions rather than a netlist so that [Netlist]
+    can use it without a dependency cycle, feeding pins straight out of its
+    struct-of-arrays storage; user code should prefer {!Netlist.topo_ids}
+    and {!Topo}. *)
 
 val sort_flat :
   net_count:int ->
@@ -38,6 +13,9 @@ val sort_flat :
   fanin:(int -> int -> int) ->
   gate_out:(int -> int) ->
   int array option
+(** Gate indices in topological order (every gate after all gates feeding
+    it), or [None] if the graph has a cycle or a gate input that is neither
+    a source net nor another gate's output. *)
 
 val levelize_flat :
   net_count:int ->
@@ -47,3 +25,5 @@ val levelize_flat :
   fanin:(int -> int -> int) ->
   gate_out:(int -> int) ->
   int array option
+(** Logic depth per gate (sources at depth 0; a gate is 1 + max of its
+    fan-in depths). [None] on cycles. *)

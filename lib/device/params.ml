@@ -135,6 +135,13 @@ let d25_s = variant "D25-S" ~dvth:(-0.027) ~jg:0.40 ~jb:0.45
 let d25_g = variant "D25-G" ~dvth:0.065 ~jg:2.20 ~jb:0.45
 let d25_jn = variant "D25-JN" ~dvth:0.065 ~jg:0.35 ~jb:2.60
 
+let of_name name =
+  let fold s =
+    String.concat "" (String.split_on_char '-' (String.lowercase_ascii s))
+  in
+  List.find_opt (fun d -> fold d.name = fold name)
+    [ d25; d50; d25_s; d25_g; d25_jn ]
+
 let with_halo d halo =
   if halo <= 0.0 then invalid_arg "Params.with_halo: dose must be positive";
   { d with halo }

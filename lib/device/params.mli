@@ -67,6 +67,11 @@ val d25_g : t
 val d25_jn : t
 (** Junction-BTBT-dominated variant (D25-JN). *)
 
+val of_name : string -> t option
+(** The named corner among {!d25}, {!d50}, {!d25_s}, {!d25_g} and
+    {!d25_jn}, matched against its [name] ignoring case and dashes:
+    ["d25-s"], ["D25S"] and ["d25s"] all give {!d25_s}. *)
+
 val with_halo : t -> float -> t
 (** [with_halo d h] re-targets the halo dose ([h] relative to nominal);
     raises BTBT, lowers DIBL-driven subthreshold, leaves gate current alone

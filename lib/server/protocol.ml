@@ -2,7 +2,6 @@ module Report = Leakage_spice.Leakage_report
 module Tm = Leakage_telemetry.Telemetry
 module Gate = Leakage_circuit.Gate
 module Edit = Leakage_incremental.Edit
-module Params = Leakage_device.Params
 
 type circuit_spec =
   | Builtin of string
@@ -456,15 +455,6 @@ let edit_to_incremental = function
   | Retype (gate, kind) -> Edit.Retype (gate, Gate.of_name kind)
   | Set_input (net, value) -> Edit.Set_input (net, value)
 
-let device_of_name name =
-  match String.lowercase_ascii name with
-  | "d25" -> Some Params.d25
-  | "d50" -> Some Params.d50
-  | "d25-s" | "d25s" -> Some Params.d25_s
-  | "d25-g" | "d25g" -> Some Params.d25_g
-  | "d25-jn" | "d25jn" -> Some Params.d25_jn
-  | _ -> None
-
 let request_name = function
   | Ping -> "ping"
   | Open_session _ -> "open"
@@ -475,21 +465,3 @@ let request_name = function
   | Close _ -> "close"
   | Metrics_snapshot -> "metrics-snapshot"
   | Shutdown -> "shutdown"
-
-let pp_request ppf = function
-  | Ping -> Format.fprintf ppf "ping"
-  | Open_session { tenant; circuit; device; temp_c; _ } ->
-    let label =
-      match circuit with Builtin l -> l | Bench { name; _ } -> name ^ ".bench"
-    in
-    Format.fprintf ppf "open %s %s@@%gC tenant=%s" label device temp_c tenant
-  | Apply_batch { session; edits } ->
-    Format.fprintf ppf "apply session=%d edits=%d" session (List.length edits)
-  | Query { session; refresh } ->
-    Format.fprintf ppf "query session=%d refresh=%b" session refresh
-  | Checkpoint { session } -> Format.fprintf ppf "checkpoint session=%d" session
-  | Rollback { session; checkpoint } ->
-    Format.fprintf ppf "rollback session=%d to=%d" session checkpoint
-  | Close { session } -> Format.fprintf ppf "close session=%d" session
-  | Metrics_snapshot -> Format.fprintf ppf "metrics-snapshot"
-  | Shutdown -> Format.fprintf ppf "shutdown"

@@ -48,7 +48,9 @@ type request =
   | Open_session of {
       tenant : string;
       circuit : circuit_spec;
-      device : string;   (** corner name: d25, d50, d25-s, d25-g, d25-jn *)
+      device : string;
+          (** corner name, any spelling {!Leakage_device.Params.of_name}
+              accepts: d25, d50, d25-s, d25-g, d25-jn *)
       temp_c : float;
       pattern : string;
           (** primary-input bits, [""] = all zeros on a cold open / keep the
@@ -113,12 +115,6 @@ val decode_response : Wire.frame -> response
 val edit_to_incremental : edit -> Leakage_incremental.Edit.t
 (** Raises [Invalid_argument] on an unknown cell name. *)
 
-val device_of_name : string -> Leakage_device.Params.t option
-(** The corner names [Open_session.device] accepts. *)
-
 val request_name : request -> string
 (** Short op label ([ping], [open], [apply], ...) — the [op] label of the
     per-request metric families and log lines. *)
-
-val pp_request : Format.formatter -> request -> unit
-(** One-line summary (op name and key fields), for logs. *)

@@ -18,7 +18,6 @@ let m_checkpoints = Tm.counter "serve.checkpoints_written"
 
 type spec = {
   circuit : Protocol.circuit_spec;
-  device_name : string;
   device : Leakage_device.Params.t;
   temp_c : float;
 }
@@ -80,7 +79,12 @@ type resolved = {
   rkey : string;
 }
 
-let corner_key spec = Printf.sprintf "%s@%.6g" spec.device_name spec.temp_c
+(* The canonical device name, so every spelling of a corner reaches one
+   session; it is also the corner string LKC1 checkpoints store. *)
+let corner_name spec =
+  String.lowercase_ascii spec.device.Leakage_device.Params.name
+
+let corner_key spec = Printf.sprintf "%s@%.6g" (corner_name spec) spec.temp_c
 
 let resolve t spec =
   let netlist =
@@ -129,7 +133,7 @@ let encode_checkpoint session =
   Buffer.add_string b ckpt_magic;
   Wire.put_u8 b ckpt_version;
   Wire.put_string b session.digest;
-  Wire.put_string b session.spec.device_name;
+  Wire.put_string b (corner_name session.spec);
   Wire.put_f64 b session.spec.temp_c;
   (match session.spec.circuit with
    | Protocol.Builtin label ->

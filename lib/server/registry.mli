@@ -26,8 +26,9 @@ module Incremental = Leakage_incremental.Incremental
 
 type spec = {
   circuit : Protocol.circuit_spec;
-  device_name : string;
   device : Leakage_device.Params.t;
+      (** the corner part of the session key is this device's canonical
+          name, lowercased, so [d25s], [d25-s] and [D25-S] share a session *)
   temp_c : float;
 }
 

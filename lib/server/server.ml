@@ -191,17 +191,10 @@ let find_session t id k =
   | Some session -> k session
 
 let handle_open t ?rid ~tenant ~circuit ~device ~temp_c ~pattern () =
-  match Protocol.device_of_name device with
+  match Leakage_device.Params.of_name device with
   | None -> err Protocol.Bad_request "unknown device corner %s" device
-  | Some dev ->
-    let spec =
-      {
-        Registry.circuit;
-        device_name = String.lowercase_ascii device;
-        device = dev;
-        temp_c;
-      }
-    in
+  | Some device ->
+    let spec = { Registry.circuit; device; temp_c } in
     (match Registry.resolve t.registry spec with
      | exception Leakage_circuit.Bench_format.Parse_error (line, msg) ->
        err Protocol.Bad_request "bench parse error, line %d: %s" line msg

@@ -54,6 +54,15 @@ let test_variants_exist () =
         (d.Params.vdd > 0.0))
     [ d25; d50; Params.d25_s; Params.d25_g; Params.d25_jn ]
 
+let test_of_name () =
+  let name = function Some (d : Params.t) -> d.Params.name | None -> "none" in
+  List.iter
+    (fun (spelling, want) ->
+      Alcotest.(check string) spelling want (name (Params.of_name spelling)))
+    [ ("d25", "D25"); ("D50", "D50"); ("d25-s", "D25-S"); ("d25s", "D25-S");
+      ("D25S", "D25-S"); ("d25-G", "D25-G"); ("d25jn", "D25-JN");
+      ("D25-JN", "D25-JN"); ("d25x", "none"); ("", "none") ]
+
 let test_with_halo_rejects_nonpositive () =
   Alcotest.check_raises "bad halo"
     (Invalid_argument "Params.with_halo: dose must be positive") (fun () ->
@@ -665,6 +674,7 @@ let () =
         [
           Alcotest.test_case "fet selector" `Quick test_fet_selector;
           Alcotest.test_case "variants" `Quick test_variants_exist;
+          Alcotest.test_case "corner names" `Quick test_of_name;
           Alcotest.test_case "halo guard" `Quick test_with_halo_rejects_nonpositive;
           Alcotest.test_case "vth shift" `Quick test_with_vth_shift;
           Alcotest.test_case "variant totals" `Quick test_variant_totals_comparable;

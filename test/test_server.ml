@@ -415,7 +415,6 @@ let rm_rf dir =
 let spec () =
   {
     Registry.circuit = Protocol.Bench { name = "mini"; text = bench_text };
-    device_name = "d25";
     device = Params.d25;
     temp_c = 25.0;
   }
@@ -558,6 +557,24 @@ let test_loopback_session_matches_oracle () =
   Alcotest.(check int) "same session id" o.Client.session o2.Client.session;
   Alcotest.(check string) "same digest" o.Client.digest o2.Client.digest;
   Client.close_session c ~session:o.Client.session
+
+(* every spelling of a corner names one session: the registry keys on the
+   canonical device, not on the string the client sent *)
+let test_loopback_corner_aliases_share_a_session () =
+  with_server @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let open_as device =
+    Client.open_session c ~device ~circuit:(Protocol.Builtin "s838") ()
+  in
+  let o1 = open_as "d25s" in
+  Alcotest.(check string) "first open is cold" "cold"
+    (Protocol.session_status_name o1.Client.status);
+  let o2 = open_as "d25-s" in
+  Alcotest.(check string) "alias attaches warm" "warm"
+    (Protocol.session_status_name o2.Client.status);
+  Alcotest.(check int) "same session id" o1.Client.session o2.Client.session;
+  Alcotest.(check string) "same digest" o1.Client.digest o2.Client.digest
 
 let test_loopback_errors () =
   (* the daemon enables telemetry itself; in-process we must, or the
@@ -995,6 +1012,8 @@ let () =
         [
           Alcotest.test_case "session matches oracle" `Quick
             test_loopback_session_matches_oracle;
+          Alcotest.test_case "corner aliases share a session" `Quick
+            test_loopback_corner_aliases_share_a_session;
           Alcotest.test_case "error frames" `Quick test_loopback_errors;
           Alcotest.test_case "garbage rejected" `Quick
             test_loopback_rejects_garbage;
