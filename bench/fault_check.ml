@@ -18,14 +18,13 @@
       query burst: the client sees Over_quota, honors the retry-after
       hints, and still completes every request with zero failures.
 
-   The kill-point seed and the chosen kill points land in the JSON
-   artifact, so any run can be replayed deterministically with -seed. *)
+   The kill-point seed and the chosen kill points are printed first, so any
+   run can be replayed deterministically with -seed. *)
 
 module Params = Leakage_device.Params
 module Physics = Leakage_device.Physics
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
-module Report = Leakage_spice.Leakage_report
 module Library = Leakage_core.Library
 module Incremental = Leakage_incremental.Incremental
 module Suite = Leakage_benchmarks.Suite
@@ -34,7 +33,6 @@ module Wire = Leakage_server.Wire
 module Protocol = Leakage_server.Protocol
 module Server = Leakage_server.Server
 module Client = Leakage_server.Client
-module Json = Leakage_telemetry.Json
 
 let circuit = "s838"
 let n_batches = 12
@@ -73,7 +71,8 @@ let spawn ~sock ~state_dir ~peer_dir ?tenant_rate ?tenant_burst () =
   match Unix.fork () with
   | 0 ->
     (* the daemon child: single executor and no pool domains keep it
-       lightweight; it dies only by signal or parent request *)
+       lightweight; it dies only by signal or parent request, and skips the
+       parent's at_exit cleanup when it does *)
     (try
        Telemetry.set_enabled true;
        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -82,8 +81,8 @@ let spawn ~sock ~state_dir ~peer_dir ?tenant_rate ?tenant_burst () =
            ~state_dir ~peer_dir ?tenant_rate ?tenant_burst ~socket:sock ()
        in
        Server.run server;
-       exit 0
-     with _ -> exit 1)
+       Unix._exit 0
+     with _ -> Unix._exit 1)
   | pid -> pid
 
 let wait_ready sock =
@@ -118,34 +117,9 @@ let raw_send_apply sock ~session ~edits =
    with Unix.Unix_error _ -> ());
   fd
 
-(* ---------------------------------------------------------------- json *)
-
-let write_artifact path ~seed ~kill_points ~reopens ~adoptions ~client_failures
-    ~over_quota ~bit_identical ~(loaded : Report.components) =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fault_check\",\n\
-    \  \"circuit\": %S,\n\
-    \  \"seed\": %d,\n\
-    \  \"batches\": %d,\n\
-    \  \"kill_points\": [%s],\n\
-    \  \"reopens\": %d,\n\
-    \  \"adoptions\": %d,\n\
-    \  \"client_failures\": %d,\n\
-    \  \"over_quota_backoffs\": %d,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"loaded_total_a\": %.17g\n\
-     }\n"
-    circuit seed n_batches
-    (String.concat ", " (List.map string_of_int kill_points))
-    reopens adoptions client_failures over_quota bit_identical
-    (Report.total loaded);
-  close_out oc
-
 (* ----------------------------------------------------------------- run *)
 
-let run ~seed ~out =
+let run ~seed =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -173,15 +147,15 @@ let run ~seed ~out =
     live := d.pid :: !live;
     wait_ready d.sock
   in
-  Fun.protect
-    ~finally:(fun () ->
+  (* at_exit, not Fun.protect: a failed check exits 1 without unwinding,
+     and the daemons must not outlive the gate *)
+  at_exit (fun () ->
       List.iter
         (fun pid ->
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
         !live;
-      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
-  @@ fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))));
   start "a" daemons.(0);
   start "b" daemons.(1);
 
@@ -204,6 +178,8 @@ let run ~seed ~out =
   in
   Printf.printf "fault_check: seed %d, killing before batches [%s]\n%!" seed
     (String.concat "; " (List.map string_of_int kill_points));
+  check (List.length kill_points >= 3) "%d kill points >= 3"
+    (List.length kill_points);
 
   let policy =
     {
@@ -284,9 +260,7 @@ let run ~seed ~out =
     match Client.Failover.query s ~refresh:true () with
     | v -> v
     | exception e ->
-      Printf.eprintf "fault_check: FAIL final query: %s\n%!"
-        (Printexc.to_string e);
-      exit 1
+      Gate_kit.fail "fault_check" "final query: %s" (Printexc.to_string e)
   in
   Incremental.refresh direct;
   let bit_identical =
@@ -338,52 +312,12 @@ let run ~seed ~out =
     st.Client.over_quota_waits;
   Client.close cq;
   Client.close c;
-
-  write_artifact out ~seed ~kill_points
-    ~reopens:(Client.Failover.reopens s)
-    ~adoptions:!adoptions ~client_failures:!client_failures
-    ~over_quota:st.Client.over_quota_waits ~bit_identical ~loaded;
-  Printf.printf "fault_check: all checks passed, artifact in %s\n%!" out
-
-(* --------------------------------------------------------------- check *)
-
-let check_artifact path json =
-  let kill_count = List.length (Json.arr "kill_points" json) in
-  check (kill_count >= 3) "artifact records >= 3 kill points (%d)" kill_count;
-  check
-    (Float.is_integer (Json.num "seed" json))
-    "artifact records the kill-point seed for deterministic replay";
-  check
-    (Json.bool "bit_identical" json)
-    "faulted run was bit-identical to the unfaulted replay";
-  check
-    (Json.int "client_failures" json = 0)
-    "zero client-visible failures";
-  check
-    (Json.int "reopens" json >= kill_count)
-    "at least one failover re-open per kill";
-  check
-    (Json.int "adoptions" json = kill_count)
-    "every failover adopted a peer checkpoint";
-  check
-    (Json.int "over_quota_backoffs" json > 0)
-    "saturation phase hit the token bucket and backed off";
-  Printf.printf "fault_check: artifact %s validated\n%!" path
+  Printf.printf "fault_check: all checks passed\n%!"
 
 let () =
   let seed = ref 42 in
-  let out = ref "BENCH_fault.json" in
-  let check_path = ref "" in
   Arg.parse
-    [
-      ("-seed", Arg.Set_int seed, "N kill-point seed (default 42)");
-      ("-o", Arg.Set_string out,
-       "FILE artifact path (default BENCH_fault.json)");
-      ("-check", Arg.Set_string check_path,
-       "FILE validate an existing artifact and exit");
-    ]
+    [ ("-seed", Arg.Set_int seed, "N kill-point seed (default 42)") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "fault-injection gate for the serve subsystem";
-  if !check_path <> "" then
-    Gate_kit.check_file !check_path (check_artifact !check_path)
-  else run ~seed:!seed ~out:!out
+  run ~seed:!seed

@@ -1,55 +1,37 @@
-(* Helpers shared by the gate executables in this directory. *)
+(* Helpers shared by the gate executables in this directory. Every gate
+   reports the same two line shapes: "ok: msg" on stdout for a passing
+   check, and "GATE: FAIL msg" on stderr before exiting 1. *)
 
 module Report = Leakage_spice.Leakage_report
-module Json = Leakage_telemetry.Json
 module Telemetry = Leakage_telemetry.Telemetry
 
+(* [fail gate fmt ...] prints "GATE: FAIL msg" to stderr and exits 1. *)
+let fail gate fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: FAIL %s\n%!" gate msg;
+      exit 1)
+    fmt
+
 (* [check gate cond fmt ...] prints "ok: msg" when [cond] holds; otherwise
-   it prints "GATE: FAIL msg" to stderr and exits 1. *)
+   it fails the gate with msg. *)
 let check gate cond fmt =
   Printf.ksprintf
     (fun msg ->
-      if cond then Printf.printf "ok: %s\n%!" msg
-      else begin
-        Printf.eprintf "%s: FAIL %s\n%!" gate msg;
-        exit 1
-      end)
+      if cond then Printf.printf "ok: %s\n%!" msg else fail gate "%s" msg)
     fmt
+
+(* [counters_fired gate names] checks that every named telemetry counter
+   was recorded at least once so far: the paths a gate exercises fired. *)
+let counters_fired gate names =
+  let snap = Telemetry.Snapshot.take () in
+  List.iter
+    (fun name ->
+      let n = Telemetry.Snapshot.counter_total snap name in
+      check gate (n >= 1) "counter %s = %d >= 1" name n)
+    names
 
 let eq_components (a : Report.components) (b : Report.components) =
   Float.equal a.Report.isub b.Report.isub
   && Float.equal a.Report.igate b.Report.igate
   && Float.equal a.Report.ibtbt b.Report.ibtbt
-
-(* The -check FILE runner: parse the artifact at [path] and hand it to
-   [validate]; a malformed artifact or a failed validation prints
-   "PATH: INVALID: reason" to stderr and exits 1. *)
-let check_file path validate =
-  match validate (Json.read_file path) with
-  | () -> ()
-  | exception (Failure msg | Json.Error msg) ->
-    Printf.eprintf "%s: INVALID: %s\n" path msg;
-    exit 1
-
-(* The "metrics" block of an artifact (the last member, so no trailing
-   comma): each named counter's total so far. *)
-let emit_metrics oc names =
-  let p fmt = Printf.fprintf oc fmt in
-  let snap = Telemetry.Snapshot.take () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i name ->
-      p "    \"%s\": %d%s\n" name
-        (Telemetry.Snapshot.counter_total snap name)
-        (if i = List.length names - 1 then "" else ","))
-    names;
-  p "  }\n"
-
-(* An artifact is only comparable with builds that agree on the fixed chunk
-   widths its bit-identity claims depend on. *)
-let chunk_const json key expected =
-  let v = Json.int key json in
-  if v <> expected then
-    failwith
-      (Printf.sprintf "%S is %d but this build uses %d — regenerate" key v
-         expected)

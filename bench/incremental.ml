@@ -1,30 +1,28 @@
-(* Incremental-vs-full re-estimation benchmark.
+(* Incremental-vs-full re-estimation gate.
 
    Applies a stream of random single-gate resize edits to Mult8 and Alu8
-   through an Incremental session and compares the per-edit cost against a
-   full Fig-13 estimate of the same state, emitting the result as
-   BENCH_incremental.json. A warm-up pass runs the same edit stream first so
-   first-touch cell characterizations (shared library cache) are excluded
-   from both sides of the comparison.
+   through an Incremental session, compares the per-edit cost against a
+   full Fig-13 estimate of the same state, and checks that the session
+   total matches a fresh estimate. A warm-up pass runs the same edit stream
+   first so first-touch cell characterizations (shared library cache) are
+   excluded from both sides of the comparison.
 
    A second scenario replays one large grouped batch (apply_batch) on
    mult88: sequentially and on 1/2/4/8-domain pools, checking that every
-   pooled run leaves the exact same session state (bit-identical floats) and
-   recording the cone-disjoint group count the batch exposes. Speedup is
-   enforced by -check only for pool sizes within the recorded host_cores,
-   like BENCH_parallel.json.
+   pooled run leaves the exact same session state (bit-identical floats)
+   and that the cone-disjoint group count the batch exposes does not depend
+   on the pool. Speedup is only enforced for pool sizes the host can run in
+   parallel.
 
    A third scenario exercises value-aware cone pruning on a deep tapped
    chain (gateway NAND taps held at the controlling 0): a batch of
    mid-segment retypes whose structural cones all run to the end of the
    chain — one merged group — must partition into one group per edited
    segment once settled values prune the walk, with the per-batch results
-   staying bit-identical to the unpruned path. The pruned and structural
-   cone-size histogram deltas ride along in the artifact.
+   staying bit-identical to the unpruned path and the pruned cone-size
+   histogram showing the shrink.
 
-     incremental.exe [-o FILE] [-edits N] [-batch-edits N] [-domains N]
-                     [-seed N]                       write the JSON
-     incremental.exe -check FILE                     validate a JSON file *)
+     incremental.exe [-edits N] [-batch-edits N] [-domains N] [-seed N] *)
 
 module Params = Leakage_device.Params
 module Gate = Leakage_circuit.Gate
@@ -37,13 +35,11 @@ module Estimator = Leakage_core.Estimator
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
 module Cone = Leakage_incremental.Cone
-module Vector_mc = Leakage_incremental.Vector_mc
 module Suite = Leakage_benchmarks.Suite
 module Trees = Leakage_benchmarks.Trees
 module Rng = Leakage_numeric.Rng
 module Pool = Leakage_parallel.Pool
 module Telemetry = Leakage_telemetry.Telemetry
-module Json = Leakage_telemetry.Json
 
 let circuits = [ "mult88"; "alu88" ]
 let batch_circuit = "mult88"
@@ -56,9 +52,6 @@ type row = {
   incr_us : float;
   speedup : float;
   rel_error : float;
-  logic_evals_per_edit : float;
-  lookups_per_edit : float;
-  refreshes : int;
 }
 
 let run_circuit ~edits ~seed name =
@@ -90,7 +83,6 @@ let run_circuit ~edits ~seed name =
     and b = Report.total fresh.Estimator.totals in
     Float.abs (a -. b) /. Float.abs b
   in
-  let st = Incremental.stats session in
   {
     name;
     gates = Netlist.gate_count nl;
@@ -98,11 +90,6 @@ let run_circuit ~edits ~seed name =
     incr_us;
     speedup = full_us /. incr_us;
     rel_error;
-    logic_evals_per_edit =
-      float_of_int st.Incremental.logic_evals /. float_of_int edits;
-    lookups_per_edit =
-      float_of_int st.Incremental.leakage_lookups /. float_of_int edits;
-    refreshes = st.Incremental.refreshes;
   }
 
 (* ------------------------------------------------------- grouped batches *)
@@ -175,7 +162,6 @@ let run_batches ~batch_edits ~seed ~max_domains =
 
 type pruning_row = {
   p_stages : int;
-  p_tap_every : int;
   p_edits : int;
   p_structural_groups : int;
   p_pruned_groups : int;
@@ -236,7 +222,6 @@ let run_pruning () =
   in
   {
     p_stages = stages;
-    p_tap_every = tap_every;
     p_edits = List.length edits;
     p_structural_groups = structural_groups;
     p_pruned_groups = pruned_groups;
@@ -247,244 +232,109 @@ let run_pruning () =
     p_identical = identical;
   }
 
-(* ------------------------------------------------------------- JSON emit *)
-
-(* Counters the run is expected to have exercised; -check asserts on them. *)
-let metric_names =
-  [ "incr.edits"; "incr.batches"; "incr.refreshes"; "library.misses";
-    "dc.solves" ]
-
-let emit oc ~edits ~seed ~batch_edits ~host_cores rows batch_rows pruning =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"incremental\",\n";
-  p "  \"edits\": %d,\n" edits;
-  p "  \"seed\": %d,\n" seed;
-  p "  \"host_cores\": %d,\n" host_cores;
-  (* the fixed chunk widths the bit-identity contract depends on: a result
-     is only comparable across builds that agree on these *)
-  p "  \"avg_chunk\": %d,\n" Estimator.avg_chunk;
-  p "  \"mc_chunk\": %d,\n" Vector_mc.mc_chunk;
-  p "  \"circuits\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\n";
-      p "      \"name\": \"%s\",\n" r.name;
-      p "      \"gates\": %d,\n" r.gates;
-      p "      \"full_us\": %.3f,\n" r.full_us;
-      p "      \"incr_us\": %.3f,\n" r.incr_us;
-      p "      \"speedup\": %.3f,\n" r.speedup;
-      p "      \"rel_error\": %.3e,\n" r.rel_error;
-      p "      \"logic_evals_per_edit\": %.3f,\n" r.logic_evals_per_edit;
-      p "      \"lookups_per_edit\": %.3f,\n" r.lookups_per_edit;
-      p "      \"refreshes\": %d\n" r.refreshes;
-      p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"batch_circuit\": \"%s\",\n" batch_circuit;
-  p "  \"batch_edits\": %d,\n" batch_edits;
-  p "  \"batches\": [\n";
-  List.iteri
-    (fun i (b : batch_row) ->
-      p "    {\n";
-      p "      \"domains\": %d,\n" b.b_domains;
-      p "      \"groups\": %d,\n" b.b_groups;
-      p "      \"us_per_batch\": %.3f,\n" b.b_us;
-      p "      \"speedup\": %.3f,\n" b.b_speedup;
-      p "      \"bit_identical\": %b\n" b.b_identical;
-      p "    }%s\n" (if i = List.length batch_rows - 1 then "" else ","))
-    batch_rows;
-  p "  ],\n";
-  p "  \"pruning_stages\": %d,\n" pruning.p_stages;
-  p "  \"pruning_tap_every\": %d,\n" pruning.p_tap_every;
-  p "  \"pruning_edits\": %d,\n" pruning.p_edits;
-  p "  \"pruning_structural_groups\": %d,\n" pruning.p_structural_groups;
-  p "  \"pruning_pruned_groups\": %d,\n" pruning.p_pruned_groups;
-  p "  \"pruning_struct_hist_count\": %d,\n" pruning.p_struct_hist_count;
-  p "  \"pruning_struct_hist_sum\": %.17g,\n" pruning.p_struct_hist_sum;
-  p "  \"pruning_pruned_hist_count\": %d,\n" pruning.p_pruned_hist_count;
-  p "  \"pruning_pruned_hist_sum\": %.17g,\n" pruning.p_pruned_hist_sum;
-  p "  \"pruning_bit_identical\": %b,\n" pruning.p_identical;
-  Gate_kit.emit_metrics oc metric_names;
-  p "}\n"
-
-(* ------------------------------------------------------------ JSON check *)
-
-let check path root =
-  if Json.str "benchmark" root <> "incremental" then
-    failwith "benchmark field is not \"incremental\"";
-  if Json.num "edits" root <= 0.0 then failwith "edits must be positive";
-  let host_cores = Json.int "host_cores" root in
-  if host_cores < 1 then failwith "host_cores must be >= 1";
-  (* stale chunk constants would invalidate every bit-identity claim below *)
-  Gate_kit.chunk_const root "avg_chunk" Estimator.avg_chunk;
-  Gate_kit.chunk_const root "mc_chunk" Vector_mc.mc_chunk;
-  let seen =
-    List.map
-      (fun row ->
-        let name = Json.str "name" row in
-        let ok_positive key =
-          if Json.num key row <= 0.0 then
-            failwith (Printf.sprintf "%s: %S must be positive" name key)
-        in
-        ok_positive "gates";
-        ok_positive "full_us";
-        ok_positive "incr_us";
-        ok_positive "speedup";
-        let rel = Json.num "rel_error" row in
-        if not (rel >= 0.0 && rel < 1e-9) then
-          failwith
-            (Printf.sprintf "%s: rel_error %.3e out of bounds [0, 1e-9)" name
-               rel);
-        ignore (Json.num "logic_evals_per_edit" row);
-        ignore (Json.num "lookups_per_edit" row);
-        name)
-      (Json.arr "circuits" root)
-  in
-  List.iter
-    (fun c ->
-      if not (List.mem c seen) then
-        failwith (Printf.sprintf "circuit %S missing from results" c))
-    circuits;
-  (* grouped-batch scenario: determinism unconditionally, throughput only
-     for pool sizes the recorded host could actually run in parallel *)
-  if Json.str "batch_circuit" root <> batch_circuit then
-    failwith (Printf.sprintf "batch_circuit is not %S" batch_circuit);
-  let batch_edits = Json.int "batch_edits" root in
-  if batch_edits < 64 then
-    failwith
-      (Printf.sprintf "batch_edits %d < 64: too small to exercise grouping"
-         batch_edits);
-  let batches = Json.arr "batches" root in
-  if batches = [] then failwith "empty \"batches\" array";
-  let seq_groups = ref (-1) in
-  List.iter
-    (fun row ->
-      let domains = Json.int "domains" row in
-      let tag = Printf.sprintf "batch@%dd" domains in
-      let groups = Json.int "groups" row in
-      if groups < 1 || groups > batch_edits then
-        failwith (Printf.sprintf "%s: groups %d out of [1, %d]" tag groups
-                    batch_edits);
-      (* the partition is a function of netlist and batch alone *)
-      if !seq_groups < 0 then seq_groups := groups
-      else if groups <> !seq_groups then
-        failwith (Printf.sprintf "%s: groups %d differ from sequential %d"
-                    tag groups !seq_groups);
-      if Json.num "us_per_batch" row <= 0.0 then
-        failwith (tag ^ ": \"us_per_batch\" must be positive");
-      if not (Json.bool "bit_identical" row) then
-        failwith (tag ^ ": pooled batch state differs from sequential");
-      let speedup = Json.num "speedup" row in
-      if speedup <= 0.0 then failwith (tag ^ ": \"speedup\" must be positive");
-      if domains >= 2 && domains <= host_cores && speedup < 1.0 then
-        failwith
-          (Printf.sprintf "%s: speedup %.3f < 1.0 on a %d-core host" tag
-             speedup host_cores);
-      if domains = 4 && host_cores >= 8 && speedup < 1.5 then
-        failwith
-          (Printf.sprintf
-             "%s: speedup %.3f < 1.5 at 4 domains on a %d-core host" tag
-             speedup host_cores))
-    batches;
-  (* value-aware pruning scenario: the pruned partition must expose strictly
-     more (hence smaller) groups than the structural one, with bit-identical
-     results, and the cone-size histograms must show the shrink *)
-  let p_struct = Json.int "pruning_structural_groups" root in
-  let p_pruned = Json.int "pruning_pruned_groups" root in
-  if p_struct < 1 then failwith "pruning_structural_groups must be >= 1";
-  if p_pruned <= p_struct then
-    failwith
-      (Printf.sprintf
-         "pruning: %d pruned groups not more than %d structural groups"
-         p_pruned p_struct);
-  if not (Json.bool "pruning_bit_identical" root) then
-    failwith "pruning: pruned batch state differs from unpruned";
-  let p_edits = Json.int "pruning_edits" root in
-  let hist_count key =
-    let n = Json.int key root in
-    if n < p_edits then
-      failwith
-        (Printf.sprintf "%s is %d: expected one observation per edit (%d)" key
-           n p_edits);
-    n
-  in
-  ignore (hist_count "pruning_struct_hist_count");
-  ignore (hist_count "pruning_pruned_hist_count");
-  if Json.num "pruning_pruned_hist_sum" root
-     >= Json.num "pruning_struct_hist_sum" root
-  then failwith "pruning: pruned cones are not smaller than structural cones";
-  (* the embedded telemetry summary: every expected counter present, and
-     the edit / batch paths actually fired during the run *)
-  let metric key = Json.int key (Json.member "metrics" root) in
-  List.iter (fun name -> ignore (metric name)) metric_names;
-  if metric "incr.edits" < 1 then
-    failwith "metrics: \"incr.edits\" must be >= 1 (edits recorded)";
-  if metric "incr.batches" < 1 then
-    failwith "metrics: \"incr.batches\" must be >= 1 (batch path recorded)";
-  if metric "dc.solves" < 1 then
-    failwith "metrics: \"dc.solves\" must be >= 1 (characterization ran)";
-  Printf.printf "%s OK (%d circuits, %d batch rows)\n" path (List.length seen)
-    (List.length batches)
+let check cond fmt = Gate_kit.check "incremental" cond fmt
 
 let () =
-  let out = ref "BENCH_incremental.json" in
   let edits = ref 1000 in
   let batch_edits = ref 64 in
   let max_domains = ref 8 in
   let seed = ref 1 in
-  let check_path = ref "" in
   Arg.parse
     [
-      ("-o", Arg.Set_string out, "FILE output path (default BENCH_incremental.json)");
       ("-edits", Arg.Set_int edits, "N random resize edits per circuit (default 1000)");
       ("-batch-edits", Arg.Set_int batch_edits,
        "N resize edits per grouped batch (default 64)");
       ("-domains", Arg.Set_int max_domains,
        "N largest batch pool size to measure, of 1/2/4/8 (default 8)");
       ("-seed", Arg.Set_int seed, "N PRNG seed (default 1)");
-      ("-check", Arg.Set_string check_path, "FILE validate an existing JSON file and exit");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "incremental re-estimation benchmark";
-  if !check_path <> "" then Gate_kit.check_file !check_path (check !check_path)
-  else begin
-    let host_cores = Domain.recommended_domain_count () in
-    (* metrics ride along in the artifact; recording never changes results
-       (the bit_identical batch rows double as proof) *)
-    Telemetry.set_enabled true;
-    let rows = List.map (run_circuit ~edits:!edits ~seed:!seed) circuits in
-    let batch_rows =
-      run_batches ~batch_edits:!batch_edits ~seed:!seed
-        ~max_domains:!max_domains
-    in
-    let pruning = run_pruning () in
-    let oc = open_out !out in
-    emit oc ~edits:!edits ~seed:!seed ~batch_edits:!batch_edits ~host_cores
-      rows batch_rows pruning;
-    close_out oc;
-    List.iter
-      (fun r ->
-        Printf.printf
-          "%-8s %4d gates  full %8.1f us  incr %7.1f us  speedup %6.1fx  rel %.1e\n"
-          r.name r.gates r.full_us r.incr_us r.speedup r.rel_error)
-      rows;
-    List.iter
-      (fun (b : batch_row) ->
-        Printf.printf
-          "%-8s batch %3d edits  %d group%s  %s  %8.1f us  speedup %5.2fx  identical %b\n"
-          batch_circuit !batch_edits b.b_groups
-          (if b.b_groups = 1 then " " else "s")
-          (if b.b_domains = 0 then "sequential"
-           else if b.b_domains = 1 then "1 domain  "
-           else Printf.sprintf "%d domains " b.b_domains)
-          b.b_us b.b_speedup b.b_identical)
-      batch_rows;
-    Printf.printf
-      "chain%d   pruning %d edits  structural %d group%s -> pruned %d groups  \
-       cone gates %.0f -> %.0f  identical %b\n"
-      pruning.p_stages pruning.p_edits pruning.p_structural_groups
-      (if pruning.p_structural_groups = 1 then "" else "s")
-      pruning.p_pruned_groups pruning.p_struct_hist_sum
-      pruning.p_pruned_hist_sum pruning.p_identical
-  end
+    "incremental re-estimation gate";
+  let batch_edits = !batch_edits in
+  check (batch_edits >= 64)
+    "-batch-edits %d >= 64: large enough to exercise grouping" batch_edits;
+  let host_cores = Domain.recommended_domain_count () in
+  (* the counter checks below read this run's telemetry; recording never
+     changes results (the bit-identity checks double as proof) *)
+  Telemetry.set_enabled true;
+  let rows = List.map (run_circuit ~edits:!edits ~seed:!seed) circuits in
+  let batch_rows = run_batches ~batch_edits ~seed:!seed ~max_domains:!max_domains in
+  let pruning = run_pruning () in
+  List.iter
+    (fun r ->
+      Printf.printf
+        "%-8s %4d gates  full %8.1f us  incr %7.1f us  speedup %6.1fx  rel %.1e\n"
+        r.name r.gates r.full_us r.incr_us r.speedup r.rel_error)
+    rows;
+  List.iter
+    (fun (b : batch_row) ->
+      Printf.printf
+        "%-8s batch %3d edits  %d group%s  %s  %8.1f us  speedup %5.2fx  identical %b\n"
+        batch_circuit batch_edits b.b_groups
+        (if b.b_groups = 1 then " " else "s")
+        (if b.b_domains = 0 then "sequential"
+         else if b.b_domains = 1 then "1 domain  "
+         else Printf.sprintf "%d domains " b.b_domains)
+        b.b_us b.b_speedup b.b_identical)
+    batch_rows;
+  Printf.printf
+    "chain%d   pruning %d edits  structural %d group%s -> pruned %d groups  \
+     cone gates %.0f -> %.0f  identical %b\n"
+    pruning.p_stages pruning.p_edits pruning.p_structural_groups
+    (if pruning.p_structural_groups = 1 then "" else "s")
+    pruning.p_pruned_groups pruning.p_struct_hist_sum
+    pruning.p_pruned_hist_sum pruning.p_identical;
+  List.iter
+    (fun r ->
+      check (r.rel_error >= 0.0 && r.rel_error < 1e-9)
+        "%s: session total within rel_error %.3e of a fresh estimate, in \
+         [0, 1e-9)" r.name r.rel_error)
+    rows;
+  (* grouped-batch scenario: determinism is unconditional *)
+  let seq_groups = (List.hd batch_rows).b_groups in
+  let tag (b : batch_row) = Printf.sprintf "batch@%dd" b.b_domains in
+  List.iter
+    (fun (b : batch_row) ->
+      (* the partition is a function of netlist and batch alone *)
+      check
+        (b.b_groups >= 1 && b.b_groups <= batch_edits
+         && b.b_groups = seq_groups)
+        "%s: %d groups in [1, %d], same as sequential" (tag b) b.b_groups
+        batch_edits;
+      if b.b_domains >= 1 then
+        check b.b_identical "%s: pooled batch state bit-identical to sequential"
+          (tag b))
+    batch_rows;
+  (* value-aware pruning scenario: the pruned partition must expose strictly
+     more (hence smaller) groups than the structural one, with bit-identical
+     results, and the cone-size histograms must show the shrink *)
+  let p = pruning in
+  check (p.p_structural_groups >= 1) "pruning: %d structural groups >= 1"
+    p.p_structural_groups;
+  check (p.p_pruned_groups > p.p_structural_groups)
+    "pruning: %d pruned groups more than %d structural groups"
+    p.p_pruned_groups p.p_structural_groups;
+  check p.p_identical "pruning: pruned batch state bit-identical to unpruned";
+  check (p.p_struct_hist_count >= p.p_edits)
+    "pruning: structural cone histogram has %d >= %d observations"
+    p.p_struct_hist_count p.p_edits;
+  check (p.p_pruned_hist_count >= p.p_edits)
+    "pruning: pruned cone histogram has %d >= %d observations"
+    p.p_pruned_hist_count p.p_edits;
+  check (p.p_pruned_hist_sum < p.p_struct_hist_sum)
+    "pruning: pruned cones (%.0f gates) smaller than structural (%.0f)"
+    p.p_pruned_hist_sum p.p_struct_hist_sum;
+  Gate_kit.counters_fired "incremental"
+    [ "incr.edits"; "incr.batches"; "dc.solves" ];
+  (* batch throughput only for pool sizes the host can actually run in
+     parallel, and last, so a wall-clock trip never hides a check above *)
+  List.iter
+    (fun (b : batch_row) ->
+      if b.b_domains >= 2 && b.b_domains <= host_cores then
+        check (b.b_speedup >= 1.0) "%s: speedup %.3f >= 1.0 on a %d-core host"
+          (tag b) b.b_speedup host_cores;
+      if b.b_domains = 4 && host_cores >= 8 then
+        check (b.b_speedup >= 1.5)
+          "%s: speedup %.3f >= 1.5 at 4 domains on a %d-core host" (tag b)
+          b.b_speedup host_cores)
+    batch_rows

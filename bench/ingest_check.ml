@@ -17,7 +17,8 @@
         snapshot header also carries) and produce bit-identical
         loading-aware estimates.
 
-   Exits non-zero with a diagnostic on any violation. *)
+   Prints "ok: ..." per passing check; any violation fails the gate with
+   an "ingest_check: FAIL ..." line and exit 1. *)
 
 module Params = Leakage_device.Params
 module Logic = Leakage_circuit.Logic
@@ -31,14 +32,7 @@ module Report = Leakage_spice.Leakage_report
 module Suite = Leakage_benchmarks.Suite
 module Rng = Leakage_numeric.Rng
 
-let failures = ref 0
-
-let check what ok =
-  if ok then Printf.printf "  ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "  FAIL: %s\n%!" what
-  end
+let check cond fmt = Gate_kit.check "ingest_check" cond fmt
 
 (* ------------------------------------------------------ peak-RSS reading *)
 
@@ -89,22 +83,25 @@ let memory_gate () =
   Printf.printf "ingest-check: streaming parse of a %d-gate chain\n%!"
     chain_gates;
   let path = Filename.temp_file "ingest_chain" ".bench" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      write_chain_bench path;
-      let t = Bench_format.parse_file path in
-      check "chain gate count" (Netlist.gate_count t = chain_gates);
-      check "chain interface (iterative elaboration survived the depth)"
-        (Array.length (Netlist.inputs t) = 1
-        && Array.length (Netlist.outputs t) = 1);
-      match peak_rss_bytes () with
-      | None -> Printf.printf "  skip: no /proc/self/status (not Linux)\n%!"
-      | Some rss ->
-        Printf.printf "  peak RSS %.1f MB (budget %d MB)\n%!"
-          (float_of_int rss /. 1048576.0)
-          (rss_budget_bytes / 1048576);
-        check "peak RSS within budget" (rss <= rss_budget_bytes))
+  let t =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        write_chain_bench path;
+        Bench_format.parse_file path)
+  in
+  check (Netlist.gate_count t = chain_gates) "chain gate count";
+  check
+    (Array.length (Netlist.inputs t) = 1
+    && Array.length (Netlist.outputs t) = 1)
+    "chain interface (iterative elaboration survived the depth)";
+  match peak_rss_bytes () with
+  | None -> Printf.printf "  skip: no /proc/self/status (not Linux)\n%!"
+  | Some rss ->
+    Printf.printf "  peak RSS %.1f MB (budget %d MB)\n%!"
+      (float_of_int rss /. 1048576.0)
+      (rss_budget_bytes / 1048576);
+    check (rss <= rss_budget_bytes) "peak RSS within budget"
 
 (* ------------------------------------------- golden-corpus round tripping *)
 
@@ -120,44 +117,42 @@ let roundtrip_gate () =
       let original = e.Suite.build () in
       let bench = Filename.temp_file "ingest_corpus" ".bench" in
       let snap = Filename.temp_file "ingest_corpus" ".lkn" in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun p -> try Sys.remove p with Sys_error _ -> ())
-            [ bench; snap ])
-        (fun () ->
-          Bench_format.write_file bench original;
-          let parsed = Bench_format.parse_file bench in
-          Snapshot.save snap parsed;
-          check
-            (Printf.sprintf "%s: header digest matches parsed netlist"
-               e.Suite.label)
-            (Snapshot.digest_of_file snap = Netlist.digest parsed);
-          let mapped = Snapshot.load snap in
-          check
-            (Printf.sprintf "%s: mapped digest" e.Suite.label)
-            (Netlist.digest mapped = Netlist.digest parsed);
-          let n_pi = Array.length (Netlist.inputs parsed) in
-          let pattern =
-            Array.init n_pi (fun _ ->
-                if Rng.int rng 2 = 0 then Logic.Zero else Logic.One)
-          in
-          let totals_p, base_p = Estimator.estimate_totals lib parsed pattern in
-          let totals_m, base_m = Estimator.estimate_totals lib mapped pattern in
-          check
-            (Printf.sprintf "%s: bit-identical estimate through the mapping"
-               e.Suite.label)
-            (totals_p = totals_m && base_p = base_m);
-          check
-            (Printf.sprintf "%s: estimate is finite" e.Suite.label)
-            (Float.is_finite (Report.total totals_p))))
+      (* every result is taken before the files go, so a failed check
+         cannot leave them behind *)
+      let header_ok, mapped_ok, identical, finite =
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun p -> try Sys.remove p with Sys_error _ -> ())
+              [ bench; snap ])
+          (fun () ->
+            Bench_format.write_file bench original;
+            let parsed = Bench_format.parse_file bench in
+            Snapshot.save snap parsed;
+            let header_ok =
+              Snapshot.digest_of_file snap = Netlist.digest parsed
+            in
+            let mapped = Snapshot.load snap in
+            let n_pi = Array.length (Netlist.inputs parsed) in
+            let pattern =
+              Array.init n_pi (fun _ ->
+                  if Rng.int rng 2 = 0 then Logic.Zero else Logic.One)
+            in
+            let totals_p, base_p = Estimator.estimate_totals lib parsed pattern in
+            let totals_m, base_m = Estimator.estimate_totals lib mapped pattern in
+            ( header_ok,
+              Netlist.digest mapped = Netlist.digest parsed,
+              totals_p = totals_m && base_p = base_m,
+              Float.is_finite (Report.total totals_p) ))
+      in
+      let label = e.Suite.label in
+      check header_ok "%s: header digest matches parsed netlist" label;
+      check mapped_ok "%s: mapped digest" label;
+      check identical "%s: bit-identical estimate through the mapping" label;
+      check finite "%s: estimate is finite" label)
     Suite.all
 
 let () =
   memory_gate ();
   roundtrip_gate ();
-  if !failures > 0 then begin
-    Printf.printf "ingest-check: %d failure(s)\n%!" !failures;
-    exit 1
-  end;
   Printf.printf "ingest-check: all checks passed\n%!"

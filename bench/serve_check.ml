@@ -108,10 +108,7 @@ let () =
           (Gate_kit.eq_components loaded (Incremental.totals direct)
           && Gate_kit.eq_components baseline
                (Incremental.baseline_totals direct))
-      then begin
-        Printf.eprintf "serve_check: FAIL batch %d diverged from direct session\n" i;
-        exit 1
-      end)
+      then Gate_kit.fail "serve_check" "batch %d diverged from direct session" i)
     batches;
   check true "%d golden batches bit-identical to the direct session"
     (List.length batches);

@@ -14,9 +14,7 @@
    MC cost is linear in samples) must be ≥ 100×, and both engines must be
    bit-identical when fanned out over a domain pool.
 
-     sigma_check.exe [-o FILE] [-samples N] [-seed N] [-domains N]
-                     [-circuit NAME]...                        write JSON
-     sigma_check.exe -check FILE               validate a JSON file *)
+     sigma_check.exe [-samples N] [-seed N] [-domains N] [-circuit NAME]... *)
 
 module Params = Leakage_device.Params
 module Variation = Leakage_device.Variation
@@ -32,7 +30,6 @@ module Rng = Leakage_numeric.Rng
 module Suite = Leakage_benchmarks.Suite
 module Trees = Leakage_benchmarks.Trees
 module Pool = Leakage_parallel.Pool
-module Json = Leakage_telemetry.Json
 
 let device = Params.d25
 let temp = 300.0
@@ -58,10 +55,6 @@ type row = {
   mc_ms : float;
   speedup_vs_10k : float;
   pool_identical : bool;
-  loaded_mean : float;          (* analytic loaded total mean, A *)
-  loaded_mean_mc : float;
-  loaded_sigma : float;         (* analytic loaded total σ, A *)
-  loaded_sigma_mc : float;
 }
 
 (* ------------------------------------------------------------ statistics *)
@@ -191,114 +184,17 @@ let run_circuit ~samples ~domains lib crng (entry : Suite.entry) =
     mc_ms;
     speedup_vs_10k = speedup;
     pool_identical;
-    loaded_mean = res.Sensitivity.loaded.Sensitivity.s_total.Sensitivity.mean;
-    loaded_mean_mc = Stats.mean mc.Statistical.total_with_loading;
-    loaded_sigma = res.Sensitivity.loaded.Sensitivity.s_total.Sensitivity.sigma;
-    loaded_sigma_mc = Stats.std mc.Statistical.total_with_loading;
   }
 
-(* ------------------------------------------------------------- JSON emit *)
-
-let emit oc ~samples ~seed ~domains rows =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"sigma-check\",\n";
-  p "  \"samples\": %d,\n" samples;
-  p "  \"seed\": %d,\n" seed;
-  p "  \"domains\": %d,\n" domains;
-  p "  \"z_gate\": %.17g,\n" z_gate;
-  p "  \"speedup_gate\": %.17g,\n" speedup_gate;
-  p "  \"reference_samples\": %d,\n" reference_samples;
-  (* bit-identity contract constants; -check rejects a stale artifact *)
-  p "  \"sample_chunk\": %d,\n" Statistical.sample_chunk;
-  p "  \"sigma_l\": %.17g,\n" sigmas.Variation.sigma_l;
-  p "  \"sigma_tox\": %.17g,\n" sigmas.Variation.sigma_tox;
-  p "  \"sigma_vdd\": %.17g,\n" sigmas.Variation.sigma_vdd;
-  p "  \"sigma_vth_inter\": %.17g,\n" sigmas.Variation.sigma_vth_inter;
-  p "  \"sigma_vth_intra\": %.17g,\n" sigmas.Variation.sigma_vth_intra;
-  p "  \"circuits\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\n";
-      p "      \"name\": \"%s\",\n" r.name;
-      p "      \"gates\": %d,\n" r.gates;
-      p "      \"groups\": %d,\n" r.groups;
-      p "      \"flagged\": %b,\n" r.flagged;
-      p "      \"max_abs_z\": %.4f,\n" r.max_abs_z;
-      p "      \"analytic_ms\": %.3f,\n" r.analytic_ms;
-      p "      \"mc_ms\": %.3f,\n" r.mc_ms;
-      p "      \"speedup_vs_10k\": %.1f,\n" r.speedup_vs_10k;
-      p "      \"pool_identical\": %b,\n" r.pool_identical;
-      p "      \"loaded_mean\": %.17g,\n" r.loaded_mean;
-      p "      \"loaded_mean_mc\": %.17g,\n" r.loaded_mean_mc;
-      p "      \"loaded_sigma\": %.17g,\n" r.loaded_sigma;
-      p "      \"loaded_sigma_mc\": %.17g\n" r.loaded_sigma_mc;
-      p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n"
-
-(* ------------------------------------------------------------ JSON check *)
-
-let check path root =
-  if Json.str "benchmark" root <> "sigma-check" then
-    failwith "benchmark field is not \"sigma-check\"";
-  let samples = Json.int "samples" root in
-  if samples < 32 then failwith "samples must be >= 32";
-  Gate_kit.chunk_const root "sample_chunk" Statistical.sample_chunk;
-  (* the gates an artifact claims to have passed must be this build's *)
-  if Json.num "z_gate" root <> z_gate then
-    failwith "z_gate mismatch — regenerate";
-  if Json.num "speedup_gate" root <> speedup_gate then
-    failwith "speedup_gate mismatch — regenerate";
-  let seen =
-    List.map
-      (fun row ->
-        let name = Json.str "name" row in
-        if Json.num "gates" row <= 0.0 then
-          failwith (name ^ ": \"gates\" must be positive");
-        if Json.num "groups" row <= 0.0 then
-          failwith (name ^ ": \"groups\" must be positive");
-        if Json.bool "flagged" row then
-          failwith
-            (name
-             ^ ": linearization check flagged a component at the paper's \
-                sigmas");
-        let z = Json.num "max_abs_z" row in
-        if not (Float.is_finite z) || z > z_gate then
-          failwith
-            (Printf.sprintf
-               "%s: analytic mean/σ beyond %g standard errors of the MC \
-                (max |z| = %g)"
-               name z_gate z);
-        let sp = Json.num "speedup_vs_10k" row in
-        if sp < speedup_gate then
-          failwith
-            (Printf.sprintf "%s: speedup vs %d-sample MC only %.1fx (< %g)"
-               name reference_samples sp speedup_gate);
-        if not (Json.bool "pool_identical" row) then
-          failwith (name ^ ": pooled results differ from sequential");
-        name)
-      (Json.arr "circuits" root)
-  in
-  List.iter
-    (fun (e : Suite.entry) ->
-      if not (List.mem e.Suite.label seen) then
-        failwith (Printf.sprintf "circuit %S missing from results" e.Suite.label))
-    (corpus ());
-  Printf.printf "%s OK (%d circuits, %d MC samples)\n" path (List.length seen)
-    samples
+let check cond fmt = Gate_kit.check "sigma_check" cond fmt
 
 let () =
-  let out = ref "BENCH_sigma.json" in
   let samples = ref reference_samples in
   let seed = ref 11 in
   let domains = ref 2 in
   let only = ref [] in
-  let check_path = ref "" in
   Arg.parse
     [
-      ("-o", Arg.Set_string out, "FILE output path (default BENCH_sigma.json)");
       ("-samples", Arg.Set_int samples,
        Printf.sprintf "N MC samples per circuit (default %d)" reference_samples);
       ("-seed", Arg.Set_int seed, "N PRNG seed (default 11)");
@@ -306,43 +202,56 @@ let () =
        "N pool size for the bit-identity cross-check (default 2)");
       ("-circuit", Arg.String (fun c -> only := c :: !only),
        "NAME restrict to one corpus circuit (repeatable; default all)");
-      ("-check", Arg.Set_string check_path,
-       "FILE validate an existing JSON file and exit");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "analytic variance propagation vs Monte-Carlo";
-  if !check_path <> "" then Gate_kit.check_file !check_path (check !check_path)
-  else begin
-    if !samples < 32 then failwith "need -samples >= 32";
-    let entries =
-      match !only with
-      | [] -> corpus ()
-      | names ->
-        List.filter
-          (fun (e : Suite.entry) -> List.mem e.Suite.label names)
-          (corpus ())
-    in
-    let lib = Library.create ~grid:coarse_grid ~device ~temp () in
-    let rng = Rng.create !seed in
-    (* per-circuit streams split up front, in corpus order, so restricting
-       with -circuit never changes another circuit's pattern or MC seed *)
-    let streams =
-      List.map (fun (e : Suite.entry) -> (e.Suite.label, Rng.split rng)) (corpus ())
-    in
-    let rows =
-      List.map
-        (fun (e : Suite.entry) ->
-          let crng = List.assoc e.Suite.label streams in
-          let r = run_circuit ~samples:!samples ~domains:!domains lib crng e in
-          Printf.printf
-            "%-8s %6d gates  %3d groups  max|z| %5.2f  analytic %8.2f ms  \
-             mc %8.1f ms  speedup(10k) %8.1fx  identical %b\n%!"
-            r.name r.gates r.groups r.max_abs_z r.analytic_ms r.mc_ms
-            r.speedup_vs_10k r.pool_identical;
-          r)
-        entries
-    in
-    let oc = open_out !out in
-    emit oc ~samples:!samples ~seed:!seed ~domains:!domains rows;
-    close_out oc
-  end
+  check (!samples >= 32) "-samples %d >= 32" !samples;
+  let entries =
+    match !only with
+    | [] -> corpus ()
+    | names ->
+      List.filter
+        (fun (e : Suite.entry) -> List.mem e.Suite.label names)
+        (corpus ())
+  in
+  let lib = Library.create ~grid:coarse_grid ~device ~temp () in
+  let rng = Rng.create !seed in
+  (* per-circuit streams split up front, in corpus order, so restricting
+     with -circuit never changes another circuit's pattern or MC seed *)
+  let streams =
+    List.map (fun (e : Suite.entry) -> (e.Suite.label, Rng.split rng)) (corpus ())
+  in
+  let rows =
+    List.map
+      (fun (e : Suite.entry) ->
+        let crng = List.assoc e.Suite.label streams in
+        let r = run_circuit ~samples:!samples ~domains:!domains lib crng e in
+        Printf.printf
+          "%-8s %6d gates  %3d groups  max|z| %5.2f  analytic %8.2f ms  \
+           mc %8.1f ms  speedup(10k) %8.1fx  identical %b\n%!"
+          r.name r.gates r.groups r.max_abs_z r.analytic_ms r.mc_ms
+          r.speedup_vs_10k r.pool_identical;
+        r)
+      entries
+  in
+  (* the wall-clock speed gate goes last, so it never hides a statistical
+     or determinism check *)
+  List.iter
+    (fun r ->
+      check (not r.flagged)
+        "%s: no linearization check flagged at the paper's sigmas" r.name;
+      check (r.groups >= 1) "%s: %d groups >= 1" r.name r.groups;
+      check
+        (Float.is_finite r.max_abs_z && r.max_abs_z <= z_gate)
+        "%s: analytic mean/σ within %g standard errors of the MC (max |z| = \
+         %g)" r.name z_gate r.max_abs_z;
+      check r.pool_identical "%s: pooled results bit-identical to sequential"
+        r.name)
+    rows;
+  List.iter
+    (fun r ->
+      check
+        (r.speedup_vs_10k >= speedup_gate)
+        "%s: speedup vs %d-sample MC %.1fx >= %g" r.name reference_samples
+        r.speedup_vs_10k speedup_gate)
+    rows

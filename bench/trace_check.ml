@@ -12,7 +12,8 @@
      2. Telemetry never perturbs results: every float the workload produces
         is bit-identical between the two runs.
 
-   Exits non-zero with a diagnostic on any violation. *)
+   Prints "ok: ..." per passing check; any violation fails the gate with
+   a "trace_check: FAIL ..." line and exit 1. *)
 
 module Params = Leakage_device.Params
 module Netlist = Leakage_circuit.Netlist
@@ -69,7 +70,8 @@ let workload () =
 
 (* ------------------------------------------------------ trace validation *)
 
-let die fmt = Printf.ksprintf (fun m -> prerr_endline ("trace-check: " ^ m); exit 1) fmt
+let fail fmt = Gate_kit.fail "trace_check" fmt
+let check cond fmt = Gate_kit.check "trace_check" cond fmt
 
 (* every shape problem surfaces as a Json.Error naming the key or type *)
 let validate_trace root =
@@ -87,24 +89,25 @@ let validate_trace root =
       | "X" ->
         let dur = Json.num "dur" ev in
         ignore (Json.num "ts" ev);
-        if dur < 0.0 then die "span %S has negative duration" name;
+        if dur < 0.0 then fail "span %S has negative duration" name;
         incr spans;
         Hashtbl.replace tracks tid ()
       | "i" -> Hashtbl.replace tracks tid ()
       | "M" ->
-        if name <> "thread_name" then die "unknown metadata event %S" name;
+        if name <> "thread_name" then fail "unknown metadata event %S" name;
         Hashtbl.replace named tid ()
-      | _ -> die "event %S has a bad \"ph\"" name)
+      | _ -> fail "event %S has a bad \"ph\"" name)
     events;
-  if !spans = 0 then die "no complete (\"ph\":\"X\") spans recorded";
+  check (!spans > 0) "%d complete (\"ph\":\"X\") spans recorded" !spans;
   Hashtbl.iter
     (fun tid () ->
       if not (Hashtbl.mem named tid) then
-        die "track %d has no thread_name metadata" tid)
+        fail "track %d has no thread_name metadata" tid)
     tracks;
   (* main domain + at least one worker: the pool fan-out must be visible *)
-  if Hashtbl.length tracks < 2 then
-    die "only %d track(s): expected one per pool domain" (Hashtbl.length tracks);
+  check
+    (Hashtbl.length tracks >= 2)
+    "%d tracks, at least one per pool domain" (Hashtbl.length tracks);
   (!spans, Hashtbl.length tracks)
 
 let () =
@@ -113,18 +116,15 @@ let () =
   Trace.start ();
   let observed = workload () in
   Trace.stop ();
-  if Stdlib.compare quiet observed <> 0 then
-    die "telemetry perturbed the results: traced run differs bit-for-bit";
+  check
+    (Stdlib.compare quiet observed = 0)
+    "telemetry left the results bit-identical (traced vs untraced run)";
   let spans, tracks =
     match validate_trace (Json.parse (Trace.to_json ())) with
     | r -> r
-    | exception Json.Error m -> die "malformed trace: %s" m
+    | exception Json.Error m -> fail "malformed trace: %s" m
   in
-  let snap = Telemetry.Snapshot.take () in
-  List.iter
-    (fun name ->
-      if Telemetry.Snapshot.counter_total snap name < 1 then
-        die "counter %S was never recorded" name)
+  Gate_kit.counters_fired "trace_check"
     [ "pool.regions"; "pool.items"; "library.misses"; "dc.solves";
       "estimator.estimates"; "incr.edits"; "incr.batches" ];
   Printf.printf

@@ -100,11 +100,20 @@ let output_file_arg doc =
   Arg.(required & opt (some string) None
        & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+(* A count: zero or less is a usage error (exit 124), like a bad --device. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected an integer > 0"))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let vectors_arg doc =
-  Arg.(value & opt int 10 & info [ "vectors" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 10 & info [ "vectors" ] ~docv:"N" ~doc)
 
 let samples_arg default =
-  Arg.(value & opt int default
+  Arg.(value & opt positive_int default
        & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
 
 let jobs_arg =
@@ -291,7 +300,7 @@ let estimate_cmd =
              ~doc:"Also run the full transistor-level solve for comparison.")
   in
   let passes_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "passes" ] ~docv:"N"
              ~doc:"Loading-propagation passes (1 = the paper's one-level model).")
   in
@@ -753,7 +762,7 @@ let vectors_cmd =
 
 let incr_cmd =
   let edits_arg =
-    Arg.(value & opt int 1000
+    Arg.(value & opt positive_int 1000
          & info [ "edits" ] ~docv:"N" ~doc:"Number of random edits to apply.")
   in
   let refresh_arg =
@@ -768,7 +777,7 @@ let incr_cmd =
                    (default: gate resizes only).")
   in
   let batch_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "batch" ] ~docv:"N"
              ~doc:"Apply the edit stream in batches of N edits through the \
                    grouped-batch path; cone-disjoint groups inside a batch \
@@ -777,8 +786,6 @@ let incr_cmd =
                    at a time.")
   in
   let run corner seed edits refresh flip_inputs batch jobs nl =
-    if edits <= 0 then failwith "--edits must be positive";
-    if batch < 1 then failwith "--batch must be >= 1";
     let lib = library corner in
     (* the edit stream comes from the same generator, after the pattern *)
     let rng = Rng.create seed in
@@ -958,18 +965,18 @@ let serve_cmd =
     Format.printf "leakctl serve: drained, checkpoints flushed, stopped@."
   in
   let executors =
-    Arg.(value & opt int 2
+    Arg.(value & opt positive_int 2
          & info [ "executors" ] ~docv:"N"
              ~doc:"Executor domains; sessions stick to one by digest hash.")
   in
   let quota =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
          & info [ "quota" ] ~docv:"N"
              ~doc:"Per-tenant in-flight request cap (over it, requests are \
                    rejected with a retriable over_quota error).")
   in
   let max_sessions =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
          & info [ "max-sessions" ] ~docv:"N"
              ~doc:"Live warm sessions before idle LRU eviction.")
   in

@@ -38,11 +38,6 @@ val run :
     single draw: results are bit-identical with or without a pool, at any
     pool size. *)
 
-val sample_chunk : int
-(** Fixed fan-out width of {!run}'s parallel sampling. Like
-    [Estimator.avg_chunk], part of the bit-identity contract recorded in
-    benchmark artifacts. *)
-
 val die_scale :
   Library.t -> Leakage_device.Variation.die ->
   Leakage_spice.Leakage_report.components

@@ -1,6 +1,5 @@
 let q = 1.602176634e-19
 let boltzmann = 1.380649e-23
-let room_temperature = 300.0
 
 let thermal_voltage t =
   if t <= 0.0 then invalid_arg "Physics.thermal_voltage: non-positive T";

@@ -6,9 +6,6 @@ val q : float
 val boltzmann : float
 (** Boltzmann constant, J/K. *)
 
-val room_temperature : float
-(** 300 K. *)
-
 val thermal_voltage : float -> float
 (** [thermal_voltage t] is kT/q in volts for temperature [t] in Kelvin. *)
 

@@ -371,8 +371,6 @@ module Dirty_set = struct
     in
     go ()
 
-  let cardinal t = t.count
-
   let clear t =
     List.iter (fun id -> t.flags.(id) <- false) t.members;
     t.members <- [];

@@ -90,6 +90,5 @@ module Dirty_set : sig
   (** Iterates in insertion order; elements [add]ed during iteration are
       visited too. *)
 
-  val cardinal : t -> int
   val clear : t -> unit
 end

@@ -106,11 +106,6 @@ let summarize a =
     p95 = percentile a 95.0;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g std=%.4g min=%.4g p05=%.4g p50=%.4g p95=%.4g max=%.4g"
-    s.n s.mean s.std s.min s.p05 s.p50 s.p95 s.max
-
 type histogram = {
   lo : float;
   hi : float;

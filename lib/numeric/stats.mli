@@ -51,8 +51,6 @@ type summary = {
 
 val summarize : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type histogram = {
   lo : float;           (** left edge of first bin *)
   hi : float;           (** right edge of last bin *)

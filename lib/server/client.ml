@@ -3,10 +3,6 @@ exception Poisoned of string
 
 type endpoint = Unix_path of string | Tcp of string * int
 
-let endpoint_name = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
 type policy = {
   retries : int;
   backoff_ms : float;

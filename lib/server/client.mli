@@ -40,8 +40,6 @@ exception Poisoned of string
 
 type endpoint = Unix_path of string | Tcp of string * int
 
-val endpoint_name : endpoint -> string
-
 type policy = {
   retries : int;  (** extra attempts after the first (0 = strict) *)
   backoff_ms : float;  (** first backoff; doubles per attempt *)

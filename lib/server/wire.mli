@@ -82,10 +82,6 @@ val frame_of_string : string -> frame
 (** Decode exactly one frame spanning the whole string. Raises {!Bad_frame}
     / {!Truncated} as appropriate. *)
 
-val decode_frame : string -> pos:int -> frame * int
-(** Decode one frame starting at [pos]; returns it with the offset just past
-    it (streaming decode). *)
-
 (** {2 Blocking socket transport} *)
 
 val read_frame : ?deadline:float -> Unix.file_descr -> frame

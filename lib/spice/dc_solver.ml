@@ -194,6 +194,3 @@ let solve_dense ?(injections = []) (flat : Flatten.t) =
     converged = r.Solver.converged;
     max_residual = max_residual_of flat devices inj r.Solver.x;
   }
-
-let net_voltage flat result net =
-  Flatten.node_voltage flat result.voltages flat.Flatten.net_node.(net)

@@ -47,10 +47,6 @@ val solve_dense :
 (** Full-Newton reference solution. Intended for circuits with at most a few
     hundred unknowns. *)
 
-val net_voltage :
-  Flatten.t -> result -> Leakage_circuit.Netlist.net -> float
-(** Solved voltage of a netlist net (rail value for primary inputs). *)
-
 val residual : Flatten.t -> ?injections:(int * float) list ->
   float array -> int -> float
 (** KCL residual (A) at one unknown for a voltage vector — exposed for

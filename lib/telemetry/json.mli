@@ -24,7 +24,7 @@ type t =
 exception Error of string
 (** The one error of this module. The message names the byte offset of a
     parse error (["byte 4190: unterminated array"]), the missing key
-    (["missing key \"sample_chunk\""]), or the expected and actual type
+    (["missing key \"traceEvents\""]), or the expected and actual type
     (["key \"gates\": expected a number, got a string"]). *)
 
 val parse : string -> t

@@ -82,8 +82,6 @@ let disable () =
   close_sink_locked ();
   Mutex.unlock sink_mutex
 
-let set_level level = if Atomic.get gate <> 0 then Atomic.set gate (level_rank level + 1)
-
 (* ------------------------------------------------------- ambient rid *)
 
 let rid_key : string option ref Domain.DLS.key =

@@ -38,8 +38,6 @@ val enable_file : ?level:level -> string -> unit
 (** Open [path] in append mode as the sink; {!disable} closes it. *)
 
 val disable : unit -> unit
-val set_level : level -> unit
-(** Adjust the threshold of an enabled log; no-op while disabled. *)
 
 val enabled : level -> bool
 

@@ -52,3 +52,11 @@ run top --socket absent.sock --frames 1
 run client --socket absent.sock ping
 run client --socket absent.sock open --bench x.lkn
 run client --socket absent.sock --device bogus open --circuit alu88
+run estimate --circuit alu88 --vectors 0
+run estimate --circuit alu88 --passes 0
+run suite --vectors 0
+run mc --samples 0
+run stat --circuit alu88 --samples 0
+run serve --socket s.sock --executors 0
+run serve --socket s.sock --quota 0
+run serve --socket s.sock --max-sessions 0

@@ -16,9 +16,11 @@ module Estimator = Leakage_core.Estimator
 module Loading = Leakage_core.Loading
 module Monte_carlo = Leakage_core.Monte_carlo
 module Vector_control = Leakage_incremental.Vector_control
+module Suite = Leakage_benchmarks.Suite
 module Reporting = Leakage_core.Reporting
 module Rng = Leakage_numeric.Rng
 module Stats = Leakage_numeric.Stats
+module Interp = Leakage_numeric.Interp
 
 let device = Params.d25
 let temp = 300.0
@@ -322,6 +324,77 @@ let test_estimator_scratch_not_aliased () =
     (r1.Estimator.assignment = snapshot);
   Alcotest.(check bool) "two patterns produce distinct assignments" false
     (r1.Estimator.assignment = r2.Estimator.assignment)
+
+(* ------------------------------------------------------------ Ablations *)
+
+(* Paper eq. 5: summing per-pin 1-D tables stands in for the joint
+   (I_in, I_out) loading. The inputs of bench/main.exe
+   ablation-superposition, whose worst errors are 0.082% (input 0) and
+   0.050% (input 1). *)
+let test_ablation_superposition () =
+  let grid = Interp.linspace (-2.4e-6) 2.4e-6 5 in
+  List.iter
+    (fun input_value ->
+      let v = [| input_value |] in
+      let entry = Characterize.characterize ~device ~temp Gate.Inv v in
+      let tb = Testbench.make Gate.Inv v in
+      Array.iter
+        (fun i_in ->
+          Array.iter
+            (fun i_out ->
+              let exact =
+                Testbench.dut_components
+                  (Testbench.solve
+                     ~injections:[ (tb.Testbench.pin_nets.(0), i_in);
+                                   (tb.Testbench.out_net, i_out) ]
+                     ~device ~temp tb)
+              in
+              let approx =
+                Characterize.apply entry ~loading_in:[| i_in |]
+                  ~loading_out:i_out
+              in
+              let err =
+                abs_float
+                  ((Report.total approx -. Report.total exact)
+                  /. Report.total exact)
+              in
+              if err > 1e-3 then
+                Alcotest.failf
+                  "INV input %c, I_in %g A, I_out %g A: superposition off by \
+                   %.4f%% (> 0.1%%)"
+                  (Logic.to_char input_value) i_in i_out (err *. 100.0))
+            grid)
+        grid)
+    [ Logic.Zero; Logic.One ]
+
+(* Paper §6: loading need not propagate past one level. The inputs of
+   bench/main.exe ablation-onelevel: the no-loading sum is 0.55-1.94% off
+   the solver, one pass 0.07-0.18%, and a second pass moves the total by
+   0.0009-0.0062%. *)
+let test_ablation_one_level () =
+  let lib = Library.create ~device ~temp () in
+  List.iter
+    (fun label ->
+      let nl = (Suite.find label).Suite.build () in
+      let pattern = List.hd (Simulate.random_patterns (Rng.create 5) nl 1) in
+      let spice, _, _ = Report.analyze ~device ~temp nl pattern in
+      let reference = Report.total spice.Report.totals in
+      let off v = abs_float ((v -. reference) /. reference) *. 100.0 in
+      let one = Estimator.estimate lib nl pattern in
+      let two = Estimator.estimate ~passes:2 lib nl pattern in
+      let no_loading = Report.total one.Estimator.baseline_totals in
+      let one_pass = Report.total one.Estimator.totals in
+      let two_pass = Report.total two.Estimator.totals in
+      if not (off one_pass < off no_loading) then
+        Alcotest.failf
+          "%s: one pass is %.3f%% off the solver, no closer than the \
+           no-loading sum (%.3f%%)"
+          label (off one_pass) (off no_loading);
+      let moved = abs_float ((two_pass -. one_pass) /. one_pass) *. 100.0 in
+      if moved >= 0.01 then
+        Alcotest.failf "%s: a second pass moves the total by %.4f%% (>= 0.01%%)"
+          label moved)
+    [ "s838"; "s1196"; "alu88"; "mult88" ]
 
 (* [estimate], [estimate_totals] and [estimate_fold] each sum over gates in
    their own loop; all three must land on the same totals bit for bit, and
@@ -1077,6 +1150,12 @@ let () =
           Alcotest.test_case "vector averaging" `Quick test_estimator_average_over_vectors;
           Alcotest.test_case "scratch not aliased" `Quick test_estimator_scratch_not_aliased;
           prop_estimator_loops_agree;
+        ] );
+      ( "ablations",
+        [
+          Alcotest.test_case "superposition" `Quick test_ablation_superposition;
+          Alcotest.test_case "one-level propagation" `Quick
+            test_ablation_one_level;
         ] );
       ( "loading",
         [
