@@ -414,10 +414,8 @@ let characterize_cmd =
         Format.printf "  pin %d injects %+.1f nA into its net@." pin (na inj))
       e.Characterize.pin_injection;
     Format.printf "  delta tables at +1 uA input / -1 uA output:@.";
-    pp_components "    d_in(pin 0):"
-      (Characterize.eval_table e.Characterize.delta_in.(0) 1.0e-6);
-    pp_components "    d_out:"
-      (Characterize.eval_table e.Characterize.delta_out (-1.0e-6))
+    pp_components "    d_in(pin 0):" (Characterize.delta e (In 0) 1.0e-6);
+    pp_components "    d_out:" (Characterize.delta e Out (-1.0e-6))
   in
   Cmd.v
     (Cmd.info "characterize"

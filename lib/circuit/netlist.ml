@@ -183,15 +183,18 @@ let topo_sort_opt t =
     ~fanin:(fun g p -> Ba.get t.pins (Ba.get t.pin_off g + p))
     ~gate_out:(fun g -> Ba.get t.out_net g)
 
-let topo_ids t =
+let cached_topo_order t =
   match t.topo_cache with
-  | Some o -> o
+  | Some _ as o -> o
   | None ->
-    (match topo_sort_opt t with
-     | Some o ->
-       t.topo_cache <- Some o;
-       o
-     | None -> failwith ("Netlist.topo_ids: cycle in " ^ t.nname))
+    let o = topo_sort_opt t in
+    t.topo_cache <- o;
+    o
+
+let topo_ids t =
+  match cached_topo_order t with
+  | Some o -> o
+  | None -> failwith ("Netlist.topo_ids: cycle in " ^ t.nname)
 
 let levelize t =
   Topo_check.levelize_flat ~net_count:t.nnet_count ~n_gates:t.n_gates
@@ -203,9 +206,7 @@ let levelize t =
 let warm t =
   ignore (build_driver_ids t);
   ignore (build_fanout_csr t);
-  (match topo_sort_opt t with
-   | Some o when t.topo_cache = None -> t.topo_cache <- Some o
-   | _ -> ())
+  ignore (cached_topo_order t)
 
 (* --------------------------------------------------------- validation *)
 
@@ -439,24 +440,101 @@ let fnv_string h s =
   String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
   !h
 
-(* One digest pass: label every net bottom-up — primary inputs by their
-   (interface) name, every driven net by the shape of its driver (kind,
-   strength, fan-in labels in pin order) — then hash the *sorted* label
-   multisets. Sorting is what makes the digest canonical: gate ids, net
-   numbering and declaration order all disappear, only structure and the
-   interface names survive. *)
-let digest_with seed t =
-  let labels = Array.make (Stdlib.max 1 t.nnet_count) 0L in
+type int64_arr = (int64, Bigarray.int64_elt, Bigarray.c_layout) Ba.t
+
+let int64_array1 n : int64_arr =
+  let a = Ba.create Bigarray.int64 Bigarray.c_layout n in
+  Ba.fill a 0L;
+  a
+
+(* In-place introsort in [Int64.compare] (signed) order: quicksort around
+   a median of three, insertion sort on short ranges, and heapsort on any
+   range that recurses too deep, so the cost stays O(n log n) whatever
+   labels a netlist produces. Allocates nothing. *)
+let sort_int64 (a : int64_arr) =
+  let swap i j =
+    let x = Ba.get a i in
+    Ba.set a i (Ba.get a j);
+    Ba.set a j x
+  in
+  let rec sift lo root hi =
+    let child = lo + (2 * (root - lo)) + 1 in
+    if child < hi then begin
+      let child =
+        if child + 1 < hi && Ba.get a child < Ba.get a (child + 1) then
+          child + 1
+        else child
+      in
+      if Ba.get a root < Ba.get a child then begin
+        swap root child;
+        sift lo child hi
+      end
+    end
+  in
+  let heapsort lo hi =
+    for root = lo + ((hi - lo) / 2) - 1 downto lo do
+      sift lo root hi
+    done;
+    for last = hi - 1 downto lo + 1 do
+      swap lo last;
+      sift lo lo last
+    done
+  in
+  let insertion lo hi =
+    for i = lo + 1 to hi - 1 do
+      let x = Ba.get a i in
+      let j = ref (i - 1) in
+      while !j >= lo && Ba.get a !j > x do
+        Ba.set a (!j + 1) (Ba.get a !j);
+        decr j
+      done;
+      Ba.set a (!j + 1) x
+    done
+  in
+  (* sorts a.(lo .. hi-1) *)
+  let rec sort lo hi depth =
+    if hi - lo <= 16 then insertion lo hi
+    else if depth = 0 then heapsort lo hi
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      if Ba.get a mid < Ba.get a lo then swap mid lo;
+      if Ba.get a (hi - 1) < Ba.get a lo then swap (hi - 1) lo;
+      if Ba.get a (hi - 1) < Ba.get a mid then swap (hi - 1) mid;
+      let pivot = Ba.get a mid in
+      let i = ref lo and j = ref (hi - 1) in
+      while !i <= !j do
+        while Ba.get a !i < pivot do incr i done;
+        while Ba.get a !j > pivot do decr j done;
+        if !i <= !j then begin
+          swap !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      sort lo (!j + 1) (depth - 1);
+      sort !i hi (depth - 1)
+    end
+  in
+  let n = Ba.dim a in
+  let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
+  sort 0 n (2 * log2 n)
+
+(* One digest pass over a topological [order]: label every net bottom-up —
+   primary inputs by their (interface) name, every driven net by the shape
+   of its driver (kind, strength, fan-in labels in pin order) — then hash
+   the *sorted* label multisets. Sorting is what makes the digest
+   canonical: gate ids, net numbering and declaration order all disappear,
+   only structure and the interface names survive. Labels live in unboxed
+   int64 Bigarrays and sort in place, so a pass leaves no boxed label
+   behind for the major heap. *)
+let digest_with seed order t =
+  let labels = int64_array1 t.nnet_count in
   Array.iter
     (fun n ->
-      labels.(n) <- fnv_string (fnv_byte seed (Char.code 'I')) (net_name t n))
+      Ba.set labels n
+        (fnv_string (fnv_byte seed (Char.code 'I')) (net_name t n)))
     t.ninputs;
-  let order =
-    match topo_sort_opt t with
-    | Some o -> o
-    | None -> invalid_arg "Netlist.digest: not a valid DAG"
-  in
-  let gate_labels = Array.make t.n_gates 0L in
+  let gate_labels = int64_array1 t.n_gates in
   Array.iter
     (fun gi ->
       let h = fnv_byte seed (Char.code 'G') in
@@ -464,28 +542,45 @@ let digest_with seed t =
       let h = fnv_int64 h (Int64.bits_of_float (Ba.get t.strength_arr gi)) in
       let h = ref h in
       for k = Ba.get t.pin_off gi to Ba.get t.pin_off (gi + 1) - 1 do
-        h := fnv_int64 !h labels.(Ba.get t.pins k)
+        (* [fnv_int64] spelled out, so the hot loop keeps [h] unboxed *)
+        let v = Ba.get labels (Ba.get t.pins k) in
+        for shift = 0 to 7 do
+          h := fnv_byte !h (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
+        done
       done;
-      labels.(Ba.get t.out_net gi) <- !h;
-      gate_labels.(gi) <- !h)
+      Ba.set labels (Ba.get t.out_net gi) !h;
+      Ba.set gate_labels gi !h)
     order;
-  let fold_sorted h arr =
-    let c = Array.copy arr in
-    Array.sort Int64.compare c;
-    Array.fold_left fnv_int64 h c
+  let fold_sorted h a =
+    sort_int64 a;
+    let h = ref h in
+    for i = 0 to Ba.dim a - 1 do
+      h := fnv_int64 !h (Ba.get a i)
+    done;
+    !h
+  in
+  let labels_of nets =
+    let a = int64_array1 (Array.length nets) in
+    Array.iteri (fun i n -> Ba.set a i (Ba.get labels n)) nets;
+    a
   in
   let h = fnv_int seed t.n_gates in
   let h = fnv_int h (Array.length t.ninputs) in
   let h = fnv_int h (Array.length t.noutputs) in
   let h = fold_sorted h gate_labels in
-  let h = fold_sorted h (Array.map (fun n -> labels.(n)) t.ninputs) in
-  let h = fold_sorted h (Array.map (fun n -> labels.(n)) t.noutputs) in
+  let h = fold_sorted h (labels_of t.ninputs) in
+  let h = fold_sorted h (labels_of t.noutputs) in
   h
 
 let digest t =
+  let order =
+    match cached_topo_order t with
+    | Some o -> o
+    | None -> invalid_arg "Netlist.digest: not a valid DAG"
+  in
   Printf.sprintf "%016Lx%016Lx"
-    (digest_with 0xcbf29ce484222325L t)
-    (digest_with 0x6c62272e07bb0142L t)
+    (digest_with 0xcbf29ce484222325L order t)
+    (digest_with 0x6c62272e07bb0142L order t)
 
 type stats = {
   n_gates : int;

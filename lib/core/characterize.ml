@@ -17,10 +17,12 @@ type entry = {
   nominal_driven : Report.components;
   pin_injection : float array;
   pin_response : Interp.grid1d array;
-  delta_in : table array;
-  delta_out : table;
+  currents : float array;
+  deltas : float array;
   vth_log_factor : table;
 }
+
+type port = In of int | Out
 
 type grid_spec = {
   max_current : float;
@@ -28,18 +30,6 @@ type grid_spec = {
 }
 
 let default_grid = { max_current = 3.0e-6; points = 21 }
-
-let table_of_samples xs samples base =
-  let pick f = Array.map (fun (c : Report.components) -> f c) samples in
-  let centered f base_v = Array.map (fun v -> v -. base_v) (pick f) in
-  {
-    d_isub =
-      Interp.grid1d ~xs ~ys:(centered (fun c -> c.Report.isub) base.Report.isub);
-    d_igate =
-      Interp.grid1d ~xs ~ys:(centered (fun c -> c.Report.igate) base.Report.igate);
-    d_ibtbt =
-      Interp.grid1d ~xs ~ys:(centered (fun c -> c.Report.ibtbt) base.Report.ibtbt);
-  }
 
 let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
     kind vector =
@@ -81,19 +71,30 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
               Testbench.dut_pin_injection solved pin ))
           xs)
   in
-  let delta_in =
-    Array.map
-      (fun samples -> table_of_samples xs (Array.map fst samples) nominal_driven)
-      pin_sweeps
-  in
   let pin_response =
     Array.map
       (fun samples -> Interp.grid1d ~xs ~ys:(Array.map snd samples))
       pin_sweeps
   in
-  let delta_out =
-    table_of_samples xs (sweep tb.Testbench.out_net) nominal_driven
+  (* Every port's sweep, relative to the driven nominal, in the flat
+     port-major, node-major, component-minor layout [apply] reads. *)
+  let port_samples =
+    Array.append
+      (Array.map (Array.map fst) pin_sweeps)
+      [| sweep tb.Testbench.out_net |]
   in
+  let n = grid.points in
+  let deltas = Array.make (3 * n * (arity + 1)) 0.0 in
+  Array.iteri
+    (fun port samples ->
+      Array.iteri
+        (fun j (c : Report.components) ->
+          let k = 3 * ((port * n) + j) in
+          deltas.(k) <- c.Report.isub -. nominal_driven.Report.isub;
+          deltas.(k + 1) <- c.Report.igate -. nominal_driven.Report.igate;
+          deltas.(k + 2) <- c.Report.ibtbt -. nominal_driven.Report.ibtbt)
+        samples)
+    port_samples;
   (* Threshold response of the driven nominal, tabulated: only the cell
      under test is shifted (its drivers keep nominal thresholds), matching
      how the statistical estimator perturbs gates one by one. Stored as
@@ -135,7 +136,7 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
     }
   in
   { kind; strength; vector; nominal_isolated; nominal_driven; pin_injection;
-    pin_response; delta_in; delta_out; vth_log_factor }
+    pin_response; currents = xs; deltas; vth_log_factor }
 
 (* Slope / curvature of a tabulated log-response at dv = 0, taken from the
    grid nodes bracketing zero (the ±150 mV axis has an odd point count, so
@@ -181,25 +182,79 @@ let vth_factor entry dv =
     ibtbt = exp (Interp.eval1d entry.vth_log_factor.d_ibtbt dv);
   }
 
-let eval_table t amps =
-  {
-    Report.isub = Interp.eval1d t.d_isub amps;
-    igate = Interp.eval1d t.d_igate amps;
-    ibtbt = Interp.eval1d t.d_ibtbt amps;
-  }
+(* Linear interpolation on the shared current axis, as [Interp.eval1d]
+   does it: the edge samples beyond either end, else the segment
+   [xs.(i) <= x < xs.(i+1)] found by bisection and weighted
+   [(y_i *. (1. -. t)) +. (y_{i+1} *. t)]. The same steps are inlined in
+   [apply] so its sums stay in unboxed locals. *)
+let delta entry port amps =
+  let arity = Array.length entry.pin_injection in
+  let port =
+    match port with
+    | In k when k >= 0 && k < arity -> k
+    | In k -> invalid_arg (Printf.sprintf "Characterize.delta: no pin %d" k)
+    | Out -> arity
+  in
+  if Float.is_nan amps then invalid_arg "Characterize.delta: NaN current";
+  let xs = entry.currents and d = entry.deltas in
+  let n = Array.length xs in
+  let node j c = d.((3 * ((port * n) + j)) + c) in
+  let at c =
+    if amps <= xs.(0) then node 0 c
+    else if amps >= xs.(n - 1) then node (n - 1) c
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if xs.(mid) <= amps then lo := mid else hi := mid
+      done;
+      let i = !lo in
+      let t = (amps -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
+      (node i c *. (1.0 -. t)) +. (node (i + 1) c *. t)
+    end
+  in
+  { Report.isub = at 0; igate = at 1; ibtbt = at 2 }
 
 let apply entry ~loading_in ~loading_out =
-  if Array.length loading_in <> Array.length entry.delta_in then
+  let arity = Array.length entry.pin_injection in
+  if Array.length loading_in <> arity then
     invalid_arg "Characterize.apply: loading_in arity mismatch";
-  let acc = ref entry.nominal_driven in
-  Array.iteri
-    (fun pin amps -> acc := Report.add !acc (eval_table entry.delta_in.(pin) amps))
-    loading_in;
-  let withloading = Report.add !acc (eval_table entry.delta_out loading_out) in
+  let xs = entry.currents and d = entry.deltas in
+  let n = Array.length xs in
+  let x_first = xs.(0) and x_last = xs.(n - 1) in
+  let isub = ref entry.nominal_driven.Report.isub
+  and igate = ref entry.nominal_driven.Report.igate
+  and ibtbt = ref entry.nominal_driven.Report.ibtbt in
+  (* Pins in order, then the output: the superposition sum of eq. (5). *)
+  for port = 0 to arity do
+    let amps = if port < arity then loading_in.(port) else loading_out in
+    if Float.is_nan amps then invalid_arg "Characterize.apply: NaN loading";
+    let row = port * n in
+    if amps <= x_first || amps >= x_last then begin
+      let k = 3 * (if amps <= x_first then row else row + n - 1) in
+      isub := !isub +. d.(k);
+      igate := !igate +. d.(k + 1);
+      ibtbt := !ibtbt +. d.(k + 2)
+    end
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if xs.(mid) <= amps then lo := mid else hi := mid
+      done;
+      let i = !lo in
+      let t = (amps -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
+      let s = 1.0 -. t in
+      let k = 3 * (row + i) in
+      isub := !isub +. ((d.(k) *. s) +. (d.(k + 3) *. t));
+      igate := !igate +. ((d.(k + 1) *. s) +. (d.(k + 4) *. t));
+      ibtbt := !ibtbt +. ((d.(k + 2) *. s) +. (d.(k + 5) *. t))
+    end
+  done;
   (* Component shifts can be negative; clamp pathological extrapolation so a
      leakage estimate never goes below zero. *)
   {
-    Report.isub = Float.max 0.0 withloading.Report.isub;
-    igate = Float.max 0.0 withloading.Report.igate;
-    ibtbt = Float.max 0.0 withloading.Report.ibtbt;
+    Report.isub = Float.max 0.0 !isub;
+    igate = Float.max 0.0 !igate;
+    ibtbt = Float.max 0.0 !ibtbt;
   }

@@ -17,8 +17,7 @@ type table = {
   d_igate : Leakage_numeric.Interp.grid1d;
   d_ibtbt : Leakage_numeric.Interp.grid1d;
 }
-(** Component shifts (A) vs injected current (A), relative to the
-    zero-injection testbench solution. *)
+(** One interpolated curve per leakage component. *)
 
 type entry = {
   kind : Leakage_circuit.Gate.kind;
@@ -39,8 +38,16 @@ type entry = {
       propagate loading beyond one level (§6's "propagation of loading
       effect", which the paper argues — and the ablation bench confirms —
       converges after one level). *)
-  delta_in : table array;  (** one per input pin *)
-  delta_out : table;
+  currents : float array;
+  (** the injected-current axis (A) every delta table shares: the grid's
+      [points] nodes, strictly increasing over [±max_current] *)
+  deltas : float array;
+  (** the loading-response tables, flat: leakage-component shifts (A)
+      relative to [nominal_driven] at each node of [currents]. Port [p]
+      (input pin [p] for [p < arity], the output for [p = arity]), node [j]
+      and component [c] (0 sub, 1 gate, 2 BTBT) sit at
+      [3 * (p * points + j) + c], so one lookup reads two adjacent node
+      triples. *)
   vth_log_factor : table;
   (** per component: ln(L(ΔVth)/L(0)) of the driven nominal, tabulated over a
       rigid threshold shift of the cell (±150 mV grid — beyond ±3σ of the
@@ -84,13 +91,20 @@ val characterize :
   Leakage_circuit.Logic.vector ->
   entry
 
-val eval_table :
-  table -> float -> Leakage_spice.Leakage_report.components
-(** Interpolated component shift at a signed injected current. *)
+type port = In of int | Out  (** input pin [k], or the output *)
+
+val delta :
+  entry -> port -> float -> Leakage_spice.Leakage_report.components
+(** One port's interpolated component shift at a signed injected current
+    (linear between nodes, the edge sample beyond either end). Raises
+    [Invalid_argument] on a pin the cell lacks or a NaN current. *)
 
 val apply :
   entry -> loading_in:float array -> loading_out:float ->
   Leakage_spice.Leakage_report.components
 (** Estimated leakage under the given signed loading currents:
-    [nominal_driven + Σ_k delta_in_k(loading_in.(k)) + delta_out loading_out]
-    (per-pin superposition, the paper's eq. 5). *)
+    [nominal_driven + Σ_k delta (In k) loading_in.(k) + delta Out loading_out],
+    summed per component in that order and clamped at zero (per-pin
+    superposition, the paper's eq. 5). Each port costs one search of the
+    shared axis and allocates nothing but the result. Raises
+    [Invalid_argument] on an arity mismatch or a NaN loading. *)

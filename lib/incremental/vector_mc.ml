@@ -3,6 +3,7 @@ module Stats = Leakage_numeric.Stats
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
+module Estimator = Leakage_core.Estimator
 module Pool = Leakage_parallel.Pool
 
 type result = {
@@ -14,53 +15,34 @@ type result = {
   mean_shift_percent : float;
 }
 
-(* Fixed resampling chunk width. Each chunk owns a fresh Incremental session
-   seeded on its first vector and walks the rest by set_vector, so chunks
-   are independent: the work — and the subtract-old/add-new float drift of a
-   session — is a function of the chunk boundaries only, which depend on the
-   sample count and never on the pool. Parallel and sequential runs are
-   therefore bit-identical. *)
+(* Fixed resampling chunk width. Every sample is a fresh estimate, so the
+   chunks fix only the float-summation tree of the means: it depends on the
+   sample count and never on the pool, which makes parallel and sequential
+   runs bit-identical. *)
 let mc_chunk = 32
 
-type chunk_part = {
-  p_acc : Report.components;
-  p_base : Report.components;
-  p_shift : float;
-}
-
-(* Walk vectors.(lo..hi-1) on a chunk-local session, writing per-vector
-   totals into the shared (disjoint) slices and returning the chunk sums. *)
+(* Estimate vectors.(lo..hi-1) on one chunk-local logic buffer, writing
+   per-vector totals into the shared (disjoint) slices and returning the
+   chunk's component sum and loading-shift sum. *)
 let run_chunk lib netlist vectors totals baselines ~lo ~hi =
-  let session = Incremental.create lib netlist vectors.(lo) in
-  let acc = ref Report.zero in
-  let acc_base = ref Report.zero in
-  let shift = ref 0.0 in
+  let scratch = Array.make (Netlist.net_count netlist) Logic.Zero in
+  let acc = ref Report.zero and shift = ref 0.0 in
   for i = lo to hi - 1 do
-    if i > lo then Incremental.set_vector session vectors.(i);
-    let c = Incremental.totals session in
-    let base = Incremental.baseline_totals session in
+    let c, base = Estimator.estimate_totals ~scratch lib netlist vectors.(i) in
     let b = Report.total base in
     totals.(i) <- Report.total c;
     baselines.(i) <- b;
     acc := Report.add !acc c;
-    acc_base := Report.add !acc_base base;
     shift := !shift +. ((totals.(i) -. b) /. b *. 100.0)
   done;
-  { p_acc = !acc; p_base = !acc_base; p_shift = !shift }
-
-let fold_parts parts =
-  Array.fold_left
-    (fun (acc, base, shift) p ->
-      (Report.add acc p.p_acc, Report.add base p.p_base, shift +. p.p_shift))
-    (Report.zero, Report.zero, 0.0)
-    parts
+  (!acc, !shift)
 
 let resample ?pool ?(seed = 1) ~samples lib netlist =
   if samples <= 0 then invalid_arg "Vector_mc.resample: samples must be positive";
   let rng = Rng.create seed in
   let width = Array.length (Netlist.inputs netlist) in
-  (* Draw every vector up front from the single stream, in sample order —
-     the same draw sequence as a purely sequential walk. *)
+  (* Draw every vector up front from the single stream, in sample order, so
+     the draws never depend on how chunks are scheduled. *)
   let vectors = Array.make samples [||] in
   for i = 0 to samples - 1 do
     vectors.(i) <- Logic.random_vector rng width
@@ -68,11 +50,13 @@ let resample ?pool ?(seed = 1) ~samples lib netlist =
   Netlist.warm netlist;
   let totals = Array.make samples 0.0 in
   let baselines = Array.make samples 0.0 in
-  let parts =
-    Pool.map_chunked ?pool ~chunk:mc_chunk samples
-      (run_chunk lib netlist vectors totals baselines)
+  let acc, shift =
+    Array.fold_left
+      (fun (acc, shift) (c, s) -> (Report.add acc c, shift +. s))
+      (Report.zero, 0.0)
+      (Pool.map_chunked ?pool ~chunk:mc_chunk samples
+         (run_chunk lib netlist vectors totals baselines))
   in
-  let acc, _, shift = fold_parts parts in
   {
     totals;
     baselines;
@@ -81,18 +65,3 @@ let resample ?pool ?(seed = 1) ~samples lib netlist =
     mean_components = Report.scale (1.0 /. float_of_int samples) acc;
     mean_shift_percent = shift /. float_of_int samples;
   }
-
-let over_vectors ?pool lib netlist vectors =
-  if vectors = [] then invalid_arg "Vector_mc.over_vectors: empty vector list";
-  let vectors = Array.of_list vectors in
-  let n = Array.length vectors in
-  Netlist.warm netlist;
-  let totals = Array.make n 0.0 in
-  let baselines = Array.make n 0.0 in
-  let parts =
-    Pool.map_chunked ?pool ~chunk:mc_chunk n
-      (run_chunk lib netlist vectors totals baselines)
-  in
-  let acc, acc_base, _ = fold_parts parts in
-  let k = 1.0 /. float_of_int n in
-  (Report.scale k acc, Report.scale k acc_base)

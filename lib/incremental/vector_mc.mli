@@ -3,14 +3,15 @@
     Standby leakage depends strongly on the input state (§6); when the
     standby vector is unknown, the expected leakage and its spread come from
     resampling random primary-input vectors. Each draw differs from the
-    previous one in about half the input bits, so walking the sweep on
-    {!Incremental} sessions via {!Incremental.set_vector} costs only the
-    changed cones per draw instead of a full estimate per draw.
+    previous one in about half the input bits — a dense move that touches
+    most of the circuit — so every sample is a fresh
+    {!Leakage_core.Estimator.estimate_totals} on a reused logic buffer: one
+    table lookup per gate, no incremental session to walk.
 
-    The sweep is split into fixed-width chunks, each walked by its own
-    session; chunks fan out across a {!Leakage_parallel.Pool} when one is
-    given. Chunk boundaries (and hence each session's float-drift history
-    and the reduction tree) depend only on the sample count, so results are
+    Samples are grouped into fixed-width chunks that fan out across a
+    {!Leakage_parallel.Pool} when one is given. Per-sample totals do not
+    depend on the chunking at all; the chunk boundaries (a function of the
+    sample count only) fix the reduction tree of the means, so results are
     bit-identical with or without a pool, at any pool size. *)
 
 type result = {
@@ -36,23 +37,14 @@ val resample :
   Leakage_circuit.Netlist.t ->
   result
 (** Estimate the leakage distribution over [samples] uniform random input
-    vectors (default [seed] 1). Raises [Invalid_argument] when [samples] is
-    not positive. Equivalent to mapping {!Leakage_core.Estimator.estimate}
-    over the vectors, but incremental between consecutive draws. *)
-
-val over_vectors :
-  ?pool:Leakage_parallel.Pool.t ->
-  Leakage_core.Library.t ->
-  Leakage_circuit.Netlist.t ->
-  Leakage_circuit.Logic.vector list ->
-  Leakage_spice.Leakage_report.components
-  * Leakage_spice.Leakage_report.components
-(** [(mean with-loading totals, mean baseline totals)] over an explicit
-    vector set — the session-backed counterpart of
-    {!Leakage_core.Estimator.average_over_vectors} for workloads that visit
-    similar vectors. Raises [Invalid_argument] on an empty list. *)
+    vectors (default [seed] 1), drawn in sample order from one
+    {!Leakage_numeric.Rng} stream. [totals.(i)] and [baselines.(i)] are
+    exactly the {!Leakage_spice.Leakage_report.total}s of
+    {!Leakage_core.Estimator.estimate_totals} on the [i]-th vector. Raises
+    [Invalid_argument] when [samples] is not positive. *)
 
 val mc_chunk : int
-(** Fixed chunk width of the resampling sweep (vectors per session). Part of
-    the bit-identity contract: results are only reproducible across builds
-    that agree on this constant, so benchmark artifacts record it. *)
+(** Fixed chunk width of the resampling sweep (vectors per chunk). It fixes
+    the summation tree of [mean_components] and [mean_shift_percent], so
+    those are only reproducible across builds that agree on this constant;
+    benchmark artifacts record it. *)

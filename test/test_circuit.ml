@@ -672,6 +672,46 @@ let test_digest_sensitivity () =
   differs "pin order changes digest" (build ~pins:true ());
   differs "output marking changes digest" (build ~mark:false ())
 
+(* The digest is a persisted format (LKN1 headers, LKC1 checkpoints,
+   registry keys): these values must never change. *)
+let test_digest_literals () =
+  let module Suite = Leakage_benchmarks.Suite in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) name expected
+        (Netlist.digest ((Suite.find name).Suite.build ())))
+    [
+      ("s838", "4937e8bb196a86fdcdb244423fa416e1");
+      ("s1196", "02e5a627e329f1ee4aa4ca8a93581f1b");
+      ("s1423", "c0ebaa4a3f2a724dc48252bfdafdb1de");
+      ("s5378", "0f1a75c9c25fbda8760046b2b099820d");
+      ("s9234", "a5576af314e1f120e17e97e110ccb657");
+      ("s13207", "4aa27d632f8b1007277bdccb91680883");
+      ("alu88", "bad4fff4721cd0d88f549997b699f56c");
+      ("mult88", "58cd034c0f1f861e73f1cf965dfa8c28");
+    ];
+  Alcotest.(check string) "chain16k" "31b7697c49d5cd6792ead9c3c1fad4df"
+    (Netlist.digest
+       (Leakage_benchmarks.Trees.chain ~stages:16384 ~tap_every:64 ()))
+
+let test_digest_rejects_cycle () =
+  (* y = NOT(a), z = NOT(y), then rewire the first inverter to read z *)
+  let b = Netlist.Builder.create "loop" in
+  let a = Netlist.Builder.input ~name:"a" b in
+  let y = Netlist.Builder.gate b Gate.Inv [| a |] in
+  let z = Netlist.Builder.gate b Gate.Inv [| y |] in
+  Netlist.Builder.mark_output b z;
+  let raw = Netlist.Repr.to_raw (Netlist.Builder.finish b) in
+  let pins = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 2 in
+  Bigarray.Array1.blit raw.Netlist.Repr.r_pins pins;
+  Bigarray.Array1.set pins 0 z;
+  let cyclic =
+    Netlist.Repr.of_raw ~validate:false { raw with Netlist.Repr.r_pins = pins }
+  in
+  Alcotest.check_raises "cycle"
+    (Invalid_argument "Netlist.digest: not a valid DAG") (fun () ->
+      ignore (Netlist.digest cyclic))
+
 let () =
   Alcotest.run "circuit"
     [
@@ -737,6 +777,8 @@ let () =
           Alcotest.test_case "names" `Quick test_digest_name_insensitive;
           Alcotest.test_case "bench roundtrip" `Quick test_digest_bench_roundtrip;
           Alcotest.test_case "sensitivity" `Quick test_digest_sensitivity;
+          Alcotest.test_case "literals" `Quick test_digest_literals;
+          Alcotest.test_case "rejects a cycle" `Quick test_digest_rejects_cycle;
         ] );
       ( "bench-format",
         [

@@ -16,6 +16,7 @@ module Estimator = Leakage_core.Estimator
 module Loading = Leakage_core.Loading
 module Monte_carlo = Leakage_core.Monte_carlo
 module Vector_control = Leakage_incremental.Vector_control
+module Vector_mc = Leakage_incremental.Vector_mc
 module Suite = Leakage_benchmarks.Suite
 module Reporting = Leakage_core.Reporting
 module Rng = Leakage_numeric.Rng
@@ -89,6 +90,15 @@ let test_isolated_components () =
 let entry_inv0 = Library.entry lib Gate.Inv [| Logic.Zero |]
 let entry_inv1 = Library.entry lib Gate.Inv [| Logic.One |]
 
+(* a spread of kinds and vectors for the [apply] guard and reference checks *)
+let apply_entries =
+  lazy
+    (List.map
+       (fun (kind, v) -> Library.entry lib kind (Logic.vector_of_string v))
+       [ (Gate.Inv, "0"); (Gate.Inv, "1"); (Gate.Nand 2, "10");
+         (Gate.Nand 2, "11"); (Gate.Nor 3, "010"); (Gate.Aoi21, "101");
+         (Gate.Xor, "10") ])
+
 let test_characterize_zero_injection_identity () =
   (* at zero loading the tables must reproduce the driven nominal *)
   let applied =
@@ -100,13 +110,13 @@ let test_characterize_zero_injection_identity () =
 
 let test_characterize_delta_signs_input () =
   (* positive injection on a '0' input raises sub, trims gate (Fig 5a/b) *)
-  let d = Characterize.eval_table entry_inv0.Characterize.delta_in.(0) 2.0e-6 in
+  let d = Characterize.delta entry_inv0 (In 0) 2.0e-6 in
   Alcotest.(check bool) "sub up" true (d.Report.isub > 0.0);
   Alcotest.(check bool) "gate down" true (d.Report.igate < 0.0)
 
 let test_characterize_delta_signs_output () =
   (* negative injection (fanout draw) on a '1' output lowers everything *)
-  let d = Characterize.eval_table entry_inv0.Characterize.delta_out (-2.0e-6) in
+  let d = Characterize.delta entry_inv0 Out (-2.0e-6) in
   Alcotest.(check bool) "sub down" true (d.Report.isub < 0.0);
   Alcotest.(check bool) "gate down" true (d.Report.igate < 0.0);
   Alcotest.(check bool) "btbt down" true (d.Report.ibtbt < 0.0)
@@ -116,7 +126,7 @@ let test_characterize_monotone_sub_table () =
   let values =
     List.map
       (fun x ->
-        (Characterize.eval_table entry_inv0.Characterize.delta_in.(0) x).Report.isub)
+        (Characterize.delta entry_inv0 (In 0) x).Report.isub)
       xs
   in
   let rec increasing = function
@@ -138,7 +148,21 @@ let test_characterize_apply_guard () =
     (fun () ->
       ignore
         (Characterize.apply entry_inv0 ~loading_in:[| 0.0; 0.0 |]
-           ~loading_out:0.0))
+           ~loading_out:0.0));
+  (* a NaN loading on any pin or on the output is rejected *)
+  List.iter
+    (fun (e : Characterize.entry) ->
+      let arity = Gate.arity e.Characterize.kind in
+      for port = 0 to arity do
+        let loading_in = Array.init arity (fun p -> if p = port then nan else 0.0) in
+        let loading_out = if port = arity then nan else 0.0 in
+        match Characterize.apply e ~loading_in ~loading_out with
+        | exception Invalid_argument _ -> ()
+        | _ ->
+          Alcotest.failf "%s: NaN on port %d accepted"
+            (Gate.name e.Characterize.kind) port
+      done)
+    (Lazy.force apply_entries)
 
 let test_characterize_apply_never_negative () =
   (* far beyond the grid the clamped tables must not drive leakage < 0 *)
@@ -156,6 +180,67 @@ let test_characterize_grid_guards () =
         (Characterize.characterize
            ~grid:{ Characterize.max_current = 1e-6; points = 1 }
            ~device ~temp Gate.Inv [| Logic.Zero |]))
+
+(* [apply] reads the flat tables with its own search and sums in unboxed
+   locals; it must land on exactly what the same samples give through
+   [Interp.eval1d] and [Report.add] — pins in order, then the output, then
+   [Float.max 0.0] — bit for bit. *)
+let reference_apply (e : Characterize.entry) ~loading_in ~loading_out =
+  let xs = e.Characterize.currents in
+  let n = Array.length xs in
+  let shift port amps =
+    let at c =
+      let ys =
+        Array.init n (fun j -> e.Characterize.deltas.((3 * ((port * n) + j)) + c))
+      in
+      Interp.eval1d (Interp.grid1d ~xs ~ys) amps
+    in
+    { Report.isub = at 0; igate = at 1; ibtbt = at 2 }
+  in
+  let acc = ref e.Characterize.nominal_driven in
+  Array.iteri (fun pin amps -> acc := Report.add !acc (shift pin amps)) loading_in;
+  let c = Report.add !acc (shift (Array.length loading_in) loading_out) in
+  {
+    Report.isub = Float.max 0.0 c.Report.isub;
+    igate = Float.max 0.0 c.Report.igate;
+    ibtbt = Float.max 0.0 c.Report.ibtbt;
+  }
+
+let bits (c : Report.components) =
+  List.map Int64.bits_of_float [ c.Report.isub; c.Report.igate; c.Report.ibtbt ]
+
+let prop_apply_matches_reference =
+  let loading (e : Characterize.entry) =
+    let xs = e.Characterize.currents in
+    let m = xs.(Array.length xs - 1) in
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofa xs;
+          float_range (-.m) m;
+          map2 (fun k sign -> sign *. k *. m) (float_range 1.0 100.0)
+            (oneofl [ 1.0; -1.0 ]);
+          oneofl [ 0.0; -0.0 ];
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* e = oneofl (Lazy.force apply_entries) in
+      let* loading_in = array_repeat (Gate.arity e.Characterize.kind) (loading e) in
+      let* loading_out = loading e in
+      return (e, loading_in, loading_out))
+  in
+  let print (e, loading_in, loading_out) =
+    Printf.sprintf "%s in=[%s] out=%h" (Gate.name e.Characterize.kind)
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") loading_in)))
+      loading_out
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~print
+       ~name:"apply equals eval1d reference bit for bit" gen
+       (fun (e, loading_in, loading_out) ->
+         bits (Characterize.apply e ~loading_in ~loading_out)
+         = bits (reference_apply e ~loading_in ~loading_out)))
 
 (* -------------------------------------------------------------- Library *)
 
@@ -312,6 +397,52 @@ let test_estimator_average_over_vectors () =
   Alcotest.(check bool) "positive averages" true
     (Report.total loaded > 0.0 && Report.total base > 0.0)
 
+(* Allocation gate, deterministic in a sequential run: with a warm library
+   and telemetry off, a table lookup allocates only its result, so an
+   estimate costs the per-gate entry, vector and loading arrays plus a few
+   records — and a resampled vector costs one estimate. *)
+let test_estimator_minor_words () =
+  let module Tm = Leakage_telemetry.Telemetry in
+  let was_enabled = Tm.enabled () in
+  Tm.set_enabled false;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was_enabled) @@ fun () ->
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun name ->
+      let nl = (Suite.find name).Suite.build () in
+      Netlist.warm nl;
+      let gates = float_of_int (Netlist.gate_count nl) in
+      let rng = Rng.create 17 in
+      let vectors =
+        Array.init 8 (fun _ ->
+            Logic.random_vector rng (Array.length (Netlist.inputs nl)))
+      in
+      let scratch = Array.make (Netlist.net_count nl) Logic.Zero in
+      let estimate_all () =
+        Array.iter
+          (fun v -> ignore (Estimator.estimate_totals ~scratch lib nl v))
+          vectors
+      in
+      let resample_one () =
+        ignore (Vector_mc.resample ~seed:5 ~samples:1 lib nl)
+      in
+      (* warm-up: characterize every key the measured calls touch *)
+      estimate_all ();
+      resample_one ();
+      let per_gate_vector = words estimate_all /. (gates *. 8.0) in
+      let per_sample_gate = words resample_one /. gates in
+      if per_gate_vector > 80.0 then
+        Alcotest.failf "%s: estimate_totals allocates %.1f words per gate-vector (> 80)"
+          name per_gate_vector;
+      if per_sample_gate > 80.0 then
+        Alcotest.failf "%s: one resample allocates %.1f words per gate (> 80)"
+          name per_sample_gate)
+    [ "alu88"; "s838" ]
+
 let test_estimator_scratch_not_aliased () =
   (* regression: with ~scratch, result.assignment used to alias the buffer,
      so the next run_into on the same scratch mutated the earlier result *)
@@ -401,9 +532,6 @@ let test_ablation_one_level () =
    [estimate]'s per-gate rows must be indexed by gate id with the logic
    values a direct [gate_pin] scan reads. *)
 let prop_estimator_loops_agree =
-  let bits (c : Report.components) =
-    List.map Int64.bits_of_float [ c.Report.isub; c.Report.igate; c.Report.ibtbt ]
-  in
   let same a b = bits a = bits b in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:20
@@ -1127,6 +1255,7 @@ let () =
           Alcotest.test_case "apply guard" `Quick test_characterize_apply_guard;
           Alcotest.test_case "never negative" `Quick test_characterize_apply_never_negative;
           Alcotest.test_case "grid guards" `Quick test_characterize_grid_guards;
+          prop_apply_matches_reference;
         ] );
       ( "library",
         [
@@ -1149,6 +1278,7 @@ let () =
           Alcotest.test_case "matches spice" `Quick test_estimator_matches_spice_on_chain;
           Alcotest.test_case "vector averaging" `Quick test_estimator_average_over_vectors;
           Alcotest.test_case "scratch not aliased" `Quick test_estimator_scratch_not_aliased;
+          Alcotest.test_case "minor words per gate-vector" `Quick test_estimator_minor_words;
           prop_estimator_loops_agree;
         ] );
       ( "ablations",

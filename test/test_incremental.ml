@@ -276,18 +276,6 @@ let test_greedy_dual_vth () =
     (rel (Report.total e.Dual_vth.totals) (Report.total e'.Dual_vth.totals)
      <= 1e-9)
 
-let test_vector_mc_matches_estimator () =
-  let nl = Trees.parity ~width:4 () in
-  let vectors =
-    List.map Logic.vector_of_string [ "0000"; "1010"; "1111"; "0110"; "1000" ]
-  in
-  let m_loaded, m_base = Vector_mc.over_vectors lib nl vectors in
-  let e_loaded, e_base = Estimator.average_over_vectors lib nl vectors in
-  Alcotest.(check bool) "mean loading totals match" true
-    (rel (Report.total m_loaded) (Report.total e_loaded) <= 1e-9);
-  Alcotest.(check bool) "mean baseline totals match" true
-    (rel (Report.total m_base) (Report.total e_base) <= 1e-9)
-
 let test_vector_mc_resample () =
   let nl = Trees.parity ~width:4 () in
   let r = Vector_mc.resample ~seed:3 ~samples:20 lib nl in
@@ -500,8 +488,6 @@ let () =
       ( "optimizers",
         [
           Alcotest.test_case "greedy dual-Vth" `Quick test_greedy_dual_vth;
-          Alcotest.test_case "vector MC vs estimator" `Quick
-            test_vector_mc_matches_estimator;
           Alcotest.test_case "vector MC resample" `Quick test_vector_mc_resample;
         ] );
       ( "differential",

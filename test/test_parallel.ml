@@ -250,23 +250,41 @@ let prop_monte_carlo_bit_identical =
       let seq = run None in
       List.for_all (fun pool -> run pool = seq) pools)
 
+(* Every resampled vector is a fresh estimate: sample [i]'s totals are
+   exactly those of [estimate_totals] on the [i]-th vector drawn from
+   [Rng.create seed], and every pooled run reproduces the sequential
+   result field for field. Sample counts include the ones that straddle
+   the 32-wide chunk edges. *)
 let prop_vector_mc_bit_identical =
-  qtest ~count:6 "Vector_mc.resample bit-identical at any pool size"
-    QCheck2.Gen.(tup2 (int_bound 100_000) (int_range 1 70))
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  qtest ~count:10
+    "Vector_mc.resample bit-identical at any pool size and to fresh estimates"
+    QCheck2.Gen.(
+      tup2 (int_bound 100_000) (oneof [ oneofl [ 1; 32; 33; 70 ]; int_range 1 70 ]))
     (fun (seed, samples) ->
       let rng = Rng.create (seed + 1) in
       let nl = random_netlist rng in
       let run pool = Vector_mc.resample ?pool ~seed:(seed + 2) ~samples lib nl in
       let seq = run None in
-      List.for_all
-        (fun pool ->
-          let r = run pool in
-          r.Vector_mc.totals = seq.Vector_mc.totals
-          && r.Vector_mc.baselines = seq.Vector_mc.baselines
-          && r.Vector_mc.summary = seq.Vector_mc.summary
-          && r.Vector_mc.mean_components = seq.Vector_mc.mean_components
-          && r.Vector_mc.mean_shift_percent = seq.Vector_mc.mean_shift_percent)
-        pools)
+      let draws = Rng.create (seed + 2) in
+      let width = Array.length (Netlist.inputs nl) in
+      let fresh_ok i =
+        let loaded, base =
+          Estimator.estimate_totals lib nl (Logic.random_vector draws width)
+        in
+        same seq.Vector_mc.totals.(i) (Report.total loaded)
+        && same seq.Vector_mc.baselines.(i) (Report.total base)
+      in
+      List.for_all fresh_ok (List.init samples Fun.id)
+      && List.for_all
+           (fun pool ->
+             let r = run pool in
+             r.Vector_mc.totals = seq.Vector_mc.totals
+             && r.Vector_mc.baselines = seq.Vector_mc.baselines
+             && r.Vector_mc.summary = seq.Vector_mc.summary
+             && r.Vector_mc.mean_components = seq.Vector_mc.mean_components
+             && r.Vector_mc.mean_shift_percent = seq.Vector_mc.mean_shift_percent)
+           pools)
 
 let test_suite_estimate_all_deterministic () =
   let entries = [ Suite.find "alu88" ] in
@@ -289,18 +307,6 @@ let test_precharacterize_pool_adopts_entries () =
   let e = Library.entry fresh Gate.Inv [| Logic.Zero |] in
   Alcotest.(check bool) "usable entry" true
     (Report.total e.Characterize.nominal_isolated > 0.0)
-
-let test_over_vectors_pool_matches () =
-  let rng = Rng.create 11 in
-  let nl = random_netlist rng in
-  let width = Array.length (Netlist.inputs nl) in
-  let vs = List.init 37 (fun _ -> Logic.random_vector rng width) in
-  let seq = Vector_mc.over_vectors lib nl vs in
-  List.iter
-    (fun pool ->
-      Alcotest.(check bool) "over_vectors bit-identical" true
-        (Vector_mc.over_vectors ?pool lib nl vs = seq))
-    pools
 
 let () =
   Alcotest.run "parallel"
@@ -331,6 +337,5 @@ let () =
           prop_vector_mc_bit_identical;
           Alcotest.test_case "suite fan-out" `Quick test_suite_estimate_all_deterministic;
           Alcotest.test_case "precharacterize pool" `Quick test_precharacterize_pool_adopts_entries;
-          Alcotest.test_case "over_vectors pool" `Quick test_over_vectors_pool_matches;
         ] );
     ]
