@@ -109,6 +109,15 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A probability: anything outside [0, 1], NaN included, is a usage error. *)
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected a number in [0, 1]"))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let vectors_arg doc =
   Arg.(value & opt positive_int 10 & info [ "vectors" ] ~docv:"N" ~doc)
 
@@ -688,7 +697,7 @@ let dualvth_cmd =
 
 let prob_cmd =
   let p_one_arg =
-    Arg.(value & opt float 0.5
+    Arg.(value & opt probability 0.5
          & info [ "p1" ] ~docv:"PROB"
              ~doc:"Probability of '1' on every primary input.")
   in

@@ -27,24 +27,36 @@ type result = {
   net_injection : float array;
 }
 
-(* Shared flat-storage core of [estimate] / [estimate_totals]: logic
-   values, per-gate characterization entries, and the loading fixed point
-   over a single pin-aligned contribution array (CSR layout mirroring the
-   netlist's pin storage — no per-gate float array on the hot path).
+(* Eq. (3) and eq. (5) for one gate — the only place the loading rule is
+   written. I_L-IN of an input pin is the gate current of the *other* cells
+   on its net: the net's injection minus this cell's own pin current, which
+   the characterization testbench already accounts for. A primary-input net
+   (no driving gate) is an ideal source in the real circuit, so sibling
+   loading is irrelevant there; instead the pin is loaded with minus the
+   cell's own current, cancelling the testbench's finite-driver self-droop.
+   I_L-OUT is the whole injection on the output net. *)
+let gate_leakage netlist g entry ~net_injection ~(own : float array)
+    ~(loading_in : float array) =
+  for p = 0 to Array.length loading_in - 1 do
+    let net = Netlist.gate_pin netlist g p in
+    loading_in.(p) <-
+      (if Netlist.driver_id netlist net < 0 then -.own.(p)
+       else net_injection.(net) -. own.(p))
+  done;
+  Characterize.apply entry ~loading_in
+    ~loading_out:net_injection.(Netlist.gate_out netlist g)
 
-   Iteration is by ascending gate id and ascending pin everywhere, so
-   [estimate], [estimate_totals] and [estimate_fold] perform every float sum
-   in the same order and their totals stay bit-identical. *)
-
+(* What every estimate shares: the logic values, each gate's
+   characterization entry, its own pin currents after the last pass, and
+   the loading current each net receives. *)
 type core = {
+  c_assignment : Simulate.assignment;
   c_entries : Characterize.entry array; (* per gate id *)
-  c_contribution : float array;         (* flat, pin-aligned (CSR) *)
-  c_pin_base : int array;               (* gate id -> offset into c_contribution *)
+  c_own : float array array;            (* per gate id, per pin *)
   c_net_injection : float array;        (* per net *)
-  c_is_pi_net : bool array;             (* per net *)
 }
 
-let run_core ~passes ~library_of_gate ~assignment lib netlist =
+let run_core ~passes ~library_of_gate ~scratch lib netlist pattern =
   if passes < 1 then invalid_arg "Estimator.estimate: passes must be >= 1";
   if Tm.enabled () then begin
     Tm.incr m_estimates;
@@ -52,13 +64,17 @@ let run_core ~passes ~library_of_gate ~assignment lib netlist =
     (* passes beyond the first are the loading fixed-point sweep *)
     Tm.add m_pass_steps (passes - 1)
   end;
+  let assignment =
+    match scratch with
+    | None -> Simulate.run netlist pattern
+    | Some buf ->
+      Simulate.run_into netlist pattern buf;
+      buf
+  in
   let n_gates = Netlist.gate_count netlist in
   let nets = Netlist.net_count netlist in
   let arity = Netlist.gate_arity netlist in
   let pin = Netlist.gate_pin netlist in
-  let vector_of g =
-    Array.init (arity g) (fun p -> assignment.(pin g p))
-  in
   let lib_for g =
     match library_of_gate with Some f -> f g | None -> lib
   in
@@ -66,33 +82,30 @@ let run_core ~passes ~library_of_gate ~assignment lib netlist =
      the injection pass and the lookup pass. *)
   let entries =
     Array.init n_gates (fun g ->
+        let vector = Array.make (arity g) Logic.Zero in
+        for p = 0 to arity g - 1 do
+          vector.(p) <- assignment.(pin g p)
+        done;
         Library.entry
           ~strength:(Netlist.gate_strength netlist g)
           (lib_for g)
           (Netlist.gate_kind netlist g)
-          (vector_of g))
+          vector)
   in
-  let pin_base = Array.make (n_gates + 1) 0 in
-  for g = 0 to n_gates - 1 do
-    pin_base.(g + 1) <- pin_base.(g) + arity g
-  done;
   (* Loading current each net receives: the sum of the per-pin injections of
-     every fanout cell. Pass 1 uses the nominal pin currents; further passes
-     re-evaluate each pin's current under the loading seen on its net in the
-     previous pass (one extra level of propagation per pass). *)
-  let contribution = Array.make pin_base.(n_gates) 0.0 in
-  for g = 0 to n_gates - 1 do
-    let inj = entries.(g).Characterize.pin_injection in
-    Array.blit inj 0 contribution pin_base.(g) (Array.length inj)
-  done;
+     every fanout cell. Pass 1 uses the nominal pin currents (shared with
+     the entries, never written); further passes re-evaluate each pin's
+     current under the loading seen on its net in the previous pass (one
+     extra level of propagation per pass). *)
+  let own = Array.map (fun e -> e.Characterize.pin_injection) entries in
   let net_injection = Array.make nets 0.0 in
   let accumulate () =
     Array.fill net_injection 0 nets 0.0;
     for g = 0 to n_gates - 1 do
-      let base = pin_base.(g) in
+      let o = own.(g) in
       for p = 0 to arity g - 1 do
         let net = pin g p in
-        net_injection.(net) <- net_injection.(net) +. contribution.(base + p)
+        net_injection.(net) <- net_injection.(net) +. o.(p)
       done
     done
   in
@@ -100,139 +113,87 @@ let run_core ~passes ~library_of_gate ~assignment lib netlist =
   for _ = 2 to passes do
     for g = 0 to n_gates - 1 do
       let e = entries.(g) in
-      let base = pin_base.(g) in
-      for p = 0 to arity g - 1 do
-        (* loading external to this cell on this net *)
-        let external_load =
-          net_injection.(pin g p) -. contribution.(base + p)
-        in
-        contribution.(base + p) <-
-          Leakage_numeric.Interp.eval1d
-            e.Characterize.pin_response.(p) external_load
-      done
+      own.(g) <-
+        Array.mapi
+          (fun p o ->
+            (* loading external to this cell on this net *)
+            Leakage_numeric.Interp.eval1d e.Characterize.pin_response.(p)
+              (net_injection.(pin g p) -. o))
+          own.(g)
     done;
     accumulate ()
   done;
-  let is_pi_net =
-    let flags = Array.make nets true in
-    for g = 0 to n_gates - 1 do
-      flags.(Netlist.gate_out netlist g) <- false
-    done;
-    flags
-  in
   {
+    c_assignment = assignment;
     c_entries = entries;
-    c_contribution = contribution;
-    c_pin_base = pin_base;
+    c_own = own;
     c_net_injection = net_injection;
-    c_is_pi_net = is_pi_net;
   }
 
-(* I_L-IN of eq. (3): gate leakage of the *other* gates on the input net —
-   subtract this cell's own pin contribution, which the characterization
-   testbench already accounts for. Primary-input nets are ideal sources in
-   the real circuit, so there sibling loading is irrelevant; instead cancel
-   the characterization testbench's finite-driver self-droop by loading the
-   pin with the negation of the cell's own pin current. *)
-let loading_in_of c netlist g =
-  let base = c.c_pin_base.(g) in
-  Array.init
-    (Netlist.gate_arity netlist g)
-    (fun p ->
-      let net = Netlist.gate_pin netlist g p in
-      let own = c.c_contribution.(base + p) in
-      if c.c_is_pi_net.(net) then -.own else c.c_net_injection.(net) -. own)
+(* The one per-gate loop. Every gate goes through [gate_leakage] in
+   ascending id order and the totals are summed in that order, so
+   [estimate], [estimate_totals] and [estimate_fold] — folds over this
+   loop — agree bit for bit. [f] gets the gate's fresh I_L-IN array and its
+   loading-aware components; no float is passed on its own, where it would
+   be boxed. *)
+let fold_gates netlist c ~init ~f =
+  let totals = ref Report.zero and baseline = ref Report.zero in
+  let acc = ref init in
+  for g = 0 to Netlist.gate_count netlist - 1 do
+    let e = c.c_entries.(g) in
+    let loading_in = Array.make (Netlist.gate_arity netlist g) 0.0 in
+    let loaded =
+      gate_leakage netlist g e ~net_injection:c.c_net_injection
+        ~own:c.c_own.(g) ~loading_in
+    in
+    totals := Report.add !totals loaded;
+    baseline := Report.add !baseline e.Characterize.nominal_isolated;
+    acc := f !acc g e loading_in loaded
+  done;
+  (!acc, !totals, !baseline)
 
 let estimate ?(passes = 1) ?library_of_gate ?scratch lib netlist pattern =
-  let scratch_used = scratch <> None in
-  let assignment =
-    match scratch with
-    | None -> Simulate.run netlist pattern
-    | Some buf ->
-      Simulate.run_into netlist pattern buf;
-      buf
-  in
-  let c = run_core ~passes ~library_of_gate ~assignment lib netlist in
-  let per_gate =
-    Array.init (Netlist.gate_count netlist) (fun g ->
-        let e = c.c_entries.(g) in
-        let loading_in = loading_in_of c netlist g in
-        let loading_out = c.c_net_injection.(Netlist.gate_out netlist g) in
+  let c = run_core ~passes ~library_of_gate ~scratch lib netlist pattern in
+  let rows, totals, baseline_totals =
+    fold_gates netlist c ~init:[] ~f:(fun rows g e loading_in loaded ->
         {
           gate = g;
           vector =
             Array.init (Netlist.gate_arity netlist g) (fun p ->
-                assignment.(Netlist.gate_pin netlist g p));
+                c.c_assignment.(Netlist.gate_pin netlist g p));
           loading_in;
-          loading_out;
-          with_loading = Characterize.apply e ~loading_in ~loading_out;
+          loading_out = c.c_net_injection.(Netlist.gate_out netlist g);
+          with_loading = loaded;
           no_loading = e.Characterize.nominal_isolated;
-        })
+        }
+        :: rows)
   in
-  let totals =
-    Array.fold_left
-      (fun acc ge -> Report.add acc ge.with_loading)
-      Report.zero per_gate
-  in
-  let baseline_totals =
-    Array.fold_left
-      (fun acc ge -> Report.add acc ge.no_loading)
-      Report.zero per_gate
-  in
-  (* A caller-owned scratch buffer will be overwritten by the next
-     [run_into]; hand back a snapshot so previously returned results stay
-     valid. Freshly allocated assignments are owned by the result already. *)
-  let assignment = if scratch_used then Array.copy assignment else assignment in
   {
-    per_gate;
+    per_gate = Array.of_list (List.rev rows);
     totals;
     baseline_totals;
-    assignment;
+    (* A caller-owned scratch buffer will be overwritten by the next
+       [run_into]; hand back a snapshot so previously returned results stay
+       valid. Freshly allocated assignments are owned by the result
+       already. *)
+    assignment =
+      (if scratch = None then c.c_assignment else Array.copy c.c_assignment);
     net_injection = c.c_net_injection;
   }
 
 let estimate_totals ?(passes = 1) ?library_of_gate ?scratch lib netlist pattern
     =
-  let assignment =
-    match scratch with
-    | None -> Simulate.run netlist pattern
-    | Some buf ->
-      Simulate.run_into netlist pattern buf;
-      buf
+  let c = run_core ~passes ~library_of_gate ~scratch lib netlist pattern in
+  let (), totals, baseline =
+    fold_gates netlist c ~init:() ~f:(fun () _ _ _ _ -> ())
   in
-  let c = run_core ~passes ~library_of_gate ~assignment lib netlist in
-  let totals = ref Report.zero and baseline = ref Report.zero in
-  for g = 0 to Netlist.gate_count netlist - 1 do
-    let e = c.c_entries.(g) in
-    let loading_in = loading_in_of c netlist g in
-    let loading_out = c.c_net_injection.(Netlist.gate_out netlist g) in
-    totals := Report.add !totals (Characterize.apply e ~loading_in ~loading_out);
-    baseline := Report.add !baseline e.Characterize.nominal_isolated
-  done;
-  (!totals, !baseline)
+  (totals, baseline)
 
 let estimate_fold ?(passes = 1) ?library_of_gate ?scratch ~init ~f lib netlist
     pattern =
-  let assignment =
-    match scratch with
-    | None -> Simulate.run netlist pattern
-    | Some buf ->
-      Simulate.run_into netlist pattern buf;
-      buf
-  in
-  let c = run_core ~passes ~library_of_gate ~assignment lib netlist in
-  let totals = ref Report.zero and baseline = ref Report.zero in
-  let acc = ref init in
-  for g = 0 to Netlist.gate_count netlist - 1 do
-    let e = c.c_entries.(g) in
-    let loading_in = loading_in_of c netlist g in
-    let loading_out = c.c_net_injection.(Netlist.gate_out netlist g) in
-    let loaded = Characterize.apply e ~loading_in ~loading_out in
-    totals := Report.add !totals loaded;
-    baseline := Report.add !baseline e.Characterize.nominal_isolated;
-    acc := f !acc g e ~loaded ~isolated:e.Characterize.nominal_isolated
-  done;
-  (!acc, !totals, !baseline)
+  let c = run_core ~passes ~library_of_gate ~scratch lib netlist pattern in
+  fold_gates netlist c ~init ~f:(fun acc g e _ loaded ->
+      f acc g e ~loaded ~isolated:e.Characterize.nominal_isolated)
 
 (* Fixed chunk width for vector averaging. The chunk decomposition — and
    therefore the float-summation tree — depends only on the vector count,

@@ -8,10 +8,32 @@
     propagation beyond one level is negligible), which is what removes the
     need to solve the circuit-wide KCL system. *)
 
+val gate_leakage :
+  Leakage_circuit.Netlist.t -> int -> Characterize.entry ->
+  net_injection:float array -> own:float array -> loading_in:float array ->
+  Leakage_spice.Leakage_report.components
+(** [gate_leakage netlist g entry ~net_injection ~own ~loading_in] is one
+    gate's loading-aware leakage: the paper's eq. (3) and eq. (5), written
+    once for every estimator in the repo.
+
+    [entry] is gate [g]'s characterization entry, [net_injection] the
+    signed loading current each net receives from all its fanout pins, and
+    [own.(p)] the current gate [g]'s own pin [p] contributes to that sum.
+    Eq. (3) fills [loading_in] (length: [g]'s arity) with each pin's
+    I_L-IN: the net's injection minus [own.(p)] — the other cells' current
+    only — or, on a primary-input net (one with no driving gate,
+    [Netlist.driver_id netlist net < 0]), [-. own.(p)], which cancels the
+    characterization testbench's finite-driver self-droop. I_L-OUT is
+    [net_injection] at [g]'s output. The result is eq. (5)'s superposition,
+    [Characterize.apply entry ~loading_in ~loading_out].
+
+    Allocates only the result. Reads the netlist's lazily built driver
+    cache: call [Netlist.warm] before sharing a netlist across domains. *)
+
 type gate_estimate = {
   gate : int;                               (** gate id *)
   vector : Leakage_circuit.Logic.vector;    (** logic state at the pins *)
-  loading_in : float array;                 (** signed A, per pin (siblings only) *)
+  loading_in : float array;                 (** signed A, per pin ({!gate_leakage}'s I_L-IN) *)
   loading_out : float;                      (** signed A (all fanout pins) *)
   with_loading : Leakage_spice.Leakage_report.components;
   no_loading : Leakage_spice.Leakage_report.components;
@@ -62,11 +84,12 @@ val estimate_totals :
   ?scratch:Leakage_circuit.Simulate.assignment ->
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   Leakage_spice.Leakage_report.components * Leakage_spice.Leakage_report.components
-(** [(with-loading totals, baseline totals)] under one pattern — the same
-    numbers as {!estimate}'s [totals] / [baseline_totals], bit for bit
-    (identical summation order), without materializing per-gate records
-    or an assignment snapshot. This is the hot path for vector
-    sweeps; {!average_over_vectors} runs on it. *)
+(** [(with-loading totals, baseline totals)] under one pattern. {!estimate},
+    [estimate_totals] and {!estimate_fold} are folds over one per-gate loop
+    that calls {!gate_leakage} in ascending gate-id order, so this returns
+    {!estimate}'s [totals] / [baseline_totals] bit for bit, without
+    materializing per-gate records or an assignment snapshot. This is the
+    hot path for vector sweeps; {!average_over_vectors} runs on it. *)
 
 val estimate_fold :
   ?passes:int ->
@@ -80,13 +103,14 @@ val estimate_fold :
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   'acc * Leakage_spice.Leakage_report.components
   * Leakage_spice.Leakage_report.components
-(** {!estimate_totals} with a caller fold over the per-gate results: [f] is
-    called once per gate in ascending gate-id order with the gate's
-    characterization entry, its loading-aware components and its isolated
-    nominal components — no per-gate records are materialized. Returns
-    [(acc, with-loading totals, baseline totals)]; the totals are
-    bit-identical to {!estimate_totals} (same summation order). This is how
-    the variance-propagation layer rides the SoA hot path. *)
+(** The same per-gate loop as {!estimate_totals}, with the caller's fold
+    over its results: [f] is called once per gate in ascending gate-id
+    order with the gate's characterization entry, its loading-aware
+    components and its isolated nominal components — no per-gate records
+    are materialized. Returns [(acc, with-loading totals, baseline
+    totals)]; the totals are {!estimate_totals}'s, bit for bit. This is how
+    the variance-propagation layer and [Statistical.run] ride the hot
+    path. *)
 
 val average_over_vectors :
   ?pool:Leakage_parallel.Pool.t ->

@@ -1,7 +1,6 @@
 module Netlist = Leakage_circuit.Netlist
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
-module Topo = Leakage_circuit.Topo
 module Report = Leakage_spice.Leakage_report
 
 let gate_state_distribution kind pin_probs =
@@ -29,7 +28,7 @@ let propagate ?input_probability netlist =
         invalid_arg "Probabilistic.propagate: input probability size mismatch";
       Array.iter
         (fun v ->
-          if v < 0.0 || v > 1.0 then
+          if not (v >= 0.0 && v <= 1.0) then
             invalid_arg "Probabilistic.propagate: probability outside [0,1]")
         p;
       p
@@ -94,27 +93,15 @@ let expected_leakage ?input_probability lib netlist =
     Netlist.iter_pins netlist g (fun pin net ->
         net_injection.(net) <- net_injection.(net) +. expected_pin g pin)
   done;
-  let is_pi_net =
-    let flags = Array.make (Netlist.net_count netlist) true in
-    for g = 0 to n_gates - 1 do
-      flags.(Netlist.gate_out netlist g) <- false
-    done;
-    flags
-  in
   let totals = ref Report.zero and baseline = ref Report.zero in
   for g = 0 to n_gates - 1 do
+    let loading_in = Array.make (Netlist.gate_arity netlist g) 0.0 in
     List.iter
       (fun (p, (e : Characterize.entry)) ->
-        let loading_in =
-          Array.init
-            (Netlist.gate_arity netlist g)
-            (fun pin ->
-              let net = Netlist.gate_pin netlist g pin in
-              if is_pi_net.(net) then -.e.Characterize.pin_injection.(pin)
-              else net_injection.(net) -. e.Characterize.pin_injection.(pin))
+        let with_loading =
+          Estimator.gate_leakage netlist g e ~net_injection
+            ~own:e.Characterize.pin_injection ~loading_in
         in
-        let loading_out = net_injection.(Netlist.gate_out netlist g) in
-        let with_loading = Characterize.apply e ~loading_in ~loading_out in
         totals := Report.add !totals (Report.scale p with_loading);
         baseline :=
           Report.add !baseline (Report.scale p e.Characterize.nominal_isolated))

@@ -19,8 +19,8 @@ val propagate :
   Leakage_circuit.Netlist.t ->
   float array
 (** Per-net probability of logic '1' (default: 0.5 on every primary input).
-    Raises [Invalid_argument] on a size mismatch or probabilities outside
-    [0, 1]. *)
+    Raises [Invalid_argument] on a size mismatch or a probability outside
+    [0, 1] (NaN included). *)
 
 val gate_state_distribution :
   Leakage_circuit.Gate.kind -> float array -> (Leakage_circuit.Logic.vector * float) list

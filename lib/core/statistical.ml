@@ -3,7 +3,6 @@ module Stats = Leakage_numeric.Stats
 module Variation = Leakage_device.Variation
 module Logic = Leakage_circuit.Logic
 module Gate = Leakage_circuit.Gate
-module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
 
 type sample_totals = {
@@ -57,19 +56,13 @@ let scale_components (c : Report.components) (scale : Report.components)
 
 let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   if n_samples <= 0 then invalid_arg "Statistical.run: n_samples";
-  let est = Estimator.estimate lib netlist pattern in
   (* per-gate nominal estimates and sensitivities, resolved once *)
-  let rows =
-    Array.map
-      (fun (ge : Estimator.gate_estimate) ->
-        let g = ge.Estimator.gate in
-        let entry =
-          Library.entry ~strength:(Netlist.gate_strength netlist g) lib
-            (Netlist.gate_kind netlist g) ge.Estimator.vector
-        in
-        (ge.Estimator.with_loading, ge.Estimator.no_loading, entry))
-      est.Estimator.per_gate
+  let rows, _, _ =
+    Estimator.estimate_fold ~init:[]
+      ~f:(fun rows _ entry ~loaded ~isolated -> (loaded, isolated, entry) :: rows)
+      lib netlist pattern
   in
+  let rows = Array.of_list (List.rev rows) in
   (* Every sample's stream is split off the root generator in sample order
      BEFORE any evaluation — the stream assignment is a function of (seed,
      sample index) alone, so fanning the evaluation out over a pool cannot

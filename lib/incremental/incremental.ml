@@ -4,6 +4,7 @@ module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
 module Library = Leakage_core.Library
 module Characterize = Leakage_core.Characterize
+module Estimator = Leakage_core.Estimator
 module Pool = Leakage_parallel.Pool
 module Tm = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
@@ -59,7 +60,6 @@ type t = {
   base_lib : Library.t;
   refresh_every : int;
   input_index : int array;             (* net -> primary-input position, -1 otherwise *)
-  is_pi_net : bool array;
   priority : int array;                (* gate id -> topological position *)
   (* current editable state *)
   kind : Gate.kind array;
@@ -158,21 +158,14 @@ let merge t s =
   t.n_net <- t.n_net + s.s_net;
   t.n_lookup <- t.n_lookup + s.s_lookup
 
-(* Loading-aware estimate of one gate at the current injections. *)
+(* Loading-aware estimate of one gate at the current injections: the
+   estimator's own kernel, with the entry's nominal pin currents as the
+   cell's share of each net (the session is a one-pass estimate). *)
 let lookup_components t g_id =
   let e = t.entries.(g_id) in
-  let loading_in =
-    Array.init
-      (Netlist.gate_arity t.netlist g_id)
-      (fun pin ->
-        let net = Netlist.gate_pin t.netlist g_id pin in
-        (* same I_L-IN bookkeeping as Estimator.estimate: siblings only on
-           driven nets, self-droop cancellation on ideal primary inputs *)
-        if t.is_pi_net.(net) then -.e.Characterize.pin_injection.(pin)
-        else t.net_injection.(net) -. e.Characterize.pin_injection.(pin))
-  in
-  let loading_out = t.net_injection.(Netlist.gate_out t.netlist g_id) in
-  Characterize.apply e ~loading_in ~loading_out
+  let own = e.Characterize.pin_injection in
+  Estimator.gate_leakage t.netlist g_id e ~net_injection:t.net_injection ~own
+    ~loading_in:(Array.make (Array.length own) 0.0)
 
 let relookup t s g_id =
   let c = lookup_components t g_id in
@@ -559,10 +552,6 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
   Array.iteri (fun pos g_id -> priority.(g_id) <- pos) order_ids;
   let input_index = Array.make n_nets (-1) in
   Array.iteri (fun i n -> input_index.(n) <- i) inputs;
-  let is_pi_net = Array.make n_nets true in
-  for g = 0 to n_gates - 1 do
-    is_pi_net.(Netlist.gate_out netlist g) <- false
-  done;
   let libs =
     match library_of_gate with
     | Some f -> Array.init n_gates f
@@ -590,7 +579,6 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
       base_lib = base;
       refresh_every;
       input_index;
-      is_pi_net;
       priority;
       kind = Array.init n_gates (Netlist.gate_kind netlist);
       strength = Array.init n_gates (Netlist.gate_strength netlist);

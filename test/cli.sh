@@ -57,6 +57,8 @@ run estimate --circuit alu88 --passes 0
 run suite --vectors 0
 run mc --samples 0
 run stat --circuit alu88 --samples 0
+run prob --circuit alu88 --p1 nan
+run prob --circuit alu88 --p1 1.5
 run serve --socket s.sock --executors 0
 run serve --socket s.sock --quota 0
 run serve --socket s.sock --max-sessions 0
