@@ -58,8 +58,38 @@ let device_arg =
            ~doc:"Device corner: d25, d50, d25-s, d25-g, d25-jn (any case, \
                  dashes optional).")
 
+(* A float flag: NaN, an infinity or a value outside the range its callee
+   accepts is a usage error (exit 124), like a bad --device. [expected]
+   names that range in the message. *)
+let checked_float ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected " ^ expected))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let finite_float = checked_float ~expected:"a finite number" (fun _ -> true)
+let positive_float = checked_float ~expected:"a number > 0" (fun x -> x > 0.0)
+
+let probability =
+  checked_float ~expected:"a number in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+
+(* Only 0/1 characters; anything else is a usage error. *)
+let bits_conv =
+  let parse s =
+    if String.for_all (fun c -> c = '0' || c = '1') s then
+      Ok (Logic.vector_of_string s)
+    else Error (`Msg ("invalid value '" ^ s ^ "', expected 0/1 bits"))
+  in
+  Arg.conv
+    (parse, fun ppf v -> Format.pp_print_string ppf (Logic.vector_to_string v))
+
 let temp_arg =
-  Arg.(value & opt float 27.0
+  let above_absolute_zero =
+    checked_float ~expected:"a number > -273.15" (fun c -> c > -273.15)
+  in
+  Arg.(value & opt above_absolute_zero 27.0
        & info [ "temp" ] ~docv:"CELSIUS" ~doc:"Temperature in Celsius.")
 
 (* The operating corner: a device at a temperature, kept in both units. *)
@@ -108,15 +138,6 @@ let positive_int =
     | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected an integer > 0"))
   in
   Arg.conv (parse, Format.pp_print_int)
-
-(* A probability: anything outside [0, 1], NaN included, is a usage error. *)
-let probability =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected a number in [0, 1]"))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let vectors_arg doc =
   Arg.(value & opt positive_int 10 & info [ "vectors" ] ~docv:"N" ~doc)
@@ -268,7 +289,7 @@ let snapshot_cmd =
 
 let sim_cmd =
   let vector_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some bits_conv) None
          & info [ "input" ] ~docv:"BITS"
              ~doc:"Input pattern (defaults to a random one).")
   in
@@ -277,9 +298,9 @@ let sim_cmd =
     let pattern =
       match vector with
       | Some bits ->
-        if String.length bits <> width then
+        if Array.length bits <> width then
           failwith (Printf.sprintf "pattern needs %d bits" width);
-        Logic.vector_of_string bits
+        bits
       | None ->
         let rng = Rng.create seed in
         Logic.random_vector rng width
@@ -403,16 +424,23 @@ let kind_arg =
        & info [ "kind" ] ~docv:"CELL" ~doc:"Cell kind, e.g. INV, NAND2, XOR2.")
 
 let vector_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some bits_conv) None
        & info [ "vector" ] ~docv:"BITS" ~doc:"Input vector, e.g. 01.")
 
-let parse_vector kind = function
-  | Some s -> Logic.vector_of_string s
-  | None -> Array.make (Gate.arity kind) Logic.Zero
+(* The cell's input vector: all zeros by default; a vector of the wrong
+   width fails like sim's pattern check. *)
+let cell_vector kind vector =
+  let arity = Gate.arity kind in
+  match vector with
+  | Some v ->
+    if Array.length v <> arity then
+      failwith (Printf.sprintf "%s vector needs %d bits" (Gate.name kind) arity);
+    v
+  | None -> Array.make arity Logic.Zero
 
 let characterize_cmd =
   let run { device; temp; celsius } kind vector =
-    let v = parse_vector kind vector in
+    let v = cell_vector kind vector in
     let e = Characterize.characterize ~device ~temp kind v in
     Format.printf "%s @ %s, vector %s, %.0f C@." (Gate.name kind)
       device.Params.name (Logic.vector_to_string v) celsius;
@@ -443,7 +471,11 @@ let sweep_cmd =
     Arg.(value & opt int 0 & info [ "pin" ] ~docv:"PIN" ~doc:"Input pin index.")
   in
   let run { device; temp; _ } kind vector output pin =
-    let v = parse_vector kind vector in
+    let v = cell_vector kind vector in
+    let arity = Gate.arity kind in
+    if (not output) && (pin < 0 || pin >= arity) then
+      failwith
+        (Printf.sprintf "%s has pins 0..%d, not %d" (Gate.name kind) (arity - 1) pin);
     let pts =
       if output then Loading.output_sweep ~device ~temp kind v
       else Loading.input_sweep ~device ~temp ~pin kind v
@@ -582,7 +614,7 @@ let stat_cmd =
 
 let mtcmos_cmd =
   let width_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "width" ] ~docv:"UM"
              ~doc:"Footer width in um (default: 1 um per gate).")
   in
@@ -613,12 +645,13 @@ let mtcmos_cmd =
 
 let thermal_cmd =
   let r_theta_arg =
-    Arg.(value & opt float 40.0
+    let non_negative = checked_float ~expected:"a number >= 0" (fun r -> r >= 0.0) in
+    Arg.(value & opt non_negative 40.0
          & info [ "r-theta" ] ~docv:"K_PER_W"
              ~doc:"Junction-to-ambient thermal resistance.")
   in
   let power_arg =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt finite_float 0.0
          & info [ "power" ] ~docv:"WATTS" ~doc:"Non-leakage power dissipated.")
   in
   let run { device; temp; celsius } seed r_theta power nl =
@@ -660,7 +693,7 @@ let dualvth_cmd =
                    critical path.")
   in
   let shift_arg =
-    Arg.(value & opt float 0.08
+    Arg.(value & opt finite_float 0.08
          & info [ "shift" ] ~docv:"VOLTS" ~doc:"High-Vth threshold increase.")
   in
   let run corner seed margin shift nl =
@@ -1031,7 +1064,7 @@ let serve_cmd =
              ~doc:"Minimum level for --log: debug, info, warn, error.")
   in
   let slow_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some finite_float) None
          & info [ "slow-ms" ] ~docv:"MS"
              ~doc:"Log a request.slow event for requests slower than \
                    $(i,MS) milliseconds.")
@@ -1108,9 +1141,6 @@ let client_cmd =
   let run socket port host op session tenant corner pattern circuit bench
       resizes retypes sets refresh ckpt text retries timeout_ms =
     if retries < 0 then failwith "--retries must be >= 0";
-    (match timeout_ms with
-     | Some ms when ms <= 0.0 -> failwith "--timeout-ms must be positive"
-     | _ -> ());
     (* the wire carries .bench text only, so refuse any other file before
        touching the daemon *)
     Option.iter
@@ -1294,7 +1324,7 @@ let client_cmd =
                    retry-after hint — and resend, up to $(i,N) times.")
   in
   let timeout_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "timeout-ms" ] ~docv:"MS"
              ~doc:"Per-RPC reply deadline in milliseconds; hitting it \
                    poisons the connection (retries reconnect).")
@@ -1313,7 +1343,6 @@ let client_cmd =
 
 let top_cmd =
   let run socket port interval frames no_clear =
-    if interval <= 0.0 then failwith "--interval must be positive";
     with_daemon socket port @@ fun client ->
     let poll () = Sclient.metrics_snapshot client in
     let older = ref (poll ()).Sclient.snapshot in
@@ -1330,7 +1359,7 @@ let top_cmd =
     done
   in
   let interval =
-    Arg.(value & opt float 2.0
+    Arg.(value & opt positive_float 2.0
          & info [ "interval" ] ~docv:"S"
              ~doc:"Seconds between polls (the rate window).")
   in

@@ -45,18 +45,6 @@ let chain ?(stages = 1024) ?(tap_every = 0) () =
   B.mark_output b !prev;
   B.finish b
 
-let chain_reference ?(tap_every = 0) ~stages bits =
-  if Array.length bits <> 1 + (if tap_every > 0 then (stages + tap_every - 1) / tap_every else 0)
-  then invalid_arg "Trees.chain_reference: wrong input width";
-  let v = ref bits.(0) in
-  for i = 0 to stages - 1 do
-    v :=
-      if tap_every > 0 && i mod tap_every = 0 then
-        not (!v && bits.(1 + (i / tap_every)))
-      else not !v
-  done;
-  !v
-
 let decoder ?(select_bits = 4) () =
   if select_bits < 2 || select_bits > 6 then
     invalid_arg "Trees.decoder: select_bits outside [2,6]";

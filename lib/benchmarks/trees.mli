@@ -22,10 +22,6 @@ val chain : ?stages:int -> ?tap_every:int -> unit -> Leakage_circuit.Netlist.t
     cone pruning. Inputs: [head], then the taps in stage order. One
     output (the last stage). *)
 
-val chain_reference : ?tap_every:int -> stages:int -> bool array -> bool
-(** Boolean function of {!chain}'s output for an input assignment ([head]
-    first, then taps). *)
-
 val decoder : ?select_bits:int -> unit -> Leakage_circuit.Netlist.t
 (** [select_bits]-to-2^[select_bits] one-hot decoder (default 4): every
     output is the AND of the select literals; the select nets fan out to

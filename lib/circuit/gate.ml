@@ -164,11 +164,6 @@ let eval_prefix kind (buf : bool array) =
   | Oai21 -> not ((buf.(0) || buf.(1)) && buf.(2))
   | Oai22 -> not ((buf.(0) || buf.(1)) && (buf.(2) || buf.(3)))
 
-let controlling_value = function
-  | And _ | Nand _ -> Some Logic.Zero
-  | Or _ | Nor _ -> Some Logic.One
-  | Inv | Buf | Xor | Xnor | Aoi21 | Aoi22 | Oai21 | Oai22 -> None
-
 let pinned_output kind ~free inputs =
   let n = arity kind in
   if Array.length inputs <> n || Array.length free <> n then

@@ -38,9 +38,6 @@ val code : kind -> int
 (** Small dense integer stable across a run — an allocation-free cache key
     (used by the characterization library on the estimator's hot path). *)
 
-val max_code : int
-(** Largest value {!code} produces; codes live in [\[0, max_code\]]. *)
-
 val of_code : int -> kind
 (** Inverse of {!code}. Returns a preallocated value (no boxing per call),
     so struct-of-arrays netlist storage can decode kinds on hot paths.
@@ -56,13 +53,6 @@ val eval_prefix : kind -> bool array -> bool
     entries are ignored; no arity check is performed. *)
 
 val eval_logic : kind -> Logic.vector -> Logic.value
-
-val controlling_value : kind -> Logic.value option
-(** The input value that pins the cell's output regardless of every other
-    pin: [Some Zero] for AND/NAND, [Some One] for OR/NOR, [None] for cells
-    with no single controlling value (INV, BUF, XOR, XNOR and the AOI/OAI
-    complex cells — though the latter can still be pinned by value
-    {e combinations}, which {!pinned_output} detects exactly). *)
 
 val pinned_output : kind -> free:bool array -> bool array -> bool option
 (** [pinned_output kind ~free inputs] is [Some o] when the cell's output is

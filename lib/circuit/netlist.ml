@@ -137,19 +137,6 @@ let driver_id t n =
   if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.driver_id";
   Ba.get (build_driver_ids t) n
 
-let fanout_degree t n =
-  if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.fanout_degree";
-  let off, _ = build_fanout_csr t in
-  Ba.get off (n + 1) - Ba.get off n
-
-let fanout_gate t n i =
-  let off, gids = build_fanout_csr t in
-  if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.fanout_gate";
-  let base = Ba.get off n in
-  if i < 0 || i >= Ba.get off (n + 1) - base then
-    invalid_arg "Netlist.fanout_gate: index out of range";
-  Ba.get gids (base + i)
-
 let iter_fanout t n f =
   if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.iter_fanout";
   let off, gids = build_fanout_csr t in

@@ -35,8 +35,6 @@ val transistor_count : t -> int
     kind values) and raise [Invalid_argument] on out-of-range ids. *)
 
 val gate_kind : t -> int -> Gate.kind
-val gate_kind_code : t -> int -> int
-(** [Gate.code] of the gate's kind, straight from flat storage. *)
 
 val gate_strength : t -> int -> float
 (** Drive strength: every transistor width in the cell is scaled by this
@@ -58,14 +56,6 @@ val driver_id : t -> net -> int
 (** Id of the gate driving a net, or [-1] for a primary input. O(1) after
     the first call. *)
 
-val fanout_degree : t -> net -> int
-(** Number of reading pins on a net (a gate with two pins on the net counts
-    twice), from the CSR fanout adjacency. *)
-
-val fanout_gate : t -> net -> int -> int
-(** [fanout_gate t n i] is the gate id of the [i]-th reading pin
-    ([0 <= i < fanout_degree t n]), in ascending (gate, pin) order. *)
-
 val iter_fanout : t -> net -> (int -> unit) -> unit
 (** Iterate the reading gates of a net in ascending (gate, pin) order —
     one call per pin, so a gate with two pins on the net is seen twice. *)
@@ -79,12 +69,11 @@ val topo_ids : t -> int array
 
 val levelize : t -> int array option
 (** Logic depth per gate id (primary inputs at depth 0; a gate is 1 + the
-    deepest of its fan-in nets), or [None] on a cyclic netlist. {!Topo}
-    wraps it. *)
+    deepest of its fan-in nets), or [None] on a cyclic netlist. *)
 
 val warm : t -> unit
 (** Force the lazily built lookup caches ({!driver_id}, the fanout CSR
-    behind {!iter_fanout} and {!fanout_degree}, and {!topo_ids}) to be
+    behind {!iter_fanout}, and {!topo_ids}) to be
     built now. The caches are initialized lazily by a benign
     single-threaded race; call this before handing the netlist to multiple
     domains so no concurrent lazy initialization can occur. *)

@@ -210,36 +210,58 @@ let map_section (type a b) fd ~pos ~len (kind : (a, b) Bigarray.kind) :
       (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout false
          [| len |])
 
-let load ?(verify = true) path =
+(* Open [path] read-only for [f]; the descriptor is closed on any exit. *)
+let with_file path f =
   let fd =
     try Unix.openfile path [ Unix.O_RDONLY ] 0
     with Unix.Unix_error (e, _, _) ->
       err "snapshot: cannot open %s: %s" path (Unix.error_message e)
   in
   Fun.protect
-    (* The mappings survive the close: mmap keeps the pages alive. *)
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let actual_size = (Unix.fstat fd).Unix.st_size in
-      if actual_size < page then
-        err "snapshot: %s is too small to hold an LKN1 header" path;
-      let hdr = Bytes.create page in
-      read_exactly fd hdr page "header";
-      if Bytes.sub_string hdr 0 4 <> magic then
-        err "snapshot: %s is not an LKN1 file (bad magic)" path;
-      if Char.code (Bytes.get hdr 4) <> version then
-        err "snapshot: unsupported LKN1 version %d" (Char.code (Bytes.get hdr 4));
-      if Char.code (Bytes.get hdr 5) <> 8 then
-        err "snapshot: word size %d, need 8" (Char.code (Bytes.get hdr 5));
-      let endian_tag = if Sys.big_endian then '\002' else '\001' in
-      if Bytes.get hdr 6 <> endian_tag then
-        err "snapshot: endianness mismatch (snapshot written on a %s-endian host)"
-          (if Bytes.get hdr 6 = '\002' then "big" else "little");
-      let stored_sum = Bytes.get_int64_le hdr off_checksum in
-      Bytes.set_int64_le hdr off_checksum 0L;
-      let computed_sum = fnv1a hdr header_hashed in
-      if not (Int64.equal stored_sum computed_sum) then
-        err "snapshot: header checksum mismatch (corrupt file)";
+    (fun () -> f fd)
+
+type header = {
+  hdr : Bytes.t;      (* the header page, checksum field zeroed *)
+  file_size : int;
+  digest : string;    (* 32 lowercase hex chars *)
+}
+
+(* Every check that needs only the header page: magic, version, word size,
+   endianness, checksum and a hex digest. [load] and [digest_of_file] both
+   read the header here, so no header passes one and fails the other. *)
+let read_header fd path =
+  let file_size = (Unix.fstat fd).Unix.st_size in
+  if file_size < page then
+    err "snapshot: %s is too small to hold an LKN1 header" path;
+  let hdr = Bytes.create page in
+  read_exactly fd hdr page "header";
+  if Bytes.sub_string hdr 0 4 <> magic then
+    err "snapshot: %s is not an LKN1 file (bad magic)" path;
+  if Char.code (Bytes.get hdr 4) <> version then
+    err "snapshot: unsupported LKN1 version %d" (Char.code (Bytes.get hdr 4));
+  if Char.code (Bytes.get hdr 5) <> 8 then
+    err "snapshot: word size %d, need 8" (Char.code (Bytes.get hdr 5));
+  let endian_tag = if Sys.big_endian then '\002' else '\001' in
+  if Bytes.get hdr 6 <> endian_tag then
+    err "snapshot: endianness mismatch (snapshot written on a %s-endian host)"
+      (if Bytes.get hdr 6 = '\002' then "big" else "little");
+  let stored_sum = Bytes.get_int64_le hdr off_checksum in
+  Bytes.set_int64_le hdr off_checksum 0L;
+  if not (Int64.equal stored_sum (fnv1a hdr header_hashed)) then
+    err "snapshot: header checksum mismatch (corrupt file)";
+  let digest = Bytes.sub_string hdr off_digest 32 in
+  String.iter
+    (function
+      | '0' .. '9' | 'a' .. 'f' -> ()
+      | _ -> err "snapshot: malformed digest in header")
+    digest;
+  { hdr; file_size; digest }
+
+let load ?(verify = true) path =
+  (* The mappings survive the close: mmap keeps the pages alive. *)
+  with_file path (fun fd ->
+      let { hdr; file_size; digest } = read_header fd path in
       let n_gates = count_field hdr 0 "gate count" in
       let net_count = count_field hdr 1 "net count" in
       let n_pins = count_field hdr 2 "pin count" in
@@ -257,16 +279,9 @@ let load ?(verify = true) path =
       if declared_total <> l.total then
         err "snapshot: header size field (%d) disagrees with section layout (%d)"
           declared_total l.total;
-      if actual_size <> l.total then
+      if file_size <> l.total then
         err "snapshot: %s is %d bytes, layout requires %d (truncated or padded)"
-          path actual_size l.total;
-      let digest_hdr = Bytes.sub_string hdr off_digest 32 in
-      String.iter
-        (fun c ->
-          match c with
-          | '0' .. '9' | 'a' .. 'f' -> ()
-          | _ -> err "snapshot: malformed digest in header")
-        digest_hdr;
+          path file_size l.total;
       (* meta section: read (not mapped — it is small and unaligned) *)
       let meta_len = name_len + (8 * (n_inputs + n_outputs)) in
       let meta = Bytes.create meta_len in
@@ -306,22 +321,8 @@ let load ?(verify = true) path =
         try Netlist.Repr.of_raw ~validate:verify raw
         with Failure msg -> err "snapshot: %s: %s" path msg
       in
-      if verify && not (String.equal (Netlist.digest t) digest_hdr) then
+      if verify && not (String.equal (Netlist.digest t) digest) then
         err "snapshot: digest mismatch in %s (file corrupt or tampered)" path;
       t)
 
-let digest_of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let hdr = Bytes.create page in
-      (try really_input ic hdr 0 page
-       with End_of_file -> err "snapshot: %s is too small to hold an LKN1 header" path);
-      if Bytes.sub_string hdr 0 4 <> magic then
-        err "snapshot: %s is not an LKN1 file (bad magic)" path;
-      let stored_sum = Bytes.get_int64_le hdr off_checksum in
-      Bytes.set_int64_le hdr off_checksum 0L;
-      if not (Int64.equal stored_sum (fnv1a hdr header_hashed)) then
-        err "snapshot: header checksum mismatch (corrupt file)";
-      Bytes.sub_string hdr off_digest 32)
+let digest_of_file path = with_file path (fun fd -> (read_header fd path).digest)

@@ -43,5 +43,7 @@ val load : ?verify:bool -> string -> Netlist.t
 
 val digest_of_file : string -> string
 (** The structural digest stamped in a snapshot's header, without mapping
-    the netlist (header checks still apply). Matches [Netlist.digest] of
-    the loaded netlist for an intact file. *)
+    the netlist. The header checks of {!load} still apply (magic, version,
+    word size, endianness, checksum, digest format) and raise
+    {!Snapshot_error}. Matches [Netlist.digest] of the loaded netlist for
+    an intact file. *)

@@ -3,7 +3,7 @@
     Works on accessor functions rather than a netlist so that [Netlist]
     can use it without a dependency cycle, feeding pins straight out of its
     struct-of-arrays storage; user code should prefer {!Netlist.topo_ids}
-    and {!Topo}. *)
+    and {!Netlist.levelize}. *)
 
 val sort_flat :
   net_count:int ->

@@ -38,12 +38,8 @@ let name_table t =
   done;
   names
 
-let to_string ?module_name t =
-  let module_name =
-    match module_name with
-    | Some m -> sanitize_identifier m
-    | None -> sanitize_identifier (Netlist.name t)
-  in
+let to_string t =
+  let module_name = sanitize_identifier (Netlist.name t) in
   let names = name_table t in
   let buf = Buffer.create 4096 in
   let inputs = Array.to_list (Netlist.inputs t) in
@@ -112,8 +108,8 @@ let to_string ?module_name t =
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
 
-let write_file ?module_name path t =
+let write_file path t =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?module_name t))
+    (fun () -> output_string oc (to_string t))

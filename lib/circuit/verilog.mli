@@ -7,11 +7,11 @@
     (collisions resolved with numeric suffixes), so any circuit this library
     can represent exports cleanly. *)
 
-val to_string : ?module_name:string -> Netlist.t -> string
-(** Render the circuit. [module_name] defaults to a sanitized form of the
-    netlist name. *)
+val to_string : Netlist.t -> string
+(** Render the circuit as a module named by a sanitized form of the netlist
+    name. *)
 
-val write_file : ?module_name:string -> string -> Netlist.t -> unit
+val write_file : string -> Netlist.t -> unit
 
 val sanitize_identifier : string -> string
 (** The name-mangling rule used for ports and wires (exposed for tests):

@@ -50,9 +50,6 @@ val combined :
     magnitude on each) and on the output. [current] in the result reports
     the input magnitude. *)
 
-val default_currents : float array
-(** 0 to 3 µA in 250 nA steps. *)
-
 val temperature_sweep :
   device:Leakage_device.Params.t ->
   ?vdd:float ->

@@ -81,8 +81,3 @@ let analyze ?sleep_width ~device ~temp netlist pattern =
     active_overhead_percent =
       pct (Report.total active.leakage) (Report.total ungated);
   }
-
-let width_sweep ~device ~temp ~widths netlist pattern =
-  Array.map
-    (fun w -> (w, analyze ~sleep_width:w ~device ~temp netlist pattern))
-    widths

@@ -40,13 +40,3 @@ val analyze :
   result
 (** Solve the three operating modes. [sleep_width] defaults to one µm of
     footer width per gate (a typical 1x-area budget). *)
-
-val width_sweep :
-  device:Leakage_device.Params.t ->
-  temp:float ->
-  widths:float array ->
-  Leakage_circuit.Netlist.t ->
-  Leakage_circuit.Logic.vector ->
-  (float * result) array
-(** The classic sizing trade-off: wider footers cost silicon and standby
-    leakage, narrower ones raise the active virtual ground. *)

@@ -46,51 +46,6 @@ let per_gate_csv netlist (result : Estimator.result) =
     "gate_id,cell,output_net,vector,isub_nA,igate_nA,ibtbt_nA,total_nA,no_loading_total_nA,loading_shift_percent"
     rows
 
-let totals_csv labeled =
-  let rows =
-    List.map
-      (fun (label, (c : Report.components)) ->
-        [
-          label;
-          f (na c.Report.isub);
-          f (na c.Report.igate);
-          f (na c.Report.ibtbt);
-          f (na (Report.total c));
-        ])
-      labeled
-  in
-  buffer_csv "label,isub_nA,igate_nA,ibtbt_nA,total_nA" rows
-
-let ld_sweep_csv points =
-  let rows =
-    Array.to_list points
-    |> List.map (fun (p : Loading.ld_point) ->
-           [
-             f (na p.Loading.current);
-             f p.Loading.ld_sub;
-             f p.Loading.ld_gate;
-             f p.Loading.ld_btbt;
-             f p.Loading.ld_total;
-           ])
-  in
-  buffer_csv "current_nA,ld_sub_percent,ld_gate_percent,ld_btbt_percent,ld_total_percent"
-    rows
-
-let mc_csv samples =
-  let component_row (c : Report.components) =
-    [ f (na c.Report.isub); f (na c.Report.igate); f (na c.Report.ibtbt);
-      f (na (Report.total c)) ]
-  in
-  let rows =
-    Array.to_list samples
-    |> List.map (fun (s : Monte_carlo.sample) ->
-           component_row s.Monte_carlo.loaded
-           @ component_row s.Monte_carlo.unloaded)
-  in
-  buffer_csv
-    "loaded_sub_nA,loaded_gate_nA,loaded_btbt_nA,loaded_total_nA,unloaded_sub_nA,unloaded_gate_nA,unloaded_btbt_nA,unloaded_total_nA"
-    rows
-
 let pp_per_gate ?(limit = 20) ppf netlist (result : Estimator.result) =
   let ranked = Array.copy result.Estimator.per_gate in
   Array.sort

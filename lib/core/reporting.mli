@@ -1,24 +1,13 @@
 (** Result export: CSV and aligned-table rendering of estimation results.
 
-    Downstream flows (spreadsheets, plotting scripts) consume the CSV forms;
-    the pretty printers back the CLI. Currents are exported in nano-amperes,
+    Downstream flows (spreadsheets, plotting scripts) consume the CSV form;
+    the pretty printer backs the CLI. Currents are exported in nano-amperes,
     percentages as plain numbers. *)
 
 val per_gate_csv : Leakage_circuit.Netlist.t -> Estimator.result -> string
 (** One row per gate:
     [gate_id,cell,output_net,vector,isub_nA,igate_nA,ibtbt_nA,total_nA,
     no_loading_total_nA,loading_shift_percent]. *)
-
-val totals_csv :
-  (string * Leakage_spice.Leakage_report.components) list -> string
-(** Labeled component rows: [label,isub_nA,igate_nA,ibtbt_nA,total_nA]. *)
-
-val ld_sweep_csv : Loading.ld_point array -> string
-(** [current_nA,ld_sub,ld_gate,ld_btbt,ld_total] rows for a loading sweep. *)
-
-val mc_csv : Monte_carlo.sample array -> string
-(** One row per Monte-Carlo sample:
-    [loaded_sub,loaded_gate,loaded_btbt,loaded_total,unloaded_...] in nA. *)
 
 val pp_per_gate :
   ?limit:int ->

@@ -20,8 +20,9 @@
 
     Linearization is bounded where linearization is used: geometry axes
     whose compact-model log-response departs from the quadratic model by
-    more than [lin_tol] at a 2σ displacement are flagged, and the affected
-    component optionally falls back to the Monte-Carlo sampler. Gates
+    more than [lin_tol] (default 0.05 log units, ~5%) at a 2σ displacement
+    are flagged, and the affected component optionally falls back to the
+    Monte-Carlo sampler. Gates
     whose tabulated threshold response bends away from its first-order
     line beyond the tolerance are counted in [flagged_gates] — a
     diagnostic on reading λ alone, not a fallback trigger, since the
@@ -66,10 +67,6 @@ type result = {
 
 val flagged : result -> bool
 (** Any component flagged. *)
-
-val default_lin_tol : float
-(** 0.05 log units: the dropped higher-order terms may move a component by
-    at most ~5% at a 2σ displacement before it is flagged. *)
 
 type row
 (** Per-gate ingredients of the closed form: the gate's threshold response

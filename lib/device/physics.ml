@@ -14,4 +14,3 @@ let kelvin_to_celsius k = k -. 273.15
 
 let nano = 1e-9
 let amps_to_nanoamps a = a /. nano
-let nanoamps_to_amps n = n *. nano

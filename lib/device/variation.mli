@@ -69,8 +69,5 @@ type corner = Fast | Typical | Slow
 (** 3-sigma process corners: [Fast] is the leaky corner (short channel, thin
     oxide, low threshold, high supply), [Slow] its opposite. *)
 
-val corner_die : sigmas -> corner -> die
-(** The die shift of a 3-sigma corner. *)
-
 val corner_device : Params.t -> sigmas -> corner -> Params.t
-(** [apply_die] of the corner shift. *)
+(** [apply_die] of the corner's 3-sigma die shift. *)

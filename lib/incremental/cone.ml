@@ -101,8 +101,8 @@ module Partition = struct
 
      The descent may stop at a gate whose output provably cannot flip: some
      stable side input pins it — e.g. a controlling 0 into AND/NAND or 1
-     into OR/NOR ({!Gate.controlling_value}), generalized exactly by
-     {!Gate.pinned_output} to any pinning value combination. "Stable" must
+     into OR/NOR, generalized exactly by {!Gate.pinned_output} to any
+     pinning value combination. "Stable" must
      be a batch-wide notion: a pin is only held at its settled value if NO
      edit in the batch can reach it, i.e. the net is outside [may_flip] —
      the union of the structural downstream closures of every Retype /

@@ -1,5 +1,4 @@
 module Netlist = Leakage_circuit.Netlist
-module Topo = Leakage_circuit.Topo
 module Report = Leakage_spice.Leakage_report
 
 type assignment = bool array
@@ -11,8 +10,9 @@ type assignment = bool array
 let slack_assignment ~critical_margin netlist =
   if critical_margin < 0 then
     invalid_arg "Dual_vth.slack_assignment: negative margin";
-  let levels = Topo.levels netlist in
   let order = Netlist.topo_ids netlist in
+  (* [topo_ids] has already raised on a cycle. *)
+  let levels = Option.get (Netlist.levelize netlist) in
   let n_gates = Netlist.gate_count netlist in
   let tail = Array.make n_gates 0 in
   (* reverse topological pass over gates *)
@@ -42,7 +42,13 @@ let relib_edits ~high_lib assignment =
   done;
   !edits
 
-let evaluation_of assignment ~totals ~baseline =
+let evaluate ?pool ~low_lib ~high_lib assignment netlist pattern =
+  if Array.length assignment <> Netlist.gate_count netlist then
+    invalid_arg "Dual_vth.evaluate: assignment size mismatch";
+  let session = Incremental.create low_lib netlist pattern in
+  let baseline = Incremental.totals session in
+  Incremental.apply_batch ?pool session (relib_edits ~high_lib assignment);
+  let totals = Incremental.totals session in
   {
     assignment;
     n_high = Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 assignment;
@@ -52,41 +58,6 @@ let evaluation_of assignment ~totals ~baseline =
       (Report.total baseline -. Report.total totals)
       /. Report.total baseline *. 100.0;
   }
-
-let evaluate ?pool ~low_lib ~high_lib assignment netlist pattern =
-  if Array.length assignment <> Netlist.gate_count netlist then
-    invalid_arg "Dual_vth.evaluate: assignment size mismatch";
-  let session = Incremental.create low_lib netlist pattern in
-  let baseline = Incremental.totals session in
-  Incremental.apply_batch ?pool session (relib_edits ~high_lib assignment);
-  evaluation_of assignment ~totals:(Incremental.totals session) ~baseline
-
-let greedy_assignment ?candidates ?(min_gain_percent = 0.0) ~low_lib ~high_lib
-    netlist pattern =
-  let n_gates = Netlist.gate_count netlist in
-  let candidates =
-    match candidates with
-    | Some c ->
-      if Array.length c <> n_gates then
-        invalid_arg "Dual_vth.greedy_assignment: candidates size mismatch";
-      c
-    | None -> slack_assignment ~critical_margin:1 netlist
-  in
-  let session = Incremental.create low_lib netlist pattern in
-  let baseline = Incremental.totals session in
-  let accepted = Array.make n_gates false in
-  for id = 0 to n_gates - 1 do
-    if candidates.(id) then begin
-      let before = Report.total (Incremental.totals session) in
-      let cp = Incremental.checkpoint session in
-      Incremental.apply session (Edit.Relib (id, high_lib));
-      let after = Report.total (Incremental.totals session) in
-      if before -. after >= min_gain_percent /. 100.0 *. before then
-        accepted.(id) <- true
-      else Incremental.rollback session cp
-    end
-  done;
-  evaluation_of accepted ~totals:(Incremental.totals session) ~baseline
 
 let high_vth_device ?(shift = 0.08) device =
   let d = Leakage_device.Params.with_vth_shift device shift in

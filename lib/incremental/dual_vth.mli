@@ -8,8 +8,8 @@
     also injects less loading current into its neighbours' nets.
 
     Assignments are evaluated on an {!Incremental} session: the all-low
-    state is the baseline, each high-Vth gate is a [Relib] edit, and each
-    candidate costs only its cone. Criticality comes from unit-delay slack:
+    state is the baseline and each high-Vth gate is a [Relib] edit, so an
+    assignment costs only the cones of its high-Vth gates. Criticality comes from unit-delay slack:
     a gate whose topological level lies within [critical_margin] of the
     longest path keeps the low threshold. *)
 
@@ -46,21 +46,6 @@ val evaluate :
     cone-disjoint groups run on [?pool]'s domains (bit-identical with or
     without a pool). [high_lib] must be characterized for the high-Vth
     device at the same temperature and supply as [low_lib]. *)
-
-val greedy_assignment :
-  ?candidates:assignment ->
-  ?min_gain_percent:float ->
-  low_lib:Leakage_core.Library.t ->
-  high_lib:Leakage_core.Library.t ->
-  Leakage_circuit.Netlist.t ->
-  Leakage_circuit.Logic.vector ->
-  evaluation
-(** Speculate-and-revert optimization on the session's undo log: walk the
-    eligible gates ([candidates], default {!slack_assignment} with margin 1),
-    apply a [Relib] to each, keep it only if the loading-aware total drops by
-    at least [min_gain_percent] (default 0) of the running total, otherwise
-    roll back to the checkpoint. Each trial costs O(cone) instead of a full
-    re-estimate. *)
 
 val high_vth_device :
   ?shift:float -> Leakage_device.Params.t -> Leakage_device.Params.t

@@ -41,8 +41,9 @@ let random_search ?pool ?(use_loading = true) ~rng ~samples lib netlist =
   done;
   !best
 
-let greedy_descent ?pool ?(use_loading = true) ?(max_rounds = 64) lib netlist
-    ~start =
+let max_rounds = 64
+
+let greedy_descent ?pool ?(use_loading = true) lib netlist ~start =
   let inputs = Netlist.inputs netlist in
   let session = Incremental.create lib netlist start in
   let flip v i =

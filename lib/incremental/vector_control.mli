@@ -39,14 +39,13 @@ val random_search :
 val greedy_descent :
   ?pool:Leakage_parallel.Pool.t ->
   ?use_loading:bool ->
-  ?max_rounds:int ->
   Leakage_core.Library.t -> Leakage_circuit.Netlist.t ->
   start:Leakage_circuit.Logic.vector ->
   search_result
 (** Bit-flip hill descent from [start]: repeatedly applies the single-bit
-    flip that most reduces leakage until no flip helps. Each trial flip is a
-    speculative [Set_input] edit that is rolled back through the session's
-    undo log. *)
+    flip that most reduces leakage until no flip helps, for at most 64
+    rounds. Each trial flip is a speculative [Set_input] edit that is
+    rolled back through the session's undo log. *)
 
 type comparison = {
   with_loading : search_result;

@@ -43,50 +43,8 @@ let eval1d g x =
     (g.ys.(i) *. (1.0 -. t)) +. (g.ys.(i + 1) *. t)
   end
 
-type grid2d = { gx : float array; gy : float array; v : float array array }
-
-let grid2d ~xs ~ys ~values =
-  check_axis "Interp.grid2d (xs)" xs;
-  check_axis "Interp.grid2d (ys)" ys;
-  if Array.length values <> Array.length xs then
-    invalid_arg "Interp.grid2d: values row count mismatch";
-  Array.iter
-    (fun row ->
-      if Array.length row <> Array.length ys then
-        invalid_arg "Interp.grid2d: values column count mismatch")
-    values;
-  { gx = Array.copy xs; gy = Array.copy ys; v = Array.map Array.copy values }
-
-let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
-
-let eval2d g x y =
-  if Float.is_nan x || Float.is_nan y then
-    invalid_arg "Interp.eval2d: NaN coordinate";
-  let nx = Array.length g.gx and ny = Array.length g.gy in
-  let x = clamp g.gx.(0) g.gx.(nx - 1) x in
-  let y = clamp g.gy.(0) g.gy.(ny - 1) y in
-  let i = segment g.gx x and j = segment g.gy y in
-  let tx = (x -. g.gx.(i)) /. (g.gx.(i + 1) -. g.gx.(i)) in
-  let ty = (y -. g.gy.(j)) /. (g.gy.(j + 1) -. g.gy.(j)) in
-  let v00 = g.v.(i).(j)
-  and v10 = g.v.(i + 1).(j)
-  and v01 = g.v.(i).(j + 1)
-  and v11 = g.v.(i + 1).(j + 1) in
-  (v00 *. (1.0 -. tx) *. (1.0 -. ty))
-  +. (v10 *. tx *. (1.0 -. ty))
-  +. (v01 *. (1.0 -. tx) *. ty)
-  +. (v11 *. tx *. ty)
-
 let linspace lo hi n =
   if n < 2 then invalid_arg "Interp.linspace: need n >= 2";
   let step = (hi -. lo) /. float_of_int (n - 1) in
   Array.init n (fun i ->
       if i = n - 1 then hi else lo +. (float_of_int i *. step))
-
-let tabulate1d ~xs ~f = grid1d ~xs ~ys:(Array.map f xs)
-
-let tabulate2d ~xs ~ys ~f =
-  let values =
-    Array.map (fun x -> Array.map (fun y -> f x y) ys) xs
-  in
-  grid2d ~xs ~ys ~values

@@ -21,23 +21,6 @@ val eval1d : grid1d -> float -> float
 val grid1d_xs : grid1d -> float array
 val grid1d_ys : grid1d -> float array
 
-type grid2d
-(** Bilinear function of two variables on a rectangular grid. *)
-
-val grid2d : xs:float array -> ys:float array -> values:float array array -> grid2d
-(** [values.(i).(j)] is the sample at [(xs.(i), ys.(j))]. Raises
-    [Invalid_argument] on ragged or mismatched inputs. *)
-
-val eval2d : grid2d -> float -> float -> float
-(** Bilinear interpolation with boundary clamping on both axes. Raises
-    [Invalid_argument] if either coordinate is NaN. *)
-
 val linspace : float -> float -> int -> float array
 (** [linspace lo hi n] is [n >= 2] equally spaced points from [lo] to [hi]
     inclusive. *)
-
-val tabulate1d : xs:float array -> f:(float -> float) -> grid1d
-(** Sample [f] on [xs]. *)
-
-val tabulate2d :
-  xs:float array -> ys:float array -> f:(float -> float -> float) -> grid2d

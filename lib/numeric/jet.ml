@@ -12,7 +12,6 @@ type t = {
 
 let const v = { v; d = 0.0; dd = 0.0 }
 let var v = { v; d = 1.0; dd = 0.0 }
-let make ~v ~d ~dd = { v; d; dd }
 
 let value j = j.v
 let deriv j = j.d
@@ -62,8 +61,6 @@ let pow_const x p =
   let f' = p *. (x.v ** (p -. 1.0)) in
   let f'' = p *. (p -. 1.0) *. (x.v ** (p -. 2.0)) in
   lift ~f ~f' ~f'' x
-
-let sqrt x = pow_const x 0.5
 
 let abs x = if x.v >= 0.0 then x else neg x
 

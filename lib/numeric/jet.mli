@@ -19,8 +19,6 @@ val const : float -> t
 val var : float -> t
 (** The seed variable itself: derivative 1, curvature 0. *)
 
-val make : v:float -> d:float -> dd:float -> t
-
 val value : t -> float
 val deriv : t -> float
 val second : t -> float
@@ -38,7 +36,6 @@ val add_const : float -> t -> t
 
 val exp : t -> t
 val log1p : t -> t
-val sqrt : t -> t
 
 val pow_const : t -> float -> t
 (** [pow_const x p] is [x ** p] for a constant exponent. *)
@@ -53,7 +50,3 @@ val min_const : float -> t -> t
 val logistic : t -> t
 (** Mirrors the device model's saturating logistic (exactly constant beyond
     ±40, so derivatives vanish there). *)
-
-val lift : f:float -> f':float -> f'':float -> t -> t
-(** Chain rule for a custom scalar function: [lift ~f ~f' ~f'' x] composes a
-    function with value [f] and derivatives [f'], [f''] at [x.v]. *)

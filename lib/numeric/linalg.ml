@@ -2,11 +2,6 @@ type matrix = float array array
 
 exception Singular
 
-let make n m v = Array.init n (fun _ -> Array.make m v)
-
-let identity n =
-  Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0))
-
 let dims a =
   let n = Array.length a in
   if n = 0 then (0, 0) else (n, Array.length a.(0))
@@ -20,18 +15,6 @@ let mat_vec a x =
       Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
       !acc)
     a
-
-let mat_mul a b =
-  let n, k = dims a in
-  let k', m = dims b in
-  if k <> k' then invalid_arg "Linalg.mat_mul: inner dimension mismatch";
-  Array.init n (fun i ->
-      Array.init m (fun j ->
-          let acc = ref 0.0 in
-          for l = 0 to k - 1 do
-            acc := !acc +. (a.(i).(l) *. b.(l).(j))
-          done;
-          !acc))
 
 (* LU factorization with partial pivoting, in place on a copy.
    Returns (lu, perm) where perm.(i) is the source row of row i. *)
@@ -90,15 +73,4 @@ let lu_solve a b =
   if Array.length b <> n then invalid_arg "Linalg.lu_solve: size mismatch";
   lu_apply (lu_factor a) b
 
-let solve_many a bs =
-  let fact = lu_factor a in
-  Array.map (lu_apply fact) bs
-
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (abs_float v)) 0.0 x
-
-let norm2 x = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x)
-
-let axpy a x y =
-  if Array.length x <> Array.length y then
-    invalid_arg "Linalg.axpy: size mismatch";
-  Array.mapi (fun i xi -> (a *. xi) +. y.(i)) x

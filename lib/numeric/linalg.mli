@@ -8,15 +8,8 @@
 type matrix = float array array
 (** Row-major [n x m] matrix; rows must share one length. *)
 
-val make : int -> int -> float -> matrix
-val identity : int -> matrix
-val dims : matrix -> int * int
-val copy_matrix : matrix -> matrix
-
 val mat_vec : matrix -> float array -> float array
 (** Matrix-vector product. *)
-
-val mat_mul : matrix -> matrix -> matrix
 
 exception Singular
 (** Raised when elimination hits a (numerically) zero pivot. *)
@@ -25,11 +18,4 @@ val lu_solve : matrix -> float array -> float array
 (** [lu_solve a b] solves [a x = b] by LU with partial pivoting. [a] and [b]
     are not modified. Raises [Singular] on rank deficiency. *)
 
-val solve_many : matrix -> float array array -> float array array
-(** Solve with several right-hand sides sharing one factorization. *)
-
 val norm_inf : float array -> float
-val norm2 : float array -> float
-
-val axpy : float -> float array -> float array -> float array
-(** [axpy a x y] is [a*x + y] elementwise. *)

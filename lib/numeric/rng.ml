@@ -36,10 +36,6 @@ let uniform t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let float t bound = uniform t *. bound
-
-let range t lo hi = lo +. uniform t *. (hi -. lo)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is < 2^-40 for any bound
@@ -68,14 +64,6 @@ let gaussian t =
     r *. cos theta
 
 let normal t ~mean ~sigma = mean +. sigma *. gaussian t
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

@@ -25,14 +25,8 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val range : t -> float -> float -> float
-(** [range t lo hi] is uniform in [\[lo, hi)]. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller; one value per call, cached pair). *)
@@ -42,9 +36,6 @@ val normal : t -> mean:float -> sigma:float -> float
 
 val bool : t -> bool
 (** Fair coin. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

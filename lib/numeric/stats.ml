@@ -41,10 +41,6 @@ let erfc_core ax =
   let t, e = erfc_parts ax in
   t *. exp e
 
-let erf x =
-  let e = 1.0 -. erfc_core (Float.abs x) in
-  if x < 0.0 then -.e else e
-
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
 (* Phi(z) for z <= 0, relatively accurate all the way down (the erfc fit
@@ -136,22 +132,3 @@ let bin_centers h =
   let bins = Array.length h.counts in
   let width = (h.hi -. h.lo) /. float_of_int bins in
   Array.init bins (fun i -> h.lo +. ((float_of_int i +. 0.5) *. width))
-
-let correlation a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Stats.correlation: length mismatch";
-  check_nonempty "Stats.correlation" a;
-  let ma = mean a and mb = mean b in
-  let num = ref 0.0 and da = ref 0.0 and db = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let xa = x -. ma and xb = b.(i) -. mb in
-      num := !num +. (xa *. xb);
-      da := !da +. (xa *. xa);
-      db := !db +. (xb *. xb))
-    a;
-  if !da = 0.0 || !db = 0.0 then 0.0 else !num /. sqrt (!da *. !db)
-
-let relative_error ~reference v =
-  if reference = 0.0 then invalid_arg "Stats.relative_error: zero reference";
-  (v -. reference) /. reference

@@ -9,17 +9,11 @@ val variance : float array -> float
 val std : float array -> float
 (** Sample standard deviation, [sqrt (variance a)]. *)
 
-val erf : float -> float
-(** Gauss error function (Abramowitz & Stegun 7.1.26 rational
-    approximation; absolute error below 1.5e-7). *)
-
 val norm_cdf : float -> float
 (** Standard normal CDF — the building block of the analytic variance
-    propagation's exact Gaussian segment integrals. Mid-range via [erf]
-    (absolute error below 1.5e-7); below z = -2.5 via a Mills-ratio
-    continued fraction, so the deep lower tail keeps {e relative} accuracy
-    arbitrarily far out instead of drowning in the polynomial's absolute
-    error bound. *)
+    propagation's exact Gaussian segment integrals. Evaluated through a
+    Chebyshev-fitted erfc whose error is {e fractional} (below 1.2e-7), so
+    the deep lower tail keeps relative accuracy arbitrarily far out. *)
 
 val log_norm_cdf : float -> float
 (** [log (norm_cdf z)], never overflowing to [-infinity] for finite [z]:
@@ -66,9 +60,3 @@ val histogram_in : lo:float -> hi:float -> bins:int -> float array -> histogram
     first/last bin so two samples can share comparable axes. *)
 
 val bin_centers : histogram -> float array
-
-val correlation : float array -> float array -> float
-(** Pearson correlation of two equal-length samples. *)
-
-val relative_error : reference:float -> float -> float
-(** [(v - reference) /. reference]; raises if [reference = 0]. *)

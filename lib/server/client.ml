@@ -45,8 +45,6 @@ let stats t =
     timeouts = t.n_timeouts;
   }
 
-let policy t = t.policy
-
 let current_endpoint t =
   match t.fd with None -> None | Some _ -> Some t.endpoints.(t.endpoint_ix)
 
@@ -169,9 +167,6 @@ let connect ?(policy = default_policy) ?(seed = 0) endpoints =
   t
 
 let connect_unix ?policy path = connect ?policy [ Unix_path path ]
-
-let connect_tcp ?policy ?(host = "127.0.0.1") port =
-  connect ?policy [ Tcp (host, port) ]
 
 let close t =
   if not t.closed then begin

@@ -39,6 +39,8 @@ exception Poisoned of string
     says what broke the stream. *)
 
 type endpoint = Unix_path of string | Tcp of string * int
+(** [Tcp (host, port)] resolves [host] with [getaddrinfo], so names like
+    ["localhost"] work. *)
 
 type policy = {
   retries : int;  (** extra attempts after the first (0 = strict) *)
@@ -72,16 +74,10 @@ val connect : ?policy:policy -> ?seed:int -> endpoint list -> t
 val connect_unix : ?policy:policy -> string -> t
 (** Connect to a Unix-domain socket path. Raises [Unix.Unix_error]. *)
 
-val connect_tcp : ?policy:policy -> ?host:string -> int -> t
-(** Connect to a TCP port ([host] defaults to ["127.0.0.1"]). The host is
-    resolved with [getaddrinfo], so names like ["localhost"] work; an
-    unresolvable host raises [Failure], not a raw socket error. *)
-
 val close : t -> unit
 (** Close the connection (idempotent). Live server sessions survive — they
     belong to the registry, not the connection. *)
 
-val policy : t -> policy
 val stats : t -> stats
 
 val current_endpoint : t -> endpoint option

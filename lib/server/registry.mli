@@ -115,4 +115,3 @@ val flush_all : t -> unit
 (** Checkpoint every live session — the graceful-shutdown path. *)
 
 val live_count : t -> int
-val live_sessions : t -> session list

@@ -48,7 +48,3 @@ val make :
 val pp : Format.formatter -> t -> unit
 (** One full terminal frame (header, op table, tenant table, runtime
     line). *)
-
-val fmt_rate : float -> string
-val fmt_us : float -> string
-val fmt_bytes : float -> string

@@ -38,7 +38,6 @@ type field =
 let str s = Str s
 let int i = Int i
 let float f = Float f
-let bool b = Bool b
 
 (* 0 = off; else 1 + rank of the minimum level *)
 let gate = Atomic.make 0
@@ -135,7 +134,5 @@ let emit level event fields =
     Mutex.unlock sink_mutex
   end
 
-let debug event fields = emit Debug event fields
 let info event fields = emit Info event fields
 let warn event fields = emit Warn event fields
-let error event fields = emit Error event fields

@@ -3,7 +3,7 @@
     Events are [{"ts":<unix seconds>, "level":"info", "event":"...",
     "rid":"...", <fields>}]. The sink is process-global and writes
     serialize on a mutex — events are per-request, not per-operation, so
-    contention is negligible. While disabled (the default), every emit
+    contention is negligible. While disabled (the default), every logging
     call is one atomic load and a branch: no allocation, preserving the
     telemetry contract that observability off costs nothing and on
     changes no numeric result.
@@ -15,7 +15,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
 val level_of_string : string -> level option
 (** Accepts ["debug"], ["info"], ["warn"]/["warning"], ["error"]. *)
 
@@ -28,7 +27,6 @@ type field =
 val str : string -> field
 val int : int -> field
 val float : float -> field
-val bool : bool -> field
 
 val enable : ?level:level -> out_channel -> unit
 (** Install a sink (not closed by {!disable} — caller owns it) and start
@@ -45,15 +43,9 @@ val with_rid : string -> (unit -> 'a) -> 'a
 (** Run [f] with the calling domain's ambient request id set (restored
     on exit, even on raise). *)
 
-val current_rid : unit -> string option
-
-val emit : level -> string -> (string * field) list -> unit
-(** [emit level event fields] writes one line when [level] passes the
-    threshold. The ambient rid is added as ["rid"] unless [fields]
-    already carries one. Duplicate keys are emitted as given — keep
-    field names unique. *)
-
-val debug : string -> (string * field) list -> unit
 val info : string -> (string * field) list -> unit
 val warn : string -> (string * field) list -> unit
-val error : string -> (string * field) list -> unit
+(** [info event fields] writes one line at that level when the level
+    passes the threshold. The ambient rid is added as ["rid"] unless
+    [fields] already carries one. Duplicate keys are emitted as given —
+    keep field names unique. *)

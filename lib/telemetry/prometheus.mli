@@ -19,11 +19,6 @@ val render : Telemetry.Snapshot.t -> string
     histograms are elided (a family nobody hit is absent, matching what
     scrapers expect of a fresh process). *)
 
-val sanitize_name : string -> string
-(** Map an arbitrary string onto [[a-zA-Z_:][a-zA-Z0-9_:]*]. *)
-
-val escape_label_value : string -> string
-
 type sample = {
   name : string;  (** full sample name, suffixes included *)
   labels : (string * string) list;  (** in exposition order, unescaped *)

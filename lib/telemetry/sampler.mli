@@ -20,6 +20,3 @@ val start : ?interval:float -> ?extra:(unit -> unit) -> unit -> t
 
 val stop : t -> unit
 (** Interrupt the current sleep, join the domain, release the pipe. *)
-
-val sample_once : (unit -> unit) option -> unit
-(** One synchronous sweep (used by {!start} and tests). *)

@@ -116,7 +116,6 @@ type shard = {
   mutable h_buckets : int array;   (* histogram id * n_buckets + bucket *)
   mutable g_base : float array;    (* gauge id -> last set value *)
   mutable g_stamp : int array;     (* gauge id -> global tick of that set *)
-  mutable g_add : float array;     (* gauge id -> accumulated deltas *)
 }
 
 let all_shards : shard list ref = ref []
@@ -137,7 +136,6 @@ let fresh_shard () =
       h_buckets = [||];
       g_base = [||];
       g_stamp = [||];
-      g_add = [||];
     }
   in
   Mutex.lock registry_mutex;
@@ -170,8 +168,7 @@ let ensure_gauge s id =
   if id >= Array.length s.g_base then begin
     let n = id + 1 in
     s.g_base <- grow_float s.g_base n 0.0;
-    s.g_stamp <- grow_int s.g_stamp n;
-    s.g_add <- grow_float s.g_add n 0.0
+    s.g_stamp <- grow_int s.g_stamp n
   end
 
 let incr c =
@@ -232,16 +229,6 @@ let set_gauge g v =
     end
   end
 
-let add_gauge g dv =
-  if Atomic.get enabled_flag then begin
-    if not (Float.is_finite dv) then drop_observation ()
-    else begin
-      let s = Domain.DLS.get shard_key in
-      ensure_gauge s g;
-      s.g_add.(g) <- s.g_add.(g) +. dv
-    end
-  end
-
 let time h f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
@@ -262,8 +249,7 @@ let reset () =
       Array.fill s.h_max 0 (Array.length s.h_max) neg_infinity;
       Array.fill s.h_buckets 0 (Array.length s.h_buckets) 0;
       Array.fill s.g_base 0 (Array.length s.g_base) 0.0;
-      Array.fill s.g_stamp 0 (Array.length s.g_stamp) 0;
-      Array.fill s.g_add 0 (Array.length s.g_add) 0.0)
+      Array.fill s.g_stamp 0 (Array.length s.g_stamp) 0)
     shards
 
 (* ------------------------------------------------------------- snapshot *)
@@ -324,21 +310,15 @@ module Snapshot = struct
       Array.to_list
         (Array.mapi
            (fun id name ->
-             let base, stamp, adds =
+             let value, stamp =
                List.fold_left
-                 (fun (base, stamp, adds) s ->
-                   if id >= Array.length s.g_base then (base, stamp, adds)
-                   else
-                     let base, stamp =
-                       if s.g_stamp.(id) > stamp then
-                         (s.g_base.(id), s.g_stamp.(id))
-                       else (base, stamp)
-                     in
-                     (base, stamp, adds +. s.g_add.(id)))
-                 (0.0, 0, 0.0) shards
+                 (fun (value, stamp) s ->
+                   if id < Array.length s.g_base && s.g_stamp.(id) > stamp then
+                     (s.g_base.(id), s.g_stamp.(id))
+                   else (value, stamp))
+                 (0.0, 0) shards
              in
-             if stamp = 0 && adds = 0.0 then None
-             else Some (name, base +. adds))
+             if stamp = 0 then None else Some (name, value))
            gnames)
       |> List.filter_map Fun.id
     in

@@ -37,9 +37,8 @@ val histogram : string -> histogram
 
 val gauge : string -> gauge
 (** [gauge name] registers (or finds) a point-in-time level: the merged
-    value is the most recent {!set_gauge} across all domains plus the sum
-    of all {!add_gauge} deltas. A gauge nobody has touched is absent from
-    snapshots. *)
+    value is the most recent {!set_gauge} across all domains. A gauge
+    nobody has set is absent from snapshots. *)
 
 val counter_with : string -> (string * string) list -> counter
 val histogram_with : string -> (string * string) list -> histogram
@@ -66,11 +65,9 @@ val observe : histogram -> float -> unit
     each drop in the [telemetry.dropped_observations] counter. *)
 
 val set_gauge : gauge -> float -> unit
-val add_gauge : gauge -> float -> unit
-(** No-ops while disabled. Non-finite values/deltas are dropped and counted
-    like bad observations. [set_gauge] overrides any previous set from any
-    domain (a global stamp orders concurrent sets); [add_gauge] accumulates
-    per-domain and the deltas sum into the merged value. *)
+(** No-op while disabled. Non-finite values are dropped and counted like
+    bad observations. A set overrides any previous set from any domain (a
+    global stamp orders concurrent sets). *)
 
 val time : histogram -> (unit -> 'a) -> 'a
 (** [time h f] runs [f] and observes its wall-clock duration in

@@ -3,18 +3,17 @@
    shards); serialization merges and sorts them. Timestamps are wall-clock
    microseconds relative to the last [start]. *)
 
+(* Every event is a complete ("ph":"X") span. *)
 type event = {
   name : string;
   cat : string;
-  ph : char;     (* 'X' complete span, 'i' instant *)
   ts : float;    (* µs since trace epoch *)
-  dur : float;   (* µs; meaningful for 'X' only *)
+  dur : float;   (* µs *)
   tid : int;     (* domain id *)
   args : (string * string) list;
 }
 
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
 
 (* epoch is written by [start] while quiescent and only read afterwards *)
 let epoch = ref 0.0
@@ -57,7 +56,6 @@ let with_span ?(cat = "app") ?(args = []) name f =
           {
             name;
             cat;
-            ph = 'X';
             ts = t0 -. !epoch;
             dur = t1 -. t0;
             tid = (Domain.self () :> int);
@@ -65,19 +63,6 @@ let with_span ?(cat = "app") ?(args = []) name f =
           })
       f
   end
-
-let instant ?(cat = "app") ?(args = []) name =
-  if Atomic.get enabled_flag then
-    emit
-      {
-        name;
-        cat;
-        ph = 'i';
-        ts = Telemetry.now_us () -. !epoch;
-        dur = 0.0;
-        tid = (Domain.self () :> int);
-        args;
-      }
 
 let collected () =
   Mutex.lock buffers_mutex;
@@ -122,12 +107,9 @@ let to_json () =
     (fun e ->
       sep ();
       p
-        "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": \
-         %.3f, "
-        (Json.escape e.name) (Json.escape e.cat) e.ph e.ts;
-      if e.ph = 'X' then p "\"dur\": %.3f, " e.dur;
-      if e.ph = 'i' then p "\"s\": \"t\", ";
-      p "\"pid\": 1, \"tid\": %d" e.tid;
+        "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": \
+         %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d"
+        (Json.escape e.name) (Json.escape e.cat) e.ts e.dur e.tid;
       if e.args <> [] then begin
         p ", \"args\": ";
         emit_args buf e.args

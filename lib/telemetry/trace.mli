@@ -13,8 +13,6 @@
     outside parallel regions. While tracing is off, {!with_span} is a
     flag check that calls the thunk directly. *)
 
-val enabled : unit -> bool
-
 val start : unit -> unit
 (** Clear all recorded events, reset the trace clock to "now", and begin
     recording. *)
@@ -28,9 +26,6 @@ val with_span : ?cat:string -> ?args:(string * string) list ->
     calling domain's track. The span closes even if [f] raises. [cat] is
     the Chrome category (defaults to ["app"]); [args] become the event's
     [args] object, shown when the span is selected. *)
-
-val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
-(** A zero-duration ("ph":"i") marker on the calling domain's track. *)
 
 val event_count : unit -> int
 (** Events recorded since {!start} (all domains). *)

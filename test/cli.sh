@@ -59,6 +59,15 @@ run mc --samples 0
 run stat --circuit alu88 --samples 0
 run prob --circuit alu88 --p1 nan
 run prob --circuit alu88 --p1 1.5
+run sweep --temp nan
+run mtcmos --circuit alu88 --width nan
+run estimate --circuit alu88 --temp=-300
+run thermal --circuit alu88 --r-theta=-5
+run mtcmos --circuit alu88 --width 0
+run dualvth --circuit alu88 --shift nan
+run sweep --kind NAND2 --pin 5
+run characterize --kind NAND2 --vector 0
+run sweep --kind NAND2 --vector 2x
 run serve --socket s.sock --executors 0
 run serve --socket s.sock --quota 0
 run serve --socket s.sock --max-sessions 0

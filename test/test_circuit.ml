@@ -6,7 +6,6 @@ module Logic = Leakage_circuit.Logic
 module Gate = Leakage_circuit.Gate
 module Netlist = Leakage_circuit.Netlist
 module Bench_format = Leakage_circuit.Bench_format
-module Topo = Leakage_circuit.Topo
 module Simulate = Leakage_circuit.Simulate
 module Verilog = Leakage_circuit.Verilog
 module Rng = Leakage_numeric.Rng
@@ -221,12 +220,17 @@ let test_netlist_builder_basic () =
     (Netlist.is_input nl c || Netlist.is_output nl c);
   Alcotest.(check string) "named net" "c" (Netlist.net_name nl c)
 
+let fanout_count nl n =
+  let k = ref 0 in
+  Netlist.iter_fanout nl n (fun _ -> incr k);
+  !k
+
 let test_netlist_driver_fanout () =
   let nl, a, _, c, d = small_circuit () in
   Alcotest.(check int) "driver of c" 0 (Netlist.driver_id nl c);
   Alcotest.(check int) "a undriven" (-1) (Netlist.driver_id nl a);
-  Alcotest.(check int) "fanout of c" 1 (Netlist.fanout_degree nl c);
-  Alcotest.(check int) "fanout of d" 0 (Netlist.fanout_degree nl d)
+  Alcotest.(check int) "fanout of c" 1 (fanout_count nl c);
+  Alcotest.(check int) "fanout of d" 0 (fanout_count nl d)
 
 let test_netlist_fanout_counts_pins () =
   (* one gate using the same net twice contributes two fanout entries *)
@@ -235,7 +239,7 @@ let test_netlist_fanout_counts_pins () =
   let o = Netlist.Builder.gate b (Gate.Nand 2) [| a; a |] in
   Netlist.Builder.mark_output b o;
   let nl = Netlist.Builder.finish b in
-  Alcotest.(check int) "two pins on a" 2 (Netlist.fanout_degree nl a)
+  Alcotest.(check int) "two pins on a" 2 (fanout_count nl a)
 
 let test_netlist_validate_ok () =
   let nl, _, _, _, _ = small_circuit () in
@@ -260,7 +264,7 @@ let test_netlist_stats () =
   Alcotest.(check bool) "histogram has NAND2" true
     (List.mem_assoc "NAND2" s.Netlist.kind_histogram)
 
-(* ----------------------------------------------------------------- Topo *)
+(* ---------------------------------------------------- topological order *)
 
 let test_topo_order_respects_deps () =
   let nl, _, _, _, _ = small_circuit () in
@@ -270,15 +274,7 @@ let test_topo_order_respects_deps () =
 
 let test_topo_levels () =
   let nl, _, _, _, _ = small_circuit () in
-  let levels = Topo.levels nl in
-  Alcotest.(check bool) "levels" true (levels = [| 1; 2 |])
-
-let test_topo_net_levels () =
-  let nl, a, _, c, d = small_circuit () in
-  let levels = Topo.net_levels nl in
-  Alcotest.(check int) "PI at 0" 0 levels.(a);
-  Alcotest.(check int) "c at 1" 1 levels.(c);
-  Alcotest.(check int) "d at 2" 2 levels.(d)
+  Alcotest.(check bool) "levels" true (Netlist.levelize nl = Some [| 1; 2 |])
 
 let prop_topo_is_topological =
   qtest ~count:50 "random ISCAS-profile circuits sort topologically"
@@ -751,7 +747,6 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_topo_order_respects_deps;
           Alcotest.test_case "levels" `Quick test_topo_levels;
-          Alcotest.test_case "net levels" `Quick test_topo_net_levels;
           prop_topo_is_topological;
         ] );
       ( "simulate",

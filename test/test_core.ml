@@ -1028,11 +1028,11 @@ let test_mtcmos_standby_collapses_leakage () =
 
 let test_mtcmos_width_tradeoff () =
   let nl = chain_circuit () in
-  let sweep =
-    Leakage_core.Mtcmos.width_sweep ~device ~temp:300.0
-      ~widths:[| 2.0; 40.0 |] nl (Logic.vector_of_string "01")
+  let at sleep_width =
+    Leakage_core.Mtcmos.analyze ~sleep_width ~device ~temp:300.0 nl
+      (Logic.vector_of_string "01")
   in
-  let _, narrow = sweep.(0) and _, wide = sweep.(1) in
+  let narrow = at 2.0 and wide = at 40.0 in
   Alcotest.(check bool) "wider footer: lower active virtual ground" true
     (wide.Leakage_core.Mtcmos.active.Leakage_core.Mtcmos.virtual_ground
      < narrow.Leakage_core.Mtcmos.active.Leakage_core.Mtcmos.virtual_ground);
@@ -1276,34 +1276,6 @@ let test_reporting_per_gate_csv () =
     (contains csv "gate_id,cell,output_net,vector");
   Alcotest.(check bool) "mentions NAND2" true (contains csv "NAND2")
 
-let test_reporting_totals_csv () =
-  let csv =
-    Reporting.totals_csv
-      [ ("x", { Report.isub = 1e-9; igate = 2e-9; ibtbt = 3e-9 }) ]
-  in
-  Alcotest.(check bool) "row rendered in nA" true
-    (contains csv "x,1.0000,2.0000,3.0000,6.0000")
-
-let test_reporting_ld_sweep_csv () =
-  let pts =
-    Loading.input_sweep ~device ~temp ~currents:[| 0.0; 1.0e-6 |] Gate.Inv
-      [| Logic.Zero |]
-  in
-  let csv = Reporting.ld_sweep_csv pts in
-  Alcotest.(check int) "header + 2 rows" 3 (count_lines csv);
-  Alcotest.(check bool) "header" true (contains csv "current_nA,ld_sub_percent")
-
-let test_reporting_mc_csv () =
-  let samples =
-    [|
-      { Monte_carlo.loaded = { Report.isub = 1e-9; igate = 0.0; ibtbt = 0.0 };
-        unloaded = { Report.isub = 2e-9; igate = 0.0; ibtbt = 0.0 } };
-    |]
-  in
-  let csv = Reporting.mc_csv samples in
-  Alcotest.(check int) "header + 1 row" 2 (count_lines csv);
-  Alcotest.(check bool) "values" true (contains csv "1.0000,0.0000,0.0000,1.0000,2.0000")
-
 let test_reporting_pp_per_gate_ranks () =
   let nl = chain_circuit () in
   let r = Estimator.estimate lib nl (Logic.vector_of_string "01") in
@@ -1499,9 +1471,6 @@ let () =
       ( "reporting",
         [
           Alcotest.test_case "per-gate csv" `Quick test_reporting_per_gate_csv;
-          Alcotest.test_case "totals csv" `Quick test_reporting_totals_csv;
-          Alcotest.test_case "ld sweep csv" `Quick test_reporting_ld_sweep_csv;
-          Alcotest.test_case "mc csv" `Quick test_reporting_mc_csv;
           Alcotest.test_case "pp ranks" `Quick test_reporting_pp_per_gate_ranks;
         ] );
       ( "paper-claims",

@@ -260,22 +260,6 @@ let test_guards () =
 
 (* -------------------------------------------- session-based optimizers *)
 
-let test_greedy_dual_vth () =
-  let nl = adder_circuit 2 in
-  let pattern = Logic.vector_of_string "01100" in
-  let all = Array.make (Netlist.gate_count nl) true in
-  let e =
-    Dual_vth.greedy_assignment ~candidates:all ~low_lib:lib ~high_lib:hvt_lib
-      nl pattern
-  in
-  Alcotest.(check bool) "greedy only accepts improvements" true
-    (e.Dual_vth.reduction_percent >= 0.0);
-  (* the accepted assignment re-evaluated from scratch gives the same answer *)
-  let e' = Dual_vth.evaluate ~low_lib:lib ~high_lib:hvt_lib e.Dual_vth.assignment nl pattern in
-  Alcotest.(check bool) "greedy totals match a fresh evaluation" true
-    (rel (Report.total e.Dual_vth.totals) (Report.total e'.Dual_vth.totals)
-     <= 1e-9)
-
 let test_vector_mc_resample () =
   let nl = Trees.parity ~width:4 () in
   let r = Vector_mc.resample ~seed:3 ~samples:20 lib nl in
@@ -487,7 +471,6 @@ let () =
         ] );
       ( "optimizers",
         [
-          Alcotest.test_case "greedy dual-Vth" `Quick test_greedy_dual_vth;
           Alcotest.test_case "vector MC resample" `Quick test_vector_mc_resample;
         ] );
       ( "differential",

@@ -14,6 +14,7 @@ module Characterize = Leakage_core.Characterize
 module Library = Leakage_core.Library
 module Estimator = Leakage_core.Estimator
 module Report = Leakage_spice.Leakage_report
+module Suite = Leakage_benchmarks.Suite
 
 let with_temp_file ?(suffix = ".bench") content f =
   let path = Filename.temp_file "leakage_ingest" suffix in
@@ -217,7 +218,7 @@ let test_snapshot_roundtrip_unverified () =
 
 let snapshot_error expect_sub thunk =
   match thunk () with
-  | (_ : Netlist.t) -> Alcotest.failf "expected Snapshot_error %S" expect_sub
+  | _ -> Alcotest.failf "expected Snapshot_error %S" expect_sub
   | exception Snapshot.Snapshot_error msg ->
     if not (contains msg expect_sub) then
       Alcotest.failf "message %S does not mention %S" msg expect_sub
@@ -275,6 +276,121 @@ let test_snapshot_unreadable_path () =
   snapshot_error "cannot open" (fun () ->
       Snapshot.load "/nonexistent/dir/missing.lkn")
 
+(* The LKN1 header checksum: FNV-1a over bytes 0..103 with the checksum
+   field (bytes 104..111) zeroed. Re-stamping it lets a test forge a header
+   that passes the checksum and must fail a later header check. *)
+let restamp_checksum b =
+  Bytes.set_int64_le b 104 0L;
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to 103 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i))))
+        0x100000001b3L
+  done;
+  Bytes.set_int64_le b 104 !h
+
+let corpus_circuit label = (Suite.find label).Suite.build ()
+
+let test_snapshot_header_checks_shared () =
+  let foreign_endian = if Sys.big_endian then '\001' else '\002' in
+  with_snapshot (corpus_circuit "alu88") (fun path ->
+      let intact = read_all path in
+      List.iter
+        (fun (pos, byte, expect) ->
+          let b = Bytes.of_string intact in
+          Bytes.set b pos byte;
+          restamp_checksum b;
+          write_all path (Bytes.to_string b);
+          snapshot_error expect (fun () -> Snapshot.load path);
+          snapshot_error expect (fun () -> Snapshot.digest_of_file path))
+        [ (4, '\002', "unsupported LKN1 version");
+          (5, '\004', "word size");
+          (6, foreign_endian, "endianness mismatch");
+          (72, 'Z', "malformed digest") ])
+
+let corpus_snapshots =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun label ->
+            let t = corpus_circuit label in
+            let data = ref "" in
+            with_snapshot t (fun path -> data := read_all path);
+            (label, Netlist.digest t, !data))
+          [ "s838"; "alu88"; "mult88" ]))
+
+type mutation =
+  | Truncate of int
+  | Flip_bit of int * int
+  | Set_byte of int * char  (* within the first two pages *)
+  | Splice_header of int    (* header page of this corpus entry *)
+
+let mutate data = function
+  | Truncate n -> String.sub data 0 (n mod String.length data)
+  | Flip_bit (pos, bit) ->
+    let b = Bytes.of_string data in
+    let pos = pos mod Bytes.length b in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+    Bytes.to_string b
+  | Set_byte (pos, c) ->
+    let b = Bytes.of_string data in
+    Bytes.set b (pos mod Stdlib.min 8192 (Bytes.length b)) c;
+    Bytes.to_string b
+  | Splice_header i ->
+    let _, _, other = (Lazy.force corpus_snapshots).(i) in
+    String.sub other 0 4096 ^ String.sub data 4096 (String.length data - 4096)
+
+let mutation_gen =
+  QCheck2.Gen.(
+    let pos = int_bound 1_000_000 in
+    pair (int_bound 2)
+      (oneof
+         [ map (fun n -> Truncate n) pos;
+           map2 (fun p bit -> Flip_bit (p, bit)) pos (int_bound 7);
+           map2 (fun p c -> Set_byte (p, c)) pos char;
+           map (fun i -> Splice_header i) (int_bound 2) ]))
+
+let print_mutation (i, m) =
+  let label, _, _ = (Lazy.force corpus_snapshots).(i) in
+  label ^ ": "
+  ^
+  match m with
+  | Truncate n -> Printf.sprintf "truncate at %d" n
+  | Flip_bit (p, bit) -> Printf.sprintf "flip bit %d of byte %d" bit p
+  | Set_byte (p, c) -> Printf.sprintf "set byte %d to %C" p c
+  | Splice_header j -> Printf.sprintf "header of entry %d" j
+
+(* Mutated snapshots of golden-corpus circuits fail closed: [load] and
+   [digest_of_file] return or raise [Snapshot_error], nothing else. A load
+   that succeeds has the digest of the circuit whose header the file
+   carries, and so does any digest [digest_of_file] reports. *)
+let prop_snapshot_mutations_fail_closed =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~print:print_mutation
+       ~name:"mutated golden-corpus snapshots fail closed" mutation_gen
+       (fun (i, m) ->
+         let corpus = Lazy.force corpus_snapshots in
+         let _, _, data = corpus.(i) in
+         let header_source = match m with Splice_header j -> j | _ -> i in
+         let _, expected, _ = corpus.(header_source) in
+         let path = Filename.temp_file "leakage_mut" ".lkn" in
+         Fun.protect
+           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+           (fun () ->
+             write_all path (mutate data m);
+             let loaded =
+               match Snapshot.load path with
+               | u -> Netlist.digest u = expected
+               | exception Snapshot.Snapshot_error _ -> true
+             in
+             let reported =
+               match Snapshot.digest_of_file path with
+               | d -> d = expected
+               | exception Snapshot.Snapshot_error _ -> true
+             in
+             loaded && reported)))
+
 (* ---------------------------------- SoA accessors vs a brute-force scan *)
 
 (* Every derived lookup (per-pin iteration, driver ids, the fanout CSR and
@@ -302,10 +418,6 @@ let check_accessors_against_pin_scan t =
     Alcotest.(check (list int)) "fanout order" scan (calls (Netlist.iter_fanout t net));
     Alcotest.(check (list int)) "rev fanout" (List.rev scan)
       (calls (Netlist.rev_iter_fanout t net));
-    Alcotest.(check int) "degree" (List.length scan) (Netlist.fanout_degree t net);
-    List.iteri
-      (fun i g -> Alcotest.(check int) "fanout_gate" g (Netlist.fanout_gate t net i))
-      scan
   done;
   let order = Netlist.topo_ids t in
   Alcotest.(check (list int)) "topo is a permutation"
@@ -390,6 +502,9 @@ let () =
           Alcotest.test_case "detects payload corruption" `Quick
             test_snapshot_detects_payload_corruption;
           Alcotest.test_case "unreadable path" `Quick test_snapshot_unreadable_path;
+          Alcotest.test_case "header checks shared by digest_of_file" `Quick
+            test_snapshot_header_checks_shared;
+          prop_snapshot_mutations_fail_closed;
         ] );
       ( "soa",
         [

@@ -3,7 +3,6 @@
 module Rng = Leakage_numeric.Rng
 module Stats = Leakage_numeric.Stats
 module Interp = Leakage_numeric.Interp
-module Rootfind = Leakage_numeric.Rootfind
 module Linalg = Leakage_numeric.Linalg
 module Solver = Leakage_numeric.Solver
 module Telemetry = Leakage_telemetry.Telemetry
@@ -82,16 +81,6 @@ let test_rng_normal_scaling () =
   Alcotest.(check (float 0.06)) "mean" 5.0 (Stats.mean xs);
   Alcotest.(check (float 0.06)) "sigma" 2.0 (Stats.std xs)
 
-let test_rng_shuffle_permutes () =
-  let r = Rng.create 14 in
-  let a = Array.init 50 Fun.id in
-  let b = Array.copy a in
-  Rng.shuffle r b;
-  let sorted = Array.copy b in
-  Array.sort compare sorted;
-  Alcotest.(check bool) "same multiset" true (sorted = a);
-  Alcotest.(check bool) "actually moved" false (b = a)
-
 let test_rng_pick () =
   let r = Rng.create 15 in
   let a = [| 1; 2; 3 |] in
@@ -160,16 +149,6 @@ let test_stats_bin_centers () =
   check_float "first center" 0.5 c.(0);
   check_float "last center" 3.5 c.(3)
 
-let test_stats_correlation () =
-  let a = [| 1.; 2.; 3.; 4. |] in
-  check_float "self correlation" 1.0 (Stats.correlation a a);
-  check_float "anti correlation" (-1.0)
-    (Stats.correlation a (Array.map (fun x -> -.x) a));
-  check_float "constant gives 0" 0.0 (Stats.correlation a [| 5.; 5.; 5.; 5. |])
-
-let test_stats_relative_error () =
-  check_float "+10%" 0.1 (Stats.relative_error ~reference:10.0 11.0)
-
 (* --------------------------------------------------------------- Interp *)
 
 let test_interp_linspace () =
@@ -200,23 +179,6 @@ let test_interp_1d_rejects_bad_axis () =
     (Invalid_argument "Interp.grid1d: axis must be strictly increasing")
     (fun () -> ignore (Interp.grid1d ~xs:[| 0.; 0. |] ~ys:[| 1.; 2. |]))
 
-let test_interp_2d_bilinear () =
-  let g =
-    Interp.grid2d ~xs:[| 0.; 1. |] ~ys:[| 0.; 1. |]
-      ~values:[| [| 0.; 1. |]; [| 2.; 3. |] |]
-  in
-  check_float "corner 00" 0. (Interp.eval2d g 0. 0.);
-  check_float "corner 11" 3. (Interp.eval2d g 1. 1.);
-  check_float "center" 1.5 (Interp.eval2d g 0.5 0.5);
-  check_float "x edge midpoint" 1.0 (Interp.eval2d g 0.5 0.0)
-
-let test_interp_2d_clamps () =
-  let g =
-    Interp.grid2d ~xs:[| 0.; 1. |] ~ys:[| 0.; 1. |]
-      ~values:[| [| 0.; 1. |]; [| 2.; 3. |] |]
-  in
-  check_float "clamped corner" 3. (Interp.eval2d g 10. 10.)
-
 let test_interp_1d_rejects_nan () =
   (* regression: NaN fell through every segment comparison and produced
      garbage instead of an error *)
@@ -225,99 +187,22 @@ let test_interp_1d_rejects_nan () =
     (Invalid_argument "Interp.eval1d: NaN coordinate")
     (fun () -> ignore (Interp.eval1d g Float.nan))
 
-let test_interp_2d_rejects_nan () =
-  let g =
-    Interp.grid2d ~xs:[| 0.; 1. |] ~ys:[| 0.; 1. |]
-      ~values:[| [| 0.; 1. |]; [| 2.; 3. |] |]
-  in
-  Alcotest.check_raises "nan x"
-    (Invalid_argument "Interp.eval2d: NaN coordinate")
-    (fun () -> ignore (Interp.eval2d g Float.nan 0.5));
-  Alcotest.check_raises "nan y"
-    (Invalid_argument "Interp.eval2d: NaN coordinate")
-    (fun () -> ignore (Interp.eval2d g 0.5 Float.nan))
-
 let prop_interp_reproduces_linear =
   qtest "interp1d is exact for affine functions"
     QCheck2.Gen.(tup2 (float_range (-5.) 5.) (float_range (-5.) 5.))
     (fun (a, b) ->
       let f x = (a *. x) +. b in
       let xs = Interp.linspace (-2.0) 2.0 9 in
-      let g = Interp.tabulate1d ~xs ~f in
+      let g = Interp.grid1d ~xs ~ys:(Array.map f xs) in
       List.for_all
         (fun x -> abs_float (Interp.eval1d g x -. f x) < 1e-9)
         [ -1.9; -0.3; 0.0; 0.7; 1.99 ])
 
-let prop_interp2d_matches_tabulated_bilinear =
-  qtest "interp2d is exact for bilinear functions"
-    QCheck2.Gen.(tup3 (float_range (-2.) 2.) (float_range (-2.) 2.)
-                   (float_range (-2.) 2.))
-    (fun (a, b, c) ->
-      let f x y = (a *. x) +. (b *. y) +. (c *. x *. y) in
-      let xs = Interp.linspace 0.0 1.0 4 in
-      let g = Interp.tabulate2d ~xs ~ys:xs ~f in
-      List.for_all
-        (fun (x, y) -> abs_float (Interp.eval2d g x y -. f x y) < 1e-9)
-        [ (0.1, 0.9); (0.5, 0.5); (0.99, 0.01) ])
-
-(* ------------------------------------------------------------- Rootfind *)
-
-let test_brent_sqrt2 () =
-  let f x = (x *. x) -. 2.0 in
-  check_float ~eps:1e-10 "sqrt 2" (sqrt 2.0) (Rootfind.brent ~f 0.0 2.0)
-
-let test_brent_endpoint_root () =
-  let f x = x -. 1.0 in
-  check_float "endpoint" 1.0 (Rootfind.brent ~f 1.0 2.0)
-
-let test_brent_rejects_unbracketed () =
-  Alcotest.check_raises "no bracket"
-    (Invalid_argument "Rootfind.brent: root not bracketed")
-    (fun () -> ignore (Rootfind.brent ~f:(fun x -> x +. 10.0) 0.0 1.0))
-
-let test_newton_bracketed_exp () =
-  let f x = exp x -. 3.0 in
-  let df x = exp x in
-  check_float ~eps:1e-9 "ln 3" (log 3.0)
-    (Rootfind.newton_bracketed ~f ~df ~lo:0.0 ~hi:2.0 0.5)
-
-let test_newton_numeric_stiff () =
-  (* strongly curved function mimicking a subthreshold I-V *)
-  let f v = (1e-9 *. (exp (v /. 0.026) -. 1.0)) -. 5e-7 in
-  let root = Rootfind.newton_numeric ~f ~lo:0.0 ~hi:1.0 0.5 in
-  check_float ~eps:1e-9 "residual ~ 0" 0.0 (f root /. 5e-7)
-
-let test_expand_bracket () =
-  let f x = x -. 100.0 in
-  let a, b = Rootfind.expand_bracket ~f 0.0 1.0 in
-  Alcotest.(check bool) "brackets" true (f a <= 0.0 && f b >= 0.0)
-
-let prop_brent_polynomial_roots =
-  qtest "brent finds the root of (x - r)(x + r + 3)"
-    QCheck2.Gen.(float_range 0.1 5.0)
-    (fun r ->
-      let f x = (x -. r) *. (x +. r +. 3.0) in
-      let root = Rootfind.brent ~f 0.0 10.0 in
-      abs_float (root -. r) < 1e-8)
-
-(* An exhausted iteration budget must be reported — the exception plus a
-   tick on the registry's nonconvergence counter — never swallowed. *)
-let test_brent_budget_exhaustion_is_counted () =
-  Telemetry.set_enabled true;
-  Telemetry.reset ();
-  let f x = (x *. x) -. 2.0 in
-  (match Rootfind.brent ~tol:1e-15 ~max_iter:1 ~f 0.0 2.0 with
-   | _ -> Alcotest.fail "expected No_convergence"
-   | exception Rootfind.No_convergence _ -> ());
-  let snap = Telemetry.Snapshot.take () in
-  Telemetry.set_enabled false;
-  Alcotest.(check int) "rootfind.nonconverged counted" 1
-    (Telemetry.Snapshot.counter_total snap "rootfind.nonconverged")
-
 (* --------------------------------------------------------------- Linalg *)
 
 let test_linalg_identity_solve () =
-  let x = Linalg.lu_solve (Linalg.identity 3) [| 1.; 2.; 3. |] in
+  let id = [| [| 1.; 0.; 0. |]; [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |] |] in
+  let x = Linalg.lu_solve id [| 1.; 2.; 3. |] in
   Alcotest.(check bool) "identity" true (x = [| 1.; 2.; 3. |])
 
 let test_linalg_known_system () =
@@ -342,19 +227,8 @@ let test_linalg_mat_vec () =
   let y = Linalg.mat_vec [| [| 1.; 2. |]; [| 3.; 4. |] |] [| 1.; 1. |] in
   Alcotest.(check bool) "product" true (y = [| 3.; 7. |])
 
-let test_linalg_mat_mul () =
-  let c = Linalg.mat_mul [| [| 1.; 2. |] |] [| [| 3. |]; [| 4. |] |] in
-  check_float "1x1 result" 11. c.(0).(0)
-
 let test_linalg_norms () =
-  check_float "inf" 3.0 (Linalg.norm_inf [| 1.; -3.; 2. |]);
-  check_float "l2" 5.0 (Linalg.norm2 [| 3.; 4. |])
-
-let test_linalg_solve_many () =
-  let a = [| [| 2.; 0. |]; [| 0.; 4. |] |] in
-  let xs = Linalg.solve_many a [| [| 2.; 4. |]; [| 4.; 8. |] |] in
-  Alcotest.(check bool) "rhs 0" true (xs.(0) = [| 1.; 1. |]);
-  Alcotest.(check bool) "rhs 1" true (xs.(1) = [| 2.; 2. |])
+  check_float "inf" 3.0 (Linalg.norm_inf [| 1.; -3.; 2. |])
 
 let test_linalg_does_not_mutate () =
   let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
@@ -438,7 +312,6 @@ let () =
           Alcotest.test_case "int rejects <= 0" `Quick test_rng_int_rejects_nonpositive;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
           Alcotest.test_case "normal scaling" `Slow test_rng_normal_scaling;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
       ( "stats",
@@ -455,8 +328,6 @@ let () =
           Alcotest.test_case "histogram clamps" `Quick test_stats_histogram_in_clamps;
           Alcotest.test_case "histogram degenerate" `Quick test_stats_histogram_degenerate;
           Alcotest.test_case "bin centers" `Quick test_stats_bin_centers;
-          Alcotest.test_case "correlation" `Quick test_stats_correlation;
-          Alcotest.test_case "relative error" `Quick test_stats_relative_error;
         ] );
       ( "interp",
         [
@@ -465,24 +336,8 @@ let () =
           Alcotest.test_case "1d linear" `Quick test_interp_1d_linear_between;
           Alcotest.test_case "1d clamps" `Quick test_interp_1d_clamps;
           Alcotest.test_case "1d bad axis" `Quick test_interp_1d_rejects_bad_axis;
-          Alcotest.test_case "2d bilinear" `Quick test_interp_2d_bilinear;
-          Alcotest.test_case "2d clamps" `Quick test_interp_2d_clamps;
           Alcotest.test_case "1d rejects NaN" `Quick test_interp_1d_rejects_nan;
-          Alcotest.test_case "2d rejects NaN" `Quick test_interp_2d_rejects_nan;
           prop_interp_reproduces_linear;
-          prop_interp2d_matches_tabulated_bilinear;
-        ] );
-      ( "rootfind",
-        [
-          Alcotest.test_case "brent sqrt2" `Quick test_brent_sqrt2;
-          Alcotest.test_case "brent endpoint" `Quick test_brent_endpoint_root;
-          Alcotest.test_case "brent unbracketed" `Quick test_brent_rejects_unbracketed;
-          Alcotest.test_case "newton exp" `Quick test_newton_bracketed_exp;
-          Alcotest.test_case "newton stiff" `Quick test_newton_numeric_stiff;
-          Alcotest.test_case "expand bracket" `Quick test_expand_bracket;
-          Alcotest.test_case "budget exhaustion counted" `Quick
-            test_brent_budget_exhaustion_is_counted;
-          prop_brent_polynomial_roots;
         ] );
       ( "linalg",
         [
@@ -491,9 +346,7 @@ let () =
           Alcotest.test_case "pivoting" `Quick test_linalg_pivoting;
           Alcotest.test_case "singular" `Quick test_linalg_singular;
           Alcotest.test_case "mat vec" `Quick test_linalg_mat_vec;
-          Alcotest.test_case "mat mul" `Quick test_linalg_mat_mul;
           Alcotest.test_case "norms" `Quick test_linalg_norms;
-          Alcotest.test_case "solve many" `Quick test_linalg_solve_many;
           Alcotest.test_case "no mutation" `Quick test_linalg_does_not_mutate;
           prop_lu_solves_random_dd;
         ] );

@@ -851,7 +851,7 @@ let test_poisoned_after_truncated_reply () =
       expect_poisoned c;
       Client.close c)
 
-let test_connect_tcp_resolves_hostname () =
+let test_tcp_resolves_hostname () =
   let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   Unix.listen lfd 1;
@@ -873,11 +873,11 @@ let test_connect_tcp_resolves_hostname () =
       (try Unix.close lfd with Unix.Unix_error _ -> ());
       Thread.join th)
     (fun () ->
-      let c = Client.connect_tcp ~host:"localhost" port in
+      let c = Client.connect [ Client.Tcp ("localhost", port) ] in
       Client.close c)
 
-let test_connect_tcp_unresolvable_host_fails_cleanly () =
-  match Client.connect_tcp ~host:"no-such-host.invalid" 1 with
+let test_tcp_unresolvable_host_fails_cleanly () =
+  match Client.connect [ Client.Tcp ("no-such-host.invalid", 1) ] with
   | _ -> Alcotest.fail "expected resolution to fail"
   | exception Failure msg ->
     Alcotest.(check bool) "clean failure names the host" true
@@ -1004,9 +1004,9 @@ let () =
           Alcotest.test_case "poisoned after truncated reply" `Quick
             test_poisoned_after_truncated_reply;
           Alcotest.test_case "tcp hostname resolution" `Quick
-            test_connect_tcp_resolves_hostname;
+            test_tcp_resolves_hostname;
           Alcotest.test_case "unresolvable host" `Quick
-            test_connect_tcp_unresolvable_host_fails_cleanly;
+            test_tcp_unresolvable_host_fails_cleanly;
         ] );
       ( "loopback",
         [

@@ -138,14 +138,13 @@ let test_snapshot_json_shape () =
 
 (* --------------------------------------------------------------- gauges *)
 
-let test_gauge_set_add_merge () =
+let test_gauge_set_over_set () =
   with_recording (fun () ->
       let g = Telemetry.gauge "t.g" in
       Telemetry.set_gauge g 5.0;
-      Telemetry.add_gauge g 2.0;
-      Telemetry.add_gauge g (-1.0);
+      Telemetry.set_gauge g 6.0;
       let snap = Telemetry.Snapshot.take () in
-      Alcotest.(check (float 1e-9)) "set plus adds" 6.0
+      Alcotest.(check (float 1e-9)) "latest set wins" 6.0
         (Telemetry.Snapshot.gauge_value snap "t.g");
       Alcotest.(check (float 1e-9)) "unknown gauge is 0" 0.0
         (Telemetry.Snapshot.gauge_value snap "t.never"))
@@ -164,13 +163,10 @@ let test_gauge_merge_across_domains () =
       Telemetry.set_gauge g 100.0;
       Domain.join
         (Domain.spawn (fun () ->
-             Telemetry.set_gauge g 3.0;
-             Telemetry.add_gauge g 0.5));
-      Telemetry.add_gauge g 0.25;
+             Telemetry.set_gauge g 3.0));
       let snap = Telemetry.Snapshot.take () in
-      (* the worker's set is newer, so its base wins; adds from every
-         domain still sum on top *)
-      Alcotest.(check (float 1e-9)) "latest set plus all adds" 3.75
+      (* the worker's set is newer, so it wins over this domain's *)
+      Alcotest.(check (float 1e-9)) "latest set across domains" 3.0
         (Telemetry.Snapshot.gauge_value snap "t.g_dom"))
 
 (* ------------------------------------------------------ labeled families *)
@@ -218,7 +214,7 @@ let test_observe_guard_drops_and_counts () =
       Telemetry.observe h Float.infinity;
       let g = Telemetry.gauge "t.guard_g" in
       Telemetry.set_gauge g Float.nan;
-      Telemetry.add_gauge g Float.neg_infinity;
+      Telemetry.set_gauge g Float.neg_infinity;
       let snap = Telemetry.Snapshot.take () in
       Alcotest.(check int) "only the finite sample lands" 1
         (Telemetry.Snapshot.histogram_count snap "t.guard");
@@ -358,14 +354,13 @@ let test_trace_spans_and_json () =
     Trace.with_span ~cat:"test" ~args:[ ("k", "v") ] "outer" (fun () ->
         Trace.with_span "inner" (fun () -> 21 * 2))
   in
-  Trace.instant "marker";
   (match Trace.with_span "raising" (fun () -> failwith "boom") with
    | _ -> Alcotest.fail "expected Failure"
    | exception Failure _ -> ());
   Trace.stop ();
   Alcotest.(check int) "value through spans" 42 v;
-  (* outer + inner + raising + instant *)
-  Alcotest.(check int) "events recorded" 4 (Trace.event_count ());
+  (* outer + inner + raising *)
+  Alcotest.(check int) "events recorded" 3 (Trace.event_count ());
   let j = Json.parse (Trace.to_json ()) in
   ignore (Json.str "displayTimeUnit" j);
   let events = Json.arr "traceEvents" j in
@@ -374,8 +369,6 @@ let test_trace_spans_and_json () =
     (fun n ->
       Alcotest.(check string) (n ^ " is a span") "X" (Json.str "ph" (named n)))
     [ "outer"; "inner"; "raising" ];
-  Alcotest.(check string) "marker is an instant" "i"
-    (Json.str "ph" (named "marker"));
   Alcotest.(check string) "span args" "v"
     (Json.str "k" (Json.member "args" (named "outer")));
   Alcotest.(check string) "track metadata" "M"
@@ -389,25 +382,25 @@ let test_trace_disabled_is_passthrough () =
   Alcotest.(check int) "nothing recorded" 0 (Trace.event_count ());
   (* start clears any previous events *)
   Trace.start ();
-  Trace.instant "one";
+  Trace.with_span "one" ignore;
   Trace.stop ();
   Alcotest.(check int) "fresh after start" 1 (Trace.event_count ())
 
 let test_trace_escapes_strings () =
   Trace.start ();
-  Trace.instant ~args:[ ("path", "a\"b\\c\nd") ] "quote\"name";
+  Trace.with_span ~args:[ ("path", "a\"b\\c\nd") ] "quote\"name" ignore;
   Trace.stop ();
   let j = Json.parse (Trace.to_json ()) in
-  let instants =
-    List.filter (fun e -> Json.str "ph" e = "i") (Json.arr "traceEvents" j)
+  let spans =
+    List.filter (fun e -> Json.str "ph" e = "X") (Json.arr "traceEvents" j)
   in
-  match instants with
+  match spans with
   | [ e ] ->
     Alcotest.(check string) "name decodes exactly" "quote\"name"
       (Json.str "name" e);
     Alcotest.(check string) "arg decodes exactly" "a\"b\\c\nd"
       (Json.str "path" (Json.member "args" e))
-  | _ -> Alcotest.fail "expected one instant event"
+  | _ -> Alcotest.fail "expected one span"
 
 (* ------------------------------------------------------------------ log *)
 
@@ -536,8 +529,7 @@ let () =
         ] );
       ( "gauges",
         [
-          Alcotest.test_case "set and add merge" `Quick
-            test_gauge_set_add_merge;
+          Alcotest.test_case "set over a set" `Quick test_gauge_set_over_set;
           Alcotest.test_case "untouched gauge absent" `Quick
             test_gauge_untouched_absent;
           Alcotest.test_case "merge across domains" `Quick
