@@ -70,14 +70,14 @@ type daemon = {
 let spawn ~sock ~state_dir ~peer_dir ?tenant_rate ?tenant_burst () =
   match Unix.fork () with
   | 0 ->
-    (* the daemon child: single executor and no pool domains keep it
-       lightweight; it dies only by signal or parent request, and skips the
-       parent's at_exit cleanup when it does *)
+    (* the daemon child: a single executor keeps it lightweight; it dies
+       only by signal or parent request, and skips the parent's at_exit
+       cleanup when it does *)
     (try
        Telemetry.set_enabled true;
        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
        let server =
-         Server.create ~executors:1 ~jobs:1 ~quota:8 ~max_sessions:4
+         Server.create ~executors:1 ~quota:8 ~max_sessions:4
            ~state_dir ~peer_dir ?tenant_rate ?tenant_burst ~socket:sock ()
        in
        Server.run server;
@@ -228,18 +228,14 @@ let run ~seed =
         let tag = if victim == daemons.(0) then "a" else "b" in
         let before = Client.Failover.reopens s in
         start tag victim;
-        (match Client.Failover.apply s batch with
-         | _ -> ()
-         | exception _ -> incr client_failures);
+        (try Client.Failover.apply s batch with _ -> incr client_failures);
         if
           Client.Failover.reopens s > before
           && Client.Failover.status s = Protocol.Restored
         then incr adoptions
       end
       else begin
-        match Client.Failover.apply s batch with
-        | _ -> ()
-        | exception _ -> incr client_failures
+        try Client.Failover.apply s batch with _ -> incr client_failures
       end;
       Incremental.apply_batch direct
         (List.map Protocol.edit_to_incremental batch))

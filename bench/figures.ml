@@ -32,8 +32,8 @@ module Pool = Leakage_parallel.Pool
 let na = Physics.amps_to_nanoamps
 let temp_room = 300.0
 
-(* Worker pool shared by the pool-aware figures (fig10/fig11, dualvth,
-   probabilistic, vectors). Set from main's -j flag. Every consumer keeps a
+(* Worker pool shared by the pool-aware figures (fig10/fig11,
+   probabilistic). Set from main's -j flag. Every consumer keeps a
    fixed reduction tree, so the printed figure data is bit-identical with or
    without a pool — the `selfcheck` figure enforces exactly that. The timing
    figures (fig12, runtime) stay sequential on purpose: their columns measure
@@ -571,7 +571,7 @@ let vectors_experiment () =
     (fun label ->
       let nl = (Suite.find label).Suite.build () in
       let c =
-        Vector_control.compare_objectives ?pool:!pool ~samples:64 ~seed:3 lib nl
+        Vector_control.compare_objectives ~samples:64 ~seed:3 lib nl
       in
       Format.printf
         "  %-8s min(loading) %.1f uA | min(traditional) re-costed %.1f uA | changed: %b@."
@@ -647,7 +647,7 @@ let extension_dualvth () =
         Leakage_incremental.Dual_vth.slack_assignment ~critical_margin:1 nl
       in
       let e =
-        Dual_vth.evaluate ?pool:!pool ~low_lib ~high_lib assignment nl pattern
+        Dual_vth.evaluate ~low_lib ~high_lib assignment nl pattern
       in
       Format.printf
         "  %-8s %4d/%4d gates high-Vth -> leakage %8.1f -> %8.1f uA (-%.1f%%)@."
@@ -744,22 +744,6 @@ let selfcheck () =
       Monte_carlo.spread_vs_sigma ?pool:!pool ~config:mc_config ~device
         ~temp:temp_room ~base_sigmas:Variation.paper_sigmas
         ~sigma_vth_inter_values:[| 0.030; 0.050 |] ());
-  compute "vectors objectives (s838)" (fun () ->
-      Vector_control.compare_objectives ?pool:!pool ~samples:16 ~seed:3 lib
-        ((Suite.find "s838").Suite.build ()));
-  compute "dualvth evaluate (s838)" (fun () ->
-      let nl = (Suite.find "s838").Suite.build () in
-      let high_device = Dual_vth.high_vth_device device in
-      let high_lib =
-        Library.create ~device:high_device ~temp:temp_room
-          ~vdd:device.Params.vdd ()
-      in
-      let assignment = Dual_vth.slack_assignment ~critical_margin:1 nl in
-      let pattern =
-        List.hd (Simulate.random_patterns (Rng.create 17) nl 1)
-      in
-      Dual_vth.evaluate ?pool:!pool ~low_lib:lib ~high_lib assignment nl
-        pattern);
   compute "probabilistic average (s838)" (fun () ->
       let nl = (Suite.find "s838").Suite.build () in
       Estimator.average_over_vectors ?pool:!pool lib nl

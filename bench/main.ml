@@ -4,8 +4,8 @@
    evaluation (see bench/figures.ml) and finishes with bechamel
    micro-benchmarks of the core operations. Pass figure names to run a
    subset, e.g. `dune exec bench/main.exe -- fig5 fig12a speed`.
-   `-j N` runs the pool-aware figures (fig10/fig11, dualvth, probabilistic,
-   vectors, selfcheck) on an N-domain pool; the figure data is bit-identical
+   `-j N` runs the pool-aware figures (fig10/fig11, probabilistic,
+   selfcheck) on an N-domain pool; the figure data is bit-identical
    either way (checked by the `selfcheck` figure).
    Set LEAKAGE_BENCH_FULL=1 for paper-scale vector/sample counts. *)
 

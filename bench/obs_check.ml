@@ -60,7 +60,7 @@ let run_tenant sock (tenant, circuit) =
   in
   List.map
     (fun batch ->
-      ignore (Client.apply_batch c ~session:o.Client.session batch);
+      Client.apply_batch c ~session:o.Client.session batch;
       Client.query c ~session:o.Client.session ())
     (batches_for nl)
 
@@ -79,8 +79,8 @@ let with_server ?http_port ?slow_us ?sample_interval ~dir f =
   Unix.mkdir dir 0o755;
   let sock = Filename.concat dir "leak.sock" in
   let server =
-    Server.create ?http_port ?slow_us ?sample_interval ~executors:2 ~jobs:2
-      ~quota:8 ~max_sessions:4 ~version:"obs-check"
+    Server.create ?http_port ?slow_us ?sample_interval ~executors:2 ~quota:8
+      ~max_sessions:4 ~version:"obs-check"
       ~state_dir:(Filename.concat dir "state") ~socket:sock ()
   in
   let th = Thread.create Server.run server in

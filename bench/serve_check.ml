@@ -62,7 +62,7 @@ let () =
   Unix.mkdir dir 0o755;
   let sock = Filename.concat dir "leak.sock" in
   let server =
-    Server.create ~executors:2 ~jobs:2 ~quota:8 ~max_sessions:4
+    Server.create ~executors:2 ~quota:8 ~max_sessions:4
       ~state_dir:(Filename.concat dir "state") ~socket:sock ()
   in
   let th = Thread.create Server.run server in
@@ -95,7 +95,7 @@ let () =
   let mid_ck = ref None in
   List.iteri
     (fun i batch ->
-      ignore (Client.apply_batch c ~session:o.Client.session batch);
+      Client.apply_batch c ~session:o.Client.session batch;
       Incremental.apply_batch direct (List.map Protocol.edit_to_incremental batch);
       if i = 3 then
         mid_ck :=
@@ -136,9 +136,8 @@ let () =
     assert (ow.Client.status = Protocol.Warm);
     List.iter
       (fun (g, f) ->
-        ignore
-          (Client.apply_batch cw ~session:ow.Client.session
-             [ Protocol.Resize (g, f) ]))
+        Client.apply_batch cw ~session:ow.Client.session
+          [ Protocol.Resize (g, f) ])
       edits
   in
   let ta = Thread.create (worker edits_a) () in

@@ -59,7 +59,7 @@ let workload () =
         Estimator.average_over_vectors ~pool lib nl patterns
       in
       let session = Incremental.create lib nl pattern in
-      Incremental.apply_batch ~pool session edits;
+      Incremental.apply_batch session edits;
       {
         fp_loaded = loaded;
         fp_base = base;

@@ -130,14 +130,18 @@ let output_file_arg doc =
   Arg.(required & opt (some string) None
        & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-(* A count: zero or less is a usage error (exit 124), like a bad --device. *)
-let positive_int =
+(* An int flag: a value outside the range its callee accepts is a usage
+   error (exit 124), like a bad --device. [expected] names that range. *)
+let checked_int ~expected ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected an integer > 0"))
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg ("invalid value '" ^ s ^ "', expected " ^ expected))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = checked_int ~expected:"an integer > 0" (fun n -> n > 0)
+let non_negative_int = checked_int ~expected:"an integer >= 0" (fun n -> n >= 0)
 
 let vectors_arg doc =
   Arg.(value & opt positive_int 10 & info [ "vectors" ] ~docv:"N" ~doc)
@@ -687,7 +691,7 @@ let thermal_cmd =
 
 let dualvth_cmd =
   let margin_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt non_negative_int 1
          & info [ "margin" ] ~docv:"LEVELS"
              ~doc:"Keep low threshold within this many levels of the \
                    critical path.")
@@ -806,7 +810,7 @@ let incr_cmd =
          & info [ "edits" ] ~docv:"N" ~doc:"Number of random edits to apply.")
   in
   let refresh_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt non_negative_int 64
          & info [ "refresh" ] ~docv:"N"
              ~doc:"Full-refresh period of the session (0 disables).")
   in
@@ -819,13 +823,12 @@ let incr_cmd =
   let batch_arg =
     Arg.(value & opt positive_int 1
          & info [ "batch" ] ~docv:"N"
-             ~doc:"Apply the edit stream in batches of N edits through the \
-                   grouped-batch path; cone-disjoint groups inside a batch \
-                   run on the $(b,-j) pool, with results bit-identical to \
-                   the sequential walk. 1 (the default) applies edits one \
+             ~doc:"Apply the edit stream in batches of N edits: each batch \
+                   stages its edits and propagates once, visiting each \
+                   gate at most once. 1 (the default) applies edits one \
                    at a time.")
   in
-  let run corner seed edits refresh flip_inputs batch jobs nl =
+  let run corner seed edits refresh flip_inputs batch nl =
     let lib = library corner in
     (* the edit stream comes from the same generator, after the pattern *)
     let rng = Rng.create seed in
@@ -841,14 +844,12 @@ let incr_cmd =
           Array.to_list
             (Array.sub edit_stream lo (Stdlib.min edits (lo + batch) - lo)))
     in
-    (* a pool only helps the grouped-batch path; don't spawn one otherwise *)
-    with_jobs (if batch = 1 then 1 else jobs) @@ fun pool ->
     (* a one-edit batch is a single apply, so --batch 1 times single edits *)
     let apply_stream session =
       Array.map
         (fun slice ->
           let s = Sys.time () in
-          Incremental.apply_batch ?pool session slice;
+          Incremental.apply_batch session slice;
           Sys.time () -. s)
         slices
     in
@@ -884,25 +885,13 @@ let incr_cmd =
       (Netlist.name nl) (Netlist.gate_count nl) edits
       (if flip_inputs then "resize/input" else "resize")
       refresh
-      (if batch = 1 then ""
-       else
-         Printf.sprintf ", batches of %d on %d lane%s" batch
-           (match pool with Some p -> Pool.jobs p | None -> 1)
-           (match pool with Some p when Pool.jobs p > 1 -> "s" | _ -> ""));
+      (if batch = 1 then "" else Printf.sprintf ", batches of %d" batch);
     pp_components "session totals:" (Incremental.totals session);
     Format.printf "  vs fresh estimate: %.2e relative error@." rel_err;
     Format.printf
       "  %s time: mean %.1f us, p50 %.1f, p95 %.1f, max %.1f us@."
       (if batch = 1 then "per-edit" else "per-batch")
       (us s.Stats.mean) (us s.Stats.p50) (us s.Stats.p95) (us s.Stats.max);
-    if batch > 1 then
-      Format.printf
-        "  batches: %d applied, mean %.1f cone-disjoint group%s each@."
-        st.Incremental.batches
-        (float_of_int st.Incremental.batch_groups
-         /. float_of_int (Stdlib.max 1 st.Incremental.batches))
-        (if st.Incremental.batch_groups > st.Incremental.batches then "s"
-         else "");
     Format.printf "  full estimate: %.1f us -> speedup %.1fx per edit@."
       (us full_mean)
       (full_mean /. (incr_total /. float_of_int edits));
@@ -920,10 +909,9 @@ let incr_cmd =
        ~doc:"Apply a stream of random netlist edits through the incremental \
              re-estimation session and report per-edit timing, cone sizes, \
              and the speedup over full re-estimation. With $(b,--batch) the \
-             stream goes through the grouped-batch path, whose cone-disjoint \
-             edit groups run on the $(b,-j) worker pool.")
+             stream is applied in multi-edit batches.")
     Term.(const run $ corner_arg $ seed_arg $ edits_arg $ refresh_arg
-          $ flip_arg $ batch_arg $ jobs_arg $ netlist_arg)
+          $ flip_arg $ batch_arg $ netlist_arg)
 
 (* ---------------------------------------------------------------- serve *)
 
@@ -942,7 +930,7 @@ let port_arg =
 
 let serve_cmd =
   let run socket port http_port executors quota max_sessions state_dir
-      peer_dir tenant_rate jobs log_file log_level slow_ms =
+      peer_dir tenant_rate log_file log_level slow_ms =
     let socket =
       match socket with
       | Some s -> s
@@ -984,10 +972,9 @@ let serve_cmd =
                   (String.sub s (i + 1) (String.length s - i - 1))) ))
     in
     let server =
-      Server.create ?port ?http_port ~executors
-        ?jobs:(if jobs <= 0 then None else Some jobs)
-        ~quota ~max_sessions ?state_dir ?peer_dir ?tenant_rate ?tenant_burst
-        ~version:"1.0.0" ~slow_us ~socket ()
+      Server.create ?port ?http_port ~executors ~quota ~max_sessions
+        ?state_dir ?peer_dir ?tenant_rate ?tenant_burst ~version:"1.0.0"
+        ~slow_us ~socket ()
     in
     let stop _ = Server.request_stop server in
     ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop));
@@ -1077,8 +1064,8 @@ let serve_cmd =
              observability sidecar. SIGINT/SIGTERM shut down gracefully: \
              drain queued work, flush checkpoints, close sockets.")
     Term.(const run $ socket_arg $ port_arg $ http_port $ executors $ quota
-          $ max_sessions $ state_dir $ peer_dir $ tenant_rate $ jobs_arg
-          $ log_file $ log_level $ slow_ms)
+          $ max_sessions $ state_dir $ peer_dir $ tenant_rate $ log_file
+          $ log_level $ slow_ms)
 
 (* --------------------------------------------------------------- client *)
 
@@ -1209,9 +1196,8 @@ let client_cmd =
       in
       if edits = [] then
         failwith "apply needs at least one --resize/--retype/--set-input";
-      let groups = Sclient.apply_batch client ~session:(sid ()) edits in
-      Format.printf "applied %d edits in %d cone groups@."
-        (List.length edits) groups
+      Sclient.apply_batch client ~session:(sid ()) edits;
+      Format.printf "applied %d edits@." (List.length edits)
     | "query" ->
       let loaded, baseline =
         Sclient.query client ~session:(sid ()) ~refresh ()

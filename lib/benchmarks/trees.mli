@@ -18,9 +18,8 @@ val chain : ?stages:int -> ?tap_every:int -> unit -> Leakage_circuit.Netlist.t
     NAND2 "gateway" whose second pin is a dedicated primary input
     [tap{i}]; holding a tap at 0 (a controlling value) pins that gateway's
     output, so an all-zero pattern cuts the chain into independent
-    [tap_every]-stage segments — the canonical workload for value-aware
-    cone pruning. Inputs: [head], then the taps in stage order. One
-    output (the last stage). *)
+    [tap_every]-stage segments. Inputs: [head], then the taps in stage
+    order. One output (the last stage). *)
 
 val decoder : ?select_bits:int -> unit -> Leakage_circuit.Netlist.t
 (** [select_bits]-to-2^[select_bits] one-hot decoder (default 4): every

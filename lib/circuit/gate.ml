@@ -164,34 +164,6 @@ let eval_prefix kind (buf : bool array) =
   | Oai21 -> not ((buf.(0) || buf.(1)) && buf.(2))
   | Oai22 -> not ((buf.(0) || buf.(1)) && (buf.(2) || buf.(3)))
 
-let pinned_output kind ~free inputs =
-  let n = arity kind in
-  if Array.length inputs <> n || Array.length free <> n then
-    invalid_arg
-      (Printf.sprintf "Gate.pinned_output: %s expects %d pins, got %d/%d"
-         (name kind) n (Array.length inputs) (Array.length free));
-  let free_pins = ref [] in
-  for pin = n - 1 downto 0 do
-    if free.(pin) then free_pins := pin :: !free_pins
-  done;
-  let free_pins = Array.of_list !free_pins in
-  let k = Array.length free_pins in
-  (* exhaustive over the free pins: arity <= 4, so at most 16 evals *)
-  let buf = Array.copy inputs in
-  let set mask =
-    Array.iteri (fun i pin -> buf.(pin) <- (mask lsr i) land 1 = 1) free_pins
-  in
-  set 0;
-  let first = eval kind buf in
-  let out = ref (Some first) in
-  let mask = ref 1 in
-  while !out <> None && !mask < 1 lsl k do
-    set !mask;
-    if eval kind buf <> first then out := None;
-    incr mask
-  done;
-  !out
-
 type network_tree =
   | Leaf of int
   | Series of network_tree list

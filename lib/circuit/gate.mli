@@ -54,15 +54,6 @@ val eval_prefix : kind -> bool array -> bool
 
 val eval_logic : kind -> Logic.vector -> Logic.value
 
-val pinned_output : kind -> free:bool array -> bool array -> bool option
-(** [pinned_output kind ~free inputs] is [Some o] when the cell's output is
-    [o] under {e every} assignment of the pins marked [free], with the
-    remaining pins held at their [inputs] values — i.e. the stable pins pin
-    the output. [None] when some free-pin assignment flips it. Exact (not a
-    controlling-value approximation) via at most [2^free] calls to {!eval};
-    arity is at most 4, so at most 16. With no free pins this is simply
-    [Some (eval kind inputs)]. Raises on arity mismatch like {!eval}. *)
-
 (** {2 Stage decomposition} *)
 
 type network_tree =

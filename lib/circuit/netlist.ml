@@ -144,13 +144,6 @@ let iter_fanout t n f =
     f (Ba.get gids k)
   done
 
-let rev_iter_fanout t n f =
-  if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.rev_iter_fanout";
-  let off, gids = build_fanout_csr t in
-  for k = Ba.get off (n + 1) - 1 downto Ba.get off n do
-    f (Ba.get gids k)
-  done
-
 let is_input t n = Bytes.get t.is_input_flag n <> '\000'
 let is_output t n = Bytes.get t.is_output_flag n <> '\000'
 

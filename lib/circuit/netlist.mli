@@ -60,9 +60,6 @@ val iter_fanout : t -> net -> (int -> unit) -> unit
 (** Iterate the reading gates of a net in ascending (gate, pin) order —
     one call per pin, so a gate with two pins on the net is seen twice. *)
 
-val rev_iter_fanout : t -> net -> (int -> unit) -> unit
-(** {!iter_fanout} in reverse order. *)
-
 val topo_ids : t -> int array
 (** Gate ids in topological order; computed once and cached (do not
     mutate). Raises [Failure] on a cyclic netlist. *)

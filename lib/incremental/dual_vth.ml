@@ -42,12 +42,12 @@ let relib_edits ~high_lib assignment =
   done;
   !edits
 
-let evaluate ?pool ~low_lib ~high_lib assignment netlist pattern =
+let evaluate ~low_lib ~high_lib assignment netlist pattern =
   if Array.length assignment <> Netlist.gate_count netlist then
     invalid_arg "Dual_vth.evaluate: assignment size mismatch";
   let session = Incremental.create low_lib netlist pattern in
   let baseline = Incremental.totals session in
-  Incremental.apply_batch ?pool session (relib_edits ~high_lib assignment);
+  Incremental.apply_batch session (relib_edits ~high_lib assignment);
   let totals = Incremental.totals session in
   {
     assignment;

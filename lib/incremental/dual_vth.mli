@@ -34,7 +34,6 @@ type evaluation = {
 }
 
 val evaluate :
-  ?pool:Leakage_parallel.Pool.t ->
   low_lib:Leakage_core.Library.t ->
   high_lib:Leakage_core.Library.t ->
   assignment ->
@@ -42,10 +41,9 @@ val evaluate :
   Leakage_circuit.Logic.vector ->
   evaluation
 (** Estimate total leakage with the given per-gate threshold assignment:
-    one session, the assignment applied as a batch of [Relib] edits whose
-    cone-disjoint groups run on [?pool]'s domains (bit-identical with or
-    without a pool). [high_lib] must be characterized for the high-Vth
-    device at the same temperature and supply as [low_lib]. *)
+    one session, the assignment applied as one batch of [Relib] edits.
+    [high_lib] must be characterized for the high-Vth device at the same
+    temperature and supply as [low_lib]. *)
 
 val high_vth_device :
   ?shift:float -> Leakage_device.Params.t -> Leakage_device.Params.t

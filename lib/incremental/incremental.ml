@@ -5,7 +5,6 @@ module Report = Leakage_spice.Leakage_report
 module Library = Leakage_core.Library
 module Characterize = Leakage_core.Characterize
 module Estimator = Leakage_core.Estimator
-module Pool = Leakage_parallel.Pool
 module Tm = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
 
@@ -16,10 +15,6 @@ let m_batches = Tm.counter "incr.batches"
 let h_cone_gates = Tm.histogram "incr.cone_gates"
 let h_cone_lookups = Tm.histogram "incr.cone_lookups"
 let h_batch_edits = Tm.histogram "incr.batch_edits"
-let h_batch_groups = Tm.histogram "incr.batch_groups"
-let h_group_edits = Tm.histogram "incr.group_edits"
-let h_cone_pruned = Tm.histogram "incr.cone_pruned_gates"
-let h_cone_struct = Tm.histogram "incr.cone_struct_gates"
 
 type stats = {
   edits : int;
@@ -29,18 +24,12 @@ type stats = {
   entry_updates : int;
   net_updates : int;
   leakage_lookups : int;
-  batches : int;
-  batch_groups : int;
 }
 
-(* Per-propagation scratch. One propagation (an edit, an undo, or one
-   cone-disjoint group of a batch) drains a worklist and accumulates its
-   totals/baseline effect as a *delta* rather than mutating the session
-   scalars in place; the session merges deltas afterwards in a fixed order.
-   That indirection is what lets apply_batch run disjoint groups on separate
-   domains and still produce bit-identical floats at any job count: each
-   group's sum only ever sees its own updates, in its own topological order,
-   and the cross-group reduction order is fixed by the partition. *)
+(* Propagation scratch, one per session. One propagation (an edit, an undo,
+   or a whole batch) drains the worklist and accumulates its totals/baseline
+   effect as a *delta* in topological order; [merge] adds that delta to the
+   session scalars once and zeroes it for the next propagation. *)
 type scratch = {
   s_work : Cone.Worklist.t;
   s_nets : Cone.Dirty_set.t;
@@ -75,9 +64,7 @@ type t = {
   isolated : Report.components array;  (* per gate, no-loading nominal *)
   mutable totals : Report.components;
   mutable baseline : Report.components;
-  (* reusable propagation scratch; a lock-free free list so concurrent batch
-     groups each grab their own without allocating O(circuit) per batch *)
-  free : scratch list Atomic.t;
+  scratch : scratch;                   (* reused by every propagation *)
   (* undo log *)
   mutable log : Edit.t list;           (* inverse edits, most recent first *)
   mutable depth : int;
@@ -90,8 +77,6 @@ type t = {
   mutable n_entry : int;
   mutable n_net : int;
   mutable n_lookup : int;
-  mutable n_batches : int;
-  mutable n_groups : int;
 }
 
 let sub_c (a : Report.components) (b : Report.components) =
@@ -113,11 +98,11 @@ let vector_of t g_id =
 
 (* -------------------------------------------------------------- scratch *)
 
-let fresh_scratch t =
+let fresh_scratch ~priority ~n_nets ~n_gates =
   {
-    s_work = Cone.Worklist.create ~priority:t.priority;
-    s_nets = Cone.Dirty_set.create (Array.length t.net_injection);
-    s_gates = Cone.Dirty_set.create t.n_gates;
+    s_work = Cone.Worklist.create ~priority;
+    s_nets = Cone.Dirty_set.create n_nets;
+    s_gates = Cone.Dirty_set.create n_gates;
     s_totals = Report.zero;
     s_baseline = Report.zero;
     s_logic = 0;
@@ -126,25 +111,7 @@ let fresh_scratch t =
     s_lookup = 0;
   }
 
-let rec acquire t =
-  match Atomic.get t.free with
-  | [] -> fresh_scratch t
-  | s :: rest as cur ->
-    if Atomic.compare_and_set t.free cur rest then s else acquire t
-
-let rec release t s =
-  s.s_totals <- Report.zero;
-  s.s_baseline <- Report.zero;
-  s.s_logic <- 0;
-  s.s_entry <- 0;
-  s.s_net <- 0;
-  s.s_lookup <- 0;
-  let cur = Atomic.get t.free in
-  if not (Atomic.compare_and_set t.free cur (s :: cur)) then release t s
-
-(* Fold one propagation's effect into the session, on the session's domain.
-   Merge order across batch groups is the partition's group order, so it
-   never depends on scheduling. *)
+(* Fold one propagation's effect into the session and zero the scratch. *)
 let merge t s =
   if Tm.enabled () then begin
     (* cone extents: gates the worklist visited, gates re-looked-up *)
@@ -156,7 +123,13 @@ let merge t s =
   t.n_logic <- t.n_logic + s.s_logic;
   t.n_entry <- t.n_entry + s.s_entry;
   t.n_net <- t.n_net + s.s_net;
-  t.n_lookup <- t.n_lookup + s.s_lookup
+  t.n_lookup <- t.n_lookup + s.s_lookup;
+  s.s_totals <- Report.zero;
+  s.s_baseline <- Report.zero;
+  s.s_logic <- 0;
+  s.s_entry <- 0;
+  s.s_net <- 0;
+  s.s_lookup <- 0
 
 (* Loading-aware estimate of one gate at the current injections: the
    estimator's own kernel, with the entry's nominal pin currents as the
@@ -213,11 +186,14 @@ let refresh t =
 (* Drain the worklist in topological order: refresh each popped gate's
    characterization entry (vector/kind/strength/library key), push loading
    deltas onto its input nets, and propagate logic flips downstream. Then
-   re-look-up leakage for every gate touching a dirtied net. Entry changes
-   are detected by comparing the stored entry's key against the session
-   state — never by physical identity, which would vary with the (per
-   domain) characterization cache answering the lookup. *)
-let propagate t s =
+   re-look-up leakage for every gate touching a dirtied net, and merge.
+   A gate is pushed only by the drivers of its inputs, which pop before it,
+   so each gate is visited at most once however many edits were staged.
+   Entry changes are detected by comparing the stored entry's key against
+   the session state — never by physical identity, which would vary with
+   the (per domain) characterization cache answering the lookup. *)
+let propagate t =
+  let s = t.scratch in
   let rec drain () =
     match Cone.Worklist.pop s.s_work with
     | None -> ()
@@ -269,15 +245,16 @@ let propagate t s =
     s.s_nets;
   Cone.Dirty_set.iter (fun g_id -> relookup t s g_id) s.s_gates;
   Cone.Dirty_set.clear s.s_nets;
-  Cone.Dirty_set.clear s.s_gates
+  Cone.Dirty_set.clear s.s_gates;
+  merge t s
 
 let floats_match a b = Float.equal a b
 
 (* Pure validity checks, shared by [stage] and [apply_batch]'s pre-pass
    (a batch validates every edit before staging any, so a malformed edit
-   raises before the session is touched). None of them read float state
-   mutated by propagation, so validating up front is equivalent to
-   validating edit by edit. *)
+   raises before the session is touched). None of them read state that
+   staging mutates, so validating up front is equivalent to validating
+   edit by edit. *)
 let validate t (edit : Edit.t) =
   match edit with
   | Edit.Resize (g, s) ->
@@ -311,9 +288,10 @@ let validate t (edit : Edit.t) =
         (Printf.sprintf "Incremental: Set_input on non-input net %d" n)
 
 (* Record the inverse, mutate the editable state, and seed the worklist.
-   Propagation happens once per apply / once per batch group. *)
-let stage t ~work edit =
+   Propagation happens once per apply, undo or batch. *)
+let stage t edit =
   validate t edit;
+  let work = t.scratch.s_work in
   match (edit : Edit.t) with
   | Edit.Resize (g, s) ->
     let inverse = Edit.Resize (g, t.strength.(g)) in
@@ -349,91 +327,37 @@ let log_inverse t inverse =
   t.depth <- t.depth + 1
 
 let apply t edit =
-  let s = acquire t in
-  let inverse = stage t ~work:s.s_work edit in
-  propagate t s;
-  merge t s;
-  release t s;
+  let inverse = stage t edit in
+  propagate t;
   log_inverse t inverse;
   Tm.incr m_edits;
   t.n_edits <- t.n_edits + 1;
   t.since_refresh <- t.since_refresh + 1;
   maybe_refresh t
 
-(* placeholder for the inverse slots; every slot is overwritten because the
-   groups partition the batch indices *)
-let dummy_inverse = Edit.Set_input (0, false)
-
-let partition_state t =
-  { Cone.Partition.values = t.values; kinds = t.kind }
-
-let apply_batch ?pool ?(prune = true) t edits =
+(* Every edit is staged before the one propagation, so a gate reached by
+   several edits is visited once, in topological order, and the batch
+   costs at most one estimate's gate visits. The inverses are logged left
+   to right, so the most recent edit's inverse pops first. *)
+let apply_batch t edits =
   match edits with
   | [] -> ()
   | [ edit ] -> apply t edit
   | _ ->
     List.iter (validate t) edits;
-    let arr = Array.of_list edits in
-    let n = Array.length arr in
-    (* The pruning state is read before any edit is staged, so the partition
-       is a function of (netlist, batch, settled pre-batch state) — the same
-       at any job count and for any edit order within the batch. *)
-    let state = if prune then Some (partition_state t) else None in
-    let cones = Cone.Partition.cones ?state t.netlist arr in
-    let groups = Cone.Partition.groups_of t.netlist cones in
-    let inverses = Array.make n dummy_inverse in
-    (* Each group stages and propagates only within its own cone, so groups
-       touch disjoint slices of the per-net/per-gate arrays and can run on
-       separate domains. Scalar effects are accumulated per group and merged
-       below in group order, which fixes the floating-point reduction order
-       regardless of the pool (or its absence): the sequential walk runs the
-       exact same grouped schedule. *)
+    let n = List.length edits in
     if Tm.enabled () then begin
       Tm.incr m_batches;
       Tm.add m_edits n;
-      Tm.observe h_batch_edits (float_of_int n);
-      Tm.observe h_batch_groups (float_of_int (Array.length groups));
-      (* pruned vs structural cone sizes; without pruning the partition
-         cones are the structural ones *)
-      let observe_sizes h cs =
-        Array.iter
-          (fun (c : Cone.Partition.cone) ->
-            Tm.observe h (float_of_int (List.length c.Cone.Partition.gates)))
-          cs
-      in
-      let structural =
-        if prune then Cone.Partition.cones t.netlist arr else cones
-      in
-      observe_sizes h_cone_struct structural;
-      if prune then observe_sizes h_cone_pruned cones
+      Tm.observe h_batch_edits (float_of_int n)
     end;
-    let scratches =
-      Pool.map ?pool (Array.length groups) (fun gi ->
-          Trace.with_span ~cat:"incr" "group"
-            ~args:[ ("edits", string_of_int (Array.length groups.(gi))) ]
-          @@ fun () ->
-          Tm.observe h_group_edits (float_of_int (Array.length groups.(gi)));
-          let s = acquire t in
-          Array.iter
-            (fun ei -> inverses.(ei) <- stage t ~work:s.s_work arr.(ei))
-            groups.(gi);
-          propagate t s;
-          s)
-    in
-    Array.iter
-      (fun s ->
-        merge t s;
-        release t s)
-      scratches;
-    (* logged left to right, so the most recent edit's inverse pops first *)
-    Array.iter (fun inverse -> log_inverse t inverse) inverses;
-    t.n_batches <- t.n_batches + 1;
-    t.n_groups <- t.n_groups + Array.length groups;
+    List.iter (fun edit -> log_inverse t (stage t edit)) edits;
+    propagate t;
     t.n_edits <- t.n_edits + n;
     t.since_refresh <- t.since_refresh + n;
     maybe_refresh t
 
-let set_vector ?pool t v =
+let set_vector t v =
   let inputs = Netlist.inputs t.netlist in
   if Array.length v <> Array.length inputs then
     invalid_arg
@@ -445,13 +369,7 @@ let set_vector ?pool t v =
       if t.pattern.(i) <> v.(i) then
         edits := Edit.Set_input (n, Logic.to_bool v.(i)) :: !edits)
     inputs;
-  apply_batch ?pool t !edits
-
-let preview_groups ?(prune = true) t edits =
-  List.iter (validate t) edits;
-  let arr = Array.of_list edits in
-  let state = if prune then Some (partition_state t) else None in
-  Cone.Partition.groups ?state t.netlist arr
+  apply_batch t !edits
 
 let undo t =
   match t.log with
@@ -459,11 +377,8 @@ let undo t =
   | inverse :: rest ->
     t.log <- rest;
     t.depth <- t.depth - 1;
-    let s = acquire t in
-    ignore (stage t ~work:s.s_work inverse);
-    propagate t s;
-    merge t s;
-    release t s;
+    ignore (stage t inverse);
+    propagate t;
     Tm.incr m_undos;
     t.n_undos <- t.n_undos + 1;
     (* undos accumulate the same float drift as edits *)
@@ -530,8 +445,6 @@ let stats t =
     entry_updates = t.n_entry;
     net_updates = t.n_net;
     leakage_lookups = t.n_lookup;
-    batches = t.n_batches;
-    batch_groups = t.n_groups;
   }
 
 let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
@@ -542,8 +455,8 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
     invalid_arg
       (Printf.sprintf "Incremental.create: %d inputs expected, pattern has %d"
          (Array.length inputs) (Array.length pattern));
-  (* force the lazy driver/fanout caches now: propagation may run on worker
-     domains, which must only ever read them *)
+  (* force the lazy driver/fanout caches now, so sessions sharing a netlist
+     across domains only ever read them *)
   Netlist.warm netlist;
   let n_gates = Netlist.gate_count netlist in
   let n_nets = Netlist.net_count netlist in
@@ -592,7 +505,7 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
       isolated = Array.make n_gates Report.zero;
       totals = Report.zero;
       baseline = Report.zero;
-      free = Atomic.make [];
+      scratch = fresh_scratch ~priority ~n_nets ~n_gates;
       log = [];
       depth = 0;
       since_refresh = 0;
@@ -603,8 +516,6 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
       n_entry = 0;
       n_net = 0;
       n_lookup = 0;
-      n_batches = 0;
-      n_groups = 0;
     }
   in
   refresh t;

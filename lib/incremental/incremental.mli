@@ -38,12 +38,11 @@ type stats = {
   entry_updates : int;    (** gates whose characterization entry changed *)
   net_updates : int;      (** nets whose loading injection changed *)
   leakage_lookups : int;  (** per-gate leakage table re-lookups *)
-  batches : int;          (** multi-edit {!apply_batch} calls *)
-  batch_groups : int;     (** cone-disjoint groups across those batches *)
 }
-(** Work counters — [logic_evals / edits] is the mean logic-cone size,
-    [leakage_lookups / edits] the mean loading-cone size, and
-    [batch_groups / batches] the mean parallelism a batch exposes. *)
+(** Work counters — [logic_evals / edits] is the mean logic-cone size and
+    [leakage_lookups / edits] the mean loading-cone size. One propagation
+    adds at most the gate count to each of [logic_evals] and
+    [leakage_lookups]. *)
 
 val create :
   ?refresh_every:int ->
@@ -67,37 +66,22 @@ val apply : t -> Edit.t -> unit
     retype, library at a different corner, [Set_input] on a non-input
     net). *)
 
-val apply_batch :
-  ?pool:Leakage_parallel.Pool.t -> ?prune:bool -> t -> Edit.t list -> unit
-(** Apply several edits with one cone propagation per cone-disjoint group
-    (see {!Cone.Partition.groups}) — cheaper than sequential {!apply} when
-    edits overlap (e.g. flipping many input bits at once), and with [?pool]
-    the disjoint groups run on separate domains. By default ([prune = true])
-    cones are pruned with the pre-batch settled values: the downstream
-    descent stops at gates whose output provably cannot flip because a
-    stable side input pins it (see {!Cone.Partition.state}), which yields
-    more, smaller groups on deep circuits. The grouped schedule is a
-    function of the netlist, the batch as a set, and the settled pre-batch
-    state — never of edit order or job count — and the cross-group merge
-    order is fixed, so the result is bit-identical at any job count
-    (including no pool at all) and equivalent to applying the edits left to
-    right up to float reassociation. Pruned and unpruned runs agree on every
-    per-net and per-gate float bit for bit; only the [totals] / [baseline]
-    scalar accumulators may differ in the last ulps, because a different
-    partition sums the same per-gate deltas in a different association.
-    The whole batch is validated before any edit is staged; each edit is
-    still logged individually, so {!undo} reverts them one at a time in
-    reverse order. *)
+val apply_batch : t -> Edit.t list -> unit
+(** Apply several edits with one propagation: the whole batch is validated
+    before any edit is staged, every edit is staged, and one topological
+    worklist drains their joint cone. Each gate is visited at most once, so
+    a batch costs at most one estimate's gate visits however many edits
+    overlap (e.g. flipping many input bits at once), and never more than
+    applying the edits one at a time. The result equals applying the edits
+    left to right up to float reassociation of the accumulated deltas. Each
+    edit is still logged individually, so {!undo} reverts them one at a
+    time in reverse order. *)
 
-val preview_groups : ?prune:bool -> t -> Edit.t list -> int array array
-(** The cone-disjoint groups {!apply_batch} would use for this batch at the
-    current session state, without applying anything (group members are
-    batch indices). Validates the batch like {!apply_batch}. *)
-
-val set_vector : ?pool:Leakage_parallel.Pool.t -> t -> Leakage_circuit.Logic.vector -> unit
-(** Batched [Set_input] edits moving the session to a new primary-input
-    vector (only differing bits are touched — consecutive random vectors
-    re-estimate in O(changed cones)). [?pool] as in {!apply_batch}. *)
+val set_vector : t -> Leakage_circuit.Logic.vector -> unit
+(** One {!apply_batch} of [Set_input] edits moving the session to a new
+    primary-input vector (only differing bits are touched). A move visits
+    each gate of the union of the flipped inputs' cones once, so even a
+    dense random move costs no more gate visits than a fresh estimate. *)
 
 val undo : t -> unit
 (** Revert the most recent logged edit. Raises [Invalid_argument] on an

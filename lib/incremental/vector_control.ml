@@ -14,7 +14,7 @@ let session_total ~use_loading session =
 
 let better a b = if b.total < a.total then b else a
 
-let exhaustive ?pool ?(use_loading = true) lib netlist =
+let exhaustive ?(use_loading = true) lib netlist =
   let width = Array.length (Netlist.inputs netlist) in
   if width > 20 then
     invalid_arg "Vector_control.exhaustive: too many inputs (> 20)";
@@ -23,12 +23,12 @@ let exhaustive ?pool ?(use_loading = true) lib netlist =
   let best = ref { vector = v0; total = session_total ~use_loading session } in
   for n = 1 to (1 lsl width) - 1 do
     let v = Logic.vector_of_int ~width n in
-    Incremental.set_vector ?pool session v;
+    Incremental.set_vector session v;
     best := better !best { vector = v; total = session_total ~use_loading session }
   done;
   !best
 
-let random_search ?pool ?(use_loading = true) ~rng ~samples lib netlist =
+let random_search ?(use_loading = true) ~rng ~samples lib netlist =
   if samples <= 0 then invalid_arg "Vector_control.random_search: samples";
   let width = Array.length (Netlist.inputs netlist) in
   let first = Logic.random_vector rng width in
@@ -36,14 +36,14 @@ let random_search ?pool ?(use_loading = true) ~rng ~samples lib netlist =
   let best = ref { vector = first; total = session_total ~use_loading session } in
   for _ = 2 to samples do
     let v = Logic.random_vector rng width in
-    Incremental.set_vector ?pool session v;
+    Incremental.set_vector session v;
     best := better !best { vector = v; total = session_total ~use_loading session }
   done;
   !best
 
 let max_rounds = 64
 
-let greedy_descent ?pool ?(use_loading = true) lib netlist ~start =
+let greedy_descent ?(use_loading = true) lib netlist ~start =
   let inputs = Netlist.inputs netlist in
   let session = Incremental.create lib netlist start in
   let flip v i =
@@ -74,7 +74,7 @@ let greedy_descent ?pool ?(use_loading = true) lib netlist ~start =
     done;
     if !best_here.total < !current.total then begin
       current := !best_here;
-      Incremental.set_vector ?pool session !best_here.vector;
+      Incremental.set_vector session !best_here.vector;
       improved := true
     end
   done;
@@ -87,14 +87,14 @@ type comparison = {
   changed : bool;
 }
 
-let compare_objectives ?pool ?(samples = 256) ?(seed = 7) lib netlist =
+let compare_objectives ?(samples = 256) ?(seed = 7) lib netlist =
   let width = Array.length (Netlist.inputs netlist) in
   let search ~use_loading =
-    if width <= 14 then exhaustive ?pool ~use_loading lib netlist
+    if width <= 14 then exhaustive ~use_loading lib netlist
     else begin
       let rng = Rng.create seed in
-      let r = random_search ?pool ~use_loading ~rng ~samples lib netlist in
-      greedy_descent ?pool ~use_loading lib netlist ~start:r.vector
+      let r = random_search ~use_loading ~rng ~samples lib netlist in
+      greedy_descent ~use_loading lib netlist ~start:r.vector
     end
   in
   let with_loading = search ~use_loading:true in

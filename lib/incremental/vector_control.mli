@@ -7,11 +7,8 @@
     whether loading changes the answer. Every search runs on one
     {!Incremental} session: consecutive candidate vectors differ in a few
     bits, so each evaluation costs only the changed input cones instead of a
-    full estimate.
-
-    Every search takes an optional [?pool]: candidate moves go through
-    {!Incremental.set_vector}, whose cone-disjoint bit groups then run on
-    separate domains. Results are bit-identical with and without a pool. *)
+    full estimate, and a move to an unrelated vector
+    ({!Incremental.set_vector}) visits each gate at most once. *)
 
 type search_result = {
   vector : Leakage_circuit.Logic.vector;
@@ -19,7 +16,6 @@ type search_result = {
 }
 
 val exhaustive :
-  ?pool:Leakage_parallel.Pool.t ->
   ?use_loading:bool ->
   Leakage_core.Library.t -> Leakage_circuit.Netlist.t ->
   search_result
@@ -28,7 +24,6 @@ val exhaustive :
     true. *)
 
 val random_search :
-  ?pool:Leakage_parallel.Pool.t ->
   ?use_loading:bool ->
   rng:Leakage_numeric.Rng.t ->
   samples:int ->
@@ -37,7 +32,6 @@ val random_search :
 (** Best of [samples] uniform random vectors. *)
 
 val greedy_descent :
-  ?pool:Leakage_parallel.Pool.t ->
   ?use_loading:bool ->
   Leakage_core.Library.t -> Leakage_circuit.Netlist.t ->
   start:Leakage_circuit.Logic.vector ->
@@ -58,7 +52,6 @@ type comparison = {
 }
 
 val compare_objectives :
-  ?pool:Leakage_parallel.Pool.t ->
   ?samples:int ->
   ?seed:int ->
   Leakage_core.Library.t -> Leakage_circuit.Netlist.t ->

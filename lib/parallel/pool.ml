@@ -123,10 +123,6 @@ let create ?jobs () =
   t.domains <- Array.init (n - 1) (fun _ -> Domain.spawn (worker t));
   t
 
-let jobs t = t.n_lanes
-
-let busy t = t.busy
-
 let shutdown t =
   Mutex.lock t.mutex;
   let was_stopped = t.stop in

@@ -26,28 +26,17 @@ val parse_jobs : string -> int option
     ignored, [Some n] for a positive integer, [None] for anything else
     (garbage, empty, zero, negative). *)
 
-val clamp_jobs : int -> int
-(** Clamp a job count into the supported [\[1, 128\]] range. *)
-
 val default_jobs : unit -> int
 (** Number of domains to use when the caller does not say:
     {!parse_jobs}[ LEAKCTL_JOBS] if it yields a value, otherwise
-    [Domain.recommended_domain_count ()]; the result runs through
-    {!clamp_jobs}. *)
+    [Domain.recommended_domain_count ()]; the result is clamped into the
+    supported [\[1, 128\]] range. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains (the caller is the
     remaining lane). [jobs] defaults to {!default_jobs}; [jobs = 1] spawns
     nothing and every region runs inline. Raises [Invalid_argument] when
     [jobs < 1]. *)
-
-val jobs : t -> int
-(** Total parallel lanes (workers + the calling domain). *)
-
-val busy : t -> bool
-(** [true] while a parallel region is in flight. A racy, unsynchronized
-    read — meant for occupancy gauges and diagnostics, never for control
-    flow (the region may end the instant after the read). *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. A shut-down pool is still

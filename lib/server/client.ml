@@ -277,7 +277,7 @@ let open_session t ?(tenant = "anon") ?(device = "d25") ?(temp_c = 25.0)
 
 let apply_batch t ~session edits =
   ok t (Protocol.Apply_batch { session; edits }) (function
-    | Protocol.Applied { groups; _ } -> groups
+    | Protocol.Applied _ -> ()
     | _ -> unexpected "apply_batch")
 
 let query t ~session ?(refresh = false) () =

@@ -113,8 +113,7 @@ val open_session :
 (** Defaults: [tenant "anon"], [device "d25"], [temp_c 25.0],
     [pattern ""]. *)
 
-val apply_batch : t -> session:int -> Protocol.edit list -> int
-(** Returns the number of cone groups the batch partitioned into. *)
+val apply_batch : t -> session:int -> Protocol.edit list -> unit
 
 val query :
   t ->
@@ -182,7 +181,7 @@ module Failover : sig
 
   val client : session -> t
 
-  val apply : session -> Protocol.edit list -> int
+  val apply : session -> Protocol.edit list -> unit
 
   val query :
     session ->

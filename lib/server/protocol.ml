@@ -64,7 +64,7 @@ type response =
       status : session_status;
       gates : int;
     }
-  | Applied of { session : int; edits : int; groups : int }
+  | Applied of { session : int; edits : int }
   | Queried of {
       session : int;
       loaded : Report.components;
@@ -365,11 +365,10 @@ let encode_response = function
         Wire.put_string b digest;
         Wire.put_u8 b (status_byte status);
         Wire.put_u32 b gates)
-  | Applied { session; edits; groups } ->
+  | Applied { session; edits } ->
     frame op_applied (fun b ->
         Wire.put_u32 b session;
-        Wire.put_u32 b edits;
-        Wire.put_u32 b groups)
+        Wire.put_u32 b edits)
   | Queried { session; loaded; baseline } ->
     frame op_queried (fun b ->
         Wire.put_u32 b session;
@@ -411,8 +410,7 @@ let decode_response { Wire.op; payload } =
     else if op = op_applied then begin
       let session = Wire.get_u32 r in
       let edits = Wire.get_u32 r in
-      let groups = Wire.get_u32 r in
-      Applied { session; edits; groups }
+      Applied { session; edits }
     end
     else if op = op_queried then begin
       let session = Wire.get_u32 r in

@@ -80,7 +80,7 @@ type response =
       status : session_status;
       gates : int;
     }
-  | Applied of { session : int; edits : int; groups : int }
+  | Applied of { session : int; edits : int }
   | Queried of {
       session : int;
       loaded : Leakage_spice.Leakage_report.components;

@@ -332,12 +332,12 @@ let make_session t resolved ~lib ~incr =
     closed = false;
   }
 
-let open_session ?pool t resolved ~pattern =
+let open_session t resolved ~pattern =
   match locked t (fun () -> Hashtbl.find_opt t.by_key resolved.rkey) with
   | Some session ->
     session.last_used <- Unix.gettimeofday ();
     if pattern <> "" then
-      Incremental.set_vector ?pool session.incr
+      Incremental.set_vector session.incr
         (parse_pattern resolved.netlist pattern);
     Tm.incr m_attached;
     (session, Protocol.Warm)

@@ -83,7 +83,6 @@ val resolve : t -> spec -> resolved
     here, so connection threads can afford it for request routing. *)
 
 val open_session :
-  ?pool:Leakage_parallel.Pool.t ->
   t -> resolved -> pattern:string ->
   session * Protocol.session_status
 (** Attach to the live session under the resolved key, restore it from disk,

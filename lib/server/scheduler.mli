@@ -5,11 +5,7 @@
     FIFO queue. A job is routed by a stable hash of its session key, so every
     request for one session lands on one queue — that alone serializes a
     session without any per-session lock, while sessions hashed to different
-    executors run concurrently. Executors submit their sessions' cone groups
-    to the one shared {!Leakage_parallel.Pool} passed by the server; the
-    pool's busy-flag contract makes concurrent submissions safe (the loser
-    runs its region inline), so distinct sessions' disjoint cone groups
-    multiplex onto one set of worker domains.
+    executors run concurrently.
 
     Digest-affinity is also what keeps characterization caches warm: a
     session always re-estimates on the same executor domain, whose

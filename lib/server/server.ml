@@ -1,5 +1,4 @@
 module Incremental = Leakage_incremental.Incremental
-module Pool = Leakage_parallel.Pool
 module Tm = Leakage_telemetry.Telemetry
 module Log = Leakage_telemetry.Log
 module Trace = Leakage_telemetry.Trace
@@ -15,15 +14,12 @@ let m_scrapes = Tm.counter "serve.http_scrapes"
 let g_sessions_live = Tm.gauge "serve.sessions_live"
 let g_queue_depth = Tm.gauge "serve.queue_depth"
 let g_quota = Tm.gauge "serve.quota"
-let g_pool_lanes = Tm.gauge "serve.pool_lanes"
-let g_pool_busy = Tm.gauge "serve.pool_busy"
 
 type t = {
   socket_path : string;
   port : int option;
   registry : Registry.t;
   scheduler : Scheduler.t;
-  pool : Pool.t option;
   mutable listeners : Unix.file_descr list;
   mutable http_listener : Unix.file_descr option;
   stop_requested : bool Atomic.t;
@@ -43,14 +39,10 @@ type t = {
   token_gauges : (string, Tm.gauge) Hashtbl.t;
 }
 
-let create ?port ?http_port ?(executors = 2) ?jobs ?(quota = 8)
+let create ?port ?http_port ?(executors = 2) ?jobs:_ ?(quota = 8)
     ?(max_sessions = 8) ?state_dir ?peer_dir ?tenant_rate ?tenant_burst
     ?(version = "dev") ?(slow_us = infinity) ?(sample_interval = 1.0)
     ~socket () =
-  let jobs =
-    match jobs with Some j -> Pool.clamp_jobs j | None -> Pool.default_jobs ()
-  in
-  let pool = if jobs > 1 then Some (Pool.create ~jobs ()) else None in
   let registry = Registry.create ?state_dir ?peer_dir ~max_sessions () in
   let scheduler =
     Scheduler.create ~executors ~quota ?rate:tenant_rate ?burst:tenant_burst ()
@@ -78,7 +70,6 @@ let create ?port ?http_port ?(executors = 2) ?jobs ?(quota = 8)
     port;
     registry;
     scheduler;
-    pool;
     listeners;
     http_listener;
     stop_requested = Atomic.make false;
@@ -213,7 +204,7 @@ let handle_open t ?rid ~tenant ~circuit ~device ~temp_c ~pattern () =
                   Trace.with_span ~cat:"serve" ~args:span_args "open"
                     (fun () ->
                       let session, status =
-                        Registry.open_session ?pool:t.pool t.registry resolved
+                        Registry.open_session t.registry resolved
                           ~pattern
                       in
                       ignore tenant;
@@ -243,16 +234,9 @@ let handle_apply t ?rid ~session_id ~edits () =
   | incr_edits ->
     find_session t session_id @@ fun session ->
     on_session t ?rid ~op:"apply" session (fun () ->
-        let before = (Incremental.stats session.Registry.incr).Incremental.batch_groups in
-        Incremental.apply_batch ?pool:t.pool session.Registry.incr incr_edits;
-        let after = (Incremental.stats session.Registry.incr).Incremental.batch_groups in
+        Incremental.apply_batch session.Registry.incr incr_edits;
         Registry.checkpoint_to_disk t.registry session;
-        Protocol.Applied
-          {
-            session = session_id;
-            edits = List.length edits;
-            groups = after - before;
-          })
+        Protocol.Applied { session = session_id; edits = List.length edits })
 
 let handle_query t ?rid ~session_id ~refresh () =
   find_session t session_id @@ fun session ->
@@ -404,13 +388,6 @@ let publish_server_gauges t () =
   Tm.set_gauge g_sessions_live (float_of_int (Registry.live_count t.registry));
   Tm.set_gauge g_queue_depth (float_of_int (Scheduler.queue_depth t.scheduler));
   Tm.set_gauge g_quota (float_of_int (Scheduler.quota t.scheduler));
-  (match t.pool with
-   | None ->
-     Tm.set_gauge g_pool_lanes 1.0;
-     Tm.set_gauge g_pool_busy 0.0
-   | Some pool ->
-     Tm.set_gauge g_pool_lanes (float_of_int (Pool.jobs pool));
-     Tm.set_gauge g_pool_busy (if Pool.busy pool then 1.0 else 0.0));
   let inflight = Scheduler.tenant_inflight t.scheduler in
   List.iter
     (fun (tenant, _) ->
@@ -481,8 +458,7 @@ let graceful_stop t =
   Scheduler.shutdown t.scheduler;
   (* 3. flush session state so a restart resumes warm *)
   Registry.flush_all t.registry;
-  (* 4. park the worker domains and observers *)
-  Option.iter Pool.shutdown t.pool;
+  (* 4. stop the observers *)
   (match t.sampler with
    | Some s ->
      t.sampler <- None;

@@ -1,9 +1,9 @@
 (** The [leakctl serve] daemon: estimation-as-a-service on a Unix-domain
     socket (and optionally a loopback TCP port).
 
-    One daemon owns one {!Registry} of warm sessions, one {!Scheduler} of
-    executor domains, and one shared {!Leakage_parallel.Pool} for intra-batch
-    cone groups. Connections are handled by lightweight reader threads: each
+    One daemon owns one {!Registry} of warm sessions and one {!Scheduler}
+    of executor domains; each batch propagates on its session's executor.
+    Connections are handled by lightweight reader threads: each
     reads one {!Wire} frame, decodes the {!Protocol} request, and either
     answers inline (ping, metrics snapshot) or routes the job through the
     scheduler and waits for its reply. Per-request latency — decode, queue
@@ -16,7 +16,7 @@
     spans, and — above [slow_us] — a [request.slow] event. The optional
     HTTP sidecar serves [GET /metrics] (Prometheus exposition) and
     [GET /healthz] (drain state); a runtime sampler publishes GC / RSS /
-    fd / pool / session gauges while the daemon runs. All of it observes
+    fd / session gauges while the daemon runs. All of it observes
     and never steers: with telemetry on or off, wire replies are
     bit-identical ([@obs-check] enforces this).
 
@@ -24,8 +24,7 @@
     a signal handler — it only flips an atomic and writes one byte to a
     self-pipe) makes {!run} stop accepting, answer new work with a retriable
     [Shutting_down] error, drain every queued job, flush all session
-    checkpoints to disk, close the sockets and shut the pool down before
-    returning. *)
+    checkpoints to disk and close the sockets before returning. *)
 
 type t
 
@@ -46,13 +45,13 @@ val create :
   socket:string ->
   unit ->
   t
-(** Bind the listeners and spin up the scheduler and pool — but accept
-    nothing until {!run}. [jobs] sizes the shared pool
-    ({!Leakage_parallel.Pool.default_jobs} when omitted; [1] means no
-    worker domains), [executors] the scheduler (default 2), [quota] the
+(** Bind the listeners and spin up the scheduler — but accept nothing
+    until {!run}. [executors] sizes the scheduler (default 2), [quota] the
     per-tenant in-flight cap (default 8), [max_sessions] the registry's
-    live-session cap (default 8). Raises [Unix.Unix_error] when the socket
-    cannot be bound.
+    live-session cap (default 8). [jobs] is accepted and ignored: it sized
+    a worker pool for batch groups, which no longer exists, and stays only
+    so existing callers keep compiling. Raises [Unix.Unix_error] when the
+    socket cannot be bound.
 
     [peer_dir] is a directory shared with other daemons: checkpoints are
     mirrored into it after every applied batch, and an open that misses the

@@ -3,7 +3,9 @@ exception Bad_frame of string
 exception Timeout
 
 let magic = "LKS1"
-let version = 1
+(* Bumped on every payload layout change: decoding is strict, so a peer
+   on another version fails fast with [Bad_frame]. *)
+let version = 2
 let max_payload = 1 lsl 26
 let header_size = String.length magic + 1 + 1 + 4
 

@@ -9,7 +9,7 @@
     [runtime.open_fds] (entries of [/proc/self/fd]) — the latter two are
     [0] on systems without procfs. The optional [extra] callback runs after
     each sweep on the ticker domain; use it to publish process-specific
-    levels (pool occupancy, live sessions, queue depth) with
+    levels (live sessions, queue depth) with
     {!Telemetry.set_gauge}. *)
 
 type t

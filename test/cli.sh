@@ -65,6 +65,8 @@ run estimate --circuit alu88 --temp=-300
 run thermal --circuit alu88 --r-theta=-5
 run mtcmos --circuit alu88 --width 0
 run dualvth --circuit alu88 --shift nan
+run dualvth --circuit alu88 --margin=-2
+run incr --circuit alu88 --refresh=-1
 run sweep --kind NAND2 --pin 5
 run characterize --kind NAND2 --vector 0
 run sweep --kind NAND2 --vector 2x

@@ -1,27 +1,19 @@
 (* Differential replay harness for incremental sessions.
 
-   Replays edit batches through four implementations of the same semantics:
+   Replays edit batches through three implementations of the same
+   semantics:
 
-   (a) sequential [Incremental.apply_batch] (no pool), value-aware pruning
-       on (the default),
-   (b) parallel [apply_batch ~pool] at jobs ∈ {1, 2, 4, 8},
+   (a) [Incremental.apply_batch], one propagation per batch,
+   (b) a per-edit [Incremental.apply] walk of the same edits,
    (c) a from-scratch [Estimator.estimate] oracle on the session's current
        netlist/pattern/libraries,
-   (d) sequential [apply_batch ~prune:false] — the structural (unpruned)
-       partition,
 
-   asserting exact (bit-identical) state equality between (a) and every (b),
-   tolerance-bounded totals agreement between (a) and a per-edit [apply]
-   walk, exact equality of every per-net/per-gate field between (a) and (d)
-   with tolerance only on the two scalar accumulators (a different partition
-   sums the same per-gate deltas in a different float association), and
-   tolerance-bounded agreement with (c). On failure the harness
-   shrinks the batch list to a minimal failing input (greedy delta
-   debugging: drop whole batches, then single edits, while the failure
-   reproduces) and reports it with {!Edit.pp}.
-
-   The module is linked into every test executable of the (tests) stanza,
-   so pools are created lazily on first use and shut down at exit. *)
+   asserting tolerance-bounded totals agreement between (a) and (b) (the
+   batch sums the same per-gate changes in a different float association)
+   and between (a) and (c). On failure the harness shrinks the batch list
+   to a minimal failing input (greedy delta debugging: drop whole batches,
+   then single edits, while the failure reproduces) and reports it with
+   {!Edit.pp}. *)
 
 module Params = Leakage_device.Params
 module Logic = Leakage_circuit.Logic
@@ -34,7 +26,6 @@ module Estimator = Leakage_core.Estimator
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
 module Rng = Leakage_numeric.Rng
-module Pool = Leakage_parallel.Pool
 
 let device = Params.d25
 let temp = 300.0
@@ -50,14 +41,6 @@ let hvt_lib =
     ~temp ~vdd:device.Params.vdd ()
 
 let palette = [| 0.5; 1.0; 2.0 |]
-
-let job_counts = [ 1; 2; 4; 8 ]
-
-let pools =
-  lazy
-    (let ps = List.map (fun j -> Pool.create ~jobs:j ()) job_counts in
-     at_exit (fun () -> List.iter Pool.shutdown ps);
-     ps)
 
 (* ------------------------------------------------------------ generators *)
 
@@ -123,9 +106,8 @@ let random_pattern rng nl =
 
 (* Complete observable session state. Two sessions with equal fingerprints
    are indistinguishable through the read API (up to undo-log contents,
-   which [depth] proxies). Float fields are compared with Stdlib.compare,
-   i.e. exact equality — the parallel/sequential contract is bit-identity,
-   not tolerance. *)
+   which [depth] proxies). [fingerprint_diff] compares float fields with
+   Stdlib.compare, i.e. exact equality — what a refresh must reproduce. *)
 type fingerprint = {
   fp_pattern : string;
   fp_values : Logic.value array;
@@ -175,25 +157,38 @@ let fingerprint_diff a b =
 
 let rel a b = if b = 0.0 then Float.abs a else Float.abs (a -. b) /. Float.abs b
 
+(* How far a batch may sit from the same edits applied one at a time. *)
+let assoc_tol = 1e-12
+
 let components_close tol (a : Report.components) (b : Report.components) =
   rel a.Report.isub b.Report.isub <= tol
   && rel a.Report.igate b.Report.igate <= tol
   && rel a.Report.ibtbt b.Report.ibtbt <= tol
 
-(* Pruned vs unpruned comparison: the two partitions drive identical
-   gate-local updates (same values, entries, injections, per-gate
-   components, bit for bit), but group them differently, so the scalar
-   totals/baseline accumulators may differ in the last ulps of float
-   association. Everything else is compared exactly. *)
+(* Batched vs per-edit comparison: a batch moves each net injection and
+   each scalar accumulator by the same changes as the per-edit walk, but
+   summed in a different float association (and a periodic refresh may
+   land at a different point), so the float fields agree only to [tol].
+   Injections are compared against the largest one, since a net whose pin
+   currents cancel has no meaningful relative error of its own. Logic
+   values, gate state and the undo depth must agree exactly. *)
 let fingerprint_diff_assoc tol a b =
+  let scale =
+    Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a.fp_injection
+  in
   if a.fp_pattern <> b.fp_pattern then
     Some (Printf.sprintf "pattern %s vs %s" a.fp_pattern b.fp_pattern)
   else if Stdlib.compare a.fp_values b.fp_values <> 0 then Some "logic values"
   else if Stdlib.compare a.fp_gates b.fp_gates <> 0 then Some "gate kinds/strengths"
-  else if Stdlib.compare a.fp_injection b.fp_injection <> 0 then
-    Some "net injections"
-  else if Stdlib.compare a.fp_per_gate b.fp_per_gate <> 0 then
-    Some "per-gate components"
+  else if
+    not
+      (Array.for_all2
+         (fun x y -> Float.abs (x -. y) <= tol *. scale)
+         a.fp_injection b.fp_injection)
+  then Some "net injections beyond association tolerance"
+  else if
+    not (Array.for_all2 (components_close tol) a.fp_per_gate b.fp_per_gate)
+  then Some "per-gate components beyond association tolerance"
   else if not (components_close tol a.fp_totals b.fp_totals) then
     Some
       (Printf.sprintf "totals %.17g vs %.17g beyond association tolerance"
@@ -219,44 +214,14 @@ let pp_batches batches =
 (* Replay [batches] (each applied as one [apply_batch]) and cross-check the
    three implementations after every batch. [Error reason] on the first
    divergence. *)
-let replay ?(oracle_tol = 1e-9) ?(edit_tol = 1e-12) nl pattern batches =
+let replay ?(oracle_tol = 1e-9) ?(edit_tol = assoc_tol) nl pattern batches =
   let seq = Incremental.create lib nl pattern in
-  let pooled =
-    List.map2
-      (fun jobs pool -> (jobs, pool, Incremental.create lib nl pattern))
-      job_counts (Lazy.force pools)
-  in
   let per_edit = Incremental.create lib nl pattern in
-  let unpruned = Incremental.create lib nl pattern in
   let exception Diverged of string in
   try
     List.iteri
       (fun bi batch ->
         Incremental.apply_batch seq batch;
-        let reference = fingerprint seq in
-        List.iter
-          (fun (jobs, pool, s) ->
-            Incremental.apply_batch ~pool s batch;
-            match fingerprint_diff reference (fingerprint s) with
-            | None -> ()
-            | Some what ->
-              raise
-                (Diverged
-                   (Printf.sprintf
-                      "batch %d: jobs=%d differs from sequential in %s" bi
-                      jobs what)))
-          pooled;
-        Incremental.apply_batch ~prune:false unpruned batch;
-        (match
-           fingerprint_diff_assoc edit_tol reference (fingerprint unpruned)
-         with
-         | None -> ()
-         | Some what ->
-           raise
-             (Diverged
-                (Printf.sprintf
-                   "batch %d: unpruned partition differs from pruned in %s"
-                   bi what)));
         List.iter (Incremental.apply per_edit) batch;
         let d =
           rel
@@ -267,7 +232,7 @@ let replay ?(oracle_tol = 1e-9) ?(edit_tol = 1e-12) nl pattern batches =
           raise
             (Diverged
                (Printf.sprintf
-                  "batch %d: grouped totals differ from per-edit walk by \
+                  "batch %d: batched totals differ from per-edit walk by \
                    %.3e rel (> %.0e)"
                   bi d edit_tol));
         let fresh =

@@ -13,12 +13,11 @@ module Library = Leakage_core.Library
 module Estimator = Leakage_core.Estimator
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
-module Cone = Leakage_incremental.Cone
-module Simulate = Leakage_circuit.Simulate
 module Dual_vth = Leakage_incremental.Dual_vth
 module Vector_mc = Leakage_incremental.Vector_mc
 module Trees = Leakage_benchmarks.Trees
 module Adders = Leakage_benchmarks.Adders
+module Suite = Leakage_benchmarks.Suite
 module Rng = Leakage_numeric.Rng
 
 let device = Params.d25
@@ -275,9 +274,8 @@ let test_vector_mc_resample () =
 
 (* ------------------------------------------------------- differential *)
 
-(* The shared replay harness cross-checks sequential apply_batch, pooled
-   apply_batch at jobs ∈ {1,2,4,8}, a per-edit walk and the from-scratch
-   estimator on this file's reference circuits. *)
+(* The shared replay harness cross-checks apply_batch against a per-edit
+   walk and the from-scratch estimator on this file's reference circuits. *)
 let test_differential_replay () =
   let nl = adder_circuit 2 in
   let rng = Rng.create 5 in
@@ -295,46 +293,71 @@ let test_differential_replay () =
 
 (* ------------------------------------------------------- deep chains *)
 
-(* Regression for the non-tail-recursive cone walk and union-find: both used
-   to overflow the stack on chains a few tens of thousands of gates deep.
-   The walk, the 64-way claim chain and the pruned variant must all survive
-   a 100k-stage chain. *)
-let test_deep_chain_structural () =
-  let stages = 100_000 in
-  let nl = Trees.chain ~stages () in
-  let c = Cone.Partition.cone nl (Edit.Retype (0, Gate.Buf)) in
-  Alcotest.(check int) "full-depth structural cone" stages
-    (List.length c.Cone.Partition.gates);
-  let edits =
-    Array.init 64 (fun i -> Edit.Retype (i * (stages / 64), Gate.Buf))
-  in
-  let groups = Cone.Partition.groups nl edits in
-  Alcotest.(check int) "one downstream-entangled group" 1 (Array.length groups);
-  Alcotest.(check int) "all 64 edits in it" 64 (Array.length groups.(0))
+(* Regression for the recursive cone walks that used to overflow the stack
+   on chains a few tens of thousands of gates deep. On a pure inverter
+   chain, retyping the head or flipping the chain's input flips every
+   stage, so the one worklist drain must reach the last gate and still
+   match a fresh estimate. *)
+let deep_stages = 100_000
 
-let partition_state_of nl pattern =
-  {
-    Cone.Partition.values = Simulate.run nl pattern;
-    kinds = Array.init (Netlist.gate_count nl) (Netlist.gate_kind nl);
-  }
-
-let test_deep_chain_pruned () =
-  let stages = 100_000 and tap_every = 1_000 in
-  let nl = Trees.chain ~stages ~tap_every () in
-  let width = Array.length (Netlist.inputs nl) in
-  (* all-zero pattern: every gateway NAND sees a controlling 0 tap *)
-  let state = partition_state_of nl (Array.make width Logic.Zero) in
-  let edits =
-    Array.init 16 (fun i -> Edit.Retype ((i * 6 * tap_every) + 500, Gate.Buf))
+let check_deep_reach what s ~before =
+  Alcotest.(check int) (what ^ ": one visit per stage") deep_stages
+    ((Incremental.stats s).Incremental.logic_evals - before);
+  let fresh, _ =
+    Estimator.estimate_totals lib
+      (Incremental.current_netlist s)
+      (Incremental.pattern s)
   in
-  let groups = Cone.Partition.groups ~state nl edits in
-  Alcotest.(check int) "one pruned group per edited segment" 16
-    (Array.length groups);
-  Array.iter
-    (fun (c : Cone.Partition.cone) ->
-      Alcotest.(check bool) "pruned cone bounded by its segment" true
-        (List.length c.Cone.Partition.gates <= tap_every))
-    (Cone.Partition.cones ~state nl edits)
+  Alcotest.(check bool) (what ^ ": matches estimate_totals") true
+    (rel (Report.total (Incremental.totals s)) (Report.total fresh) <= 1e-9)
+
+let test_deep_chain_retype () =
+  let s = session (Trees.chain ~stages:deep_stages ()) "0" in
+  let before = (Incremental.stats s).Incremental.logic_evals in
+  Incremental.apply s (Edit.Retype (0, Gate.Buf));
+  check_deep_reach "retype the head" s ~before
+
+let test_deep_chain_input_flip () =
+  let s = session (Trees.chain ~stages:deep_stages ()) "0" in
+  let before = (Incremental.stats s).Incremental.logic_evals in
+  Incremental.set_vector s (Logic.vector_of_string "1");
+  check_deep_reach "flip the input" s ~before
+
+(* ------------------------------------------------- dense vector moves *)
+
+(* A move to an unrelated random vector flips about half the inputs; the
+   one propagation must cost no more than a fresh estimate: at most one
+   logic evaluation and one leakage lookup per gate, and a bounded number
+   of minor words per gate. The library is warmed over the same vectors
+   first, so characterization is not counted. *)
+let test_dense_moves () =
+  List.iter
+    (fun name ->
+      let nl = (Suite.find name).Suite.build () in
+      let gates = Netlist.gate_count nl in
+      let width = Array.length (Netlist.inputs nl) in
+      let rng = Rng.create 19 in
+      let vectors = List.init 17 (fun _ -> Logic.random_vector rng width) in
+      List.iter (fun v -> ignore (Estimator.estimate_totals lib nl v)) vectors;
+      let s = Incremental.create ~refresh_every:0 lib nl (List.hd vectors) in
+      List.iter
+        (fun v ->
+          let st0 = Incremental.stats s in
+          let w0 = Gc.minor_words () in
+          Incremental.set_vector s v;
+          let words = (Gc.minor_words () -. w0) /. float_of_int gates in
+          let st1 = Incremental.stats s in
+          let evals = st1.Incremental.logic_evals - st0.Incremental.logic_evals
+          and lookups =
+            st1.Incremental.leakage_lookups - st0.Incremental.leakage_lookups
+          in
+          if words > 100.0 || evals > gates || lookups > gates then
+            Alcotest.failf
+              "%s: a move took %.1f minor words per gate (<= 100), %d logic \
+               evals and %d lookups (<= %d gates)"
+              name words evals lookups gates)
+        (List.tl vectors))
+    [ "alu88"; "s838"; "mult88" ]
 
 (* ------------------------------------------------------------ properties *)
 
@@ -356,56 +379,6 @@ let random_edit rng nl =
      | 1 -> Edit.Retype (g, if Rng.bool rng then Gate.Inv else Gate.Buf)
      | 2 -> Edit.Retype (g, if Rng.bool rng then Gate.Nand 2 else Gate.Nor 2)
      | _ -> Edit.Relib (g, if Rng.bool rng then hvt_lib else lib))
-
-(* groups as a set of sets of original batch indices *)
-let canonical map groups =
-  List.sort compare
-    (List.map
-       (fun g -> List.sort compare (List.map map (Array.to_list g)))
-       (Array.to_list groups))
-
-let shuffled_perm rng n =
-  let perm = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let x = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- x
-  done;
-  perm
-
-(* The partition is a function of the batch as a set and the observable
-   pre-batch state (values + kinds) — identical for any edit order within
-   the batch, and for any session history that settles to the same state. *)
-let prop_partition_deterministic (pick, seed) =
-  let nl = circuit_pool.(pick mod Array.length circuit_pool) () in
-  let rng = Rng.create (seed + 1) in
-  let width = Array.length (Netlist.inputs nl) in
-  let pattern = Logic.random_vector rng width in
-  let n = 2 + Rng.int rng 8 in
-  let edits = List.init n (fun _ -> random_edit rng nl) in
-  let earr = Array.of_list edits in
-  let s0 = Incremental.create lib nl pattern in
-  let reference = canonical Fun.id (Incremental.preview_groups s0 edits) in
-  (* edit order within the batch *)
-  let perm = shuffled_perm rng n in
-  let shuffled = List.init n (fun i -> earr.(perm.(i))) in
-  let by_perm =
-    canonical (fun i -> perm.(i)) (Incremental.preview_groups s0 shuffled)
-  in
-  (* prior session edits, all undone: same settled state, same groups *)
-  let s1 = Incremental.create lib nl pattern in
-  let cp = Incremental.checkpoint s1 in
-  for _ = 1 to 4 do
-    Incremental.apply s1 (random_edit rng nl)
-  done;
-  Incremental.rollback s1 cp;
-  let after_detour = canonical Fun.id (Incremental.preview_groups s1 edits) in
-  (* a different starting vector moved to the same pattern *)
-  let s2 = Incremental.create lib nl (Logic.random_vector rng width) in
-  Incremental.set_vector s2 pattern;
-  let after_move = canonical Fun.id (Incremental.preview_groups s2 edits) in
-  reference = by_perm && reference = after_detour && reference = after_move
 
 (* Random edit sequences on random netlists stay equivalent to a fresh
    estimate — including at intermediate points, after a batch, and after
@@ -438,11 +411,6 @@ let prop_tests =
       (QCheck2.Test.make ~count:8 ~name:"random edit sequences match fresh estimates"
          QCheck2.Gen.(tup2 (int_bound 1000) (int_bound 10_000))
          prop_random_edits);
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:20
-         ~name:"partition groups independent of edit order and history"
-         QCheck2.Gen.(tup2 (int_bound 1000) (int_bound 10_000))
-         prop_partition_deterministic);
   ]
 
 let () =
@@ -480,9 +448,14 @@ let () =
       ( "deep chain",
         [
           Alcotest.test_case "100k structural walk" `Quick
-            test_deep_chain_structural;
-          Alcotest.test_case "100k pruned partition" `Quick
-            test_deep_chain_pruned;
+            test_deep_chain_retype;
+          Alcotest.test_case "100k input flip" `Quick
+            test_deep_chain_input_flip;
+        ] );
+      ( "dense moves",
+        [
+          Alcotest.test_case "set_vector costs at most one estimate" `Quick
+            test_dense_moves;
         ] );
       ("properties", prop_tests);
     ]

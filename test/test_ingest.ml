@@ -416,8 +416,6 @@ let check_accessors_against_pin_scan t =
     let scan = List.rev readers.(net) in
     Alcotest.(check int) "driver id" driver.(net) (Netlist.driver_id t net);
     Alcotest.(check (list int)) "fanout order" scan (calls (Netlist.iter_fanout t net));
-    Alcotest.(check (list int)) "rev fanout" (List.rev scan)
-      (calls (Netlist.rev_iter_fanout t net));
   done;
   let order = Netlist.topo_ids t in
   Alcotest.(check (list int)) "topo is a permutation"

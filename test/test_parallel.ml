@@ -81,10 +81,6 @@ let test_create_rejects_bad_jobs () =
     (Invalid_argument "Pool.create: jobs must be >= 1")
     (fun () -> ignore (Pool.create ~jobs:0 ()))
 
-let test_jobs_reported () =
-  Alcotest.(check int) "pool3 lanes" 3 (Pool.jobs pool3);
-  Alcotest.(check int) "pool1 lanes" 1 (Pool.jobs pool1)
-
 let test_lowest_index_exception_wins () =
   (* items keep draining after a failure; the lowest index is re-raised *)
   List.iter
@@ -144,12 +140,20 @@ let test_parse_jobs () =
         expected (Pool.parse_jobs input))
     cases
 
+(* default_jobs clamps into [1, 128]; a count parse_jobs accepts is never
+   below 1, so the upper bound is the one to pin *)
 let test_clamp_jobs () =
-  Alcotest.(check int) "0 -> 1" 1 (Pool.clamp_jobs 0);
-  Alcotest.(check int) "-5 -> 1" 1 (Pool.clamp_jobs (-5));
-  Alcotest.(check int) "8 unchanged" 8 (Pool.clamp_jobs 8);
-  Alcotest.(check int) "128 unchanged" 128 (Pool.clamp_jobs 128);
-  Alcotest.(check int) "500 -> 128" 128 (Pool.clamp_jobs 500)
+  let saved = Sys.getenv_opt "LEAKCTL_JOBS" in
+  let restore () =
+    Unix.putenv "LEAKCTL_JOBS" (Option.value saved ~default:"")
+  in
+  Fun.protect ~finally:restore (fun () ->
+      List.iter
+        (fun (env, expected) ->
+          Unix.putenv "LEAKCTL_JOBS" env;
+          Alcotest.(check int) ("LEAKCTL_JOBS=" ^ env) expected
+            (Pool.default_jobs ()))
+        [ ("127", 127); ("128", 128); ("129", 128); ("100000", 128) ])
 
 let test_default_jobs_reads_env () =
   (* Unix.putenv mutates this process's real environment; always restore the
@@ -319,7 +323,6 @@ let () =
           Alcotest.test_case "chunk boundaries fixed" `Quick test_map_chunked_boundaries;
           Alcotest.test_case "chunk rejects 0" `Quick test_map_chunked_rejects_bad_chunk;
           Alcotest.test_case "create rejects 0 jobs" `Quick test_create_rejects_bad_jobs;
-          Alcotest.test_case "jobs reported" `Quick test_jobs_reported;
           Alcotest.test_case "lowest-index exception" `Quick test_lowest_index_exception_wins;
           Alcotest.test_case "nested run inline" `Quick test_nested_run_is_inline;
           Alcotest.test_case "with_pool" `Quick test_with_pool_returns;

@@ -327,18 +327,18 @@ let test_pool_sizes_bit_identical () =
   let reference =
     Sensitivity.estimate_totals ~fallback_samples:0 ~sigmas lib nl pattern
   in
-  List.iter2
-    (fun jobs pool ->
+  List.iter
+    (fun jobs ->
       let r =
-        Sensitivity.estimate_totals ~pool ~fallback_samples:0 ~sigmas lib nl
-          pattern
+        Leakage_parallel.Pool.with_pool ~jobs (fun pool ->
+            Sensitivity.estimate_totals ~pool ~fallback_samples:0 ~sigmas lib
+              nl pattern)
       in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d bit-identical" jobs)
         true
         (Stdlib.compare reference r = 0))
-    Diff_harness.job_counts
-    (Lazy.force Diff_harness.pools)
+    [ 1; 2; 4; 8 ]
 
 (* Two construction orders of the same circuit: same canonical digest, and
    every reported digit of the variance result identical — the analysis

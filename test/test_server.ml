@@ -220,10 +220,9 @@ let gen_response =
           (tup2
              (oneofl [ Protocol.Cold; Protocol.Warm; Protocol.Restored ])
              small_nat);
-        map3
-          (fun session edits groups ->
-            Protocol.Applied { session; edits; groups })
-          small_nat small_nat small_nat;
+        map2
+          (fun session edits -> Protocol.Applied { session; edits })
+          small_nat small_nat;
         map3
           (fun session loaded baseline ->
             Protocol.Queried { session; loaded; baseline })
@@ -260,6 +259,65 @@ let prop_request_roundtrip =
 let prop_response_roundtrip =
   qtest "response encode/decode round trip" gen_response (fun r ->
       Protocol.decode_response (Protocol.encode_response r) = r)
+
+(* Mutated LKS1 encodings fail closed: a truncation, one to three
+   overwritten bytes, or a splice of two encodings either decodes or raises
+   [Wire.Truncated] / [Wire.Bad_frame], never anything else. Each mutation
+   is applied to the payload (decoded under the original opcode) and to the
+   whole frame (read back through [Wire.frame_of_string]). *)
+type mutation =
+  | Truncate of int  (** keep a strict prefix *)
+  | Overwrite of (int * char) list
+  | Splice of int * int  (** a prefix of one encoding, a suffix of another *)
+
+let mutate m a b =
+  let la = String.length a and lb = String.length b in
+  match m with
+  | Truncate k -> String.sub a 0 (if la = 0 then 0 else k mod la)
+  | Overwrite pokes ->
+    let s = Bytes.of_string a in
+    if la > 0 then List.iter (fun (i, c) -> Bytes.set s (i mod la) c) pokes;
+    Bytes.to_string s
+  | Splice (i, j) ->
+    let j = j mod (lb + 1) in
+    String.sub a 0 (i mod (la + 1)) ^ String.sub b j (lb - j)
+
+let gen_mutation =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> Truncate k) nat;
+        map
+          (fun pokes -> Overwrite pokes)
+          (list_size (int_range 1 3) (pair nat char));
+        map2 (fun i j -> Splice (i, j)) nat nat;
+      ])
+
+let fails_closed what decode (fa : Wire.frame) (fb : Wire.frame) m =
+  let closed f =
+    match f () with
+    | _ | (exception (Wire.Truncated | Wire.Bad_frame _)) -> true
+    | exception e ->
+      QCheck2.Test.fail_reportf "mutated %s raised %s" what
+        (Printexc.to_string e)
+  in
+  closed (fun () ->
+      decode { fa with Wire.payload = mutate m fa.Wire.payload fb.Wire.payload })
+  && closed (fun () ->
+         decode
+           (Wire.frame_of_string
+              (mutate m (Wire.frame_to_string fa) (Wire.frame_to_string fb))))
+
+let prop_mutated_payloads =
+  qtest ~count:1000 "mutated frames fail closed"
+    QCheck2.Gen.(
+      tup3 (pair gen_request gen_request) (pair gen_response gen_response)
+        gen_mutation)
+    (fun ((qa, qb), (ra, rb), m) ->
+      fails_closed "request" Protocol.decode_request
+        (Protocol.encode_request qa) (Protocol.encode_request qb) m
+      && fails_closed "response" Protocol.decode_response
+           (Protocol.encode_response ra) (Protocol.encode_response rb) m)
 
 let test_protocol_rejects_unknown_opcode () =
   let rejects decode op =
@@ -956,6 +1014,7 @@ let () =
         [
           prop_request_roundtrip;
           prop_response_roundtrip;
+          prop_mutated_payloads;
           Alcotest.test_case "unknown opcode" `Quick
             test_protocol_rejects_unknown_opcode;
           Alcotest.test_case "trailing payload" `Quick
