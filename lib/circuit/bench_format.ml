@@ -64,41 +64,6 @@ let strength_of_comment comment =
    layout), so a million-gate file costs a few flat arrays plus one string
    per distinct signal name, not a heap record per line. *)
 
-module Vec = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 16 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let a = Array.make (2 * v.len) 0 in
-      Array.blit v.a 0 a 0 v.len;
-      v.a <- a
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let get v i = v.a.(i)
-  let set v i x = v.a.(i) <- x
-end
-
-module Fvec = struct
-  type t = { mutable a : float array; mutable len : int }
-
-  let create () = { a = Array.make 16 0.0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let a = Array.make (2 * v.len) 0.0 in
-      Array.blit v.a 0 a 0 v.len;
-      v.a <- a
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let get v i = v.a.(i)
-end
-
 type stream = {
   sig_id : (string, int) Hashtbl.t;
   mutable sig_names : string array;     (* grows with the intern table *)
@@ -109,7 +74,7 @@ type stream = {
   d_tgt : Vec.t;
   d_op : Vec.t;
   d_line : Vec.t;
-  d_strength : Fvec.t;
+  d_strength : Vec.Float.t;
   d_arg_off : Vec.t;    (* length d_count + 1 *)
   d_args : Vec.t;
   (* file-order interface declarations *)
@@ -118,22 +83,27 @@ type stream = {
   out_sigs : Vec.t;
 }
 
-let stream_create () =
+(* [lines] sizes every per-signal and per-declaration table: a line
+   declares at most one gate and names about one new signal, so a file's
+   line count is their size and none of them doubles. The interface lists
+   keep a small start. *)
+let stream_create ~lines =
+  let n = Stdlib.max 16 lines in
   let st = {
-    sig_id = Hashtbl.create 1024;
-    sig_names = Array.make 16 "";
+    sig_id = Hashtbl.create n;
+    sig_names = Array.make n "";
     sig_count = 0;
-    sig_decl = Vec.create ();
-    sig_out = Vec.create ();
-    d_tgt = Vec.create ();
-    d_op = Vec.create ();
-    d_line = Vec.create ();
-    d_strength = Fvec.create ();
-    d_arg_off = Vec.create ();
-    d_args = Vec.create ();
-    in_lines = Vec.create ();
-    in_sigs = Vec.create ();
-    out_sigs = Vec.create ();
+    sig_decl = Vec.create n;
+    sig_out = Vec.create n;
+    d_tgt = Vec.create n;
+    d_op = Vec.create n;
+    d_line = Vec.create n;
+    d_strength = Vec.Float.create n;
+    d_arg_off = Vec.create (n + 1);
+    d_args = Vec.create n;
+    in_lines = Vec.create 16;
+    in_sigs = Vec.create 16;
+    out_sigs = Vec.create 16;
   } in
   Vec.push st.d_arg_off 0;
   st
@@ -231,7 +201,7 @@ let process_line st line_no raw =
              Vec.push st.d_tgt tgt;
              Vec.push st.d_op (op_code op);
              Vec.push st.d_line line_no;
-             Fvec.push st.d_strength strength;
+             Vec.Float.push st.d_strength strength;
              Vec.set st.sig_decl tgt d)
   end
 
@@ -314,7 +284,9 @@ let elaborate ~name st =
      && st.d_tgt.Vec.len = 0
   then raise (Parse_error (0, "empty .bench: no INPUT, OUTPUT or gate lines"));
   let module B = Netlist.Builder in
-  let b = B.create name in
+  (* Nets are the signals plus what wide-gate decomposition adds; pins are
+     the arguments. *)
+  let b = B.create ~size:(Stdlib.max st.sig_count st.d_args.Vec.len) name in
   let sig_net = Array.make (Stdlib.max 1 st.sig_count) (-1) in
   let in_progress = Bytes.make (Stdlib.max 1 st.sig_count) '\000' in
   let sname sid = st.sig_names.(sid) in
@@ -354,10 +326,10 @@ let elaborate ~name st =
   (* Iterative dependency-ordered elaboration. A frame is a declaration
      plus the index of the next argument to resolve; a signal is
      in-progress while its frame is on the stack. *)
-  let fr_decl = Vec.create () and fr_pos = Vec.create () in
+  let fr_decl = Vec.create 16 and fr_pos = Vec.create 16 in
   let emit d =
     let args = List.init (d_argc d) (fun i -> sig_net.(d_arg d i)) in
-    let strength = Fvec.get st.d_strength d in
+    let strength = Vec.Float.get st.d_strength d in
     match build_gate b (d_op d) ~strength args with
     | net ->
       let tgt = Vec.get st.d_tgt d in
@@ -431,8 +403,8 @@ let elaborate ~name st =
   done;
   B.finish b
 
-let parse_lines ~name next =
-  let st = stream_create () in
+let parse_stream ~lines ~name next =
+  let st = stream_create ~lines in
   let line_no = ref 0 in
   let rec loop () =
     match next () with
@@ -445,10 +417,14 @@ let parse_lines ~name next =
   loop ();
   elaborate ~name st
 
+let parse_lines ~name next = parse_stream ~lines:0 ~name next
+
 let parse_string ~name text =
   (* Walk the text segment by segment instead of materializing a line
      list; semantics match [String.split_on_char '\n']. *)
   let len = String.length text in
+  let lines = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr lines) text;
   let pos = ref 0 in
   let next () =
     if !pos > len then None
@@ -463,7 +439,25 @@ let parse_string ~name text =
         pos := len + 1;
         Some s
   in
-  parse_lines ~name next
+  parse_stream ~lines:!lines ~name next
+
+(* One buffered pass over the file counting newlines, then back to the
+   start for the parse proper. *)
+let count_lines ic =
+  let buf = Bytes.create 65536 in
+  let rec go n =
+    match input ic buf 0 (Bytes.length buf) with
+    | 0 -> n
+    | k ->
+      let n = ref n in
+      for i = 0 to k - 1 do
+        if Bytes.unsafe_get buf i = '\n' then incr n
+      done;
+      go !n
+  in
+  let n = go 1 in
+  seek_in ic 0;
+  n
 
 let parse_file path =
   let ic = open_in path in
@@ -476,7 +470,7 @@ let parse_file path =
         | exception End_of_file -> None
       in
       let name = Filename.remove_extension (Filename.basename path) in
-      parse_lines ~name next)
+      parse_stream ~lines:(count_lines ic) ~name next)
 
 (* ----------------------------------------------------------- writer *)
 

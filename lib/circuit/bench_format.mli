@@ -34,14 +34,18 @@ val parse_string : name:string -> string -> Netlist.t
     validation. *)
 
 val parse_file : string -> Netlist.t
-(** Parse a file; the netlist is named after the basename. Reads the file
-    line-at-a-time; the input channel is closed even when parsing raises. *)
+(** Parse a file; the netlist is named after the basename. Counts the
+    file's lines in one buffered pass, then parses it line-at-a-time (so
+    the path must name a seekable file); the input channel is closed even
+    when parsing raises. *)
 
 val parse_lines : name:string -> (unit -> string option) -> Netlist.t
 (** Core streaming entry point: [parse_lines ~name next] pulls lines from
     [next] ([None] = end of input) — the producer for {!parse_file} and
     {!parse_string}, exposed so other front-ends can feed pre-split
-    input. *)
+    input. Unlike those two, it cannot count its input's lines first, so
+    its tables grow by doubling instead of starting at their final
+    size. *)
 
 val to_string : Netlist.t -> string
 (** Render a netlist as [.bench] text (combinational: no DFF lines; pseudo

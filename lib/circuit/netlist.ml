@@ -619,67 +619,45 @@ let pp_stats ppf s =
   List.iter (fun (k, c) -> Format.fprintf ppf "%s:%d " k c) s.kind_histogram
 
 module Builder = struct
-  (* Growable flat buffers — amortized O(1) append, no per-gate records. *)
-  type ivec = { mutable ia : int array; mutable ilen : int }
-  type fvec = { mutable fa : float array; mutable flen : int }
-
-  let ivec () = { ia = Array.make 16 0; ilen = 0 }
-  let fvec () = { fa = Array.make 16 0.0; flen = 0 }
-
-  let ipush v x =
-    if v.ilen = Array.length v.ia then begin
-      let a = Array.make (2 * v.ilen) 0 in
-      Array.blit v.ia 0 a 0 v.ilen;
-      v.ia <- a
-    end;
-    v.ia.(v.ilen) <- x;
-    v.ilen <- v.ilen + 1
-
-  let fpush v x =
-    if v.flen = Array.length v.fa then begin
-      let a = Array.make (2 * v.flen) 0.0 in
-      Array.blit v.fa 0 a 0 v.flen;
-      v.fa <- a
-    end;
-    v.fa.(v.flen) <- x;
-    v.flen <- v.flen + 1
-
   type builder = {
     bname : string;
     names : Buffer.t;          (* packed net-name blob *)
-    bname_off : ivec;          (* net_count entries; end implied by blob *)
+    bname_off : Vec.t;         (* net_count entries; end implied by blob *)
     mutable bnet_count : int;
-    bkinds : ivec;
-    bstrengths : fvec;
-    bpin_off : ivec;           (* gate_count entries; starts at 0 implied *)
-    bpins : ivec;
-    bouts : ivec;
-    binputs : ivec;
-    boutputs : ivec;
+    bkinds : Vec.t;
+    bstrengths : Vec.Float.t;
+    bpin_off : Vec.t;          (* gate_count entries; starts at 0 implied *)
+    bpins : Vec.t;
+    bouts : Vec.t;
+    binputs : Vec.t;
+    boutputs : Vec.t;
     mutable output_flag : Bytes.t;  (* dedup for mark_output *)
   }
 
   type t = builder
 
-  let create bname =
+  (* Net, gate and pin buffers all start at [size]; the interface lists
+     stay small. *)
+  let create ?(size = 16) bname =
+    let n = Stdlib.max 16 size in
     {
       bname;
       names = Buffer.create 256;
-      bname_off = ivec ();
+      bname_off = Vec.create n;
       bnet_count = 0;
-      bkinds = ivec ();
-      bstrengths = fvec ();
-      bpin_off = ivec ();
-      bpins = ivec ();
-      bouts = ivec ();
-      binputs = ivec ();
-      boutputs = ivec ();
-      output_flag = Bytes.make 16 '\000';
+      bkinds = Vec.create n;
+      bstrengths = Vec.Float.create n;
+      bpin_off = Vec.create n;
+      bpins = Vec.create n;
+      bouts = Vec.create n;
+      binputs = Vec.create 16;
+      boutputs = Vec.create 16;
+      output_flag = Bytes.make n '\000';
     }
 
   let fresh_net b name_opt =
     let id = b.bnet_count in
-    ipush b.bname_off (Buffer.length b.names);
+    Vec.push b.bname_off (Buffer.length b.names);
     (match name_opt with
      | Some n -> Buffer.add_string b.names n
      | None -> Buffer.add_string b.names (Printf.sprintf "n%d" id));
@@ -693,7 +671,7 @@ module Builder = struct
 
   let input ?name b =
     let n = fresh_net b name in
-    ipush b.binputs n;
+    Vec.push b.binputs n;
     n
 
   let gate ?name ?(strength = 1.0) b kind fan_in =
@@ -709,11 +687,11 @@ module Builder = struct
           invalid_arg (Printf.sprintf "Builder.gate: unknown net %d" n))
       fan_in;
     let out = fresh_net b name in
-    ipush b.bkinds (Gate.code kind);
-    fpush b.bstrengths strength;
-    Array.iter (fun n -> ipush b.bpins n) fan_in;
-    ipush b.bpin_off b.bpins.ilen;
-    ipush b.bouts out;
+    Vec.push b.bkinds (Gate.code kind);
+    Vec.Float.push b.bstrengths strength;
+    Array.iter (fun n -> Vec.push b.bpins n) fan_in;
+    Vec.push b.bpin_off b.bpins.Vec.len;
+    Vec.push b.bouts out;
     out
 
   let mark_output b n =
@@ -721,34 +699,34 @@ module Builder = struct
       invalid_arg "Builder.mark_output: unknown net";
     if Bytes.get b.output_flag n = '\000' then begin
       Bytes.set b.output_flag n '\001';
-      ipush b.boutputs n
+      Vec.push b.boutputs n
     end
 
   let net_count b = b.bnet_count
-  let gate_count b = b.bkinds.ilen
+  let gate_count b = b.bkinds.Vec.len
 
   let finish b =
-    let n_gates = b.bkinds.ilen in
+    let n_gates = b.bkinds.Vec.len in
     let kind_code =
       Ba.create Bigarray.int8_unsigned Bigarray.c_layout n_gates
     in
     let strength_arr = Ba.create Bigarray.float64 Bigarray.c_layout n_gates in
     let pin_off = int_array1 (n_gates + 1) in
-    let pins = int_array1 b.bpins.ilen in
+    let pins = int_array1 b.bpins.Vec.len in
     let out_net = int_array1 n_gates in
     Ba.set pin_off 0 0;
     for g = 0 to n_gates - 1 do
-      Ba.set kind_code g b.bkinds.ia.(g);
-      Ba.set strength_arr g b.bstrengths.fa.(g);
-      Ba.set pin_off (g + 1) b.bpin_off.ia.(g);
-      Ba.set out_net g b.bouts.ia.(g)
+      Ba.set kind_code g b.bkinds.Vec.a.(g);
+      Ba.set strength_arr g b.bstrengths.Vec.Float.a.(g);
+      Ba.set pin_off (g + 1) b.bpin_off.Vec.a.(g);
+      Ba.set out_net g b.bouts.Vec.a.(g)
     done;
-    for k = 0 to b.bpins.ilen - 1 do
-      Ba.set pins k b.bpins.ia.(k)
+    for k = 0 to b.bpins.Vec.len - 1 do
+      Ba.set pins k b.bpins.Vec.a.(k)
     done;
     let name_off = int_array1 (b.bnet_count + 1) in
     for n = 0 to b.bnet_count - 1 do
-      Ba.set name_off n b.bname_off.ia.(n)
+      Ba.set name_off n b.bname_off.Vec.a.(n)
     done;
     Ba.set name_off b.bnet_count (Buffer.length b.names);
     let blob = Buffer.contents b.names in
@@ -756,8 +734,8 @@ module Builder = struct
       Ba.create Bigarray.char Bigarray.c_layout (String.length blob)
     in
     String.iteri (fun i c -> Ba.set name_blob i c) blob;
-    let ninputs = Array.sub b.binputs.ia 0 b.binputs.ilen in
-    let noutputs = Array.sub b.boutputs.ia 0 b.boutputs.ilen in
+    let ninputs = Array.sub b.binputs.Vec.a 0 b.binputs.Vec.len in
+    let noutputs = Array.sub b.boutputs.Vec.a 0 b.boutputs.Vec.len in
     let flags which =
       let f = Bytes.make (Stdlib.max 1 b.bnet_count) '\000' in
       Array.iter (fun n -> Bytes.set f n '\001') which;

@@ -127,7 +127,9 @@ module Builder : sig
 
   type t
 
-  val create : string -> t
+  val create : ?size:int -> string -> t
+  (** [size] is a hint, like [Hashtbl.create]'s: the expected number of
+      nets, gates and pins, which the builder's buffers start at. *)
 
   val input : ?name:string -> t -> net
   (** Declare a primary input and return its net. *)

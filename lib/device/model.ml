@@ -29,119 +29,182 @@ let k_roll = 0.12
 (* EKV interpolation function F(u) = ln²(1 + exp(u/2)), with the large-u
    branch taken analytically to avoid overflow when the solver probes far
    into strong inversion. *)
-let ekv_f u =
+let[@inline] ekv_f u =
   let half = u /. 2.0 in
   let l = if half > 40.0 then half else log1p (exp half) in
   l *. l
 
-let logistic x =
+let[@inline] logistic x =
   if x > 40.0 then 1.0
   else if x < -40.0 then 0.0
   else 1.0 /. (1.0 +. exp (-.x))
 
-(* All equations in the NMOS frame; PMOS is handled by reflecting terminal
-   voltages about 0 and negating the resulting currents. *)
-let nmos_components (d : Params.t) (f : Params.fet) ~w ~temp { vg; vd; vs; vb } =
+(* The bias-independent half of the model for one (device, polarity, width,
+   temperature): everything that does not read a terminal voltage, folded
+   to the values the per-bias half multiplies by. Each field is an exact
+   subexpression of the model with its operations in their order, so
+   folding it ahead of time changes no bit. *)
+type compiled = {
+  reflect : bool;       (* PMOS: reflect voltages, negate currents *)
+  vt : float;
+  vt3 : float;          (* 3 vt, the inversion-fraction scale *)
+  vth_base : float;     (* threshold before the DIBL term *)
+  dibl_eff : float;
+  slope_n : float;
+  ispec_w : float;
+  jg_unit : float;
+  vref : float;
+  alpha_g : float;
+  jg_reverse : float;
+  a_ov_mult : float;    (* overlap area times its density multiplier *)
+  a_ch : float;
+  a_igb : float;        (* 0.02 of the channel area *)
+  w_jb : float;         (* width times the BTBT density *)
+  alpha_b : float;
+  w_fwd : float;        (* width times the forward-diode saturation *)
+}
+
+let compile (d : Params.t) pol ~w ~temp =
+  if w <= 0.0 then invalid_arg "Model.components: width must be positive";
+  let f = Params.fet d pol in
   let vt = Physics.thermal_voltage temp in
   (* Short-channel severity grows with Tox and shrinking L; halo suppresses
      it (§3 of the paper / Fig 4a-b). *)
   let sce =
     d.tox /. d.tox_nom *. ((d.length_nom /. d.length) ** 2.0) /. d.halo
   in
-  let dibl_eff = f.dibl *. sce in
-  let vds = vd -. vs in
-  let vth =
-    f.vth0
-    +. (d.k_halo_vth *. (d.halo -. 1.0))
-    -. (k_roll *. ((d.length_nom /. d.length) -. 1.0))
-    +. (f.vth_tc *. (temp -. 300.0))
-    -. (dibl_eff *. abs_float vds)
-  in
-  (* Channel current: bulk-referenced EKV (body effect comes in through the
-     bulk reference and slope factor). *)
-  let vp = (vg -. vb -. vth) /. f.slope_n in
-  let i_f = ekv_f ((vp -. (vs -. vb)) /. vt) in
-  let i_r = ekv_f ((vp -. (vd -. vb)) /. vt) in
-  let ispec_w =
-    f.i_spec *. w *. (d.length_nom /. d.length) *. ((temp /. 300.0) ** 0.5)
-  in
-  let ids = ispec_w *. (i_f -. i_r) in
-  (* Gate tunneling density, signed with the oxide voltage; reverse-field
-     tunneling (gate low) is weaker by jg_reverse. *)
-  let jg_unit = f.jg_scale
-                *. exp (-.d.beta_tox *. (d.tox -. d.tox_nom))
-                *. (1.0 +. (d.tc_gate *. (temp -. 300.0)))
-  in
-  let jg v =
-    let mag x = jg_unit *. (x /. d.vref) *. exp (d.alpha_g *. (x -. d.vref)) in
-    if v >= 0.0 then mag v else -.(f.jg_reverse *. mag (-.v))
-  in
-  let a_ov = w *. d.lov and a_ch = w *. d.length in
-  let igso = a_ov *. f.jg_ov_mult *. jg (vg -. vs) in
-  let igdo = a_ov *. f.jg_ov_mult *. jg (vg -. vd) in
-  (* Channel tunneling needs an inverted channel; partition drifts toward the
-     source as Vds pinches the drain end. *)
-  let inv_frac = logistic ((vg -. vs -. vth) /. (3.0 *. vt)) in
-  let igc_total = a_ch *. jg (vg -. vs) *. inv_frac in
-  let pd = 0.5 /. (1.0 +. (abs_float vds /. 0.3)) in
-  let igcd = igc_total *. pd in
-  let igcs = igc_total -. igcd in
-  let igb = 0.02 *. a_ch *. jg (vg -. vb) in
+  let a_ch = w *. d.length in
   (* Junction BTBT, exponential in reverse bias and halo dose; mild increase
-     with temperature through bandgap narrowing. A tiny forward-diode branch
-     keeps nodes from drifting below the body rail during solving. *)
+     with temperature through bandgap narrowing. *)
   let jb_unit =
     f.jb_scale
     *. exp (d.k_halo_btbt *. (d.halo -. 1.0))
     *. exp (d.beta_btbt_temp
             *. (Physics.bandgap 300.0 -. Physics.bandgap temp))
   in
-  let jb v =
-    if v >= 0.0 then
-      w *. jb_unit *. (v /. d.vref) *. exp (d.alpha_b *. (v -. d.vref))
-    else begin
-      let u = Float.min 40.0 (-.v /. vt) in
-      -.(w *. 1e-12 *. (exp u -. 1.0))
-    end
-  in
-  let ibtbt_d = jb (vd -. vb) in
-  let ibtbt_s = jb (vs -. vb) in
-  { ids; igso; igdo; igcs; igcd; igb; ibtbt_d; ibtbt_s }
+  {
+    reflect = (match pol with Params.Nmos -> false | Params.Pmos -> true);
+    vt;
+    vt3 = 3.0 *. vt;
+    vth_base =
+      f.vth0
+      +. (d.k_halo_vth *. (d.halo -. 1.0))
+      -. (k_roll *. ((d.length_nom /. d.length) -. 1.0))
+      +. (f.vth_tc *. (temp -. 300.0));
+    dibl_eff = f.dibl *. sce;
+    slope_n = f.slope_n;
+    ispec_w =
+      f.i_spec *. w *. (d.length_nom /. d.length) *. ((temp /. 300.0) ** 0.5);
+    jg_unit =
+      f.jg_scale
+      *. exp (-.d.beta_tox *. (d.tox -. d.tox_nom))
+      *. (1.0 +. (d.tc_gate *. (temp -. 300.0)));
+    vref = d.vref;
+    alpha_g = d.alpha_g;
+    jg_reverse = f.jg_reverse;
+    a_ov_mult = w *. d.lov *. f.jg_ov_mult;
+    a_ch;
+    a_igb = 0.02 *. a_ch;
+    w_jb = w *. jb_unit;
+    alpha_b = d.alpha_b;
+    w_fwd = w *. 1e-12;
+  }
 
-let negate c = {
-  ids = -.c.ids;
-  igso = -.c.igso;
-  igdo = -.c.igdo;
-  igcs = -.c.igcs;
-  igcd = -.c.igcd;
-  igb = -.c.igb;
-  ibtbt_d = -.c.ibtbt_d;
-  ibtbt_s = -.c.ibtbt_s;
-}
+(* Gate tunneling density, signed with the oxide voltage; reverse-field
+   tunneling (gate low) is weaker by jg_reverse. *)
+let[@inline] jg_mag k x =
+  k.jg_unit *. (x /. k.vref) *. exp (k.alpha_g *. (x -. k.vref))
 
-let components d pol ~w ~temp bias =
-  if w <= 0.0 then invalid_arg "Model.components: width must be positive";
-  let f = Params.fet d pol in
-  match pol with
-  | Params.Nmos -> nmos_components d f ~w ~temp bias
-  | Params.Pmos ->
-    let reflected = {
-      vg = -.bias.vg;
-      vd = -.bias.vd;
-      vs = -.bias.vs;
-      vb = -.bias.vb;
-    } in
-    negate (nmos_components d f ~w ~temp reflected)
+let[@inline] jg k v =
+  if v >= 0.0 then jg_mag k v else -.(k.jg_reverse *. jg_mag k (-.v))
 
-let terminals_of_components c = {
-  into_gate = c.igso +. c.igdo +. c.igcs +. c.igcd +. c.igb;
-  into_drain = c.ids -. c.igdo -. c.igcd +. c.ibtbt_d;
-  into_source = -.c.ids -. c.igso -. c.igcs +. c.ibtbt_s;
-  into_bulk = -.(c.igb +. c.ibtbt_d +. c.ibtbt_s);
-}
+(* Junction current: BTBT under reverse bias, and a tiny forward-diode
+   branch that keeps nodes from drifting below the body rail during
+   solving. *)
+let[@inline] jb k v =
+  if v >= 0.0 then k.w_jb *. (v /. k.vref) *. exp (k.alpha_b *. (v -. k.vref))
+  else begin
+    let u = -.v /. k.vt in
+    let u = if u > 40.0 then 40.0 else u in
+    -.(k.w_fwd *. (exp u -. 1.0))
+  end
 
-let terminals d pol ~w ~temp bias =
-  terminals_of_components (components d pol ~w ~temp bias)
+(* All equations in the NMOS frame; PMOS is handled by reflecting terminal
+   voltages about 0 and negating the resulting currents. Reads
+   [b.(0..3)] = vg, vd, vs, vb and writes the eight signed components to
+   [c.(0..7)] in {!components} field order. Float arrays in and out keep
+   the whole evaluation unboxed. *)
+let eval k (b : float array) (c : float array) =
+  let vg = if k.reflect then -.b.(0) else b.(0) in
+  let vd = if k.reflect then -.b.(1) else b.(1) in
+  let vs = if k.reflect then -.b.(2) else b.(2) in
+  let vb = if k.reflect then -.b.(3) else b.(3) in
+  let vds = vd -. vs in
+  let vth = k.vth_base -. (k.dibl_eff *. abs_float vds) in
+  (* Channel current: bulk-referenced EKV (body effect comes in through the
+     bulk reference and slope factor). *)
+  let vp = (vg -. vb -. vth) /. k.slope_n in
+  let i_f = ekv_f ((vp -. (vs -. vb)) /. k.vt) in
+  let i_r = ekv_f ((vp -. (vd -. vb)) /. k.vt) in
+  let ids = k.ispec_w *. (i_f -. i_r) in
+  let jg_gs = jg k (vg -. vs) in
+  let igso = k.a_ov_mult *. jg_gs in
+  let igdo = k.a_ov_mult *. jg k (vg -. vd) in
+  (* Channel tunneling needs an inverted channel; partition drifts toward the
+     source as Vds pinches the drain end. *)
+  let inv_frac = logistic ((vg -. vs -. vth) /. k.vt3) in
+  let igc_total = k.a_ch *. jg_gs *. inv_frac in
+  let pd = 0.5 /. (1.0 +. (abs_float vds /. 0.3)) in
+  let igcd = igc_total *. pd in
+  let igcs = igc_total -. igcd in
+  let igb = k.a_igb *. jg k (vg -. vb) in
+  let ibtbt_d = jb k (vd -. vb) in
+  let ibtbt_s = jb k (vs -. vb) in
+  if k.reflect then begin
+    c.(0) <- -.ids;
+    c.(1) <- -.igso;
+    c.(2) <- -.igdo;
+    c.(3) <- -.igcs;
+    c.(4) <- -.igcd;
+    c.(5) <- -.igb;
+    c.(6) <- -.ibtbt_d;
+    c.(7) <- -.ibtbt_s
+  end
+  else begin
+    c.(0) <- ids;
+    c.(1) <- igso;
+    c.(2) <- igdo;
+    c.(3) <- igcs;
+    c.(4) <- igcd;
+    c.(5) <- igb;
+    c.(6) <- ibtbt_d;
+    c.(7) <- ibtbt_s
+  end
+
+(* Currents from the external nets into gate, drain, source and bulk, from
+   the eight components of [c] (as {!eval} writes them), into
+   [t.(o..o+3)]. *)
+let terminals_into (c : float array) (t : float array) o =
+  let ids = c.(0) and igso = c.(1) and igdo = c.(2) and igcs = c.(3)
+  and igcd = c.(4) and igb = c.(5) and ibtbt_d = c.(6) and ibtbt_s = c.(7) in
+  t.(o) <- igso +. igdo +. igcs +. igcd +. igb;
+  t.(o + 1) <- ids -. igdo -. igcd +. ibtbt_d;
+  t.(o + 2) <- -.ids -. igso -. igcs +. ibtbt_s;
+  t.(o + 3) <- -.(igb +. ibtbt_d +. ibtbt_s)
+
+let components d pol ~w ~temp { vg; vd; vs; vb } =
+  let c = Array.make 8 0.0 in
+  eval (compile d pol ~w ~temp) [| vg; vd; vs; vb |] c;
+  { ids = c.(0); igso = c.(1); igdo = c.(2); igcs = c.(3); igcd = c.(4);
+    igb = c.(5); ibtbt_d = c.(6); ibtbt_s = c.(7) }
+
+let terminals_of_components c =
+  let t = Array.make 4 0.0 in
+  terminals_into
+    [| c.ids; c.igso; c.igdo; c.igcs; c.igcd; c.igb; c.ibtbt_d; c.ibtbt_s |]
+    t 0;
+  { into_gate = t.(0); into_drain = t.(1); into_source = t.(2);
+    into_bulk = t.(3) }
 
 let gate_leakage c =
   abs_float c.igso +. abs_float c.igdo +. abs_float c.igcs
@@ -153,7 +216,7 @@ let channel_leakage c = abs_float c.ids
 
 (* ------------------------------------------------------------------ jets *)
 
-(* Jet-valued mirror of [nmos_components]: the same formulas evaluated on
+(* Jet-valued mirror of [compile] and [eval]: the same formulas evaluated on
    order-2 jets (lib/numeric/jet.ml), seeded on channel length, oxide
    thickness, a rigid threshold shift, or any terminal voltage. This is the
    closed-form derivative source of the variance-propagation layer

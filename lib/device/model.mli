@@ -43,13 +43,46 @@ type terminals = {
 val components :
   Params.t -> Params.polarity -> w:float -> temp:float -> bias -> components
 (** Evaluate all current sources. [w] is the transistor width in µm, [temp]
-    the temperature in Kelvin. *)
+    the temperature in Kelvin. Runs {!compile} then {!eval}: the device
+    formulas exist once. *)
 
 val terminals_of_components : components -> terminals
 
-val terminals :
-  Params.t -> Params.polarity -> w:float -> temp:float -> bias -> terminals
-(** [terminals p pol ~w ~temp b] = [terminals_of_components (components ...)]. *)
+(** {2 Evaluation kernel}
+
+    The model split into its bias-independent and per-bias halves, for the
+    DC solver's inner loop. {!compile} folds everything that does not read
+    a terminal voltage (thermal voltage, DIBL factor, threshold base,
+    specific current, tunneling and BTBT densities, area products) once per
+    (device, polarity, width, temperature); {!eval} reads four voltages from
+    a float array and writes the eight components to another, allocating
+    nothing. The split keeps every operation and its order, so
+    [terminals_into] after [eval] writes the same bits as
+    [terminals_of_components (components ...)]; the oxide term
+    [jg (vg - vs)], which two components share, is evaluated once.
+
+    The DC solver ({!Leakage_spice.Dc_solver}) shares one compiled record
+    among all transistors with the same key, keeps each transistor's four
+    terminal currents, and reuses them for every node the transistor
+    touches: a device is evaluated when one of its voltages may have
+    moved, not once per terminal. *)
+
+type compiled
+
+val compile :
+  Params.t -> Params.polarity -> w:float -> temp:float -> compiled
+(** Raises [Invalid_argument] when [w] is not positive, like
+    {!components}. *)
+
+val eval : compiled -> float array -> float array -> unit
+(** [eval k b c] reads [b.(0..3)] = vg, vd, vs, vb and writes the signed
+    components to [c.(0..7)] in {!components} field order (ids, igso,
+    igdo, igcs, igcd, igb, ibtbt_d, ibtbt_s). *)
+
+val terminals_into : float array -> float array -> int -> unit
+(** [terminals_into c t o] writes the currents into gate, drain, source
+    and bulk to [t.(o..o+3)] from components [c] as {!eval} writes them:
+    the sums {!terminals_of_components} takes, in the same order. *)
 
 val gate_leakage : components -> float
 (** Sum of gate-tunneling magnitudes: |Igso| + |Igdo| + |Igcs| + |Igcd| +

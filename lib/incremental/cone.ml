@@ -65,38 +65,34 @@ end
 module Dirty_set = struct
   type t = {
     flags : bool array;
-    mutable members : int list; (* reversed insertion order *)
+    members : int array;  (* insertion order; each id at most once *)
     mutable count : int;
   }
 
-  let create n = { flags = Array.make n false; members = []; count = 0 }
+  let create n =
+    { flags = Array.make n false; members = Array.make n 0; count = 0 }
 
   let add t id =
     if id < 0 || id >= Array.length t.flags then
       invalid_arg "Cone.Dirty_set.add: id out of range";
     if not t.flags.(id) then begin
       t.flags.(id) <- true;
-      t.members <- id :: t.members;
+      t.members.(t.count) <- id;
       t.count <- t.count + 1
     end
 
+  (* Walk by index: elements [f] adds land past the cursor and are visited
+     in turn. *)
   let iter f t =
-    (* Walk insertion order; pick up elements added by [f] in further
-       rounds until the set stops growing. *)
-    let seen = ref 0 in
-    let rec go () =
-      let fresh = t.count - !seen in
-      if fresh > 0 then begin
-        let batch = List.filteri (fun i _ -> i < fresh) t.members in
-        seen := t.count;
-        List.iter f (List.rev batch);
-        go ()
-      end
-    in
-    go ()
+    let i = ref 0 in
+    while !i < t.count do
+      f t.members.(!i);
+      incr i
+    done
 
   let clear t =
-    List.iter (fun id -> t.flags.(id) <- false) t.members;
-    t.members <- [];
+    for i = 0 to t.count - 1 do
+      t.flags.(t.members.(i)) <- false
+    done;
     t.count <- 0
 end

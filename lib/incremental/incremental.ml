@@ -34,6 +34,7 @@ type scratch = {
   s_work : Cone.Worklist.t;
   s_nets : Cone.Dirty_set.t;
   s_gates : Cone.Dirty_set.t;
+  s_loading_in : float array array;        (* per arity: I_L-IN buffer *)
   mutable s_totals : Report.components;    (* delta to session totals *)
   mutable s_baseline : Report.components;  (* delta to session baseline *)
   mutable s_logic : int;
@@ -98,11 +99,15 @@ let vector_of t g_id =
 
 (* -------------------------------------------------------------- scratch *)
 
+let max_arity =
+  List.fold_left (fun m k -> Stdlib.max m (Gate.arity k)) 0 Gate.all_kinds
+
 let fresh_scratch ~priority ~n_nets ~n_gates =
   {
     s_work = Cone.Worklist.create ~priority;
     s_nets = Cone.Dirty_set.create n_nets;
     s_gates = Cone.Dirty_set.create n_gates;
+    s_loading_in = Array.init (max_arity + 1) (fun a -> Array.make a 0.0);
     s_totals = Report.zero;
     s_baseline = Report.zero;
     s_logic = 0;
@@ -133,12 +138,14 @@ let merge t s =
 
 (* Loading-aware estimate of one gate at the current injections: the
    estimator's own kernel, with the entry's nominal pin currents as the
-   cell's share of each net (the session is a one-pass estimate). *)
+   cell's share of each net (the session is a one-pass estimate). The
+   I_L-IN buffer is the session's, one per arity: [gate_leakage] writes
+   every slot before it reads one. *)
 let lookup_components t g_id =
   let e = t.entries.(g_id) in
   let own = e.Characterize.pin_injection in
   Estimator.gate_leakage t.netlist g_id e ~net_injection:t.net_injection ~own
-    ~loading_in:(Array.make (Array.length own) 0.0)
+    ~loading_in:t.scratch.s_loading_in.(Array.length own)
 
 let relookup t s g_id =
   let c = lookup_components t g_id in

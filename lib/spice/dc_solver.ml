@@ -22,26 +22,6 @@ type result = {
   max_residual : float;
 }
 
-let devices_per_transistor (flat : Flatten.t) =
-  Array.map
-    (fun (tr : Flatten.transistor) -> flat.device_of_gate tr.owner)
-    flat.transistors
-
-let terminal_current flat devices x tr_idx term =
-  let tr = flat.Flatten.transistors.(tr_idx) in
-  let v n = Flatten.node_voltage flat x n in
-  let bias =
-    { Model.vg = v tr.g; vd = v tr.d; vs = v tr.s; vb = v tr.b }
-  in
-  let t =
-    Model.terminals devices.(tr_idx) tr.pol ~w:tr.w ~temp:flat.temp bias
-  in
-  match term with
-  | `G -> t.Model.into_gate
-  | `D -> t.Model.into_drain
-  | `S -> t.Model.into_source
-  | `B -> t.Model.into_bulk
-
 let injection_array flat injections =
   let inj = Array.make (Stdlib.max 1 flat.Flatten.n_unknowns) 0.0 in
   List.iter
@@ -52,22 +32,161 @@ let injection_array flat injections =
     injections;
   inj
 
-let residual_at flat devices inj x i =
-  let acc = ref (-.inj.(i)) in
-  List.iter
-    (fun (tr_idx, term) -> acc := !acc +. terminal_current flat devices x tr_idx term)
-    flat.Flatten.touching.(i);
+(* One compiled device per distinct (device, polarity, width) of a solve.
+   [device_of_gate] may build a fresh device record per call, so devices
+   compare structurally. Within one solve devices differ by per-gate
+   threshold shifts, which the hash sees through the polarity's [vth0]. *)
+module Device_key = Hashtbl.Make (struct
+  type t = Params.t * Params.polarity * float
+
+  let equal (d, p, w) (d', p', w') =
+    p = p' && Float.equal w w' && (d == d' || d = d')
+
+  let hash (d, p, w) = Hashtbl.hash (w, p, (Params.fet d p).Params.vth0)
+end)
+
+(* Per-solve evaluation state. Every transistor's four terminal currents
+   live in [cur] at slots [4 * transistor + terminal], the numbering of
+   [Flatten.touching]; a node's KCL residual is its injection plus the
+   slots [touching] lists, summed in that order. A transistor is evaluated
+   when one of its nodes may have moved, never once per terminal. *)
+type kernel = {
+  flat : Flatten.t;
+  devices : Model.compiled array;
+  nodes : int array;      (* per slot: unknown index, or -1 for a fixed node *)
+  fixed : float array;    (* per slot: the fixed node's voltage *)
+  cur : float array;
+  bias : float array;     (* vg, vd, vs, vb of the transistor in hand *)
+  comps : float array;
+  inj : float array;
+  mark : int array;       (* per transistor: stamp of its last evaluation *)
+  mutable stamp : int;
+  saved_tr : int array;   (* transistors a Jacobian column re-evaluated ... *)
+  saved_cur : float array;  (* ... and their currents before it *)
+  mutable evals : int;
+}
+
+let kernel flat injections =
+  let transistors = flat.Flatten.transistors in
+  let n_tr = Array.length transistors in
+  let table = Device_key.create 16 in
+  let devices =
+    Array.map
+      (fun (tr : Flatten.transistor) ->
+        let key = (flat.Flatten.device_of_gate tr.owner, tr.pol, tr.w) in
+        match Device_key.find_opt table key with
+        | Some k -> k
+        | None ->
+          let d, pol, w = key in
+          let k = Model.compile d pol ~w ~temp:flat.Flatten.temp in
+          Device_key.add table key k;
+          k)
+      transistors
+  in
+  let nodes = Array.make (4 * n_tr) (-1) in
+  let fixed = Array.make (4 * n_tr) 0.0 in
+  Array.iteri
+    (fun idx (tr : Flatten.transistor) ->
+      List.iteri
+        (fun term node ->
+          let slot = (4 * idx) + term in
+          match node with
+          | Flatten.Unknown i -> nodes.(slot) <- i
+          | Flatten.Ground | Flatten.Rail | Flatten.Fixed _ ->
+            fixed.(slot) <- Flatten.node_voltage flat [||] node)
+        [ tr.g; tr.d; tr.s; tr.b ])
+    transistors;
+  let widest =
+    Array.fold_left
+      (fun acc slots -> Stdlib.max acc (Array.length slots))
+      0 flat.Flatten.touching
+  in
+  {
+    flat;
+    devices;
+    nodes;
+    fixed;
+    cur = Array.make (4 * n_tr) 0.0;
+    bias = Array.make 4 0.0;
+    comps = Array.make 8 0.0;
+    inj = injection_array flat injections;
+    mark = Array.make n_tr 0;
+    stamp = 0;
+    saved_tr = Array.make widest 0;
+    saved_cur = Array.make (4 * widest) 0.0;
+    evals = 0;
+  }
+
+let[@inline] voltage k x slot =
+  let n = k.nodes.(slot) in
+  if n >= 0 then x.(n) else k.fixed.(slot)
+
+let eval_transistor k x tr =
+  let o = 4 * tr in
+  let b = k.bias in
+  b.(0) <- voltage k x o;
+  b.(1) <- voltage k x (o + 1);
+  b.(2) <- voltage k x (o + 2);
+  b.(3) <- voltage k x (o + 3);
+  Model.eval k.devices.(tr) b k.comps;
+  Model.terminals_into k.comps k.cur o;
+  k.evals <- k.evals + 1
+
+let eval_all k x =
+  for tr = 0 to Array.length k.devices - 1 do
+    eval_transistor k x tr
+  done
+
+let next_stamp k = k.stamp <- k.stamp + 1
+
+(* Evaluate the transistors attached to unknown [i] that the current stamp
+   has not evaluated yet. *)
+let eval_touching k x i =
+  let slots = k.flat.Flatten.touching.(i) in
+  for j = 0 to Array.length slots - 1 do
+    let tr = slots.(j) lsr 2 in
+    if k.mark.(tr) <> k.stamp then begin
+      k.mark.(tr) <- k.stamp;
+      eval_transistor k x tr
+    end
+  done
+
+(* Re-evaluate the transistors attached to unknown [i] after [x.(i)] moved,
+   saving their currents first; returns how many [restore] puts back. *)
+let perturb k x i =
+  next_stamp k;
+  let slots = k.flat.Flatten.touching.(i) in
+  let saved = ref 0 in
+  for j = 0 to Array.length slots - 1 do
+    let tr = slots.(j) lsr 2 in
+    if k.mark.(tr) <> k.stamp then begin
+      k.mark.(tr) <- k.stamp;
+      k.saved_tr.(!saved) <- tr;
+      Array.blit k.cur (4 * tr) k.saved_cur (4 * !saved) 4;
+      incr saved;
+      eval_transistor k x tr
+    end
+  done;
+  !saved
+
+let restore k saved =
+  for s = 0 to saved - 1 do
+    Array.blit k.saved_cur (4 * s) k.cur (4 * k.saved_tr.(s)) 4
+  done
+
+let residual k i =
+  let slots = k.flat.Flatten.touching.(i) in
+  let acc = ref (-.k.inj.(i)) in
+  for j = 0 to Array.length slots - 1 do
+    acc := !acc +. k.cur.(slots.(j))
+  done;
   !acc
 
-let residual flat ?(injections = []) x i =
-  let devices = devices_per_transistor flat in
-  let inj = injection_array flat injections in
-  residual_at flat devices inj x i
-
-let max_residual_of flat devices inj x =
+let max_residual_of k x =
+  eval_all k x;
   let worst = ref 0.0 in
-  for i = 0 to flat.Flatten.n_unknowns - 1 do
-    worst := Float.max !worst (abs_float (residual_at flat devices inj x i))
+  for i = 0 to k.flat.Flatten.n_unknowns - 1 do
+    worst := Float.max !worst (abs_float (residual k i))
   done;
   !worst
 
@@ -77,6 +196,7 @@ module Tm = Leakage_telemetry.Telemetry
 
 let m_solves = Tm.counter "dc.solves"
 let m_sweeps = Tm.counter "dc.sweeps"
+let m_evals = Tm.counter "dc.device_evals"
 let m_nonconverged = Tm.counter "dc.nonconverged"
 let h_sweeps = Tm.histogram "dc.sweeps_per_solve"
 
@@ -86,8 +206,7 @@ let h_sweeps = Tm.histogram "dc.sweeps_per_solve"
    the handful of unknowns a gate owns as one small Newton system restores
    fast convergence while keeping the sweep linear in circuit size. *)
 let solve ?(options = default_options) ?(injections = []) (flat : Flatten.t) =
-  let devices = devices_per_transistor flat in
-  let inj = injection_array flat injections in
+  let k = kernel flat injections in
   let x = Array.copy flat.Flatten.initial in
   let lo = -.options.v_margin and hi = flat.Flatten.vdd +. options.v_margin in
   let fd_h = 1e-7 in
@@ -96,9 +215,13 @@ let solve ?(options = default_options) ?(injections = []) (flat : Flatten.t) =
   (* Scalar Newton update for single-unknown blocks (the common case). *)
   let update_scalar i =
     let v0 = x.(i) in
-    let f0 = residual_at flat devices inj x i in
+    next_stamp k;
+    eval_touching k x i;
+    let f0 = residual k i in
     x.(i) <- v0 +. fd_h;
-    let f1 = residual_at flat devices inj x i in
+    next_stamp k;
+    eval_touching k x i;
+    let f1 = residual k i in
     x.(i) <- v0;
     let g = (f1 -. f0) /. fd_h in
     if g > 0.0 && Float.is_finite g then begin
@@ -109,20 +232,25 @@ let solve ?(options = default_options) ?(injections = []) (flat : Flatten.t) =
     end
     else 0.0
   in
+  (* The block's transistors are evaluated once; a Jacobian column
+     re-evaluates only the perturbed unknown's transistors and puts their
+     currents back after. *)
   let update_block block =
     let n = Array.length block in
-    let f () = Array.map (residual_at flat devices inj x) block in
-    let f0 = f () in
+    next_stamp k;
+    Array.iter (eval_touching k x) block;
+    let f0 = Array.map (residual k) block in
     let jac = Array.init n (fun _ -> Array.make n 0.0) in
     Array.iteri
       (fun j i ->
         let saved = x.(i) in
         x.(i) <- saved +. fd_h;
-        let fj = f () in
-        x.(i) <- saved;
+        let moved = perturb k x i in
         for r = 0 to n - 1 do
-          jac.(r).(j) <- (fj.(r) -. f0.(r)) /. fd_h
-        done)
+          jac.(r).(j) <- (residual k block.(r) -. f0.(r)) /. fd_h
+        done;
+        x.(i) <- saved;
+        restore k moved)
       block;
     match Leakage_numeric.Linalg.lu_solve jac (Array.map (fun v -> -.v) f0) with
     | dx ->
@@ -156,27 +284,26 @@ let solve ?(options = default_options) ?(injections = []) (flat : Flatten.t) =
       flat.Flatten.blocks;
     if !max_update < options.tol_voltage then converged := true
   done;
+  let max_residual = max_residual_of k x in
   (* Most callers keep only [voltages]; the registry records every solve
      that hit the sweep budget without settling. *)
   if Tm.enabled () then begin
     Tm.incr m_solves;
     Tm.add m_sweeps !sweeps;
+    Tm.add m_evals k.evals;
     Tm.observe h_sweeps (float_of_int !sweeps);
     if not !converged then Tm.incr m_nonconverged
   end;
-  {
-    voltages = x;
-    sweeps = !sweeps;
-    converged = !converged;
-    max_residual = max_residual_of flat devices inj x;
-  }
+  { voltages = x; sweeps = !sweeps; converged = !converged; max_residual }
 
 let solve_dense ?(injections = []) (flat : Flatten.t) =
   let module Solver = Leakage_numeric.Solver in
-  let devices = devices_per_transistor flat in
-  let inj = injection_array flat injections in
+  let k = kernel flat injections in
   let n = flat.Flatten.n_unknowns in
-  let f x = Array.init n (residual_at flat devices inj x) in
+  let f x =
+    eval_all k x;
+    Array.init n (residual k)
+  in
   let margin = default_options.v_margin in
   let lower = Array.make n (-.margin) in
   let upper = Array.make n (flat.Flatten.vdd +. margin) in
@@ -188,9 +315,11 @@ let solve_dense ?(injections = []) (flat : Flatten.t) =
       max_iter = 200 }
   in
   let r = Solver.solve ~options ~lower ~upper ~f flat.Flatten.initial in
+  let max_residual = max_residual_of k r.Solver.x in
+  if Tm.enabled () then Tm.add m_evals k.evals;
   {
     voltages = r.Solver.x;
     sweeps = r.Solver.iterations;
     converged = r.Solver.converged;
-    max_residual = max_residual_of flat devices inj r.Solver.x;
+    max_residual;
   }

@@ -41,9 +41,8 @@ type t = {
   n_unknowns : int;
   net_node : node array;
   initial : float array;
-  sweep_order : int array;
   blocks : int array array;
-  touching : (int * [ `G | `D | `S | `B ]) list array;
+  touching : int array array;
   vgnd : int option;
 }
 
@@ -64,7 +63,6 @@ let unknown_of_net t net =
 type building = {
   mutable count : int;
   mutable inits : float list;       (* reversed *)
-  mutable order : int list;         (* reversed topological order *)
   mutable trans : transistor list;  (* reversed *)
 }
 
@@ -72,7 +70,6 @@ let fresh_unknown bld init =
   let id = bld.count in
   bld.count <- id + 1;
   bld.inits <- init :: bld.inits;
-  bld.order <- id :: bld.order;
   id
 
 let flatten ?device_of_gate ?sleep ~device ~temp ?vdd netlist assignment =
@@ -84,7 +81,7 @@ let flatten ?device_of_gate ?sleep ~device ~temp ?vdd netlist assignment =
   in
   if Array.length assignment <> Netlist.net_count netlist then
     invalid_arg "Flatten.flatten: assignment size mismatch";
-  let bld = { count = 0; inits = []; order = []; trans = [] } in
+  let bld = { count = 0; inits = []; trans = [] } in
   (* MTCMOS: allocate the shared virtual-ground node before anything else.
      Cell pull-down networks return to it; bodies stay on the true ground
      rail, as in a standard footer-switch implementation. *)
@@ -302,18 +299,19 @@ let flatten ?device_of_gate ?sleep ~device ~temp ?vdd netlist assignment =
   let transistors = Array.of_list (List.rev bld.trans) in
   let n_unknowns = bld.count in
   let touching = Array.make (Stdlib.max 1 n_unknowns) [] in
-  let touch node entry =
+  let touch node slot =
     match node with
-    | Unknown i -> touching.(i) <- entry :: touching.(i)
+    | Unknown i -> touching.(i) <- slot :: touching.(i)
     | Ground | Rail | Fixed _ -> ()
   in
   Array.iteri
     (fun idx tr ->
-      touch tr.g (idx, `G);
-      touch tr.d (idx, `D);
-      touch tr.s (idx, `S);
-      touch tr.b (idx, `B))
+      touch tr.g (4 * idx);
+      touch tr.d ((4 * idx) + 1);
+      touch tr.s ((4 * idx) + 2);
+      touch tr.b ((4 * idx) + 3))
     transistors;
+  let touching = Array.map Array.of_list touching in
   {
     netlist;
     device_of_gate;
@@ -323,7 +321,6 @@ let flatten ?device_of_gate ?sleep ~device ~temp ?vdd netlist assignment =
     n_unknowns;
     net_node;
     initial = Array.of_list (List.rev bld.inits);
-    sweep_order = Array.of_list (List.rev bld.order);
     blocks;
     touching;
     vgnd;

@@ -51,14 +51,17 @@ type t = {
   n_unknowns : int;
   net_node : node array;       (** netlist net -> node *)
   initial : float array;       (** logic-derived starting voltages *)
-  sweep_order : int array;     (** unknowns in topological update order *)
   blocks : int array array;
       (** per netlist gate in topological order: the unknowns that gate owns
           (its output net, cell-internal nets, stack nodes). Unknowns within
           a block are strongly coupled (series stacks); the solver relaxes
           them jointly. *)
-  touching : (int * [ `G | `D | `S | `B ]) list array;
-      (** per unknown: transistor terminals attached to it *)
+  touching : int array array;
+      (** per unknown: the transistor terminals attached to it, each as the
+          slot [4 * transistor + terminal] with terminals numbered gate 0,
+          drain 1, source 2, bulk 3 (the layout of the solver's
+          per-transistor current array). The order is the order the
+          solver sums a node's KCL residual in. *)
   vgnd : int option;
       (** unknown index of the MTCMOS virtual-ground node, when present *)
 }

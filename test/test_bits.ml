@@ -1,0 +1,264 @@
+(* Bit pins for the transistor-level path. The golden corpus compares at
+   1e-6 relative, so a last-bit change in the device model or the DC solver
+   passes it unseen; these cases hash the exact IEEE bits of the device
+   model on a bias grid, of characterization entries, of DC solutions and
+   of MTCMOS runs, and compare against literal hex digests (the way
+   test_circuit pins [Netlist.digest]). Reordering one floating-point
+   operation in the model or the solver moves them.
+
+   The last group pins the work: device-model evaluations per solve, as the
+   [dc.device_evals] counter reports them. *)
+
+module Params = Leakage_device.Params
+module Model = Leakage_device.Model
+module Interp = Leakage_numeric.Interp
+module Rng = Leakage_numeric.Rng
+module Gate = Leakage_circuit.Gate
+module Logic = Leakage_circuit.Logic
+module Netlist = Leakage_circuit.Netlist
+module Characterize = Leakage_core.Characterize
+module Testbench = Leakage_core.Testbench
+module Mtcmos = Leakage_core.Mtcmos
+module Report = Leakage_spice.Leakage_report
+module Dc = Leakage_spice.Dc_solver
+module Suite = Leakage_benchmarks.Suite
+module Tm = Leakage_telemetry.Telemetry
+
+(* MD5 over the little-endian bit patterns, in the order [fill] emits. *)
+let digest_floats fill =
+  let b = Buffer.create 4096 in
+  fill (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let emit_components put (c : Report.components) =
+  put c.Report.isub;
+  put c.Report.igate;
+  put c.Report.ibtbt
+
+(* ----------------------------------------------------------- device model *)
+
+(* Reaches every branch: forward and reverse oxide fields, the EKV
+   large-argument branch (vg = 6 V against a source at -4 V), both logistic
+   clamps, and the forward-junction branch with and without its u <= 40
+   clamp. *)
+let grid_volts = [| -4.0; -1.5; -0.2; 0.0; 0.35; 0.9; 2.0; 6.0 |]
+let grid_bulk = [| -0.5; 0.0; 0.9 |]
+
+let components_digest () =
+  digest_floats (fun put ->
+      List.iter
+        (fun device ->
+          List.iter
+            (fun pol ->
+              List.iter
+                (fun temp ->
+                  List.iter
+                    (fun w ->
+                      Array.iter
+                        (fun vg ->
+                          Array.iter
+                            (fun vd ->
+                              Array.iter
+                                (fun vs ->
+                                  Array.iter
+                                    (fun vb ->
+                                      let c =
+                                        Model.components device pol ~w ~temp
+                                          { Model.vg; vd; vs; vb }
+                                      in
+                                      put c.Model.ids;
+                                      put c.Model.igso;
+                                      put c.Model.igdo;
+                                      put c.Model.igcs;
+                                      put c.Model.igcd;
+                                      put c.Model.igb;
+                                      put c.Model.ibtbt_d;
+                                      put c.Model.ibtbt_s;
+                                      let t = Model.terminals_of_components c in
+                                      put t.Model.into_gate;
+                                      put t.Model.into_drain;
+                                      put t.Model.into_source;
+                                      put t.Model.into_bulk)
+                                    grid_bulk)
+                                grid_volts)
+                            grid_volts)
+                        grid_volts)
+                    [ 1.0; 2.5 ])
+                [ 250.0; 300.0; 420.0 ])
+            [ Params.Nmos; Params.Pmos ])
+        [ Params.d25; Params.d50; Params.d25_s; Params.d25_g; Params.d25_jn ])
+
+let test_components_bits () =
+  Alcotest.(check string) "Model.components on the bias grid"
+    "aba35ae38a95569bccfbcaa172bebbe6" (components_digest ())
+
+(* -------------------------------------------------------- characterization *)
+
+let golden_grid = { Characterize.max_current = 3.0e-6; points = 5 }
+
+let emit_entry put (e : Characterize.entry) =
+  emit_components put e.Characterize.nominal_isolated;
+  emit_components put e.Characterize.nominal_driven;
+  Array.iter put e.Characterize.pin_injection;
+  Array.iter
+    (fun g -> Array.iter put (Interp.grid1d_ys g))
+    e.Characterize.pin_response;
+  Array.iter put e.Characterize.currents;
+  Array.iter put e.Characterize.deltas;
+  let t = e.Characterize.vth_log_factor in
+  List.iter
+    (fun g -> Array.iter put (Interp.grid1d_ys g))
+    [ t.Characterize.d_isub; t.Characterize.d_igate; t.Characterize.d_ibtbt ]
+
+let entries_digest ?strength ~device ~temp kinds =
+  digest_floats (fun put ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun vector ->
+              emit_entry put
+                (Characterize.characterize ~grid:golden_grid ?strength ~device
+                   ~temp kind vector))
+            (Logic.all_vectors (Gate.arity kind)))
+        kinds)
+
+let test_characterize_golden_grid () =
+  Alcotest.(check string) "every kind and vector at D25/300 K"
+    "c66bff87dfb41e60611f20c8c38e3b8e"
+    (entries_digest ~device:Params.d25 ~temp:300.0 Gate.all_kinds)
+
+let test_characterize_hot_corner () =
+  Alcotest.(check string) "NAND2 and AOI22 at D25-S/420 K, strength 2"
+    "b5a13d7976ba45c7c8d2f0d5acb212fd"
+    (entries_digest ~strength:2.0 ~device:Params.d25_s ~temp:420.0
+       [ Gate.Nand 2; Gate.Aoi22 ])
+
+(* ------------------------------------------------------- circuit solutions *)
+
+let fixed_vector nl seed =
+  Logic.random_vector (Rng.create seed) (Array.length (Netlist.inputs nl))
+
+let analyze_digest name =
+  let nl = (Suite.find name).Suite.build () in
+  let report, result, _ =
+    Report.analyze ~device:Params.d25 ~temp:300.0 nl (fixed_vector nl 11)
+  in
+  digest_floats (fun put ->
+      Array.iter put result.Dc.voltages;
+      put (float_of_int result.Dc.sweeps);
+      put (if result.Dc.converged then 1.0 else 0.0);
+      put result.Dc.max_residual;
+      Array.iter (emit_components put) report.Report.per_gate;
+      emit_components put report.Report.totals;
+      put report.Report.vdd_current;
+      put report.Report.gnd_current)
+
+let test_analyze_bits name expected () =
+  Alcotest.(check string) (name ^ " voltages, components and sweeps")
+    expected (analyze_digest name)
+
+let emit_mode put (m : Mtcmos.mode_result) =
+  emit_components put m.Mtcmos.leakage;
+  emit_components put m.Mtcmos.footer_leakage;
+  put m.Mtcmos.virtual_ground;
+  put (if m.Mtcmos.converged then 1.0 else 0.0)
+
+let mtcmos_digest nl pattern =
+  let r = Mtcmos.analyze ~device:Params.d25 ~temp:300.0 nl pattern in
+  digest_floats (fun put ->
+      emit_components put r.Mtcmos.ungated;
+      emit_mode put r.Mtcmos.active;
+      emit_mode put r.Mtcmos.standby;
+      put r.Mtcmos.standby_reduction_percent;
+      put r.Mtcmos.active_overhead_percent)
+
+(* A few gates, well under 150 unknowns: every mode takes [solve_dense]. *)
+let small_chain () =
+  let b = Netlist.Builder.create "bits_chain" in
+  let a = Netlist.Builder.input ~name:"a" b in
+  let c = Netlist.Builder.input ~name:"c" b in
+  let n1 = Netlist.Builder.gate b Gate.Inv [| a |] in
+  let n2 = Netlist.Builder.gate b (Gate.Nand 2) [| n1; c |] in
+  let n3 = Netlist.Builder.gate b Gate.Inv [| n2 |] in
+  let n4 = Netlist.Builder.gate b Gate.Aoi21 [| n2; n3; a |] in
+  Netlist.Builder.mark_output b n3;
+  Netlist.Builder.mark_output b n4;
+  Netlist.Builder.finish b
+
+let test_mtcmos_dense_bits () =
+  Alcotest.(check string) "dense Newton under 150 unknowns"
+    "b3be53e4b3e3c47dad1369f8c7c10f79"
+    (mtcmos_digest (small_chain ()) (Logic.vector_of_string "01"))
+
+let test_mtcmos_sweep_bits () =
+  let nl = (Suite.find "alu88").Suite.build () in
+  Alcotest.(check string) "interleaved virtual-ground sweep on alu88"
+    "008a9ace3ab20cb65b47ec345e52d191"
+    (mtcmos_digest nl (fixed_vector nl 3))
+
+(* ------------------------------------------------------------- work counts *)
+
+(* A count above the pinned one means the solver evaluates devices whose
+   bias did not move. *)
+
+let evals_of f =
+  let was = Tm.enabled () in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let count () =
+    Tm.Snapshot.counter_total (Tm.Snapshot.take ()) "dc.device_evals"
+  in
+  let before = count () in
+  f ();
+  count () - before
+
+let testbench_evals kind bits =
+  evals_of (fun () ->
+      ignore
+        (Testbench.solve ~device:Params.d25 ~temp:300.0
+           (Testbench.make kind (Logic.vector_of_string bits))))
+
+let test_testbench_evals () =
+  Alcotest.(check int) "NAND2 testbench" 283
+    (testbench_evals (Gate.Nand 2) "10");
+  Alcotest.(check int) "XOR2 testbench" 700 (testbench_evals Gate.Xor "01");
+  Alcotest.(check int) "AOI22 testbench" 588
+    (testbench_evals Gate.Aoi22 "0110")
+
+let test_s838_evals () =
+  let nl = (Suite.find "s838").Suite.build () in
+  let v = fixed_vector nl 11 in
+  Alcotest.(check int) "s838 solve" 83958
+    (evals_of (fun () ->
+         ignore (Report.analyze ~device:Params.d25 ~temp:300.0 nl v)))
+
+let () =
+  Alcotest.run "bits"
+    [
+      ( "device-bits",
+        [ Alcotest.test_case "components on a bias grid" `Quick
+            test_components_bits ] );
+      ( "characterize-bits",
+        [
+          Alcotest.test_case "golden grid at D25/300 K" `Quick
+            test_characterize_golden_grid;
+          Alcotest.test_case "D25-S/420 K at strength 2" `Quick
+            test_characterize_hot_corner;
+        ] );
+      ( "solution-bits",
+        [
+          Alcotest.test_case "alu88" `Quick
+            (test_analyze_bits "alu88" "25c6300323059277a65428fc95ba74c2");
+          Alcotest.test_case "s838" `Quick
+            (test_analyze_bits "s838" "8b6977a7190899eea449d324230fdb09");
+          Alcotest.test_case "mult88" `Quick
+            (test_analyze_bits "mult88" "4a578649f22bf3dbf840496b7069ba30");
+          Alcotest.test_case "mtcmos dense" `Quick test_mtcmos_dense_bits;
+          Alcotest.test_case "mtcmos sweep" `Quick test_mtcmos_sweep_bits;
+        ] );
+      ( "solver-work",
+        [
+          Alcotest.test_case "testbench solves" `Quick test_testbench_evals;
+          Alcotest.test_case "s838 solve" `Quick test_s838_evals;
+        ] );
+    ]

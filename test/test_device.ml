@@ -103,8 +103,9 @@ let test_variant_domination () =
 
 let test_terminal_conservation_nominal () =
   let t =
-    Model.terminals d25 Params.Nmos ~w:1.0 ~temp:300.0
-      { Model.vg = 0.3; vd = 0.7; vs = 0.1; vb = 0.0 }
+    Model.terminals_of_components
+      (Model.components d25 Params.Nmos ~w:1.0 ~temp:300.0
+         { Model.vg = 0.3; vd = 0.7; vs = 0.1; vb = 0.0 })
   in
   check_float ~eps:1e-18 "KCL inside device" 0.0
     (t.Model.into_gate +. t.Model.into_drain +. t.Model.into_source
@@ -119,7 +120,10 @@ let prop_terminal_conservation =
     (fun (vg, vd, vs, pol_pick) ->
       let pol = if pol_pick < 0.5 then Params.Nmos else Params.Pmos in
       let vb = match pol with Params.Nmos -> 0.0 | Params.Pmos -> vdd in
-      let t = Model.terminals d25 pol ~w:1.5 ~temp:320.0 { Model.vg; vd; vs; vb } in
+      let t =
+        Model.terminals_of_components
+          (Model.components d25 pol ~w:1.5 ~temp:320.0 { Model.vg; vd; vs; vb })
+      in
       let sum =
         t.Model.into_gate +. t.Model.into_drain +. t.Model.into_source
         +. t.Model.into_bulk
