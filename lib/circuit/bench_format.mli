@@ -16,36 +16,42 @@
     (everything at strength 1), and files written here round-trip their
     sizing.
 
-    The reader is {e streaming}: input is consumed one line at a time and
-    interned into flat buffers, never holding the file (or a list of its
-    lines) in memory, and elaboration is iterative — deep gate chains
-    cannot overflow the stack. CRLF line endings are accepted (a trailing
-    [\r] is stripped), as is a final line without a newline. *)
+    The reader is one byte scanner, the same for {!parse_string} and
+    {!parse_file}: it finds tokens by index in its input buffer, interns
+    each signal name once (names lie back to back in one blob, found by an
+    open-addressing table), and stores declarations in flat int/float
+    tables. Those tables start small and double as names and declarations
+    arrive, so blank lines, comments and whitespace cost no table space.
+    Elaboration is iterative — deep gate chains cannot overflow the stack
+    — and builds no per-gate list. CRLF line endings are accepted (one
+    trailing [\r] is dropped), as is a final line without a newline.
+
+    A line is an [INPUT] or [OUTPUT] declaration when the keyword (in any
+    case) is followed by blanks and then [(]; it must end with [)]. A line
+    that starts with the keyword but has no [(] after it is an assignment
+    if it holds [=] ([input_sel = NAND(a, b)]), and malformed otherwise
+    ([INPUT a]), as is [INPUT(a]. *)
 
 exception Parse_error of int * string
-(** Line number (1-based; 0 for whole-file diagnostics) and message. *)
+(** Line number (1-based; 0 for whole-file diagnostics) and message. The
+    reader's only error for malformed input: whatever text
+    {!parse_string} is given, it returns a netlist or raises this. *)
 
 val parse_string : name:string -> string -> Netlist.t
 (** Parse [.bench] text. Raises {!Parse_error} on malformed input —
-    including conflicting declarations of one net name: a duplicated
+    including conflicting declarations of one net name (a duplicated
     [INPUT] or [OUTPUT], a redefined gate target, or a gate target
-    shadowing a declared input — on an empty file (no INPUT, OUTPUT or
-    gate line at all), and [Failure] if the described circuit fails
-    validation. *)
+    shadowing a declared input), an undefined signal, a combinational
+    cycle, a strength annotation that is not finite and positive, and an
+    empty file (no INPUT, OUTPUT or gate line at all). *)
 
 val parse_file : string -> Netlist.t
-(** Parse a file; the netlist is named after the basename. Counts the
-    file's lines in one buffered pass, then parses it line-at-a-time (so
-    the path must name a seekable file); the input channel is closed even
-    when parsing raises. *)
-
-val parse_lines : name:string -> (unit -> string option) -> Netlist.t
-(** Core streaming entry point: [parse_lines ~name next] pulls lines from
-    [next] ([None] = end of input) — the producer for {!parse_file} and
-    {!parse_string}, exposed so other front-ends can feed pre-split
-    input. Unlike those two, it cannot count its input's lines first, so
-    its tables grow by doubling instead of starting at their final
-    size. *)
+(** Parse a file; the netlist is named after the basename. Reads the file
+    in fixed-size chunks and never holds all of it (a line longer than the
+    buffer grows the buffer), so any readable file works, seekable or not;
+    the input channel is closed even when parsing raises. Raises
+    {!Parse_error} as {!parse_string} does, and [Sys_error] when the file
+    cannot be read. *)
 
 val to_string : Netlist.t -> string
 (** Render a netlist as [.bench] text (combinational: no DFF lines; pseudo

@@ -80,7 +80,8 @@ val is_output : t -> net -> bool
 
 val validate : t -> (unit, string) result
 (** Structural checks: single driver per net, arities match, no dangling
-    nets, acyclicity. Builders run this automatically. *)
+    nets, acyclicity. Builders run this automatically. The topological
+    order the acyclicity check computes is kept as {!topo_ids}'s cache. *)
 
 val with_kinds_strengths :
   t -> kinds:Gate.kind array -> strengths:float array -> t
@@ -89,8 +90,8 @@ val with_kinds_strengths :
     and net numbering are shared with [t] (unlike a rebuild through
     {!Builder}). Used to materialize the current state of an incremental
     edit session as a plain netlist. Raises [Invalid_argument] on length
-    mismatch or non-positive strengths and [Failure] if a kind change
-    alters arity. *)
+    mismatch or a strength that is not finite and positive, and [Failure]
+    if a kind change alters arity. *)
 
 val digest : t -> string
 (** Stable structural digest: 32 lowercase hex characters, identical across
@@ -136,8 +137,9 @@ module Builder : sig
 
   val gate : ?name:string -> ?strength:float -> t -> Gate.kind -> net array -> net
   (** Instantiate a gate; returns its output net. [name] names the output
-      net; [strength] (default 1.0, must be positive) scales the cell's
-      transistor widths. Raises on arity mismatch or unknown input nets. *)
+      net; [strength] (default 1.0, must be finite and positive) scales
+      the cell's transistor widths. Raises [Invalid_argument] on a bad
+      strength, an arity mismatch or an unknown input net. *)
 
   val mark_output : t -> net -> unit
   (** Flag an existing net as a primary output. *)

@@ -139,7 +139,7 @@ let process_statement st skipping line_no stmt =
                  float_of_string_opt
                    (String.sub p (i + 1) (String.length p - i - 1))
                with
-               | Some m when m > 0.0 -> m
+               | Some m when m > 0.0 && m < Float.infinity -> m
                | _ -> perr line_no "bad device multiplier %S" p)
             | _ -> acc)
           1.0 params

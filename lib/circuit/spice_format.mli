@@ -16,9 +16,9 @@
     The interface is inferred structurally: undriven nets are primary
     inputs, driven-but-unread nets primary outputs.
 
-    Like the [.bench] reader, parsing is streaming (line at a time, flat
-    interned storage) and elaboration is iterative, so arbitrarily deep
-    netlists cannot overflow the stack. *)
+    Parsing is streaming (line at a time, flat interned storage) and
+    elaboration is iterative, so arbitrarily deep netlists cannot overflow
+    the stack. *)
 
 exception Parse_error of int * string
 (** Line number (1-based; 0 for whole-file diagnostics) and message. *)
@@ -28,6 +28,3 @@ val parse_string : name:string -> string -> Netlist.t
 val parse_file : string -> Netlist.t
 (** Parse a deck; the netlist is named after the basename. The channel is
     closed even when parsing raises. *)
-
-val parse_lines : name:string -> (unit -> string option) -> Netlist.t
-(** Core streaming entry point ([None] = end of input). *)

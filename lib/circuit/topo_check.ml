@@ -61,22 +61,31 @@ let sort_flat ~net_count ~n_gates ~source_nets ~fanin_count ~fanin ~gate_out =
   with
   | None -> None
   | Some (off, edges, indegree) ->
-    let queue = Queue.create () in
-    Array.iteri (fun g d -> if d = 0 then Queue.add g queue) indegree;
+    (* [order] is its own FIFO queue: a gate is emitted in the order it
+       becomes ready, so [order.(head .. tail - 1)] is the queue. *)
     let order = Array.make n_gates 0 in
-    let filled = ref 0 in
-    while not (Queue.is_empty queue) do
-      let g = Queue.take queue in
-      order.(!filled) <- g;
-      incr filled;
+    let tail = ref 0 in
+    for g = 0 to n_gates - 1 do
+      if indegree.(g) = 0 then begin
+        order.(!tail) <- g;
+        incr tail
+      end
+    done;
+    let head = ref 0 in
+    while !head < !tail do
+      let g = order.(!head) in
+      incr head;
       (* reverse slice order: see header comment *)
       for k = off.(g + 1) - 1 downto off.(g) do
         let c = edges.(k) in
         indegree.(c) <- indegree.(c) - 1;
-        if indegree.(c) = 0 then Queue.add c queue
+        if indegree.(c) = 0 then begin
+          order.(!tail) <- c;
+          incr tail
+        end
       done
     done;
-    if !filled = n_gates then Some order else None
+    if !tail = n_gates then Some order else None
 
 let levelize_flat ~net_count ~n_gates ~source_nets ~fanin_count ~fanin
     ~gate_out =

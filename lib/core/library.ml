@@ -56,17 +56,19 @@ let max_strength = 1023.0 /. 4.0
 let strength_in_range strength =
   strength > 0.0 && Float.round (strength *. 4.0) <= 1023.0
 
+(* The range test runs on the rounded float, so an infinite (or any too
+   large) strength is rejected before [int_of_float] could wrap it. *)
 let strength_bucket strength =
   if not (strength > 0.0) then
     invalid_arg
       (Printf.sprintf "Library: strength %g must be positive" strength);
-  let q = int_of_float (Float.round (strength *. 4.0)) in
-  if q > 1023 then
+  let q = Float.round (strength *. 4.0) in
+  if q > 1023.0 then
     invalid_arg
       (Printf.sprintf
          "Library: strength %g exceeds the characterizable range (max %g)"
          strength max_strength);
-  Stdlib.max 1 q
+  Stdlib.max 1 (int_of_float q)
 
 let key kind strength vector =
   let code = Gate.code kind in

@@ -52,8 +52,9 @@ val entry :
 (** Characterize-on-demand lookup. [strength] (default 1.0) is quantized to
     quarter steps — entries are shared within a bucket. Raises
     [Invalid_argument] when the cache key cannot be packed without
-    collisions: strength outside {!strength_in_range} (non-positive or
-    beyond {!max_strength}), a vector of arity > 16, or a gate code ≥ 64. *)
+    collisions: strength outside {!strength_in_range} (non-positive, NaN,
+    or beyond {!max_strength}, infinity included), a vector of arity > 16,
+    or a gate code ≥ 64. *)
 
 val precharacterize :
   ?pool:Leakage_parallel.Pool.t ->

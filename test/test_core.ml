@@ -288,7 +288,17 @@ let test_library_strength_guards () =
     (fun () -> ignore (Library.entry ~strength:256.0 lib Gate.Inv [| Logic.Zero |]));
   Alcotest.check_raises "non-positive strength raises"
     (Invalid_argument "Library: strength 0 must be positive")
-    (fun () -> ignore (Library.entry ~strength:0.0 lib Gate.Inv [| Logic.Zero |]))
+    (fun () -> ignore (Library.entry ~strength:0.0 lib Gate.Inv [| Logic.Zero |]));
+  (* int_of_float would wrap an infinite strength into bucket 1, the 0.25x
+     cell *)
+  Alcotest.check_raises "infinite strength raises"
+    (Invalid_argument
+       "Library: strength inf exceeds the characterizable range (max 255.75)")
+    (fun () ->
+      ignore (Library.entry ~strength:infinity lib Gate.Inv [| Logic.Zero |]));
+  Alcotest.check_raises "NaN strength raises"
+    (Invalid_argument "Library: strength nan must be positive")
+    (fun () -> ignore (Library.entry ~strength:nan lib Gate.Inv [| Logic.Zero |]))
 
 let test_library_vector_arity_guard () =
   (* 17 state bits cannot pack into the 16-bit vector field; the guard must
@@ -1003,9 +1013,13 @@ let test_strength_library_buckets () =
 let test_strength_builder_guard () =
   let b = Netlist.Builder.create "g" in
   let a = Netlist.Builder.input b in
-  Alcotest.check_raises "non-positive strength"
-    (Invalid_argument "Builder.gate: strength must be positive") (fun () ->
-      ignore (Netlist.Builder.gate ~strength:0.0 b Gate.Inv [| a |]))
+  List.iter
+    (fun (label, strength) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Builder.gate: strength must be finite and positive")
+        (fun () -> ignore (Netlist.Builder.gate ~strength b Gate.Inv [| a |])))
+    [ ("non-positive strength", 0.0); ("infinite strength", infinity);
+      ("NaN strength", nan) ]
 
 (* --------------------------------------------------------------- MTCMOS *)
 

@@ -44,6 +44,8 @@ let contains hay needle =
   let rec scan i = i + n <= l && (String.sub hay i n = needle || scan (i + 1)) in
   scan 0
 
+let corpus_circuit label = (Suite.find label).Suite.build ()
+
 let simple_bench =
   "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nw = NAND(a, b)\ny = NOT(w)\n"
 
@@ -60,7 +62,7 @@ let test_bench_crlf_equals_lf () =
 
 let test_bench_file_crlf_no_final_newline () =
   (* CRLF endings and a final line with no newline at all: the regression
-     fixture for the explicit trailing-\r strip in the line reader. *)
+     fixture for the scanner's explicit trailing-\r strip. *)
   let text = "INPUT(a)\r\nOUTPUT(y)\r\ny = NOT(a)" in
   with_temp_file text (fun path ->
       let t = Bench_format.parse_file path in
@@ -72,18 +74,41 @@ let test_bench_file_crlf_no_final_newline () =
                            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"))
         (Netlist.digest t))
 
-let test_bench_parse_lines_streaming () =
-  (* drive the core streaming entry point one line at a time *)
-  let lines = ref (String.split_on_char '\n' simple_bench) in
-  let next () =
-    match !lines with
-    | [] -> None
-    | l :: rest -> lines := rest; Some l
+let test_bench_blank_lines_cost_no_tables () =
+  (* the reader's tables grow with the names and declarations it reads, so
+     4M blank lines cost no table space *)
+  let text = String.make 4_000_000 '\n' ^ "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n" in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let t = Bench_format.parse_string ~name:"blank" text in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "one gate" 1 (Netlist.gate_count t);
+  if words >= 1e6 then
+    Alcotest.failf "parsing allocated %.0f major-heap words" words
+
+let test_bench_keyword_prefixed_names () =
+  (* a SPICE deck whose internal nets start with INPUT/OUTPUT survives
+     to_string -> parse_string: such a line is an assignment *)
+  let deck =
+    "X1 a b input_sel NAND2\nX2 input_sel c Output_en NOR2\n\
+     X3 Output_en y INV\n"
   in
-  let t = Bench_format.parse_lines ~name:"streamed" next in
-  Alcotest.(check string) "same digest"
-    (Netlist.digest (Bench_format.parse_string ~name:"c" simple_bench))
-    (Netlist.digest t)
+  let t = Spice_format.parse_string ~name:"kw" deck in
+  let back = Bench_format.parse_string ~name:"kw" (Bench_format.to_string t) in
+  Alcotest.(check string) "same digest" (Netlist.digest t) (Netlist.digest back);
+  let u =
+    Bench_format.parse_string ~name:"kw"
+      "INPUT(a)\nINPUT (b)\nOUTPUT(y)\ninput_sel = NAND(a, b)\n\
+       OUTPUTS= NOT(input_sel)\ny = BUFF(OUTPUTS)\n"
+  in
+  Alcotest.(check int) "three gates" 3 (Netlist.gate_count u);
+  Alcotest.(check int) "two inputs" 2 (Array.length (Netlist.inputs u));
+  (* a keyword line without '(' and without '=' stays malformed *)
+  check_parse_error 2 "malformed INPUT line" (fun () ->
+      Bench_format.parse_string ~name:"m" "INPUT(a)\nINPUT a\nOUTPUT(y)\ny = NOT(a)\n");
+  check_parse_error 1 "malformed INPUT line" (fun () ->
+      Bench_format.parse_string ~name:"m" "INPUT(a\nOUTPUT(y)\ny = NOT(a)\n");
+  check_parse_error 2 "malformed OUTPUT line" (fun () ->
+      Bench_format.parse_string ~name:"m" "INPUT(a)\noutput y\ny = NOT(a)\n")
 
 (* --------------------------------------------------- .bench error paths *)
 
@@ -115,6 +140,112 @@ let test_bench_unreadable_path () =
   match Bench_format.parse_file "/nonexistent/dir/missing.bench" with
   | (_ : Netlist.t) -> Alcotest.fail "expected Sys_error"
   | exception Sys_error _ -> ()
+
+let test_bench_rejects_infinite_strength () =
+  (* 1e999 reads as +inf: a netlist holding it would be estimated in the
+     library's 0.25x bucket *)
+  check_parse_error 3 "strength must be finite and positive" (fun () ->
+      Bench_format.parse_string ~name:"s"
+        "INPUT(a)\nOUTPUT(y)\ny = NOT(a)  # strength=1e999\n");
+  check_parse_error 3 "strength must be finite and positive" (fun () ->
+      Bench_format.parse_string ~name:"s"
+        "INPUT(a)\nOUTPUT(y)\ny = NOT(a)  # strength=-2\n")
+
+let test_repr_rejects_infinite_strength () =
+  let t = Bench_format.parse_string ~name:"r" simple_bench in
+  let raw = Netlist.Repr.to_raw t in
+  let strength =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+      (Netlist.gate_count t)
+  in
+  Bigarray.Array1.blit raw.Netlist.Repr.r_strength strength;
+  Bigarray.Array1.set strength 1 infinity;
+  match Netlist.Repr.of_raw { raw with Netlist.Repr.r_strength = strength } with
+  | (_ : Netlist.t) -> Alcotest.fail "expected Failure for an infinite strength"
+  | exception Failure msg ->
+    if not (contains msg "strength") then
+      Alcotest.failf "message %S does not mention the strength" msg
+
+(* --------------------------------------------- mutated .bench encodings *)
+
+(* The to_string encodings of the suite circuits plus one strength-annotated
+   text: alu88 with its gates cycling through four drive strengths. *)
+let bench_texts =
+  lazy
+    (let sized =
+       let t = corpus_circuit "alu88" in
+       let n = Netlist.gate_count t in
+       Netlist.with_kinds_strengths t
+         ~kinds:(Array.init n (Netlist.gate_kind t))
+         ~strengths:(Array.init n (fun g -> [| 0.5; 1.0; 2.0; 4.0 |].(g mod 4)))
+     in
+     Array.of_list
+       (List.map
+          (fun (e : Suite.entry) -> (e.Suite.label, Bench_format.to_string (e.Suite.build ())))
+          Suite.all
+       @ [ ("alu88-sized", Bench_format.to_string sized) ]))
+
+type bench_mutation =
+  | Cut of int                          (* keep a prefix *)
+  | Overwrite of (int * char) list      (* 1-3 bytes *)
+  | Splice of int * int * int           (* other text, cut here, cut there *)
+
+(* the bytes the grammar gives meaning to, plus any byte at all *)
+let bench_byte_gen =
+  let special = "()=,#\r\n " in
+  QCheck2.Gen.(
+    oneof
+      [ char; map (fun i -> special.[i]) (int_bound (String.length special - 1)) ])
+
+let bench_mutation_gen =
+  QCheck2.Gen.(
+    let pos = int_bound 1_000_000 in
+    let text = int_bound (Array.length (Lazy.force bench_texts) - 1) in
+    pair text
+      (oneof
+         [ map (fun n -> Cut n) pos;
+           map (fun l -> Overwrite l)
+             (list_size (int_range 1 3) (pair pos bench_byte_gen));
+           map3 (fun j a b -> Splice (j, a, b)) text pos pos ]))
+
+let mutate_text i m =
+  let texts = Lazy.force bench_texts in
+  let _, t = texts.(i) in
+  let len = String.length t in
+  match m with
+  | Cut n -> String.sub t 0 (n mod (len + 1))
+  | Overwrite edits ->
+    let b = Bytes.of_string t in
+    List.iter (fun (p, c) -> Bytes.set b (p mod len) c) edits;
+    Bytes.to_string b
+  | Splice (j, a, b) ->
+    let _, u = texts.(j) in
+    let b = b mod (String.length u + 1) in
+    String.sub t 0 (a mod (len + 1)) ^ String.sub u b (String.length u - b)
+
+let print_bench_mutation (i, m) =
+  let texts = Lazy.force bench_texts in
+  fst texts.(i) ^ ": "
+  ^
+  match m with
+  | Cut n -> Printf.sprintf "cut at %d" n
+  | Overwrite edits ->
+    String.concat "; "
+      (List.map (fun (p, c) -> Printf.sprintf "byte %d := %C" p c) edits)
+  | Splice (j, a, b) ->
+    Printf.sprintf "prefix %d + suffix of %s from %d" a (fst texts.(j)) b
+
+(* Every mutated encoding parses or raises Parse_error: nothing else
+   escapes the reader. *)
+let prop_bench_mutations_parse_or_fail =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~print:print_bench_mutation
+       ~name:"mutated .bench encodings parse or raise Parse_error"
+       bench_mutation_gen
+       (fun (i, m) ->
+         match Bench_format.parse_string ~name:"mut" (mutate_text i m) with
+         | (_ : Netlist.t) -> true
+         | exception Bench_format.Parse_error _ -> true))
 
 (* ------------------------------------------------------------ SPICE read *)
 
@@ -167,6 +298,8 @@ let test_spice_errors () =
   spice_error 2 "driven twice" "X1 a y INV\nX2 b y INV\n";
   spice_error 1 "expects 2 logic pins + output" "X1 a y NAND2\n";
   spice_error 1 "bad device multiplier" "X1 a y INV m=-3\n";
+  (* an infinite multiplier is no strength a netlist may hold *)
+  spice_error 1 "bad device multiplier" "X1 a y INV m=1e999\n";
   (* combinational cycle: blamed on an instance in the loop *)
   spice_error 1 "combinational cycle" "X1 b a INV\nX2 a b INV\n"
 
@@ -289,8 +422,6 @@ let restamp_checksum b =
         0x100000001b3L
   done;
   Bytes.set_int64_le b 104 !h
-
-let corpus_circuit label = (Suite.find label).Suite.build ()
 
 let test_snapshot_header_checks_shared () =
   let foreign_endian = if Sys.big_endian then '\001' else '\002' in
@@ -466,7 +597,10 @@ let () =
           Alcotest.test_case "crlf equals lf" `Quick test_bench_crlf_equals_lf;
           Alcotest.test_case "crlf + no final newline" `Quick
             test_bench_file_crlf_no_final_newline;
-          Alcotest.test_case "parse_lines" `Quick test_bench_parse_lines_streaming;
+          Alcotest.test_case "blank lines cost no tables" `Quick
+            test_bench_blank_lines_cost_no_tables;
+          Alcotest.test_case "INPUT/OUTPUT-prefixed names" `Quick
+            test_bench_keyword_prefixed_names;
         ] );
       ( "bench-errors",
         [
@@ -476,6 +610,9 @@ let () =
           Alcotest.test_case "duplicate OUTPUT" `Quick test_bench_duplicate_output;
           Alcotest.test_case "duplicate INPUT" `Quick test_bench_duplicate_input;
           Alcotest.test_case "unreadable path" `Quick test_bench_unreadable_path;
+          Alcotest.test_case "infinite strength" `Quick
+            test_bench_rejects_infinite_strength;
+          prop_bench_mutations_parse_or_fail;
         ] );
       ( "spice",
         [
@@ -502,6 +639,8 @@ let () =
           Alcotest.test_case "unreadable path" `Quick test_snapshot_unreadable_path;
           Alcotest.test_case "header checks shared by digest_of_file" `Quick
             test_snapshot_header_checks_shared;
+          Alcotest.test_case "of_raw rejects an infinite strength" `Quick
+            test_repr_rejects_infinite_strength;
           prop_snapshot_mutations_fail_closed;
         ] );
       ( "soa",

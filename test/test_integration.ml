@@ -178,7 +178,6 @@ let prop_parser_total_on_junk =
          with
          | _ -> true
          | exception Leakage_circuit.Bench_format.Parse_error _ -> true
-         | exception Failure _ -> true (* validation of a parsed-but-bad net *)
          | exception _ -> false))
 
 let test_vector_dependence_of_totals () =
