@@ -601,64 +601,105 @@ let op_name_of_kind = function
   | Gate.Aoi21 | Gate.Aoi22 | Gate.Oai21 | Gate.Oai22 ->
     invalid_arg "bench: complex cells are decomposed when written"
 
-(* Emit through a callback so [write_file] streams straight to the channel
-   (never holding the rendered text in memory) while [to_string] collects
-   into a buffer. *)
-let emit t put =
-  put (Printf.sprintf "# %s\n" (Netlist.name t));
-  Array.iter
-    (fun n -> put (Printf.sprintf "INPUT(%s)\n" (Netlist.net_name t n)))
-    (Netlist.inputs t);
-  Array.iter
-    (fun n -> put (Printf.sprintf "OUTPUT(%s)\n" (Netlist.net_name t n)))
-    (Netlist.outputs t);
-  put "\n";
-  let line ?(strength = 1.0) target op args =
-    let annotation =
-      if strength = 1.0 then ""
-      else Printf.sprintf "  # strength=%g" strength
-    in
-    put
-      (Printf.sprintf "%s = %s(%s)%s\n" target op (String.concat ", " args)
-         annotation)
+(* One operand of an emitted line: a net id, or [-1 - i] for the gate's
+   i-th helper net ("__<out>_t<i>", i < 2) when a complex cell is
+   decomposed. Names are copied byte by byte from the netlist. *)
+let add_operand buf t ~out x =
+  if x >= 0 then Netlist.add_net_name buf t x
+  else begin
+    Buffer.add_string buf "__";
+    Netlist.add_net_name buf t out;
+    Buffer.add_string buf "_t";
+    Buffer.add_char buf (Char.unsafe_chr (48 - 1 - x))
+  end
+
+let start_line buf t ~out target op =
+  add_operand buf t ~out target;
+  Buffer.add_string buf " = ";
+  Buffer.add_string buf op;
+  Buffer.add_char buf '('
+
+let end_line buf annotation =
+  Buffer.add_char buf ')';
+  Buffer.add_string buf annotation;
+  Buffer.add_char buf '\n'
+
+let pair_line buf t ~out ~annotation target op a b =
+  start_line buf t ~out target op;
+  add_operand buf t ~out a;
+  Buffer.add_string buf ", ";
+  add_operand buf t ~out b;
+  end_line buf annotation
+
+(* Render into [buf]. With [oc], each gate's lines go to the channel once
+   the buffer passes 64 KiB, so [write_file] never holds the text; the
+   caller writes what is left. *)
+let emit ?oc t buf =
+  Buffer.add_string buf "# ";
+  Buffer.add_string buf (Netlist.name t);
+  Buffer.add_char buf '\n';
+  let decl keyword n =
+    Buffer.add_string buf keyword;
+    Netlist.add_net_name buf t n;
+    Buffer.add_string buf ")\n"
+  in
+  Array.iter (decl "INPUT(") (Netlist.inputs t);
+  Array.iter (decl "OUTPUT(") (Netlist.outputs t);
+  Buffer.add_char buf '\n';
+  let annotation strength =
+    if strength = 1.0 then "" else Printf.sprintf "  # strength=%g" strength
   in
   for g = 0 to Netlist.gate_count t - 1 do
     let kind = Netlist.gate_kind t g in
-    let pin i = Netlist.net_name t (Netlist.gate_pin t g i) in
-    let args = List.init (Netlist.gate_arity t g) pin in
-    let out = Netlist.net_name t (Netlist.gate_out t g) in
-    (* .bench has no complex-gate ops: AOI/OAI are emitted as their
-       AND/OR + NOR/NAND decomposition through fresh helper nets. The
-       round trip preserves the logic function (not the cell count). *)
-    let tmp i = Printf.sprintf "__%s_t%d" out i in
-    let strength = Netlist.gate_strength t g in
-    match kind with
-    | Gate.Aoi21 ->
-      line ~strength (tmp 0) "AND" [ pin 0; pin 1 ];
-      line ~strength out "NOR" [ tmp 0; pin 2 ]
-    | Gate.Aoi22 ->
-      line ~strength (tmp 0) "AND" [ pin 0; pin 1 ];
-      line ~strength (tmp 1) "AND" [ pin 2; pin 3 ];
-      line ~strength out "NOR" [ tmp 0; tmp 1 ]
-    | Gate.Oai21 ->
-      line ~strength (tmp 0) "OR" [ pin 0; pin 1 ];
-      line ~strength out "NAND" [ tmp 0; pin 2 ]
-    | Gate.Oai22 ->
-      line ~strength (tmp 0) "OR" [ pin 0; pin 1 ];
-      line ~strength (tmp 1) "OR" [ pin 2; pin 3 ];
-      line ~strength out "NAND" [ tmp 0; tmp 1 ]
-    | Gate.Inv | Gate.Buf | Gate.Nand _ | Gate.Nor _ | Gate.And _
-    | Gate.Or _ | Gate.Xor | Gate.Xnor ->
-      line ~strength out (op_name_of_kind kind) args
+    let out = Netlist.gate_out t g in
+    let annotation = annotation (Netlist.gate_strength t g) in
+    (match kind with
+     | Gate.Inv | Gate.Buf | Gate.Nand _ | Gate.Nor _ | Gate.And _
+     | Gate.Or _ | Gate.Xor | Gate.Xnor ->
+       start_line buf t ~out out (op_name_of_kind kind);
+       for p = 0 to Netlist.gate_arity t g - 1 do
+         if p > 0 then Buffer.add_string buf ", ";
+         Netlist.add_net_name buf t (Netlist.gate_pin t g p)
+       done;
+       end_line buf annotation
+     | Gate.Aoi21 | Gate.Aoi22 | Gate.Oai21 | Gate.Oai22 -> (
+       (* .bench has no complex-gate ops: AOI/OAI are emitted as their
+          AND/OR + NOR/NAND decomposition through fresh helper nets. The
+          round trip preserves the logic function (not the cell count). *)
+       let pin p = Netlist.gate_pin t g p in
+       let pair target op a b = pair_line buf t ~out ~annotation target op a b in
+       match kind with
+       | Gate.Aoi21 ->
+         pair (-1) "AND" (pin 0) (pin 1);
+         pair out "NOR" (-1) (pin 2)
+       | Gate.Aoi22 ->
+         pair (-1) "AND" (pin 0) (pin 1);
+         pair (-2) "AND" (pin 2) (pin 3);
+         pair out "NOR" (-1) (-2)
+       | Gate.Oai21 ->
+         pair (-1) "OR" (pin 0) (pin 1);
+         pair out "NAND" (-1) (pin 2)
+       | _ (* Oai22 *) ->
+         pair (-1) "OR" (pin 0) (pin 1);
+         pair (-2) "OR" (pin 2) (pin 3);
+         pair out "NAND" (-1) (-2)));
+    match oc with
+    | Some oc when Buffer.length buf >= 65536 ->
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    | _ -> ()
   done
 
 let to_string t =
   let buf = Buffer.create 4096 in
-  emit t (Buffer.add_string buf);
+  emit t buf;
   Buffer.contents buf
 
 let write_file path t =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> emit t (output_string oc))
+    (fun () ->
+      let buf = Buffer.create 65536 in
+      emit ~oc t buf;
+      Buffer.output_buffer oc buf)

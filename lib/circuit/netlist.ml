@@ -46,6 +46,12 @@ let net_name t n =
   let stop = Ba.get t.name_off (n + 1) in
   String.init (stop - off) (fun i -> Ba.get t.name_blob (off + i))
 
+let add_net_name buf t n =
+  if n < 0 || n >= t.nnet_count then invalid_arg "Netlist.add_net_name";
+  for i = Ba.get t.name_off n to Ba.get t.name_off (n + 1) - 1 do
+    Buffer.add_char buf (Ba.get t.name_blob i)
+  done
+
 (* ------------------------------------------- int-indexed gate accessors *)
 
 let check_gate_id t g =

@@ -25,6 +25,11 @@ val net_count : t -> int
 val inputs : t -> net array
 val outputs : t -> net array
 val net_name : t -> net -> string
+
+val add_net_name : Buffer.t -> t -> net -> unit
+(** Append {!net_name} to a buffer, copying the stored bytes without
+    building a string (what the [.bench] writer does per pin). *)
+
 val gate_count : t -> int
 val transistor_count : t -> int
 

@@ -138,14 +138,14 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
   { kind; strength; vector; nominal_isolated; nominal_driven; pin_injection;
     pin_response; currents = xs; deltas; vth_log_factor }
 
-(* Slope / curvature of a tabulated log-response at dv = 0, taken from the
-   grid nodes bracketing zero (the ±150 mV axis has an odd point count, so
-   zero is itself a node). These are the λ (first-order log-sensitivity) and
-   γ (second-difference curvature) the analytic variance propagation uses:
-   the slope of the very table the statistical sampler interpolates, so the
-   analytic model differentiates exactly what the MC samples. *)
-let node_slope_curvature (g : Interp.grid1d) =
-  let xs = Interp.grid1d_xs g and ys = Interp.grid1d_ys g in
+(* Slope of a tabulated log-response at dv = 0, taken from the grid nodes
+   bracketing zero (the ±150 mV axis has an odd point count, so zero is
+   itself a node). This is the λ (first-order log-sensitivity) the analytic
+   variance propagation reports: the slope of the very table the
+   statistical sampler interpolates, so the analytic model differentiates
+   exactly what the MC samples. *)
+let node_slope (g : Interp.grid1d) =
+  let xs = g.Interp.xs and ys = g.Interp.ys in
   let n = Array.length xs in
   let i0 = ref 0 in
   for i = 1 to n - 1 do
@@ -153,26 +153,13 @@ let node_slope_curvature (g : Interp.grid1d) =
   done;
   let i0 = Stdlib.max 1 (Stdlib.min (n - 2) !i0) in
   let h_lo = xs.(i0) -. xs.(i0 - 1) and h_hi = xs.(i0 + 1) -. xs.(i0) in
-  let slope = (ys.(i0 + 1) -. ys.(i0 - 1)) /. (h_hi +. h_lo) in
-  let curvature =
-    2.0
-    *. (((ys.(i0 + 1) -. ys.(i0)) /. h_hi) -. ((ys.(i0) -. ys.(i0 - 1)) /. h_lo))
-    /. (h_hi +. h_lo)
-  in
-  (slope, curvature)
+  (ys.(i0 + 1) -. ys.(i0 - 1)) /. (h_hi +. h_lo)
 
 let vth_log_slope entry =
   {
-    Report.isub = fst (node_slope_curvature entry.vth_log_factor.d_isub);
-    igate = fst (node_slope_curvature entry.vth_log_factor.d_igate);
-    ibtbt = fst (node_slope_curvature entry.vth_log_factor.d_ibtbt);
-  }
-
-let vth_log_curvature entry =
-  {
-    Report.isub = snd (node_slope_curvature entry.vth_log_factor.d_isub);
-    igate = snd (node_slope_curvature entry.vth_log_factor.d_igate);
-    ibtbt = snd (node_slope_curvature entry.vth_log_factor.d_ibtbt);
+    Report.isub = node_slope entry.vth_log_factor.d_isub;
+    igate = node_slope entry.vth_log_factor.d_igate;
+    ibtbt = node_slope entry.vth_log_factor.d_ibtbt;
   }
 
 let vth_factor entry dv =

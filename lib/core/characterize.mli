@@ -68,11 +68,6 @@ val vth_log_slope : entry -> Leakage_spice.Leakage_report.components
     table the statistical sampler interpolates. Central difference across
     the grid nodes bracketing zero. *)
 
-val vth_log_curvature : entry -> Leakage_spice.Leakage_report.components
-(** Per-component second difference of [vth_log_factor] at zero shift
-    (1/V²) — the curvature γ the linearization-error bound tests against
-    its tolerance. *)
-
 type grid_spec = {
   max_current : float;  (** grid spans [-max_current, +max_current], A *)
   points : int;

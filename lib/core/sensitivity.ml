@@ -69,10 +69,19 @@ module Params = Leakage_device.Params
 module Model = Leakage_device.Model
 module Variation = Leakage_device.Variation
 module Jet = Leakage_numeric.Jet
+module Interp = Leakage_numeric.Interp
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
 module Report = Leakage_spice.Leakage_report
 module Pool = Leakage_parallel.Pool
+module Tm = Leakage_telemetry.Telemetry
+
+(* The analytic pass's work: analyses run, response classes they summed
+   over, exact table integrals, and passes that fell back to the sampler. *)
+let m_passes = Tm.counter "sensitivity.passes"
+let m_classes = Tm.counter "sensitivity.classes"
+let m_table_integrals = Tm.counter "sensitivity.table_integrals"
+let m_fallbacks = Tm.counter "sensitivity.fallbacks"
 
 let default_lin_tol = 0.05
 
@@ -240,38 +249,12 @@ let geom_of ~device ~temp ~vdd ~(sigmas : Variation.sigmas) =
     axes;
   { g_lam; g_gam; g_lin_err }
 
-(* ----------------------------------------------- per-gate rows + groups *)
+(* ------------------------------------------------------ response classes *)
 
 (* One clamped piecewise-linear log-response: the node arrays of an
    [Interp.grid1d], constant beyond either end — the exact function
    [Interp.eval1d] (and hence the MC sampler) evaluates. *)
 type tab = { t_xs : float array; t_ys : float array }
-
-type row = {
-  r_lam : float array;     (* 3: threshold log-slope per component, 1/V *)
-  r_curv : float array;    (* 3: threshold log-curvature, 1/V² *)
-  r_tabs : tab array;      (* 3: full tabulated threshold log-response *)
-  r_loaded : float array;  (* 3: loading-aware components, A *)
-  r_base : float array;    (* 3: isolated nominal components, A *)
-}
-
-let row_of_entry ~entry ~(loaded : Report.components)
-    ~(isolated : Report.components) =
-  let lam = Characterize.vth_log_slope entry in
-  let curv = Characterize.vth_log_curvature entry in
-  let module Interp = Leakage_numeric.Interp in
-  let tab_of g = { t_xs = Interp.grid1d_xs g; t_ys = Interp.grid1d_ys g } in
-  let t = entry.Characterize.vth_log_factor in
-  {
-    r_lam = [| lam.Report.isub; lam.Report.igate; lam.Report.ibtbt |];
-    r_curv = [| curv.Report.isub; curv.Report.igate; curv.Report.ibtbt |];
-    r_tabs =
-      [| tab_of t.Characterize.d_isub; tab_of t.Characterize.d_igate;
-         tab_of t.Characterize.d_ibtbt |];
-    r_loaded = [| loaded.Report.isub; loaded.Report.igate; loaded.Report.ibtbt |];
-    r_base =
-      [| isolated.Report.isub; isolated.Report.igate; isolated.Report.ibtbt |];
-  }
 
 let cmp_fa a b =
   let n = Array.length a in
@@ -296,22 +279,41 @@ let cmp_tabs a b =
   in
   go 0
 
-(* Canonical row order: a total order on the full value tuple. Sorting rows
-   before accumulating makes every per-group float sum independent of gate
-   numbering, construction order and pool partitioning — the foundation of
-   the "same digest ⇒ identical sigmas" property. *)
-let cmp_row r1 r2 =
-  let c = cmp_fa r1.r_lam r2.r_lam in
-  if c <> 0 then c
-  else
-    let c = cmp_tabs r1.r_tabs r2.r_tabs in
-    if c <> 0 then c
-    else
-      let c = cmp_fa r1.r_loaded r2.r_loaded in
-      if c <> 0 then c else cmp_fa r1.r_base r2.r_base
+(* Gates whose threshold tables agree value for value are statistically
+   identical: one response class. Equality is [Float.compare]'s: ±0.0 is
+   one value, and so are all NaNs. The key is the tables' value, never a
+   library key: an incremental session's [Relib] gates take entries from
+   other libraries. λ is computed from the tables, so gates with equal
+   tables share it too and the key (λ, tables) is the key (tables). *)
+module Class_key = Hashtbl.Make (struct
+  type t = Characterize.table
+
+  let equal a b = compare a b = 0
+
+  (* The node values only (every table shares its axis), as
+     [Float.compare] sees them. *)
+  let mix h (g : Interp.grid1d) =
+    let ys = g.Interp.ys in
+    let h = ref h in
+    for i = 0 to Array.length ys - 1 do
+      let y = ys.(i) in
+      let bits =
+        if y = 0.0 then 0
+        else if y <> y then 1
+        else Int64.to_int (Int64.bits_of_float y)
+      in
+      h := (!h lxor bits) * 0x100000001b3
+    done;
+    !h
+
+  let hash (t : t) =
+    mix (mix (mix 0 t.Characterize.d_isub) t.Characterize.d_igate)
+      t.Characterize.d_ibtbt
+    land max_int
+end)
 
 type group = {
-  k_tabs : tab array;      (* 3: the group's shared threshold log-response *)
+  k_tabs : tab array;      (* 3: the class's shared threshold log-response *)
   k_lam : float array;     (* 3 *)
   k_count : int;
   k_a : float array;       (* 3: Σ loaded_c *)
@@ -320,51 +322,142 @@ type group = {
   k_b_base : float array;
 }
 
-let groups_of_rows rows =
-  let rows = Array.copy rows in
-  Array.sort cmp_row rows;
-  let out = ref [] in
-  let n = Array.length rows in
-  let i = ref 0 in
-  while !i < n do
-    let lam = rows.(!i).r_lam and tabs = rows.(!i).r_tabs in
-    let a = Array.make 3 0.0
-    and b = Array.make 9 0.0
-    and a_base = Array.make 3 0.0
-    and b_base = Array.make 9 0.0 in
-    let count = ref 0 in
-    while
-      !i < n
-      && cmp_fa rows.(!i).r_lam lam = 0
-      && cmp_tabs rows.(!i).r_tabs tabs = 0
-    do
-      let r = rows.(!i) in
-      incr count;
+(* Class order: (λ, tables) under [Float.compare], component by component. *)
+let cmp_group g1 g2 =
+  let c = cmp_fa g1.k_lam g2.k_lam in
+  if c <> 0 then c else cmp_tabs g1.k_tabs g2.k_tabs
+
+let cmp_components (x : Report.components) (y : Report.components) =
+  let c = Float.compare x.Report.isub y.Report.isub in
+  if c <> 0 then c
+  else
+    let c = Float.compare x.Report.igate y.Report.igate in
+    if c <> 0 then c else Float.compare x.Report.ibtbt y.Report.ibtbt
+
+let set_components v (x : Report.components) =
+  v.(0) <- x.Report.isub;
+  v.(1) <- x.Report.igate;
+  v.(2) <- x.Report.ibtbt
+
+(* One class's weights: its members summed in canonical (loaded, isolated)
+   order under [Float.compare], so every per-class float sum is independent
+   of gate numbering, construction order and pool partitioning — the
+   foundation of the "same digest ⇒ identical sigmas" property. The class's
+   tables and λ come from its first member in that order. *)
+let group_of_members ~entries ~(loaded : Report.components array)
+    ~(isolated : Report.components array) members =
+  Array.stable_sort
+    (fun g1 g2 ->
+      let c = cmp_components loaded.(g1) loaded.(g2) in
+      if c <> 0 then c else cmp_components isolated.(g1) isolated.(g2))
+    members;
+  let entry = entries.(members.(0)) in
+  let lam = Characterize.vth_log_slope entry in
+  let tab_of (g : Interp.grid1d) = { t_xs = g.Interp.xs; t_ys = g.Interp.ys } in
+  let t = entry.Characterize.vth_log_factor in
+  let a = Array.make 3 0.0
+  and b = Array.make 9 0.0
+  and a_base = Array.make 3 0.0
+  and b_base = Array.make 9 0.0 in
+  let l = Array.make 3 0.0 and i = Array.make 3 0.0 in
+  Array.iter
+    (fun g ->
+      set_components l loaded.(g);
+      set_components i isolated.(g);
       for c = 0 to 2 do
-        a.(c) <- a.(c) +. r.r_loaded.(c);
-        a_base.(c) <- a_base.(c) +. r.r_base.(c);
+        a.(c) <- a.(c) +. l.(c);
+        a_base.(c) <- a_base.(c) +. i.(c);
         for d = 0 to 2 do
-          b.((c * 3) + d) <-
-            b.((c * 3) + d) +. (r.r_loaded.(c) *. r.r_loaded.(d));
-          b_base.((c * 3) + d) <-
-            b_base.((c * 3) + d) +. (r.r_base.(c) *. r.r_base.(d))
+          b.((c * 3) + d) <- b.((c * 3) + d) +. (l.(c) *. l.(d));
+          b_base.((c * 3) + d) <- b_base.((c * 3) + d) +. (i.(c) *. i.(d))
         done
-      done;
-      incr i
-    done;
-    out :=
-      { k_tabs = tabs; k_lam = lam; k_count = !count; k_a = a; k_b = b;
-        k_a_base = a_base; k_b_base = b_base }
-      :: !out
+      done)
+    members;
+  {
+    k_tabs =
+      [| tab_of t.Characterize.d_isub; tab_of t.Characterize.d_igate;
+         tab_of t.Characterize.d_ibtbt |];
+    k_lam = [| lam.Report.isub; lam.Report.igate; lam.Report.ibtbt |];
+    k_count = Array.length members;
+    k_a = a;
+    k_b = b;
+    k_a_base = a_base;
+    k_b_base = b_base;
+  }
+
+(* The gate ids of each class, classes in first-seen order and members in
+   gate order: one hash per gate. *)
+let class_members entries =
+  let n = Array.length entries in
+  let ids = Class_key.create 64 in
+  let cls = Array.make n 0 in
+  for g = 0 to n - 1 do
+    let key = entries.(g).Characterize.vth_log_factor in
+    cls.(g) <-
+      (match Class_key.find ids key with
+       | k -> k
+       | exception Not_found ->
+         let k = Class_key.length ids in
+         Class_key.add ids key k;
+         k)
   done;
-  Array.of_list (List.rev !out)
+  let nk = Class_key.length ids in
+  let count = Array.make nk 0 in
+  Array.iter (fun k -> count.(k) <- count.(k) + 1) cls;
+  let members = Array.map (fun m -> Array.make m 0) count in
+  let fill = Array.make nk 0 in
+  Array.iteri
+    (fun g k ->
+      members.(k).(fill.(k)) <- g;
+      fill.(k) <- fill.(k) + 1)
+    cls;
+  members
 
 (* ------------------------------------------ exact clamped-table moments *)
 
-let norm_cdf = Leakage_numeric.Stats.norm_cdf
+(* Standard normal CDF through a Chebyshev-fitted erfc (Numerical Recipes
+   "erfcc"): fractional error below 1.2e-7 on all of [0, inf). Written as
+   t·e^{-ax² + P(t)}, so the error in the fitted exponent stays a
+   *relative* error on the value arbitrarily deep into the tail — exactly
+   what differencing Gaussian segment masses needs — at the cost of one exp
+   and one division. Every helper is inlined into [expect_exp_tab_into], so no
+   float is boxed on the way. *)
+let[@inline] erfc_t ax = 1.0 /. (1.0 +. (0.5 *. ax))
+
+(* the exponent -ax² + P(t) *)
+let[@inline] erfc_expo ax t =
+  let p = 0.17087277 in
+  let p = -0.82215223 +. (t *. p) in
+  let p = 1.48851587 +. (t *. p) in
+  let p = -1.13520398 +. (t *. p) in
+  let p = 0.27886807 +. (t *. p) in
+  let p = -0.18628806 +. (t *. p) in
+  let p = 0.09678418 +. (t *. p) in
+  let p = 0.37409196 +. (t *. p) in
+  let p = 1.00002368 +. (t *. p) in
+  -.(ax *. ax) -. 1.26551223 +. (t *. p)
+
+let inv_sqrt2 = 1.0 /. sqrt 2.0
+
+(* Φ(z) for z <= 0, relatively accurate all the way down *)
+let[@inline] lower_cdf z =
+  let ax = -.z *. inv_sqrt2 in
+  let t = erfc_t ax in
+  0.5 *. (t *. exp (erfc_expo ax t))
+
+let[@inline] norm_cdf z = if z > 0.0 then 1.0 -. lower_cdf (-.z) else lower_cdf z
+
+(* log Φ(z), never -infinity for finite z: the deep tail evaluates the
+   fitted exponent directly. *)
+let[@inline] log_norm_cdf z =
+  if z > 0.0 then log1p (-.lower_cdf (-.z))
+  else
+    let ax = -.z *. inv_sqrt2 in
+    let t = erfc_t ax in
+    erfc_expo ax t +. log (0.5 *. t)
 
 (* Clamped piecewise-linear eval — same value as [Interp.eval1d]. *)
-let eval_tab { t_xs = xs; t_ys = ys } x =
+let[@inline] eval_tab { t_xs = xs; t_ys = ys } x =
   let n = Array.length xs in
   if x <= xs.(0) then ys.(0)
   else if x >= xs.(n - 1) then ys.(n - 1)
@@ -375,8 +468,18 @@ let eval_tab { t_xs = xs; t_ys = ys } x =
     (ys.(!i) *. (1.0 -. t)) +. (ys.(!i + 1) *. t)
   end
 
-(* E[exp(T(v))] for v ~ N(mu, s²), T the clamped piecewise-linear table:
-   exact, segment by segment. On [x0, x1] with T = α + βv,
+(* One segment whose window [za, zb], 0 <= za < zb, lies on one side of
+   the shifted mean, with prefactor e^expo. *)
+let[@inline] one_sided ~expo za zb =
+  if expo <= 600.0 then exp expo *. (norm_cdf (-.za) -. norm_cdf (-.zb))
+  else begin
+    let la = log_norm_cdf (-.za) and lb = log_norm_cdf (-.zb) in
+    exp (expo +. la +. log1p (-.exp (lb -. la)))
+  end
+
+(* E[exp(T(v))] for v ~ N(mu, s²) at every mean [mu] of [mus], into [dst];
+   T is the clamped piecewise-linear table. Exact, segment by segment: on
+   [x0, x1] with T = α + βv,
    ∫ e^{α+βv} φ(v) dv = e^{α+βμ+β²s²/2} (Φ((x1−μ−βs²)/s) − Φ((x0−μ−βs²)/s)),
    and the clamped tails are constants times Gaussian tail masses. Always
    finite — the table caps the exponent — which is what makes steep-slope
@@ -384,51 +487,64 @@ let eval_tab { t_xs = xs; t_ys = ys } x =
 
    Segments whose slope-shifted window [z0, z1] lies entirely on one side
    of the shifted mean flip their Φ difference onto the lower tail, where
-   [Stats.norm_cdf] keeps relative accuracy arbitrarily far out — in the
+   [norm_cdf] keeps relative accuracy arbitrarily far out — in the
    raw orientation the e^{β²s²/2} prefactor can be astronomically large
    while the Φ values agree to sub-ulp, and the difference would cancel
    to garbage even though the segment's true contribution, their product,
    is bounded by e^{max ys}. When the prefactor itself would overflow a
    double (pathologically steep tables only — the flip keeps the tail
    values, whose underflow meets the overflow, out of the product until
-   then) the same term is assembled in log space via [Stats.log_norm_cdf].
+   then) the same term is assembled in log space via [log_norm_cdf].
    Straddling windows have no amplified prefactor (the exponent equals T
-   at the interior mode minus β²s²/2) and use the plain CDF difference. *)
-let expect_exp_tab ({ t_xs = xs; t_ys = ys } as tab) ~mu ~s =
+   at the interior mode minus β²s²/2) and use the plain CDF difference.
+   Each segment's slope terms depend on the table and s alone, so one call
+   serves every quadrature node. *)
+let expect_exp_tab_into ({ t_xs = xs; t_ys = ys } as tab) ~s mus dst =
   let n = Array.length xs in
-  if n = 0 then 1.0
-  else if s <= 0.0 then exp (eval_tab tab mu)
+  if Tm.enabled () then Tm.add m_table_integrals (Array.length mus);
+  if n = 0 then Array.fill dst 0 (Array.length mus) 1.0
+  else if s <= 0.0 then
+    Array.iteri (fun k mu -> dst.(k) <- exp (eval_tab tab mu)) mus
   else begin
-    let log_norm_cdf = Leakage_numeric.Stats.log_norm_cdf in
-    (* one-sided window [za, zb] with 0 <= za < zb, prefactor e^expo *)
-    let one_sided ~expo za zb =
-      if expo <= 600.0 then
-        exp expo *. (norm_cdf (-.za) -. norm_cdf (-.zb))
-      else begin
-        let la = log_norm_cdf (-.za) and lb = log_norm_cdf (-.zb) in
-        exp (expo +. la +. log1p (-.exp (lb -. la)))
-      end
-    in
-    let acc = ref (exp ys.(0) *. norm_cdf ((xs.(0) -. mu) /. s)) in
+    (* per segment, independent of μ: β, α, βs² and β²s²/2 *)
+    let seg = Array.make (4 * (n - 1)) 0.0 in
     for i = 0 to n - 2 do
       let x0 = xs.(i) and x1 = xs.(i + 1) in
       if x1 > x0 then begin
         let beta = (ys.(i + 1) -. ys.(i)) /. (x1 -. x0) in
-        let alpha = ys.(i) -. (beta *. x0) in
-        let m = mu +. (beta *. s *. s) in
-        let z0 = (x0 -. m) /. s and z1 = (x1 -. m) /. s in
-        let expo = alpha +. (beta *. mu) +. (0.5 *. beta *. beta *. s *. s) in
-        let term =
-          if z0 >= 0.0 then one_sided ~expo z0 z1
-          else if z1 <= 0.0 then one_sided ~expo (-.z1) (-.z0)
-          else exp expo *. (norm_cdf z1 -. norm_cdf z0)
-        in
-        acc := !acc +. term
+        seg.(4 * i) <- beta;
+        seg.((4 * i) + 1) <- ys.(i) -. (beta *. x0);
+        seg.((4 * i) + 2) <- beta *. s *. s;
+        seg.((4 * i) + 3) <- 0.5 *. beta *. beta *. s *. s
       end
     done;
-    acc := !acc +. (exp ys.(n - 1) *. norm_cdf ((mu -. xs.(n - 1)) /. s));
-    !acc
+    let lo = exp ys.(0) and hi = exp ys.(n - 1) in
+    for k = 0 to Array.length mus - 1 do
+      let mu = mus.(k) in
+      let acc = ref (lo *. norm_cdf ((xs.(0) -. mu) /. s)) in
+      for i = 0 to n - 2 do
+        let x0 = xs.(i) and x1 = xs.(i + 1) in
+        if x1 > x0 then begin
+          let beta = seg.(4 * i) in
+          let m = mu +. seg.((4 * i) + 2) in
+          let z0 = (x0 -. m) /. s and z1 = (x1 -. m) /. s in
+          let expo = seg.((4 * i) + 1) +. (beta *. mu) +. seg.((4 * i) + 3) in
+          let term =
+            if z0 >= 0.0 then one_sided ~expo z0 z1
+            else if z1 <= 0.0 then one_sided ~expo (-.z1) (-.z0)
+            else exp expo *. (norm_cdf z1 -. norm_cdf z0)
+          in
+          acc := !acc +. term
+        end
+      done;
+      dst.(k) <- !acc +. (hi *. norm_cdf ((mu -. xs.(n - 1)) /. s))
+    done
   end
+
+let expect_exp_tab tab ~mu ~s =
+  let r = [| 0.0 |] in
+  expect_exp_tab_into tab ~s [| mu |] r;
+  r.(0)
 
 (* Sum of two clamped piecewise-linear tables, exact on the union grid
    (clamped-constant pieces are linear too, so the union of breakpoints
@@ -457,98 +573,113 @@ let sum_tab t1 t2 =
    table's kinks (composite Simpson loses one order at a kink but the
    per-kink error is O(h³) — far below the MC-differential gates). Fixed
    constants: the node grid depends only on the sigma set, so the assembly
-   is a function of the row multiset alone. *)
+   is a function of the gates' multiset alone. *)
 let n_full = 65
 let n_inter = 129
 let x_span = 8.0
 
 let two_pi = 8.0 *. atan 1.0
 
-(* Threshold-axis second-moment engine for one (σx = inter, σy = intra)
-   pair. Everything weight-independent is precomputed once; the returned
-   closure folds in one column's (A, B) weights. See the module header for
-   the regime split. *)
-let vth_engine ~groups ~sx ~sy =
-  let nk = Array.length groups in
+(* Outer quadrature for one (σx = inter, σy = intra) pair: Simpson nodes
+   and Gaussian-weighted weights over the shared die shift, or [None] when
+   σx = 0 and the gates decouple. *)
+type quad = { nodes : float array; wphi : float array }
+
+let quad_of (sigmas : Variation.sigmas) =
+  let sx = sigmas.Variation.sigma_vth_inter
+  and sy = sigmas.Variation.sigma_vth_intra in
+  if sx <= 0.0 then None
+  else begin
+    let n = if sy <= 0.0 then n_inter else n_full in
+    let h = 2.0 *. x_span *. sx /. float_of_int (n - 1) in
+    let nodes = Array.init n (fun i -> (-.x_span *. sx) +. (h *. float_of_int i)) in
+    let wphi =
+      Array.init n (fun i ->
+          let simp =
+            if i = 0 || i = n - 1 then 1.0
+            else if i mod 2 = 1 then 4.0
+            else 2.0
+          in
+          let x = nodes.(i) in
+          simp *. h /. 3.0
+          *. exp (-.(x *. x) /. (2.0 *. sx *. sx))
+          /. (sx *. sqrt two_pi))
+    in
+    Some { nodes; wphi }
+  end
+
+(* One class's weight-independent threshold-axis integrals under one sigma
+   set: they depend on the class's tables alone. *)
+type integrals = {
+  m1 : float array;       (* 3: exact mean factors at the combined spread *)
+  shared : float array;   (* 9: exact same-gate shared-y E[e^{(l_c+l_d)(v)}] *)
+  f : float array array;  (* 3 × nodes: E_y[e^{l(x_i+y)}]; [||] if no quad *)
+  sh_indep : float array; (* 9: independent-y same-gate products; [||]
+                             unless both spreads are live *)
+}
+
+let integrals_of (sigmas : Variation.sigmas) quad (tabs : tab array) =
+  let sx = sigmas.Variation.sigma_vth_inter
+  and sy = sigmas.Variation.sigma_vth_intra in
   let s_all = sqrt ((sx *. sx) +. (sy *. sy)) in
-  (* exact single-gate mean factors at the combined spread *)
-  let m1 =
-    Array.init nk (fun k ->
-        Array.init 3 (fun c ->
-            expect_exp_tab groups.(k).k_tabs.(c) ~mu:0.0 ~s:s_all))
-  in
-  (* exact same-gate shared-y second moments, E[e^{(l_c+l_d)(v)}] *)
-  let shared =
-    Array.init nk (fun k ->
-        let tabs = groups.(k).k_tabs in
+  let m1 = Array.init 3 (fun c -> expect_exp_tab tabs.(c) ~mu:0.0 ~s:s_all) in
+  let shared = Array.make 9 0.0 in
+  for c = 0 to 2 do
+    for d = c to 2 do
+      let v = expect_exp_tab (sum_tab tabs.(c) tabs.(d)) ~mu:0.0 ~s:s_all in
+      shared.((c * 3) + d) <- v;
+      shared.((d * 3) + c) <- v
+    done
+  done;
+  match quad with
+  | None -> { m1; shared; f = [||]; sh_indep = [||] }
+  | Some { nodes; wphi } ->
+    let n = Array.length nodes in
+    let f =
+      Array.init 3 (fun c ->
+          let tab = tabs.(c) in
+          let fc = Array.make n 0.0 in
+          if sy <= 0.0 then
+            for i = 0 to n - 1 do
+              fc.(i) <- exp (eval_tab tab nodes.(i))
+            done
+          else expect_exp_tab_into tab ~s:sy nodes fc;
+          fc)
+    in
+    (* independent-y same-gate products under the same quadrature, so the
+       B correction cancels exactly what the cross sum counted *)
+    let sh_indep =
+      if sy <= 0.0 then [||]
+      else begin
         let m = Array.make 9 0.0 in
         for c = 0 to 2 do
           for d = c to 2 do
-            let v = expect_exp_tab (sum_tab tabs.(c) tabs.(d)) ~mu:0.0 ~s:s_all in
-            m.((c * 3) + d) <- v;
-            m.((d * 3) + c) <- v
+            let fc = f.(c) and fd = f.(d) in
+            let acc = ref 0.0 in
+            for i = 0 to n - 1 do
+              acc := !acc +. (wphi.(i) *. fc.(i) *. fd.(i))
+            done;
+            m.((c * 3) + d) <- !acc;
+            m.((d * 3) + c) <- !acc
           done
         done;
-        m)
-  in
-  let quad =
-    if sx <= 0.0 then None
-    else begin
-      let n = if sy <= 0.0 then n_inter else n_full in
-      let h = 2.0 *. x_span *. sx /. float_of_int (n - 1) in
-      let nodes =
-        Array.init n (fun i -> (-.x_span *. sx) +. (h *. float_of_int i))
-      in
-      let wphi =
-        Array.init n (fun i ->
-            let simp =
-              if i = 0 || i = n - 1 then 1.0
-              else if i mod 2 = 1 then 4.0
-              else 2.0
-            in
-            let x = nodes.(i) in
-            simp *. h /. 3.0
-            *. exp (-.(x *. x) /. (2.0 *. sx *. sx))
-            /. (sx *. sqrt two_pi))
-      in
-      (* f.(k).(c).(i): conditional per-gate factor E_y[e^{l(x_i+y)}] *)
-      let f =
-        Array.init nk (fun k ->
-            Array.init 3 (fun c ->
-                let tab = groups.(k).k_tabs.(c) in
-                if sy <= 0.0 then
-                  Array.map (fun x -> exp (eval_tab tab x)) nodes
-                else Array.map (fun x -> expect_exp_tab tab ~mu:x ~s:sy) nodes))
-      in
-      (* independent-y same-gate products under the same quadrature, so the
-         B correction cancels exactly what the cross sum counted *)
-      let sh_indep =
-        if sy <= 0.0 then [||]
-        else
-          Array.init nk (fun k ->
-              let m = Array.make 9 0.0 in
-              for c = 0 to 2 do
-                for d = c to 2 do
-                  let fc = f.(k).(c) and fd = f.(k).(d) in
-                  let acc = ref 0.0 in
-                  for i = 0 to n - 1 do
-                    acc := !acc +. (wphi.(i) *. fc.(i) *. fd.(i))
-                  done;
-                  m.((c * 3) + d) <- !acc;
-                  m.((d * 3) + c) <- !acc
-                done
-              done;
-              m)
-      in
-      Some (wphi, f, sh_indep)
-    end
-  in
+        m
+      end
+    in
+    { m1; shared; f; sh_indep }
+
+(* Threshold-axis second-moment engine for one sigma pair over the classes'
+   precomputed integrals: the returned closure folds in one column's (A, B)
+   weights, summing across classes sequentially in class order. See the
+   module header for the regime split. *)
+let vth_engine ~(ints : integrals array) ~quad ~sy =
+  let nk = Array.length ints in
   fun ~a_of ~b_of ->
     let eu =
       Array.init 3 (fun c ->
           let s = ref 0.0 in
           for k = 0 to nk - 1 do
-            s := !s +. ((a_of k).(c) *. m1.(k).(c))
+            s := !s +. ((a_of k).(c) *. ints.(k).m1.(c))
           done;
           !s)
     in
@@ -563,21 +694,22 @@ let vth_engine ~groups ~sx ~sy =
               Array.init 3 (fun d ->
                   let corr = ref 0.0 in
                   for k = 0 to nk - 1 do
+                    let m1 = ints.(k).m1 in
                     corr :=
                       !corr
                       +. ((b_of k).((c * 3) + d)
-                          *. (shared.(k).((c * 3) + d)
-                              -. (m1.(k).(c) *. m1.(k).(d))))
+                          *. (ints.(k).shared.((c * 3) + d)
+                              -. (m1.(c) *. m1.(d))))
                   done;
                   (eu.(c) *. eu.(d)) +. !corr))
-      | Some (wphi, f, sh_indep) ->
+      | Some { wphi; _ } ->
           let n = Array.length wphi in
           (* column-projected conditional means Σ_k A_k f_k(x_i) *)
           let big =
             Array.init 3 (fun c ->
                 let acc = Array.make n 0.0 in
                 for k = 0 to nk - 1 do
-                  let ak = (a_of k).(c) and fk = f.(k).(c) in
+                  let ak = (a_of k).(c) and fk = ints.(k).f.(c) in
                   for i = 0 to n - 1 do
                     acc.(i) <- acc.(i) +. (ak *. fk.(i))
                   done
@@ -596,8 +728,8 @@ let vth_engine ~groups ~sx ~sy =
                       corr :=
                         !corr
                         +. ((b_of k).((c * 3) + d)
-                            *. (shared.(k).((c * 3) + d)
-                                -. sh_indep.(k).((c * 3) + d)))
+                            *. (ints.(k).shared.((c * 3) + d)
+                                -. ints.(k).sh_indep.((c * 3) + d)))
                     done;
                   !cross +. !corr))
     in
@@ -614,9 +746,9 @@ let m_quad a b sigma =
   else exp (a *. a *. s2 /. (2.0 *. u)) /. sqrt u
 
 (* Per-component means and covariance matrices of both columns (loaded,
-   baseline) under one sigma set. Group iteration is in canonical (sorted)
-   order, so the result is a function of the row multiset only. *)
-let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) =
+   baseline) under one sigma set. Class iteration is in canonical (sorted)
+   order, so the result is a function of the gates' multiset only. *)
+let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) ~ints ~quad =
   let ax_sigma =
     [| sigmas.Variation.sigma_l; sigmas.Variation.sigma_tox;
        sigmas.Variation.sigma_vdd |]
@@ -641,10 +773,7 @@ let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) =
     done;
     !f
   in
-  let engine =
-    vth_engine ~groups ~sx:sigmas.Variation.sigma_vth_inter
-      ~sy:sigmas.Variation.sigma_vth_intra
-  in
+  let engine = vth_engine ~ints ~quad ~sy:sigmas.Variation.sigma_vth_intra in
   fun ~base ->
     let a_of k = if base then groups.(k).k_a_base else groups.(k).k_a in
     let b_of k = if base then groups.(k).k_b_base else groups.(k).k_b in
@@ -671,10 +800,13 @@ let stat_of ~mean ~var ~var_inter ~var_intra =
 (* The three sigma-set closures (full, inter-only, intra-only) are built
    once and applied to both columns: all weight-independent table integrals
    are shared between the loaded and baseline assemblies. *)
-let column_stats ~groups ~geom ~sigmas =
-  let full = column_moments ~groups ~geom ~sigmas in
-  let inter = column_moments ~groups ~geom ~sigmas:(Variation.inter_only sigmas) in
-  let intra = column_moments ~groups ~geom ~sigmas:(Variation.intra_only sigmas) in
+let column_stats ~groups ~geom ~sets ~quads ~ints =
+  let moments i =
+    column_moments ~groups ~geom ~sigmas:sets.(i)
+      ~ints:(Array.map (fun per_set -> per_set.(i)) ints)
+      ~quad:quads.(i)
+  in
+  let full = moments 0 and inter = moments 1 and intra = moments 2 in
   fun ~base ->
   let means, cov = full ~base in
   let _, cov_inter = inter ~base in
@@ -702,10 +834,32 @@ let column_stats ~groups ~geom ~sigmas =
         ~var_inter:(total_var cov_inter) ~var_intra:(total_var cov_intra);
   }
 
-let analyze ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas) ~device
-    ~temp ~vdd rows =
-  let geom = geom_of ~device ~temp ~vdd ~sigmas in
-  let groups = groups_of_rows rows in
+let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
+    lib ~entries ~loaded ~isolated =
+  let geom =
+    geom_of ~device:(Library.device lib) ~temp:(Library.temp lib)
+      ~vdd:(Library.vdd lib) ~sigmas
+  in
+  let sets =
+    [| sigmas; Variation.inter_only sigmas; Variation.intra_only sigmas |]
+  in
+  let quads = Array.map quad_of sets in
+  (* Everything per class — its canonical member order, its weights and
+     its weight-independent integrals under each sigma set — depends on
+     that class alone: one pool item per class, each lane writing its own
+     slot. Cross-class sums run afterwards, sequentially, in class order. *)
+  let classes =
+    let members = class_members entries in
+    Pool.map ?pool (Array.length members) (fun k ->
+        let g = group_of_members ~entries ~loaded ~isolated members.(k) in
+        (g, Array.mapi (fun i s -> integrals_of s quads.(i) g.k_tabs) sets))
+  in
+  Array.stable_sort (fun (g1, _) (g2, _) -> cmp_group g1 g2) classes;
+  let groups = Array.map fst classes in
+  if Tm.enabled () then begin
+    Tm.incr m_passes;
+    Tm.add m_classes (Array.length groups)
+  end;
   (* Linearization-error bound. Geometry axes: the measured model-vs-truth
      residual at ±2σ — these axes really are propagated through a quadratic
      log model, so a residual above tolerance flags the component for the
@@ -733,7 +887,9 @@ let analyze ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas) ~device
       done;
       if !dev > lin_tol then flagged_gates := !flagged_gates + g.k_count)
     groups;
-  let stats_of = column_stats ~groups ~geom ~sigmas in
+  let stats_of =
+    column_stats ~groups ~geom ~sets ~quads ~ints:(Array.map snd classes)
+  in
   let loaded = stats_of ~base:false in
   let baseline = stats_of ~base:true in
   (* A diverging quadratic geometry moment (b·σ² ≥ 1) surfaces as infinity:
@@ -812,59 +968,28 @@ let expect_exp_table ~xs ~ys ~mu ~s =
 
 (* ------------------------------------------------------- entry points *)
 
-(* λ-extraction fans out over the pool in fixed chunks; every lane writes
-   its own slots, so the row array — and everything derived from it — is
-   bit-identical at any pool size. *)
-let rows_chunk = 256
-
 let estimate_totals ?passes ?pool ?lin_tol ?(fallback_samples = 2000)
     ?(fallback_seed = 9001) ~sigmas lib netlist pattern =
   let n = Netlist.gate_count netlist in
-  let entries = Array.make n None in
-  let loaded_f = Array.make (3 * n) 0.0 in
-  let base_f = Array.make (3 * n) 0.0 in
-  let (), totals, baseline_totals =
-    Estimator.estimate_fold ?passes ~init:()
-      ~f:(fun () g e ~loaded ~isolated ->
-        entries.(g) <- Some e;
-        loaded_f.(3 * g) <- loaded.Report.isub;
-        loaded_f.((3 * g) + 1) <- loaded.Report.igate;
-        loaded_f.((3 * g) + 2) <- loaded.Report.ibtbt;
-        base_f.(3 * g) <- isolated.Report.isub;
-        base_f.((3 * g) + 1) <- isolated.Report.igate;
-        base_f.((3 * g) + 2) <- isolated.Report.ibtbt)
+  let loaded = Array.make n Report.zero in
+  let isolated = Array.make n Report.zero in
+  (* the fold's accumulator is the entry array, made on the first gate *)
+  let entries, totals, baseline_totals =
+    Estimator.estimate_fold ?passes ~init:[||]
+      ~f:(fun entries g e ~loaded:l ~isolated:i ->
+        let entries = if g = 0 then Array.make n e else entries in
+        entries.(g) <- e;
+        loaded.(g) <- l;
+        isolated.(g) <- i;
+        entries)
       lib netlist pattern
   in
-  let empty_row =
-    { r_lam = [||]; r_curv = [||]; r_tabs = [||]; r_loaded = [||];
-      r_base = [||] }
-  in
-  let rows = Array.make n empty_row in
-  ignore
-    (Pool.map_chunked ?pool ~chunk:rows_chunk n (fun ~lo ~hi ->
-         for g = lo to hi - 1 do
-           let e = Option.get entries.(g) in
-           rows.(g) <-
-             row_of_entry ~entry:e
-               ~loaded:
-                 {
-                   Report.isub = loaded_f.(3 * g);
-                   igate = loaded_f.((3 * g) + 1);
-                   ibtbt = loaded_f.((3 * g) + 2);
-                 }
-               ~isolated:
-                 {
-                   Report.isub = base_f.(3 * g);
-                   igate = base_f.((3 * g) + 1);
-                   ibtbt = base_f.((3 * g) + 2);
-                 }
-         done));
   let res =
-    analyze ?lin_tol ~sigmas ~device:(Library.device lib)
-      ~temp:(Library.temp lib) ~vdd:(Library.vdd lib) rows
+    analyze ?pool ?lin_tol ~sigmas lib ~entries ~loaded ~isolated
   in
   let res =
     if flagged res && fallback_samples > 0 then begin
+      if Tm.enabled () then Tm.incr m_fallbacks;
       let mc_loaded, mc_baseline =
         mc_stats ~n_samples:fallback_samples ~seed:fallback_seed ~sigmas lib
           netlist pattern

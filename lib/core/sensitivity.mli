@@ -68,11 +68,6 @@ type result = {
 val flagged : result -> bool
 (** Any component flagged. *)
 
-type row
-(** Per-gate ingredients of the closed form: the gate's threshold response
-    tables (with their λ/γ), and its loaded and isolated component
-    values. *)
-
 val expect_exp_table :
   xs:float array -> ys:float array -> mu:float -> s:float -> float
 (** [E\[exp(T(v))\]] for [v ~ N(mu, s²)], where [T] interpolates [ys] over
@@ -82,32 +77,32 @@ val expect_exp_table :
     test suite's quadrature/finite-difference oracles. [s = 0] degenerates
     to a point evaluation. *)
 
-val row_of_entry :
-  entry:Characterize.entry ->
-  loaded:Leakage_spice.Leakage_report.components ->
-  isolated:Leakage_spice.Leakage_report.components ->
-  row
-(** Build one gate's row from its characterization entry and its (loading-
-    aware, isolated) component estimates — what [Estimator.estimate_fold]
-    hands its callback. *)
-
 val analyze :
+  ?pool:Leakage_parallel.Pool.t ->
   ?lin_tol:float ->
   sigmas:Leakage_device.Variation.sigmas ->
-  device:Leakage_device.Params.t ->
-  temp:float ->
-  vdd:float ->
-  row array ->
+  Library.t ->
+  entries:Characterize.entry array ->
+  loaded:Leakage_spice.Leakage_report.components array ->
+  isolated:Leakage_spice.Leakage_report.components array ->
   result
-(** Closed-form moments from per-gate rows (pure — no netlist access, no
-    fallback; [from_mc] is always false here). The row array is not
-    modified; the result depends only on the multiset of rows — gate
-    numbering and array order never change any reported digit, which is
-    what makes sigmas invariant under netlist renaming. Cost: O(n log n)
-    to canonicalize plus moment sums over the K distinct response classes
-    (gates sharing a characterization entry collapse into one class),
-    each a fixed number of exact segment integrals and quadrature
-    nodes. *)
+(** Closed-form moments over per-gate state: gate [g]'s characterization
+    entry, its loading-aware components and its isolated nominal
+    components (what [Estimator.estimate_fold] hands its callback). The
+    die-level geometry sensitivities come from [lib]'s device, temperature
+    and supply. Pure: no netlist access, no fallback ([from_mc] is always
+    false here), the arrays are not modified.
+
+    Gates are bucketed by value into response classes (equal threshold
+    tables; gates sharing a characterization entry always share a class),
+    each class's members are summed in a canonical order, and the classes
+    are visited in a canonical order — so the result depends only on the
+    multiset of per-gate states: gate numbering, array order and [pool]
+    never change any reported digit, which is what makes sigmas invariant
+    under netlist renaming. Cost: one hash per gate plus a sort of each
+    class's members on six floats, then a fixed number of exact segment
+    integrals and quadrature nodes per class (fanned out over [pool], one
+    item per class) and moment sums over the K classes. *)
 
 val estimate_totals :
   ?passes:int ->
@@ -124,9 +119,8 @@ val estimate_totals :
   * result
 (** [(with-loading totals, baseline totals, variance result)] under one
     pattern. The totals ride [Estimator.estimate_fold] and are bit-identical
-    to [Estimator.estimate_totals]; the variance result adds one
-    row-extraction sweep (fanned out over [pool] in fixed slots —
-    bit-identical at any pool size) and the per-class moment assembly.
+    to [Estimator.estimate_totals]; the variance result is {!analyze} over
+    the fold's per-gate state (bit-identical at any pool size).
 
     When a linearization flag trips and [fallback_samples] > 0 (default
     2000), the flagged components — and the total column, which needs their

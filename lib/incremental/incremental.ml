@@ -410,19 +410,13 @@ let baseline_totals t = t.baseline
 
 (* Variance propagation over the session's cached per-gate state. The cone
    machinery already keeps [entries]/[loaded]/[isolated] current after every
-   edit, so assembling σ here costs only the row extraction and the moment
-   sums — no estimator pass. Rows carry the same float drift as the session
-   totals; [refresh] squashes both, after which the result is bit-identical
-   to a fresh [Sensitivity.estimate_totals] analysis. *)
+   edit, so assembling σ here costs only the class bucketing and the moment
+   sums — no estimator pass. The per-gate state carries the same float drift
+   as the session totals; [refresh] squashes both, after which the result is
+   bit-identical to a fresh [Sensitivity.estimate_totals] analysis. *)
 let sigma ?lin_tol ~sigmas t =
-  let rows =
-    Array.init t.n_gates (fun g ->
-        Leakage_core.Sensitivity.row_of_entry ~entry:t.entries.(g)
-          ~loaded:t.loaded.(g) ~isolated:t.isolated.(g))
-  in
-  Leakage_core.Sensitivity.analyze ?lin_tol ~sigmas
-    ~device:(Library.device t.base_lib) ~temp:(Library.temp t.base_lib)
-    ~vdd:(Library.vdd t.base_lib) rows
+  Leakage_core.Sensitivity.analyze ?lin_tol ~sigmas t.base_lib
+    ~entries:t.entries ~loaded:t.loaded ~isolated:t.isolated
 
 let gate_components t g =
   check_gate t g;

@@ -115,8 +115,9 @@ val sigma :
 (** Closed-form variance propagation ([Sensitivity.analyze]) over the
     session's cached per-gate state. The cone machinery keeps the per-gate
     entries and component estimates current after every edit, so this costs
-    only the σ assembly — O(gates · log gates) plus the moment sums — with
-    no estimator pass and no DC solves.
+    only the σ assembly — bucketing the gates into response classes plus
+    the per-class integrals and moment sums — with no estimator pass and no
+    DC solves.
 
     Like {!totals}, the inputs carry the session's accumulated float drift
     between refreshes; after {!refresh} the result is bit-identical to
@@ -124,7 +125,7 @@ val sigma :
     reported but never trigger an MC fallback here — check
     [Sensitivity.flagged] and fall back explicitly if needed. Die-level
     geometry sensitivities are taken from the session's base library;
-    per-gate library overrides affect the per-gate rows only. *)
+    per-gate library overrides affect the gates' response classes only. *)
 
 val gate_components : t -> int -> Leakage_spice.Leakage_report.components
 (** Loading-aware leakage of one gate. *)

@@ -13,9 +13,6 @@ let grid1d ~xs ~ys =
     invalid_arg "Interp.grid1d: xs/ys length mismatch";
   { xs = Array.copy xs; ys = Array.copy ys }
 
-let grid1d_xs g = Array.copy g.xs
-let grid1d_ys g = Array.copy g.ys
-
 (* Index i such that xs.(i) <= x < xs.(i+1), clamped to valid segments. *)
 let segment xs x =
   let n = Array.length xs in

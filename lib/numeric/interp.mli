@@ -6,9 +6,10 @@
     range saturate rather than extrapolate, which is the conservative choice
     for leakage). *)
 
-type grid1d
+type grid1d = private { xs : float array; ys : float array }
 (** Piecewise-linear function of one variable sampled on a strictly
-    increasing axis. *)
+    increasing axis [xs], with values [ys]. The nodes are readable so hot
+    loops can walk them without a copy; both arrays are read-only. *)
 
 val grid1d : xs:float array -> ys:float array -> grid1d
 (** Build a 1-D table. Raises [Invalid_argument] if the axes mismatch in
@@ -17,9 +18,6 @@ val grid1d : xs:float array -> ys:float array -> grid1d
 val eval1d : grid1d -> float -> float
 (** Linear interpolation with boundary clamping. Raises [Invalid_argument]
     on a NaN coordinate. *)
-
-val grid1d_xs : grid1d -> float array
-val grid1d_ys : grid1d -> float array
 
 val linspace : float -> float -> int -> float array
 (** [linspace lo hi n] is [n >= 2] equally spaced points from [lo] to [hi]

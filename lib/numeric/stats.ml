@@ -16,45 +16,6 @@ let variance a =
 
 let std a = sqrt (variance a)
 
-(* Chebyshev-fitted erfc (Numerical Recipes "erfcc"): fractional error below
-   1.2e-7 on all of [0, inf). Written as t·e^{-ax² + P(t)}, so the error in
-   the fitted exponent stays a *relative* error on the value arbitrarily
-   deep into the tail — exactly what the analytic moment engine needs when
-   differencing Gaussian segment masses — at the cost of a single exp and
-   division, which keeps it viable on that engine's hot quadrature path.
-   [erfc_parts ax] exposes (t, exponent) so log-space callers skip the exp
-   and never underflow. *)
-let erfc_parts ax =
-  let t = 1.0 /. (1.0 +. (0.5 *. ax)) in
-  let p = 0.17087277 in
-  let p = -0.82215223 +. (t *. p) in
-  let p = 1.48851587 +. (t *. p) in
-  let p = -1.13520398 +. (t *. p) in
-  let p = 0.27886807 +. (t *. p) in
-  let p = -0.18628806 +. (t *. p) in
-  let p = 0.09678418 +. (t *. p) in
-  let p = 0.37409196 +. (t *. p) in
-  let p = 1.00002368 +. (t *. p) in
-  (t, -.(ax *. ax) -. 1.26551223 +. (t *. p))
-
-let erfc_core ax =
-  let t, e = erfc_parts ax in
-  t *. exp e
-
-let inv_sqrt2 = 1.0 /. sqrt 2.0
-
-(* Phi(z) for z <= 0, relatively accurate all the way down (the erfc fit
-   carries fractional accuracy into the tail). *)
-let lower_cdf z = 0.5 *. erfc_core (-.z *. inv_sqrt2)
-
-let norm_cdf z = if z > 0.0 then 1.0 -. lower_cdf (-.z) else lower_cdf z
-
-let log_norm_cdf z =
-  if z > 0.0 then log1p (-.lower_cdf (-.z))
-  else
-    let t, e = erfc_parts (-.z *. inv_sqrt2) in
-    e +. log (0.5 *. t)
-
 let min_max a =
   check_nonempty "Stats.min_max" a;
   Array.fold_left

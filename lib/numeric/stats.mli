@@ -9,18 +9,6 @@ val variance : float array -> float
 val std : float array -> float
 (** Sample standard deviation, [sqrt (variance a)]. *)
 
-val norm_cdf : float -> float
-(** Standard normal CDF — the building block of the analytic variance
-    propagation's exact Gaussian segment integrals. Evaluated through a
-    Chebyshev-fitted erfc whose error is {e fractional} (below 1.2e-7), so
-    the deep lower tail keeps relative accuracy arbitrarily far out. *)
-
-val log_norm_cdf : float -> float
-(** [log (norm_cdf z)], never overflowing to [-infinity] for finite [z]:
-    the deep tail evaluates [-z²/2 - log √(2π) + log R(|z|)] directly.
-    Lets callers carry Gaussian masses with huge exponential prefactors
-    (steep-table moment segments) entirely in log space. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest element. Raises [Invalid_argument] on empty input. *)
 

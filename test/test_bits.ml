@@ -6,6 +6,11 @@
    test_circuit pins [Netlist.digest]). Reordering one floating-point
    operation in the model or the solver moves them.
 
+   The σ group pins the analytic variance propagation the same way: every
+   float, flag and class count of [Sensitivity.estimate_totals] on the
+   golden corpus (sequential and on a 2-domain pool), and of
+   [Incremental.sigma] after a refresh.
+
    The last group pins the work: device-model evaluations per solve, as the
    [dc.device_evals] counter reports them. *)
 
@@ -16,9 +21,16 @@ module Rng = Leakage_numeric.Rng
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
+module Variation = Leakage_device.Variation
 module Characterize = Leakage_core.Characterize
+module Library = Leakage_core.Library
+module Sensitivity = Leakage_core.Sensitivity
 module Testbench = Leakage_core.Testbench
 module Mtcmos = Leakage_core.Mtcmos
+module Incremental = Leakage_incremental.Incremental
+module Edit = Leakage_incremental.Edit
+module Pool = Leakage_parallel.Pool
+module Trees = Leakage_benchmarks.Trees
 module Report = Leakage_spice.Leakage_report
 module Dc = Leakage_spice.Dc_solver
 module Suite = Leakage_benchmarks.Suite
@@ -101,13 +113,13 @@ let emit_entry put (e : Characterize.entry) =
   emit_components put e.Characterize.nominal_driven;
   Array.iter put e.Characterize.pin_injection;
   Array.iter
-    (fun g -> Array.iter put (Interp.grid1d_ys g))
+    (fun g -> Array.iter put g.Interp.ys)
     e.Characterize.pin_response;
   Array.iter put e.Characterize.currents;
   Array.iter put e.Characterize.deltas;
   let t = e.Characterize.vth_log_factor in
   List.iter
-    (fun g -> Array.iter put (Interp.grid1d_ys g))
+    (fun g -> Array.iter put g.Interp.ys)
     [ t.Characterize.d_isub; t.Characterize.d_igate; t.Characterize.d_ibtbt ]
 
 let entries_digest ?strength ~device ~temp kinds =
@@ -196,6 +208,94 @@ let test_mtcmos_sweep_bits () =
     "008a9ace3ab20cb65b47ec345e52d191"
     (mtcmos_digest nl (fixed_vector nl 3))
 
+(* -------------------------------------------------------------- sigma bits *)
+
+(* The golden corpus (the paper's suite plus the 16k-deep tapped chain) at
+   the coarse grid, D25/300 K, under the paper's sigmas. *)
+let sigma_lib =
+  lazy (Library.create ~grid:golden_grid ~device:Params.d25 ~temp:300.0 ())
+
+let flag put b = put (if b then 1.0 else 0.0)
+
+let emit_stat put (s : Sensitivity.component_stat) =
+  put s.Sensitivity.mean;
+  put s.Sensitivity.sigma;
+  put s.Sensitivity.sigma_inter;
+  put s.Sensitivity.sigma_intra;
+  flag put s.Sensitivity.from_mc
+
+let emit_stats put (st : Sensitivity.stats) =
+  List.iter (emit_stat put)
+    [ st.Sensitivity.s_isub; st.Sensitivity.s_igate; st.Sensitivity.s_ibtbt;
+      st.Sensitivity.s_total ]
+
+let emit_sigma put (r : Sensitivity.result) =
+  emit_stats put r.Sensitivity.loaded;
+  emit_stats put r.Sensitivity.baseline;
+  flag put r.Sensitivity.flagged_isub;
+  flag put r.Sensitivity.flagged_igate;
+  flag put r.Sensitivity.flagged_ibtbt;
+  put (float_of_int r.Sensitivity.flagged_gates);
+  put (float_of_int r.Sensitivity.groups)
+
+let sigma_digest ?pool nl =
+  let totals, baseline, res =
+    Sensitivity.estimate_totals ?pool ~sigmas:Variation.paper_sigmas
+      (Lazy.force sigma_lib) nl (fixed_vector nl 11)
+  in
+  digest_floats (fun put ->
+      emit_components put totals;
+      emit_components put baseline;
+      emit_sigma put res)
+
+let corpus =
+  List.map (fun (e : Suite.entry) -> (e.Suite.label, e.Suite.build)) Suite.all
+  @ [ ("chain16k", fun () -> Trees.chain ~stages:16384 ~tap_every:64 ()) ]
+
+let sigma_pins =
+  [
+    ("s838", "0b877969e7dbce83af1c6d38e3312d4e");
+    ("s1196", "e1d4430454df1cb8e107c52890bc833f");
+    ("s1423", "d5fd5cc1b2760ed69b894014a7d9081f");
+    ("s5378", "5713f7bd59e0b8b29ef92c54a0142064");
+    ("s9234", "425c7d9b3b65bd8c155018493f8860a4");
+    ("s13207", "a7367c9e8ae19cbf2e0da0007c3aa152");
+    ("alu88", "ec17cec407898bf9c3f002bc1ac01c77");
+    ("mult88", "b26159689bfe6b3b4e888a5ea528865e");
+    ("chain16k", "6a2fd7f9a2c390160124108b2be5a7f2");
+  ]
+
+let test_sigma_bits label expected () =
+  let nl = (List.assoc label corpus) () in
+  Alcotest.(check string) (label ^ " sequential") expected (sigma_digest nl);
+  Alcotest.(check string) (label ^ " on 2 domains") expected
+    (Pool.with_pool ~jobs:2 (fun pool -> sigma_digest ~pool nl))
+
+(* A session whose gates mix three strengths and two libraries (Relib to a
+   high-Vth corner takes entries from another library), refreshed: its σ
+   runs over the session's cached per-gate state. *)
+let test_incremental_sigma_bits () =
+  let lib = Lazy.force sigma_lib in
+  let hvt =
+    Library.create ~grid:golden_grid
+      ~device:(Params.with_vth_shift Params.d25 0.08) ~temp:300.0 ()
+  in
+  let nl = (Suite.find "s838").Suite.build () in
+  let s = Incremental.create lib nl (fixed_vector nl 5) in
+  let rng = Rng.create 17 in
+  for _ = 1 to 6 do
+    Incremental.apply s
+      (Edit.random_resize ~strengths:[| 0.5; 2.0 |] rng
+         (Incremental.current_netlist s))
+  done;
+  List.iter (fun g -> Incremental.apply s (Edit.Relib (g, hvt))) [ 3; 40; 41; 97 ];
+  Incremental.apply s (Edit.random_set_input rng (Incremental.current_netlist s));
+  Incremental.refresh s;
+  let res = Incremental.sigma ~sigmas:Variation.paper_sigmas s in
+  Alcotest.(check string) "s838 session after refresh"
+    "91fdf9f5c0f3409e41c25285f162fb87"
+    (digest_floats (fun put -> emit_sigma put res))
+
 (* ------------------------------------------------------------- work counts *)
 
 (* A count above the pinned one means the solver evaluates devices whose
@@ -256,6 +356,13 @@ let () =
           Alcotest.test_case "mtcmos dense" `Quick test_mtcmos_dense_bits;
           Alcotest.test_case "mtcmos sweep" `Quick test_mtcmos_sweep_bits;
         ] );
+      ( "sigma-bits",
+        List.map
+          (fun (label, expected) ->
+            Alcotest.test_case label `Quick (test_sigma_bits label expected))
+          sigma_pins
+        @ [ Alcotest.test_case "incremental after refresh" `Quick
+              test_incremental_sigma_bits ] );
       ( "solver-work",
         [
           Alcotest.test_case "testbench solves" `Quick test_testbench_evals;

@@ -8,7 +8,8 @@
    use), and the estimator-facing entry points honor their determinism
    contracts: bit-identical across pool sizes, across construction order
    of digest-equal netlists, and between a refreshed incremental session
-   and a fresh pass. *)
+   and a fresh pass. The last group counts the analytic pass's work and
+   gates what it allocates. *)
 
 module Params = Leakage_device.Params
 module Variation = Leakage_device.Variation
@@ -26,6 +27,11 @@ module Rng = Leakage_numeric.Rng
 module Stats = Leakage_numeric.Stats
 module Interp = Leakage_numeric.Interp
 module Fd = Diff_harness.Fd
+module Pool = Leakage_parallel.Pool
+module Trees = Leakage_benchmarks.Trees
+module Suite = Leakage_benchmarks.Suite
+module Estimator = Leakage_core.Estimator
+module Tm = Leakage_telemetry.Telemetry
 
 let device = Params.d25
 let temp = 300.0
@@ -396,6 +402,123 @@ let test_incremental_sigma_matches_fresh () =
     "refreshed session sigma = fresh pass" true
     (Stdlib.compare from_session fresh = 0)
 
+(* The same circuit built in two topological gate orders, analyzed on
+   pools of 1, 2 and 4 lanes: six bit-identical variance results. Three
+   cell kinds at two strengths make at most 20 classes over 150-400 gates,
+   so classes have many members and the canonical order inside a class is
+   what is under test.
+   Every net drives at most two pins: the estimator sums a net's pin
+   currents in gate order, and two addends commute exactly where three
+   need not, so the per-gate states themselves are the same multiset in
+   both builds. *)
+type ref_net = Pi of int | Out of int
+
+let gen_two_orders =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n_gates = int_range 150 400 in
+    let rng = Rng.create seed in
+    let n_inputs = 4 + Rng.int rng 5 in
+    let uses = Hashtbl.create 64 in
+    let free = ref (List.init n_inputs (fun i -> Pi i)) in
+    let take () =
+      let net = List.nth !free (Rng.int rng (List.length !free)) in
+      let u = 1 + Option.value ~default:0 (Hashtbl.find_opt uses net) in
+      Hashtbl.replace uses net u;
+      if u = 2 then free := List.filter (fun m -> m <> net) !free;
+      net
+    in
+    let gates =
+      Array.init n_gates (fun g ->
+          let kind =
+            match Rng.int rng 3 with
+            | 0 -> Gate.Inv
+            | 1 -> Gate.Nand 2
+            | _ -> Gate.Nor 2
+          in
+          let strength = if Rng.int rng 4 = 0 then 2.0 else 1.0 in
+          let ins = Array.init (Gate.arity kind) (fun _ -> take ()) in
+          free := Out g :: !free;
+          (kind, strength, ins))
+    in
+    (* a second topological order: Kahn's algorithm, random among ready *)
+    let pending =
+      Array.map
+        (fun (_, _, ins) ->
+          Array.fold_left
+            (fun acc -> function Out _ -> acc + 1 | Pi _ -> acc)
+            0 ins)
+        gates
+    in
+    let ready =
+      ref (List.filter (fun g -> pending.(g) = 0) (List.init n_gates Fun.id))
+    in
+    let order = ref [] in
+    while !ready <> [] do
+      let g = List.nth !ready (Rng.int rng (List.length !ready)) in
+      ready := List.filter (( <> ) g) !ready;
+      order := g :: !order;
+      Array.iteri
+        (fun h (_, _, ins) ->
+          Array.iter
+            (fun net ->
+              if net = Out g then begin
+                pending.(h) <- pending.(h) - 1;
+                if pending.(h) = 0 then ready := h :: !ready
+              end)
+            ins)
+        gates
+    done;
+    let unused = List.filter (fun net -> not (Hashtbl.mem uses net)) in
+    return
+      ( n_inputs,
+        gates,
+        Array.of_list (List.rev !order),
+        unused (List.init n_inputs (fun i -> Pi i)),
+        unused (List.init n_gates (fun g -> Out g)),
+        seed ))
+
+let build_in_order (n_inputs, gates, order, unused_pis, unused_outs, _) ~flip =
+  let b = Netlist.Builder.create "orders" in
+  let pis = Array.init n_inputs (fun _ -> Netlist.Builder.input b) in
+  let outs = Array.make (Array.length gates) (-1) in
+  let net = function Pi i -> pis.(i) | Out g -> outs.(g) in
+  let place g =
+    let kind, strength, ins = gates.(g) in
+    outs.(g) <- Netlist.Builder.gate ~strength b kind (Array.map net ins)
+  in
+  if flip then Array.iter place order
+  else Array.iteri (fun g _ -> place g) gates;
+  (* an unread input still loads the circuit through one inverter *)
+  List.iter
+    (fun pi -> Netlist.Builder.mark_output b (Netlist.Builder.gate b Gate.Inv [| net pi |]))
+    unused_pis;
+  List.iter (fun o -> Netlist.Builder.mark_output b (net o)) unused_outs;
+  Netlist.Builder.finish b
+
+let prop_orders_and_pools_bit_identical =
+  qtest ~count:12 "gate order x pool size leave sigma bit-identical"
+    gen_two_orders (fun ((n_inputs, _, _, _, _, seed) as c) ->
+      let a = build_in_order c ~flip:false and b = build_in_order c ~flip:true in
+      let pattern = Logic.random_vector (Rng.create (seed + 1)) n_inputs in
+      let sigma ?pool nl =
+        let _, _, res =
+          Sensitivity.estimate_totals ?pool ~fallback_samples:0 ~sigmas lib nl
+            pattern
+        in
+        res
+      in
+      let reference = sigma a in
+      String.equal (Netlist.digest a) (Netlist.digest b)
+      && reference.Sensitivity.groups * 5 <= Netlist.gate_count a
+      && Stdlib.compare reference (sigma b) = 0
+      && List.for_all
+           (fun jobs ->
+             Pool.with_pool ~jobs (fun pool ->
+                 Stdlib.compare reference (sigma ~pool a) = 0
+                 && Stdlib.compare reference (sigma ~pool b) = 0))
+           [ 1; 2; 4 ])
+
 (* ------------------------------------------------------------- fallback *)
 
 let test_geometry_flag_triggers_mc_fallback () =
@@ -437,6 +560,123 @@ let test_geometry_flag_triggers_mc_fallback () =
         && Float.is_finite cs.Sensitivity.sigma
         && cs.Sensitivity.mean > 0.0))
 
+(* ----------------------------------------------------------------- work *)
+
+let work_counters =
+  [ "sensitivity.passes"; "sensitivity.classes"; "sensitivity.table_integrals";
+    "sensitivity.fallbacks" ]
+
+(* The analytic pass's counters across [f]: passes, classes, table
+   integrals, fallbacks. *)
+let work_of f =
+  let was = Tm.enabled () in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let read () =
+    let snap = Tm.Snapshot.take () in
+    List.map (Tm.Snapshot.counter_total snap) work_counters
+  in
+  let before = read () in
+  let r = f () in
+  (List.map2 ( - ) (read ()) before, r)
+
+(* A class's table integrals depend on the sigma set alone, never on how
+   many gates share the class or how many lanes ran it: the same count per
+   class on a 1024- and a 16384-stage chain, sequential and on two lanes. *)
+let test_work_counts () =
+  let per_class =
+    List.concat_map
+      (fun stages ->
+        let nl = Trees.chain ~stages ~tap_every:64 () in
+        let pattern = random_pattern 9 nl in
+        List.map
+          (fun jobs ->
+            let label = Printf.sprintf "chain%d on %d lane(s)" stages jobs in
+            match
+              work_of (fun () ->
+                  Pool.with_pool ~jobs (fun pool ->
+                      let _, _, res =
+                        Sensitivity.estimate_totals ~pool ~fallback_samples:0
+                          ~sigmas lib nl pattern
+                      in
+                      res))
+            with
+            | [ passes; classes; integrals; fallbacks ], res ->
+              Alcotest.(check int) (label ^ ": one pass") 1 passes;
+              Alcotest.(check int) (label ^ ": classes") res.Sensitivity.groups
+                classes;
+              Alcotest.(check int) (label ^ ": no fallback") 0 fallbacks;
+              Alcotest.(check int) (label ^ ": whole integrals per class") 0
+                (integrals mod classes);
+              integrals / classes
+            | _ -> assert false)
+          [ 1; 2 ])
+      [ 1024; 16384 ]
+  in
+  Alcotest.(check (list int)) "table integrals per class"
+    (List.map (fun _ -> List.hd per_class) per_class)
+    per_class
+
+(* A flagged pass that falls back to the sampler counts once; with
+   [fallback_samples:0] the same pass counts none. *)
+let test_fallback_counted () =
+  let wild = { sigmas with Variation.sigma_l = 0.25 *. device.Params.length } in
+  let nl = inv_chain 4 in
+  let pattern = random_pattern 6 nl in
+  List.iter
+    (fun (samples, expected) ->
+      match
+        work_of (fun () ->
+            Sensitivity.estimate_totals ~fallback_samples:samples
+              ~fallback_seed:5 ~sigmas:wild lib nl pattern)
+      with
+      | [ passes; _; _; fallbacks ], _ ->
+        Alcotest.(check int) "one pass" 1 passes;
+        Alcotest.(check int)
+          (Printf.sprintf "fallbacks at %d samples" samples)
+          expected fallbacks
+      | _ -> assert false)
+    [ (0, 0); (200, 1) ]
+
+(* Allocation gate, deterministic in a sequential run with telemetry off:
+   the minor words [Sensitivity.estimate_totals] allocates beyond the
+   estimator pass it rides. Per gate on the 16k chain (6 classes, so the
+   per-gate bucketing shows) and per class on s838 (108 classes, so the
+   per-class integrals show). Measured: 4.80 words per gate and 3528 words
+   per class; each bound is 25% above. *)
+let test_sigma_minor_words () =
+  let was = Tm.enabled () in
+  Tm.set_enabled false;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let words f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. w0, r)
+  in
+  let extra nl =
+    Netlist.warm nl;
+    let pattern = random_pattern 21 nl in
+    ignore (analytic nl pattern);
+    let base, _ = words (fun () -> Estimator.estimate_totals lib nl pattern) in
+    let w, res = words (fun () -> analytic nl pattern) in
+    (w -. base, res.Sensitivity.groups)
+  in
+  let chain = Trees.chain ~stages:16384 ~tap_every:64 () in
+  let w, _ = extra chain in
+  let per_gate = w /. float_of_int (Netlist.gate_count chain) in
+  let gate_bound = 6.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "chain16k: %.2f words per gate (bound %g)" per_gate
+       gate_bound)
+    true (per_gate <= gate_bound);
+  let w, classes = extra ((Suite.find "s838").Suite.build ()) in
+  let per_class = w /. float_of_int classes in
+  let class_bound = 4410.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "s838: %.0f words per class (bound %g)" per_class
+       class_bound)
+    true (per_class <= class_bound)
+
 let () =
   Alcotest.run "sensitivity"
     [
@@ -467,10 +707,17 @@ let () =
             test_construction_order_invariant;
           Alcotest.test_case "incremental vs fresh" `Quick
             test_incremental_sigma_matches_fresh;
+          prop_orders_and_pools_bit_identical;
         ] );
       ( "fallback",
         [
           Alcotest.test_case "geometry flag -> MC" `Quick
             test_geometry_flag_triggers_mc_fallback;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "integrals per class" `Quick test_work_counts;
+          Alcotest.test_case "fallback counted" `Quick test_fallback_counted;
+          Alcotest.test_case "minor words" `Quick test_sigma_minor_words;
         ] );
     ]
