@@ -132,37 +132,23 @@ let eval kind inputs =
 let eval_logic kind v =
   Logic.of_bool (eval kind (Array.map Logic.to_bool v))
 
-(* Same boolean function as [eval], but reads only the first [arity kind]
-   entries of [buf] — so one max-arity scratch buffer serves every gate of a
-   simulation sweep with zero per-gate allocation. *)
-let eval_prefix kind (buf : bool array) =
-  let conj n =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if not buf.(i) then ok := false
-    done;
-    !ok
-  in
-  let disj n =
-    let any = ref false in
-    for i = 0 to n - 1 do
-      if buf.(i) then any := true
-    done;
-    !any
-  in
-  match kind with
-  | Inv -> not buf.(0)
-  | Buf -> buf.(0)
-  | Nand n -> not (conj n)
-  | And n -> conj n
-  | Nor n -> not (disj n)
-  | Or n -> disj n
-  | Xor -> buf.(0) <> buf.(1)
-  | Xnor -> buf.(0) = buf.(1)
-  | Aoi21 -> not ((buf.(0) && buf.(1)) || buf.(2))
-  | Aoi22 -> not ((buf.(0) && buf.(1)) || (buf.(2) && buf.(3)))
-  | Oai21 -> not ((buf.(0) || buf.(1)) && buf.(2))
-  | Oai22 -> not ((buf.(0) || buf.(1)) && (buf.(2) || buf.(3)))
+(* Truth table per kind code, as one int: bit [b] is the output when the
+   pins read [b], pin 0 the most significant bit ([Logic.int_of_vector]
+   order). Four pins at most, so a table holds 16 bits. *)
+let truth_tables =
+  Array.init (max_code + 1) (fun c ->
+      match kind_of_code_table.(c) with
+      | None -> 0
+      | Some k ->
+        let n = arity k in
+        let t = ref 0 in
+        for b = 0 to (1 lsl n) - 1 do
+          let pins = Array.init n (fun i -> b land (1 lsl (n - 1 - i)) <> 0) in
+          if eval k pins then t := !t lor (1 lsl b)
+        done;
+        !t)
+
+let truth code = truth_tables.(code)
 
 type network_tree =
   | Leaf of int

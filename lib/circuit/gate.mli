@@ -46,11 +46,13 @@ val of_code : int -> kind
 val eval : kind -> bool array -> bool
 (** Boolean function of the cell. Raises on arity mismatch. *)
 
-val eval_prefix : kind -> bool array -> bool
-(** Like {!eval} but reads only the first [arity kind] entries of the
-    buffer, which may be longer — lets a simulation sweep reuse one
-    max-arity scratch buffer with zero per-gate allocation. The extra
-    entries are ignored; no arity check is performed. *)
+val truth : int -> int
+(** [truth (code kind)] is the kind's truth table: bit [b] is the output
+    when the input pins read [b], pin 0 the most significant bit (the
+    {!Logic.int_of_vector} order), so a gate evaluates as
+    [(truth code lsr bits) land 1] — one array read, no allocation. Raises
+    [Invalid_argument] on a code outside [\[0, 39\]]; a code no kind maps
+    to reads 0. *)
 
 val eval_logic : kind -> Logic.vector -> Logic.value
 

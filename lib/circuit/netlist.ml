@@ -164,10 +164,7 @@ let transistor_count t =
 
 let topo_sort_opt t =
   Topo_check.sort_flat ~net_count:t.nnet_count ~n_gates:t.n_gates
-    ~source_nets:t.ninputs
-    ~fanin_count:(fun g -> Ba.get t.pin_off (g + 1) - Ba.get t.pin_off g)
-    ~fanin:(fun g p -> Ba.get t.pins (Ba.get t.pin_off g + p))
-    ~gate_out:(fun g -> Ba.get t.out_net g)
+    ~source_nets:t.ninputs ~pin_off:t.pin_off ~pins:t.pins ~out_net:t.out_net
 
 let cached_topo_order t =
   match t.topo_cache with
@@ -184,10 +181,7 @@ let topo_ids t =
 
 let levelize t =
   Topo_check.levelize_flat ~net_count:t.nnet_count ~n_gates:t.n_gates
-    ~source_nets:t.ninputs
-    ~fanin_count:(fun g -> Ba.get t.pin_off (g + 1) - Ba.get t.pin_off g)
-    ~fanin:(fun g p -> Ba.get t.pins (Ba.get t.pin_off g + p))
-    ~gate_out:(fun g -> Ba.get t.out_net g)
+    ~source_nets:t.ninputs ~pin_off:t.pin_off ~pins:t.pins ~out_net:t.out_net
 
 let warm t =
   ignore (build_driver_ids t);
@@ -364,11 +358,13 @@ module Repr = struct
       r_pin_off = t.pin_off;
       r_pins = t.pins;
       r_out_net = t.out_net;
-      r_inputs = Array.copy t.ninputs;
-      r_outputs = Array.copy t.noutputs;
+      r_inputs = t.ninputs;
+      r_outputs = t.noutputs;
       r_name_off = t.name_off;
       r_name_blob = t.name_blob;
     }
+
+  let drivers = build_driver_ids
 end
 
 (* ---------------------------------------------------- attribute edits *)

@@ -158,9 +158,10 @@ end
 
 (** {2 Raw struct-of-arrays representation}
 
-    Internal exchange format for the binary snapshot layer ({!Snapshot}).
-    The arrays are the netlist's actual storage: treat them as immutable.
-    Not a stable public API. *)
+    Internal exchange format for the binary snapshot layer ({!Snapshot}),
+    and what the simulation and estimator kernels read. The arrays are the
+    netlist's actual storage: treat them as immutable. Not a stable public
+    API. *)
 
 module Repr : sig
   type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -186,6 +187,12 @@ module Repr : sig
   }
 
   val to_raw : t -> raw
+  (** The netlist's storage, shared (the arrays are not copied): one small
+      record per call, so hot loops read the CSR arrays directly. *)
+
+  val drivers : t -> int_arr
+  (** The cache behind {!driver_id}: the driving gate id per net, [-1] for
+      a net no gate drives. Built on the first call ({!warm} builds it). *)
 
   val of_raw : ?validate:bool -> raw -> t
   (** Rebuild a netlist around the given arrays (shared, not copied).

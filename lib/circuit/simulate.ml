@@ -1,3 +1,5 @@
+module Ba = Bigarray.Array1
+
 type assignment = Logic.value array
 
 let run_into t pattern values =
@@ -10,19 +12,30 @@ let run_into t pattern values =
     invalid_arg
       (Printf.sprintf "Simulate.run_into: %d nets expected, buffer has %d"
          (Netlist.net_count t) (Array.length values));
-  Array.iteri (fun i n -> values.(n) <- pattern.(i)) pis;
-  (* One max-arity scratch buffer serves the whole sweep: no per-gate
-     allocation, no gate records — just flat int-indexed reads. *)
-  let buf = Array.make 4 false in
-  Array.iter
-    (fun g ->
-      let arity = Netlist.gate_arity t g in
-      for p = 0 to arity - 1 do
-        buf.(p) <- Logic.to_bool values.(Netlist.gate_pin t g p)
-      done;
-      values.(Netlist.gate_out t g) <-
-        Logic.of_bool (Gate.eval_prefix (Netlist.gate_kind t g) buf))
-    (Netlist.topo_ids t)
+  for i = 0 to Array.length pis - 1 do
+    values.(pis.(i)) <- pattern.(i)
+  done;
+  (* Each gate packs its pin values into an int, pin 0 most significant,
+     and reads its output from the kind's truth table: flat CSR reads, no
+     per-gate allocation or closure. *)
+  let r = Netlist.Repr.to_raw t in
+  let kind_code = r.Netlist.Repr.r_kind_code
+  and pin_off = r.Netlist.Repr.r_pin_off
+  and pins = r.Netlist.Repr.r_pins
+  and out_net = r.Netlist.Repr.r_out_net in
+  let order = Netlist.topo_ids t in
+  for k = 0 to Array.length order - 1 do
+    let g = order.(k) in
+    let bits = ref 0 in
+    for j = Ba.get pin_off g to Ba.get pin_off (g + 1) - 1 do
+      bits :=
+        (!bits lsl 1)
+        lor (match values.(Ba.get pins j) with Logic.Zero -> 0 | Logic.One -> 1)
+    done;
+    values.(Ba.get out_net g) <-
+      (if (Gate.truth (Ba.get kind_code g) lsr !bits) land 1 = 1 then Logic.One
+       else Logic.Zero)
+  done
 
 let run t pattern =
   let values = Array.make (Netlist.net_count t) Logic.Zero in

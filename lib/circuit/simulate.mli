@@ -13,7 +13,12 @@ val run_into : Netlist.t -> Logic.vector -> assignment -> unit
 (** [run_into t pattern values] is [run] writing into a caller-provided
     buffer of length [Netlist.net_count t] — callers evaluating many
     patterns (vector averaging, incremental sessions) reuse one scratch
-    buffer instead of allocating per pattern. Every slot is overwritten. *)
+    buffer instead of allocating per pattern. Every slot is overwritten.
+
+    Cost: one read per pin, in topological order, and one truth-table
+    lookup per gate ({!Gate.truth}); no allocation beyond one small record
+    per call, whatever the gate count. Builds the netlist's topological
+    order on the first call (see {!Netlist.warm}). *)
 
 val outputs : Netlist.t -> assignment -> Logic.vector
 (** Read back the primary-output values of an assignment. *)

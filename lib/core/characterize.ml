@@ -172,8 +172,8 @@ let vth_factor entry dv =
 (* Linear interpolation on the shared current axis, as [Interp.eval1d]
    does it: the edge samples beyond either end, else the segment
    [xs.(i) <= x < xs.(i+1)] found by bisection and weighted
-   [(y_i *. (1. -. t)) +. (y_{i+1} *. t)]. The same steps are inlined in
-   [apply] so its sums stay in unboxed locals. *)
+   [(y_i *. (1. -. t)) +. (y_{i+1} *. t)]. [apply] lands on the same
+   segment by index arithmetic and keeps its sums in unboxed locals. *)
 let delta entry port amps =
   let arity = Array.length entry.pin_injection in
   let port =
@@ -202,20 +202,24 @@ let delta entry port amps =
   in
   { Report.isub = at 0; igate = at 1; ibtbt = at 2 }
 
-let apply entry ~loading_in ~loading_out =
+let apply entry ~loading ~out =
   let arity = Array.length entry.pin_injection in
-  if Array.length loading_in <> arity then
-    invalid_arg "Characterize.apply: loading_in arity mismatch";
+  if Array.length loading <> arity + 1 then
+    invalid_arg "Characterize.apply: loading needs one current per port";
   let xs = entry.currents and d = entry.deltas in
   let n = Array.length xs in
   let x_first = xs.(0) and x_last = xs.(n - 1) in
+  (* nodes per ampere on a uniform axis: a first guess at the segment *)
+  let per_amp = float_of_int (n - 1) /. (x_last -. x_first) in
   let isub = ref entry.nominal_driven.Report.isub
   and igate = ref entry.nominal_driven.Report.igate
   and ibtbt = ref entry.nominal_driven.Report.ibtbt in
+  let clamped = ref 0 in
   (* Pins in order, then the output: the superposition sum of eq. (5). *)
   for port = 0 to arity do
-    let amps = if port < arity then loading_in.(port) else loading_out in
+    let amps = loading.(port) in
     if Float.is_nan amps then invalid_arg "Characterize.apply: NaN loading";
+    if amps < x_first || amps > x_last then incr clamped;
     let row = port * n in
     if amps <= x_first || amps >= x_last then begin
       let k = 3 * (if amps <= x_first then row else row + n - 1) in
@@ -224,12 +228,13 @@ let apply entry ~loading_in ~loading_out =
       ibtbt := !ibtbt +. d.(k + 2)
     end
     else begin
-      let lo = ref 0 and hi = ref (n - 1) in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if xs.(mid) <= amps then lo := mid else hi := mid
-      done;
-      let i = !lo in
+      (* x_first < amps < x_last: the guess lies in [0, n - 1]; the two
+         steps then settle on xs.(i) <= amps < xs.(i + 1), the one segment
+         bisection finds, on any strictly increasing axis. *)
+      let i = ref (Stdlib.min (n - 2) (int_of_float ((amps -. x_first) *. per_amp))) in
+      while xs.(!i) > amps do decr i done;
+      while xs.(!i + 1) <= amps do incr i done;
+      let i = !i in
       let t = (amps -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
       let s = 1.0 -. t in
       let k = 3 * (row + i) in
@@ -240,8 +245,7 @@ let apply entry ~loading_in ~loading_out =
   done;
   (* Component shifts can be negative; clamp pathological extrapolation so a
      leakage estimate never goes below zero. *)
-  {
-    Report.isub = Float.max 0.0 !isub;
-    igate = Float.max 0.0 !igate;
-    ibtbt = Float.max 0.0 !ibtbt;
-  }
+  out.(0) <- Float.max 0.0 !isub;
+  out.(1) <- Float.max 0.0 !igate;
+  out.(2) <- Float.max 0.0 !ibtbt;
+  !clamped

@@ -94,12 +94,18 @@ val delta :
     (linear between nodes, the edge sample beyond either end). Raises
     [Invalid_argument] on a pin the cell lacks or a NaN current. *)
 
-val apply :
-  entry -> loading_in:float array -> loading_out:float ->
-  Leakage_spice.Leakage_report.components
-(** Estimated leakage under the given signed loading currents:
-    [nominal_driven + Σ_k delta (In k) loading_in.(k) + delta Out loading_out],
+val apply : entry -> loading:float array -> out:float array -> int
+(** [apply entry ~loading ~out] is the estimated leakage under the given
+    signed loading currents, one per port in the [deltas] order: input pin
+    [k] at [loading.(k)], the output at [loading.(arity)]. It writes
+    [nominal_driven + Σ_k delta (In k) loading.(k) + delta Out loading.(arity)],
     summed per component in that order and clamped at zero (per-pin
-    superposition, the paper's eq. 5). Each port costs one search of the
-    shared axis and allocates nothing but the result. Raises
-    [Invalid_argument] on an arity mismatch or a NaN loading. *)
+    superposition, the paper's eq. 5), into [out.(0)] (sub), [out.(1)]
+    (gate) and [out.(2)] (BTBT), and returns how many ports' loading lies
+    strictly outside [currents] — lookups that read an edge sample.
+
+    Cost: per port, one index computation on the uniform axis and at most
+    a step or two to the segment bisection would find (so every bit equals
+    the bisection's), then six reads of [deltas]; no allocation. Raises
+    [Invalid_argument] when [loading] is not [arity + 1] long or holds a
+    NaN, and on an [out] shorter than 3. *)

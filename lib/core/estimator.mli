@@ -8,27 +8,40 @@
     propagation beyond one level is negligible), which is what removes the
     need to solve the circuit-wide KCL system. *)
 
+type wiring
+(** A netlist's pins as {!gate_leakage} reads them: the CSR pin lists, the
+    output nets and each net's driving gate, shared with the netlist. *)
+
+val wiring : Leakage_circuit.Netlist.t -> wiring
+(** [wiring netlist] reads the netlist's storage (no copy) and builds its
+    lazily built driver cache if need be: call [Netlist.warm] before
+    sharing a netlist across domains. A netlist from
+    [Netlist.with_kinds_strengths] shares its pins, so one wiring serves
+    both. *)
+
 val gate_leakage :
-  Leakage_circuit.Netlist.t -> int -> Characterize.entry ->
-  net_injection:float array -> own:float array -> loading_in:float array ->
-  Leakage_spice.Leakage_report.components
-(** [gate_leakage netlist g entry ~net_injection ~own ~loading_in] is one
+  wiring -> int -> Characterize.entry ->
+  net_injection:float array -> own:float array -> loading:float array ->
+  out:float array -> int
+(** [gate_leakage w g entry ~net_injection ~own ~loading ~out] is one
     gate's loading-aware leakage: the paper's eq. (3) and eq. (5), written
     once for every estimator in the repo.
 
     [entry] is gate [g]'s characterization entry, [net_injection] the
     signed loading current each net receives from all its fanout pins, and
     [own.(p)] the current gate [g]'s own pin [p] contributes to that sum.
-    Eq. (3) fills [loading_in] (length: [g]'s arity) with each pin's
+    Eq. (3) fills [loading] (length: [g]'s arity + 1) with each pin's
     I_L-IN: the net's injection minus [own.(p)] — the other cells' current
     only — or, on a primary-input net (one with no driving gate,
     [Netlist.driver_id netlist net < 0]), [-. own.(p)], which cancels the
-    characterization testbench's finite-driver self-droop. I_L-OUT is
-    [net_injection] at [g]'s output. The result is eq. (5)'s superposition,
-    [Characterize.apply entry ~loading_in ~loading_out].
+    characterization testbench's finite-driver self-droop; the last slot
+    gets I_L-OUT, [net_injection] at [g]'s output. Eq. (5)'s superposition,
+    [Characterize.apply entry ~loading ~out], writes the components into
+    [out] (sub, gate, BTBT); the result is the number of ports whose
+    loading fell outside the entry's current axis.
 
-    Allocates only the result. Reads the netlist's lazily built driver
-    cache: call [Netlist.warm] before sharing a netlist across domains. *)
+    Cost: a few reads per pin and one {!Characterize.apply}; allocates
+    nothing. Raises [Invalid_argument] when [loading] does not fit [g]. *)
 
 type gate_estimate = {
   gate : int;                               (** gate id *)
@@ -51,10 +64,19 @@ type result = {
       pins (diagnostic; indexed by net) *)
 }
 
+type scratch
+(** Every per-vector array of one estimate — logic values, entries, net
+    injections, port loadings and sums — for one netlist. A chunk of
+    estimates on one domain shares one scratch; a scratch must not be used
+    by two estimates at once. *)
+
+val scratch : Leakage_circuit.Netlist.t -> scratch
+(** A fresh scratch sized for the netlist. *)
+
 val estimate :
   ?passes:int ->
   ?library_of_gate:(int -> Library.t) ->
-  ?scratch:Leakage_circuit.Simulate.assignment ->
+  ?scratch:scratch ->
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   result
 (** Estimate under one input pattern. Cost: one logic simulation plus O(pins)
@@ -73,28 +95,37 @@ val estimate :
     (heterogeneous cells: dual-Vth assignments, per-region corners); all
     libraries must share temperature and supply.
 
-    [scratch] reuses a caller-owned logic-simulation buffer of length
-    [Netlist.net_count] instead of allocating one; the returned
-    [result.assignment] is a snapshot copy, so later estimates sharing the
-    buffer never mutate previously returned results. *)
+    [scratch] reuses a caller-owned {!scratch} instead of allocating one;
+    the returned [result.assignment] and [result.net_injection] are
+    snapshot copies, so later estimates sharing the scratch never mutate
+    previously returned results. *)
 
 val estimate_totals :
   ?passes:int ->
   ?library_of_gate:(int -> Library.t) ->
-  ?scratch:Leakage_circuit.Simulate.assignment ->
+  ?scratch:scratch ->
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   Leakage_spice.Leakage_report.components * Leakage_spice.Leakage_report.components
 (** [(with-loading totals, baseline totals)] under one pattern. {!estimate},
-    [estimate_totals] and {!estimate_fold} are folds over one per-gate loop
-    that calls {!gate_leakage} in ascending gate-id order, so this returns
-    {!estimate}'s [totals] / [baseline_totals] bit for bit, without
-    materializing per-gate records or an assignment snapshot. This is the
-    hot path for vector sweeps; {!average_over_vectors} runs on it. *)
+    [estimate_totals] and {!estimate_fold} run one kernel that calls
+    {!gate_leakage} in ascending gate-id order and sums the totals in that
+    order, so this returns {!estimate}'s [totals] / [baseline_totals] bit
+    for bit, without materializing per-gate records or an assignment
+    snapshot. This is the hot path for vector sweeps;
+    {!average_over_vectors} and [Vector_mc.resample] run on it.
+
+    Cost per gate-vector, with a warm library and a reused [scratch]: one
+    truth-table evaluation, one packed-key probe of the domain's entry
+    table ({!Library.gate_entry}), the net injections and one
+    {!gate_leakage}; no allocation per gate, a few records per estimate.
+    Telemetry, when on, counts [estimator.estimates],
+    [estimator.gate_lookups] and [estimator.clamped_lookups] (ports whose
+    loading lay outside the entry's current axis) once per estimate. *)
 
 val estimate_fold :
   ?passes:int ->
   ?library_of_gate:(int -> Library.t) ->
-  ?scratch:Leakage_circuit.Simulate.assignment ->
+  ?scratch:scratch ->
   init:'acc ->
   f:
     ('acc -> int -> Characterize.entry ->
@@ -103,14 +134,13 @@ val estimate_fold :
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   'acc * Leakage_spice.Leakage_report.components
   * Leakage_spice.Leakage_report.components
-(** The same per-gate loop as {!estimate_totals}, with the caller's fold
-    over its results: [f] is called once per gate in ascending gate-id
-    order with the gate's characterization entry, its loading-aware
-    components and its isolated nominal components — no per-gate records
-    are materialized. Returns [(acc, with-loading totals, baseline
-    totals)]; the totals are {!estimate_totals}'s, bit for bit. This is how
-    the variance-propagation layer and [Statistical.run] ride the hot
-    path. *)
+(** The same kernel as {!estimate_totals}, with the caller's fold over its
+    results: [f] is called once per gate in ascending gate-id order with
+    the gate's characterization entry, its loading-aware components (one
+    record per gate) and its isolated nominal components. Returns [(acc,
+    with-loading totals, baseline totals)]; the totals are
+    {!estimate_totals}'s, bit for bit. This is how the variance-propagation
+    layer and [Statistical.run] ride the hot path. *)
 
 val average_over_vectors :
   ?pool:Leakage_parallel.Pool.t ->
@@ -118,9 +148,10 @@ val average_over_vectors :
   Leakage_spice.Leakage_report.components * Leakage_spice.Leakage_report.components
 (** [(mean with-loading totals, mean baseline totals)] over a vector set.
 
-    Vectors are processed in fixed-width chunks whose partial sums are folded
-    in chunk order; the summation tree depends only on the vector count, so
-    the result is bit-identical with or without [pool], at any pool size. *)
+    Vectors are processed in fixed-width chunks, each on one {!scratch},
+    whose partial sums are folded in chunk order; the summation tree
+    depends only on the vector count, so the result is bit-identical with
+    or without [pool], at any pool size. *)
 
 val avg_chunk : int
 (** Chunk width of {!average_over_vectors}'s fixed summation tree. Part of

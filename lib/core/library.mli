@@ -54,7 +54,32 @@ val entry :
     [Invalid_argument] when the cache key cannot be packed without
     collisions: strength outside {!strength_in_range} (non-positive, NaN,
     or beyond {!max_strength}, infinity included), a vector of arity > 16,
-    or a gate code ≥ 64. *)
+    or a gate code ≥ 64.
+
+    Cost of a hit: one [Domain.DLS] read, the packed key (gate code,
+    strength bucket, vector bits) and one probe of this domain's int-keyed
+    table, with no allocation. A miss on this domain adopts the entry
+    another domain published (a mutex) or characterizes it (milliseconds of
+    DC solves). *)
+
+type cache
+(** The calling domain's cache of one library: what {!gate_entry} reads. *)
+
+val cache : t -> cache
+(** [cache t] fetches the calling domain's cache of [t] — one
+    [Domain.DLS] read, so a loop over many gates fetches it once. The value
+    belongs to the calling domain: do not hand it to another. *)
+
+val gate_entry :
+  cache -> Leakage_circuit.Netlist.Repr.raw -> int -> bits:int ->
+  Characterize.entry
+(** [gate_entry c raw g ~bits] is {!entry} for gate [g] of the netlist
+    whose storage is [raw], at its kind and strength, under the input
+    values [bits] packed pin 0 first ({!Leakage_circuit.Logic.int_of_vector}
+    order): the same key, range checks, counters and entry, and
+    [Invalid_argument] when [bits] sets a bit at or above the gate's
+    arity. A hit reads the gate's fields, probes an int-keyed table and
+    allocates nothing; only a miss builds the input vector. *)
 
 val precharacterize :
   ?pool:Leakage_parallel.Pool.t ->

@@ -94,13 +94,17 @@ let expected_leakage ?input_probability lib netlist =
         net_injection.(net) <- net_injection.(net) +. expected_pin g pin)
   done;
   let totals = ref Report.zero and baseline = ref Report.zero in
+  let wiring = Estimator.wiring netlist in
+  let out = Array.make 3 0.0 in
   for g = 0 to n_gates - 1 do
-    let loading_in = Array.make (Netlist.gate_arity netlist g) 0.0 in
+    let loading = Array.make (Netlist.gate_arity netlist g + 1) 0.0 in
     List.iter
       (fun (p, (e : Characterize.entry)) ->
+        ignore
+          (Estimator.gate_leakage wiring g e ~net_injection
+             ~own:e.Characterize.pin_injection ~loading ~out);
         let with_loading =
-          Estimator.gate_leakage netlist g e ~net_injection
-            ~own:e.Characterize.pin_injection ~loading_in
+          { Report.isub = out.(0); igate = out.(1); ibtbt = out.(2) }
         in
         totals := Report.add !totals (Report.scale p with_loading);
         baseline :=

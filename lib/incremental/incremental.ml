@@ -34,7 +34,8 @@ type scratch = {
   s_work : Cone.Worklist.t;
   s_nets : Cone.Dirty_set.t;
   s_gates : Cone.Dirty_set.t;
-  s_loading_in : float array array;        (* per arity: I_L-IN buffer *)
+  s_loading : float array array;           (* per arity: port loadings *)
+  s_out : float array;                     (* one gate's components *)
   mutable s_totals : Report.components;    (* delta to session totals *)
   mutable s_baseline : Report.components;  (* delta to session baseline *)
   mutable s_logic : int;
@@ -45,6 +46,7 @@ type scratch = {
 
 type t = {
   netlist : Netlist.t;                 (* structural info; kind/strength overridden below *)
+  wiring : Estimator.wiring;           (* the netlist's pins, as the kernel reads them *)
   n_gates : int;
   order_ids : int array;               (* gate ids in topological order *)
   base_lib : Library.t;
@@ -107,7 +109,8 @@ let fresh_scratch ~priority ~n_nets ~n_gates =
     s_work = Cone.Worklist.create ~priority;
     s_nets = Cone.Dirty_set.create n_nets;
     s_gates = Cone.Dirty_set.create n_gates;
-    s_loading_in = Array.init (max_arity + 1) (fun a -> Array.make a 0.0);
+    s_loading = Array.init (max_arity + 1) (fun a -> Array.make (a + 1) 0.0);
+    s_out = Array.make 3 0.0;
     s_totals = Report.zero;
     s_baseline = Report.zero;
     s_logic = 0;
@@ -138,14 +141,17 @@ let merge t s =
 
 (* Loading-aware estimate of one gate at the current injections: the
    estimator's own kernel, with the entry's nominal pin currents as the
-   cell's share of each net (the session is a one-pass estimate). The
-   I_L-IN buffer is the session's, one per arity: [gate_leakage] writes
-   every slot before it reads one. *)
+   cell's share of each net (the session is a one-pass estimate). The port
+   buffers are the session's, one per arity: [gate_leakage] writes every
+   slot before it reads one. *)
 let lookup_components t g_id =
   let e = t.entries.(g_id) in
   let own = e.Characterize.pin_injection in
-  Estimator.gate_leakage t.netlist g_id e ~net_injection:t.net_injection ~own
-    ~loading_in:t.scratch.s_loading_in.(Array.length own)
+  let out = t.scratch.s_out in
+  ignore
+    (Estimator.gate_leakage t.wiring g_id e ~net_injection:t.net_injection
+       ~own ~loading:t.scratch.s_loading.(Array.length own) ~out);
+  { Report.isub = out.(0); igate = out.(1); ibtbt = out.(2) }
 
 let relookup t s g_id =
   let c = lookup_components t g_id in
@@ -488,6 +494,7 @@ let create ?(refresh_every = 64) ?library_of_gate base netlist pattern =
   let t =
     {
       netlist;
+      wiring = Estimator.wiring netlist;
       n_gates;
       order_ids;
       base_lib = base;

@@ -21,11 +21,11 @@ type result = {
    runs bit-identical. *)
 let mc_chunk = 32
 
-(* Estimate vectors.(lo..hi-1) on one chunk-local logic buffer, writing
-   per-vector totals into the shared (disjoint) slices and returning the
-   chunk's component sum and loading-shift sum. *)
+(* Estimate vectors.(lo..hi-1) on one chunk-local estimator scratch,
+   writing per-vector totals into the shared (disjoint) slices and
+   returning the chunk's component sum and loading-shift sum. *)
 let run_chunk lib netlist vectors totals baselines ~lo ~hi =
-  let scratch = Array.make (Netlist.net_count netlist) Logic.Zero in
+  let scratch = Estimator.scratch netlist in
   let acc = ref Report.zero and shift = ref 0.0 in
   for i = lo to hi - 1 do
     let c, base = Estimator.estimate_totals ~scratch lib netlist vectors.(i) in

@@ -5,7 +5,7 @@
     resampling random primary-input vectors. Each draw differs from the
     previous one in about half the input bits — a dense move that touches
     most of the circuit — so every sample is a fresh
-    {!Leakage_core.Estimator.estimate_totals} on a reused logic buffer: one
+    {!Leakage_core.Estimator.estimate_totals} on a reused estimator scratch: one
     table lookup per gate, no incremental session to walk.
 
     Samples are grouped into fixed-width chunks that fan out across a

@@ -11,6 +11,12 @@
    golden corpus (sequential and on a 2-domain pool), and of
    [Incremental.sigma] after a refresh.
 
+   The estimator group pins the Fig-13 estimator the same way: totals of
+   [Estimator.estimate_totals] on the golden corpus at the default grid,
+   vector averages and resampling (sequential and on a 2-domain pool), the
+   per-gate rows of a three-pass [Estimator.estimate], and a mixed-library
+   estimate.
+
    The last group pins the work: device-model evaluations per solve, as the
    [dc.device_evals] counter reports them. *)
 
@@ -25,6 +31,8 @@ module Variation = Leakage_device.Variation
 module Characterize = Leakage_core.Characterize
 module Library = Leakage_core.Library
 module Sensitivity = Leakage_core.Sensitivity
+module Estimator = Leakage_core.Estimator
+module Vector_mc = Leakage_incremental.Vector_mc
 module Testbench = Leakage_core.Testbench
 module Mtcmos = Leakage_core.Mtcmos
 module Incremental = Leakage_incremental.Incremental
@@ -296,6 +304,105 @@ let test_incremental_sigma_bits () =
     "91fdf9f5c0f3409e41c25285f162fb87"
     (digest_floats (fun put -> emit_sigma put res))
 
+(* ---------------------------------------------------------- estimator bits *)
+
+(* The estimator at the default grid (21 nodes), D25/300 K: every lookup
+   interpolates on the axis the benchmark and the CLI use. *)
+let est_lib = lazy (Library.create ~device:Params.d25 ~temp:300.0 ())
+
+let est_vectors nl = List.map (fixed_vector nl) [ 21; 22; 23; 24 ]
+
+let totals_pins =
+  [
+    ("s838", "18ee0fee840db86dbb748f4376b8cb6c");
+    ("s1196", "5c86cda7965e1b1d63101bf636140971");
+    ("s1423", "d20cad48785933482d1e0b7b5f9941a6");
+    ("s5378", "364db6d081bb98ea2afdf55ec0bf8096");
+    ("s9234", "b67cfeace7c473b7f9576c21cdff9e6b");
+    ("s13207", "d1387397576fec9d3aaf3bd4db821d18");
+    ("alu88", "a14dc61aadb5bb7dd03bc24bdcaf0d32");
+    ("mult88", "b60f9911b01297268cdb445efc410d31");
+    ("chain16k", "6ffcdd5d93af1a7763dc913a28cfc099");
+  ]
+
+let test_totals_bits label expected () =
+  let nl = (List.assoc label corpus) () in
+  let lib = Lazy.force est_lib in
+  Alcotest.(check string) (label ^ " at 4 vectors") expected
+    (digest_floats (fun put ->
+         List.iter
+           (fun v ->
+             let loaded, baseline = Estimator.estimate_totals lib nl v in
+             emit_components put loaded;
+             emit_components put baseline)
+           (est_vectors nl)))
+
+(* 33 vectors: two full summation chunks and a one-vector tail. *)
+let test_average_bits () =
+  let nl = (Suite.find "alu88").Suite.build () in
+  let lib = Lazy.force est_lib in
+  let vs = List.init 33 (fun i -> fixed_vector nl (100 + i)) in
+  let digest ?pool () =
+    let loaded, baseline = Estimator.average_over_vectors ?pool lib nl vs in
+    digest_floats (fun put ->
+        emit_components put loaded;
+        emit_components put baseline)
+  in
+  let expected = "ceafcf249d957ddcd268912d88cbaa7e" in
+  Alcotest.(check string) "alu88 sequential" expected (digest ());
+  Alcotest.(check string) "alu88 on 2 domains" expected
+    (Pool.with_pool ~jobs:2 (fun pool -> digest ~pool ()))
+
+let emit_estimate put (r : Estimator.result) =
+  Array.iter
+    (fun (g : Estimator.gate_estimate) ->
+      emit_components put g.Estimator.with_loading;
+      emit_components put g.Estimator.no_loading;
+      Array.iter put g.Estimator.loading_in;
+      put g.Estimator.loading_out)
+    r.Estimator.per_gate;
+  emit_components put r.Estimator.totals;
+  emit_components put r.Estimator.baseline_totals;
+  Array.iter put r.Estimator.net_injection
+
+let test_passes_bits label expected () =
+  let nl = (Suite.find label).Suite.build () in
+  let r =
+    Estimator.estimate ~passes:3 (Lazy.force est_lib) nl (fixed_vector nl 31)
+  in
+  Alcotest.(check string) (label ^ " per-gate rows, 3 passes") expected
+    (digest_floats (fun put -> emit_estimate put r))
+
+(* Every third gate takes its entries from a +80 mV threshold corner. *)
+let test_mixed_library_bits () =
+  let lib = Lazy.force est_lib in
+  let hvt =
+    Library.create ~device:(Params.with_vth_shift Params.d25 0.08)
+      ~temp:300.0 ()
+  in
+  let nl = (Suite.find "s838").Suite.build () in
+  let library_of_gate g = if g mod 3 = 0 then hvt else lib in
+  let r = Estimator.estimate ~library_of_gate lib nl (fixed_vector nl 32) in
+  Alcotest.(check string) "s838 with a +80 mV third" "324f97a91660cfbd9f1fe479e28d39a1"
+    (digest_floats (fun put -> emit_estimate put r))
+
+(* 70 samples: two full chunks and a six-sample tail. *)
+let test_resample_bits () =
+  let nl = (Suite.find "alu88").Suite.build () in
+  let lib = Lazy.force est_lib in
+  let digest ?pool () =
+    let r = Vector_mc.resample ?pool ~seed:7 ~samples:70 lib nl in
+    digest_floats (fun put ->
+        Array.iter put r.Vector_mc.totals;
+        Array.iter put r.Vector_mc.baselines;
+        emit_components put r.Vector_mc.mean_components;
+        put r.Vector_mc.mean_shift_percent)
+  in
+  let expected = "1a14dd9dcb9def36f3cc817cd79ceea2" in
+  Alcotest.(check string) "alu88 sequential" expected (digest ());
+  Alcotest.(check string) "alu88 on 2 domains" expected
+    (Pool.with_pool ~jobs:2 (fun pool -> digest ~pool ()))
+
 (* ------------------------------------------------------------- work counts *)
 
 (* A count above the pinned one means the solver evaluates devices whose
@@ -363,6 +470,23 @@ let () =
           sigma_pins
         @ [ Alcotest.test_case "incremental after refresh" `Quick
               test_incremental_sigma_bits ] );
+      ( "estimator-bits",
+        List.map
+          (fun (label, expected) ->
+            Alcotest.test_case ("totals " ^ label) `Quick
+              (test_totals_bits label expected))
+          totals_pins
+        @ [
+            Alcotest.test_case "average over 33 vectors" `Quick
+              test_average_bits;
+            Alcotest.test_case "3 passes s838" `Quick
+              (test_passes_bits "s838" "b4d656e7369c2d08aeee4fb72b3c9eb6");
+            Alcotest.test_case "3 passes alu88" `Quick
+              (test_passes_bits "alu88" "6fcad38e048e7e64f8381ee633783847");
+            Alcotest.test_case "mixed libraries" `Quick
+              test_mixed_library_bits;
+            Alcotest.test_case "resample alu88" `Quick test_resample_bits;
+          ] );
       ( "solver-work",
         [
           Alcotest.test_case "testbench solves" `Quick test_testbench_evals;

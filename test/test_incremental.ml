@@ -329,8 +329,10 @@ let test_deep_chain_input_flip () =
    one propagation must cost no more than a fresh estimate: at most one
    logic evaluation and one leakage lookup per gate, and a bounded number
    of minor words per gate. The library is warmed over the same vectors
-   first, so characterization is not counted. Measured: 27-67 words per
-   gate over these moves (alu88, s838, mult88). *)
+   first, so characterization is not counted. Measured: at most 45.3
+   (s838), 53.9 (mult88) and 62.6 (alu88) words per gate over these moves;
+   the bound keeps the headroom it had over the 66.4 measured before the
+   per-gate leakage step stopped allocating. *)
 let test_dense_moves () =
   List.iter
     (fun name ->
@@ -352,9 +354,9 @@ let test_dense_moves () =
           and lookups =
             st1.Incremental.leakage_lookups - st0.Incremental.leakage_lookups
           in
-          if words > 70.0 || evals > gates || lookups > gates then
+          if words > 66.0 || evals > gates || lookups > gates then
             Alcotest.failf
-              "%s: a move took %.1f minor words per gate (<= 70), %d logic \
+              "%s: a move took %.1f minor words per gate (<= 66), %d logic \
                evals and %d lookups (<= %d gates)"
               name words evals lookups gates)
         (List.tl vectors))

@@ -187,31 +187,29 @@ let bench_texts =
           Suite.all
        @ [ ("alu88-sized", Bench_format.to_string sized) ]))
 
-type bench_mutation =
+type text_mutation =
   | Cut of int                          (* keep a prefix *)
   | Overwrite of (int * char) list      (* 1-3 bytes *)
   | Splice of int * int * int           (* other text, cut here, cut there *)
 
-(* the bytes the grammar gives meaning to, plus any byte at all *)
-let bench_byte_gen =
-  let special = "()=,#\r\n " in
+(* A text of [texts] and a mutation of it: overwritten bytes are any byte
+   or one the grammar gives meaning to ([special]). *)
+let text_mutation_gen texts ~special =
   QCheck2.Gen.(
-    oneof
-      [ char; map (fun i -> special.[i]) (int_bound (String.length special - 1)) ])
-
-let bench_mutation_gen =
-  QCheck2.Gen.(
+    let byte =
+      oneof
+        [ char; map (fun i -> special.[i]) (int_bound (String.length special - 1)) ]
+    in
     let pos = int_bound 1_000_000 in
-    let text = int_bound (Array.length (Lazy.force bench_texts) - 1) in
+    let text = int_bound (Array.length (Lazy.force texts) - 1) in
     pair text
       (oneof
          [ map (fun n -> Cut n) pos;
-           map (fun l -> Overwrite l)
-             (list_size (int_range 1 3) (pair pos bench_byte_gen));
+           map (fun l -> Overwrite l) (list_size (int_range 1 3) (pair pos byte));
            map3 (fun j a b -> Splice (j, a, b)) text pos pos ]))
 
-let mutate_text i m =
-  let texts = Lazy.force bench_texts in
+let mutate_text texts i m =
+  let texts = Lazy.force texts in
   let _, t = texts.(i) in
   let len = String.length t in
   match m with
@@ -225,8 +223,8 @@ let mutate_text i m =
     let b = b mod (String.length u + 1) in
     String.sub t 0 (a mod (len + 1)) ^ String.sub u b (String.length u - b)
 
-let print_bench_mutation (i, m) =
-  let texts = Lazy.force bench_texts in
+let print_text_mutation texts (i, m) =
+  let texts = Lazy.force texts in
   fst texts.(i) ^ ": "
   ^
   match m with
@@ -241,11 +239,11 @@ let print_bench_mutation (i, m) =
    escapes the reader. *)
 let prop_bench_mutations_parse_or_fail =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:1000 ~print:print_bench_mutation
+    (QCheck2.Test.make ~count:1000 ~print:(print_text_mutation bench_texts)
        ~name:"mutated .bench encodings parse or raise Parse_error"
-       bench_mutation_gen
+       (text_mutation_gen bench_texts ~special:"()=,#\r\n ")
        (fun (i, m) ->
-         match Bench_format.parse_string ~name:"mut" (mutate_text i m) with
+         match Bench_format.parse_string ~name:"mut" (mutate_text bench_texts i m) with
          | (_ : Netlist.t) -> true
          | exception Bench_format.Parse_error _ -> true))
 
@@ -591,6 +589,56 @@ let test_spice_simulates_like_bench () =
     (fun v -> Alcotest.(check char) v (run b v) (run s v))
     [ "00"; "01"; "10"; "11" ]
 
+(* The suite circuits as X-instance decks using every construct the reader
+   gives meaning to: a [+] continuation inside every third instance, an
+   [m=2] multiplier on every fourth, a [$] comment on every fifth, supply
+   pins, and CRLF endings. *)
+let spice_texts =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (e : Suite.entry) ->
+            let t = e.Suite.build () in
+            let b = Buffer.create 65536 in
+            Buffer.add_string b "* suite deck\r\n";
+            for g = 0 to Netlist.gate_count t - 1 do
+              Printf.bprintf b "X%d" g;
+              Netlist.iter_pins t g (fun p net ->
+                  if p = 1 && g mod 3 = 0 then Buffer.add_string b "\r\n+";
+                  Printf.bprintf b " %s" (Netlist.net_name t net));
+              Printf.bprintf b " %s vdd vss %s"
+                (Netlist.net_name t (Netlist.gate_out t g))
+                (Gate.name (Netlist.gate_kind t g));
+              if g mod 4 = 0 then Buffer.add_string b " m=2";
+              if g mod 5 = 0 then Buffer.add_string b " $ note";
+              Buffer.add_string b "\r\n"
+            done;
+            Buffer.add_string b ".end\r\n";
+            (e.Suite.label, Buffer.contents b))
+          Suite.all))
+
+let test_spice_suite_decks () =
+  Array.iter
+    (fun (label, text) ->
+      let t = Spice_format.parse_string ~name:label text in
+      let n = Netlist.gate_count ((Suite.find label).Suite.build ()) in
+      Alcotest.(check int) (label ^ " instances") n (Netlist.gate_count t);
+      Alcotest.(check (float 0.0)) (label ^ " m=2 strength") 2.0
+        (Netlist.gate_strength t 0))
+    (Lazy.force spice_texts)
+
+(* Truncations, overwritten bytes and splices of those decks: every one
+   parses or raises Parse_error, never anything else. *)
+let prop_spice_mutations_parse_or_fail =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~print:(print_text_mutation spice_texts)
+       ~name:"mutated SPICE decks parse or raise Parse_error"
+       (text_mutation_gen spice_texts ~special:"X+.$;*=\r\n")
+       (fun (i, m) ->
+         match Spice_format.parse_string ~name:"mut" (mutate_text spice_texts i m) with
+         | (_ : Netlist.t) -> true
+         | exception Spice_format.Parse_error _ -> true))
+
 (* ------------------------------------------------------------ .bench writer *)
 
 (* Named nets, every complex cell (decomposed through "__<out>_t<i>"
@@ -720,6 +768,8 @@ let () =
           Alcotest.test_case "unreadable path" `Quick test_spice_unreadable_path;
           Alcotest.test_case "matches .bench semantics" `Quick
             test_spice_simulates_like_bench;
+          Alcotest.test_case "suite decks" `Quick test_spice_suite_decks;
+          prop_spice_mutations_parse_or_fail;
         ] );
       ( "snapshot",
         [

@@ -640,10 +640,12 @@ let test_fallback_counted () =
 
 (* Allocation gate, deterministic in a sequential run with telemetry off:
    the minor words [Sensitivity.estimate_totals] allocates beyond the
-   estimator pass it rides. Per gate on the 16k chain (6 classes, so the
-   per-gate bucketing shows) and per class on s838 (108 classes, so the
-   per-class integrals show). Measured: 4.80 words per gate and 3528 words
-   per class; each bound is 25% above. *)
+   estimator pass it rides — [Estimator.estimate_fold], here with a no-op
+   fold, which hands every gate's components over as a record where
+   [estimate_totals] allocates nothing per gate. Per gate on the 16k chain
+   (6 classes, so the per-gate bucketing shows) and per class on s838 (108
+   classes, so the per-class integrals show). Measured: 4.80 words per gate
+   and 3528 words per class; each bound is 25% above. *)
 let test_sigma_minor_words () =
   let was = Tm.enabled () in
   Tm.set_enabled false;
@@ -657,7 +659,12 @@ let test_sigma_minor_words () =
     Netlist.warm nl;
     let pattern = random_pattern 21 nl in
     ignore (analytic nl pattern);
-    let base, _ = words (fun () -> Estimator.estimate_totals lib nl pattern) in
+    let base, _ =
+      words (fun () ->
+          Estimator.estimate_fold ~init:()
+            ~f:(fun () _ _ ~loaded:_ ~isolated:_ -> ())
+            lib nl pattern)
+    in
     let w, res = words (fun () -> analytic nl pattern) in
     (w -. base, res.Sensitivity.groups)
   in
