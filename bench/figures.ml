@@ -483,17 +483,18 @@ let ablation_superposition () =
         Characterize.characterize ~device ~temp:temp_room Gate.Inv v
       in
       let tb = Testbench.make Gate.Inv v in
+      let bench = Testbench.compile ~device ~temp:temp_room tb in
       let worst = ref 0.0 in
       Array.iter
         (fun i_in ->
           Array.iter
             (fun i_out ->
               let exact =
-                Testbench.dut_components
-                  (Testbench.solve
-                     ~injections:[ (tb.Testbench.pin_nets.(0), i_in);
-                                   (tb.Testbench.out_net, i_out) ]
-                     ~device ~temp:temp_room tb)
+                (Testbench.solve
+                   ~injections:[ (tb.Testbench.pin_nets.(0), i_in);
+                                 (tb.Testbench.out_net, i_out) ]
+                   bench)
+                  .Testbench.leakage
               in
               let out = Array.make 3 0.0 in
               ignore

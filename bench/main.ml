@@ -45,7 +45,9 @@ let micro_benchmarks () =
              ignore (Report.analyze ~device ~temp nl pattern)));
       Test.make ~name:"DC solve single inverter"
         (Staged.stage (fun () ->
-             ignore (Leakage_core.Testbench.solve ~device ~temp inv_tb)));
+             ignore
+               (Leakage_core.Testbench.solve
+                  (Leakage_core.Testbench.compile ~device ~temp inv_tb))));
       Test.make ~name:"characterize NAND2 vector 01"
         (Staged.stage (fun () ->
              ignore

@@ -9,10 +9,15 @@
    is kurtosis-corrected (leakage distributions are heavily lognormal, so
    the naive σ/√2n would be far too tight a gate).
 
-   It also measures the point of the closed form: the speedup over a
-   10,000-sample MC (extrapolated linearly from the measured sample count —
-   MC cost is linear in samples) must be ≥ 100×, and both engines must be
-   bit-identical when fanned out over a domain pool.
+   The point of the closed form is gated by work counts, which read the
+   same on every run: the analytic pass's table integrals must be one
+   fixed count per response class (the same on every circuit), with no
+   more classes than library entries the circuit reads, so its work scales
+   with the classes, never with gates or samples; and it must run no DC
+   solve and draw no Monte-Carlo sample (a sampling fallback would do
+   both). The wall-clock speedup over a 10,000-sample MC (extrapolated
+   linearly from the measured sample count) is printed, not gated. Both
+   engines must be bit-identical when fanned out over a domain pool.
 
      sigma_check.exe [-samples N] [-seed N] [-domains N] [-circuit NAME]... *)
 
@@ -30,6 +35,8 @@ module Rng = Leakage_numeric.Rng
 module Suite = Leakage_benchmarks.Suite
 module Trees = Leakage_benchmarks.Trees
 module Pool = Leakage_parallel.Pool
+module Estimator = Leakage_core.Estimator
+module Tm = Leakage_telemetry.Telemetry
 
 let device = Params.d25
 let temp = 300.0
@@ -37,7 +44,6 @@ let coarse_grid = { Characterize.max_current = 3.0e-6; points = 5 }
 let sigmas = Variation.paper_sigmas
 let reference_samples = 10_000
 let z_gate = 3.0
-let speedup_gate = 100.0
 
 (* same corpus as test/golden_suite.json *)
 let corpus () =
@@ -49,12 +55,15 @@ type row = {
   name : string;
   gates : int;
   groups : int;
+  entries : int;             (* distinct library entries the gates read *)
   flagged : bool;
   max_abs_z : float;
   analytic_ms : float;
   mc_ms : float;
   speedup_vs_10k : float;
   pool_identical : bool;
+  analytic : int list;       (* the [analytic_counters] across one pass *)
+  mc : int list;             (* the [mc_counters] across the MC run *)
 }
 
 (* ------------------------------------------------------------ statistics *)
@@ -125,6 +134,42 @@ let max_z (res : Sensitivity.result) (mc : Statistical.result) =
     [ false; true ];
   !worst
 
+(* ----------------------------------------------------------------- work *)
+
+let analytic_counters =
+  [ "sensitivity.classes"; "sensitivity.table_integrals";
+    "sensitivity.fallbacks"; "statistical.samples"; "dc.solves" ]
+
+let mc_counters = [ "statistical.samples"; "statistical.table_evals" ]
+
+(* The named counters' growth across [f], with telemetry on. *)
+let counted names f =
+  let was = Tm.enabled () in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let read () =
+    let snap = Tm.Snapshot.take () in
+    List.map (Tm.Snapshot.counter_total snap) names
+  in
+  let before = read () in
+  let r = f () in
+  (r, List.map2 ( - ) (read ()) before)
+
+(* Distinct (kind, strength, vector) entries the circuit's gates read: a
+   class holds gates with equal threshold tables, so there are never more
+   classes than entries. *)
+let distinct_entries lib nl pattern =
+  let seen = Hashtbl.create 64 in
+  let (), _, _ =
+    Estimator.estimate_fold ~init:()
+      ~f:(fun () _ (e : Characterize.entry) ~loaded:_ ~isolated:_ ->
+        Hashtbl.replace seen
+          (e.Characterize.kind, e.Characterize.strength, e.Characterize.vector)
+          ())
+      lib nl pattern
+  in
+  Hashtbl.length seen
+
 (* ------------------------------------------------------------------ run *)
 
 let timed f =
@@ -143,9 +188,16 @@ let run_circuit ~samples ~domains lib crng (entry : Suite.entry) =
     timed (fun () ->
         Sensitivity.estimate_totals ~fallback_samples:0 ~sigmas lib nl pattern)
   in
-  let mc, mc_ms =
-    timed (fun () ->
-        Statistical.run ~n_samples:samples ~seed:mc_seed ~sigmas lib nl pattern)
+  (* the same pass again, untimed, with its work counted *)
+  let _, analytic =
+    counted analytic_counters (fun () ->
+        Sensitivity.estimate_totals ~fallback_samples:0 ~sigmas lib nl pattern)
+  in
+  let (mc, mc_ms), mc_work =
+    counted mc_counters (fun () ->
+        timed (fun () ->
+            Statistical.run ~n_samples:samples ~seed:mc_seed ~sigmas lib nl
+              pattern))
   in
   (* bit-identity across pool sizes: the closed form, and the sampler *)
   let pool_identical =
@@ -178,12 +230,15 @@ let run_circuit ~samples ~domains lib crng (entry : Suite.entry) =
     name = entry.Suite.label;
     gates = Netlist.gate_count nl;
     groups = res.Sensitivity.groups;
+    entries = distinct_entries lib nl pattern;
     flagged = Sensitivity.flagged res;
     max_abs_z = max_z res mc;
     analytic_ms;
     mc_ms;
     speedup_vs_10k = speedup;
     pool_identical;
+    analytic;
+    mc = mc_work;
   }
 
 let check cond fmt = Gate_kit.check "sigma_check" cond fmt
@@ -234,8 +289,6 @@ let () =
         r)
       entries
   in
-  (* the wall-clock speed gate goes last, so it never hides a statistical
-     or determinism check *)
   List.iter
     (fun r ->
       check (not r.flagged)
@@ -248,10 +301,37 @@ let () =
       check r.pool_identical "%s: pooled results bit-identical to sequential"
         r.name)
     rows;
+  (* Work, in counts: the analytic pass costs one fixed number of table
+     integrals per class (per_class, the same on every circuit), and a
+     circuit has no more classes than entries, whatever its gate count;
+     it solves nothing and samples nothing. The MC draws what it was
+     asked for: one threshold-table evaluation per gate and sample. *)
+  let per_class = ref None in
   List.iter
     (fun r ->
-      check
-        (r.speedup_vs_10k >= speedup_gate)
-        "%s: speedup vs %d-sample MC %.1fx >= %g" r.name reference_samples
-        r.speedup_vs_10k speedup_gate)
+      match (r.analytic, r.mc) with
+      | [ classes; integrals; fallbacks; drawn; solves ], [ mc_samples; evals ]
+        ->
+        check
+          (classes = r.groups && integrals > 0 && integrals mod classes = 0)
+          "%s: %d table integrals over %d classes, a whole number per class"
+          r.name integrals classes;
+        let k = integrals / Stdlib.max 1 classes in
+        (match !per_class with None -> per_class := Some k | Some _ -> ());
+        check
+          (Some k = !per_class)
+          "%s: %d integrals per class, as on every circuit" r.name k;
+        check
+          (r.groups <= r.entries)
+          "%s: %d classes <= %d library entries read (%d gates)" r.name
+          r.groups r.entries r.gates;
+        check
+          (solves = 0 && drawn = 0 && fallbacks = 0)
+          "%s: analytic pass ran %d DC solves, drew %d samples, %d fallbacks \
+           (none)" r.name solves drawn fallbacks;
+        check
+          (mc_samples = !samples && evals = mc_samples * r.gates)
+          "%s: MC drew %d samples, %d table evaluations (samples x gates)"
+          r.name mc_samples evals
+      | _ -> assert false)
     rows

@@ -37,51 +37,38 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
   if grid.max_current <= 0.0 then
     invalid_arg "Characterize: max_current must be positive";
   let tb = Testbench.make ~strength kind vector in
-  let solve_with injections =
-    Testbench.dut_components (Testbench.solve ~injections ~device ~temp ?vdd tb)
-  in
-  let nominal_solved = Testbench.solve ~device ~temp ?vdd tb in
-  let nominal_driven = Testbench.dut_components nominal_solved in
+  (* One compiled bench serves every grid point; its zero-current and
+     zero-shift nodes are the nominal solve itself. *)
+  let bench = Testbench.compile ~device ~temp ?vdd tb in
+  let nominal = Testbench.solve bench in
+  let nominal_driven = nominal.Testbench.leakage in
   let nominal_isolated =
     Testbench.isolated_components ~strength ~device ~temp ?vdd kind vector
   in
   let arity = Gate.arity kind in
-  let pin_injection =
-    Array.init arity (Testbench.dut_pin_injection nominal_solved)
-  in
   let xs =
     Interp.linspace (-.grid.max_current) grid.max_current grid.points
   in
   let sweep net =
-    Array.map (fun amps -> solve_with [ (net, amps) ]) xs
+    Array.map (fun amps -> Testbench.solve ~injections:[ (net, amps) ] bench) xs
   in
   (* For input-pin sweeps also record the cell's own pin current at each
      grid point: that is the pin's loading contribution as seen by its
      neighbours, needed by the multi-pass estimator. *)
-  let pin_sweeps =
-    Array.init arity (fun pin ->
-        Array.map
-          (fun amps ->
-            let solved =
-              Testbench.solve
-                ~injections:[ (tb.Testbench.pin_nets.(pin), amps) ]
-                ~device ~temp ?vdd tb
-            in
-            ( Testbench.dut_components solved,
-              Testbench.dut_pin_injection solved pin ))
-          xs)
-  in
+  let pin_sweeps = Array.map sweep tb.Testbench.pin_nets in
   let pin_response =
-    Array.map
-      (fun samples -> Interp.grid1d ~xs ~ys:(Array.map snd samples))
+    Array.mapi
+      (fun pin samples ->
+        Interp.grid1d ~xs
+          ~ys:(Array.map (fun d -> d.Testbench.pin_injection.(pin)) samples))
       pin_sweeps
   in
   (* Every port's sweep, relative to the driven nominal, in the flat
      port-major, node-major, component-minor layout [apply] reads. *)
   let port_samples =
-    Array.append
-      (Array.map (Array.map fst) pin_sweeps)
-      [| sweep tb.Testbench.out_net |]
+    Array.map
+      (Array.map (fun d -> d.Testbench.leakage))
+      (Array.append pin_sweeps [| sweep tb.Testbench.out_net |])
   in
   let n = grid.points in
   let deltas = Array.make (3 * n * (arity + 1)) 0.0 in
@@ -101,26 +88,12 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
      per-component log factors so interpolation happens in the exponent,
      where the response is closest to linear. *)
   let vth_log_factor =
-    let shifted dv =
-      let device_of_gate id =
-        if id = tb.Testbench.dut_gate then
-          Leakage_device.Params.with_vth_shift device dv
-        else device
-      in
-      let assignment =
-        Leakage_circuit.Simulate.run tb.Testbench.netlist tb.Testbench.pattern
-      in
-      let flat =
-        Leakage_spice.Flatten.flatten ~device_of_gate ~device ~temp ?vdd
-          tb.Testbench.netlist assignment
-      in
-      let solution = Leakage_spice.Dc_solver.solve flat in
-      (Leakage_spice.Leakage_report.of_solution flat
-         solution.Leakage_spice.Dc_solver.voltages)
-        .Leakage_spice.Leakage_report.per_gate.(tb.Testbench.dut_gate)
-    in
     let dvs = Interp.linspace (-0.15) 0.15 9 in
-    let samples = Array.map shifted dvs in
+    let samples =
+      Array.map
+        (fun dv -> (Testbench.solve ~dut_vth_shift:dv bench).Testbench.leakage)
+        dvs
+    in
     let log_ratio pick =
       let base = pick nominal_driven in
       Array.map
@@ -135,8 +108,9 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
       d_ibtbt = Interp.grid1d ~xs:dvs ~ys:(log_ratio (fun c -> c.Report.ibtbt));
     }
   in
-  { kind; strength; vector; nominal_isolated; nominal_driven; pin_injection;
-    pin_response; currents = xs; deltas; vth_log_factor }
+  { kind; strength; vector; nominal_isolated; nominal_driven;
+    pin_injection = nominal.Testbench.pin_injection; pin_response;
+    currents = xs; deltas; vth_log_factor }
 
 (* Slope of a tabulated log-response at dv = 0, taken from the grid nodes
    bracketing zero (the ±150 mV axis has an odd point count, so zero is

@@ -85,6 +85,12 @@ val characterize :
   Leakage_circuit.Gate.kind ->
   Leakage_circuit.Logic.vector ->
   entry
+(** Cost: the cell alone once, then one compiled {!Testbench.bench} re-run
+    per grid point — the nominal, every port's [points] currents and 9
+    threshold shifts. Nodes that are exactly zero (the middle of an odd
+    current axis, the zero shift) repeat the nominal solve's inputs bit
+    for bit and reuse it: a NAND2 entry is 70 DC solves at the default
+    grid, 22 at 4 points. *)
 
 type port = In of int | Out  (** input pin [k], or the output *)
 

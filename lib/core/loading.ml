@@ -42,16 +42,12 @@ let sweep ~device ~temp ?vdd ~currents ~inject kind vector =
   @@ fun () ->
   Tm.add m_sweep_points (Array.length currents);
   let tb = Testbench.make kind vector in
-  let nominal =
-    Testbench.dut_components (Testbench.solve ~device ~temp ?vdd tb)
-  in
+  let bench = Testbench.compile ~device ~temp ?vdd tb in
+  let nominal = (Testbench.solve bench).Testbench.leakage in
   Array.map
     (fun magnitude ->
       let injections = inject tb magnitude in
-      let loaded =
-        Testbench.dut_components
-          (Testbench.solve ~injections ~device ~temp ?vdd tb)
-      in
+      let loaded = (Testbench.solve ~injections bench).Testbench.leakage in
       ld_of ~current:magnitude ~nominal loaded)
     currents
 
@@ -73,9 +69,8 @@ let output_sweep ~device ~temp ?vdd ?(currents = default_currents) kind vector =
 
 let combined ~device ~temp ?vdd ~input_current ~output_current kind vector =
   let tb = Testbench.make kind vector in
-  let nominal =
-    Testbench.dut_components (Testbench.solve ~device ~temp ?vdd tb)
-  in
+  let bench = Testbench.compile ~device ~temp ?vdd tb in
+  let nominal = (Testbench.solve bench).Testbench.leakage in
   let out_value = Leakage_circuit.Gate.eval_logic kind vector in
   let injections =
     (tb.out_net, signed_current output_current out_value)
@@ -84,9 +79,7 @@ let combined ~device ~temp ?vdd ~input_current ~output_current kind vector =
             (fun pin net -> (net, signed_current input_current vector.(pin)))
             tb.pin_nets)
   in
-  let loaded =
-    Testbench.dut_components (Testbench.solve ~injections ~device ~temp ?vdd tb)
-  in
+  let loaded = (Testbench.solve ~injections bench).Testbench.leakage in
   ld_of ~current:input_current ~nominal loaded
 
 (* Fig 9 follows eq. (3)'s normalization literally: L_NOM is the cell in
@@ -112,8 +105,8 @@ let temperature_sweep ~device ?vdd ~temps_celsius ~input_current
                 tb.Testbench.pin_nets)
       in
       let loaded =
-        Testbench.dut_components
-          (Testbench.solve ~injections ~device ~temp ?vdd tb)
+        (Testbench.solve ~injections (Testbench.compile ~device ~temp ?vdd tb))
+          .Testbench.leakage
       in
       (celsius, ld_of ~current:input_current ~nominal loaded))
     temps_celsius

@@ -16,31 +16,45 @@ type result = {
   total_no_loading : float array;
 }
 
+(* The reference inverter's components in both input states, at the
+   library corner: the denominators of every sample's die scale. *)
+let reference lib device v =
+  Testbench.isolated_components ~device ~temp:(Library.temp lib) Gate.Inv
+    [| v |]
+
+let nominal_references lib =
+  let device = Library.device lib in
+  (reference lib device Logic.Zero, reference lib device Logic.One)
+
 (* Component-wise ratio of a die-shifted reference inverter to the nominal
    one, averaged over both input states. Captures how geometry and supply
    shifts move each mechanism without touching the per-gate threshold story
    (the die threshold shift is excluded here and folded into the per-gate
    exponent instead). *)
-let die_scale lib (die : Variation.die) =
-  let device = Library.device lib in
-  let temp = Library.temp lib in
+let scale_against lib (nominal_zero, nominal_one) (die : Variation.die) =
   let geometry_only = { die with Variation.dvth = 0.0 } in
-  let shifted = Variation.apply_die device geometry_only in
-  let reference dev v =
-    Testbench.isolated_components ~device:dev ~temp Gate.Inv [| v |]
-  in
+  let shifted = Variation.apply_die (Library.device lib) geometry_only in
+  let shifted_zero = reference lib shifted Logic.Zero
+  and shifted_one = reference lib shifted Logic.One in
   let ratio pick =
-    let r v =
-      let num = pick (reference shifted v) and den = pick (reference device v) in
+    let r num den =
+      let num = pick num and den = pick den in
       if den <= 0.0 then 1.0 else num /. den
     in
-    0.5 *. (r Logic.Zero +. r Logic.One)
+    0.5 *. (r shifted_zero nominal_zero +. r shifted_one nominal_one)
   in
   {
     Report.isub = ratio (fun c -> c.Report.isub);
     igate = ratio (fun c -> c.Report.igate);
     ibtbt = ratio (fun c -> c.Report.ibtbt);
   }
+
+let die_scale lib die = scale_against lib (nominal_references lib) die
+
+module Tm = Leakage_telemetry.Telemetry
+
+let m_samples = Tm.counter "statistical.samples"
+let m_table_evals = Tm.counter "statistical.table_evals"
 
 (* Fixed fan-out width for parallel sampling: slots depend only on the
    sample count, never the pool size. *)
@@ -70,10 +84,17 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
      size. *)
   let rng = Rng.create seed in
   let streams = Array.init n_samples (fun _ -> Rng.split rng) in
+  (* The nominal reference solves are the same for every sample: solved
+     once, before the fan-out, and only read by the samples. *)
+  let nominal = nominal_references lib in
+  if Tm.enabled () then begin
+    Tm.add m_samples n_samples;
+    Tm.add m_table_evals (n_samples * Array.length rows)
+  end;
   let sample_at i =
     let srng = streams.(i) in
     let die = Variation.sample_die srng sigmas in
-    let scale = die_scale lib die in
+    let scale = scale_against lib nominal die in
     let acc_loaded = ref Report.zero and acc_base = ref Report.zero in
     Array.iter
       (fun (loaded, base, entry) ->

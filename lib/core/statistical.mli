@@ -31,7 +31,12 @@ val run :
   Leakage_circuit.Logic.vector ->
   result
 (** Monte-Carlo estimate for one input pattern (default 1,000 samples,
-    seed 1). Cost per sample is O(gates) table scalings — no DC solves.
+    seed 1). Cost per sample is O(gates) table scalings plus the two
+    shifted reference-inverter solves of its die scale; the two nominal
+    reference solves run once per call, before the samples. With telemetry
+    on, a run adds its samples to [statistical.samples] and its per-gate
+    threshold-table evaluations ({!Characterize.vth_factor}, samples ×
+    gates) to [statistical.table_evals].
 
     Every sample's RNG stream is split off the root generator by sample
     index before evaluation, so [pool] fans samples out without changing a
@@ -42,9 +47,11 @@ val die_scale :
   Library.t -> Leakage_device.Variation.die ->
   Leakage_spice.Leakage_report.components
 (** Per-component multiplicative factor a die-level (L, Tox, VDD) shift
-    applies to every gate, computed from single-inverter solves at the
-    shifted corner (cached per call site; cheap relative to sampling).
-    Exposed for tests. *)
+    applies to every gate: the reference inverter's components at the
+    shifted corner over those at the library corner, averaged over both
+    input states (four single-inverter solves; {!run} solves the nominal
+    pair once for all its samples, with the same bits). Exposed for
+    tests. *)
 
 val summary :
   result -> Leakage_numeric.Stats.summary * Leakage_numeric.Stats.summary

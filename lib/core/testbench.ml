@@ -37,34 +37,67 @@ let make ?strength kind vector =
     out_net;
     pattern = Array.map Logic.lnot vector }
 
-type solved = {
+type bench = {
   tb : t;
-  flat : Flatten.t;
-  solution : Dc_solver.result;
-  report : Report.t;
+  device : Leakage_device.Params.t;
+  kernel : Dc_solver.kernel;
+  mutable dut_shift : float;  (* threshold shift the DUT is compiled at *)
+  mutable nominal : dut option;
 }
 
-let solve ?(injections = []) ~device ~temp ?vdd tb =
+and dut = {
+  leakage : Report.components;
+  pin_injection : float array;
+}
+
+let compile ~device ~temp ?vdd tb =
   let assignment = Simulate.run tb.netlist tb.pattern in
   let flat = Flatten.flatten ~device ~temp ?vdd tb.netlist assignment in
+  { tb; device; kernel = Dc_solver.kernel flat; dut_shift = 0.0;
+    nominal = None }
+
+(* One run of the compiled kernel, read at the DUT's transistors. *)
+let run_dut b injections =
+  let solution = Dc_solver.run ~injections b.kernel in
+  let pins = Array.make (Array.length b.tb.pin_nets) 0.0 in
+  let leakage =
+    Report.of_gate ~pin_currents:pins b.kernel
+      solution.Dc_solver.voltages b.tb.dut_gate
+  in
+  { leakage; pin_injection = Array.map (fun i -> -.i) pins }
+
+let solve ?(injections = []) ?(dut_vth_shift = 0.0) b =
   let unknown_injections =
     List.map
       (fun (net, amps) ->
-        match Flatten.unknown_of_net flat net with
+        match Flatten.unknown_of_net (Dc_solver.flat_of b.kernel) net with
         | Some u -> (u, amps)
         | None ->
           invalid_arg "Testbench.solve: injection into a primary input net")
       injections
   in
-  let solution = Dc_solver.solve ~injections:unknown_injections flat in
-  let report = Report.of_solution flat solution.Dc_solver.voltages in
-  { tb; flat; solution; report }
-
-let dut_components s = s.report.Report.per_gate.(s.tb.dut_gate)
-
-let dut_pin_injection s pin =
-  -. Report.input_pin_current s.flat s.solution.Dc_solver.voltages
-       ~gate_id:s.tb.dut_gate ~pin
+  if dut_vth_shift <> b.dut_shift then begin
+    Dc_solver.set_gate_device b.kernel b.tb.dut_gate
+      (if dut_vth_shift = 0.0 then b.device
+       else Leakage_device.Params.with_vth_shift b.device dut_vth_shift);
+    b.dut_shift <- dut_vth_shift
+  end;
+  (* Zero injections at zero shift leave every solver input bit-identical
+     to the nominal solve's (a zero adds nothing to a zero injection
+     slot), so they share its one run. *)
+  if dut_vth_shift = 0.0 && List.for_all (fun (_, a) -> a = 0.0) injections
+  then begin
+    let d =
+      match b.nominal with
+      | Some d -> d
+      | None ->
+        let d = run_dut b [] in
+        b.nominal <- Some d;
+        d
+    in
+    { d with pin_injection = Array.copy d.pin_injection }
+  end
+  else run_dut b unknown_injections
 
 let isolated_components ?strength ~device ~temp ?vdd kind vector =
   let arity = Gate.arity kind in
@@ -78,6 +111,6 @@ let isolated_components ?strength ~device ~temp ?vdd kind vector =
   let netlist = Netlist.Builder.finish b in
   let assignment = Simulate.run netlist vector in
   let flat = Flatten.flatten ~device ~temp ?vdd netlist assignment in
-  let solution = Dc_solver.solve flat in
-  let report = Report.of_solution flat solution.Dc_solver.voltages in
-  report.Report.per_gate.(0)
+  let kernel = Dc_solver.kernel flat in
+  let solution = Dc_solver.run kernel in
+  Report.of_gate kernel solution.Dc_solver.voltages 0

@@ -22,31 +22,44 @@ val make :
 (** Raises [Invalid_argument] on vector/arity mismatch. [strength] sizes the
     cell under test (reference drivers stay minimum size). *)
 
-type solved = {
-  tb : t;
-  flat : Leakage_spice.Flatten.t;
-  solution : Leakage_spice.Dc_solver.result;
-  report : Leakage_spice.Leakage_report.t;
-}
+type bench
+(** A testbench compiled for one (device, temperature, supply): the bench is
+    logic-simulated and flattened once and its solver kernel built once;
+    every {!solve} re-runs that kernel with only the injections, the start
+    voltages and (for a threshold shift) the DUT's devices reset. *)
 
-val solve :
-  ?injections:
-    (Leakage_circuit.Netlist.net * float) list ->
+val compile :
   device:Leakage_device.Params.t ->
   temp:float ->
   ?vdd:float ->
   t ->
-  solved
+  bench
+
+type dut = {
+  leakage : Leakage_spice.Leakage_report.components;
+      (** leakage of the cell under test only (reference inverters
+          excluded) *)
+  pin_injection : float array;
+      (** per input pin: current the DUT injects into its input net
+          (positive raises the net) — the per-pin "gate leakage
+          contribution" the Fig-13 algorithm sums over fanout gates *)
+}
+(** The cell under test at one solved operating point, read from its own
+    transistors. *)
+
+val solve :
+  ?injections:(Leakage_circuit.Netlist.net * float) list ->
+  ?dut_vth_shift:float ->
+  bench ->
+  dut
 (** DC-solve the bench with loading currents injected into the given nets
-    (amps, positive into the net). *)
-
-val dut_components : solved -> Leakage_spice.Leakage_report.components
-(** Leakage of the cell under test only (drivers excluded). *)
-
-val dut_pin_injection : solved -> int -> float
-(** Current the DUT injects into its input net through pin [i] (positive
-    raises the net) — the per-pin "gate leakage contribution" the Fig-13
-    algorithm sums over fanout gates. *)
+    (amps, positive into the net) and the DUT's threshold shifted by
+    [dut_vth_shift] volts (default 0; the reference inverters keep the
+    bench device).
+    Injections that are all exactly zero, at zero shift, leave every
+    solver input bit-identical to the uninjected solve, so they return the
+    bench's nominal point, solved once. Raises [Invalid_argument] on an
+    injection into a primary-input net. *)
 
 val isolated_components :
   ?strength:float ->

@@ -16,13 +16,6 @@ type components = {
   ibtbt_s : float;
 }
 
-type terminals = {
-  into_gate : float;
-  into_drain : float;
-  into_source : float;
-  into_bulk : float;
-}
-
 (* Vth roll-off strength vs drawn length: ΔVth = -k_roll*(Lnom/L - 1). *)
 let k_roll = 0.12
 
@@ -130,56 +123,63 @@ let[@inline] jb k v =
   end
 
 (* All equations in the NMOS frame; PMOS is handled by reflecting terminal
-   voltages about 0 and negating the resulting currents. Reads
-   [b.(0..3)] = vg, vd, vs, vb and writes the eight signed components to
-   [c.(0..7)] in {!components} field order. Float arrays in and out keep
-   the whole evaluation unboxed. *)
-let eval k (b : float array) (c : float array) =
-  let vg = if k.reflect then -.b.(0) else b.(0) in
-  let vd = if k.reflect then -.b.(1) else b.(1) in
-  let vs = if k.reflect then -.b.(2) else b.(2) in
-  let vb = if k.reflect then -.b.(3) else b.(3) in
+   voltages about 0 and negating the resulting currents. Both halves read
+   [b.(0..3)] = vg, vd, vs, vb and write their signed components to [c] in
+   {!components} field order; float arrays in and out keep the evaluation
+   unboxed. *)
+let[@inline] nmos_frame k (b : float array) i =
+  if k.reflect then -.b.(i) else b.(i)
+
+let[@inline] put k (c : float array) i v = c.(i) <- (if k.reflect then -.v else v)
+
+(* The threshold under DIBL, which both halves read. *)
+let[@inline] threshold k vds = k.vth_base -. (k.dibl_eff *. abs_float vds)
+
+(* Tunneling half: igso, igdo, igcs, igcd, igb into [c.(1..5)] — everything
+   the gate terminal's current sums, four libm calls. *)
+let eval_tunneling k b c =
+  let vg = nmos_frame k b 0 and vd = nmos_frame k b 1
+  and vs = nmos_frame k b 2 and vb = nmos_frame k b 3 in
   let vds = vd -. vs in
-  let vth = k.vth_base -. (k.dibl_eff *. abs_float vds) in
-  (* Channel current: bulk-referenced EKV (body effect comes in through the
-     bulk reference and slope factor). *)
-  let vp = (vg -. vb -. vth) /. k.slope_n in
-  let i_f = ekv_f ((vp -. (vs -. vb)) /. k.vt) in
-  let i_r = ekv_f ((vp -. (vd -. vb)) /. k.vt) in
-  let ids = k.ispec_w *. (i_f -. i_r) in
+  let vth = threshold k vds in
   let jg_gs = jg k (vg -. vs) in
-  let igso = k.a_ov_mult *. jg_gs in
-  let igdo = k.a_ov_mult *. jg k (vg -. vd) in
   (* Channel tunneling needs an inverted channel; partition drifts toward the
      source as Vds pinches the drain end. *)
   let inv_frac = logistic ((vg -. vs -. vth) /. k.vt3) in
   let igc_total = k.a_ch *. jg_gs *. inv_frac in
   let pd = 0.5 /. (1.0 +. (abs_float vds /. 0.3)) in
   let igcd = igc_total *. pd in
-  let igcs = igc_total -. igcd in
-  let igb = k.a_igb *. jg k (vg -. vb) in
-  let ibtbt_d = jb k (vd -. vb) in
-  let ibtbt_s = jb k (vs -. vb) in
-  if k.reflect then begin
-    c.(0) <- -.ids;
-    c.(1) <- -.igso;
-    c.(2) <- -.igdo;
-    c.(3) <- -.igcs;
-    c.(4) <- -.igcd;
-    c.(5) <- -.igb;
-    c.(6) <- -.ibtbt_d;
-    c.(7) <- -.ibtbt_s
-  end
-  else begin
-    c.(0) <- ids;
-    c.(1) <- igso;
-    c.(2) <- igdo;
-    c.(3) <- igcs;
-    c.(4) <- igcd;
-    c.(5) <- igb;
-    c.(6) <- ibtbt_d;
-    c.(7) <- ibtbt_s
-  end
+  put k c 1 (k.a_ov_mult *. jg_gs);
+  put k c 2 (k.a_ov_mult *. jg k (vg -. vd));
+  put k c 3 (igc_total -. igcd);
+  put k c 4 igcd;
+  put k c 5 (k.a_igb *. jg k (vg -. vb))
+
+(* Channel and junction half: ids, ibtbt_d, ibtbt_s into [c.(0)], [c.(6)]
+   and [c.(7)]. *)
+let eval_channel k b c =
+  let vg = nmos_frame k b 0 and vd = nmos_frame k b 1
+  and vs = nmos_frame k b 2 and vb = nmos_frame k b 3 in
+  let vth = threshold k (vd -. vs) in
+  (* Channel current: bulk-referenced EKV (body effect comes in through the
+     bulk reference and slope factor). *)
+  let vp = (vg -. vb -. vth) /. k.slope_n in
+  let i_f = ekv_f ((vp -. (vs -. vb)) /. k.vt) in
+  let i_r = ekv_f ((vp -. (vd -. vb)) /. k.vt) in
+  put k c 0 (k.ispec_w *. (i_f -. i_r));
+  put k c 6 (jb k (vd -. vb));
+  put k c 7 (jb k (vs -. vb))
+
+let eval k b c =
+  eval_tunneling k b c;
+  eval_channel k b c
+
+(* The current from the gate's net into the gate, into [t.(o)]: the five
+   tunneling components of [c], as {!eval_tunneling} writes them, summed
+   in one order. Written to an array, not returned, so no caller boxes
+   it. *)
+let[@inline] gate_current_into (c : float array) (t : float array) o =
+  t.(o) <- c.(1) +. c.(2) +. c.(3) +. c.(4) +. c.(5)
 
 (* Currents from the external nets into gate, drain, source and bulk, from
    the eight components of [c] (as {!eval} writes them), into
@@ -187,7 +187,7 @@ let eval k (b : float array) (c : float array) =
 let terminals_into (c : float array) (t : float array) o =
   let ids = c.(0) and igso = c.(1) and igdo = c.(2) and igcs = c.(3)
   and igcd = c.(4) and igb = c.(5) and ibtbt_d = c.(6) and ibtbt_s = c.(7) in
-  t.(o) <- igso +. igdo +. igcs +. igcd +. igb;
+  gate_current_into c t o;
   t.(o + 1) <- ids -. igdo -. igcd +. ibtbt_d;
   t.(o + 2) <- -.ids -. igso -. igcs +. ibtbt_s;
   t.(o + 3) <- -.(igb +. ibtbt_d +. ibtbt_s)
@@ -197,14 +197,6 @@ let components d pol ~w ~temp { vg; vd; vs; vb } =
   eval (compile d pol ~w ~temp) [| vg; vd; vs; vb |] c;
   { ids = c.(0); igso = c.(1); igdo = c.(2); igcs = c.(3); igcd = c.(4);
     igb = c.(5); ibtbt_d = c.(6); ibtbt_s = c.(7) }
-
-let terminals_of_components c =
-  let t = Array.make 4 0.0 in
-  terminals_into
-    [| c.ids; c.igso; c.igdo; c.igcs; c.igcd; c.igb; c.ibtbt_d; c.ibtbt_s |]
-    t 0;
-  { into_gate = t.(0); into_drain = t.(1); into_source = t.(2);
-    into_bulk = t.(3) }
 
 let gate_leakage c =
   abs_float c.igso +. abs_float c.igdo +. abs_float c.igcs

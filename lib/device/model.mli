@@ -31,22 +31,11 @@ type components = {
 (** Signed current components in amperes. For a PMOS all signs are reflected;
     use {!abs_components} for magnitude reporting. *)
 
-type terminals = {
-  into_gate : float;
-  into_drain : float;
-  into_source : float;
-  into_bulk : float;
-}
-(** Currents flowing from the external nets into each terminal; they sum to
-    zero (KCL inside the device), which is asserted by tests. *)
-
 val components :
   Params.t -> Params.polarity -> w:float -> temp:float -> bias -> components
 (** Evaluate all current sources. [w] is the transistor width in µm, [temp]
     the temperature in Kelvin. Runs {!compile} then {!eval}: the device
     formulas exist once. *)
-
-val terminals_of_components : components -> terminals
 
 (** {2 Evaluation kernel}
 
@@ -56,10 +45,17 @@ val terminals_of_components : components -> terminals
     specific current, tunneling and BTBT densities, area products) once per
     (device, polarity, width, temperature); {!eval} reads four voltages from
     a float array and writes the eight components to another, allocating
-    nothing. The split keeps every operation and its order, so
-    [terminals_into] after [eval] writes the same bits as
-    [terminals_of_components (components ...)]; the oxide term
+    nothing. The split keeps every operation and its order, so [eval]
+    writes the bits of {!components}; the oxide term
     [jg (vg - vs)], which two components share, is evaluated once.
+
+    {!eval} runs two halves, each reading the four voltages itself: the
+    tunneling half ({!eval_tunneling}: the five gate-tunneling components,
+    4 of the model's 10 libm calls) and the channel/junction half (channel
+    current and both junction currents). The gate terminal's current reads
+    the tunneling half alone, so a caller that needs only
+    {!gate_current_into} runs only {!eval_tunneling} and gets the same
+    bits.
 
     The DC solver ({!Leakage_spice.Dc_solver}) shares one compiled record
     among all transistors with the same key, keeps each transistor's four
@@ -79,10 +75,22 @@ val eval : compiled -> float array -> float array -> unit
     components to [c.(0..7)] in {!components} field order (ids, igso,
     igdo, igcs, igcd, igb, ibtbt_d, ibtbt_s). *)
 
+val eval_tunneling : compiled -> float array -> float array -> unit
+(** The tunneling half of {!eval}: writes igso, igdo, igcs, igcd and igb to
+    [c.(1..5)], the bits {!eval} writes there, and leaves [c.(0)],
+    [c.(6)] and [c.(7)] alone. *)
+
+val gate_current_into : float array -> float array -> int -> unit
+(** [gate_current_into c t o] writes to [t.(o)] the current from the
+    gate's net into the gate, from components [c] as {!eval} or
+    {!eval_tunneling} writes them: the gate slot {!terminals_into}
+    writes. *)
+
 val terminals_into : float array -> float array -> int -> unit
-(** [terminals_into c t o] writes the currents into gate, drain, source
-    and bulk to [t.(o..o+3)] from components [c] as {!eval} writes them:
-    the sums {!terminals_of_components} takes, in the same order. *)
+(** [terminals_into c t o] writes the currents flowing from the external
+    nets into gate, drain, source and bulk to [t.(o..o+3)] from components
+    [c] as {!eval} writes them. They sum to zero (KCL inside the device),
+    which the tests assert. *)
 
 val gate_leakage : components -> float
 (** Sum of gate-tunneling magnitudes: |Igso| + |Igdo| + |Igcs| + |Igcd| +

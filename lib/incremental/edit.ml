@@ -8,10 +8,6 @@ type t =
   | Relib of int * Leakage_core.Library.t
   | Set_input of Netlist.net * bool
 
-let gate_id = function
-  | Resize (g, _) | Retype (g, _) | Relib (g, _) -> Some g
-  | Set_input _ -> None
-
 let pp ppf = function
   | Resize (g, s) -> Format.fprintf ppf "resize g%d -> %.2fx" g s
   | Retype (g, k) -> Format.fprintf ppf "retype g%d -> %s" g (Gate.name k)

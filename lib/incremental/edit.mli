@@ -22,9 +22,6 @@ type t =
   | Set_input of Leakage_circuit.Netlist.net * bool
       (** [Set_input (net, value)] — drive a primary input. *)
 
-val gate_id : t -> int option
-(** The edited gate, or [None] for [Set_input]. *)
-
 val pp : Format.formatter -> t -> unit
 
 val random_resize :

@@ -37,9 +37,9 @@ let clamp_into ?lower ?upper x =
   | None -> ()
   | Some hi -> Array.iteri (fun i v -> if x.(i) > v then x.(i) <- v) hi
 
-let jacobian ~fd_step ~f x fx =
+(* Forward-difference Jacobian of [f] at [x] into the row-major [jac]. *)
+let jacobian ~fd_step ~f x fx jac =
   let n = Array.length x in
-  let jac = Array.init n (fun _ -> Array.make n 0.0) in
   for j = 0 to n - 1 do
     let saved = x.(j) in
     (* Scale the step with the variable magnitude to keep relative accuracy. *)
@@ -48,14 +48,19 @@ let jacobian ~fd_step ~f x fx =
     let fph = f x in
     x.(j) <- saved;
     for i = 0 to n - 1 do
-      jac.(i).(j) <- (fph.(i) -. fx.(i)) /. h
+      jac.((i * n) + j) <- (fph.(i) -. fx.(i)) /. h
     done
-  done;
-  jac
+  done
 
 let solve ?(options = default_options) ?lower ?upper ~f x0 =
   let x = Array.copy x0 in
   clamp_into ?lower ?upper x;
+  let n = Array.length x in
+  (* the Newton step's scratch: Jacobian, row order, right-hand side, step *)
+  let jac = Array.make (n * n) 0.0 in
+  let perm = Array.make n 0 in
+  let rhs = Array.make n 0.0 in
+  let dx = Array.make n 0.0 in
   let fx = ref (f x) in
   let res_norm = ref (Linalg.norm_inf !fx) in
   let iterations = ref 0 in
@@ -63,10 +68,11 @@ let solve ?(options = default_options) ?lower ?upper ~f x0 =
   let stalled = ref false in
   while (not !converged) && (not !stalled) && !iterations < options.max_iter do
     incr iterations;
-    let jac = jacobian ~fd_step:options.fd_step ~f x !fx in
+    jacobian ~fd_step:options.fd_step ~f x !fx jac;
+    Array.iteri (fun i v -> rhs.(i) <- -.v) !fx;
     let step =
-      match Linalg.lu_solve jac (Array.map (fun v -> -.v) !fx) with
-      | s -> Some s
+      match Linalg.lu_solve_in_place ~n jac perm rhs dx with
+      | () -> Some dx
       | exception Linalg.Singular -> None
     in
     match step with

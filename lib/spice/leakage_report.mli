@@ -34,11 +34,17 @@ type t = {
 val of_solution : Flatten.t -> float array -> t
 (** Attribute leakage at a solved voltage vector. *)
 
-val input_pin_current : Flatten.t -> float array -> gate_id:int -> pin:int -> float
-(** Signed current flowing from the pin's net into the cell through every
-    gate terminal tied to that input pin, in amperes. This is the cell's
-    contribution to its input net's loading (negated, it is the current the
-    cell injects into the net). *)
+val of_gate :
+  ?pin_currents:float array -> Dc_solver.kernel -> float array -> int ->
+  components
+(** [of_gate k x g] is gate [g]'s leakage at the solved voltages
+    [x], read from [g]'s own transistors with the devices [k] compiled:
+    the bits of [(of_solution flat x).per_gate.(g)] when [k] was built
+    from [flat]. With [pin_currents], it also writes to
+    [pin_currents.(p)] the signed current flowing from input pin [p]'s net
+    into the cell through every gate terminal tied to that pin (negated,
+    the current the cell injects into the net: its loading contribution).
+    Scans the transistor list once. *)
 
 val analyze :
   ?device_of_gate:(int -> Leakage_device.Params.t) ->

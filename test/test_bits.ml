@@ -17,8 +17,13 @@
    per-gate rows of a three-pass [Estimator.estimate], and a mixed-library
    estimate.
 
+   The loading group pins the Figs 5-9 sweeps of [Loading], which run on a
+   compiled testbench.
+
    The last group pins the work: device-model evaluations per solve, as the
-   [dc.device_evals] counter reports them. *)
+   [dc.device_evals] counter reports them, the gate-only ones among them
+   ([dc.gate_evals]), solves per characterization ([dc.solves]) and the
+   allocation of a solve on a compiled kernel. *)
 
 module Params = Leakage_device.Params
 module Model = Leakage_device.Model
@@ -34,6 +39,7 @@ module Sensitivity = Leakage_core.Sensitivity
 module Estimator = Leakage_core.Estimator
 module Vector_mc = Leakage_incremental.Vector_mc
 module Testbench = Leakage_core.Testbench
+module Loading = Leakage_core.Loading
 module Mtcmos = Leakage_core.Mtcmos
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
@@ -56,6 +62,17 @@ let emit_components put (c : Report.components) =
   put c.Report.ibtbt
 
 (* ----------------------------------------------------------- device model *)
+
+(* Currents from the nets into gate, drain, source and bulk, summed as the
+   solver sums them. *)
+let terminals (c : Model.components) =
+  let t = Array.make 4 0.0 in
+  Model.terminals_into
+    [| c.Model.ids; c.Model.igso; c.Model.igdo; c.Model.igcs; c.Model.igcd;
+       c.Model.igb; c.Model.ibtbt_d; c.Model.ibtbt_s |]
+    t 0;
+  t
+
 
 (* Reaches every branch: forward and reverse oxide fields, the EKV
    large-argument branch (vg = 6 V against a source at -4 V), both logistic
@@ -94,11 +111,11 @@ let components_digest () =
                                       put c.Model.igb;
                                       put c.Model.ibtbt_d;
                                       put c.Model.ibtbt_s;
-                                      let t = Model.terminals_of_components c in
-                                      put t.Model.into_gate;
-                                      put t.Model.into_drain;
-                                      put t.Model.into_source;
-                                      put t.Model.into_bulk)
+                                      let t = terminals c in
+                                      put t.(0);
+                                      put t.(1);
+                                      put t.(2);
+                                      put t.(3))
                                     grid_bulk)
                                 grid_volts)
                             grid_volts)
@@ -130,14 +147,14 @@ let emit_entry put (e : Characterize.entry) =
     (fun g -> Array.iter put g.Interp.ys)
     [ t.Characterize.d_isub; t.Characterize.d_igate; t.Characterize.d_ibtbt ]
 
-let entries_digest ?strength ~device ~temp kinds =
+let entries_digest ?(grid = golden_grid) ?strength ~device ~temp kinds =
   digest_floats (fun put ->
       List.iter
         (fun kind ->
           List.iter
             (fun vector ->
               emit_entry put
-                (Characterize.characterize ~grid:golden_grid ?strength ~device
+                (Characterize.characterize ~grid ?strength ~device
                    ~temp kind vector))
             (Logic.all_vectors (Gate.arity kind)))
         kinds)
@@ -152,6 +169,54 @@ let test_characterize_hot_corner () =
     "b5a13d7976ba45c7c8d2f0d5acb212fd"
     (entries_digest ~strength:2.0 ~device:Params.d25_s ~temp:420.0
        [ Gate.Nand 2; Gate.Aoi22 ])
+
+(* An even point count puts no node at zero current: every sweep point is
+   a solve of its own. *)
+let test_characterize_no_zero_node () =
+  Alcotest.(check string) "every kind and vector at 4 points"
+    "44340e7ff3eb0ea7d80f79d949e94e4c"
+    (entries_digest ~grid:{ golden_grid with Characterize.points = 4 }
+       ~device:Params.d25 ~temp:300.0 Gate.all_kinds)
+
+(* ------------------------------------------------------------ loading bits *)
+
+let emit_ld put (p : Loading.ld_point) =
+  put p.Loading.current;
+  put p.Loading.ld_sub;
+  put p.Loading.ld_gate;
+  put p.Loading.ld_btbt;
+  put p.Loading.ld_total
+
+(* Figs 5-9 on INV and NAND2 under every vector: input (each pin) and
+   output sweeps over the default currents, the combined LD_ALL point and
+   the temperature sweep. *)
+let loading_digest kind =
+  let device = Params.d25 and temp = 300.0 in
+  digest_floats (fun put ->
+      List.iter
+        (fun vector ->
+          for pin = 0 to Gate.arity kind - 1 do
+            Array.iter (emit_ld put)
+              (Loading.input_sweep ~device ~temp ~pin kind vector)
+          done;
+          Array.iter (emit_ld put)
+            (Loading.output_sweep ~device ~temp kind vector);
+          emit_ld put
+            (Loading.combined ~device ~temp ~input_current:1.5e-6
+               ~output_current:2.0e-6 kind vector);
+          Array.iter
+            (fun (celsius, p) ->
+              put celsius;
+              emit_ld put p)
+            (Loading.temperature_sweep ~device
+               ~temps_celsius:[| 0.0; 55.0; 110.0 |] ~input_current:1.0e-6
+               ~output_current:1.0e-6 kind vector))
+        (Logic.all_vectors (Gate.arity kind)))
+
+let test_loading_bits kind expected () =
+  Alcotest.(check string)
+    (Gate.name kind ^ " sweeps, LD_ALL and temperature")
+    expected (loading_digest kind)
 
 (* ------------------------------------------------------- circuit solutions *)
 
@@ -406,38 +471,111 @@ let test_resample_bits () =
 (* ------------------------------------------------------------- work counts *)
 
 (* A count above the pinned one means the solver evaluates devices whose
-   bias did not move. *)
+   bias did not move. Gate-only evaluations (a transistor read at its gate
+   terminal alone runs only the model's tunneling half) count among the
+   device evaluations, and on their own in [dc.gate_evals]: fewer than
+   pinned means a transistor the block reads at its drain, source or bulk
+   went unevaluated there. *)
 
-let evals_of f =
+let counts_of names f =
   let was = Tm.enabled () in
   Tm.set_enabled true;
   Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
   let count () =
-    Tm.Snapshot.counter_total (Tm.Snapshot.take ()) "dc.device_evals"
+    let snap = Tm.Snapshot.take () in
+    List.map (Tm.Snapshot.counter_total snap) names
   in
   let before = count () in
   f ();
-  count () - before
+  List.map2 ( - ) (count ()) before
+
+let evals_of f =
+  match counts_of [ "dc.device_evals"; "dc.gate_evals" ] f with
+  | [ evals; gate_only ] -> (evals, gate_only)
+  | _ -> assert false
 
 let testbench_evals kind bits =
   evals_of (fun () ->
       ignore
-        (Testbench.solve ~device:Params.d25 ~temp:300.0
-           (Testbench.make kind (Logic.vector_of_string bits))))
+        (Testbench.solve
+           (Testbench.compile ~device:Params.d25 ~temp:300.0
+              (Testbench.make kind (Logic.vector_of_string bits)))))
 
 let test_testbench_evals () =
-  Alcotest.(check int) "NAND2 testbench" 283
-    (testbench_evals (Gate.Nand 2) "10");
-  Alcotest.(check int) "XOR2 testbench" 700 (testbench_evals Gate.Xor "01");
-  Alcotest.(check int) "AOI22 testbench" 588
-    (testbench_evals Gate.Aoi22 "0110")
+  let check label (evals, gate_only) kind bits =
+    let e, g = testbench_evals kind bits in
+    Alcotest.(check int) (label ^ " device evaluations") evals e;
+    Alcotest.(check int) (label ^ " gate-only evaluations") gate_only g
+  in
+  check "NAND2 testbench" (283, 88) (Gate.Nand 2) "10";
+  check "XOR2 testbench" (700, 160) Gate.Xor "01";
+  check "AOI22 testbench" (588, 176) Gate.Aoi22 "0110"
+
+(* A compiled bench re-runs one kernel; each run reports its own work, the
+   count of the same run on a fresh bench. *)
+let test_reused_kernel_counts () =
+  let tb = Testbench.make (Gate.Nand 2) (Logic.vector_of_string "10") in
+  let injections = [ (tb.Testbench.pin_nets.(0), 1.0e-6) ] in
+  let compile () = Testbench.compile ~device:Params.d25 ~temp:300.0 tb in
+  let fresh =
+    evals_of (fun () -> ignore (Testbench.solve ~injections (compile ())))
+  in
+  let bench = compile () in
+  for run = 1 to 3 do
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "run %d on one kernel" run)
+      fresh
+      (evals_of (fun () -> ignore (Testbench.solve ~injections bench)))
+  done
+
+(* The block Newton runs in the kernel's scratch: a run on a compiled
+   kernel allocates its result and nothing per sweep or block (13 minor
+   words measured on s838, 12 sweeps over 390 blocks; the voltage vector
+   is large enough to go to the major heap). *)
+let test_run_allocation () =
+  let nl = (Suite.find "s838").Suite.build () in
+  let flat =
+    Leakage_spice.Flatten.flatten ~device:Params.d25 ~temp:300.0 nl
+      (Leakage_circuit.Simulate.run nl (fixed_vector nl 11))
+  in
+  let k = Dc.kernel flat in
+  ignore (Dc.run k);
+  let before = Gc.minor_words () in
+  let r = Dc.run k in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d sweeps <= 32" words r.Dc.sweeps)
+    true (words <= 32.0)
 
 let test_s838_evals () =
   let nl = (Suite.find "s838").Suite.build () in
   let v = fixed_vector nl 11 in
-  Alcotest.(check int) "s838 solve" 83958
-    (evals_of (fun () ->
-         ignore (Report.analyze ~device:Params.d25 ~temp:300.0 nl v)))
+  let evals, gate_only =
+    evals_of (fun () ->
+        ignore (Report.analyze ~device:Params.d25 ~temp:300.0 nl v))
+  in
+  Alcotest.(check int) "s838 solve" 83958 evals;
+  Alcotest.(check int) "s838 gate-only" 29712 gate_only
+
+(* One characterization is one solve per grid point, less the points that
+   repeat the nominal solve: the zero node of every port's current axis
+   (odd point counts) and the zero threshold shift. NAND2 has 3 ports:
+   2 + 3 * 21 + 9 solves less 4 at the default grid, 2 + 3 * 4 + 9 less 1
+   at 4 points. *)
+let test_characterize_solves () =
+  let solves grid =
+    match
+      counts_of [ "dc.solves" ] (fun () ->
+          ignore
+            (Characterize.characterize ?grid ~device:Params.d25 ~temp:300.0
+               (Gate.Nand 2) (Logic.vector_of_string "10")))
+    with
+    | [ n ] -> n
+    | _ -> assert false
+  in
+  Alcotest.(check int) "NAND2 10 at the default grid" 70 (solves None);
+  Alcotest.(check int) "NAND2 10 at 4 points" 22
+    (solves (Some { golden_grid with Characterize.points = 4 }))
 
 let () =
   Alcotest.run "bits"
@@ -451,6 +589,15 @@ let () =
             test_characterize_golden_grid;
           Alcotest.test_case "D25-S/420 K at strength 2" `Quick
             test_characterize_hot_corner;
+          Alcotest.test_case "no zero node at 4 points" `Quick
+            test_characterize_no_zero_node;
+        ] );
+      ( "loading-bits",
+        [
+          Alcotest.test_case "INV" `Quick
+            (test_loading_bits Gate.Inv "a7dc249f3102b4488ca67360b787f28c");
+          Alcotest.test_case "NAND2" `Quick
+            (test_loading_bits (Gate.Nand 2) "59ceaaf5b3493c87ae081fbc192974cf");
         ] );
       ( "solution-bits",
         [
@@ -490,6 +637,10 @@ let () =
       ( "solver-work",
         [
           Alcotest.test_case "testbench solves" `Quick test_testbench_evals;
+          Alcotest.test_case "reused kernel" `Quick test_reused_kernel_counts;
+          Alcotest.test_case "allocation-free run" `Quick test_run_allocation;
           Alcotest.test_case "s838 solve" `Quick test_s838_evals;
+          Alcotest.test_case "characterize solves" `Quick
+            test_characterize_solves;
         ] );
     ]

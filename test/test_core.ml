@@ -58,8 +58,7 @@ let test_testbench_drivers_apply_vector () =
 
 let test_testbench_solve_components () =
   let tb = Testbench.make Gate.Inv [| Logic.Zero |] in
-  let solved = Testbench.solve ~device ~temp tb in
-  let c = Testbench.dut_components solved in
+  let c = (Testbench.solve (Testbench.compile ~device ~temp tb)).Testbench.leakage in
   Alcotest.(check bool) "positive leakage" true (Report.total c > 0.0)
 
 let test_testbench_injection_guard () =
@@ -67,18 +66,20 @@ let test_testbench_injection_guard () =
   (* net 0 is the primary input *)
   Alcotest.check_raises "PI injection rejected"
     (Invalid_argument "Testbench.solve: injection into a primary input net")
-    (fun () -> ignore (Testbench.solve ~injections:[ (0, 1e-6) ] ~device ~temp tb))
+    (fun () ->
+      ignore
+        (Testbench.solve ~injections:[ (0, 1e-6) ]
+           (Testbench.compile ~device ~temp tb)))
 
 let test_testbench_pin_injection_sign () =
   (* pin at '0': the cell's on-PMOS tunneling injects current into the net *)
-  let tb = Testbench.make Gate.Inv [| Logic.Zero |] in
-  let solved = Testbench.solve ~device ~temp tb in
-  Alcotest.(check bool) "injects at 0" true
-    (Testbench.dut_pin_injection solved 0 > 0.0);
-  let tb1 = Testbench.make Gate.Inv [| Logic.One |] in
-  let solved1 = Testbench.solve ~device ~temp tb1 in
-  Alcotest.(check bool) "draws at 1" true
-    (Testbench.dut_pin_injection solved1 0 < 0.0)
+  let injection v =
+    (Testbench.solve
+       (Testbench.compile ~device ~temp (Testbench.make Gate.Inv [| v |])))
+      .Testbench.pin_injection.(0)
+  in
+  Alcotest.(check bool) "injects at 0" true (injection Logic.Zero > 0.0);
+  Alcotest.(check bool) "draws at 1" true (injection Logic.One < 0.0)
 
 let test_isolated_components () =
   let c =
@@ -582,16 +583,17 @@ let test_ablation_superposition () =
       let v = [| input_value |] in
       let entry = Characterize.characterize ~device ~temp Gate.Inv v in
       let tb = Testbench.make Gate.Inv v in
+      let bench = Testbench.compile ~device ~temp tb in
       Array.iter
         (fun i_in ->
           Array.iter
             (fun i_out ->
               let exact =
-                Testbench.dut_components
-                  (Testbench.solve
-                     ~injections:[ (tb.Testbench.pin_nets.(0), i_in);
-                                   (tb.Testbench.out_net, i_out) ]
-                     ~device ~temp tb)
+                (Testbench.solve
+                   ~injections:[ (tb.Testbench.pin_nets.(0), i_in);
+                                 (tb.Testbench.out_net, i_out) ]
+                   bench)
+                  .Testbench.leakage
               in
               let approx =
                 apply entry ~loading_in:[| i_in |] ~loading_out:i_out

@@ -200,56 +200,80 @@ let prop_interp_reproduces_linear =
 
 (* --------------------------------------------------------------- Linalg *)
 
+(* [a x = b] through the in-place LU, [a] given as rows. *)
+let lu_solve rows b =
+  let n = Array.length rows in
+  let x = Array.make n 0.0 in
+  Linalg.lu_solve_in_place ~n (Array.concat (Array.to_list rows))
+    (Array.make n 0) b x;
+  x
+
 let test_linalg_identity_solve () =
   let id = [| [| 1.; 0.; 0. |]; [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |] |] in
-  let x = Linalg.lu_solve id [| 1.; 2.; 3. |] in
+  let x = lu_solve id [| 1.; 2.; 3. |] in
   Alcotest.(check bool) "identity" true (x = [| 1.; 2.; 3. |])
 
 let test_linalg_known_system () =
   (* [[2,1],[1,3]] x = [3,5] -> x = [4/5, 7/5] *)
   let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = Linalg.lu_solve a [| 3.; 5. |] in
+  let x = lu_solve a [| 3.; 5. |] in
   check_float ~eps:1e-12 "x0" 0.8 x.(0);
   check_float ~eps:1e-12 "x1" 1.4 x.(1)
 
 let test_linalg_pivoting () =
   let a = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let x = Linalg.lu_solve a [| 2.; 3. |] in
+  let x = lu_solve a [| 2.; 3. |] in
   check_float "x0" 3. x.(0);
   check_float "x1" 2. x.(1)
 
 let test_linalg_singular () =
   let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
   Alcotest.check_raises "singular" Linalg.Singular (fun () ->
-      ignore (Linalg.lu_solve a [| 1.; 1. |]))
+      ignore (lu_solve a [| 1.; 1. |]))
 
 let test_linalg_mat_vec () =
-  let y = Linalg.mat_vec [| [| 1.; 2. |]; [| 3.; 4. |] |] [| 1.; 1. |] in
+  let y = Linalg.mat_vec ~n:2 [| 1.; 2.; 3.; 4. |] [| 1.; 1. |] in
   Alcotest.(check bool) "product" true (y = [| 3.; 7. |])
 
 let test_linalg_norms () =
   check_float "inf" 3.0 (Linalg.norm_inf [| 1.; -3.; 2. |])
 
-let test_linalg_does_not_mutate () =
-  let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let b = [| 3.; 5. |] in
-  ignore (Linalg.lu_solve a b);
-  Alcotest.(check bool) "a intact" true (a = [| [| 2.; 1. |]; [| 1.; 3. |] |]);
-  Alcotest.(check bool) "b intact" true (b = [| 3.; 5. |])
+(* The right-hand side is only read, and one set of scratch arrays, larger
+   than the system, serves one solve after another with the bits of fresh
+   arrays. *)
+let test_linalg_scratch_reuse () =
+  let a = [| 0.; 2.; 1.; 1.; 3.; 0.; 4.; 1.; 5. |] in
+  let b = [| 3.; 5.; 1. |] in
+  let fresh () =
+    let x = Array.make 3 0.0 in
+    Linalg.lu_solve_in_place ~n:3 (Array.copy a) (Array.make 3 0) b x;
+    x
+  in
+  let expected = fresh () in
+  Alcotest.(check bool) "b intact" true (b = [| 3.; 5.; 1. |]);
+  let m = Array.make 16 nan and perm = Array.make 4 7 and x = Array.make 4 nan in
+  for _ = 1 to 3 do
+    Array.blit a 0 m 0 9;
+    Linalg.lu_solve_in_place ~n:3 m perm b x;
+    Alcotest.(check bool) "same bits" true
+      (Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u)
+                          (Int64.bits_of_float v))
+         (Array.sub x 0 3) expected)
+  done
 
 let prop_lu_solves_random_dd =
   qtest ~count:100 "LU solves diagonally dominant random systems"
     QCheck2.Gen.(array_size (return 9) (float_range (-1.0) 1.0))
     (fun entries ->
       let a =
-        Array.init 3 (fun i ->
-            Array.init 3 (fun j ->
-                let v = entries.((3 * i) + j) in
-                if i = j then 4.0 +. abs_float v else v))
+        Array.init 9 (fun k ->
+            let v = entries.(k) in
+            if k / 3 = k mod 3 then 4.0 +. abs_float v else v)
       in
       let x_true = [| 1.0; -2.0; 0.5 |] in
-      let b = Linalg.mat_vec a x_true in
-      let x = Linalg.lu_solve a b in
+      let b = Linalg.mat_vec ~n:3 a x_true in
+      let x = Array.make 3 0.0 in
+      Linalg.lu_solve_in_place ~n:3 a (Array.make 3 0) b x;
       Array.for_all2 (fun u v -> abs_float (u -. v) < 1e-9) x x_true)
 
 (* --------------------------------------------------------------- Solver *)
@@ -347,7 +371,7 @@ let () =
           Alcotest.test_case "singular" `Quick test_linalg_singular;
           Alcotest.test_case "mat vec" `Quick test_linalg_mat_vec;
           Alcotest.test_case "norms" `Quick test_linalg_norms;
-          Alcotest.test_case "no mutation" `Quick test_linalg_does_not_mutate;
+          Alcotest.test_case "scratch reuse" `Quick test_linalg_scratch_reuse;
           prop_lu_solves_random_dd;
         ] );
       ( "solver",

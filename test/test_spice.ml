@@ -281,15 +281,46 @@ let test_input_loading_effect_both_states () =
         (loaded.Report.isub > base.Report.isub))
     [ "0"; "1" ]
 
+(* [of_gate] reads a gate from the devices a kernel compiled: the bits of
+   [of_solution]'s row for every gate, also after [set_gate_device] moved
+   one gate to another device, against a flatten that put it there. *)
+let test_of_gate_matches_of_solution () =
+  let nl = (Leakage_benchmarks.Suite.find "alu88").Leakage_benchmarks.Suite.build () in
+  let assignment =
+    Simulate.run nl
+      (Logic.random_vector (Rng.create 4) (Array.length (Netlist.inputs nl)))
+  in
+  let shifted = Params.with_vth_shift device 0.03 in
+  let flat =
+    Flatten.flatten ~device_of_gate:(fun g -> if g = 7 then shifted else device)
+      ~device ~temp nl assignment
+  in
+  let kernel = Dc.kernel (Flatten.flatten ~device ~temp nl assignment) in
+  Dc.set_gate_device kernel 7 shifted;
+  let r = Dc.run kernel in
+  let bits v = Array.map Int64.bits_of_float v in
+  Alcotest.(check bool) "same voltages as the shifted flatten" true
+    (bits r.Dc.voltages = bits (Dc.solve flat).Dc.voltages);
+  let comps (c : Report.components) =
+    bits [| c.Report.isub; c.Report.igate; c.Report.ibtbt |]
+  in
+  Array.iteri
+    (fun g row ->
+      Alcotest.(check bool) (Printf.sprintf "gate %d" g) true
+        (comps (Report.of_gate kernel r.Dc.voltages g) = comps row))
+    (Report.of_solution flat r.Dc.voltages).Report.per_gate
+
 let test_pin_current_signs () =
   (* a cell pin at '1' draws current from its net; a pin at '0' injects *)
   let nl, _, _ = inverter_chain ~loads_in:0 ~loads_out:0 in
   let check_pattern pattern expect_sign =
     let assignment = Simulate.run nl (Logic.vector_of_string pattern) in
-    let flat = Flatten.flatten ~device ~temp nl assignment in
-    let result = Dc.solve flat in
+    let kernel = Dc.kernel (Flatten.flatten ~device ~temp nl assignment) in
+    let result = Dc.run kernel in
     (* gate 1 = observed inverter, pin 0 *)
-    let i = Report.input_pin_current flat result.Dc.voltages ~gate_id:1 ~pin:0 in
+    let pins = [| 0.0 |] in
+    ignore (Report.of_gate ~pin_currents:pins kernel result.Dc.voltages 1);
+    let i = pins.(0) in
     Alcotest.(check bool)
       (Printf.sprintf "pin current sign at %s" pattern)
       true (expect_sign i > 0.0)
@@ -372,6 +403,8 @@ let () =
           Alcotest.test_case "output loading" `Quick test_output_loading_reduces_all;
           Alcotest.test_case "input loading both states" `Quick test_input_loading_effect_both_states;
           Alcotest.test_case "pin current signs" `Quick test_pin_current_signs;
+          Alcotest.test_case "of_gate equals of_solution" `Quick
+            test_of_gate_matches_of_solution;
           Alcotest.test_case "analyze pipeline" `Quick test_analyze_pipeline;
           Alcotest.test_case "per-gate vth" `Quick test_per_gate_vth_override;
           Alcotest.test_case "temperature" `Quick test_temperature_raises_leakage;
