@@ -136,13 +136,6 @@ let vth_log_slope entry =
     ibtbt = node_slope entry.vth_log_factor.d_ibtbt;
   }
 
-let vth_factor entry dv =
-  {
-    Report.isub = exp (Interp.eval1d entry.vth_log_factor.d_isub dv);
-    igate = exp (Interp.eval1d entry.vth_log_factor.d_igate dv);
-    ibtbt = exp (Interp.eval1d entry.vth_log_factor.d_ibtbt dv);
-  }
-
 (* Linear interpolation on the shared current axis, as [Interp.eval1d]
    does it: the edge samples beyond either end, else the segment
    [xs.(i) <= x < xs.(i+1)] found by bisection and weighted

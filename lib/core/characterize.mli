@@ -58,10 +58,6 @@ type entry = {
       under large shifts). *)
 }
 
-val vth_factor :
-  entry -> float -> Leakage_spice.Leakage_report.components
-(** Per-component multiplicative factor at a threshold shift (V). *)
-
 val vth_log_slope : entry -> Leakage_spice.Leakage_report.components
 (** Per-component slope of [vth_log_factor] at zero shift (1/V) — the λ of
     the analytic variance propagation, i.e. ∂ln(I)/∂ΔVth of exactly the

@@ -15,6 +15,10 @@ let m_shared_hits = Tm.counter "library.shared_hits"
 let m_published = Tm.counter "library.published"
 let h_build_us = Tm.histogram "library.build_us"
 
+(* Response classes of the analytic σ pass whose integrals this library
+   had to compute; [sensitivity.classes] minus these are memo hits. *)
+let m_class_misses = Tm.counter "sensitivity.class_misses"
+
 (* One domain's entries: open addressing on the packed key with linear
    probing, kept at most half full. Keys are non-negative (32 bits at
    most), so -1 marks an empty slot; a hit costs a multiply, a mask and an
@@ -35,12 +39,14 @@ type t = {
          so domains may characterize the same entry redundantly but never
          disagree — and the hot lookup path stays lock-free. *)
   published : (int, Characterize.entry) Hashtbl.t;
+  integrals : Vth_moments.integrals array Vth_moments.Memo.t;
   publish_mutex : Mutex.t;
       (* Publish-once snapshot shared by every domain. A domain that misses
          its own cache adopts from here before paying for a characterization
          (ms-scale DC solves), and publishes what it does build — so N
          domains warm each entry once, not N times. Only the miss path takes
-         the mutex; cache hits stay lock-free. *)
+         the mutex; cache hits stay lock-free. The σ pass's per-class
+         integrals are published the same way, under the same mutex. *)
 }
 
 let new_table () =
@@ -54,6 +60,7 @@ let create ?(grid = Characterize.default_grid) ~device ~temp ?vdd () =
     vdd = Option.value vdd ~default:device.Leakage_device.Params.vdd;
     tables = Domain.DLS.new_key new_table;
     published = Hashtbl.create 64;
+    integrals = Vth_moments.Memo.create 64;
     publish_mutex = Mutex.create ();
   }
 
@@ -236,3 +243,30 @@ let precharacterize ?pool ?(kinds = Gate.all_kinds) t =
     entries
 
 let entry_count t = (Domain.DLS.get t.tables).size
+
+let find_integrals t k =
+  Mutex.lock t.publish_mutex;
+  let ints = Vth_moments.Memo.find_opt t.integrals k in
+  Mutex.unlock t.publish_mutex;
+  ints
+
+(* Computed outside the mutex: two lanes can only race on one key across
+   concurrent analyses (one analysis's classes have distinct tables), and
+   both compute the same bits; the first to publish wins. *)
+let class_integrals t plan tabs =
+  let k = Vth_moments.key plan tabs in
+  match find_integrals t k with
+  | Some ints -> ints
+  | None ->
+    Tm.incr m_class_misses;
+    let ints = Vth_moments.class_integrals plan tabs in
+    Mutex.lock t.publish_mutex;
+    let ints =
+      match Vth_moments.Memo.find_opt t.integrals k with
+      | Some first -> first
+      | None ->
+        Vth_moments.Memo.add t.integrals k ints;
+        ints
+    in
+    Mutex.unlock t.publish_mutex;
+    ints

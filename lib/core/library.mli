@@ -16,7 +16,11 @@
     and publishes — when nobody has ([library.misses] therefore counts
     actual characterization solves). This is what stops a suite fan-out from
     warming the same entries independently on every lane; only the rare miss
-    path takes the snapshot's mutex. *)
+    path takes the snapshot's mutex.
+
+    The library also keeps the analytic σ pass's per-class threshold-axis
+    integrals ({!class_integrals}), published once under the same mutex:
+    they live and die with the library value, and nothing clears them. *)
 
 type t
 
@@ -88,6 +92,21 @@ val precharacterize :
     cell library), fanning the (kind, vector) table out over [pool] when
     given. All resulting entries are adopted into the calling domain's
     cache. *)
+
+val class_integrals :
+  t -> Vth_moments.plan -> Vth_moments.tab array ->
+  Vth_moments.integrals array
+(** [class_integrals t plan tabs] is [Vth_moments.class_integrals plan tabs],
+    computed the first time this library sees the tables' bits under the
+    plan's (σ_vth_inter, σ_vth_intra) pair and handed back, the same
+    arrays, on every later call (do not mutate them). The key is the
+    tables' value, not an entry key, so tables from entries of other
+    libraries (an incremental session's [Relib] gates) are served too.
+
+    Cost of a hit: a hash over the tables' nodes, one probe under the
+    library's mutex and a bitwise compare. A miss computes the integrals
+    outside the mutex (222 exact table integrals under the paper's sigmas)
+    and counts one [sensitivity.class_misses]. *)
 
 val entry_count : t -> int
 (** Number of entries cached in the calling domain (characterization cost

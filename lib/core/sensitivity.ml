@@ -77,10 +77,11 @@ module Pool = Leakage_parallel.Pool
 module Tm = Leakage_telemetry.Telemetry
 
 (* The analytic pass's work: analyses run, response classes they summed
-   over, exact table integrals, and passes that fell back to the sampler. *)
+   over, and passes that fell back to the sampler. The exact table
+   integrals count in [Vth_moments], and the classes whose integrals a
+   library had to compute in [Library]. *)
 let m_passes = Tm.counter "sensitivity.passes"
 let m_classes = Tm.counter "sensitivity.classes"
-let m_table_integrals = Tm.counter "sensitivity.table_integrals"
 let m_fallbacks = Tm.counter "sensitivity.fallbacks"
 
 let default_lin_tol = 0.05
@@ -251,22 +252,9 @@ let geom_of ~device ~temp ~vdd ~(sigmas : Variation.sigmas) =
 
 (* ------------------------------------------------------ response classes *)
 
-(* One clamped piecewise-linear log-response: the node arrays of an
-   [Interp.grid1d], constant beyond either end — the exact function
-   [Interp.eval1d] (and hence the MC sampler) evaluates. *)
-type tab = { t_xs : float array; t_ys : float array }
+let cmp_fa = Vth_moments.cmp_fa
 
-let cmp_fa a b =
-  let n = Array.length a in
-  let rec go i =
-    if i = n then 0
-    else
-      let c = Float.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
-let cmp_tab t1 t2 =
+let cmp_tab (t1 : Vth_moments.tab) (t2 : Vth_moments.tab) =
   let c = cmp_fa t1.t_xs t2.t_xs in
   if c <> 0 then c else cmp_fa t1.t_ys t2.t_ys
 
@@ -292,19 +280,7 @@ module Class_key = Hashtbl.Make (struct
 
   (* The node values only (every table shares its axis), as
      [Float.compare] sees them. *)
-  let mix h (g : Interp.grid1d) =
-    let ys = g.Interp.ys in
-    let h = ref h in
-    for i = 0 to Array.length ys - 1 do
-      let y = ys.(i) in
-      let bits =
-        if y = 0.0 then 0
-        else if y <> y then 1
-        else Int64.to_int (Int64.bits_of_float y)
-      in
-      h := (!h lxor bits) * 0x100000001b3
-    done;
-    !h
+  let mix h (g : Interp.grid1d) = Vth_moments.mix h g.Interp.ys
 
   let hash (t : t) =
     mix (mix (mix 0 t.Characterize.d_isub) t.Characterize.d_igate)
@@ -313,7 +289,8 @@ module Class_key = Hashtbl.Make (struct
 end)
 
 type group = {
-  k_tabs : tab array;      (* 3: the class's shared threshold log-response *)
+  k_tabs : Vth_moments.tab array;
+                           (* 3: the class's shared threshold log-response *)
   k_lam : float array;     (* 3 *)
   k_count : int;
   k_a : float array;       (* 3: Σ loaded_c *)
@@ -353,7 +330,9 @@ let group_of_members ~entries ~(loaded : Report.components array)
     members;
   let entry = entries.(members.(0)) in
   let lam = Characterize.vth_log_slope entry in
-  let tab_of (g : Interp.grid1d) = { t_xs = g.Interp.xs; t_ys = g.Interp.ys } in
+  let tab_of (g : Interp.grid1d) =
+    { Vth_moments.t_xs = g.Interp.xs; t_ys = g.Interp.ys }
+  in
   let t = entry.Characterize.vth_log_factor in
   let a = Array.make 3 0.0
   and b = Array.make 9 0.0
@@ -413,266 +392,11 @@ let class_members entries =
     cls;
   members
 
-(* ------------------------------------------ exact clamped-table moments *)
-
-(* Standard normal CDF through a Chebyshev-fitted erfc (Numerical Recipes
-   "erfcc"): fractional error below 1.2e-7 on all of [0, inf). Written as
-   t·e^{-ax² + P(t)}, so the error in the fitted exponent stays a
-   *relative* error on the value arbitrarily deep into the tail — exactly
-   what differencing Gaussian segment masses needs — at the cost of one exp
-   and one division. Every helper is inlined into [expect_exp_tab_into], so no
-   float is boxed on the way. *)
-let[@inline] erfc_t ax = 1.0 /. (1.0 +. (0.5 *. ax))
-
-(* the exponent -ax² + P(t) *)
-let[@inline] erfc_expo ax t =
-  let p = 0.17087277 in
-  let p = -0.82215223 +. (t *. p) in
-  let p = 1.48851587 +. (t *. p) in
-  let p = -1.13520398 +. (t *. p) in
-  let p = 0.27886807 +. (t *. p) in
-  let p = -0.18628806 +. (t *. p) in
-  let p = 0.09678418 +. (t *. p) in
-  let p = 0.37409196 +. (t *. p) in
-  let p = 1.00002368 +. (t *. p) in
-  -.(ax *. ax) -. 1.26551223 +. (t *. p)
-
-let inv_sqrt2 = 1.0 /. sqrt 2.0
-
-(* Φ(z) for z <= 0, relatively accurate all the way down *)
-let[@inline] lower_cdf z =
-  let ax = -.z *. inv_sqrt2 in
-  let t = erfc_t ax in
-  0.5 *. (t *. exp (erfc_expo ax t))
-
-let[@inline] norm_cdf z = if z > 0.0 then 1.0 -. lower_cdf (-.z) else lower_cdf z
-
-(* log Φ(z), never -infinity for finite z: the deep tail evaluates the
-   fitted exponent directly. *)
-let[@inline] log_norm_cdf z =
-  if z > 0.0 then log1p (-.lower_cdf (-.z))
-  else
-    let ax = -.z *. inv_sqrt2 in
-    let t = erfc_t ax in
-    erfc_expo ax t +. log (0.5 *. t)
-
-(* Clamped piecewise-linear eval — same value as [Interp.eval1d]. *)
-let[@inline] eval_tab { t_xs = xs; t_ys = ys } x =
-  let n = Array.length xs in
-  if x <= xs.(0) then ys.(0)
-  else if x >= xs.(n - 1) then ys.(n - 1)
-  else begin
-    let i = ref 0 in
-    while xs.(!i + 1) < x do incr i done;
-    let t = (x -. xs.(!i)) /. (xs.(!i + 1) -. xs.(!i)) in
-    (ys.(!i) *. (1.0 -. t)) +. (ys.(!i + 1) *. t)
-  end
-
-(* One segment whose window [za, zb], 0 <= za < zb, lies on one side of
-   the shifted mean, with prefactor e^expo. *)
-let[@inline] one_sided ~expo za zb =
-  if expo <= 600.0 then exp expo *. (norm_cdf (-.za) -. norm_cdf (-.zb))
-  else begin
-    let la = log_norm_cdf (-.za) and lb = log_norm_cdf (-.zb) in
-    exp (expo +. la +. log1p (-.exp (lb -. la)))
-  end
-
-(* E[exp(T(v))] for v ~ N(mu, s²) at every mean [mu] of [mus], into [dst];
-   T is the clamped piecewise-linear table. Exact, segment by segment: on
-   [x0, x1] with T = α + βv,
-   ∫ e^{α+βv} φ(v) dv = e^{α+βμ+β²s²/2} (Φ((x1−μ−βs²)/s) − Φ((x0−μ−βs²)/s)),
-   and the clamped tails are constants times Gaussian tail masses. Always
-   finite — the table caps the exponent — which is what makes steep-slope
-   outlier entries integrable where a lognormal λ model diverges.
-
-   Segments whose slope-shifted window [z0, z1] lies entirely on one side
-   of the shifted mean flip their Φ difference onto the lower tail, where
-   [norm_cdf] keeps relative accuracy arbitrarily far out — in the
-   raw orientation the e^{β²s²/2} prefactor can be astronomically large
-   while the Φ values agree to sub-ulp, and the difference would cancel
-   to garbage even though the segment's true contribution, their product,
-   is bounded by e^{max ys}. When the prefactor itself would overflow a
-   double (pathologically steep tables only — the flip keeps the tail
-   values, whose underflow meets the overflow, out of the product until
-   then) the same term is assembled in log space via [log_norm_cdf].
-   Straddling windows have no amplified prefactor (the exponent equals T
-   at the interior mode minus β²s²/2) and use the plain CDF difference.
-   Each segment's slope terms depend on the table and s alone, so one call
-   serves every quadrature node. *)
-let expect_exp_tab_into ({ t_xs = xs; t_ys = ys } as tab) ~s mus dst =
-  let n = Array.length xs in
-  if Tm.enabled () then Tm.add m_table_integrals (Array.length mus);
-  if n = 0 then Array.fill dst 0 (Array.length mus) 1.0
-  else if s <= 0.0 then
-    Array.iteri (fun k mu -> dst.(k) <- exp (eval_tab tab mu)) mus
-  else begin
-    (* per segment, independent of μ: β, α, βs² and β²s²/2 *)
-    let seg = Array.make (4 * (n - 1)) 0.0 in
-    for i = 0 to n - 2 do
-      let x0 = xs.(i) and x1 = xs.(i + 1) in
-      if x1 > x0 then begin
-        let beta = (ys.(i + 1) -. ys.(i)) /. (x1 -. x0) in
-        seg.(4 * i) <- beta;
-        seg.((4 * i) + 1) <- ys.(i) -. (beta *. x0);
-        seg.((4 * i) + 2) <- beta *. s *. s;
-        seg.((4 * i) + 3) <- 0.5 *. beta *. beta *. s *. s
-      end
-    done;
-    let lo = exp ys.(0) and hi = exp ys.(n - 1) in
-    for k = 0 to Array.length mus - 1 do
-      let mu = mus.(k) in
-      let acc = ref (lo *. norm_cdf ((xs.(0) -. mu) /. s)) in
-      for i = 0 to n - 2 do
-        let x0 = xs.(i) and x1 = xs.(i + 1) in
-        if x1 > x0 then begin
-          let beta = seg.(4 * i) in
-          let m = mu +. seg.((4 * i) + 2) in
-          let z0 = (x0 -. m) /. s and z1 = (x1 -. m) /. s in
-          let expo = seg.((4 * i) + 1) +. (beta *. mu) +. seg.((4 * i) + 3) in
-          let term =
-            if z0 >= 0.0 then one_sided ~expo z0 z1
-            else if z1 <= 0.0 then one_sided ~expo (-.z1) (-.z0)
-            else exp expo *. (norm_cdf z1 -. norm_cdf z0)
-          in
-          acc := !acc +. term
-        end
-      done;
-      dst.(k) <- !acc +. (hi *. norm_cdf ((mu -. xs.(n - 1)) /. s))
-    done
-  end
-
-let expect_exp_tab tab ~mu ~s =
-  let r = [| 0.0 |] in
-  expect_exp_tab_into tab ~s [| mu |] r;
-  r.(0)
-
-(* Sum of two clamped piecewise-linear tables, exact on the union grid
-   (clamped-constant pieces are linear too, so the union of breakpoints
-   carries the sum without loss). Tables from one characterization entry
-   share their grid, which is the fast path. *)
-let sum_tab t1 t2 =
-  if t1.t_xs == t2.t_xs || cmp_fa t1.t_xs t2.t_xs = 0 then
-    { t_xs = t1.t_xs; t_ys = Array.map2 ( +. ) t1.t_ys t2.t_ys }
-  else begin
-    let union = Array.append t1.t_xs t2.t_xs in
-    Array.sort Float.compare union;
-    let dedup = ref [] in
-    Array.iter
-      (fun x ->
-        match !dedup with
-        | x' :: _ when x' = x -> ()
-        | _ -> dedup := x :: !dedup)
-      union;
-    let xs = Array.of_list (List.rev !dedup) in
-    { t_xs = xs; t_ys = Array.map (fun x -> eval_tab t1 x +. eval_tab t2 x) xs }
-  end
-
-(* Quadrature over the shared die shift x. [n_full] nodes integrate the
-   σy-smoothed conditional factors (smooth everywhere); [n_inter] denser
-   nodes handle the σy = 0 regime, where the integrand keeps the raw
-   table's kinks (composite Simpson loses one order at a kink but the
-   per-kink error is O(h³) — far below the MC-differential gates). Fixed
-   constants: the node grid depends only on the sigma set, so the assembly
-   is a function of the gates' multiset alone. *)
-let n_full = 65
-let n_inter = 129
-let x_span = 8.0
-
-let two_pi = 8.0 *. atan 1.0
-
-(* Outer quadrature for one (σx = inter, σy = intra) pair: Simpson nodes
-   and Gaussian-weighted weights over the shared die shift, or [None] when
-   σx = 0 and the gates decouple. *)
-type quad = { nodes : float array; wphi : float array }
-
-let quad_of (sigmas : Variation.sigmas) =
-  let sx = sigmas.Variation.sigma_vth_inter
-  and sy = sigmas.Variation.sigma_vth_intra in
-  if sx <= 0.0 then None
-  else begin
-    let n = if sy <= 0.0 then n_inter else n_full in
-    let h = 2.0 *. x_span *. sx /. float_of_int (n - 1) in
-    let nodes = Array.init n (fun i -> (-.x_span *. sx) +. (h *. float_of_int i)) in
-    let wphi =
-      Array.init n (fun i ->
-          let simp =
-            if i = 0 || i = n - 1 then 1.0
-            else if i mod 2 = 1 then 4.0
-            else 2.0
-          in
-          let x = nodes.(i) in
-          simp *. h /. 3.0
-          *. exp (-.(x *. x) /. (2.0 *. sx *. sx))
-          /. (sx *. sqrt two_pi))
-    in
-    Some { nodes; wphi }
-  end
-
-(* One class's weight-independent threshold-axis integrals under one sigma
-   set: they depend on the class's tables alone. *)
-type integrals = {
-  m1 : float array;       (* 3: exact mean factors at the combined spread *)
-  shared : float array;   (* 9: exact same-gate shared-y E[e^{(l_c+l_d)(v)}] *)
-  f : float array array;  (* 3 × nodes: E_y[e^{l(x_i+y)}]; [||] if no quad *)
-  sh_indep : float array; (* 9: independent-y same-gate products; [||]
-                             unless both spreads are live *)
-}
-
-let integrals_of (sigmas : Variation.sigmas) quad (tabs : tab array) =
-  let sx = sigmas.Variation.sigma_vth_inter
-  and sy = sigmas.Variation.sigma_vth_intra in
-  let s_all = sqrt ((sx *. sx) +. (sy *. sy)) in
-  let m1 = Array.init 3 (fun c -> expect_exp_tab tabs.(c) ~mu:0.0 ~s:s_all) in
-  let shared = Array.make 9 0.0 in
-  for c = 0 to 2 do
-    for d = c to 2 do
-      let v = expect_exp_tab (sum_tab tabs.(c) tabs.(d)) ~mu:0.0 ~s:s_all in
-      shared.((c * 3) + d) <- v;
-      shared.((d * 3) + c) <- v
-    done
-  done;
-  match quad with
-  | None -> { m1; shared; f = [||]; sh_indep = [||] }
-  | Some { nodes; wphi } ->
-    let n = Array.length nodes in
-    let f =
-      Array.init 3 (fun c ->
-          let tab = tabs.(c) in
-          let fc = Array.make n 0.0 in
-          if sy <= 0.0 then
-            for i = 0 to n - 1 do
-              fc.(i) <- exp (eval_tab tab nodes.(i))
-            done
-          else expect_exp_tab_into tab ~s:sy nodes fc;
-          fc)
-    in
-    (* independent-y same-gate products under the same quadrature, so the
-       B correction cancels exactly what the cross sum counted *)
-    let sh_indep =
-      if sy <= 0.0 then [||]
-      else begin
-        let m = Array.make 9 0.0 in
-        for c = 0 to 2 do
-          for d = c to 2 do
-            let fc = f.(c) and fd = f.(d) in
-            let acc = ref 0.0 in
-            for i = 0 to n - 1 do
-              acc := !acc +. (wphi.(i) *. fc.(i) *. fd.(i))
-            done;
-            m.((c * 3) + d) <- !acc;
-            m.((d * 3) + c) <- !acc
-          done
-        done;
-        m
-      end
-    in
-    { m1; shared; f; sh_indep }
-
 (* Threshold-axis second-moment engine for one sigma pair over the classes'
    precomputed integrals: the returned closure folds in one column's (A, B)
    weights, summing across classes sequentially in class order. See the
    module header for the regime split. *)
-let vth_engine ~(ints : integrals array) ~quad ~sy =
+let vth_engine ~(ints : Vth_moments.integrals array) ~quad ~sy =
   let nk = Array.length ints in
   fun ~a_of ~b_of ->
     let eu =
@@ -702,7 +426,7 @@ let vth_engine ~(ints : integrals array) ~quad ~sy =
                               -. (m1.(c) *. m1.(d))))
                   done;
                   (eu.(c) *. eu.(d)) +. !corr))
-      | Some { wphi; _ } ->
+      | Some { Vth_moments.wphi; _ } ->
           let n = Array.length wphi in
           (* column-projected conditional means Σ_k A_k f_k(x_i) *)
           let big =
@@ -840,19 +564,20 @@ let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
     geom_of ~device:(Library.device lib) ~temp:(Library.temp lib)
       ~vdd:(Library.vdd lib) ~sigmas
   in
-  let sets =
-    [| sigmas; Variation.inter_only sigmas; Variation.intra_only sigmas |]
-  in
-  let quads = Array.map quad_of sets in
+  let plan = Vth_moments.plan sigmas in
+  let sets = plan.Vth_moments.sets and quads = plan.Vth_moments.quads in
   (* Everything per class — its canonical member order, its weights and
      its weight-independent integrals under each sigma set — depends on
      that class alone: one pool item per class, each lane writing its own
-     slot. Cross-class sums run afterwards, sequentially, in class order. *)
+     slot. The integrals depend on the class's tables and the sigma pair
+     alone, so the library computes them once and hands them back on every
+     later call. Cross-class sums run afterwards, sequentially, in class
+     order. *)
   let classes =
     let members = class_members entries in
     Pool.map ?pool (Array.length members) (fun k ->
         let g = group_of_members ~entries ~loaded ~isolated members.(k) in
-        (g, Array.mapi (fun i s -> integrals_of s quads.(i) g.k_tabs) sets))
+        (g, Library.class_integrals lib plan g.k_tabs))
   in
   Array.stable_sort (fun (g1, _) (g2, _) -> cmp_group g1 g2) classes;
   let groups = Array.map fst classes in
@@ -880,7 +605,7 @@ let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
       let dev = ref 0.0 in
       for c = 0 to 2 do
         let t = g.k_tabs.(c) and lam = g.k_lam.(c) in
-        let at d = Float.abs (eval_tab t d -. (lam *. d)) in
+        let at d = Float.abs (Vth_moments.eval_tab t d -. (lam *. d)) in
         dev :=
           Float.max !dev
             (Float.max (at (2.0 *. sdv)) (at (-2.0 *. sdv)))
@@ -962,9 +687,6 @@ let merge_fallback res ~(mc_loaded : stats) ~(mc_baseline : stats) =
     loaded = merge res.loaded mc_loaded;
     baseline = merge res.baseline mc_baseline;
   }
-
-let expect_exp_table ~xs ~ys ~mu ~s =
-  expect_exp_tab { t_xs = xs; t_ys = ys } ~mu ~s
 
 (* ------------------------------------------------------- entry points *)
 

@@ -68,15 +68,6 @@ type result = {
 val flagged : result -> bool
 (** Any component flagged. *)
 
-val expect_exp_table :
-  xs:float array -> ys:float array -> mu:float -> s:float -> float
-(** [E\[exp(T(v))\]] for [v ~ N(mu, s²)], where [T] interpolates [ys] over
-    [xs] linearly and clamps to the end values outside the grid — the same
-    response [Interp.eval1d] gives the sampler. Exact per segment via the
-    normal CDF; the moment engine's innermost primitive, exposed for the
-    test suite's quadrature/finite-difference oracles. [s = 0] degenerates
-    to a point evaluation. *)
-
 val analyze :
   ?pool:Leakage_parallel.Pool.t ->
   ?lin_tol:float ->
@@ -90,8 +81,9 @@ val analyze :
     entry, its loading-aware components and its isolated nominal
     components (what [Estimator.estimate_fold] hands its callback). The
     die-level geometry sensitivities come from [lib]'s device, temperature
-    and supply. Pure: no netlist access, no fallback ([from_mc] is always
-    false here), the arrays are not modified.
+    and supply. No netlist access, no fallback ([from_mc] is always false
+    here), the arrays are not modified; the only state it touches is
+    [lib]'s memo of class integrals, which never changes a result.
 
     Gates are bucketed by value into response classes (equal threshold
     tables; gates sharing a characterization entry always share a class),
@@ -99,10 +91,19 @@ val analyze :
     are visited in a canonical order — so the result depends only on the
     multiset of per-gate states: gate numbering, array order and [pool]
     never change any reported digit, which is what makes sigmas invariant
-    under netlist renaming. Cost: one hash per gate plus a sort of each
-    class's members on six floats, then a fixed number of exact segment
-    integrals and quadrature nodes per class (fanned out over [pool], one
-    item per class) and moment sums over the K classes. *)
+    under netlist renaming.
+
+    Cost: one hash per gate plus a sort of each class's members on six
+    floats (fanned out over [pool], one item per class), then moment sums
+    over the K classes. Each class's weight-independent threshold-axis
+    integrals (under the full, inter-only and intra-only sets) depend on
+    its tables and the (σ_vth_inter, σ_vth_intra) pair alone, so [lib]
+    computes them once and hands them back on every later call
+    ({!Library.class_integrals}, keyed by the tables' bits, so classes
+    whose entries came from other libraries are kept too): a class new
+    to [lib] costs 222 exact segment integrals under the paper's sigmas
+    and counts in [sensitivity.class_misses], a known one a hash and a
+    probe. *)
 
 val estimate_totals :
   ?passes:int ->

@@ -1,4 +1,5 @@
 module Rng = Leakage_numeric.Rng
+module Interp = Leakage_numeric.Interp
 module Stats = Leakage_numeric.Stats
 module Variation = Leakage_device.Variation
 module Logic = Leakage_circuit.Logic
@@ -60,13 +61,39 @@ let m_table_evals = Tm.counter "statistical.table_evals"
    sample count, never the pool size. *)
 let sample_chunk = 32
 
-let scale_components (c : Report.components) (scale : Report.components)
-    (factor : Report.components) =
-  {
-    Report.isub = c.Report.isub *. scale.Report.isub *. factor.Report.isub;
-    igate = c.Report.igate *. scale.Report.igate *. factor.Report.igate;
-    ibtbt = c.Report.ibtbt *. scale.Report.ibtbt *. factor.Report.ibtbt;
-  }
+(* One component of a gate's threshold factor at a shift [x], written to
+   [dst.(k)]: exp of its [vth_log_factor] table at [x] as [Interp.eval1d]
+   reads it — the edge sample beyond either end, else the segment
+   [xs.(i) <= x < xs.(i+1)] found by bisection and weighted
+   [(y_i *. (1. -. t)) +. (y_{i+1} *. t)] — with the same operations, and
+   nothing boxed on the way. *)
+let factor_into dst k (g : Interp.grid1d) x =
+  if Float.is_nan x then invalid_arg "Interp.eval1d: NaN coordinate";
+  let xs = g.Interp.xs and ys = g.Interp.ys in
+  let n = Array.length xs in
+  let y =
+    if x <= xs.(0) then ys.(0)
+    else if x >= xs.(n - 1) then ys.(n - 1)
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if xs.(mid) <= x then lo := mid else hi := mid
+      done;
+      let i = !lo in
+      let t = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
+      (ys.(i) *. (1.0 -. t)) +. (ys.(i + 1) *. t)
+    end
+  in
+  dst.(k) <- exp y
+
+(* One gate's term of the sample's sum, per component c
+   [acc.(o + c) +. c_c *. scale_c *. factor_c]: what [Report.add] of the
+   scaled components added. *)
+let add_scaled acc o (c : Report.components) (scale : Report.components) fac =
+  acc.(o) <- acc.(o) +. (c.Report.isub *. scale.Report.isub *. fac.(0));
+  acc.(o + 1) <- acc.(o + 1) +. (c.Report.igate *. scale.Report.igate *. fac.(1));
+  acc.(o + 2) <- acc.(o + 2) +. (c.Report.ibtbt *. scale.Report.ibtbt *. fac.(2))
 
 let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   if n_samples <= 0 then invalid_arg "Statistical.run: n_samples";
@@ -91,20 +118,27 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
     Tm.add m_samples n_samples;
     Tm.add m_table_evals (n_samples * Array.length rows)
   end;
+  (* Per gate, the factors and both columns' sums live in float arrays, so
+     a gate-sample allocates only its threshold draw. *)
   let sample_at i =
     let srng = streams.(i) in
     let die = Variation.sample_die srng sigmas in
     let scale = scale_against lib nominal die in
-    let acc_loaded = ref Report.zero and acc_base = ref Report.zero in
-    Array.iter
-      (fun (loaded, base, entry) ->
-        let dv = die.Variation.dvth +. Variation.sample_gate_vth srng sigmas in
-        let factor = Characterize.vth_factor entry dv in
-        acc_loaded :=
-          Report.add !acc_loaded (scale_components loaded scale factor);
-        acc_base := Report.add !acc_base (scale_components base scale factor))
-      rows;
-    { with_loading = !acc_loaded; no_loading = !acc_base }
+    let fac = Array.make 3 0.0 and acc = Array.make 6 0.0 in
+    for g = 0 to Array.length rows - 1 do
+      let loaded, base, (entry : Characterize.entry) = rows.(g) in
+      let dv = die.Variation.dvth +. Variation.sample_gate_vth srng sigmas in
+      let t = entry.Characterize.vth_log_factor in
+      factor_into fac 0 t.Characterize.d_isub dv;
+      factor_into fac 1 t.Characterize.d_igate dv;
+      factor_into fac 2 t.Characterize.d_ibtbt dv;
+      add_scaled acc 0 loaded scale fac;
+      add_scaled acc 3 base scale fac
+    done;
+    let column o =
+      { Report.isub = acc.(o); igate = acc.(o + 1); ibtbt = acc.(o + 2) }
+    in
+    { with_loading = column 0; no_loading = column 3 }
   in
   let samples =
     match pool with

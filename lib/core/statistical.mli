@@ -33,10 +33,12 @@ val run :
 (** Monte-Carlo estimate for one input pattern (default 1,000 samples,
     seed 1). Cost per sample is O(gates) table scalings plus the two
     shifted reference-inverter solves of its die scale; the two nominal
-    reference solves run once per call, before the samples. With telemetry
-    on, a run adds its samples to [statistical.samples] and its per-gate
-    threshold-table evaluations ({!Characterize.vth_factor}, samples ×
-    gates) to [statistical.table_evals].
+    reference solves run once per call, before the samples. A gate's
+    factors and the sample's sums go through float scratch, so a
+    gate-sample allocates only its threshold draw. With telemetry on, a
+    run adds its samples to [statistical.samples] and its per-gate
+    threshold-table evaluations (exp of each [vth_log_factor] table at the
+    gate's shift, samples × gates) to [statistical.table_evals].
 
     Every sample's RNG stream is split off the root generator by sample
     index before evaluation, so [pool] fans samples out without changing a

@@ -116,8 +116,11 @@ val sigma :
     session's cached per-gate state. The cone machinery keeps the per-gate
     entries and component estimates current after every edit, so this costs
     only the σ assembly — bucketing the gates into response classes plus
-    the per-class integrals and moment sums — with no estimator pass and no
-    DC solves.
+    the moment sums — with no estimator pass and no DC solves. The
+    per-class integrals come from the session's base library, which
+    computes each class once per sigma pair, whichever library its gates'
+    entries came from: a session whose classes barely move between calls
+    re-reads them.
 
     Like {!totals}, the inputs carry the session's accumulated float drift
     between refreshes; after {!refresh} the result is bit-identical to

@@ -52,31 +52,34 @@ let write_response fd { status; content_type; body } =
    us buffer forever. *)
 let max_head = 16 * 1024
 
+(* Whether "\r\n\r\n" starts at some position from [i] on. *)
+let rec has_terminator buf i =
+  i + 3 < Buffer.length buf
+  && ((Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n')
+     || has_terminator buf (i + 1))
+
+(* Each read's bytes are scanned once: the search resumes three bytes
+   before the old end, so a terminator split across two reads is found,
+   and a head costs time and memory linear in its length. *)
 let read_head fd =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 512 in
-  let rec go () =
+  let rec go from =
     if Buffer.length buf > max_head then None
-    else begin
-      let seen = Buffer.contents buf in
-      let have_terminator =
-        let rec find i =
-          i + 3 < String.length seen
-          && (String.sub seen i 4 = "\r\n\r\n" || find (i + 1))
-        in
-        String.length seen >= 4 && find 0
-      in
-      if have_terminator then Some seen
-      else
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    end
+    else if has_terminator buf from then Some (Buffer.contents buf)
+    else
+      let from = Stdlib.max 0 (Buffer.length buf - 3) in
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go from
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go from
   in
-  go ()
+  go 0
 
 let parse_request_line head =
   match String.index_opt head '\r' with

@@ -8,8 +8,10 @@
 
    The σ group pins the analytic variance propagation the same way: every
    float, flag and class count of [Sensitivity.estimate_totals] on the
-   golden corpus (sequential and on a 2-domain pool), and of
-   [Incremental.sigma] after a refresh.
+   golden corpus (sequential and on a 2-domain pool), of one library
+   analyzed again and again under changing sigmas, and of [Incremental.sigma]
+   after a refresh and on a dual-Vth session. The Monte-Carlo sampler's
+   samples are pinned beside them.
 
    The estimator group pins the Fig-13 estimator the same way: totals of
    [Estimator.estimate_totals] on the golden corpus at the default grid,
@@ -43,6 +45,8 @@ module Loading = Leakage_core.Loading
 module Mtcmos = Leakage_core.Mtcmos
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
+module Dual_vth = Leakage_incremental.Dual_vth
+module Statistical = Leakage_core.Statistical
 module Pool = Leakage_parallel.Pool
 module Trees = Leakage_benchmarks.Trees
 module Report = Leakage_spice.Leakage_report
@@ -285,8 +289,10 @@ let test_mtcmos_sweep_bits () =
 
 (* The golden corpus (the paper's suite plus the 16k-deep tapped chain) at
    the coarse grid, D25/300 K, under the paper's sigmas. *)
-let sigma_lib =
-  lazy (Library.create ~grid:golden_grid ~device:Params.d25 ~temp:300.0 ())
+let fresh_sigma_lib ?(device = Params.d25) () =
+  Library.create ~grid:golden_grid ~device ~temp:300.0 ()
+
+let sigma_lib = lazy (fresh_sigma_lib ())
 
 let flag put b = put (if b then 1.0 else 0.0)
 
@@ -311,15 +317,18 @@ let emit_sigma put (r : Sensitivity.result) =
   put (float_of_int r.Sensitivity.flagged_gates);
   put (float_of_int r.Sensitivity.groups)
 
-let sigma_digest ?pool nl =
+let sigma_digest_on ?pool ~sigmas lib nl =
   let totals, baseline, res =
-    Sensitivity.estimate_totals ?pool ~sigmas:Variation.paper_sigmas
-      (Lazy.force sigma_lib) nl (fixed_vector nl 11)
+    Sensitivity.estimate_totals ?pool ~sigmas lib nl (fixed_vector nl 11)
   in
   digest_floats (fun put ->
       emit_components put totals;
       emit_components put baseline;
       emit_sigma put res)
+
+let sigma_digest ?pool nl =
+  sigma_digest_on ?pool ~sigmas:Variation.paper_sigmas (Lazy.force sigma_lib)
+    nl
 
 let corpus =
   List.map (fun (e : Suite.entry) -> (e.Suite.label, e.Suite.build)) Suite.all
@@ -349,10 +358,7 @@ let test_sigma_bits label expected () =
    runs over the session's cached per-gate state. *)
 let test_incremental_sigma_bits () =
   let lib = Lazy.force sigma_lib in
-  let hvt =
-    Library.create ~grid:golden_grid
-      ~device:(Params.with_vth_shift Params.d25 0.08) ~temp:300.0 ()
-  in
+  let hvt = fresh_sigma_lib ~device:(Params.with_vth_shift Params.d25 0.08) () in
   let nl = (Suite.find "s838").Suite.build () in
   let s = Incremental.create lib nl (fixed_vector nl 5) in
   let rng = Rng.create 17 in
@@ -368,6 +374,99 @@ let test_incremental_sigma_bits () =
   Alcotest.(check string) "s838 session after refresh"
     "91fdf9f5c0f3409e41c25285f162fb87"
     (digest_floats (fun put -> emit_sigma put res))
+
+(* One library analyzed again and again: cold, warm, under inter-only
+   sigmas, under the paper's again, then on a second circuit that shares
+   many of its classes. Each call must read the bits a fresh library gives
+   for the same circuit and sigmas, and the pinned literal; the whole
+   sequence runs sequentially and on a 2-domain pool, each from a cold
+   library. *)
+let warm_sequence =
+  let paper = Variation.paper_sigmas in
+  let inter = Variation.inter_only paper in
+  [
+    ("s838", "paper, cold", paper, "0b877969e7dbce83af1c6d38e3312d4e");
+    ("s838", "paper, warm", paper, "0b877969e7dbce83af1c6d38e3312d4e");
+    ("s838", "inter-only", inter, "76c8b45291e2bb0dd763184bab6dcccb");
+    ("s838", "paper again", paper, "0b877969e7dbce83af1c6d38e3312d4e");
+    ("s1196", "paper, shared classes", paper,
+     "e1d4430454df1cb8e107c52890bc833f");
+  ]
+
+let test_warm_library_sigma () =
+  let nls =
+    List.map (fun l -> (l, (Suite.find l).Suite.build ())) [ "s838"; "s1196" ]
+  in
+  let fresh =
+    List.map
+      (fun (label, _, sigmas, _) ->
+        ((label, sigmas),
+         lazy (sigma_digest_on ~sigmas (fresh_sigma_lib ()) (List.assoc label nls))))
+      warm_sequence
+  in
+  let run ?pool lanes =
+    let lib = fresh_sigma_lib () in
+    List.iter
+      (fun (label, step, sigmas, expected) ->
+        let d = sigma_digest_on ?pool ~sigmas lib (List.assoc label nls) in
+        let what = Printf.sprintf "%s %s (%s)" label step lanes in
+        Alcotest.(check string) (what ^ " = fresh library")
+          (Lazy.force (List.assoc (label, sigmas) fresh)) d;
+        Alcotest.(check string) (what ^ " pinned") expected d)
+      warm_sequence
+  in
+  run "sequential";
+  Pool.with_pool ~jobs:2 (fun pool -> run ~pool "2 domains")
+
+(* A dual-Vth session: the slack assignment's high-Vth gates take their
+   entries from a +80 mV library, so their response classes come from
+   another library than the session's base. Analyzed twice, then again
+   under inter-only sigmas. *)
+let test_dual_vth_sigma_bits () =
+  let lib = fresh_sigma_lib () in
+  let hvt = fresh_sigma_lib ~device:(Dual_vth.high_vth_device Params.d25) () in
+  let nl = (Suite.find "s838").Suite.build () in
+  let s = Incremental.create lib nl (fixed_vector nl 7) in
+  let assignment = Dual_vth.slack_assignment ~critical_margin:0 nl in
+  let edits = ref [] in
+  Array.iteri
+    (fun g high -> if high then edits := Edit.Relib (g, hvt) :: !edits)
+    assignment;
+  Incremental.apply_batch s (List.rev !edits);
+  let digest sigmas =
+    digest_floats (fun put -> emit_sigma put (Incremental.sigma ~sigmas s))
+  in
+  let paper = Variation.paper_sigmas in
+  let expected = "1bae4700bc49a4494720f5878aaeae11" in
+  Alcotest.(check string) "s838 dual-Vth session" expected (digest paper);
+  Alcotest.(check string) "the same session again" expected (digest paper);
+  Alcotest.(check string) "under inter-only sigmas" "fa2ee97e38f04a633e652e4eacd8f8be"
+    (digest (Variation.inter_only paper))
+
+(* The sampler the closed form is checked against: every sample of a
+   70-sample run (two full chunks and a six-sample tail) on s838,
+   sequential and on a 2-domain pool. *)
+let test_statistical_bits () =
+  let nl = (Suite.find "s838").Suite.build () in
+  let digest ?pool () =
+    let r =
+      Statistical.run ?pool ~n_samples:70 ~seed:3
+        ~sigmas:Variation.paper_sigmas (Lazy.force sigma_lib) nl
+        (fixed_vector nl 13)
+    in
+    digest_floats (fun put ->
+        Array.iter
+          (fun (s : Statistical.sample_totals) ->
+            emit_components put s.Statistical.with_loading;
+            emit_components put s.Statistical.no_loading)
+          r.Statistical.samples;
+        Array.iter put r.Statistical.total_with_loading;
+        Array.iter put r.Statistical.total_no_loading)
+  in
+  let expected = "13f189f572d7855b34b5245c87fda4a9" in
+  Alcotest.(check string) "s838 sequential" expected (digest ());
+  Alcotest.(check string) "s838 on 2 domains" expected
+    (Pool.with_pool ~jobs:2 (fun pool -> digest ~pool ()))
 
 (* ---------------------------------------------------------- estimator bits *)
 
@@ -615,8 +714,16 @@ let () =
           (fun (label, expected) ->
             Alcotest.test_case label `Quick (test_sigma_bits label expected))
           sigma_pins
-        @ [ Alcotest.test_case "incremental after refresh" `Quick
-              test_incremental_sigma_bits ] );
+        @ [
+            Alcotest.test_case "incremental after refresh" `Quick
+              test_incremental_sigma_bits;
+            Alcotest.test_case "one library, changing sigmas" `Quick
+              test_warm_library_sigma;
+            Alcotest.test_case "dual-Vth session" `Quick
+              test_dual_vth_sigma_bits;
+            Alcotest.test_case "Monte-Carlo samples" `Quick
+              test_statistical_bits;
+          ] );
       ( "estimator-bits",
         List.map
           (fun (label, expected) ->

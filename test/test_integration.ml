@@ -11,6 +11,7 @@ module Library = Leakage_core.Library
 module Estimator = Leakage_core.Estimator
 module Suite = Leakage_benchmarks.Suite
 module Rng = Leakage_numeric.Rng
+module Tm = Leakage_telemetry.Telemetry
 
 let device = Params.d25
 let temp = 300.0
@@ -89,24 +90,42 @@ let test_loading_shift_direction_varies_per_gate () =
   Alcotest.(check bool) "some gates increase" true (!ups > 10);
   Alcotest.(check bool) "some gates decrease" true (!downs > 10)
 
+(* The §6 cost ratio as work, which reads the same on every run: the
+   transistor-level solve evaluates at least ten devices for every library
+   lookup the estimator makes (about 224 on s1423). Both wall-clock times
+   are printed, not gated. *)
 let test_estimator_faster_than_solver () =
   let nl = (Suite.find "s1423").Suite.build () in
   let rng = Rng.create 1 in
   let pattern = List.hd (Simulate.random_patterns rng nl 1) in
-  (* warm the characterization cache before timing *)
+  (* warm the characterization cache before counting *)
   ignore (Estimator.estimate lib nl pattern);
-  let time f =
+  let counted name f =
+    let was = Tm.enabled () in
+    Tm.set_enabled true;
+    Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+    let count () = Tm.Snapshot.counter_total (Tm.Snapshot.take ()) name in
+    let before = count () in
     let t0 = Sys.time () in
     f ();
-    Sys.time () -. t0
+    let seconds = Sys.time () -. t0 in
+    (count () - before, seconds)
   in
-  let t_est = time (fun () -> ignore (Estimator.estimate lib nl pattern)) in
-  let t_spice = time (fun () -> ignore (Report.analyze ~device ~temp nl pattern)) in
+  let lookups, t_est =
+    counted "estimator.gate_lookups" (fun () ->
+        ignore (Estimator.estimate lib nl pattern))
+  in
+  let evals, t_spice =
+    counted "dc.device_evals" (fun () ->
+        ignore (Report.analyze ~device ~temp nl pattern))
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "estimator >= 10x faster (est %.4fs, spice %.4fs)" t_est
-       t_spice)
+    (Printf.sprintf
+       "solver device evaluations >= 10x estimator lookups (%d vs %d; est \
+        %.4fs, spice %.4fs)"
+       evals lookups t_est t_spice)
     true
-    (t_spice > 10.0 *. t_est)
+    (lookups > 0 && evals >= 10 * lookups)
 
 let test_bench_file_roundtrip_through_estimator () =
   let nl = (Suite.find "s838").Suite.build () in

@@ -8,8 +8,8 @@
    use), and the estimator-facing entry points honor their determinism
    contracts: bit-identical across pool sizes, across construction order
    of digest-equal netlists, and between a refreshed incremental session
-   and a fresh pass. The last group counts the analytic pass's work and
-   gates what it allocates. *)
+   and a fresh pass. The last group counts the analytic pass's work on
+   fresh and warm libraries and gates what it and the sampler allocate. *)
 
 module Params = Leakage_device.Params
 module Variation = Leakage_device.Variation
@@ -20,6 +20,7 @@ module Report = Leakage_spice.Leakage_report
 module Characterize = Leakage_core.Characterize
 module Library = Leakage_core.Library
 module Sensitivity = Leakage_core.Sensitivity
+module Vth_moments = Leakage_core.Vth_moments
 module Statistical = Leakage_core.Statistical
 module Incremental = Leakage_incremental.Incremental
 module Edit = Leakage_incremental.Edit
@@ -38,10 +39,12 @@ let temp = 300.0
 
 (* same coarse grid as diff_harness, so the characterization cache stays
    warm across the test executable *)
-let lib =
+let fresh_lib () =
   Library.create
     ~grid:{ Characterize.max_current = 3.0e-6; points = 5 }
     ~device ~temp ()
+
+let lib = fresh_lib ()
 
 let sigmas = Variation.paper_sigmas
 
@@ -80,7 +83,7 @@ let nand_tree depth =
 let random_pattern seed nl =
   Logic.random_vector (Rng.create seed) (Array.length (Netlist.inputs nl))
 
-let analytic ?(sigmas = sigmas) nl pattern =
+let analytic ?(lib = lib) ?(sigmas = sigmas) nl pattern =
   let _, _, res =
     Sensitivity.estimate_totals ~fallback_samples:0 ~sigmas lib nl pattern
   in
@@ -212,7 +215,7 @@ let gen_table =
 let prop_expect_exp_table_matches_oracle =
   qtest ~count:60 "expect_exp_table = quadrature oracle" gen_table
     (fun (xs, ys, mu, s) ->
-      let a = Sensitivity.expect_exp_table ~xs ~ys ~mu ~s in
+      let a = Vth_moments.expect_exp_table ~xs ~ys ~mu ~s in
       let o = oracle_expect_exp ~xs ~ys ~mu ~s in
       Float.abs (a -. o) <= 1e-4 *. Float.max a o)
 
@@ -224,7 +227,7 @@ let test_expect_exp_degenerate_point () =
       Alcotest.(check (float 1e-15))
         (Printf.sprintf "s=0 at mu=%g is a point evaluation" mu)
         (exp (Interp.eval1d g mu))
-        (Sensitivity.expect_exp_table ~xs ~ys ~mu ~s:0.0))
+        (Vth_moments.expect_exp_table ~xs ~ys ~mu ~s:0.0))
     [ -0.25; -0.05; 0.0; 0.07; 0.3 ]
 
 let test_expect_exp_constant_table () =
@@ -232,23 +235,22 @@ let test_expect_exp_constant_table () =
   let xs = [| -0.1; 0.1 |] and ys = [| 0.7; 0.7 |] in
   Alcotest.(check (float 1e-12))
     "flat table ignores s" (exp 0.7)
-    (Sensitivity.expect_exp_table ~xs ~ys ~mu:0.02 ~s:0.5)
+    (Vth_moments.expect_exp_table ~xs ~ys ~mu:0.02 ~s:0.5)
 
 let test_vth_log_slope_matches_fd () =
   (* λ really is the log-slope of the tabulated response the sampler
      interpolates, component by component *)
   let entry = Library.entry lib (Gate.Nand 2) (Logic.vector_of_string "01") in
   let slope = Characterize.vth_log_slope entry in
-  let at pick dv = pick (Characterize.vth_factor entry dv) in
+  let t = entry.Characterize.vth_log_factor in
   List.iter
-    (fun (name, pick, analytic) ->
+    (fun (name, table, analytic) ->
       Fd.check_grad ~tol:1e-6 ~name:("lambda " ^ name) ~h:1e-4
-        (fun dv -> log (at pick dv))
-        0.0 analytic)
+        (Interp.eval1d table) 0.0 analytic)
     [
-      ("isub", (fun c -> c.Report.isub), slope.Report.isub);
-      ("igate", (fun c -> c.Report.igate), slope.Report.igate);
-      ("ibtbt", (fun c -> c.Report.ibtbt), slope.Report.ibtbt);
+      ("isub", t.Characterize.d_isub, slope.Report.isub);
+      ("igate", t.Characterize.d_igate, slope.Report.igate);
+      ("ibtbt", t.Characterize.d_ibtbt, slope.Report.ibtbt);
     ]
 
 (* --------------------------------------------------- inter/intra split *)
@@ -563,11 +565,11 @@ let test_geometry_flag_triggers_mc_fallback () =
 (* ----------------------------------------------------------------- work *)
 
 let work_counters =
-  [ "sensitivity.passes"; "sensitivity.classes"; "sensitivity.table_integrals";
-    "sensitivity.fallbacks" ]
+  [ "sensitivity.passes"; "sensitivity.classes"; "sensitivity.class_misses";
+    "sensitivity.table_integrals"; "sensitivity.fallbacks" ]
 
-(* The analytic pass's counters across [f]: passes, classes, table
-   integrals, fallbacks. *)
+(* The analytic pass's counters across [f]: passes, classes, classes whose
+   integrals the library computed, table integrals, fallbacks. *)
 let work_of f =
   let was = Tm.enabled () in
   Tm.set_enabled true;
@@ -580,42 +582,53 @@ let work_of f =
   let r = f () in
   (List.map2 ( - ) (read ()) before, r)
 
-(* A class's table integrals depend on the sigma set alone, never on how
-   many gates share the class or how many lanes ran it: the same count per
-   class on a 1024- and a 16384-stage chain, sequential and on two lanes. *)
+(* Table integrals per class under the paper's sigmas: 9 for the means and
+   same-gate pairs of each of the three sigma sets, plus the 3 x 65
+   quadrature nodes of the full set's conditional factors. *)
+let integrals_per_class = 222
+
+(* A class's table integrals depend on its tables and the sigma pair
+   alone, never on how many gates share the class or how many lanes ran
+   it. On a fresh library every class is computed — 222 integrals each, on
+   a 1024- and a 16384-stage chain, sequential and on two lanes — and the
+   same call again computes nothing and reads the same bits. *)
 let test_work_counts () =
-  let per_class =
-    List.concat_map
-      (fun stages ->
-        let nl = Trees.chain ~stages ~tap_every:64 () in
-        let pattern = random_pattern 9 nl in
-        List.map
-          (fun jobs ->
-            let label = Printf.sprintf "chain%d on %d lane(s)" stages jobs in
-            match
-              work_of (fun () ->
-                  Pool.with_pool ~jobs (fun pool ->
-                      let _, _, res =
-                        Sensitivity.estimate_totals ~pool ~fallback_samples:0
-                          ~sigmas lib nl pattern
-                      in
-                      res))
-            with
-            | [ passes; classes; integrals; fallbacks ], res ->
-              Alcotest.(check int) (label ^ ": one pass") 1 passes;
-              Alcotest.(check int) (label ^ ": classes") res.Sensitivity.groups
-                classes;
-              Alcotest.(check int) (label ^ ": no fallback") 0 fallbacks;
-              Alcotest.(check int) (label ^ ": whole integrals per class") 0
-                (integrals mod classes);
-              integrals / classes
-            | _ -> assert false)
-          [ 1; 2 ])
-      [ 1024; 16384 ]
-  in
-  Alcotest.(check (list int)) "table integrals per class"
-    (List.map (fun _ -> List.hd per_class) per_class)
-    per_class
+  List.iter
+    (fun stages ->
+      let nl = Trees.chain ~stages ~tap_every:64 () in
+      let pattern = random_pattern 9 nl in
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "chain%d on %d lane(s)" stages jobs in
+          let lib = fresh_lib () in
+          Pool.with_pool ~jobs (fun pool ->
+              let pass () =
+                work_of (fun () ->
+                    Sensitivity.estimate_totals ~pool ~fallback_samples:0
+                      ~sigmas lib nl pattern)
+              in
+              match (pass (), pass ()) with
+              | ( ([ passes; classes; misses; integrals; fallbacks ], cold),
+                  ([ passes'; classes'; misses'; integrals'; fallbacks' ], warm) )
+                ->
+                let _, _, res = cold in
+                Alcotest.(check (list int)) (label ^ ": one pass each, no fallback")
+                  [ 1; 0; 1; 0 ] [ passes; fallbacks; passes'; fallbacks' ];
+                Alcotest.(check (list int)) (label ^ ": classes on both calls")
+                  [ res.Sensitivity.groups; res.Sensitivity.groups ]
+                  [ classes; classes' ];
+                Alcotest.(check int) (label ^ ": cold, every class computed")
+                  classes misses;
+                Alcotest.(check int)
+                  (label ^ ": cold, 222 integrals per computed class")
+                  (integrals_per_class * misses) integrals;
+                Alcotest.(check (pair int int)) (label ^ ": warm, nothing computed")
+                  (0, 0) (misses', integrals');
+                Alcotest.(check bool) (label ^ ": warm result bit-identical") true
+                  (Stdlib.compare cold warm = 0)
+              | _ -> assert false))
+        [ 1; 2 ])
+    [ 1024; 16384 ]
 
 (* A flagged pass that falls back to the sampler counts once; with
    [fallback_samples:0] the same pass counts none. *)
@@ -630,7 +643,7 @@ let test_fallback_counted () =
             Sensitivity.estimate_totals ~fallback_samples:samples
               ~fallback_seed:5 ~sigmas:wild lib nl pattern)
       with
-      | [ passes; _; _; fallbacks ], _ ->
+      | [ passes; _; _; _; fallbacks ], _ ->
         Alcotest.(check int) "one pass" 1 passes;
         Alcotest.(check int)
           (Printf.sprintf "fallbacks at %d samples" samples)
@@ -642,10 +655,13 @@ let test_fallback_counted () =
    the minor words [Sensitivity.estimate_totals] allocates beyond the
    estimator pass it rides — [Estimator.estimate_fold], here with a no-op
    fold, which hands every gate's components over as a record where
-   [estimate_totals] allocates nothing per gate. Per gate on the 16k chain
-   (6 classes, so the per-gate bucketing shows) and per class on s838 (108
-   classes, so the per-class integrals show). Measured: 4.80 words per gate
-   and 3528 words per class; each bound is 25% above. *)
+   [estimate_totals] allocates nothing per gate — on a library whose
+   entries are warm and whose σ memo is cold, then again on the warm memo.
+   Per gate on the 16k chain (6 classes, so the per-gate bucketing shows)
+   and per class on s838 (111 classes, so the per-class integrals show).
+   Measured cold: 4.81 words per gate and 3578 words per class (3528
+   before the memo); warm: 444 words per class. Each bound is 25% above
+   the first reading. *)
 let test_sigma_minor_words () =
   let was = Tm.enabled () in
   Tm.set_enabled false;
@@ -656,33 +672,64 @@ let test_sigma_minor_words () =
     (Gc.minor_words () -. w0, r)
   in
   let extra nl =
+    let lib = fresh_lib () in
     Netlist.warm nl;
     let pattern = random_pattern 21 nl in
-    ignore (analytic nl pattern);
-    let base, _ =
-      words (fun () ->
-          Estimator.estimate_fold ~init:()
-            ~f:(fun () _ _ ~loaded:_ ~isolated:_ -> ())
-            lib nl pattern)
+    let fold () =
+      Estimator.estimate_fold ~init:()
+        ~f:(fun () _ _ ~loaded:_ ~isolated:_ -> ())
+        lib nl pattern
     in
-    let w, res = words (fun () -> analytic nl pattern) in
-    (w -. base, res.Sensitivity.groups)
+    ignore (fold ());
+    let base, _ = words fold in
+    let cold, res = words (fun () -> analytic ~lib nl pattern) in
+    let warm, _ = words (fun () -> analytic ~lib nl pattern) in
+    (cold -. base, warm -. base, res.Sensitivity.groups)
   in
   let chain = Trees.chain ~stages:16384 ~tap_every:64 () in
-  let w, _ = extra chain in
+  let w, _, classes = extra chain in
   let per_gate = w /. float_of_int (Netlist.gate_count chain) in
   let gate_bound = 6.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "chain16k: %.2f words per gate (bound %g)" per_gate
-       gate_bound)
+    (Printf.sprintf "chain16k: %.2f words per gate, %d classes (bound %g)"
+       per_gate classes gate_bound)
     true (per_gate <= gate_bound);
-  let w, classes = extra ((Suite.find "s838").Suite.build ()) in
-  let per_class = w /. float_of_int classes in
-  let class_bound = 4410.0 in
+  let cold, warm, classes = extra ((Suite.find "s838").Suite.build ()) in
+  let per_class w = w /. float_of_int classes in
+  let check label w bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "s838 %s: %.0f words per class over %d (bound %g)"
+         label (per_class w) classes bound)
+      true (per_class w <= bound)
+  in
+  check "cold memo" cold 4410.0;
+  check "warm memo" warm 555.0
+
+(* The sampler [@sigma-check] compares against, gated the same way: minor
+   words of a sequential [Statistical.run] on s838 per gate-sample, all
+   included — the per-call estimator pass, each sample's die draw and its
+   two shifted reference-inverter solves, and per gate the threshold draw.
+   Measured: 28.76 words per gate-sample (80.73 before the factors and
+   sums moved into float scratch); the bound is 25% above. *)
+let test_sampler_minor_words () =
+  let was = Tm.enabled () in
+  Tm.set_enabled false;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let nl = (Suite.find "s838").Suite.build () in
+  let pattern = random_pattern 23 nl in
+  let run n = Statistical.run ~n_samples:n ~seed:4 ~sigmas lib nl pattern in
+  ignore (run 2);
+  let samples = 256 in
+  let w0 = Gc.minor_words () in
+  ignore (run samples);
+  let per =
+    (Gc.minor_words () -. w0)
+    /. float_of_int (samples * Netlist.gate_count nl)
+  in
+  let bound = 36.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "s838: %.0f words per class (bound %g)" per_class
-       class_bound)
-    true (per_class <= class_bound)
+    (Printf.sprintf "s838: %.2f words per gate-sample (bound %g)" per bound)
+    true (per <= bound)
 
 let () =
   Alcotest.run "sensitivity"
@@ -726,5 +773,7 @@ let () =
           Alcotest.test_case "integrals per class" `Quick test_work_counts;
           Alcotest.test_case "fallback counted" `Quick test_fallback_counted;
           Alcotest.test_case "minor words" `Quick test_sigma_minor_words;
+          Alcotest.test_case "sampler minor words" `Quick
+            test_sampler_minor_words;
         ] );
     ]

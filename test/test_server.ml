@@ -829,6 +829,100 @@ let test_healthz_body_is_json () =
   Alcotest.(check string) "version reads back exactly" version
     (Json.str "version" j)
 
+(* Mutated requests to the HTTP sidecar fail closed: a truncation, one to
+   three overwritten bytes, or a splice of two valid [/metrics] and
+   [/healthz] requests, sent to [Http.handle] over a socketpair, gets a
+   200, 400, 404 or 405 status line — or, with nothing sent or more than
+   the 16 KiB head cap sent, a close without one. It never raises, and
+   each request stays within a fixed budget: 8 bytes allocated per request
+   byte plus 4 KiB (3.9 measured at worst; a head reader that rescans its
+   buffer on every read allocates hundreds), and two seconds (both ends
+   time out, so a hang fails too). The handler runs in a domain of its
+   own, so no other thread's allocation is counted. *)
+let http_requests =
+  [|
+    "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    "GET /healthz HTTP/1.1\r\n\r\n";
+    "GET /metrics?name=serve HTTP/1.0\r\nAccept: text/plain\r\n\
+     User-Agent: probe\r\n\r\n";
+    (* a head past the cap *)
+    "GET /healthz HTTP/1.1\r\nX-Pad: " ^ String.make 17000 'a' ^ "\r\n\r\n";
+  |]
+
+let http_route = function
+  | "/metrics" -> Some (Leakage_server.Http.response 200 "leak_up 1\n")
+  | "/healthz" -> Some (Leakage_server.Http.response 200 "{}\n")
+  | _ -> None
+
+(* [input] through [Http.handle]: the reply, the bytes the handler
+   allocated and its wall time. *)
+let http_exchange input =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+  List.iter
+    (fun fd ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0)
+    [ a; b ];
+  Leakage_server.Http.write_all a input;
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  let bytes, seconds =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let t0 = Unix.gettimeofday () and b0 = Gc.allocated_bytes () in
+           Leakage_server.Http.handle b http_route;
+           (Gc.allocated_bytes () -. b0, Unix.gettimeofday () -. t0)))
+  in
+  let reply = Buffer.create 256 and tmp = Bytes.create 4096 in
+  (* A handler that closes with request bytes unread resets the
+     connection: the reply, if any, is read first. *)
+  let rec drain () =
+    match Unix.read a tmp 0 (Bytes.length tmp) with
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+    | n ->
+      Buffer.add_subbytes reply tmp 0 n;
+      drain ()
+  in
+  drain ();
+  (Buffer.contents reply, bytes, seconds)
+
+let prop_mutated_http_requests =
+  let pick = QCheck2.Gen.int_bound (Array.length http_requests - 1) in
+  qtest ~count:300 "mutated HTTP requests fail closed"
+    QCheck2.Gen.(tup3 pick pick gen_mutation)
+    (fun (i, j, m) ->
+      let input = mutate m http_requests.(i) http_requests.(j) in
+      let reply, bytes, seconds =
+        match http_exchange input with
+        | r -> r
+        | exception e ->
+          QCheck2.Test.fail_reportf "%d-byte request raised %s"
+            (String.length input) (Printexc.to_string e)
+      in
+      let status =
+        if String.length reply >= 12 && String.sub reply 0 9 = "HTTP/1.1 "
+        then int_of_string_opt (String.sub reply 9 3)
+        else None
+      in
+      let budget = (8.0 *. float_of_int (String.length input)) +. 4096.0 in
+      (match status with
+       | Some (200 | 400 | 404 | 405) -> ()
+       | None
+         when reply = ""
+              && (input = "" || String.length input > 16 * 1024) -> ()
+       | _ ->
+         QCheck2.Test.fail_reportf "%d-byte request answered %S"
+           (String.length input)
+           (String.sub reply 0 (Stdlib.min 40 (String.length reply))));
+      if bytes > budget then
+        QCheck2.Test.fail_reportf
+          "%d-byte request allocated %.0f bytes (budget %.0f)"
+          (String.length input) bytes budget;
+      if seconds > 2.0 then
+        QCheck2.Test.fail_reportf "%d-byte request took %.2f s"
+          (String.length input) seconds;
+      true)
+
 (* ------------------------------------------------------- client policy *)
 
 (* a hand-rolled misbehaving server: [behavior] gets the accepted fd *)
@@ -1053,6 +1147,7 @@ let () =
             test_http_write_all_large_body;
           Alcotest.test_case "healthz body is JSON" `Quick
             test_healthz_body_is_json;
+          prop_mutated_http_requests;
         ] );
       ( "client",
         [
