@@ -169,7 +169,7 @@ let distinct_entries lib nl pattern =
   let seen = Hashtbl.create 64 in
   let (), _, _ =
     Estimator.estimate_fold ~init:()
-      ~f:(fun () _ (e : Characterize.entry) ~loaded:_ ~isolated:_ ->
+      ~f:(fun () _ (e : Characterize.entry) ~loaded:_ ->
         Hashtbl.replace seen
           (e.Characterize.kind, e.Characterize.strength, e.Characterize.vector)
           ())

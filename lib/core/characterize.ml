@@ -198,7 +198,8 @@ let apply entry ~loading ~out =
       (* x_first < amps < x_last: the guess lies in [0, n - 1]; the two
          steps then settle on xs.(i) <= amps < xs.(i + 1), the one segment
          bisection finds, on any strictly increasing axis. *)
-      let i = ref (Stdlib.min (n - 2) (int_of_float ((amps -. x_first) *. per_amp))) in
+      let guess = int_of_float ((amps -. x_first) *. per_amp) in
+      let i = ref (if guess < n - 2 then guess else n - 2) in
       while xs.(!i) > amps do decr i done;
       while xs.(!i + 1) <= amps do incr i done;
       let i = !i in
@@ -211,8 +212,10 @@ let apply entry ~loading ~out =
     end
   done;
   (* Component shifts can be negative; clamp pathological extrapolation so a
-     leakage estimate never goes below zero. *)
-  out.(0) <- Float.max 0.0 !isub;
-  out.(1) <- Float.max 0.0 !igate;
-  out.(2) <- Float.max 0.0 !ibtbt;
+     leakage estimate never goes below zero. [Float.max 0.0 x], bit for bit
+     (-0.0 clamps to 0.0, a NaN passes through), without its C calls. *)
+  let clamp x = if x > 0.0 then x else if x <> x then x else 0.0 in
+  out.(0) <- clamp !isub;
+  out.(1) <- clamp !igate;
+  out.(2) <- clamp !ibtbt;
   !clamped

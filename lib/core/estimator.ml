@@ -67,8 +67,17 @@ let max_arity =
 type scratch = {
   s_values : Simulate.assignment;        (* per net *)
   s_injection : float array;             (* per net *)
-  mutable s_entries : Characterize.entry array;
-      (* per gate; empty until the first estimate fills it *)
+  s_bits : Bytes.t;
+      (* per gate, 1 byte: its input bits (a kind has at most 4 pins) *)
+  mutable s_base : int array;
+      (* per gate, with [library_of_gate]: its library's first row in
+         [s_rows] *)
+  mutable s_cells_of : Netlist.t option;  (* the netlist [s_cell] indexes *)
+  mutable s_cell : Bytes.t;              (* per gate, 2 bytes: its cell's index *)
+  mutable s_cells : int array;           (* the netlist's distinct cells *)
+  mutable s_rows : Characterize.entry array array;
+      (* per estimate: each library's row of each cell, a library's rows
+         at a multiple of the cell count *)
   s_loading : float array array;         (* per arity: arity + 1 ports *)
   s_out : float array;                   (* one gate's components *)
   s_sums : float array;                  (* loaded, then baseline totals *)
@@ -79,7 +88,12 @@ let scratch netlist =
   {
     s_values = Array.make nets Logic.Zero;
     s_injection = Array.make nets 0.0;
-    s_entries = [||];
+    s_bits = Bytes.create (Netlist.gate_count netlist);
+    s_base = [||];
+    s_cells_of = None;
+    s_cell = Bytes.empty;
+    s_cells = [||];
+    s_rows = [||];
     s_loading = Array.init (max_arity + 1) (fun a -> Array.make (a + 1) 0.0);
     s_out = Array.make 3 0.0;
     s_sums = Array.make 6 0.0;
@@ -88,19 +102,94 @@ let scratch netlist =
 let components (a : float array) i =
   { Report.isub = a.(i); igate = a.(i + 1); ibtbt = a.(i + 2) }
 
+(* Each gate's cell ([Library.cell]) as an index into the netlist's
+   distinct cells, in first-seen order; a run of gates of one kind and
+   strength shares one lookup. Built once per scratch and netlist. *)
+let index_cells s netlist (r : Netlist.Repr.raw) =
+  let n = Netlist.gate_count netlist in
+  let cell_of = Bytes.create (2 * n) in
+  (* cell -> index, open addressing kept at most half full *)
+  let keys = ref (Array.make 64 (-1)) and idx = ref (Array.make 64 0) in
+  let cells = ref [] and count = ref 0 in
+  let probe keys c =
+    let mask = Array.length keys - 1 in
+    let j = ref (((c * 0x9E3779B1) lsr 7) land mask) in
+    while keys.(!j) >= 0 && keys.(!j) <> c do
+      j := (!j + 1) land mask
+    done;
+    !j
+  in
+  let put c i =
+    let j = probe !keys c in
+    !keys.(j) <- c;
+    !idx.(j) <- i
+  in
+  let index_of c =
+    let j = probe !keys c in
+    if !keys.(j) = c then !idx.(j)
+    else begin
+      if 2 * (!count + 1) > Array.length !keys then begin
+        let old_keys = !keys and old_idx = !idx in
+        keys := Array.make (2 * Array.length old_keys) (-1);
+        idx := Array.make (2 * Array.length old_keys) 0;
+        Array.iteri (fun j c -> if c >= 0 then put c old_idx.(j)) old_keys
+      end;
+      put c !count;
+      cells := c :: !cells;
+      incr count;
+      !count - 1
+    end
+  in
+  let code_at = r.Netlist.Repr.r_kind_code
+  and strength_at = r.Netlist.Repr.r_strength in
+  let last_code = ref (-1) and last_strength = ref 0.0 and last = ref 0 in
+  for g = 0 to n - 1 do
+    let code = Ba.get code_at g and strength = Ba.get strength_at g in
+    if code <> !last_code || not (strength = !last_strength) then begin
+      last := index_of (Library.cell r g);
+      last_code := code;
+      last_strength := strength
+    end;
+    Bytes.set_uint16_ne cell_of (2 * g) !last
+  done;
+  s.s_cells_of <- Some netlist;
+  s.s_cell <- cell_of;
+  s.s_cells <- Array.of_list (List.rev !cells)
+
+(* [lib]'s row of every cell of the scratch's netlist, into [s_rows] from
+   [base]. *)
+let resolve_rows s lib base =
+  let cells = s.s_cells in
+  let k = Array.length cells in
+  if Array.length s.s_rows < base + k then begin
+    let rows = Array.make (Stdlib.max (base + k) (2 * Array.length s.s_rows)) [||] in
+    Array.blit s.s_rows 0 rows 0 base;
+    s.s_rows <- rows
+  end;
+  let c = Library.cache lib in
+  for i = 0 to k - 1 do
+    s.s_rows.(base + i) <- Library.row c cells.(i)
+  done
+
+let no_gate _ _ = ()
+
 (* The one estimator loop, run once per vector; every entry point is this
    kernel plus what its [on_gate] keeps of each gate. Simulation, then
    entries and injections in gate order (each net's sum in gate order,
    then pin order), then one [gate_leakage] per gate in ascending id order
    with the totals summed in that order in unboxed locals and left in
-   [s.s_sums]. When [on_gate g e] runs, [s.s_out] holds gate [g]'s
-   loading-aware components and [s.s_loading.(arity)] its port loadings. *)
+   [s.s_sums]. A gate's entry is a slot of its cell's row, read by index:
+   the rows are resolved once per estimate (once per library met, with
+   [library_of_gate]), and a vacant slot is filled through
+   [Library.gate_entry]. When [on_gate g e] runs, [s.s_out] holds gate
+   [g]'s loading-aware components and [s.s_loading.(arity)] its port
+   loadings. *)
 let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
   if passes < 1 then invalid_arg "Estimator.estimate: passes must be >= 1";
   let n_gates = Netlist.gate_count netlist in
   let nets = Netlist.net_count netlist in
-  if Array.length s.s_injection <> nets then
-    invalid_arg "Estimator: scratch built for another netlist";
+  if Array.length s.s_injection <> nets || Bytes.length s.s_bits <> n_gates
+  then invalid_arg "Estimator: scratch built for another netlist";
   if Tm.enabled () then begin
     Tm.incr m_estimates;
     Tm.add m_gate_lookups n_gates;
@@ -111,10 +200,22 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
   Simulate.run_into netlist pattern values;
   let w = wiring netlist in
   let r = w.w_raw in
+  (match s.s_cells_of with
+   | Some nl when nl == netlist -> ()
+   | _ -> index_cells s netlist r);
   let pin_off = r.Netlist.Repr.r_pin_off and pins = r.Netlist.Repr.r_pins in
+  let cell_of = s.s_cell and bits_of = s.s_bits in
+  let k = Array.length s.s_cells in
+  if library_of_gate <> None && Array.length s.s_base <> n_gates then
+    s.s_base <- Array.make n_gates 0;
   Array.fill inj 0 nets 0.0;
-  (* One [Domain.DLS] fetch per library run, not per gate. *)
-  let cache_lib = ref lib and cache = ref (Library.cache lib) in
+  resolve_rows s lib 0;
+  let vacant = Library.vacant in
+  (* With [library_of_gate], the libraries other than [lib] met so far and
+     their rows' base in [s_rows]. *)
+  let met = ref [] in
+  let cur_lib = ref lib and cur_base = ref 0 in
+  let fills = ref 0 in
   for g = 0 to n_gates - 1 do
     let lo = Ba.get pin_off g and hi = Ba.get pin_off (g + 1) in
     let bits = ref 0 in
@@ -123,15 +224,34 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
         (!bits lsl 1)
         lor (match values.(Ba.get pins j) with Logic.Zero -> 0 | Logic.One -> 1)
     done;
-    let l = match library_of_gate with None -> lib | Some f -> f g in
-    if l != !cache_lib then begin
-      cache_lib := l;
-      cache := Library.cache l
-    end;
-    let e = Library.gate_entry !cache r g ~bits:!bits in
-    if g = 0 && Array.length s.s_entries <> n_gates then
-      s.s_entries <- Array.make n_gates e;
-    s.s_entries.(g) <- e;
+    let bits = !bits in
+    (match library_of_gate with
+     | None -> ()
+     | Some f ->
+       let l = f g in
+       if l != !cur_lib then begin
+         cur_lib := l;
+         cur_base :=
+           if l == lib then 0
+           else
+             match List.assq_opt l !met with
+             | Some base -> base
+             | None ->
+               let base = k * (List.length !met + 1) in
+               resolve_rows s l base;
+               met := (l, base) :: !met;
+               base
+       end;
+       s.s_base.(g) <- !cur_base);
+    Bytes.set_uint8 bits_of g bits;
+    let e = s.s_rows.(!cur_base + Bytes.get_uint16_ne cell_of (2 * g)).(bits) in
+    let e =
+      if e != vacant then e
+      else begin
+        incr fills;
+        Library.gate_entry (Library.cache !cur_lib) r g ~bits
+      end
+    in
     (* Pass 1 loads each net with the nominal pin currents. *)
     let own = e.Characterize.pin_injection in
     for j = lo to hi - 1 do
@@ -139,17 +259,23 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
       inj.(net) <- inj.(net) +. own.(j - lo)
     done
   done;
-  let entries = s.s_entries in
+  if Tm.enabled () then Library.count_hits (n_gates - !fills);
+  let rows = s.s_rows and base = s.s_base in
+  let mixed = library_of_gate <> None in
   (* Further passes re-evaluate each pin's current under the loading seen
      on its net in the previous pass (one extra level of propagation per
      pass); the single-pass default never builds these arrays. *)
   let owns =
     if passes = 1 then [||]
     else begin
-      let owns = Array.init n_gates (fun g -> entries.(g).Characterize.pin_injection) in
+      let entry g =
+        let row = Bytes.get_uint16_ne cell_of (2 * g) in
+        rows.(if mixed then base.(g) + row else row).(Bytes.get_uint8 bits_of g)
+      in
+      let owns = Array.init n_gates (fun g -> (entry g).Characterize.pin_injection) in
       for _ = 2 to passes do
         for g = 0 to n_gates - 1 do
-          let e = entries.(g) and lo = Ba.get pin_off g in
+          let e = entry g and lo = Ba.get pin_off g in
           owns.(g) <-
             Array.mapi
               (fun p o ->
@@ -175,7 +301,10 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
   let b_sub = ref 0.0 and b_gate = ref 0.0 and b_btbt = ref 0.0 in
   let clamped = ref 0 in
   for g = 0 to n_gates - 1 do
-    let e = entries.(g) in
+    let row = Bytes.get_uint16_ne cell_of (2 * g) in
+    let e =
+      rows.(if mixed then base.(g) + row else row).(Bytes.get_uint8 bits_of g)
+    in
     let own = if passes = 1 then e.Characterize.pin_injection else owns.(g) in
     let loading = s.s_loading.(Array.length own) in
     clamped :=
@@ -187,7 +316,7 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
     b_sub := !b_sub +. iso.Report.isub;
     b_gate := !b_gate +. iso.Report.igate;
     b_btbt := !b_btbt +. iso.Report.ibtbt;
-    on_gate g e
+    if on_gate != no_gate then on_gate g e
   done;
   let sums = s.s_sums in
   sums.(0) <- !l_sub;
@@ -197,8 +326,6 @@ let kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate =
   sums.(4) <- !b_gate;
   sums.(5) <- !b_btbt;
   if Tm.enabled () then Tm.add m_clamped !clamped
-
-let no_gate _ _ = ()
 
 let scratch_for netlist = function Some s -> s | None -> scratch netlist
 
@@ -243,9 +370,7 @@ let estimate_fold ?(passes = 1) ?library_of_gate ?scratch:given ~init ~f lib
   let s = scratch_for netlist given in
   let acc = ref init in
   kernel ~passes ~library_of_gate s lib netlist pattern ~on_gate:(fun g e ->
-      acc :=
-        f !acc g e ~loaded:(components s.s_out 0)
-          ~isolated:e.Characterize.nominal_isolated);
+      acc := f !acc g e ~loaded:s.s_out);
   (!acc, components s.s_sums 0, components s.s_sums 3)
 
 (* Fixed chunk width for vector averaging. The chunk decomposition — and

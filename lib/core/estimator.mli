@@ -65,10 +65,12 @@ type result = {
 }
 
 type scratch
-(** Every per-vector array of one estimate — logic values, entries, net
-    injections, port loadings and sums — for one netlist. A chunk of
-    estimates on one domain shares one scratch; a scratch must not be used
-    by two estimates at once. *)
+(** Every per-vector array of one estimate — logic values, each gate's
+    input bits, net injections, port loadings and sums — for one netlist,
+    and each gate's cell (a 2-byte index into the netlist's distinct
+    cells), computed on the scratch's first estimate and kept while the
+    netlist is the same value. A chunk of estimates on one domain shares
+    one scratch; a scratch must not be used by two estimates at once. *)
 
 val scratch : Leakage_circuit.Netlist.t -> scratch
 (** A fresh scratch sized for the netlist. *)
@@ -115,32 +117,35 @@ val estimate_totals :
     {!average_over_vectors} and [Vector_mc.resample] run on it.
 
     Cost per gate-vector, with a warm library and a reused [scratch]: one
-    truth-table evaluation, one packed-key probe of the domain's entry
-    table ({!Library.gate_entry}), the net injections and one
-    {!gate_leakage}; no allocation per gate, a few records per estimate.
-    Telemetry, when on, counts [estimator.estimates],
-    [estimator.gate_lookups] and [estimator.clamped_lookups] (ports whose
-    loading lay outside the entry's current axis) once per estimate. *)
+    truth-table evaluation, one read of the gate's slot in its cell's row
+    ({!Library.row}: the scratch indexes each gate's cell once per netlist,
+    and each estimate resolves every cell's row once per library), the net
+    injections and one {!gate_leakage}; no hash, no C call and no
+    allocation per gate, a few records per estimate. Only a vacant slot
+    goes through {!Library.gate_entry}. Telemetry, when on, counts
+    [estimator.estimates], [estimator.gate_lookups] and
+    [estimator.clamped_lookups] (ports whose loading lay outside the
+    entry's current axis) once per estimate, and the row hits in
+    [library.hits] in bulk. *)
 
 val estimate_fold :
   ?passes:int ->
   ?library_of_gate:(int -> Library.t) ->
   ?scratch:scratch ->
   init:'acc ->
-  f:
-    ('acc -> int -> Characterize.entry ->
-     loaded:Leakage_spice.Leakage_report.components ->
-     isolated:Leakage_spice.Leakage_report.components -> 'acc) ->
+  f:('acc -> int -> Characterize.entry -> loaded:float array -> 'acc) ->
   Library.t -> Leakage_circuit.Netlist.t -> Leakage_circuit.Logic.vector ->
   'acc * Leakage_spice.Leakage_report.components
   * Leakage_spice.Leakage_report.components
 (** The same kernel as {!estimate_totals}, with the caller's fold over its
     results: [f] is called once per gate in ascending gate-id order with
-    the gate's characterization entry, its loading-aware components (one
-    record per gate) and its isolated nominal components. Returns [(acc,
-    with-loading totals, baseline totals)]; the totals are
-    {!estimate_totals}'s, bit for bit. This is how the variance-propagation
-    layer and [Statistical.run] ride the hot path. *)
+    the gate's characterization entry and its loading-aware components in
+    [loaded] (isub, igate, ibtbt: a buffer the next gate overwrites, so
+    copy what you keep); its isolated nominal components are the entry's
+    [nominal_isolated]. Returns [(acc, with-loading totals, baseline
+    totals)]; the totals are {!estimate_totals}'s, bit for bit. This is how
+    the variance-propagation layer and [Statistical.run] ride the hot path,
+    without a record per gate. *)
 
 val average_over_vectors :
   ?pool:Leakage_parallel.Pool.t ->

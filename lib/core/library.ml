@@ -1,4 +1,6 @@
 module Ba = Bigarray.Array1
+module Interp = Leakage_numeric.Interp
+module Report = Leakage_spice.Leakage_report
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
@@ -19,14 +21,20 @@ let h_build_us = Tm.histogram "library.build_us"
    had to compute; [sensitivity.classes] minus these are memo hits. *)
 let m_class_misses = Tm.counter "sensitivity.class_misses"
 
-(* One domain's entries: open addressing on the packed key with linear
-   probing, kept at most half full. Keys are non-negative (32 bits at
-   most), so -1 marks an empty slot; a hit costs a multiply, a mask and an
-   int compare per probe — no polymorphic hash, nothing allocated. *)
+(* One domain's entries, one row per cell. A cell is a (gate code,
+   strength bucket) pair packed as [code lsl 10 lor bucket] (16 bits); its
+   row has one slot per input vector of the kind, indexed by the vector's
+   bits ([Logic.int_of_vector] order), and a slot no entry was stored in
+   yet holds [vacant]. Rows live in open addressing on the cell with linear
+   probing, kept at most half full; cells are non-negative, so -1 marks an
+   empty slot. A hit costs a probe per cell and an array read per gate — no
+   polymorphic hash, nothing allocated. [filled] counts the entries stored
+   in every row. *)
 type table = {
-  mutable keys : int array;
-  mutable vals : Characterize.entry option array;
-  mutable size : int;
+  mutable cells : int array;
+  mutable rows : Characterize.entry array array;
+  mutable n_rows : int;
+  mutable filled : int;
 }
 
 type t = {
@@ -50,7 +58,8 @@ type t = {
 }
 
 let new_table () =
-  { keys = Array.make 64 (-1); vals = Array.make 64 None; size = 0 }
+  { cells = Array.make 32 (-1); rows = Array.make 32 [||]; n_rows = 0;
+    filled = 0 }
 
 let create ?(grid = Characterize.default_grid) ~device ~temp ?vdd () =
   {
@@ -68,40 +77,72 @@ let device t = t.device
 let temp t = t.temp
 let vdd t = t.vdd
 
-(* The slot holding [k], or the empty slot where it would go. *)
-let slot keys k =
-  let mask = Array.length keys - 1 in
-  let h = k * 0x9E3779B1 in
+(* What a row slot holds until its entry is stored: compared by [==]
+   only, never read as a characterization. *)
+let vacant =
+  let g = Interp.grid1d ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0; 0.0 |] in
+  {
+    Characterize.kind = Gate.Inv;
+    strength = 0.0;
+    vector = [||];
+    nominal_isolated = Report.zero;
+    nominal_driven = Report.zero;
+    pin_injection = [||];
+    pin_response = [||];
+    currents = [||];
+    deltas = [||];
+    vth_log_factor = { Characterize.d_isub = g; d_igate = g; d_ibtbt = g };
+  }
+
+(* Each gate code's arity; -1 for a code no kind carries. *)
+let code_arity =
+  let a = Array.make 64 (-1) in
+  List.iter (fun k -> a.(Gate.code k) <- Gate.arity k) Gate.all_kinds;
+  a
+
+(* The slot holding cell [c], or the empty slot where it would go. *)
+let slot cells c =
+  let mask = Array.length cells - 1 in
+  let h = c * 0x9E3779B1 in
   let i = ref ((h lxor (h lsr 21)) land mask) in
   while
-    let x = keys.(!i) in
-    x <> k && x >= 0
+    let x = cells.(!i) in
+    x <> c && x >= 0
   do
     i := (!i + 1) land mask
   done;
   !i
 
-(* The entry stored under [k], if any: the table's own option, so a hit
-   allocates nothing. *)
-let hit tb k =
-  let i = slot tb.keys k in
-  if tb.keys.(i) = k then tb.vals.(i) else None
+let grow tb =
+  let cells = tb.cells and rows = tb.rows in
+  tb.cells <- Array.make (2 * Array.length cells) (-1);
+  tb.rows <- Array.make (2 * Array.length cells) [||];
+  Array.iteri
+    (fun i c ->
+      if c >= 0 then begin
+        let j = slot tb.cells c in
+        tb.cells.(j) <- c;
+        tb.rows.(j) <- rows.(i)
+      end)
+    cells
 
-let rec add tb k e =
-  if 2 * (tb.size + 1) > Array.length tb.keys then begin
-    let keys = tb.keys and vals = tb.vals in
-    tb.keys <- Array.make (2 * Array.length keys) (-1);
-    tb.vals <- Array.make (2 * Array.length keys) None;
-    tb.size <- 0;
-    Array.iteri
-      (fun i k -> match vals.(i) with Some e when k >= 0 -> add tb k e | _ -> ())
-      keys
-  end;
-  let i = slot tb.keys k in
-  if tb.keys.(i) <> k then begin
-    tb.keys.(i) <- k;
-    tb.vals.(i) <- Some e;
-    tb.size <- tb.size + 1
+(* Cell [c]'s row in this domain, made all [vacant] on first use. *)
+let rec row_of tb c =
+  let i = slot tb.cells c in
+  if tb.cells.(i) = c then tb.rows.(i)
+  else if 2 * (tb.n_rows + 1) > Array.length tb.cells then begin
+    grow tb;
+    row_of tb c
+  end
+  else begin
+    let code = c lsr 10 in
+    let arity = code_arity.(code) in
+    if arity < 0 then ignore (Gate.of_code code);
+    let row = Array.make (1 lsl arity) vacant in
+    tb.cells.(i) <- c;
+    tb.rows.(i) <- row;
+    tb.n_rows <- tb.n_rows + 1;
+    row
   end
 
 type cache = { lib : t; table : table }
@@ -171,11 +212,10 @@ let publish t k e =
 (* This domain is cold on the key; another domain may already have paid for
    it. Two domains can still race to build the same entry (both miss before
    either publishes) — harmless, characterization is pure. *)
-let miss t tb k kind strength vector =
+let miss t k kind strength vector =
   match published_find t k with
   | Some e ->
     Tm.incr m_shared_hits;
-    add tb k e;
     e
   | None ->
     Tm.incr m_misses;
@@ -185,18 +225,42 @@ let miss t tb k kind strength vector =
       @@ fun () ->
       Tm.time h_build_us (fun () -> characterize_key t kind strength vector)
     in
-    add tb k e;
     publish t k e;
     e
+
+(* A vacant slot of [row] filled: the entry under [k], adopted or
+   characterized. *)
+let store t tb row k kind strength vector =
+  let e = miss t k kind strength vector in
+  row.(k land 0xffff) <- e;
+  tb.filled <- tb.filled + 1;
+  e
 
 let entry ?(strength = 1.0) t kind vector =
   let tb = Domain.DLS.get t.tables in
   let k = key kind strength vector in
-  match hit tb k with
-  | Some e ->
-    Tm.incr m_hits;
-    e
-  | None -> miss t tb k kind strength vector
+  if Array.length vector <> code_arity.(k lsr 26) then
+    (* no row has a slot for it, and characterization rejects it *)
+    miss t k kind strength vector
+  else begin
+    let row = row_of tb (k lsr 16) in
+    let e = row.(k land 0xffff) in
+    if e != vacant then begin
+      Tm.incr m_hits;
+      e
+    end
+    else store t tb row k kind strength vector
+  end
+
+let cell (r : Netlist.Repr.raw) g =
+  let code = Ba.get r.Netlist.Repr.r_kind_code g in
+  check_fields ~code
+    ~arity:
+      (Ba.get r.Netlist.Repr.r_pin_off (g + 1)
+      - Ba.get r.Netlist.Repr.r_pin_off g);
+  (code lsl 10) lor strength_bucket (Ba.get r.Netlist.Repr.r_strength g)
+
+let row c cell = row_of c.table cell
 
 let gate_entry c (r : Netlist.Repr.raw) g ~bits =
   let code = Ba.get r.Netlist.Repr.r_kind_code g in
@@ -209,13 +273,17 @@ let gate_entry c (r : Netlist.Repr.raw) g ~bits =
       (Printf.sprintf "Library.gate_entry: bits %#x exceed %d pins" bits arity);
   let strength = Ba.get r.Netlist.Repr.r_strength g in
   let k = (code lsl 26) lor (strength_bucket strength lsl 16) lor bits in
-  match hit c.table k with
-  | Some e ->
+  let row = row_of c.table (k lsr 16) in
+  let e = row.(bits) in
+  if e != vacant then begin
     Tm.incr m_hits;
     e
-  | None ->
-    miss c.lib c.table k (Gate.of_code code) strength
+  end
+  else
+    store c.lib c.table row k (Gate.of_code code) strength
       (Logic.vector_of_int ~width:arity bits)
+
+let count_hits n = Tm.add m_hits n
 
 let precharacterize ?pool ?(kinds = Gate.all_kinds) t =
   let work =
@@ -236,13 +304,15 @@ let precharacterize ?pool ?(kinds = Gate.all_kinds) t =
   let tb = Domain.DLS.get t.tables in
   Array.iter
     (fun (k, e) ->
-      if Option.is_none (hit tb k) then begin
+      let row = row_of tb (k lsr 16) in
+      if row.(k land 0xffff) == vacant then begin
         Tm.incr m_adopted;
-        add tb k e
+        row.(k land 0xffff) <- e;
+        tb.filled <- tb.filled + 1
       end)
     entries
 
-let entry_count t = (Domain.DLS.get t.tables).size
+let entry_count t = (Domain.DLS.get t.tables).filled
 
 let find_integrals t k =
   Mutex.lock t.publish_mutex;

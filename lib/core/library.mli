@@ -60,30 +60,53 @@ val entry :
     or beyond {!max_strength}, infinity included), a vector of arity > 16,
     or a gate code ≥ 64.
 
-    Cost of a hit: one [Domain.DLS] read, the packed key (gate code,
-    strength bucket, vector bits) and one probe of this domain's int-keyed
-    table, with no allocation. A miss on this domain adopts the entry
-    another domain published (a mutex) or characterizes it (milliseconds of
-    DC solves). *)
+    Each domain keeps its entries in rows, one per {e cell} — a (gate
+    code, strength bucket) pair — with one slot per input vector of the
+    kind. Cost of a hit: one [Domain.DLS] read, the packed key (gate code,
+    strength bucket, vector bits), one probe of this domain's int-keyed
+    row table and a slot read, with no allocation. A miss on this domain
+    fills the slot with the entry another domain published (a mutex) or
+    characterizes it (milliseconds of DC solves). *)
 
 type cache
-(** The calling domain's cache of one library: what {!gate_entry} reads. *)
+(** The calling domain's rows of one library: what {!row} and
+    {!gate_entry} read. *)
 
 val cache : t -> cache
 (** [cache t] fetches the calling domain's cache of [t] — one
     [Domain.DLS] read, so a loop over many gates fetches it once. The value
     belongs to the calling domain: do not hand it to another. *)
 
+val cell : Leakage_circuit.Netlist.Repr.raw -> int -> int
+(** [cell raw g] is gate [g]'s cell, its gate code and strength bucket
+    packed in 16 bits (code · 1024 + bucket), under {!entry}'s range
+    checks: [Invalid_argument] with {!entry}'s messages for a strength
+    outside {!strength_in_range}, a code ≥ 64 or more than 16 pins. *)
+
+val row : cache -> int -> Characterize.entry array
+(** [row c cell] is the calling domain's row of [cell]: slot [bits] holds
+    the entry of the cell's kind and strength bucket under the input
+    values [bits] ({!Leakage_circuit.Logic.int_of_vector} order), or
+    {!vacant} until a lookup stores it. The row is made on first use and
+    never moves; only the library writes it. Cost: one probe. *)
+
+val vacant : Characterize.entry
+(** What a row slot holds before its entry is stored; compare with [==]. *)
+
 val gate_entry :
   cache -> Leakage_circuit.Netlist.Repr.raw -> int -> bits:int ->
   Characterize.entry
 (** [gate_entry c raw g ~bits] is {!entry} for gate [g] of the netlist
     whose storage is [raw], at its kind and strength, under the input
-    values [bits] packed pin 0 first ({!Leakage_circuit.Logic.int_of_vector}
-    order): the same key, range checks, counters and entry, and
-    [Invalid_argument] when [bits] sets a bit at or above the gate's
-    arity. A hit reads the gate's fields, probes an int-keyed table and
-    allocates nothing; only a miss builds the input vector. *)
+    values [bits] packed pin 0 first: the same slot, range checks,
+    counters and entry, and [Invalid_argument] when [bits] sets a bit at
+    or above the gate's arity. A hit reads the gate's fields, probes the
+    row table and reads a slot, allocating nothing; a miss stores the
+    entry in the slot. *)
+
+val count_hits : int -> unit
+(** [count_hits n] adds [n] to [library.hits]: a caller that reads warm
+    slots of {!row} directly counts its hits once, in bulk. *)
 
 val precharacterize :
   ?pool:Leakage_parallel.Pool.t ->
@@ -109,5 +132,5 @@ val class_integrals :
     and counts one [sensitivity.class_misses]. *)
 
 val entry_count : t -> int
-(** Number of entries cached in the calling domain (characterization cost
-    visibility). *)
+(** Number of entries stored in the calling domain's rows
+    (characterization cost visibility). *)

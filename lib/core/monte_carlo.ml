@@ -94,10 +94,10 @@ let run ?pool ?(config = paper_config) ~device ~temp ~sigmas () =
       let sample_rng = streams.(i) in
       let die = Variation.sample_die sample_rng sigmas in
       let die_device = Variation.apply_die device die in
-      let gate_shifts =
-        Array.init n_gates (fun _ ->
-            Variation.sample_gate_vth sample_rng sigmas)
-      in
+      let gate_shifts = Array.make n_gates 0.0 in
+      for g = 0 to n_gates - 1 do
+        Variation.sample_gate_vth_into sample_rng sigmas gate_shifts g
+      done;
       let loaded =
         solve_components loaded_bench pattern ~die_device ~gate_shifts ~temp
       in

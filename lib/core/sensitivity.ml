@@ -304,30 +304,91 @@ let cmp_group g1 g2 =
   let c = cmp_fa g1.k_lam g2.k_lam in
   if c <> 0 then c else cmp_tabs g1.k_tabs g2.k_tabs
 
-let cmp_components (x : Report.components) (y : Report.components) =
-  let c = Float.compare x.Report.isub y.Report.isub in
+(* [Float.compare] without its C call: ±0.0 are one value, NaN equals NaN
+   and sorts below every other float. *)
+let[@inline] fcmp (x : float) y =
+  if x < y then -1
+  else if x > y then 1
+  else if x = y then 0
+  else if x = x then 1
+  else if y = y then -1
+  else 0
+
+(* Gates [g1] and [g2] by their three components in the flat array [a]. *)
+let[@inline] cmp3 (a : float array) g1 g2 =
+  let i1 = 3 * g1 and i2 = 3 * g2 in
+  let c = fcmp a.(i1) a.(i2) in
   if c <> 0 then c
   else
-    let c = Float.compare x.Report.igate y.Report.igate in
-    if c <> 0 then c else Float.compare x.Report.ibtbt y.Report.ibtbt
+    let c = fcmp a.(i1 + 1) a.(i2 + 1) in
+    if c <> 0 then c else fcmp a.(i1 + 2) a.(i2 + 2)
 
-let set_components v (x : Report.components) =
-  v.(0) <- x.Report.isub;
-  v.(1) <- x.Report.igate;
-  v.(2) <- x.Report.ibtbt
+(* Gate ids stably sorted by their loaded, then isolated, components:
+   [Array.stable_sort]'s order (a stable sort's result is unique), from
+   insertion-sorted runs of 8 merged bottom-up through one buffer, with no
+   closure made per merge. *)
+let sort_members ~(loaded : float array) ~(isolated : float array)
+    (a : int array) =
+  let n = Array.length a in
+  let le g1 g2 =
+    let c = cmp3 loaded g1 g2 in
+    if c <> 0 then c < 0 else cmp3 isolated g1 g2 <= 0
+  in
+  let run = 8 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Stdlib.min n (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && not (le a.(!j) x) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+    lo := hi
+  done;
+  if n > run then begin
+    let src = ref a and dst = ref (Array.make n 0) in
+    let width = ref run in
+    while !width < n do
+      let s = !src and d = !dst in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = Stdlib.min n (!lo + !width)
+        and hi = Stdlib.min n (!lo + (2 * !width)) in
+        let i = ref !lo and j = ref mid and k = ref !lo in
+        while !i < mid && !j < hi do
+          if le s.(!i) s.(!j) then begin
+            d.(!k) <- s.(!i);
+            incr i
+          end
+          else begin
+            d.(!k) <- s.(!j);
+            incr j
+          end;
+          incr k
+        done;
+        Array.blit s !i d !k (mid - !i);
+        Array.blit s !j d (!k + mid - !i) (hi - !j);
+        lo := hi
+      done;
+      src := d;
+      dst := s;
+      width := 2 * !width
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
 
 (* One class's weights: its members summed in canonical (loaded, isolated)
    order under [Float.compare], so every per-class float sum is independent
    of gate numbering, construction order and pool partitioning — the
    foundation of the "same digest ⇒ identical sigmas" property. The class's
    tables and λ come from its first member in that order. *)
-let group_of_members ~entries ~(loaded : Report.components array)
-    ~(isolated : Report.components array) members =
-  Array.stable_sort
-    (fun g1 g2 ->
-      let c = cmp_components loaded.(g1) loaded.(g2) in
-      if c <> 0 then c else cmp_components isolated.(g1) isolated.(g2))
-    members;
+let group_of_members ~entries ~(loaded : float array) ~(isolated : float array)
+    members =
+  sort_members ~loaded ~isolated members;
   let entry = entries.(members.(0)) in
   let lam = Characterize.vth_log_slope entry in
   let tab_of (g : Interp.grid1d) =
@@ -338,17 +399,16 @@ let group_of_members ~entries ~(loaded : Report.components array)
   and b = Array.make 9 0.0
   and a_base = Array.make 3 0.0
   and b_base = Array.make 9 0.0 in
-  let l = Array.make 3 0.0 and i = Array.make 3 0.0 in
   Array.iter
     (fun g ->
-      set_components l loaded.(g);
-      set_components i isolated.(g);
+      let o = 3 * g in
       for c = 0 to 2 do
-        a.(c) <- a.(c) +. l.(c);
-        a_base.(c) <- a_base.(c) +. i.(c);
+        let lc = loaded.(o + c) and ic = isolated.(o + c) in
+        a.(c) <- a.(c) +. lc;
+        a_base.(c) <- a_base.(c) +. ic;
         for d = 0 to 2 do
-          b.((c * 3) + d) <- b.((c * 3) + d) +. (l.(c) *. l.(d));
-          b_base.((c * 3) + d) <- b_base.((c * 3) + d) +. (i.(c) *. i.(d))
+          b.((c * 3) + d) <- b.((c * 3) + d) +. (lc *. loaded.(o + d));
+          b_base.((c * 3) + d) <- b_base.((c * 3) + d) +. (ic *. isolated.(o + d))
         done
       done)
     members;
@@ -365,20 +425,64 @@ let group_of_members ~entries ~(loaded : Report.components array)
   }
 
 (* The gate ids of each class, classes in first-seen order and members in
-   gate order: one hash per gate. *)
+   gate order. In front of the value-keyed [Class_key] sits a per-call
+   cache of the entries already classed, probed by a hash of one nominal
+   current's bits and checked with [==]: each distinct entry's tables are
+   hashed once, and every other gate costs a probe. *)
 let class_members entries =
   let n = Array.length entries in
   let ids = Class_key.create 64 in
+  let empty = Library.vacant in
+  let keys = ref (Array.make 64 empty) and vals = ref (Array.make 64 0) in
+  let size = ref 0 in
+  let home (e : Characterize.entry) mask =
+    let h =
+      Int64.to_int
+        (Int64.bits_of_float e.Characterize.nominal_driven.Report.isub)
+      * 0x9E3779B1
+    in
+    (h lxor (h lsr 29)) land mask
+  in
+  let rec place e k =
+    let mask = Array.length !keys - 1 in
+    let i = ref (home e mask) in
+    while !keys.(!i) != empty do
+      i := (!i + 1) land mask
+    done;
+    !keys.(!i) <- e;
+    !vals.(!i) <- k
+  and grow () =
+    let old_keys = !keys and old_vals = !vals in
+    keys := Array.make (2 * Array.length old_keys) empty;
+    vals := Array.make (2 * Array.length old_keys) 0;
+    Array.iteri (fun i e -> if e != empty then place e old_vals.(i)) old_keys
+  in
+  let class_of e =
+    let mask = Array.length !keys - 1 in
+    let i = ref (home e mask) in
+    while !keys.(!i) != e && !keys.(!i) != empty do
+      i := (!i + 1) land mask
+    done;
+    if !keys.(!i) == e then !vals.(!i)
+    else begin
+      let key = e.Characterize.vth_log_factor in
+      let k =
+        match Class_key.find ids key with
+        | k -> k
+        | exception Not_found ->
+          let k = Class_key.length ids in
+          Class_key.add ids key k;
+          k
+      in
+      incr size;
+      if 2 * !size > Array.length !keys then grow ();
+      place e k;
+      k
+    end
+  in
   let cls = Array.make n 0 in
   for g = 0 to n - 1 do
-    let key = entries.(g).Characterize.vth_log_factor in
-    cls.(g) <-
-      (match Class_key.find ids key with
-       | k -> k
-       | exception Not_found ->
-         let k = Class_key.length ids in
-         Class_key.add ids key k;
-         k)
+    cls.(g) <- class_of entries.(g)
   done;
   let nk = Class_key.length ids in
   let count = Array.make nk 0 in
@@ -560,6 +664,9 @@ let column_stats ~groups ~geom ~sets ~quads ~ints =
 
 let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
     lib ~entries ~loaded ~isolated =
+  let n = Array.length entries in
+  if Array.length loaded <> 3 * n || Array.length isolated <> 3 * n then
+    invalid_arg "Sensitivity.analyze: loaded and isolated need 3 floats per gate";
   let geom =
     geom_of ~device:(Library.device lib) ~temp:(Library.temp lib)
       ~vdd:(Library.vdd lib) ~sigmas
@@ -693,16 +800,21 @@ let merge_fallback res ~(mc_loaded : stats) ~(mc_baseline : stats) =
 let estimate_totals ?passes ?pool ?lin_tol ?(fallback_samples = 2000)
     ?(fallback_seed = 9001) ~sigmas lib netlist pattern =
   let n = Netlist.gate_count netlist in
-  let loaded = Array.make n Report.zero in
-  let isolated = Array.make n Report.zero in
+  let loaded = Array.make (3 * n) 0.0 in
+  let isolated = Array.make (3 * n) 0.0 in
   (* the fold's accumulator is the entry array, made on the first gate *)
   let entries, totals, baseline_totals =
     Estimator.estimate_fold ?passes ~init:[||]
-      ~f:(fun entries g e ~loaded:l ~isolated:i ->
+      ~f:(fun entries g e ~loaded:l ->
         let entries = if g = 0 then Array.make n e else entries in
         entries.(g) <- e;
-        loaded.(g) <- l;
-        isolated.(g) <- i;
+        let o = 3 * g and iso = e.Characterize.nominal_isolated in
+        loaded.(o) <- l.(0);
+        loaded.(o + 1) <- l.(1);
+        loaded.(o + 2) <- l.(2);
+        isolated.(o) <- iso.Report.isub;
+        isolated.(o + 1) <- iso.Report.igate;
+        isolated.(o + 2) <- iso.Report.ibtbt;
         entries)
       lib netlist pattern
   in

@@ -74,16 +74,20 @@ val analyze :
   sigmas:Leakage_device.Variation.sigmas ->
   Library.t ->
   entries:Characterize.entry array ->
-  loaded:Leakage_spice.Leakage_report.components array ->
-  isolated:Leakage_spice.Leakage_report.components array ->
+  loaded:float array ->
+  isolated:float array ->
   result
 (** Closed-form moments over per-gate state: gate [g]'s characterization
-    entry, its loading-aware components and its isolated nominal
-    components (what [Estimator.estimate_fold] hands its callback). The
-    die-level geometry sensitivities come from [lib]'s device, temperature
-    and supply. No netlist access, no fallback ([from_mc] is always false
-    here), the arrays are not modified; the only state it touches is
-    [lib]'s memo of class integrals, which never changes a result.
+    entry [entries.(g)], its loading-aware components at
+    [loaded.(3g .. 3g+2)] and its isolated nominal components at
+    [isolated.(3g .. 3g+2)] (isub, igate, ibtbt; what
+    [Estimator.estimate_fold] hands its callback and the entry's
+    [nominal_isolated]). The die-level geometry sensitivities come from
+    [lib]'s device, temperature and supply. No netlist access, no fallback
+    ([from_mc] is always false here), the arrays are not modified; the
+    only state it touches is [lib]'s memo of class integrals, which never
+    changes a result. Raises [Invalid_argument] unless both float arrays
+    hold three floats per entry.
 
     Gates are bucketed by value into response classes (equal threshold
     tables; gates sharing a characterization entry always share a class),
@@ -93,8 +97,11 @@ val analyze :
     never change any reported digit, which is what makes sigmas invariant
     under netlist renaming.
 
-    Cost: one hash per gate plus a sort of each class's members on six
-    floats (fanned out over [pool], one item per class), then moment sums
+    Cost: per gate, a probe of a per-call cache of the entries already
+    classed (a hash of one float's bits, checked with [==]); per distinct
+    entry, one hash of its tables' values; then a stable sort of each
+    class's members on their six floats, read in place from the flat
+    arrays (fanned out over [pool], one item per class), and moment sums
     over the K classes. Each class's weight-independent threshold-axis
     integrals (under the full, inter-only and intra-only sets) depend on
     its tables and the (σ_vth_inter, σ_vth_intra) pair alone, so [lib]
@@ -121,7 +128,8 @@ val estimate_totals :
 (** [(with-loading totals, baseline totals, variance result)] under one
     pattern. The totals ride [Estimator.estimate_fold] and are bit-identical
     to [Estimator.estimate_totals]; the variance result is {!analyze} over
-    the fold's per-gate state (bit-identical at any pool size).
+    the fold's per-gate state, copied into flat arrays with no record per
+    gate (bit-identical at any pool size).
 
     When a linearization flag trips and [fallback_samples] > 0 (default
     2000), the flagged components — and the total column, which needs their

@@ -67,7 +67,7 @@ let sample_chunk = 32
    [xs.(i) <= x < xs.(i+1)] found by bisection and weighted
    [(y_i *. (1. -. t)) +. (y_{i+1} *. t)] — with the same operations, and
    nothing boxed on the way. *)
-let factor_into dst k (g : Interp.grid1d) x =
+let[@inline] factor_into dst k (g : Interp.grid1d) x =
   if Float.is_nan x then invalid_arg "Interp.eval1d: NaN coordinate";
   let xs = g.Interp.xs and ys = g.Interp.ys in
   let n = Array.length xs in
@@ -89,7 +89,13 @@ let factor_into dst k (g : Interp.grid1d) x =
 
 (* One gate's term of the sample's sum, per component c
    [acc.(o + c) +. c_c *. scale_c *. factor_c]: what [Report.add] of the
-   scaled components added. *)
+   scaled components added. The loaded components come from a flat array
+   at [i], the isolated ones from the entry. *)
+let add_scaled_at acc o (l : float array) i (scale : Report.components) fac =
+  acc.(o) <- acc.(o) +. (l.(i) *. scale.Report.isub *. fac.(0));
+  acc.(o + 1) <- acc.(o + 1) +. (l.(i + 1) *. scale.Report.igate *. fac.(1));
+  acc.(o + 2) <- acc.(o + 2) +. (l.(i + 2) *. scale.Report.ibtbt *. fac.(2))
+
 let add_scaled acc o (c : Report.components) (scale : Report.components) fac =
   acc.(o) <- acc.(o) +. (c.Report.isub *. scale.Report.isub *. fac.(0));
   acc.(o + 1) <- acc.(o + 1) +. (c.Report.igate *. scale.Report.igate *. fac.(1));
@@ -97,13 +103,20 @@ let add_scaled acc o (c : Report.components) (scale : Report.components) fac =
 
 let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   if n_samples <= 0 then invalid_arg "Statistical.run: n_samples";
-  (* per-gate nominal estimates and sensitivities, resolved once *)
-  let rows, _, _ =
-    Estimator.estimate_fold ~init:[]
-      ~f:(fun rows _ entry ~loaded ~isolated -> (loaded, isolated, entry) :: rows)
+  (* per-gate entries and loading-aware components, resolved once *)
+  let n_gates = Leakage_circuit.Netlist.gate_count netlist in
+  let loaded = Array.make (3 * n_gates) 0.0 in
+  let entries, _, _ =
+    Estimator.estimate_fold ~init:[||]
+      ~f:(fun entries g entry ~loaded:l ->
+        let entries = if g = 0 then Array.make n_gates entry else entries in
+        entries.(g) <- entry;
+        loaded.(3 * g) <- l.(0);
+        loaded.((3 * g) + 1) <- l.(1);
+        loaded.((3 * g) + 2) <- l.(2);
+        entries)
       lib netlist pattern
   in
-  let rows = Array.of_list (List.rev rows) in
   (* Every sample's stream is split off the root generator in sample order
      BEFORE any evaluation — the stream assignment is a function of (seed,
      sample index) alone, so fanning the evaluation out over a pool cannot
@@ -116,24 +129,26 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   let nominal = nominal_references lib in
   if Tm.enabled () then begin
     Tm.add m_samples n_samples;
-    Tm.add m_table_evals (n_samples * Array.length rows)
+    Tm.add m_table_evals (n_samples * n_gates)
   end;
-  (* Per gate, the factors and both columns' sums live in float arrays, so
-     a gate-sample allocates only its threshold draw. *)
+  (* Per gate, the threshold draw, the factors and both columns' sums live
+     in float arrays, so a gate-sample allocates nothing. *)
   let sample_at i =
     let srng = streams.(i) in
     let die = Variation.sample_die srng sigmas in
     let scale = scale_against lib nominal die in
     let fac = Array.make 3 0.0 and acc = Array.make 6 0.0 in
-    for g = 0 to Array.length rows - 1 do
-      let loaded, base, (entry : Characterize.entry) = rows.(g) in
-      let dv = die.Variation.dvth +. Variation.sample_gate_vth srng sigmas in
+    let draw = Array.make 1 0.0 in
+    for g = 0 to n_gates - 1 do
+      let entry : Characterize.entry = entries.(g) in
+      Variation.sample_gate_vth_into srng sigmas draw 0;
+      let dv = die.Variation.dvth +. draw.(0) in
       let t = entry.Characterize.vth_log_factor in
       factor_into fac 0 t.Characterize.d_isub dv;
       factor_into fac 1 t.Characterize.d_igate dv;
       factor_into fac 2 t.Characterize.d_ibtbt dv;
-      add_scaled acc 0 loaded scale fac;
-      add_scaled acc 3 base scale fac
+      add_scaled_at acc 0 loaded (3 * g) scale fac;
+      add_scaled acc 3 entry.Characterize.nominal_isolated scale fac
     done;
     let column o =
       { Report.isub = acc.(o); igate = acc.(o + 1); ibtbt = acc.(o + 2) }

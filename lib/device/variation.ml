@@ -49,7 +49,10 @@ let sample_die rng s = {
   dvdd = Rng.normal rng ~mean:0.0 ~sigma:s.sigma_vdd;
 }
 
-let sample_gate_vth rng s = Rng.normal rng ~mean:0.0 ~sigma:s.sigma_vth_intra
+(* [Rng.normal rng ~mean:0.0 ~sigma], bit for bit, written in place. *)
+let sample_gate_vth_into rng s dst k =
+  Rng.gaussian_into rng dst k;
+  dst.(k) <- 0.0 +. (s.sigma_vth_intra *. dst.(k))
 
 let clamp_min lo v = if v < lo then lo else v
 

@@ -46,8 +46,10 @@ val sample_die : Leakage_numeric.Rng.t -> sigmas -> die
 val nominal_die : die
 (** All-zero shift. *)
 
-val sample_gate_vth : Leakage_numeric.Rng.t -> sigmas -> float
-(** Within-die threshold shift for one gate. *)
+val sample_gate_vth_into :
+  Leakage_numeric.Rng.t -> sigmas -> float array -> int -> unit
+(** [sample_gate_vth_into rng s dst k] writes one gate's within-die
+    threshold shift to [dst.(k)], allocating nothing. *)
 
 val min_geometry_scale : float
 (** Clamp floor for {!apply_die}: length, oxide thickness and supply never

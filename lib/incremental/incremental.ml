@@ -419,10 +419,22 @@ let baseline_totals t = t.baseline
    edit, so assembling σ here costs only the class bucketing and the moment
    sums — no estimator pass. The per-gate state carries the same float drift
    as the session totals; [refresh] squashes both, after which the result is
-   bit-identical to a fresh [Sensitivity.estimate_totals] analysis. *)
+   bit-identical to a fresh [Sensitivity.estimate_totals] analysis. The
+   analysis reads components as flat float arrays: the records are copied
+   into them on the way in. *)
 let sigma ?lin_tol ~sigmas t =
+  let flat (cs : Report.components array) =
+    let a = Array.make (3 * Array.length cs) 0.0 in
+    Array.iteri
+      (fun g (c : Report.components) ->
+        a.(3 * g) <- c.Report.isub;
+        a.((3 * g) + 1) <- c.Report.igate;
+        a.((3 * g) + 2) <- c.Report.ibtbt)
+      cs;
+    a
+  in
   Leakage_core.Sensitivity.analyze ?lin_tol ~sigmas t.base_lib
-    ~entries:t.entries ~loaded:t.loaded ~isolated:t.isolated
+    ~entries:t.entries ~loaded:(flat t.loaded) ~isolated:(flat t.isolated)
 
 let gate_components t g =
   check_gate t g;

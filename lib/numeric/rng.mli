@@ -31,6 +31,11 @@ val uniform : t -> float
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller; one value per call, cached pair). *)
 
+val gaussian_into : t -> float array -> int -> unit
+(** [gaussian_into t dst k] writes {!gaussian}'s next deviate to [dst.(k)]:
+    the same stream, and nothing boxed on the way (a float returned from
+    another module is boxed). Drawing allocates nothing. *)
+
 val normal : t -> mean:float -> sigma:float -> float
 (** Normal deviate with given mean and standard deviation. *)
 

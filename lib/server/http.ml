@@ -64,9 +64,8 @@ let rec has_terminator buf i =
 (* Each read's bytes are scanned once: the search resumes three bytes
    before the old end, so a terminator split across two reads is found,
    and a head costs time and memory linear in its length. *)
-let read_head fd =
+let read_head fd chunk =
   let buf = Buffer.create 512 in
-  let chunk = Bytes.create 512 in
   let rec go from =
     if Buffer.length buf > max_head then None
     else if has_terminator buf from then Some (Buffer.contents buf)
@@ -97,9 +96,37 @@ let parse_request_line head =
       Some (meth, path)
     | _ -> None)
 
+(* Read and drop what the peer sent past the head, up to twice the head
+   cap more, until it ends its side or goes quiet for [linger] seconds: a
+   socket closed with unread bytes is reset, and a reset can discard the
+   reply before the peer reads it. Twice the cap covers a head accepted
+   from the first read followed by a head-sized tail, and the tail of a
+   head past the cap. The reply is ended first, so a peer waiting for it
+   to finish closes its side and the drain sees the end; a peer that does
+   neither holds the handler [linger] seconds at most. *)
+let linger = 1.0
+
+let drain fd chunk =
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let deadline = Unix.gettimeofday () +. linger in
+  let rec go left =
+    let wait = deadline -. Unix.gettimeofday () in
+    if left > 0 && wait > 0.0 then
+      match Unix.select [ fd ] [] [] wait with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Stdlib.min left (Bytes.length chunk)) with
+        | 0 -> ()
+        | n -> go (left - n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go left)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go left
+  in
+  go (2 * max_head)
+
 let handle fd route =
+  let chunk = Bytes.create 512 in
   (try
-     match read_head fd with
+     (match read_head fd chunk with
      | None -> ()
      | Some head -> (
        match parse_request_line head with
@@ -113,6 +140,7 @@ let handle fd route =
              | Some r -> r
              | None -> response 404 "unknown path\n"
            in
-           write_response fd resp)
+           write_response fd resp));
+     drain fd chunk
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()

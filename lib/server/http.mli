@@ -26,4 +26,7 @@ val handle : Unix.file_descr -> (string -> response option) -> unit
 (** [handle fd route] serves one request on a connected socket and closes
     it: parse the request line, answer [route path] (query strings are
     stripped; [None] answers [404]), [405] for non-GET, [400] for
-    garbage. Never raises — network errors just drop the connection. *)
+    garbage. Never raises — network errors just drop the connection.
+    Before closing, it ends its side and reads what the peer sent past the
+    head (up to twice the 16 KiB head cap, for at most a second), so the
+    close does not reset the connection under an unread reply. *)

@@ -185,6 +185,10 @@ let decode_checkpoint text =
   in
   let pattern = Wire.get_string r in
   let n = Wire.get_u32 r in
+  (* every gate takes at least a name length and a strength (12 bytes):
+     a count the rest cannot hold is refused before anything is sized by
+     it *)
+  if n > Wire.remaining r / 12 then raise Wire.Truncated;
   let gates =
     Array.init n (fun _ ->
         let kind = Gate.of_name (Wire.get_string r) in

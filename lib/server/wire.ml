@@ -84,6 +84,8 @@ let get_string r =
 
 let at_end r = r.pos = String.length r.data
 
+let remaining r = String.length r.data - r.pos
+
 let expect_end r =
   if not (at_end r) then
     raise

@@ -70,6 +70,10 @@ val get_bool : reader -> bool
 val get_string : reader -> string
 val at_end : reader -> bool
 
+val remaining : reader -> int
+(** Bytes not yet read: what a decoder checks a count against before it
+    allocates for that many elements. *)
+
 val expect_end : reader -> unit
 (** Raises {!Bad_frame} unless the cursor consumed its whole input — a
     decoded message must account for every payload byte. *)

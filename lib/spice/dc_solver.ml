@@ -19,7 +19,6 @@ type result = {
   voltages : float array;
   sweeps : int;
   converged : bool;
-  max_residual : float;
 }
 
 (* One compiled device per distinct (device, polarity, width) of a solve.
@@ -271,14 +270,6 @@ let[@inline] residual k i =
   done;
   !acc
 
-let max_residual_of k x =
-  eval_all k x;
-  let worst = ref 0.0 in
-  for i = 0 to k.flat.Flatten.n_unknowns - 1 do
-    worst := Float.max !worst (abs_float (residual k i))
-  done;
-  !worst
-
 let[@inline] clamp (lo : float) hi v =
   if v < lo then lo else if v > hi then hi else v
 
@@ -397,7 +388,6 @@ let run ?(options = default_options) ?(injections = []) k =
     done;
     if !max_update < options.tol_voltage then converged := true
   done;
-  let max_residual = max_residual_of k x in
   (* Most callers keep only [voltages]; the registry records every solve
      that hit the sweep budget without settling. *)
   if Tm.enabled () then begin
@@ -408,7 +398,7 @@ let run ?(options = default_options) ?(injections = []) k =
     Tm.observe h_sweeps (float_of_int !sweeps);
     if not !converged then Tm.incr m_nonconverged
   end;
-  { voltages = x; sweeps = !sweeps; converged = !converged; max_residual }
+  { voltages = x; sweeps = !sweeps; converged = !converged }
 
 let solve ?options ?injections flat = run ?options ?injections (kernel flat)
 
@@ -432,11 +422,19 @@ let solve_dense ?(injections = []) (flat : Flatten.t) =
       max_iter = 200 }
   in
   let r = Solver.solve ~options ~lower ~upper ~f flat.Flatten.initial in
-  let max_residual = max_residual_of k r.Solver.x in
   if Tm.enabled () then Tm.add m_evals k.evals;
   {
     voltages = r.Solver.x;
     sweeps = r.Solver.iterations;
     converged = r.Solver.converged;
-    max_residual;
   }
+
+let max_residual ?(injections = []) flat x =
+  let k = kernel flat in
+  reset k injections;
+  eval_all k x;
+  let worst = ref 0.0 in
+  for i = 0 to flat.Flatten.n_unknowns - 1 do
+    worst := Float.max !worst (abs_float (residual k i))
+  done;
+  !worst

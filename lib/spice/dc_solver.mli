@@ -30,8 +30,7 @@
     re-evaluates only the perturbed unknown's transistors and then puts
     their saved currents back. A scalar update evaluates the node's
     transistors at the two probe voltages; a full residual vector
-    ({!solve_dense}, the final [max_residual]) evaluates each transistor
-    once.
+    ({!solve_dense}, {!max_residual}) evaluates each transistor once.
 
     The gate-only rule: a block update reads a transistor only at the
     block's unknowns, so a transistor whose drain, source and bulk all lie
@@ -75,7 +74,6 @@ type result = {
   voltages : float array;  (** one per unknown *)
   sweeps : int;
   converged : bool;
-  max_residual : float;    (** worst KCL violation, A *)
 }
 
 type kernel
@@ -109,6 +107,13 @@ val solve_dense :
   result
 (** Full-Newton reference solution. Intended for circuits with at most a few
     hundred unknowns. *)
+
+val max_residual :
+  ?injections:(int * float) list -> Flatten.t -> float array -> float
+(** [max_residual ?injections flat voltages] is the worst KCL violation
+    (A) of [voltages] under [injections]: every transistor evaluated once
+    on a fresh kernel, each node's residual summed in [Flatten.touching]
+    order. A solve does not compute it; call this to check one. *)
 
 val flat_of : kernel -> Flatten.t
 

@@ -229,14 +229,14 @@ let fixed_vector nl seed =
 
 let analyze_digest name =
   let nl = (Suite.find name).Suite.build () in
-  let report, result, _ =
+  let report, result, flat =
     Report.analyze ~device:Params.d25 ~temp:300.0 nl (fixed_vector nl 11)
   in
   digest_floats (fun put ->
       Array.iter put result.Dc.voltages;
       put (float_of_int result.Dc.sweeps);
       put (if result.Dc.converged then 1.0 else 0.0);
-      put result.Dc.max_residual;
+      put (Dc.max_residual flat result.Dc.voltages);
       Array.iter (emit_components put) report.Report.per_gate;
       emit_components put report.Report.totals;
       put report.Report.vdd_current;
@@ -443,6 +443,30 @@ let test_dual_vth_sigma_bits () =
   Alcotest.(check string) "under inter-only sigmas" "fa2ee97e38f04a633e652e4eacd8f8be"
     (digest (Variation.inter_only paper))
 
+(* A Relib session analyzed before any refresh: its per-gate state carries
+   the propagation's float drift and entries of two libraries, so the
+   analysis classes gates whose entries came from either. *)
+let test_relib_session_sigma_bits () =
+  let lib = fresh_sigma_lib () in
+  let hvt = fresh_sigma_lib ~device:(Params.with_vth_shift Params.d25 0.08) () in
+  let nl = (Suite.find "s1196").Suite.build () in
+  let s = Incremental.create lib nl (fixed_vector nl 9) in
+  let rng = Rng.create 29 in
+  List.iter
+    (fun g -> Incremental.apply s (Edit.Relib (g, hvt)))
+    [ 0; 7; 8; 30; 31; 32; 100 ];
+  for _ = 1 to 3 do
+    Incremental.apply s (Edit.random_set_input rng (Incremental.current_netlist s))
+  done;
+  let digest sigmas =
+    digest_floats (fun put -> emit_sigma put (Incremental.sigma ~sigmas s))
+  in
+  let paper = Variation.paper_sigmas in
+  Alcotest.(check string) "s1196 Relib session, no refresh"
+    "b32dca76b8027ffe7e62830e1f1f05f0" (digest paper);
+  Alcotest.(check string) "under intra-only sigmas" "6572deeb71978536a084905498b15a3c"
+    (digest (Variation.intra_only paper))
+
 (* The sampler the closed form is checked against: every sample of a
    70-sample run (two full chunks and a six-sample tail) on s838,
    sequential and on a 2-domain pool. *)
@@ -550,6 +574,31 @@ let test_mixed_library_bits () =
   Alcotest.(check string) "s838 with a +80 mV third" "324f97a91660cfbd9f1fe479e28d39a1"
     (digest_floats (fun put -> emit_estimate put r))
 
+(* [estimate_totals] with a dual-Vth assignment: the slack assignment's
+   high-Vth gates read a +80 mV library. Four vectors, each on a fresh
+   scratch and then all on one reused scratch. *)
+let test_dual_vth_totals_bits () =
+  let lib = fresh_sigma_lib () in
+  let hvt = fresh_sigma_lib ~device:(Dual_vth.high_vth_device Params.d25) () in
+  let nl = (Suite.find "s838").Suite.build () in
+  let high = Dual_vth.slack_assignment ~critical_margin:0 nl in
+  let library_of_gate g = if high.(g) then hvt else lib in
+  let digest ?scratch () =
+    digest_floats (fun put ->
+        List.iter
+          (fun v ->
+            let loaded, baseline =
+              Estimator.estimate_totals ~library_of_gate ?scratch lib nl v
+            in
+            emit_components put loaded;
+            emit_components put baseline)
+          (est_vectors nl))
+  in
+  let expected = "1647935ee546cf6fbfb8c78ed53c8927" in
+  Alcotest.(check string) "s838 dual-Vth, fresh scratch" expected (digest ());
+  Alcotest.(check string) "s838 dual-Vth, one scratch" expected
+    (digest ~scratch:(Estimator.scratch nl) ())
+
 (* 70 samples: two full chunks and a six-sample tail. *)
 let test_resample_bits () =
   let nl = (Suite.find "alu88").Suite.build () in
@@ -566,6 +615,37 @@ let test_resample_bits () =
   Alcotest.(check string) "alu88 sequential" expected (digest ());
   Alcotest.(check string) "alu88 on 2 domains" expected
     (Pool.with_pool ~jobs:2 (fun pool -> digest ~pool ()))
+
+(* The pinned σ, vector averages and resampling on a pool of one domain
+   (the caller alone) and of two: the same literals as without a pool. *)
+let test_pool_sizes_bits () =
+  let s838 = (Suite.find "s838").Suite.build () in
+  let alu88 = (Suite.find "alu88").Suite.build () in
+  let lib = Lazy.force est_lib in
+  let vs = List.init 33 (fun i -> fixed_vector alu88 (100 + i)) in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let lanes = Printf.sprintf " on %d domain(s)" jobs in
+          Alcotest.(check string) ("s838 sigma" ^ lanes)
+            (List.assoc "s838" sigma_pins) (sigma_digest ~pool s838);
+          let loaded, baseline =
+            Estimator.average_over_vectors ~pool lib alu88 vs
+          in
+          Alcotest.(check string) ("alu88 average" ^ lanes)
+            "ceafcf249d957ddcd268912d88cbaa7e"
+            (digest_floats (fun put ->
+                 emit_components put loaded;
+                 emit_components put baseline));
+          let r = Vector_mc.resample ~pool ~seed:7 ~samples:70 lib alu88 in
+          Alcotest.(check string) ("alu88 resample" ^ lanes)
+            "1a14dd9dcb9def36f3cc817cd79ceea2"
+            (digest_floats (fun put ->
+                 Array.iter put r.Vector_mc.totals;
+                 Array.iter put r.Vector_mc.baselines;
+                 emit_components put r.Vector_mc.mean_components;
+                 put r.Vector_mc.mean_shift_percent))))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------- work counts *)
 
@@ -606,9 +686,9 @@ let test_testbench_evals () =
     Alcotest.(check int) (label ^ " device evaluations") evals e;
     Alcotest.(check int) (label ^ " gate-only evaluations") gate_only g
   in
-  check "NAND2 testbench" (283, 88) (Gate.Nand 2) "10";
-  check "XOR2 testbench" (700, 160) Gate.Xor "01";
-  check "AOI22 testbench" (588, 176) Gate.Aoi22 "0110"
+  check "NAND2 testbench" (275, 88) (Gate.Nand 2) "10";
+  check "XOR2 testbench" (680, 160) Gate.Xor "01";
+  check "AOI22 testbench" (572, 176) Gate.Aoi22 "0110"
 
 (* A compiled bench re-runs one kernel; each run reports its own work, the
    count of the same run on a fresh bench. *)
@@ -653,7 +733,7 @@ let test_s838_evals () =
     evals_of (fun () ->
         ignore (Report.analyze ~device:Params.d25 ~temp:300.0 nl v))
   in
-  Alcotest.(check int) "s838 solve" 83958 evals;
+  Alcotest.(check int) "s838 solve" 82116 evals;
   Alcotest.(check int) "s838 gate-only" 29712 gate_only
 
 (* One characterization is one solve per grid point, less the points that
@@ -723,6 +803,8 @@ let () =
               test_dual_vth_sigma_bits;
             Alcotest.test_case "Monte-Carlo samples" `Quick
               test_statistical_bits;
+            Alcotest.test_case "Relib session before refresh" `Quick
+              test_relib_session_sigma_bits;
           ] );
       ( "estimator-bits",
         List.map
@@ -740,6 +822,10 @@ let () =
             Alcotest.test_case "mixed libraries" `Quick
               test_mixed_library_bits;
             Alcotest.test_case "resample alu88" `Quick test_resample_bits;
+            Alcotest.test_case "dual-Vth totals" `Quick
+              test_dual_vth_totals_bits;
+            Alcotest.test_case "1- and 2-domain pools" `Quick
+              test_pool_sizes_bits;
           ] );
       ( "solver-work",
         [

@@ -331,6 +331,138 @@ let test_library_tiny_strength_shares_bucket () =
   ignore (Library.entry ~strength:0.05 lib Gate.Inv [| Logic.Zero |]);
   Alcotest.(check int) "clamped into the 0.25 bucket" n (Library.entry_count lib)
 
+(* Strengths on both sides of quarter-bucket edges: (2k+1)/8 quantizes up
+   to bucket k+1, its float predecessor down to k (bucket 0 clamps to 1). *)
+let edge_strengths =
+  Array.of_list
+    (List.concat_map
+       (fun k ->
+         let s = float_of_int ((2 * k) + 1) /. 8.0 in
+         [ Float.pred s; s; Float.succ s ])
+       [ 0; 1; 4; 7 ])
+
+let edge_netlist rng =
+  let b = Netlist.Builder.create "edges" in
+  let inputs = Array.init (2 + Rng.int rng 3) (fun _ -> Netlist.Builder.input b) in
+  let nets = ref (Array.to_list inputs) in
+  let kinds = Array.of_list Gate.all_kinds in
+  for _ = 1 to 3 + Rng.int rng 6 do
+    let kind = Rng.pick rng kinds in
+    let strength = Rng.pick rng edge_strengths in
+    let ins =
+      Array.init (Gate.arity kind) (fun _ ->
+          List.nth !nets (Rng.int rng (List.length !nets)))
+    in
+    nets := Netlist.Builder.gate ~strength b kind ins :: !nets
+  done;
+  Netlist.Builder.mark_output b (List.hd !nets);
+  Netlist.Builder.finish b
+
+(* Two grid points: the cheapest characterization, for cold libraries. *)
+let tiny_grid = { Characterize.max_current = 3.0e-6; points = 2 }
+
+(* Every gate of a random netlist (every kind, strengths on bucket edges)
+   reads physically the entry [Library.entry ~strength] returns for its
+   kind and input vector: on a cold library the estimator fills first, on
+   another the direct lookups fill first, and a second estimate reads the
+   warm library. *)
+let prop_kernel_reads_library_entries =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25 ~name:"kernel entries are Library.entry"
+       QCheck2.Gen.(pair (int_bound 100_000) (int_bound 100_000))
+       (fun (cseed, vseed) ->
+         let nl = edge_netlist (Rng.create (cseed + 1)) in
+         let v =
+           Logic.random_vector (Rng.create (vseed + 1))
+             (Array.length (Netlist.inputs nl))
+         in
+         let values = Simulate.run nl v in
+         let direct l g =
+           Library.entry ~strength:(Netlist.gate_strength nl g) l
+             (Netlist.gate_kind nl g)
+             (Array.init (Netlist.gate_arity nl g) (fun p ->
+                  values.(Netlist.gate_pin nl g p)))
+         in
+         let kernel_entries l =
+           let seen, _, _ =
+             Estimator.estimate_fold ~init:[]
+               ~f:(fun acc g e ~loaded:_ -> (g, e) :: acc)
+               l nl v
+           in
+           seen
+         in
+         let agree what l seen =
+           List.iter
+             (fun (g, e) ->
+               if not (e == direct l g) then
+                 QCheck2.Test.fail_reportf "%s: gate %d (%s, strength %h)"
+                   what g (Gate.name (Netlist.gate_kind nl g))
+                   (Netlist.gate_strength nl g))
+             seen
+         in
+         let fresh () = Library.create ~grid:tiny_grid ~device ~temp () in
+         let cold = fresh () in
+         let first = kernel_entries cold in
+         agree "estimator first" cold first;
+         let other = fresh () in
+         for g = 0 to Netlist.gate_count nl - 1 do
+           ignore (direct other g)
+         done;
+         agree "lookups first" other (kernel_entries other);
+         let again = kernel_entries cold in
+         agree "warm library" cold again;
+         List.length first = Netlist.gate_count nl
+         && List.for_all2 (fun (_, a) (_, b) -> a == b) first again))
+
+(* Every estimator gate lookup is one library hit, shared hit or miss:
+   [library.hits + library.shared_hits + library.misses] equals
+   [estimator.gate_lookups] over estimator-only runs, cold and warm,
+   sequential and on a 2-domain pool. *)
+let test_library_counts_every_lookup () =
+  let module Tm = Leakage_telemetry.Telemetry in
+  let was = Tm.enabled () in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let names =
+    [ "library.hits"; "library.shared_hits"; "library.misses";
+      "estimator.gate_lookups" ]
+  in
+  let counts f =
+    let read () =
+      let snap = Tm.Snapshot.take () in
+      List.map (Tm.Snapshot.counter_total snap) names
+    in
+    let before = read () in
+    f ();
+    List.map2 ( - ) (read ()) before
+  in
+  let nl = (Suite.find "s838").Suite.build () in
+  let rng = Rng.create 41 in
+  let vs =
+    List.init 40 (fun _ ->
+        Logic.random_vector rng (Array.length (Netlist.inputs nl)))
+  in
+  let check what f =
+    match counts f with
+    | [ hits; shared; misses; lookups ] ->
+      if lookups = 0 || hits + shared + misses <> lookups then
+        Alcotest.failf "%s: %d hits + %d shared + %d misses vs %d lookups"
+          what hits shared misses lookups;
+      misses
+    | _ -> assert false
+  in
+  let run ?pool l () = ignore (Estimator.average_over_vectors ?pool l nl vs) in
+  let cold = Library.create ~grid:tiny_grid ~device ~temp () in
+  Alcotest.(check bool) "sequential, cold: misses" true
+    (check "sequential, cold" (run cold) > 0);
+  Alcotest.(check int) "sequential, warm: no miss" 0
+    (check "sequential, warm" (run cold));
+  Leakage_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      let cold = Library.create ~grid:tiny_grid ~device ~temp () in
+      Alcotest.(check bool) "2 domains, cold: misses" true
+        (check "2 domains, cold" (run ~pool cold) > 0);
+      ignore (check "2 domains, warm" (run ~pool cold)))
+
 (* ------------------------------------------------------------ Estimator *)
 
 let chain_circuit () =
@@ -461,7 +593,8 @@ let test_estimator_average_over_vectors () =
    nothing per gate, only a few records per estimate — and a resampled
    vector costs one estimate plus its chunk's scratch. Measured: 0.11 and
    0.27 words per gate-vector, 2.22 and 6.58 per resampled gate (s838,
-   alu88); each bound is 25% above the larger. *)
+   alu88), each bound 25% above the larger; 3.37 and 6.52 per resampled
+   gate since a scratch indexes its netlist's cells. *)
 let test_estimator_minor_words () =
   let module Tm = Leakage_telemetry.Telemetry in
   let was_enabled = Tm.enabled () in
@@ -662,10 +795,11 @@ let prop_estimator_loops_agree =
          let loaded, baseline = Estimator.estimate_totals ~passes lib nl v in
          let next, fold_loaded, fold_baseline =
            Estimator.estimate_fold ~passes ~init:0
-             ~f:(fun expect g _ ~loaded ~isolated ->
+             ~f:(fun expect g e ~loaded ->
                let ge = r.Estimator.per_gate.(g) in
-               if g <> expect || not (same loaded ge.Estimator.with_loading)
-                  || not (same isolated ge.Estimator.no_loading)
+               if g <> expect
+                  || not (same ({ Report.isub = loaded.(0); igate = loaded.(1); ibtbt = loaded.(2) }) ge.Estimator.with_loading)
+                  || not (same e.Characterize.nominal_isolated ge.Estimator.no_loading)
                then QCheck2.Test.fail_reportf "fold disagrees at gate %d" g;
                g + 1)
              lib nl v
@@ -975,10 +1109,10 @@ let test_statistical_matches_solver_mc () =
         let s = Rng.split mcrng in
         let die = Variation.sample_die s sigmas in
         let die_dev = Variation.apply_die device die in
-        let shifts =
-          Array.init (Netlist.gate_count nl) (fun _ ->
-              Variation.sample_gate_vth s sigmas)
-        in
+        let shifts = Array.make (Netlist.gate_count nl) 0.0 in
+        Array.iteri
+          (fun g _ -> Variation.sample_gate_vth_into s sigmas shifts g)
+          shifts;
         let device_of_gate id = Variation.apply_gate die_dev shifts.(id) in
         let flat =
           Leakage_spice.Flatten.flatten ~device_of_gate ~device:die_dev
@@ -1464,6 +1598,9 @@ let () =
             test_library_vector_arity_guard;
           Alcotest.test_case "tiny strength bucket" `Quick
             test_library_tiny_strength_shares_bucket;
+          Alcotest.test_case "every lookup counted" `Quick
+            test_library_counts_every_lookup;
+          prop_kernel_reads_library_entries;
         ] );
       ( "estimator",
         [

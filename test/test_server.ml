@@ -505,6 +505,61 @@ let test_registry_restores_last_checkpoint () =
   Alcotest.check components "state is exactly the last checkpoint" want
     (Incremental.totals s2.Registry.incr)
 
+(* A checkpoint whose gate count is spliced to 2^32 - 1 claims far more
+   gates than its bytes hold: the decoder refuses the count before sizing
+   anything by it, so the open falls back to cold — counted as an opened
+   session, not a restored one — and allocates what a cold open of the
+   4-gate circuit does, well inside a fixed budget. *)
+let test_registry_oversized_gate_count_opens_cold () =
+  let dir = fresh_dir "count" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let r1 = Registry.create ~state_dir:dir () in
+  let s, _ = Registry.open_session r1 (Registry.resolve r1 (spec ())) ~pattern:"010" in
+  Registry.checkpoint_to_disk r1 s;
+  let path =
+    match
+      List.filter
+        (fun f -> Filename.check_suffix f ".ckpt")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected one checkpoint file"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  (* the gate count follows the header fields and four strings *)
+  let r = Wire.reader text in
+  for _ = 1 to 5 do ignore (Wire.get_u8 r) done;
+  let strings = ref (List.map String.length [ Wire.get_string r; Wire.get_string r ]) in
+  ignore (Wire.get_f64 r);
+  ignore (Wire.get_u8 r);
+  strings :=
+    !strings @ List.map String.length [ Wire.get_string r; Wire.get_string r; Wire.get_string r ];
+  Alcotest.(check int) "four gates stored" 4 (Wire.get_u32 r);
+  let at = 5 + 8 + 1 + List.fold_left (fun acc n -> acc + 4 + n) 0 !strings in
+  let spliced = Bytes.of_string text in
+  Bytes.fill spliced at 4 '\xff';
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc spliced);
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  let count name =
+    Telemetry.Snapshot.counter_total (Telemetry.Snapshot.take ()) name
+  in
+  let opened = count "serve.sessions_opened"
+  and restored = count "serve.sessions_restored" in
+  let r2 = Registry.create ~state_dir:dir () in
+  let resolved = Registry.resolve r2 (spec ()) in
+  let b0 = Gc.allocated_bytes () in
+  let _, status = Registry.open_session r2 resolved ~pattern:"" in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check string) "opens cold" "cold" (Protocol.session_status_name status);
+  Alcotest.(check int) "counted as opened" (opened + 1)
+    (count "serve.sessions_opened");
+  Alcotest.(check int) "not restored" restored (count "serve.sessions_restored");
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated (budget 16 MiB)" bytes)
+    true (bytes < 16.0 *. 1024.0 *. 1024.0)
+
 let test_registry_evicts_idle_lru () =
   let r = Registry.create ~max_sessions:1 () in
   let resolved = Registry.resolve r (spec ()) in
@@ -874,11 +929,11 @@ let http_exchange input =
            (Gc.allocated_bytes () -. b0, Unix.gettimeofday () -. t0)))
   in
   let reply = Buffer.create 256 and tmp = Bytes.create 4096 in
-  (* A handler that closes with request bytes unread resets the
-     connection: the reply, if any, is read first. *)
+  (* The handler reads what it does not parse before closing, so the
+     reply, if any, ends the stream: a reset fails the exchange. *)
   let rec drain () =
     match Unix.read a tmp 0 (Bytes.length tmp) with
-    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+    | 0 -> ()
     | n ->
       Buffer.add_subbytes reply tmp 0 n;
       drain ()
@@ -1136,6 +1191,8 @@ let () =
             test_registry_evicts_idle_lru;
           Alcotest.test_case "peer checkpoint adoption" `Quick
             test_registry_adopts_peer_checkpoint;
+          Alcotest.test_case "oversized gate count opens cold" `Quick
+            test_registry_oversized_gate_count_opens_cold;
         ] );
       ( "transport",
         [
