@@ -185,6 +185,55 @@ let prop_estimator_matches_solver_on_random_circuits =
               (Report.total spice.Report.totals)
             < 0.015))
 
+(* The accuracy envelope: on small random netlists (Diff_harness's
+   generator: 4-16 one- and two-input gates, random input vector) the
+   estimator's total on a default-grid library stays within a per-corner
+   bound of the transistor-level solve. Each bound is the worst error
+   measured over these 40 netlists on the 21-point axis, plus 0.01 point,
+   rounded up to the next 0.01; the hot corners and all-PI gates carry
+   most of it. A model change tightens a bound to what it reaches, never
+   widens one. The generator's seeds come from a fixed state, so every
+   run checks the same netlists, and each corner prints its worst. *)
+let envelope_corners =
+  [
+    (* label, device, temperature, bound in %; the worst as measured *)
+    ("D25/300 K", Params.d25, 300.0, 0.97);  (* 0.953 *)
+    ("D50/300 K", Params.d50, 300.0, 0.64);  (* 0.623 *)
+    ("D25-S/300 K", Params.d25_s, 300.0, 1.94);  (* 1.926 *)
+    ("D25-G/300 K", Params.d25_g, 300.0, 0.62);  (* 0.603 *)
+    ("D25-JN/300 K", Params.d25_jn, 300.0, 0.27);  (* 0.255 *)
+    ("D25/420 K", Params.d25, 420.0, 2.63);  (* 2.612 *)
+    ("D25-S/420 K", Params.d25_s, 420.0, 3.71);  (* 3.699 *)
+  ]
+
+let envelope_case (label, device, temp, bound_pct) =
+  let lib = Library.create ~device ~temp () in
+  let worst = ref 0.0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+      (QCheck2.Test.make ~count:40
+         ~name:(Printf.sprintf "%s within %.2f%% of solver" label bound_pct)
+         QCheck2.Gen.(int_bound 100_000)
+         (fun seed ->
+           let rng = Rng.create (seed + 1) in
+           let nl = Diff_harness.random_netlist rng in
+           let pattern = Diff_harness.random_pattern rng nl in
+           let est = Estimator.estimate_totals lib nl pattern |> fst in
+           let spice, result, _ = Report.analyze ~device ~temp nl pattern in
+           let err =
+             100.0
+             *. relative (Report.total est) (Report.total spice.Report.totals)
+           in
+           worst := Float.max !worst err;
+           result.Leakage_spice.Dc_solver.converged && err <= bound_pct))
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Printf.printf "%s: worst %.3f%% over 40 netlists (bound %.2f%%)\n" label
+        !worst bound_pct )
+
 (* Property: the .bench parser never raises anything but Parse_error on
    arbitrary junk, and accepts what it printed. *)
 let prop_parser_total_on_junk =
@@ -238,4 +287,5 @@ let () =
         ] );
       ( "properties",
         [ prop_estimator_matches_solver_on_random_circuits ] );
+      ("envelope", List.map envelope_case envelope_corners);
     ]
