@@ -512,27 +512,104 @@ let ablation_superposition () =
         (Logic.to_char input_value) !worst)
     [ Logic.Zero; Logic.One ]
 
+(* The current axis's density against accuracy and cost, over the suite
+   at five corners and three vectors a circuit. Each (circuit, corner,
+   grid) gets a library of its own, so its DC solves and build time are
+   what a one-shot CLI run on that circuit pays; the build time covers
+   the three cold estimates, characterization nearly all of it. The
+   served |I_L| is what the axis must cover: every input pin's and
+   output's loading current in [Estimator.estimate]'s per-gate rows,
+   over the three vectors. *)
 let ablation_grid () =
-  header "Ablation: characterization grid density vs estimator accuracy"
-    "DESIGN.md: table resolution is a cost/accuracy knob; the response is \
-     smooth so coarse grids should already be accurate";
-  let device = Params.d25 in
-  let nl = (Suite.find "s838").Suite.build () in
-  let rng = Rng.create 99 in
-  let pattern = List.hd (Simulate.random_patterns rng nl 1) in
-  let spice, _, _ = Report.analyze ~device ~temp:temp_room nl pattern in
-  let reference = Report.total spice.Report.totals in
+  header "Ablation: current-axis density vs estimator accuracy and cost"
+    "DESIGN.md: the axis density is a cost/accuracy knob; the loading \
+     response is nearly linear over +-3 uA, so 7 points read the 21-point \
+     totals at 38% of the DC solves";
+  let module Tm = Leakage_telemetry.Telemetry in
+  let was = Tm.enabled () in
+  Tm.set_enabled true;
+  let solves () = Tm.Snapshot.counter_total (Tm.Snapshot.take ()) "dc.solves" in
+  let corners =
+    [ ("D25/300 K", Params.d25, 300.0); ("D50/300 K", Params.d50, 300.0);
+      ("D25-G/300 K", Params.d25_g, 300.0);
+      ("D25-JN/300 K", Params.d25_jn, 300.0);
+      ("D25-S/420 K", Params.d25_s, 420.0) ]
+  in
+  let grids = [ 21; 9; 7; 5 ] in
+  let worst_move = Array.make (List.length grids) 0.0 in
   List.iter
-    (fun points ->
-      let lib =
-        Library.create
-          ~grid:{ Characterize.max_current = 3.0e-6; points }
-          ~device ~temp:temp_room ()
-      in
-      let est = Estimator.estimate lib nl pattern in
-      Format.printf "  %2d-point tables: error vs solver %+.4f%%@." points
-        ((Report.total est.Estimator.totals -. reference) /. reference *. 100.0))
-    [ 3; 5; 9; 21 ]
+    (fun (corner, device, temp) ->
+      Format.printf "@.  %s@.  %-8s %6s %10s %10s %10s %10s@." corner "circuit"
+        "points" "error[%]" "move[pt]" "dc.solves" "build[ms]";
+      List.iter
+        (fun (e : Suite.entry) ->
+          let nl = e.Suite.build () in
+          let patterns = Simulate.random_patterns (Rng.create 99) nl 3 in
+          let mean xs f = List.fold_left (fun a x -> a +. f x) 0.0 xs /. 3.0 in
+          let reference =
+            mean patterns (fun p ->
+                let spice, _, _ = Report.analyze ~device ~temp nl p in
+                Report.total spice.Report.totals)
+          in
+          let served = ref [] in
+          let err_21 = ref nan in
+          List.iteri
+            (fun gi points ->
+              let lib =
+                Library.create
+                  ~grid:{ Characterize.max_current = 3.0e-6; points }
+                  ~device ~temp ()
+              in
+              let n0 = solves () in
+              let t0 = Unix.gettimeofday () in
+              let ests = List.map (Estimator.estimate lib nl) patterns in
+              let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+              let n = solves () - n0 in
+              let est =
+                mean ests (fun (r : Estimator.result) ->
+                    Report.total r.Estimator.totals)
+              in
+              let err = (est -. reference) /. reference *. 100.0 in
+              if gi = 0 then begin
+                err_21 := err;
+                served := ests
+              end;
+              let move = err -. !err_21 in
+              worst_move.(gi) <- Float.max worst_move.(gi) (Float.abs move);
+              Format.printf "  %-8s %6d %+10.4f %+10.4f %10d %10.1f@."
+                (if gi = 0 then e.Suite.label else "") points err move n ms)
+            grids;
+          let pins = ref [] and outs = ref [] in
+          List.iter
+            (fun (r : Estimator.result) ->
+              Array.iter
+                (fun (g : Estimator.gate_estimate) ->
+                  Array.iter
+                    (fun i -> pins := Float.abs i :: !pins)
+                    g.Estimator.loading_in;
+                  outs := Float.abs g.Estimator.loading_out :: !outs)
+                r.Estimator.per_gate)
+            !served;
+          let quantiles l =
+            let a = Array.of_list l in
+            Printf.sprintf "%.2f/%.2f/%.2f"
+              (Stats.percentile a 50.0 *. 1e6)
+              (Stats.percentile a 90.0 *. 1e6)
+              (snd (Stats.min_max a) *. 1e6)
+          in
+          Format.printf
+            "  %-8s served |I_L| p50/p90/max [uA]: pins %s, outputs %s@." ""
+            (quantiles !pins) (quantiles !outs))
+        Suite.all)
+    corners;
+  Tm.set_enabled was;
+  Format.printf "@.  worst |move| against 21 points over every circuit and corner:";
+  List.iteri
+    (fun gi points ->
+      Format.printf " %d points %.4f pt%s" points worst_move.(gi)
+        (if gi = List.length grids - 1 then "" else ";"))
+    grids;
+  Format.printf "@."
 
 let ablation_one_level () =
   header "Ablation: propagation depth of the loading model"

@@ -29,7 +29,7 @@ type grid_spec = {
   points : int;
 }
 
-let default_grid = { max_current = 3.0e-6; points = 21 }
+let default_grid = { max_current = 3.0e-6; points = 7 }
 
 let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
     kind vector =

@@ -70,7 +70,15 @@ type grid_spec = {
 }
 
 val default_grid : grid_spec
-(** ±3 µA, 21 points — covering the paper's 0–3000 nA sweeps. *)
+(** ±3 µA, 7 points (1 µA apart) — covering the paper's 0–3000 nA sweeps.
+    Seven is the coarsest odd count (an odd count keeps 0 A a node, so the
+    nominal solve is reused) at which every accuracy bound holds: the
+    response is close to linear, and linear interpolation at each segment
+    midpoint stays within 0.021% of the entry's nominal total of a solve
+    there, for every kind, vector and port at D25/300 K and D25-S/420 K
+    (test_core's "axis midpoints" gates it at 0.03%; 5 points read
+    0.036%). Against 21 points the suite's 3-vector totals move at most
+    0.0054 point at five corners ([bench/main.exe ablation-grid]). *)
 
 val characterize :
   ?grid:grid_spec ->
@@ -85,8 +93,8 @@ val characterize :
     per grid point — the nominal, every port's [points] currents and 9
     threshold shifts. Nodes that are exactly zero (the middle of an odd
     current axis, the zero shift) repeat the nominal solve's inputs bit
-    for bit and reuse it: a NAND2 entry is 70 DC solves at the default
-    grid, 22 at 4 points. *)
+    for bit and reuse it: a NAND2 entry is 28 DC solves at the default
+    grid, 22 at 4 points and 70 at 21. *)
 
 type port = In of int | Out  (** input pin [k], or the output *)
 

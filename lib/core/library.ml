@@ -7,6 +7,7 @@ module Netlist = Leakage_circuit.Netlist
 module Pool = Leakage_parallel.Pool
 module Tm = Leakage_telemetry.Telemetry
 module Trace = Leakage_telemetry.Trace
+module Variation = Leakage_device.Variation
 
 (* Sharded counters make the per-domain hit/miss split visible: each worker
    domain owns a cache, so a cold lane shows up as misses on its shard. *)
@@ -37,6 +38,15 @@ type table = {
   mutable filled : int;
 }
 
+(* One sigma triple's die geometry, under the sigmas' σ_L, σ_Tox and
+   σ_VDD bits: all [Die_geometry.compute] reads of them. *)
+type geometry = {
+  sigma_l : float;
+  sigma_tox : float;
+  sigma_vdd : float;
+  geometry : Die_geometry.t;
+}
+
 type t = {
   grid : Characterize.grid_spec;
   device : Leakage_device.Params.t;
@@ -48,13 +58,15 @@ type t = {
          disagree — and the hot lookup path stays lock-free. *)
   published : (int, Characterize.entry) Hashtbl.t;
   integrals : Vth_moments.integrals array Vth_moments.Memo.t;
+  mutable geometries : geometry list;
   publish_mutex : Mutex.t;
       (* Publish-once snapshot shared by every domain. A domain that misses
          its own cache adopts from here before paying for a characterization
          (ms-scale DC solves), and publishes what it does build — so N
          domains warm each entry once, not N times. Only the miss path takes
          the mutex; cache hits stay lock-free. The σ pass's per-class
-         integrals are published the same way, under the same mutex. *)
+         integrals and die geometries are published the same way, under
+         the same mutex. *)
 }
 
 let new_table () =
@@ -70,6 +82,7 @@ let create ?(grid = Characterize.default_grid) ~device ~temp ?vdd () =
     tables = Domain.DLS.new_key new_table;
     published = Hashtbl.create 64;
     integrals = Vth_moments.Memo.create 64;
+    geometries = [];
     publish_mutex = Mutex.create ();
   }
 
@@ -340,3 +353,40 @@ let class_integrals t plan tabs =
     in
     Mutex.unlock t.publish_mutex;
     ints
+
+let[@inline] same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+let find_geometry t (sigmas : Variation.sigmas) =
+  List.find_opt
+    (fun g ->
+      same_bits g.sigma_l sigmas.Variation.sigma_l
+      && same_bits g.sigma_tox sigmas.Variation.sigma_tox
+      && same_bits g.sigma_vdd sigmas.Variation.sigma_vdd)
+    t.geometries
+
+(* Computed outside the mutex, as the class integrals are: racing lanes
+   compute the same bits, and the first to publish wins. *)
+let die_geometry t sigmas =
+  Mutex.lock t.publish_mutex;
+  let known = find_geometry t sigmas in
+  Mutex.unlock t.publish_mutex;
+  match known with
+  | Some g -> g.geometry
+  | None ->
+    let geometry =
+      Die_geometry.compute ~device:t.device ~temp:t.temp ~vdd:t.vdd ~sigmas
+    in
+    Mutex.lock t.publish_mutex;
+    let geometry =
+      match find_geometry t sigmas with
+      | Some first -> first.geometry
+      | None ->
+        t.geometries <-
+          { sigma_l = sigmas.Variation.sigma_l;
+            sigma_tox = sigmas.Variation.sigma_tox;
+            sigma_vdd = sigmas.Variation.sigma_vdd; geometry }
+          :: t.geometries;
+        geometry
+    in
+    Mutex.unlock t.publish_mutex;
+    geometry

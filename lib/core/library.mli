@@ -19,8 +19,9 @@
     path takes the snapshot's mutex.
 
     The library also keeps the analytic σ pass's per-class threshold-axis
-    integrals ({!class_integrals}), published once under the same mutex:
-    they live and die with the library value, and nothing clears them. *)
+    integrals ({!class_integrals}) and its die geometry per sigma triple
+    ({!die_geometry}), each published once under the same mutex: they
+    live and die with the library value, and nothing clears them. *)
 
 type t
 
@@ -130,6 +131,13 @@ val class_integrals :
     library's mutex and a bitwise compare. A miss computes the integrals
     outside the mutex (222 exact table integrals under the paper's sigmas)
     and counts one [sensitivity.class_misses]. *)
+
+val die_geometry : t -> Leakage_device.Variation.sigmas -> Die_geometry.t
+(** [die_geometry t sigmas] is [Die_geometry.compute] at [t]'s device,
+    temperature and supply, computed the first time [t] sees the sigmas'
+    σ_L, σ_Tox and σ_VDD bits and handed back, the same value, on every
+    later call (do not mutate it). Cost of a hit: a scan of the triples
+    seen so far under the library's mutex. *)
 
 val entry_count : t -> int
 (** Number of entries stored in the calling domain's rows

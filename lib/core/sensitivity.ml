@@ -32,10 +32,11 @@
      first-order sensitivity and validated against finite differences.
    - geometry/supply: λ and curvature γ of ln S_c per axis from the
      jet-valued compact model ([Model.components_jet]) evaluated on the
-     rail-biased reference inverter — closed-form derivatives of the
-     device equations, validated against finite differences by the test
-     suite. These enter as independent quadratic-exponent Gaussian
-     moments E[exp(aδ + bδ²/2)] = e^{a²σ²/2(1−bσ²)}/√(1−bσ²).
+     rail-biased reference inverter ([Die_geometry]; the library keeps
+     them per sigma triple) — closed-form derivatives of the device
+     equations, validated against finite differences by the test suite.
+     These enter as independent quadratic-exponent Gaussian moments
+     E[exp(aδ + bδ²/2)] = e^{a²σ²/2(1−bσ²)}/√(1−bσ²).
 
    Moments: gates are grouped by their response tables (gates sharing a
    characterization entry are statistically identical), giving sums over
@@ -65,10 +66,7 @@
    counted in [flagged_gates], marking where the reported λ alone would
    mislead. *)
 
-module Params = Leakage_device.Params
-module Model = Leakage_device.Model
 module Variation = Leakage_device.Variation
-module Jet = Leakage_numeric.Jet
 module Interp = Leakage_numeric.Interp
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
@@ -114,141 +112,6 @@ type result = {
 }
 
 let flagged r = r.flagged_isub || r.flagged_igate || r.flagged_ibtbt
-
-(* ------------------------------------ geometry (die-scale) sensitivities *)
-
-(* [Statistical.die_scale] solves the strength-1 reference inverter
-   (Wn = 1, Wp = 2 — [Gate.nmos_width]/[pmos_width] for Stage_inv) at both
-   input states and averages the component ratios. Here the same cell is
-   evaluated in closed form at rail bias: the solver's output droop is
-   microvolts and cancels to first order in the ratio. *)
-let ref_wn = 1.0
-let ref_wp = 2.0
-
-type axis = Axis_l | Axis_tox | Axis_vdd
-
-let axes = [| Axis_l; Axis_tox; Axis_vdd |]
-
-(* (isub, igate, ibtbt) jets of the rail-biased inverter at one input
-   state, seeded on one die axis. *)
-let state_jets ~(device : Params.t) ~temp ~vdd ~axis ~input_one =
-  let var_if cond v = if cond then Jet.var v else Jet.const v in
-  let length = var_if (axis = Axis_l) device.Params.length in
-  let tox = var_if (axis = Axis_tox) device.Params.tox in
-  let rail = var_if (axis = Axis_vdd) vdd in
-  let gnd = Jet.const 0.0 in
-  let dvth = Jet.const 0.0 in
-  let nbias, pbias =
-    if input_one then
-      ( { Model.jvg = rail; jvd = gnd; jvs = gnd; jvb = gnd },
-        { Model.jvg = rail; jvd = gnd; jvs = rail; jvb = rail } )
-    else
-      ( { Model.jvg = gnd; jvd = rail; jvs = gnd; jvb = gnd },
-        { Model.jvg = gnd; jvd = rail; jvs = rail; jvb = rail } )
-  in
-  let n =
-    Model.components_jet device Params.Nmos ~w:ref_wn ~temp ~length ~tox
-      ~dvth nbias
-  in
-  let p =
-    Model.components_jet device Params.Pmos ~w:ref_wp ~temp ~length ~tox
-      ~dvth pbias
-  in
-  (* Off-network transistor at the output carries the subthreshold story:
-     input 0 → output high → NMOS off; input 1 → PMOS off. *)
-  let isub =
-    if input_one then Model.channel_leakage_jet p
-    else Model.channel_leakage_jet n
-  in
-  ( isub,
-    Jet.add (Model.gate_leakage_jet n) (Model.gate_leakage_jet p),
-    Jet.add (Model.junction_leakage_jet n) (Model.junction_leakage_jet p) )
-
-(* Plain-valued inverter components with the axis displaced by [delta] —
-   the truth the linearization check compares against. *)
-let state_values ~(device : Params.t) ~temp ~vdd ~input_one =
-  let nbias, pbias =
-    if input_one then
-      ( { Model.vg = vdd; vd = 0.0; vs = 0.0; vb = 0.0 },
-        { Model.vg = vdd; vd = 0.0; vs = vdd; vb = vdd } )
-    else
-      ( { Model.vg = 0.0; vd = vdd; vs = 0.0; vb = 0.0 },
-        { Model.vg = 0.0; vd = vdd; vs = vdd; vb = vdd } )
-  in
-  let n = Model.components device Params.Nmos ~w:ref_wn ~temp nbias in
-  let p = Model.components device Params.Pmos ~w:ref_wp ~temp pbias in
-  let isub =
-    if input_one then Model.channel_leakage p else Model.channel_leakage n
-  in
-  ( isub,
-    Model.gate_leakage n +. Model.gate_leakage p,
-    Model.junction_leakage n +. Model.junction_leakage p )
-
-let displaced ~(device : Params.t) ~vdd axis delta =
-  match axis with
-  | Axis_l -> (Params.with_length device (device.Params.length +. delta), vdd)
-  | Axis_tox -> (Params.with_tox device (device.Params.tox +. delta), vdd)
-  | Axis_vdd -> (device, vdd +. delta)
-
-type geom = {
-  g_lam : float array array;  (* axis (3) × component (3): ∂ln S_c/∂δ *)
-  g_gam : float array array;  (* axis × component: log-curvature of S_c *)
-  g_lin_err : float array;    (* per component: worst |ln S − model| at ±2σ *)
-}
-
-let geom_of ~device ~temp ~vdd ~(sigmas : Variation.sigmas) =
-  let g_lam = Array.make_matrix 3 3 0.0 in
-  let g_gam = Array.make_matrix 3 3 0.0 in
-  let g_lin_err = Array.make 3 0.0 in
-  let nominal0 = state_values ~device ~temp ~vdd ~input_one:false in
-  let nominal1 = state_values ~device ~temp ~vdd ~input_one:true in
-  let ax_sigma =
-    [| sigmas.Variation.sigma_l; sigmas.Variation.sigma_tox;
-       sigmas.Variation.sigma_vdd |]
-  in
-  Array.iteri
-    (fun ax axis ->
-      let j0 = state_jets ~device ~temp ~vdd ~axis ~input_one:false in
-      let j1 = state_jets ~device ~temp ~vdd ~axis ~input_one:true in
-      let pick (a, b, c) = [| a; b; c |] in
-      let j0 = pick j0 and j1 = pick j1 in
-      for c = 0 to 2 do
-        (* S(δ) = (r0(δ) + r1(δ))/2 with r_v = I_v(δ)/I_v(0):
-           λ = S'(0), γ = S''(0) − λ² (log-curvature; S(0) = 1). *)
-        let l0 = j0.(c).Jet.d /. j0.(c).Jet.v
-        and l1 = j1.(c).Jet.d /. j1.(c).Jet.v in
-        let q0 = j0.(c).Jet.dd /. j0.(c).Jet.v
-        and q1 = j1.(c).Jet.dd /. j1.(c).Jet.v in
-        let lam = 0.5 *. (l0 +. l1) in
-        let s2 = 0.5 *. (q0 +. q1) in
-        g_lam.(ax).(c) <- lam;
-        g_gam.(ax).(c) <- s2 -. (lam *. lam)
-      done;
-      (* model-vs-truth log residual at ±2σ on this axis *)
-      let sigma = ax_sigma.(ax) in
-      if sigma > 0.0 then begin
-        let residual_at delta =
-          let dev', vdd' = displaced ~device ~vdd axis delta in
-          let v0 = pick (state_values ~device:dev' ~temp ~vdd:vdd' ~input_one:false) in
-          let v1 = pick (state_values ~device:dev' ~temp ~vdd:vdd' ~input_one:true) in
-          let n0 = pick nominal0 and n1 = pick nominal1 in
-          Array.init 3 (fun c ->
-              let s = 0.5 *. ((v0.(c) /. n0.(c)) +. (v1.(c) /. n1.(c))) in
-              let modeled =
-                (g_lam.(ax).(c) *. delta)
-                +. (0.5 *. g_gam.(ax).(c) *. delta *. delta)
-              in
-              Float.abs (log s -. modeled))
-        in
-        let up = residual_at (2.0 *. sigma)
-        and dn = residual_at (-2.0 *. sigma) in
-        for c = 0 to 2 do
-          g_lin_err.(c) <-
-            Float.max g_lin_err.(c) (Float.max up.(c) dn.(c))
-        done
-      end)
-    axes;
-  { g_lam; g_gam; g_lin_err }
 
 (* ------------------------------------------------------ response classes *)
 
@@ -577,6 +440,7 @@ let m_quad a b sigma =
    baseline) under one sigma set. Class iteration is in canonical (sorted)
    order, so the result is a function of the gates' multiset only. *)
 let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) ~ints ~quad =
+  let { Die_geometry.g_lam; g_gam; _ } = geom in
   let ax_sigma =
     [| sigmas.Variation.sigma_l; sigmas.Variation.sigma_tox;
        sigmas.Variation.sigma_vdd |]
@@ -585,7 +449,7 @@ let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) ~ints ~quad =
     Array.init 3 (fun c ->
         let f = ref 1.0 in
         for ax = 0 to 2 do
-          f := !f *. m_quad geom.g_lam.(ax).(c) geom.g_gam.(ax).(c) ax_sigma.(ax)
+          f := !f *. m_quad g_lam.(ax).(c) g_gam.(ax).(c) ax_sigma.(ax)
         done;
         !f)
   in
@@ -595,8 +459,8 @@ let column_moments ~groups ~geom ~(sigmas : Variation.sigmas) ~ints ~quad =
       f :=
         !f
         *. m_quad
-             (geom.g_lam.(ax).(c) +. geom.g_lam.(ax).(d))
-             (geom.g_gam.(ax).(c) +. geom.g_gam.(ax).(d))
+             (g_lam.(ax).(c) +. g_lam.(ax).(d))
+             (g_gam.(ax).(c) +. g_gam.(ax).(d))
              ax_sigma.(ax)
     done;
     !f
@@ -667,10 +531,7 @@ let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
   let n = Array.length entries in
   if Array.length loaded <> 3 * n || Array.length isolated <> 3 * n then
     invalid_arg "Sensitivity.analyze: loaded and isolated need 3 floats per gate";
-  let geom =
-    geom_of ~device:(Library.device lib) ~temp:(Library.temp lib)
-      ~vdd:(Library.vdd lib) ~sigmas
-  in
+  let geom = Library.die_geometry lib sigmas in
   let plan = Vth_moments.plan sigmas in
   let sets = plan.Vth_moments.sets and quads = plan.Vth_moments.quads in
   (* Everything per class — its canonical member order, its weights and
@@ -705,7 +566,7 @@ let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
       ((sigmas.Variation.sigma_vth_inter *. sigmas.Variation.sigma_vth_inter)
        +. (sigmas.Variation.sigma_vth_intra *. sigmas.Variation.sigma_vth_intra))
   in
-  let flags = Array.map (fun e -> e > lin_tol) geom.g_lin_err in
+  let flags = Array.map (fun e -> e > lin_tol) geom.Die_geometry.g_lin_err in
   let flagged_gates = ref 0 in
   Array.iter
     (fun g ->

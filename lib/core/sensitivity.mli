@@ -83,11 +83,13 @@ val analyze :
     [isolated.(3g .. 3g+2)] (isub, igate, ibtbt; what
     [Estimator.estimate_fold] hands its callback and the entry's
     [nominal_isolated]). The die-level geometry sensitivities come from
-    [lib]'s device, temperature and supply. No netlist access, no fallback
-    ([from_mc] is always false here), the arrays are not modified; the
-    only state it touches is [lib]'s memo of class integrals, which never
-    changes a result. Raises [Invalid_argument] unless both float arrays
-    hold three floats per entry.
+    [lib]'s device, temperature and supply ({!Library.die_geometry},
+    computed once per library and σ_L/σ_Tox/σ_VDD triple). No netlist
+    access, no fallback ([from_mc] is always false here), the arrays are
+    not modified; the only state it touches is [lib]'s memo of class
+    integrals and die geometries, which never changes a result. Raises
+    [Invalid_argument] unless both float arrays hold three floats per
+    entry.
 
     Gates are bucketed by value into response classes (equal threshold
     tables; gates sharing a characterization entry always share a class),

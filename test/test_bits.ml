@@ -14,10 +14,11 @@
    samples are pinned beside them.
 
    The estimator group pins the Fig-13 estimator the same way: totals of
-   [Estimator.estimate_totals] on the golden corpus at the default grid,
-   vector averages and resampling (sequential and on a 2-domain pool), the
-   per-gate rows of a three-pass [Estimator.estimate], and a mixed-library
-   estimate.
+   [Estimator.estimate_totals] on the golden corpus, vector averages and
+   resampling (sequential and on a 2-domain pool), the per-gate rows of a
+   three-pass [Estimator.estimate], and a mixed-library estimate, all on a
+   21-point current axis; and the corpus totals and resampling again on
+   the default grid.
 
    The loading group pins the Figs 5-9 sweeps of [Loading], which run on a
    compiled testbench.
@@ -494,9 +495,14 @@ let test_statistical_bits () =
 
 (* ---------------------------------------------------------- estimator bits *)
 
-(* The estimator at the default grid (21 nodes), D25/300 K: every lookup
-   interpolates on the axis the benchmark and the CLI use. *)
-let est_lib = lazy (Library.create ~device:Params.d25 ~temp:300.0 ())
+(* The estimator on a 21-point current axis, D25/300 K: the literals were
+   pinned while 21 points was the default, so they show that neither the
+   kernel nor [Characterize.apply] moved when the default became 7 points.
+   The default-grid pins further down read the axis the benchmark and the
+   CLI use. *)
+let axis21 = { Characterize.max_current = 3.0e-6; points = 21 }
+let est_lib = lazy (Library.create ~grid:axis21 ~device:Params.d25 ~temp:300.0 ())
+let default_lib = lazy (Library.create ~device:Params.d25 ~temp:300.0 ())
 
 let est_vectors nl = List.map (fixed_vector nl) [ 21; 22; 23; 24 ]
 
@@ -513,9 +519,23 @@ let totals_pins =
     ("chain16k", "6ffcdd5d93af1a7763dc913a28cfc099");
   ]
 
-let test_totals_bits label expected () =
+(* The same circuits and vectors on the default grid. *)
+let default_totals_pins =
+  [
+    ("s838", "660b68b331a1d6c9def950aadb514cff");
+    ("s1196", "e693f8e213e178ff5a39d77ce1d54b3c");
+    ("s1423", "72a0e72f734d7415b8f2d3701032d6d5");
+    ("s5378", "08ccf9e1d7670d0865e4e051c8c28d12");
+    ("s9234", "32fddca9e25748388cb20058e0ecab98");
+    ("s13207", "323a0291707401af5c3cf2c495a4f2f9");
+    ("alu88", "9a20120ae298e08f81d66d21f580a33c");
+    ("mult88", "1a1982e57338bb2c27966b1a303a04bb");
+    ("chain16k", "b2f87e24f9d0b77f778ad983c4884344");
+  ]
+
+let test_totals_bits lib label expected () =
   let nl = (List.assoc label corpus) () in
-  let lib = Lazy.force est_lib in
+  let lib = Lazy.force lib in
   Alcotest.(check string) (label ^ " at 4 vectors") expected
     (digest_floats (fun put ->
          List.iter
@@ -565,7 +585,7 @@ let test_passes_bits label expected () =
 let test_mixed_library_bits () =
   let lib = Lazy.force est_lib in
   let hvt =
-    Library.create ~device:(Params.with_vth_shift Params.d25 0.08)
+    Library.create ~grid:axis21 ~device:(Params.with_vth_shift Params.d25 0.08)
       ~temp:300.0 ()
   in
   let nl = (Suite.find "s838").Suite.build () in
@@ -600,9 +620,9 @@ let test_dual_vth_totals_bits () =
     (digest ~scratch:(Estimator.scratch nl) ())
 
 (* 70 samples: two full chunks and a six-sample tail. *)
-let test_resample_bits () =
+let test_resample_bits lib expected () =
   let nl = (Suite.find "alu88").Suite.build () in
-  let lib = Lazy.force est_lib in
+  let lib = Lazy.force lib in
   let digest ?pool () =
     let r = Vector_mc.resample ?pool ~seed:7 ~samples:70 lib nl in
     digest_floats (fun put ->
@@ -611,7 +631,6 @@ let test_resample_bits () =
         emit_components put r.Vector_mc.mean_components;
         put r.Vector_mc.mean_shift_percent)
   in
-  let expected = "1a14dd9dcb9def36f3cc817cd79ceea2" in
   Alcotest.(check string) "alu88 sequential" expected (digest ());
   Alcotest.(check string) "alu88 on 2 domains" expected
     (Pool.with_pool ~jobs:2 (fun pool -> digest ~pool ()))
@@ -739,8 +758,8 @@ let test_s838_evals () =
 (* One characterization is one solve per grid point, less the points that
    repeat the nominal solve: the zero node of every port's current axis
    (odd point counts) and the zero threshold shift. NAND2 has 3 ports:
-   2 + 3 * 21 + 9 solves less 4 at the default grid, 2 + 3 * 4 + 9 less 1
-   at 4 points. *)
+   2 + 3 * 7 + 9 solves less 4 at the default grid, 2 + 3 * 4 + 9 less 1
+   at 4 points (70 at 21 points). *)
 let test_characterize_solves () =
   let solves grid =
     match
@@ -752,7 +771,7 @@ let test_characterize_solves () =
     | [ n ] -> n
     | _ -> assert false
   in
-  Alcotest.(check int) "NAND2 10 at the default grid" 70 (solves None);
+  Alcotest.(check int) "NAND2 10 at the default grid" 28 (solves None);
   Alcotest.(check int) "NAND2 10 at 4 points" 22
     (solves (Some { golden_grid with Characterize.points = 4 }))
 
@@ -810,8 +829,13 @@ let () =
         List.map
           (fun (label, expected) ->
             Alcotest.test_case ("totals " ^ label) `Quick
-              (test_totals_bits label expected))
+              (test_totals_bits est_lib label expected))
           totals_pins
+        @ List.map
+            (fun (label, expected) ->
+              Alcotest.test_case ("default-grid totals " ^ label) `Quick
+                (test_totals_bits default_lib label expected))
+            default_totals_pins
         @ [
             Alcotest.test_case "average over 33 vectors" `Quick
               test_average_bits;
@@ -821,7 +845,10 @@ let () =
               (test_passes_bits "alu88" "6fcad38e048e7e64f8381ee633783847");
             Alcotest.test_case "mixed libraries" `Quick
               test_mixed_library_bits;
-            Alcotest.test_case "resample alu88" `Quick test_resample_bits;
+            Alcotest.test_case "resample alu88" `Quick
+              (test_resample_bits est_lib "1a14dd9dcb9def36f3cc817cd79ceea2");
+            Alcotest.test_case "default-grid resample alu88" `Quick
+              (test_resample_bits default_lib "8e9ac663e01e19296f7681be7f174388");
             Alcotest.test_case "dual-Vth totals" `Quick
               test_dual_vth_totals_bits;
             Alcotest.test_case "1- and 2-domain pools" `Quick

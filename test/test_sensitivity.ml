@@ -706,6 +706,37 @@ let test_sigma_minor_words () =
   check "cold memo" cold 4410.0;
   check "warm memo" warm 555.0
 
+(* A warm one-gate [Sensitivity.analyze]: its class integrals and its die
+   geometry come from the library's memo, so what is left is the per-call
+   assembly. Measured: 6034 minor words a call (16986 while every call
+   recomputed the reference inverter's geometry jets and ±2σ residuals);
+   the bound is 25% above. *)
+let test_one_gate_analyze_minor_words () =
+  let was = Tm.enabled () in
+  Tm.set_enabled false;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled was) @@ fun () ->
+  let lib = fresh_lib () in
+  let e = Library.entry lib (Gate.Nand 2) (Logic.vector_of_string "10") in
+  let iso = e.Characterize.nominal_isolated in
+  let comps = [| iso.Report.isub; iso.Report.igate; iso.Report.ibtbt |] in
+  let analyze () =
+    Sensitivity.analyze ~sigmas lib ~entries:[| e |] ~loaded:comps
+      ~isolated:comps
+  in
+  let first = analyze () in
+  let calls = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (analyze ())
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int calls in
+  Alcotest.(check bool) "warm result bit-identical" true
+    (Stdlib.compare first (analyze ()) = 0);
+  let bound = 7543.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per warm one-gate call (bound %g)" per bound)
+    true (per <= bound)
+
 (* The sampler [@sigma-check] compares against, gated the same way: minor
    words of a sequential [Statistical.run] on s838 per gate-sample, all
    included — the per-call estimator pass, each sample's die draw and its
@@ -775,6 +806,8 @@ let () =
           Alcotest.test_case "integrals per class" `Quick test_work_counts;
           Alcotest.test_case "fallback counted" `Quick test_fallback_counted;
           Alcotest.test_case "minor words" `Quick test_sigma_minor_words;
+          Alcotest.test_case "one-gate analyze minor words" `Quick
+            test_one_gate_analyze_minor_words;
           Alcotest.test_case "sampler minor words" `Quick
             test_sampler_minor_words;
         ] );
