@@ -831,11 +831,6 @@ let () =
             Alcotest.test_case ("totals " ^ label) `Quick
               (test_totals_bits est_lib label expected))
           totals_pins
-        @ List.map
-            (fun (label, expected) ->
-              Alcotest.test_case ("default-grid totals " ^ label) `Quick
-                (test_totals_bits default_lib label expected))
-            default_totals_pins
         @ [
             Alcotest.test_case "average over 33 vectors" `Quick
               test_average_bits;
@@ -847,12 +842,19 @@ let () =
               test_mixed_library_bits;
             Alcotest.test_case "resample alu88" `Quick
               (test_resample_bits est_lib "1a14dd9dcb9def36f3cc817cd79ceea2");
-            Alcotest.test_case "default-grid resample alu88" `Quick
-              (test_resample_bits default_lib "8e9ac663e01e19296f7681be7f174388");
             Alcotest.test_case "dual-Vth totals" `Quick
               test_dual_vth_totals_bits;
             Alcotest.test_case "1- and 2-domain pools" `Quick
               test_pool_sizes_bits;
+          ]
+        @ List.map
+            (fun (label, expected) ->
+              Alcotest.test_case ("default-grid totals " ^ label) `Quick
+                (test_totals_bits default_lib label expected))
+            default_totals_pins
+        @ [
+            Alcotest.test_case "default-grid resample alu88" `Quick
+              (test_resample_bits default_lib "8e9ac663e01e19296f7681be7f174388");
           ] );
       ( "solver-work",
         [
