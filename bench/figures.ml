@@ -524,7 +524,7 @@ let ablation_grid () =
   header "Ablation: current-axis density vs estimator accuracy and cost"
     "DESIGN.md: the axis density is a cost/accuracy knob; the loading \
      response is nearly linear over +-3 uA, so 7 points read the 21-point \
-     totals at 38% of the DC solves";
+     totals at 32% of the DC solves";
   let module Tm = Leakage_telemetry.Telemetry in
   let was = Tm.enabled () in
   Tm.set_enabled true;

@@ -17,7 +17,10 @@
    the circuit reads, so its work scales with the classes, never with
    gates or samples; the same pass again must compute nothing and return
    the same bits. Neither may run a DC solve or draw a Monte-Carlo sample
-   (a sampling fallback would do both). Cold and warm wall-clock times
+   (a sampling fallback would do both). The threshold tables those passes
+   read are characterization work that σ's first read of an entry does:
+   the untimed warm-up reads them, and must run exactly 8 DC solves per
+   distinct entry on its one lane. Cold and warm wall-clock times
    and the warm pass's speedup over a 10,000-sample MC (extrapolated
    linearly from the measured sample count) are printed, not gated. Both
    engines must be bit-identical when fanned out over a domain pool.
@@ -67,6 +70,8 @@ type row = {
   speedup_vs_10k : float;    (* over the warm pass *)
   pool_identical : bool;
   warm_identical : bool;     (* the warm pass returned the cold pass's bits *)
+  tables : int list;         (* the [table_counters] across the warm-up's
+                                 first σ read *)
   cold : int list;           (* the [analytic_counters] across each pass *)
   warm : int list;
   mc : int list;             (* the [mc_counters] across the MC run *)
@@ -149,6 +154,8 @@ let analytic_counters =
 
 let mc_counters = [ "statistical.samples"; "statistical.table_evals" ]
 
+let table_counters = [ "dc.solves"; "library.vth_tables" ]
+
 (* The named counters' growth across [f], with telemetry on. *)
 let counted names f =
   let was = Tm.enabled () in
@@ -189,9 +196,20 @@ let run_circuit ~samples ~domains crng (entry : Suite.entry) =
   let nl = entry.Suite.build () in
   let pattern = Logic.random_vector crng (Array.length (Netlist.inputs nl)) in
   let mc_seed = 1 + Rng.int crng 1_000_000 in
-  (* untimed warm-up: characterization entries + lazy netlist caches; no σ,
-     so the first analytic pass meets a cold memo *)
+  (* untimed warm-up: characterization entries + lazy netlist caches, then
+     σ's first read of every entry's threshold table, which builds it; no
+     σ pass, so the first analytic pass meets a cold memo *)
   ignore (Estimator.estimate_totals lib nl pattern);
+  let (), tables =
+    counted table_counters (fun () ->
+        let (), _, _ =
+          Estimator.estimate_fold ~init:()
+            ~f:(fun () _ e ~loaded:_ ->
+              ignore (Characterize.vth_log_factor e))
+            lib nl pattern
+        in
+        ())
+  in
   let analytic_pass () =
     counted analytic_counters (fun () ->
         timed (fun () ->
@@ -246,6 +264,7 @@ let run_circuit ~samples ~domains crng (entry : Suite.entry) =
     speedup_vs_10k = speedup;
     pool_identical;
     warm_identical = res_warm = res;
+    tables;
     cold;
     warm;
     mc = mc_work;
@@ -322,6 +341,14 @@ let () =
   let per_class = ref None in
   List.iter
     (fun r ->
+      (match r.tables with
+       | [ solves; built ] ->
+         check
+           (built = r.entries && solves = 8 * r.entries)
+           "%s: first sigma read built %d threshold tables with %d DC solves \
+            (8 per each of %d entries, one lane)" r.name built solves
+           r.entries
+       | _ -> assert false);
       match (r.cold, r.warm, r.mc) with
       | ( [ classes; misses; integrals; fallbacks; drawn; solves ],
           [ classes'; misses'; integrals'; fallbacks'; drawn'; solves' ],

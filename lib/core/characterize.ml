@@ -2,11 +2,22 @@ module Interp = Leakage_numeric.Interp
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Report = Leakage_spice.Leakage_report
+module Tm = Leakage_telemetry.Telemetry
+module Trace = Leakage_telemetry.Trace
 
 type table = {
   d_isub : Interp.grid1d;
   d_igate : Interp.grid1d;
   d_ibtbt : Interp.grid1d;
+}
+
+(* The corner an entry was characterized at, and its threshold table once
+   a first read built it: [unbuilt] until then. *)
+type vth_slot = {
+  device : Leakage_device.Params.t;
+  temp : float;
+  vdd : float option;
+  table : table Atomic.t;
 }
 
 type entry = {
@@ -19,7 +30,7 @@ type entry = {
   pin_response : Interp.grid1d array;
   currents : float array;
   deltas : float array;
-  vth_log_factor : table;
+  vth : vth_slot;
 }
 
 type port = In of int | Out
@@ -30,6 +41,27 @@ type grid_spec = {
 }
 
 let default_grid = { max_current = 3.0e-6; points = 7 }
+
+(* What a slot holds until its table is built; compared by [==] only. *)
+let unbuilt =
+  let g = Interp.grid1d ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0; 0.0 |] in
+  { d_isub = g; d_igate = g; d_ibtbt = g }
+
+let vacant =
+  {
+    kind = Gate.Inv;
+    strength = 0.0;
+    vector = [||];
+    nominal_isolated = Report.zero;
+    nominal_driven = Report.zero;
+    pin_injection = [||];
+    pin_response = [||];
+    currents = [||];
+    deltas = [||];
+    vth =
+      { device = Leakage_device.Params.d25; temp = 0.0; vdd = None;
+        table = Atomic.make unbuilt };
+  }
 
 let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
     kind vector =
@@ -82,20 +114,42 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
           deltas.(k + 2) <- c.Report.ibtbt -. nominal_driven.Report.ibtbt)
         samples)
     port_samples;
-  (* Threshold response of the driven nominal, tabulated: only the cell
-     under test is shifted (its drivers keep nominal thresholds), matching
-     how the statistical estimator perturbs gates one by one. Stored as
-     per-component log factors so interpolation happens in the exponent,
-     where the response is closest to linear. *)
-  let vth_log_factor =
+  { kind; strength; vector; nominal_isolated; nominal_driven;
+    pin_injection = nominal.Testbench.pin_injection; pin_response;
+    currents = xs; deltas;
+    vth = { device; temp; vdd; table = Atomic.make unbuilt } }
+
+let m_vth_tables = Tm.counter "library.vth_tables"
+
+(* Threshold response of the driven nominal, tabulated: only the cell
+   under test is shifted (its drivers keep nominal thresholds), matching
+   how the statistical estimator perturbs gates one by one. Stored as
+   per-component log factors so interpolation happens in the exponent,
+   where the response is closest to linear. The zero shift is the entry's
+   own [nominal_driven]: a solve there would repeat the nominal solve's
+   inputs bit for bit. A run on a compiled bench depends on nothing an
+   earlier run left, so a fresh bench gives the bits the characterization
+   bench would have. *)
+let build_vth e =
+  let c = e.vth in
+  let table =
+    Trace.with_span ~cat:"library" "vth_table"
+      ~args:[ ("cell", Gate.name e.kind) ]
+    @@ fun () ->
+    let bench =
+      Testbench.compile ~device:c.device ~temp:c.temp ?vdd:c.vdd
+        (Testbench.make ~strength:e.strength e.kind e.vector)
+    in
     let dvs = Interp.linspace (-0.15) 0.15 9 in
     let samples =
       Array.map
-        (fun dv -> (Testbench.solve ~dut_vth_shift:dv bench).Testbench.leakage)
+        (fun dv ->
+          if dv = 0.0 then e.nominal_driven
+          else (Testbench.solve ~dut_vth_shift:dv bench).Testbench.leakage)
         dvs
     in
     let log_ratio pick =
-      let base = pick nominal_driven in
+      let base = pick e.nominal_driven in
       Array.map
         (fun c ->
           let v = pick c in
@@ -108,9 +162,14 @@ let characterize ?(grid = default_grid) ?(strength = 1.0) ~device ~temp ?vdd
       d_ibtbt = Interp.grid1d ~xs:dvs ~ys:(log_ratio (fun c -> c.Report.ibtbt));
     }
   in
-  { kind; strength; vector; nominal_isolated; nominal_driven;
-    pin_injection = nominal.Testbench.pin_injection; pin_response;
-    currents = xs; deltas; vth_log_factor }
+  Tm.incr m_vth_tables;
+  (* Racing domains build the same bits; the first to publish wins. *)
+  if Atomic.compare_and_set c.table unbuilt table then table
+  else Atomic.get c.table
+
+let vth_log_factor e =
+  let t = Atomic.get e.vth.table in
+  if t != unbuilt then t else build_vth e
 
 (* Slope of a tabulated log-response at dv = 0, taken from the grid nodes
    bracketing zero (the ±150 mV axis has an odd point count, so zero is
@@ -130,10 +189,11 @@ let node_slope (g : Interp.grid1d) =
   (ys.(i0 + 1) -. ys.(i0 - 1)) /. (h_hi +. h_lo)
 
 let vth_log_slope entry =
+  let t = vth_log_factor entry in
   {
-    Report.isub = node_slope entry.vth_log_factor.d_isub;
-    igate = node_slope entry.vth_log_factor.d_igate;
-    ibtbt = node_slope entry.vth_log_factor.d_ibtbt;
+    Report.isub = node_slope t.d_isub;
+    igate = node_slope t.d_igate;
+    ibtbt = node_slope t.d_ibtbt;
   }
 
 (* Linear interpolation on the shared current axis, as [Interp.eval1d]

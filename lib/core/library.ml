@@ -1,6 +1,4 @@
 module Ba = Bigarray.Array1
-module Interp = Leakage_numeric.Interp
-module Report = Leakage_spice.Leakage_report
 module Gate = Leakage_circuit.Gate
 module Logic = Leakage_circuit.Logic
 module Netlist = Leakage_circuit.Netlist
@@ -47,6 +45,14 @@ type geometry = {
   geometry : Die_geometry.t;
 }
 
+(* One threshold sigma pair's quadratures, under the pair's bits: all
+   [Vth_moments.plan] reads of the sigmas to build them. *)
+type quads = {
+  q_inter : float;
+  q_intra : float;
+  quads : Vth_moments.quad option array;
+}
+
 type t = {
   grid : Characterize.grid_spec;
   device : Leakage_device.Params.t;
@@ -59,14 +65,15 @@ type t = {
   published : (int, Characterize.entry) Hashtbl.t;
   integrals : Vth_moments.integrals array Vth_moments.Memo.t;
   mutable geometries : geometry list;
+  mutable plans : quads list;
   publish_mutex : Mutex.t;
       (* Publish-once snapshot shared by every domain. A domain that misses
          its own cache adopts from here before paying for a characterization
          (ms-scale DC solves), and publishes what it does build — so N
          domains warm each entry once, not N times. Only the miss path takes
          the mutex; cache hits stay lock-free. The σ pass's per-class
-         integrals and die geometries are published the same way, under
-         the same mutex. *)
+         integrals, die geometries and quadratures are published the same
+         way, under the same mutex. *)
 }
 
 let new_table () =
@@ -83,6 +90,7 @@ let create ?(grid = Characterize.default_grid) ~device ~temp ?vdd () =
     published = Hashtbl.create 64;
     integrals = Vth_moments.Memo.create 64;
     geometries = [];
+    plans = [];
     publish_mutex = Mutex.create ();
   }
 
@@ -92,20 +100,7 @@ let vdd t = t.vdd
 
 (* What a row slot holds until its entry is stored: compared by [==]
    only, never read as a characterization. *)
-let vacant =
-  let g = Interp.grid1d ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0; 0.0 |] in
-  {
-    Characterize.kind = Gate.Inv;
-    strength = 0.0;
-    vector = [||];
-    nominal_isolated = Report.zero;
-    nominal_driven = Report.zero;
-    pin_injection = [||];
-    pin_response = [||];
-    currents = [||];
-    deltas = [||];
-    vth_log_factor = { Characterize.d_isub = g; d_igate = g; d_ibtbt = g };
-  }
+let vacant = Characterize.vacant
 
 (* Each gate code's arity; -1 for a code no kind carries. *)
 let code_arity =
@@ -390,3 +385,35 @@ let die_geometry t sigmas =
     in
     Mutex.unlock t.publish_mutex;
     geometry
+
+let find_quads t (sigmas : Variation.sigmas) =
+  List.find_opt
+    (fun q ->
+      same_bits q.q_inter sigmas.Variation.sigma_vth_inter
+      && same_bits q.q_intra sigmas.Variation.sigma_vth_intra)
+    t.plans
+
+(* The sets are rebuilt per call (they carry the geometry sigmas too); the
+   quadratures, computed outside the mutex, are published once per pair. *)
+let plan t sigmas =
+  Mutex.lock t.publish_mutex;
+  let known = find_quads t sigmas in
+  Mutex.unlock t.publish_mutex;
+  match known with
+  | Some q -> Vth_moments.plan ~quads:q.quads sigmas
+  | None ->
+    let p = Vth_moments.plan sigmas in
+    Mutex.lock t.publish_mutex;
+    let p =
+      match find_quads t sigmas with
+      | Some first -> Vth_moments.plan ~quads:first.quads sigmas
+      | None ->
+        t.plans <-
+          { q_inter = sigmas.Variation.sigma_vth_inter;
+            q_intra = sigmas.Variation.sigma_vth_intra;
+            quads = p.Vth_moments.quads }
+          :: t.plans;
+        p
+    in
+    Mutex.unlock t.publish_mutex;
+    p

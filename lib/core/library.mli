@@ -19,9 +19,10 @@
     path takes the snapshot's mutex.
 
     The library also keeps the analytic σ pass's per-class threshold-axis
-    integrals ({!class_integrals}) and its die geometry per sigma triple
-    ({!die_geometry}), each published once under the same mutex: they
-    live and die with the library value, and nothing clears them. *)
+    integrals ({!class_integrals}), its die geometry per sigma triple
+    ({!die_geometry}) and its quadratures per threshold sigma pair
+    ({!plan}), each published once under the same mutex: they live and
+    die with the library value, and nothing clears them. *)
 
 type t
 
@@ -138,6 +139,13 @@ val die_geometry : t -> Leakage_device.Variation.sigmas -> Die_geometry.t
     σ_L, σ_Tox and σ_VDD bits and handed back, the same value, on every
     later call (do not mutate it). Cost of a hit: a scan of the triples
     seen so far under the library's mutex. *)
+
+val plan : t -> Leakage_device.Variation.sigmas -> Vth_moments.plan
+(** [plan t sigmas] is [Vth_moments.plan sigmas], bit for bit, with the
+    quadratures computed the first time [t] sees the sigmas'
+    (σ_vth_inter, σ_vth_intra) bits and shared by every later plan of that
+    pair (do not mutate them). Cost of a hit: a scan of the pairs seen so
+    far under the library's mutex, and the three sigma sets. *)
 
 val entry_count : t -> int
 (** Number of entries stored in the calling domain's rows

@@ -61,8 +61,9 @@ let solve_components netlist pattern ~die_device ~gate_shifts ~temp =
   let flat =
     Flatten.flatten ~device_of_gate ~device:die_device ~temp netlist assignment
   in
-  let solution = Dc_solver.solve flat in
-  let report = Report.of_solution flat solution.Dc_solver.voltages in
+  let kernel = Dc_solver.kernel flat in
+  let solution = Dc_solver.run kernel in
+  let report = Report.of_solution kernel solution.Dc_solver.voltages in
   report.Report.per_gate.(observed_gate_id)
 
 let run ?pool ?(config = paper_config) ~device ~temp ~sigmas () =

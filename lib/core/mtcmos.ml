@@ -26,14 +26,15 @@ let solve_mode ~device ~temp ~sleep netlist assignment =
      loses its diagonal dominance. Small circuits go to the dense Newton;
      large ones get generous sweep headroom (their sheer node count restores
      enough local stiffness in practice). *)
+  let kernel = Dc_solver.kernel flat in
   let solution =
     if flat.Flatten.n_unknowns <= 150 then Dc_solver.solve_dense flat
     else
-      Dc_solver.solve
+      Dc_solver.run
         ~options:{ Dc_solver.default_options with Dc_solver.max_sweeps = 400 }
-        flat
+        kernel
   in
-  let report = Report.of_solution flat solution.Dc_solver.voltages in
+  let report = Report.of_solution kernel solution.Dc_solver.voltages in
   let virtual_ground =
     match Flatten.virtual_ground flat with
     | Some i -> solution.Dc_solver.voltages.(i)

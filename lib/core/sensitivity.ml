@@ -257,7 +257,7 @@ let group_of_members ~entries ~(loaded : float array) ~(isolated : float array)
   let tab_of (g : Interp.grid1d) =
     { Vth_moments.t_xs = g.Interp.xs; t_ys = g.Interp.ys }
   in
-  let t = entry.Characterize.vth_log_factor in
+  let t = Characterize.vth_log_factor entry in
   let a = Array.make 3 0.0
   and b = Array.make 9 0.0
   and a_base = Array.make 3 0.0
@@ -328,7 +328,7 @@ let class_members entries =
     done;
     if !keys.(!i) == e then !vals.(!i)
     else begin
-      let key = e.Characterize.vth_log_factor in
+      let key = Characterize.vth_log_factor e in
       let k =
         match Class_key.find ids key with
         | k -> k
@@ -532,7 +532,7 @@ let analyze ?pool ?(lin_tol = default_lin_tol) ~(sigmas : Variation.sigmas)
   if Array.length loaded <> 3 * n || Array.length isolated <> 3 * n then
     invalid_arg "Sensitivity.analyze: loaded and isolated need 3 floats per gate";
   let geom = Library.die_geometry lib sigmas in
-  let plan = Vth_moments.plan sigmas in
+  let plan = Library.plan lib sigmas in
   let sets = plan.Vth_moments.sets and quads = plan.Vth_moments.quads in
   (* Everything per class — its canonical member order, its weights and
      its weight-independent integrals under each sigma set — depends on

@@ -125,8 +125,10 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
   let rng = Rng.create seed in
   let streams = Array.init n_samples (fun _ -> Rng.split rng) in
   (* The nominal reference solves are the same for every sample: solved
-     once, before the fan-out, and only read by the samples. *)
+     once, before the fan-out, and only read by the samples. So are the
+     threshold tables an entry builds on its first read. *)
   let nominal = nominal_references lib in
+  Array.iter (fun e -> ignore (Characterize.vth_log_factor e)) entries;
   if Tm.enabled () then begin
     Tm.add m_samples n_samples;
     Tm.add m_table_evals (n_samples * n_gates)
@@ -143,7 +145,7 @@ let run ?(n_samples = 1000) ?(seed = 1) ?pool ~sigmas lib netlist pattern =
       let entry : Characterize.entry = entries.(g) in
       Variation.sample_gate_vth_into srng sigmas draw 0;
       let dv = die.Variation.dvth +. draw.(0) in
-      let t = entry.Characterize.vth_log_factor in
+      let t = Characterize.vth_log_factor entry in
       factor_into fac 0 t.Characterize.d_isub dv;
       factor_into fac 1 t.Characterize.d_igate dv;
       factor_into fac 2 t.Characterize.d_ibtbt dv;

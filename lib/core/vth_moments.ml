@@ -291,11 +291,13 @@ let integrals_of (sigmas : Variation.sigmas) quad (tabs : tab array) =
    their outer quadratures: what every class's integrals are taken under. *)
 type plan = { sets : Variation.sigmas array; quads : quad option array }
 
-let plan sigmas =
+let plan ?quads sigmas =
   let sets =
     [| sigmas; Variation.inter_only sigmas; Variation.intra_only sigmas |]
   in
-  { sets; quads = Array.map quad_of sets }
+  match quads with
+  | Some quads -> { sets; quads }
+  | None -> { sets; quads = Array.map quad_of sets }
 
 let class_integrals plan tabs =
   Array.mapi (fun i s -> integrals_of s plan.quads.(i) tabs) plan.sets

@@ -42,7 +42,10 @@ type plan = {
     and their quadratures ([None] where σ_vth_inter = 0 and the gates
     decouple). *)
 
-val plan : Leakage_device.Variation.sigmas -> plan
+val plan : ?quads:quad option array -> Leakage_device.Variation.sigmas -> plan
+(** The quadratures read the sets' (σ_vth_inter, σ_vth_intra) pair alone,
+    so [quads], when given, is used as it stands: pass only the [quads] of
+    a plan of the same pair ({!Library.plan} keeps them per pair). *)
 
 val class_integrals : plan -> tab array -> integrals array
 (** A class's integrals under each of the plan's sets, from its three

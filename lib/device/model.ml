@@ -54,6 +54,7 @@ type compiled = {
   a_igb : float;        (* 0.02 of the channel area *)
   w_jb : float;         (* width times the BTBT density *)
   alpha_b : float;
+  exp_b0 : float;       (* the BTBT exponential at zero bias *)
   w_fwd : float;        (* width times the forward-diode saturation *)
 }
 
@@ -100,6 +101,7 @@ let compile (d : Params.t) pol ~w ~temp =
     a_igb = 0.02 *. a_ch;
     w_jb = w *. jb_unit;
     alpha_b = d.alpha_b;
+    exp_b0 = exp (d.alpha_b *. (0.0 -. d.vref));
     w_fwd = w *. 1e-12;
   }
 
@@ -113,9 +115,12 @@ let[@inline] jg k v =
 
 (* Junction current: BTBT under reverse bias, and a tiny forward-diode
    branch that keeps nodes from drifting below the body rail during
-   solving. *)
+   solving. At a zero bias (either sign: [v -. vref] is [-.vref] for
+   both) the exponential is the one [compile] took. *)
 let[@inline] jb k v =
-  if v >= 0.0 then k.w_jb *. (v /. k.vref) *. exp (k.alpha_b *. (v -. k.vref))
+  if v >= 0.0 then
+    k.w_jb *. (v /. k.vref)
+    *. (if v = 0.0 then k.exp_b0 else exp (k.alpha_b *. (v -. k.vref)))
   else begin
     let u = -.v /. k.vt in
     let u = if u > 40.0 then 40.0 else u in
@@ -135,8 +140,15 @@ let[@inline] put k (c : float array) i v = c.(i) <- (if k.reflect then -.v else 
 (* The threshold under DIBL, which both halves read. *)
 let[@inline] threshold k vds = k.vth_base -. (k.dibl_eff *. abs_float vds)
 
+(* Whether two voltages hold the same bits (NaNs aside): equal, and of one
+   sign when zero. Then [vg -. vs] and [vg -. vb] are one value. *)
+let[@inline] same_bits (x : float) y =
+  x = y && (x <> 0.0 || 1.0 /. x = 1.0 /. y)
+
 (* Tunneling half: igso, igdo, igcs, igcd, igb into [c.(1..5)] — everything
-   the gate terminal's current sums, four libm calls. *)
+   the gate terminal's current sums, four libm calls; three when source
+   and bulk hold the same bits, as they do on most transistors (a source
+   on its rail), and igb reuses the gate-source density. *)
 let eval_tunneling k b c =
   let vg = nmos_frame k b 0 and vd = nmos_frame k b 1
   and vs = nmos_frame k b 2 and vb = nmos_frame k b 3 in
@@ -153,7 +165,7 @@ let eval_tunneling k b c =
   put k c 2 (k.a_ov_mult *. jg k (vg -. vd));
   put k c 3 (igc_total -. igcd);
   put k c 4 igcd;
-  put k c 5 (k.a_igb *. jg k (vg -. vb))
+  put k c 5 (k.a_igb *. (if same_bits vs vb then jg_gs else jg k (vg -. vb)))
 
 (* Channel and junction half: ids, ibtbt_d, ibtbt_s into [c.(0)], [c.(6)]
    and [c.(7)]. *)

@@ -283,6 +283,27 @@ let parse_pattern netlist = function
            (String.length bits));
     Logic.vector_of_string bits
 
+(* Whether a decoded checkpoint replays without raising onto [netlist]:
+   every stored kind keeps its gate's arity, every strength is one the
+   library characterizes, and the stored pattern — read only when the open
+   names none — holds one '0' or '1' per primary input. A checkpoint that
+   fails any of these opens cold. *)
+let restorable netlist ~pattern ~ckpt_pattern kinds =
+  let n = Array.length kinds in
+  let rec gates_ok g =
+    g = n
+    ||
+    let kind, strength = kinds.(g) in
+    Gate.arity kind = Netlist.gate_arity netlist g
+    && Library.strength_in_range strength
+    && gates_ok (g + 1)
+  in
+  n = Netlist.gate_count netlist
+  && gates_ok 0
+  && (pattern <> ""
+      || String.length ckpt_pattern = Array.length (Netlist.inputs netlist)
+         && String.for_all (fun c -> c = '0' || c = '1') ckpt_pattern)
+
 let evict_idle_locked t ~keep =
   while
     Hashtbl.length t.by_key > t.max_sessions
@@ -350,7 +371,7 @@ let open_session t resolved ~pattern =
     (match read_checkpoint t resolved.rkey with
      | Some (source, (digest, _, _, _, ckpt_pattern, kinds))
        when digest = resolved.rdigest
-            && Array.length kinds = Netlist.gate_count resolved.netlist ->
+            && restorable resolved.netlist ~pattern ~ckpt_pattern kinds ->
        (* restore: replay the stored kinds/strengths onto the freshly built
           base netlist and open the session in that state *)
        let nl' =

@@ -88,9 +88,15 @@ val open_session :
 (** Attach to the live session under the resolved key, restore it from disk,
     or create it cold (one full estimate) — in that order of preference.
     [pattern] is a bit string over the primary inputs; [""] means all-zeros
-    on a cold/restored open and "keep the current vector" on a warm attach.
-    A non-empty pattern moves a warm session with [Incremental.set_vector].
-    Raises [Invalid_argument] on a malformed pattern. *)
+    on a cold open, the checkpoint's vector on a restore and "keep the
+    current vector" on a warm attach. A non-empty pattern moves a warm
+    session with [Incremental.set_vector]. A checkpoint restores only when
+    it matches the circuit's digest and replays without error: every kind
+    keeps its gate's arity, every strength is in
+    [Library.strength_in_range], and its vector (when [pattern] is [""])
+    has one '0' or '1' per input; any other checkpoint opens cold, counted
+    in [serve.sessions_opened]. Raises [Invalid_argument] on a malformed
+    [pattern]. *)
 
 val find : t -> int -> session option
 (** Look a live session up by id ([None] after close or eviction). *)

@@ -41,22 +41,36 @@ end)
    node's KCL residual is its injection plus the slots [touching] lists,
    summed in that order. Within one update every slot it reads is
    evaluated afresh, so nothing in [cur] carries from one update, or one
-   run, to the next. *)
+   run, to the next.
+
+   A run works on [xv]: the unknowns, then the fixed nodes' distinct
+   voltages, so a slot reads its voltage as [xv.(nodes.(slot))] whether
+   its node is fixed or not.
+
+   Each block relaxes from lists made once here. A block's list holds the
+   transistors touching its unknowns, each once, in first-seen order
+   (unknown by unknown, [touching] order within one); a block of two or
+   more unknowns also has one list per unknown, its Jacobian column: the
+   transistors touching that unknown, each once. An element is
+   [2 * transistor + 1] when a drain, source or bulk of the transistor is
+   an unknown of the block (a full evaluation), [2 * transistor] when
+   only its gate is (the gate-only rule). The lists are segments of one
+   flat [lists] array: segment [s] spans [seg_off.(s)] to
+   [seg_off.(s + 1) - 1]; block [b]'s own list is segment
+   [first_seg.(b)], and its column [j] segment [first_seg.(b) + 1 + j]. *)
 type kernel = {
   flat : Flatten.t;
   devices : Model.compiled array;
-  nodes : int array;      (* per slot: unknown index, or -1 - level *)
-  levels : float array;   (* the fixed nodes' distinct voltages *)
+  nodes : int array;      (* per slot: its voltage's index in [xv] *)
+  xv : float array;       (* the run vector: unknowns, then fixed levels *)
   cur : float array;
   bias : float array;     (* vg, vd, vs, vb of the transistor in hand *)
   comps : float array;
   inj : float array;
-  mark : int array;       (* per transistor: stamp of its last evaluation *)
-  mutable stamp : int;
-  relaxing : int array;   (* per unknown: the last relaxation holding it *)
-  mutable relax : int;
-  saved_tr : int array;   (* transistors a Jacobian column re-evaluated ... *)
-  saved_cur : float array;  (* ... and their currents before it *)
+  lists : int array;      (* per-block transistor lists, flat *)
+  seg_off : int array;
+  first_seg : int array;  (* per block: its list's segment *)
+  saved_cur : float array;  (* currents a Jacobian column overwrote *)
   jac : float array;      (* block Newton: row-major Jacobian ... *)
   perm : int array;       (* ... its LU row order ... *)
   f0 : float array;       (* ... the block's residuals ... *)
@@ -68,9 +82,78 @@ type kernel = {
   mutable gate_evals : int;
 }
 
+(* Whether the terminal at [slot] is an unknown of block [b], [member]
+   holding each unknown's block. *)
+let[@inline] in_block nodes member nu b slot =
+  let u = nodes.(slot) in
+  u < nu && member.(u) = b
+
+(* The per-block lists of [kernel], segment by segment in order: [lists],
+   [seg_off] and [first_seg] as the kernel keeps them, and the longest
+   segment. The array is sized by the attached terminals, a bound on the
+   transistors they list. *)
+let block_lists (flat : Flatten.t) nodes =
+  let nu = flat.Flatten.n_unknowns and touching = flat.Flatten.touching in
+  let blocks = flat.Flatten.blocks in
+  let n_segs = ref 0 and bound = ref 0 in
+  Array.iter
+    (fun block ->
+      let n = Array.length block in
+      (* an unknown is listed in the block's list and in its column's *)
+      let copies = if n >= 2 then 2 else 1 in
+      n_segs := !n_segs + 1 + (if n >= 2 then n else 0);
+      Array.iter
+        (fun i -> bound := !bound + (copies * Array.length touching.(i)))
+        block)
+    blocks;
+  let lists = Array.make !bound 0 and seg_off = Array.make (!n_segs + 1) 0 in
+  let first_seg = Array.make (Array.length blocks) 0 in
+  let member = Array.make nu (-1)
+  and seen = Array.make (Array.length flat.Flatten.transistors) (-1) in
+  let seg = ref 0 and pos = ref 0 and widest = ref 0 in
+  for b = 0 to Array.length blocks - 1 do
+    let block = blocks.(b) in
+    let n = Array.length block in
+    first_seg.(b) <- !seg;
+    for j = 0 to n - 1 do
+      member.(block.(j)) <- b
+    done;
+    (* column -1 is the block's own list, over all its unknowns *)
+    for col = -1 to (if n >= 2 then n - 1 else -1) do
+      let s = !seg in
+      let lo = if col < 0 then 0 else col in
+      let hi = if col < 0 then n - 1 else col in
+      for j = lo to hi do
+        let slots = touching.(block.(j)) in
+        for m = 0 to Array.length slots - 1 do
+          let slot = slots.(m) in
+          let tr = slot lsr 2 in
+          if seen.(tr) <> s then begin
+            seen.(tr) <- s;
+            let o = 4 * tr in
+            (* a drain, source or bulk slot is the block's own unknown *)
+            let full =
+              slot land 3 <> 0
+              || in_block nodes member nu b (o + 1)
+              || in_block nodes member nu b (o + 2)
+              || in_block nodes member nu b (o + 3)
+            in
+            lists.(!pos) <- (2 * tr) + (if full then 1 else 0);
+            incr pos
+          end
+        done
+      done;
+      widest := Stdlib.max !widest (!pos - seg_off.(s));
+      seg_off.(s + 1) <- !pos;
+      incr seg
+    done
+  done;
+  (lists, seg_off, first_seg, !widest)
+
 let kernel flat =
   let transistors = flat.Flatten.transistors in
   let n_tr = Array.length transistors in
+  let nu = flat.Flatten.n_unknowns in
   let table = Device_key.create 16 in
   let devices =
     Array.map
@@ -86,8 +169,9 @@ let kernel flat =
       transistors
   in
   (* A fixed node's slot names its voltage among the few distinct ones
-     (rails and input levels, told apart by their bits), so the slot table
-     is one int per terminal. *)
+     (rails and input levels, told apart by their bits), stored after the
+     unknowns in the run vector, so the slot table is one int per
+     terminal. *)
   let levels = ref [||] in
   let level v =
     let rec find i =
@@ -102,43 +186,41 @@ let kernel flat =
     in
     find 0
   in
-  let nodes = Array.make (4 * n_tr) (-1) in
+  let slot_of node =
+    match node with
+    | Flatten.Unknown i -> i
+    | Flatten.Ground | Flatten.Rail | Flatten.Fixed _ ->
+      nu + level (Flatten.node_voltage flat [||] node)
+  in
+  let nodes = Array.make (4 * n_tr) 0 in
   Array.iteri
     (fun idx (tr : Flatten.transistor) ->
-      List.iteri
-        (fun term node ->
-          let slot = (4 * idx) + term in
-          match node with
-          | Flatten.Unknown i -> nodes.(slot) <- i
-          | Flatten.Ground | Flatten.Rail | Flatten.Fixed _ ->
-            nodes.(slot) <- -1 - level (Flatten.node_voltage flat [||] node))
-        [ tr.g; tr.d; tr.s; tr.b ])
+      let o = 4 * idx in
+      nodes.(o) <- slot_of tr.g;
+      nodes.(o + 1) <- slot_of tr.d;
+      nodes.(o + 2) <- slot_of tr.s;
+      nodes.(o + 3) <- slot_of tr.b)
     transistors;
-  let widest =
-    Array.fold_left
-      (fun acc slots -> Stdlib.max acc (Array.length slots))
-      0 flat.Flatten.touching
-  in
+  let xv = Array.append (Array.make nu 0.0) !levels in
+  let lists, seg_off, first_seg, widest = block_lists flat nodes in
   let block =
     Array.fold_left
       (fun acc b -> Stdlib.max acc (Array.length b))
       0 flat.Flatten.blocks
   in
-  let n = Stdlib.max 1 flat.Flatten.n_unknowns in
+  let n = Stdlib.max 1 nu in
   {
     flat;
     devices;
     nodes;
-    levels = !levels;
+    xv;
     cur = Array.make (4 * n_tr) 0.0;
     bias = Array.make 4 0.0;
     comps = Array.make 8 0.0;
     inj = Array.make n 0.0;
-    mark = Array.make n_tr 0;
-    stamp = 0;
-    relaxing = Array.make n 0;
-    relax = 0;
-    saved_tr = Array.make widest 0;
+    lists;
+    seg_off;
+    first_seg;
     saved_cur = Array.make (4 * widest) 0.0;
     jac = Array.make (block * block) 0.0;
     perm = Array.make block 0;
@@ -174,93 +256,94 @@ let reset k injections =
   k.evals <- 0;
   k.gate_evals <- 0
 
-let[@inline] voltage k x slot =
-  let n = k.nodes.(slot) in
-  if n >= 0 then x.(n) else k.levels.(-1 - n)
+(* The bias of the transistor at slots [o..o+3], read from the run
+   vector. *)
+let[@inline] load_bias k (x : float array) o =
+  let b = k.bias and nodes = k.nodes in
+  b.(0) <- x.(nodes.(o));
+  b.(1) <- x.(nodes.(o + 1));
+  b.(2) <- x.(nodes.(o + 2));
+  b.(3) <- x.(nodes.(o + 3))
 
-let[@inline] load_bias k x o =
-  let b = k.bias in
-  b.(0) <- voltage k x o;
-  b.(1) <- voltage k x (o + 1);
-  b.(2) <- voltage k x (o + 2);
-  b.(3) <- voltage k x (o + 3)
-
+(* [x] holds the unknowns alone: the fixed levels come from [xv]. *)
 let eval_components k x tr c =
-  load_bias k x (4 * tr);
+  let nu = k.flat.Flatten.n_unknowns in
+  for t = 0 to 3 do
+    let v = k.nodes.((4 * tr) + t) in
+    k.bias.(t) <- (if v < nu then x.(v) else k.xv.(v))
+  done;
   Model.eval k.devices.(tr) k.bias c
 
-let eval_transistor k x tr =
+let[@inline] eval_full k x tr =
   let o = 4 * tr in
   load_bias k x o;
   Model.eval k.devices.(tr) k.bias k.comps;
-  Model.terminals_into k.comps k.cur o;
-  k.evals <- k.evals + 1
+  Model.terminals_into k.comps k.cur o
 
-(* Whether the node at [slot] is an unknown of the block being relaxed. *)
-let[@inline] relaxed k slot =
-  let n = k.nodes.(slot) in
-  n >= 0 && k.relaxing.(n) = k.relax
-
-(* The gate-only rule. A relaxation reads a transistor's slots only at the
-   block's unknowns, so a transistor whose drain, source and bulk all lie
-   outside the block is read at its gate terminal alone: only its
-   tunneling half is evaluated, and only the gate slot is written (the
-   other three are read by no residual of this block). Membership is the
-   [relaxing] stamp of this relaxation, so an unknown relaxed in several
-   blocks (the MTCMOS virtual ground) forces full evaluation in each. *)
-let eval_for_block k x tr =
+(* The gate-only rule: only the tunneling half runs, and only the gate
+   slot is written (the other three are read by no residual of the
+   block). *)
+let[@inline] eval_gate k x tr =
   let o = 4 * tr in
-  if relaxed k (o + 1) || relaxed k (o + 2) || relaxed k (o + 3) then
-    eval_transistor k x tr
-  else begin
-    load_bias k x o;
-    Model.eval_tunneling k.devices.(tr) k.bias k.comps;
-    Model.gate_current_into k.comps k.cur o;
-    k.evals <- k.evals + 1;
-    k.gate_evals <- k.gate_evals + 1
-  end
+  load_bias k x o;
+  Model.eval_tunneling k.devices.(tr) k.bias k.comps;
+  Model.gate_current_into k.comps k.cur o
 
-let eval_all k x =
-  for tr = 0 to Array.length k.devices - 1 do
-    eval_transistor k x tr
-  done
-
-let next_stamp k = k.stamp <- k.stamp + 1
-
-(* Evaluate the transistors attached to unknown [i] that the current stamp
-   has not evaluated yet. *)
-let eval_touching k x i =
-  let slots = k.flat.Flatten.touching.(i) in
-  for j = 0 to Array.length slots - 1 do
-    let tr = slots.(j) lsr 2 in
-    if k.mark.(tr) <> k.stamp then begin
-      k.mark.(tr) <- k.stamp;
-      eval_for_block k x tr
-    end
-  done
-
-(* Re-evaluate the transistors attached to unknown [i] after [x.(i)] moved,
-   saving their currents first; returns how many [restore] puts back. *)
-let perturb k x i =
-  next_stamp k;
-  let slots = k.flat.Flatten.touching.(i) in
-  let saved = ref 0 in
-  for j = 0 to Array.length slots - 1 do
-    let tr = slots.(j) lsr 2 in
-    if k.mark.(tr) <> k.stamp then begin
-      k.mark.(tr) <- k.stamp;
-      k.saved_tr.(!saved) <- tr;
-      Array.blit k.cur (4 * tr) k.saved_cur (4 * !saved) 4;
-      incr saved;
-      eval_for_block k x tr
+(* Evaluate every transistor of segment [s] at the run vector [x]. *)
+let eval_segment k x s =
+  let lists = k.lists in
+  let lo = k.seg_off.(s) and hi = k.seg_off.(s + 1) in
+  let gate_only = ref 0 in
+  for p = lo to hi - 1 do
+    let e = lists.(p) in
+    if e land 1 = 1 then eval_full k x (e lsr 1)
+    else begin
+      eval_gate k x (e lsr 1);
+      incr gate_only
     end
   done;
-  !saved
+  k.evals <- k.evals + (hi - lo);
+  k.gate_evals <- k.gate_evals + !gate_only
 
-let restore k saved =
-  for s = 0 to saved - 1 do
-    Array.blit k.saved_cur (4 * s) k.cur (4 * k.saved_tr.(s)) 4
+(* [eval_segment] after saving the slots it overwrites: four per full
+   evaluation, the gate slot per gate-only one. *)
+let perturb k x s =
+  let lists = k.lists and cur = k.cur and saved = k.saved_cur in
+  let lo = k.seg_off.(s) in
+  for p = lo to k.seg_off.(s + 1) - 1 do
+    let e = lists.(p) in
+    let o = 4 * (e lsr 1) and q = 4 * (p - lo) in
+    saved.(q) <- cur.(o);
+    if e land 1 = 1 then begin
+      saved.(q + 1) <- cur.(o + 1);
+      saved.(q + 2) <- cur.(o + 2);
+      saved.(q + 3) <- cur.(o + 3)
+    end
+  done;
+  eval_segment k x s
+
+let restore k s =
+  let lists = k.lists and cur = k.cur and saved = k.saved_cur in
+  let lo = k.seg_off.(s) in
+  for p = lo to k.seg_off.(s + 1) - 1 do
+    let e = lists.(p) in
+    let o = 4 * (e lsr 1) and q = 4 * (p - lo) in
+    cur.(o) <- saved.(q);
+    if e land 1 = 1 then begin
+      cur.(o + 1) <- saved.(q + 1);
+      cur.(o + 2) <- saved.(q + 2);
+      cur.(o + 3) <- saved.(q + 3)
+    end
   done
+
+(* Every transistor evaluated once at the unknowns [x], for a full
+   residual vector. *)
+let eval_all k x =
+  Array.blit x 0 k.xv 0 k.flat.Flatten.n_unknowns;
+  for tr = 0 to Array.length k.devices - 1 do
+    eval_full k k.xv tr
+  done;
+  k.evals <- k.evals + Array.length k.devices
 
 let[@inline] residual k i =
   let slots = k.flat.Flatten.touching.(i) in
@@ -289,15 +372,15 @@ let h_sweeps = Tm.histogram "dc.sweeps_per_solve"
 
 let fd_h = 1e-7
 
-(* Scalar Newton update for single-unknown blocks (the common case). *)
-let update_scalar k x i =
+(* Scalar Newton update of unknown [i], whose transistors are segment
+   [s]: a single-unknown block (the common case), or one column of a block
+   whose Newton step failed. *)
+let update_scalar k x i s =
   let v0 = x.(i) in
-  next_stamp k;
-  eval_touching k x i;
+  eval_segment k x s;
   let f0 = residual k i in
   x.(i) <- v0 +. fd_h;
-  next_stamp k;
-  eval_touching k x i;
+  eval_segment k x s;
   let f1 = residual k i in
   x.(i) <- v0;
   let g = (f1 -. f0) /. fd_h in
@@ -313,25 +396,22 @@ let update_scalar k x i =
 (* The block's transistors are evaluated once; a Jacobian column
    re-evaluates only the perturbed unknown's transistors and puts their
    currents back after. The Newton step runs in the kernel's scratch. *)
-let update_block k x block =
+let update_block k x block s =
   let n = Array.length block in
-  next_stamp k;
-  for j = 0 to n - 1 do
-    eval_touching k x block.(j)
-  done;
+  eval_segment k x s;
   for r = 0 to n - 1 do
     k.f0.(r) <- residual k block.(r)
   done;
   for j = 0 to n - 1 do
-    let i = block.(j) in
+    let i = block.(j) and column = s + 1 + j in
     let saved = x.(i) in
     x.(i) <- saved +. fd_h;
-    let moved = perturb k x i in
+    perturb k x column;
     for r = 0 to n - 1 do
       k.jac.((r * n) + j) <- (residual k block.(r) -. k.f0.(r)) /. fd_h
     done;
     x.(i) <- saved;
-    restore k moved
+    restore k column
   done;
   for r = 0 to n - 1 do
     k.rhs.(r) <- -.k.f0.(r)
@@ -351,7 +431,7 @@ let update_block k x block =
     (* Fall back to node-at-a-time relaxation for this block. *)
     let biggest = ref 0.0 in
     for j = 0 to n - 1 do
-      update_scalar k x block.(j);
+      update_scalar k x block.(j) (s + 1 + j);
       biggest := Float.max !biggest k.moved.(0)
     done;
     k.moved.(0) <- !biggest
@@ -364,7 +444,9 @@ let update_block k x block =
 let run ?(options = default_options) ?(injections = []) k =
   let flat = k.flat in
   reset k injections;
-  let x = Array.copy flat.Flatten.initial in
+  let nu = flat.Flatten.n_unknowns in
+  let x = k.xv in
+  Array.blit flat.Flatten.initial 0 x 0 nu;
   k.limits.(0) <- -.options.v_margin;
   k.limits.(1) <- flat.Flatten.vdd +. options.v_margin;
   k.limits.(2) <- options.max_step;
@@ -375,15 +457,11 @@ let run ?(options = default_options) ?(injections = []) k =
     incr sweeps;
     let max_update = ref 0.0 in
     for b = 0 to Array.length blocks - 1 do
-      let block = blocks.(b) in
-      k.relax <- k.relax + 1;
-      for j = 0 to Array.length block - 1 do
-        k.relaxing.(block.(j)) <- k.relax
-      done;
+      let block = blocks.(b) and s = k.first_seg.(b) in
       (match Array.length block with
        | 0 -> k.moved.(0) <- 0.0
-       | 1 -> update_scalar k x block.(0)
-       | _ -> update_block k x block);
+       | 1 -> update_scalar k x block.(0) s
+       | _ -> update_block k x block s);
       max_update := Float.max !max_update k.moved.(0)
     done;
     if !max_update < options.tol_voltage then converged := true
@@ -398,7 +476,7 @@ let run ?(options = default_options) ?(injections = []) k =
     Tm.observe h_sweeps (float_of_int !sweeps);
     if not !converged then Tm.incr m_nonconverged
   end;
-  { voltages = x; sweeps = !sweeps; converged = !converged }
+  { voltages = Array.sub x 0 nu; sweeps = !sweeps; converged = !converged }
 
 let solve ?options ?injections flat = run ?options ?injections (kernel flat)
 

@@ -38,16 +38,20 @@
     in a testbench the cell under test while the reference inverters
     driving it are relaxed) is read at its gate terminal alone, and only
     its tunneling half ({!Leakage_device.Model.eval_tunneling}, 4 of the
-    model's 10 libm calls) runs. Membership is checked per relaxation, so an unknown
-    relaxed in more than one block (the MTCMOS virtual ground, interleaved
-    every 16 gates) forces full evaluation of its transistors in each of
-    its blocks.
+    model's 10 libm calls) runs. Each block relaxes from a list the kernel
+    builds once: its transistors, each once, flagged full or gate-only by
+    the block's own unknowns, and for a block of several unknowns one such
+    list per Jacobian column. An unknown relaxed in more than one block
+    (the MTCMOS virtual ground, interleaved every 16 gates) therefore
+    forces full evaluation of its transistors in each of its blocks, and
+    a column saves and restores only the slots it overwrites.
 
     Kernel reuse: a kernel holds everything a solve reads that does not
     change between runs, so {!run} re-solves it with only the injections
     and the start voltages reset ({!solve} is [run (kernel flat)]). Its
-    slot table is one int per terminal: an unknown's index, or for a fixed
-    node the place of its voltage among the few distinct fixed voltages.
+    slot table is one int per terminal, the place of the terminal's
+    voltage in the run's vector: the unknowns, then the few distinct fixed
+    voltages.
     The block Newton step builds its Jacobian in scratch the kernel owns
     and solves it with {!Leakage_numeric.Linalg.lu_solve_in_place}, the one
     LU {!Leakage_numeric.Solver} uses too; a block update allocates

@@ -61,24 +61,16 @@ let add_transistor acc (tr : Flatten.transistor) (c : float array) =
     ibtbt = acc.ibtbt +. (abs_float c.(6) +. abs_float c.(7));
   }
 
-let of_solution (flat : Flatten.t) x =
-  let n_gates = Netlist.gate_count flat.netlist in
+let of_solution k x =
+  let flat = Dc_solver.flat_of k in
+  let n_gates = Netlist.gate_count flat.Flatten.netlist in
   let per_gate = Array.make n_gates zero in
   let footer = ref zero in
   let vdd_current = ref 0.0 and gnd_current = ref 0.0 in
-  let bias = Array.make 4 0.0 and c = Array.make 8 0.0
-  and t = Array.make 4 0.0 in
-  Array.iter
-    (fun (tr : Flatten.transistor) ->
-      let v n = Flatten.node_voltage flat x n in
-      bias.(0) <- v tr.g;
-      bias.(1) <- v tr.d;
-      bias.(2) <- v tr.s;
-      bias.(3) <- v tr.b;
-      Model.eval
-        (Model.compile (flat.device_of_gate tr.owner) tr.pol ~w:tr.w
-           ~temp:flat.temp)
-        bias c;
+  let c = Array.make 8 0.0 and t = Array.make 4 0.0 in
+  Array.iteri
+    (fun idx (tr : Flatten.transistor) ->
+      Dc_solver.eval_components k x idx c;
       if tr.owner >= 0 then
         per_gate.(tr.owner) <- add_transistor per_gate.(tr.owner) tr c
       else footer := add_transistor !footer tr c;
@@ -94,7 +86,7 @@ let of_solution (flat : Flatten.t) x =
       rail_contribution tr.d t.(1);
       rail_contribution tr.s t.(2);
       rail_contribution tr.b t.(3))
-    flat.transistors;
+    flat.Flatten.transistors;
   let totals = add (Array.fold_left add zero per_gate) !footer in
   (* "into terminal" currents at a rail node are exactly what that rail
      supplies; the ground return is their negation on the ground side. *)
@@ -123,5 +115,6 @@ let of_gate ?pin_currents k x gate =
 let analyze ?device_of_gate ?options ~device ~temp ?vdd netlist pattern =
   let assignment = Simulate.run netlist pattern in
   let flat = Flatten.flatten ?device_of_gate ~device ~temp ?vdd netlist assignment in
-  let result = Dc_solver.solve ?options flat in
-  (of_solution flat result.Dc_solver.voltages, result, flat)
+  let k = Dc_solver.kernel flat in
+  let result = Dc_solver.run ?options k in
+  (of_solution k result.Dc_solver.voltages, result, flat)

@@ -31,16 +31,18 @@ type t = {
   gnd_current : float;          (** current into the ground rail, A *)
 }
 
-val of_solution : Flatten.t -> float array -> t
-(** Attribute leakage at a solved voltage vector. *)
+val of_solution : Dc_solver.kernel -> float array -> t
+(** [of_solution k x] attributes leakage at the solved voltages [x], every
+    transistor evaluated once with the devices [k] compiled (pass the
+    kernel the solve ran on). *)
 
 val of_gate :
   ?pin_currents:float array -> Dc_solver.kernel -> float array -> int ->
   components
 (** [of_gate k x g] is gate [g]'s leakage at the solved voltages
     [x], read from [g]'s own transistors with the devices [k] compiled:
-    the bits of [(of_solution flat x).per_gate.(g)] when [k] was built
-    from [flat]. With [pin_currents], it also writes to
+    the bits of [(of_solution k x).per_gate.(g)]. With [pin_currents], it
+    also writes to
     [pin_currents.(p)] the signed current flowing from input pin [p]'s net
     into the cell through every gate terminal tied to that pin (negated,
     the current the cell injects into the net: its loading contribution).

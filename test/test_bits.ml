@@ -147,7 +147,7 @@ let emit_entry put (e : Characterize.entry) =
     e.Characterize.pin_response;
   Array.iter put e.Characterize.currents;
   Array.iter put e.Characterize.deltas;
-  let t = e.Characterize.vth_log_factor in
+  let t = Characterize.vth_log_factor e in
   List.iter
     (fun g -> Array.iter put g.Interp.ys)
     [ t.Characterize.d_isub; t.Characterize.d_igate; t.Characterize.d_ibtbt ]
@@ -182,6 +182,94 @@ let test_characterize_no_zero_node () =
     "44340e7ff3eb0ea7d80f79d949e94e4c"
     (entries_digest ~grid:{ golden_grid with Characterize.points = 4 }
        ~device:Params.d25 ~temp:300.0 Gate.all_kinds)
+
+(* The threshold table as the characterization itself used to build it:
+   on the characterization bench, after the nominal and every port's
+   current sweep, one solve per shift (the zero shift is the nominal). *)
+let eager_vth_table ~device ~temp kind vector =
+  let tb = Testbench.make kind vector in
+  let bench = Testbench.compile ~device ~temp tb in
+  let nominal = (Testbench.solve bench).Testbench.leakage in
+  let xs =
+    Interp.linspace
+      (-.Characterize.default_grid.Characterize.max_current)
+      Characterize.default_grid.Characterize.max_current
+      Characterize.default_grid.Characterize.points
+  in
+  Array.iter
+    (fun net ->
+      Array.iter
+        (fun amps -> ignore (Testbench.solve ~injections:[ (net, amps) ] bench))
+        xs)
+    (Array.append tb.Testbench.pin_nets [| tb.Testbench.out_net |]);
+  let dvs = Interp.linspace (-0.15) 0.15 9 in
+  let samples =
+    Array.map
+      (fun dv -> (Testbench.solve ~dut_vth_shift:dv bench).Testbench.leakage)
+      dvs
+  in
+  List.map
+    (fun pick ->
+      let base = pick nominal in
+      Array.map
+        (fun c ->
+          let v = pick c in
+          if v <= 0.0 || base <= 0.0 then 0.0 else log (v /. base))
+        samples)
+    [ (fun c -> c.Report.isub); (fun c -> c.Report.igate);
+      (fun c -> c.Report.ibtbt) ]
+
+let table_bits (t : Characterize.table) =
+  List.map
+    (fun g -> Array.map Int64.bits_of_float g.Interp.ys)
+    [ t.Characterize.d_isub; t.Characterize.d_igate; t.Characterize.d_ibtbt ]
+
+(* A table built on its first read, on a bench of its own, holds the bits
+   of the sweep on the characterization bench, for every kind and vector
+   at the nominal and the hot corner. *)
+let test_vth_tables_on_first_read () =
+  List.iter
+    (fun (device, temp, corner) ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun vector ->
+              let e = Characterize.characterize ~device ~temp kind vector in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s at %s" (Gate.name kind)
+                   (Logic.vector_to_string vector) corner)
+                true
+                (table_bits (Characterize.vth_log_factor e)
+                 = List.map (Array.map Int64.bits_of_float)
+                     (eager_vth_table ~device ~temp kind vector)))
+            (Logic.all_vectors (Gate.arity kind)))
+        Gate.all_kinds)
+    [ (Params.d25, 300.0, "D25/300 K"); (Params.d25_s, 420.0, "D25-S/420 K") ]
+
+(* Two domains reading one cold entry's table at once build the same bits;
+   the first publish wins, so both, and every later read, get that one
+   table. *)
+let test_vth_table_race () =
+  let kind = Gate.Aoi22 and vector = Logic.vector_of_string "0110" in
+  let e = Characterize.characterize ~device:Params.d25 ~temp:300.0 kind vector in
+  let ready = Atomic.make 0 in
+  let read () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Characterize.vth_log_factor e
+  in
+  let other = Domain.spawn read in
+  let mine = read () in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "one table for both domains" true (mine == theirs);
+  Alcotest.(check bool) "later reads get it too" true
+    (Characterize.vth_log_factor e == mine);
+  Alcotest.(check bool) "the eager sweep's bits" true
+    (table_bits mine
+     = List.map (Array.map Int64.bits_of_float)
+         (eager_vth_table ~device:Params.d25 ~temp:300.0 kind vector))
 
 (* ------------------------------------------------------------ loading bits *)
 
@@ -757,23 +845,40 @@ let test_s838_evals () =
 
 (* One characterization is one solve per grid point, less the points that
    repeat the nominal solve: the zero node of every port's current axis
-   (odd point counts) and the zero threshold shift. NAND2 has 3 ports:
-   2 + 3 * 7 + 9 solves less 4 at the default grid, 2 + 3 * 4 + 9 less 1
-   at 4 points (70 at 21 points). *)
+   (odd point counts). NAND2 has 3 ports: 2 + 3 * 7 solves less 3 at the
+   default grid, 2 + 3 * 4 at 4 points (62 at 21 points). The threshold
+   table waits for σ's first read, which adds 9 shifts less the zero one;
+   a second read adds nothing. *)
 let test_characterize_solves () =
-  let solves grid =
-    match
-      counts_of [ "dc.solves" ] (fun () ->
-          ignore
-            (Characterize.characterize ?grid ~device:Params.d25 ~temp:300.0
-               (Gate.Nand 2) (Logic.vector_of_string "10")))
-    with
-    | [ n ] -> n
+  let work f =
+    match counts_of [ "dc.solves"; "library.vth_tables" ] f with
+    | [ solves; tables ] -> (solves, tables)
     | _ -> assert false
   in
-  Alcotest.(check int) "NAND2 10 at the default grid" 28 (solves None);
-  Alcotest.(check int) "NAND2 10 at 4 points" 22
-    (solves (Some { golden_grid with Characterize.points = 4 }))
+  let characterize grid =
+    Characterize.characterize ?grid ~device:Params.d25 ~temp:300.0
+      (Gate.Nand 2) (Logic.vector_of_string "10")
+  in
+  let entry = ref None in
+  Alcotest.(check (pair int int)) "NAND2 10 at the default grid" (20, 0)
+    (work (fun () -> entry := Some (characterize None)));
+  Alcotest.(check (pair int int)) "NAND2 10 at 4 points" (14, 0)
+    (work (fun () ->
+         ignore (characterize (Some { golden_grid with Characterize.points = 4 }))));
+  let e = Option.get !entry in
+  Alcotest.(check (pair int int)) "first sigma read" (8, 1)
+    (work (fun () -> ignore (Characterize.vth_log_slope e)));
+  Alcotest.(check (pair int int)) "second sigma read" (0, 0)
+    (work (fun () -> ignore (Characterize.vth_log_factor e)))
+
+(* A cold suite estimate reads no threshold table: 5770 solves for its 233
+   entries, 8 per entry fewer than when characterization built the tables
+   (7634). *)
+let test_suite_solves () =
+  let lib = Library.create ~device:Params.d25 ~temp:300.0 () in
+  Alcotest.(check (list int)) "solves, misses, tables" [ 5770; 233; 0 ]
+    (counts_of [ "dc.solves"; "library.misses"; "library.vth_tables" ]
+       (fun () -> ignore (Suite.estimate_all lib)))
 
 let () =
   Alcotest.run "bits"
@@ -789,6 +894,10 @@ let () =
             test_characterize_hot_corner;
           Alcotest.test_case "no zero node at 4 points" `Quick
             test_characterize_no_zero_node;
+          Alcotest.test_case "threshold tables on first read" `Quick
+            test_vth_tables_on_first_read;
+          Alcotest.test_case "two domains on a cold table" `Quick
+            test_vth_table_race;
         ] );
       ( "loading-bits",
         [
@@ -864,5 +973,6 @@ let () =
           Alcotest.test_case "s838 solve" `Quick test_s838_evals;
           Alcotest.test_case "characterize solves" `Quick
             test_characterize_solves;
+          Alcotest.test_case "cold suite estimate" `Quick test_suite_solves;
         ] );
     ]

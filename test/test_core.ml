@@ -1179,9 +1179,10 @@ let test_statistical_matches_solver_mc () =
           Leakage_spice.Flatten.flatten ~device_of_gate ~device:die_dev
             ~temp:300.0 nl assign
         in
-        let sol = Leakage_spice.Dc_solver.solve flat in
+        let k = Leakage_spice.Dc_solver.kernel flat in
+        let sol = Leakage_spice.Dc_solver.run k in
         Report.total
-          (Report.of_solution flat sol.Leakage_spice.Dc_solver.voltages)
+          (Report.of_solution k sol.Leakage_spice.Dc_solver.voltages)
             .Report.totals)
   in
   let mf = Stats.mean fast.Leakage_core.Statistical.total_with_loading in

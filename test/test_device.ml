@@ -274,6 +274,37 @@ let test_btbt_zero_at_zero_bias () =
   in
   check_float ~eps:1e-15 "no junction current at 0 bias" 0.0 c.Model.ibtbt_d
 
+(* At exactly zero field a tunneling or junction current is a zero of the
+   field's sign: igso follows vg - vs, igb vg - vb and ibtbt_s vs - vb,
+   on every combination of signed zeros — also where source and bulk are
+   equal but not the same bits, so igb may not reuse the gate-source
+   term. *)
+let test_signed_zero_fields () =
+  let zeros = [ 0.0; -0.0 ] in
+  List.iter
+    (fun vg ->
+      List.iter
+        (fun vs ->
+          List.iter
+            (fun vb ->
+              let c =
+                Model.components d25 Params.Nmos ~w:1.0 ~temp:300.0
+                  { Model.vg; vd = vdd; vs; vb }
+              in
+              let label name =
+                Printf.sprintf "%s at vg %g, vs %g, vb %g" name vg vs vb
+              in
+              List.iter
+                (fun (name, current, field) ->
+                  Alcotest.(check bool) (label name) (Float.sign_bit field)
+                    (Float.sign_bit current))
+                [ ("igso", c.Model.igso, vg -. vs);
+                  ("igb", c.Model.igb, vg -. vb);
+                  ("ibtbt_s", c.Model.ibtbt_s, vs -. vb) ])
+            zeros)
+        zeros)
+    zeros
+
 let test_forward_diode_clamps () =
   let c =
     Model.components d25 Params.Nmos ~w:1.0 ~temp:300.0
@@ -710,6 +741,7 @@ let () =
           Alcotest.test_case "length roll-off" `Quick test_length_rolloff;
           Alcotest.test_case "btbt vs bias" `Quick test_btbt_exponential_in_bias;
           Alcotest.test_case "btbt zero bias" `Quick test_btbt_zero_at_zero_bias;
+          Alcotest.test_case "signed zero fields" `Quick test_signed_zero_fields;
           Alcotest.test_case "forward diode" `Quick test_forward_diode_clamps;
           Alcotest.test_case "gate sign" `Quick test_gate_current_sign_follows_field;
           Alcotest.test_case "reverse tunneling" `Quick test_reverse_tunneling_weaker;

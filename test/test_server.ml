@@ -560,6 +560,87 @@ let test_registry_oversized_gate_count_opens_cold () =
     (Printf.sprintf "%.0f bytes allocated (budget 16 MiB)" bytes)
     true (bytes < 16.0 *. 1024.0 *. 1024.0)
 
+(* A checkpoint that decodes but cannot be replayed onto the circuit: the
+   one checkpoint a cold open on "010" writes, its stored vector and gates
+   rewritten by [f]. Reopening it must open cold, counted as opened and
+   not as restored, where the replay used to fail the open. *)
+let check_unreplayable_opens_cold tag f =
+  let dir = fresh_dir tag in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let r1 = Registry.create ~state_dir:dir () in
+  let s, _ = Registry.open_session r1 (Registry.resolve r1 (spec ())) ~pattern:"010" in
+  Registry.checkpoint_to_disk r1 s;
+  let path =
+    match
+      List.filter
+        (fun f -> Filename.check_suffix f ".ckpt")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | _ -> Alcotest.fail "expected one checkpoint file"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  (* header fields, then the circuit, then the vector and the gates *)
+  let r = Wire.reader text in
+  for _ = 1 to 5 do ignore (Wire.get_u8 r) done;
+  ignore (Wire.get_string r);
+  ignore (Wire.get_string r);
+  ignore (Wire.get_f64 r);
+  (match Wire.get_u8 r with
+   | 0 -> ignore (Wire.get_string r)
+   | _ -> ignore (Wire.get_string r); ignore (Wire.get_string r));
+  let head = String.sub text 0 (String.length text - Wire.remaining r) in
+  let pattern = Wire.get_string r in
+  let gates =
+    Array.init (Wire.get_u32 r) (fun _ ->
+        let kind = Wire.get_string r in
+        (kind, Wire.get_f64 r))
+  in
+  let pattern, gates = f pattern gates in
+  let b = Buffer.create (String.length text) in
+  Buffer.add_string b head;
+  Wire.put_string b pattern;
+  Wire.put_u32 b (Array.length gates);
+  Array.iter
+    (fun (kind, strength) ->
+      Wire.put_string b kind;
+      Wire.put_f64 b strength)
+    gates;
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  let count name =
+    Telemetry.Snapshot.counter_total (Telemetry.Snapshot.take ()) name
+  in
+  let opened = count "serve.sessions_opened"
+  and restored = count "serve.sessions_restored" in
+  let r2 = Registry.create ~state_dir:dir () in
+  let _, status =
+    Registry.open_session r2 (Registry.resolve r2 (spec ())) ~pattern:""
+  in
+  Alcotest.(check string) "opens cold" "cold" (Protocol.session_status_name status);
+  Alcotest.(check int) "counted as opened" (opened + 1)
+    (count "serve.sessions_opened");
+  Alcotest.(check int) "not restored" restored (count "serve.sessions_restored")
+
+(* Gate 0 is a NAND2; an inverter in its place changes its arity. *)
+let test_registry_arity_change_opens_cold () =
+  check_unreplayable_opens_cold "arity" (fun pattern gates ->
+      gates.(0) <- (Gate.name Gate.Inv, snd gates.(0));
+      (pattern, gates))
+
+let test_registry_strength_out_of_range_opens_cold () =
+  check_unreplayable_opens_cold "strength" (fun pattern gates ->
+      gates.(1) <- (fst gates.(1), Library.max_strength +. 1.0);
+      (pattern, gates))
+
+(* The circuit has three inputs: two bits are too few, and 'x' is no
+   logic value. *)
+let test_registry_bad_pattern_opens_cold () =
+  check_unreplayable_opens_cold "short" (fun _ gates -> ("01", gates));
+  check_unreplayable_opens_cold "alphabet" (fun _ gates -> ("01x", gates))
+
 let test_registry_evicts_idle_lru () =
   let r = Registry.create ~max_sessions:1 () in
   let resolved = Registry.resolve r (spec ()) in
@@ -1193,6 +1274,12 @@ let () =
             test_registry_adopts_peer_checkpoint;
           Alcotest.test_case "oversized gate count opens cold" `Quick
             test_registry_oversized_gate_count_opens_cold;
+          Alcotest.test_case "arity change opens cold" `Quick
+            test_registry_arity_change_opens_cold;
+          Alcotest.test_case "strength out of range opens cold" `Quick
+            test_registry_strength_out_of_range_opens_cold;
+          Alcotest.test_case "bad pattern opens cold" `Quick
+            test_registry_bad_pattern_opens_cold;
         ] );
       ( "transport",
         [

@@ -216,7 +216,7 @@ let test_stack_node_settles_between_rails () =
 
 let test_report_components_positive () =
   let flat, result, _ = solve_gate (Gate.Nand 2) (Logic.vector_of_string "10") in
-  let report = Report.of_solution flat result.Dc.voltages in
+  let report = Report.of_solution (Dc.kernel flat) result.Dc.voltages in
   let c = report.Report.per_gate.(0) in
   Alcotest.(check bool) "all positive" true
     (c.Report.isub > 0.0 && c.Report.igate > 0.0 && c.Report.ibtbt > 0.0)
@@ -247,7 +247,8 @@ let test_stacking_effect () =
   (* §4 / [9]: both-off stack leaks much less subthreshold than one-off *)
   let sub vector =
     let flat, result, _ = solve_gate (Gate.Nand 2) (Logic.vector_of_string vector) in
-    (Report.of_solution flat result.Dc.voltages).Report.per_gate.(0).Report.isub
+    (Report.of_solution (Dc.kernel flat) result.Dc.voltages).Report.per_gate.(0)
+      .Report.isub
   in
   Alcotest.(check bool) "00 << 01" true (sub "00" < 0.35 *. sub "01");
   Alcotest.(check bool) "00 << 10" true (sub "00" < 0.35 *. sub "10")
@@ -308,7 +309,7 @@ let test_of_gate_matches_of_solution () =
     (fun g row ->
       Alcotest.(check bool) (Printf.sprintf "gate %d" g) true
         (comps (Report.of_gate kernel r.Dc.voltages g) = comps row))
-    (Report.of_solution flat r.Dc.voltages).Report.per_gate
+    (Report.of_solution (Dc.kernel flat) r.Dc.voltages).Report.per_gate
 
 let test_pin_current_signs () =
   (* a cell pin at '1' draws current from its net; a pin at '0' injects *)
