@@ -71,8 +71,8 @@ let rss_budget_bytes = 768 * 1024 * 1024
 (* Words the OCaml heap allocates per declaration while that chain parses
    (minor + major - promoted, so a promoted word counts once): a count, not
    a time, so it reads the same on every run of one build. The reader
-   measures 38.6 on this chain; the bound leaves 24%. *)
-let alloc_budget_words_per_decl = 48.0
+   measures 25.2 on this chain; the bound leaves 24%. *)
+let alloc_budget_words_per_decl = 31.2
 
 let write_chain_bench path =
   let oc = open_out path in

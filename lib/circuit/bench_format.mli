@@ -14,17 +14,23 @@
     Drive strengths are serialized as trailing comments
     ("y = NAND(a, b)  # strength=2") — plain ISCAS89 files parse unchanged
     (everything at strength 1), and files written here round-trip their
-    sizing.
+    sizing bit for bit: a strength is printed with [%g] when that reads
+    back to the same float and with [%.17g] otherwise.
 
     The reader is one byte scanner, the same for {!parse_string} and
-    {!parse_file}: it finds tokens by index in its input buffer, interns
-    each signal name once (names lie back to back in one blob, found by an
-    open-addressing table), and stores declarations in flat int/float
-    tables. Those tables start small and double as names and declarations
-    arrive, so blank lines, comments and whitespace cost no table space.
-    Elaboration is iterative — deep gate chains cannot overflow the stack
-    — and builds no per-gate list. CRLF line endings are accepted (one
-    trailing [\r] is dropped), as is a final line without a newline.
+    {!parse_file}. It walks each line once, left to right, finding tokens
+    by index in its input buffer and hashing each name as it passes; it
+    interns each signal name once (names lie back to back in one blob,
+    found by an open-addressing table) and stores signals and declarations
+    as records of 32-bit fields in [Bytes], which the GC does not scan.
+    Those tables start small and double as names and declarations arrive,
+    so blank lines, comments and whitespace cost no table space. Nothing
+    of a line is stored before its end is read, so a line a chunk cuts is
+    scanned again, whole. Elaboration is iterative — deep gate chains
+    cannot overflow the stack — and builds no per-gate list. CRLF line
+    endings are accepted (a [\r] is a blank), as is a final line without
+    a newline. Input longer than 2{^31} − 1 bytes is rejected with
+    [Parse_error (0, _)], which keeps every stored field in 32 bits.
 
     A line is an [INPUT] or [OUTPUT] declaration when the keyword (in any
     case) is followed by blanks and then [(]; it must end with [)]. A line
@@ -42,8 +48,9 @@ val parse_string : name:string -> string -> Netlist.t
     including conflicting declarations of one net name (a duplicated
     [INPUT] or [OUTPUT], a redefined gate target, or a gate target
     shadowing a declared input), an undefined signal, a combinational
-    cycle, a strength annotation that is not finite and positive, and an
-    empty file (no INPUT, OUTPUT or gate line at all). *)
+    cycle, a strength annotation that is not finite and positive, an empty
+    file (no INPUT, OUTPUT or gate line at all) and input past 2{^31} − 1
+    bytes. *)
 
 val parse_file : string -> Netlist.t
 (** Parse a file; the netlist is named after the basename. Reads the file
@@ -56,6 +63,6 @@ val parse_file : string -> Netlist.t
 val to_string : Netlist.t -> string
 (** Render a netlist as [.bench] text (combinational: no DFF lines; pseudo
     PIs/POs appear as INPUT/OUTPUT). Re-parsing yields an equivalent
-    circuit. *)
+    circuit, every strength bit for bit. *)
 
 val write_file : string -> Netlist.t -> unit

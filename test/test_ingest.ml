@@ -703,10 +703,11 @@ let test_bench_writer_bytes () =
     writer_digests
 
 (* Allocation gate: the writer renders into one reused buffer and copies
-   names byte by byte, so a gate costs its boxed strength read, plus the
-   [%g] annotation text of a non-unit strength and a complex cell's
-   decomposition helpers. Measured with [write_file]: 2.00 words per gate
-   on the tapped chain and 25.46 on s13207; each bound is 25% above. *)
+   names byte by byte, so a gate costs its boxed strength read, plus a
+   complex cell's decomposition helpers; each distinct strength's
+   annotation is rendered once per call. Measured with [write_file]: 2.00
+   words per gate on the tapped chain and 2.66 on s13207; each bound is
+   25% above. *)
 let test_bench_writer_minor_words () =
   List.iter
     (fun (nl, bound) ->
@@ -725,8 +726,118 @@ let test_bench_writer_minor_words () =
             true (per_gate <= bound)))
     [
       (Trees.chain ~stages:16384 ~tap_every:64 (), 2.5);
-      ((Suite.find "s13207").Suite.build (), 31.8);
+      ((Suite.find "s13207").Suite.build (), 3.33);
     ]
+
+(* Every strength reads back bit for bit, through text and through a file:
+   those [%g] prints exactly and those it would round. *)
+let test_bench_writer_exact_strengths () =
+  let strengths =
+    [| 0.75; 1.5; 3.0; 1e-3; 2.0; 4.0; 0.5; 1.2345678; 1.0 /. 3.0; 123456789.0 |]
+  in
+  let module B = Netlist.Builder in
+  let b = B.create "sized" in
+  let prev = ref (B.input ~name:"a" b) in
+  Array.iter (fun strength -> prev := B.gate ~strength b Gate.Inv [| !prev |]) strengths;
+  B.mark_output b !prev;
+  let nl = B.finish b in
+  let bits t =
+    List.sort compare
+      (List.init (Netlist.gate_count t) (fun g -> Int64.bits_of_float (Netlist.gate_strength t g)))
+  in
+  let check label t =
+    Alcotest.(check (list int64)) (label ^ ": strengths") (bits nl) (bits t);
+    Alcotest.(check string) (label ^ ": digest") (Netlist.digest nl) (Netlist.digest t)
+  in
+  check "to_string" (Bench_format.parse_string ~name:"sized" (Bench_format.to_string nl));
+  let path = Filename.temp_file "leakage_sized" ".bench" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Bench_format.write_file path nl;
+      check "write_file" (Bench_format.parse_file path))
+
+(* [a] and [b] are the same netlist, gate by gate and net by net. *)
+let check_same_netlist label a b =
+  Alcotest.(check string) (label ^ ": digest") (Netlist.digest a) (Netlist.digest b);
+  Alcotest.(check int) (label ^ ": gates") (Netlist.gate_count a) (Netlist.gate_count b);
+  Alcotest.(check int) (label ^ ": nets") (Netlist.net_count a) (Netlist.net_count b);
+  Alcotest.(check (array int)) (label ^ ": inputs") (Netlist.inputs a) (Netlist.inputs b);
+  Alcotest.(check (array int)) (label ^ ": outputs") (Netlist.outputs a) (Netlist.outputs b);
+  for n = 0 to Netlist.net_count a - 1 do
+    Alcotest.(check string) (label ^ ": net name") (Netlist.net_name a n) (Netlist.net_name b n)
+  done;
+  for g = 0 to Netlist.gate_count a - 1 do
+    let shape t =
+      ( Gate.name (Netlist.gate_kind t g),
+        Int64.bits_of_float (Netlist.gate_strength t g),
+        Netlist.gate_out t g,
+        List.init (Netlist.gate_arity t g) (Netlist.gate_pin t g) )
+    in
+    if shape a <> shape b then Alcotest.failf "%s: gate %d differs" label g
+  done
+
+(* [parse_file] reads 64 KiB chunks: every suite circuit it reads from a
+   [write_file] file (s5378 and up span several chunks, lines cut at
+   every boundary) is the netlist [parse_string] makes of the same text. *)
+let test_bench_file_equals_string () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let label = e.Suite.label in
+      let path = Filename.temp_file ("leakage_" ^ label) ".bench" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Bench_format.write_file path (e.Suite.build ());
+          check_same_netlist label
+            (Bench_format.parse_string ~name:label (read_all path))
+            (Bench_format.parse_file path)))
+    Suite.all
+
+(* A line longer than a chunk grows the buffer: an input name of 100 KB,
+   declared and then read, parses from a file as from a string. *)
+let test_bench_line_longer_than_chunk () =
+  let long = String.init 100_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let text = Printf.sprintf "INPUT(%s)\nOUTPUT(y)\ny = NOT(%s)  # strength=2\n" long long in
+  with_temp_file text (fun path ->
+      let t = Bench_format.parse_file path in
+      Alcotest.(check string) "long input name" long (Netlist.net_name t (Netlist.inputs t).(0));
+      Alcotest.(check (float 0.0)) "strength" 2.0 (Netlist.gate_strength t 0);
+      check_same_netlist "long line"
+        (Bench_format.parse_string ~name:(Filename.remove_extension (Filename.basename path)) text)
+        t)
+
+(* [parse_file] never seeks: s13207's text written into a FIFO by a forked
+   writer parses to the netlist [parse_string] makes of it. *)
+let test_bench_file_from_pipe () =
+  let text = Bench_format.to_string (corpus_circuit "s13207") in
+  let dir = Filename.temp_file "leakage_fifo" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "s13207.bench" in
+  Unix.mkfifo path 0o600;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Unix.fork () with
+      | 0 ->
+        (try
+           let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+           ignore (Unix.write_substring fd text 0 (String.length text));
+           Unix.close fd
+         with _ -> ());
+        Unix._exit 0
+      | pid ->
+        let parsed =
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] pid))
+            (fun () -> Bench_format.parse_file path)
+        in
+        check_same_netlist "pipe" (Bench_format.parse_string ~name:"s13207" text) parsed)
 
 let () =
   Alcotest.run "ingest"
@@ -740,12 +851,19 @@ let () =
             test_bench_blank_lines_cost_no_tables;
           Alcotest.test_case "INPUT/OUTPUT-prefixed names" `Quick
             test_bench_keyword_prefixed_names;
+          Alcotest.test_case "file = string across chunks" `Quick
+            test_bench_file_equals_string;
+          Alcotest.test_case "line longer than a chunk" `Quick
+            test_bench_line_longer_than_chunk;
+          Alcotest.test_case "file from a pipe" `Quick test_bench_file_from_pipe;
         ] );
       ( "bench-writer",
         [
           Alcotest.test_case "pinned bytes" `Quick test_bench_writer_bytes;
           Alcotest.test_case "minor words per gate" `Quick
             test_bench_writer_minor_words;
+          Alcotest.test_case "exact strengths round-trip" `Quick
+            test_bench_writer_exact_strengths;
         ] );
       ( "bench-errors",
         [
